@@ -26,7 +26,7 @@ import numpy as np
 from .degiorgi import check_recurrence, level_set_measures, \
     truncated_energies, verify_corollary2, verify_lemma1
 from .ensembles import lemma_ensemble_run, level_ensemble_run, \
-    oscillation_run, recurrence_run, run_many
+    oscillation_run, recurrence_run
 from .errors import ConfigError
 from .oscillation import check_scale_barrier, oscillation_decay
 
@@ -145,7 +145,6 @@ def calibrate_constants(lemma_seeds=range(1, 51),
                         k_sc: float = 0.65,
                         cap: float = 0.99,
                         eps_floor: float = 1e-6,
-                        threads: int = 1,
                         k_max: int = 6,
                         levels: int = 4) -> CalibrationConstants:
     """Sweep the four ensembles and pin every detector constant."""
@@ -157,7 +156,7 @@ def calibrate_constants(lemma_seeds=range(1, 51),
     # --- truncated-mass budget eps0 and positivity budget delta ----------
     h_pairs: list[tuple[float, bool]] = []
     p_pairs: list[tuple[float, bool]] = []
-    for traj in run_many(lemma_ensemble_run, lemma_seeds, threads):
+    for traj in map(lemma_ensemble_run, lemma_seeds):
         r1 = verify_lemma1(traj, eps0=cap, order=order)
         h_pairs.append((r1.numbers["truncated_mass"], r1.conclusion_ok))
         r2 = verify_corollary2(traj, delta=cap, order=order)
@@ -169,7 +168,7 @@ def calibrate_constants(lemma_seeds=range(1, 51),
 
     # --- level-set measures mu/gamma and the oscillation drop ------------
     below, above, inter, oscs = [], [], [], []
-    for traj in run_many(level_ensemble_run, level_seeds, threads):
+    for traj in map(level_ensemble_run, level_seeds):
         m = level_set_measures(traj, lam, order=order)
         below.append(m.below_phi0)
         above.append(m.above_phi2)
@@ -189,7 +188,7 @@ def calibrate_constants(lemma_seeds=range(1, 51),
         gamma, gamma_fallback = eps_floor, True
     # --- recurrence constant and oscillation exponents --------------------
     cbars = []
-    for traj in run_many(recurrence_run, rec_seeds, threads):
+    for traj in map(recurrence_run, rec_seeds):
         seq = truncated_energies(traj, k_max=k_max, order=order)
         rep = check_recurrence(seq)
         if rep.constant is not None and math.isfinite(rep.constant):
@@ -197,7 +196,7 @@ def calibrate_constants(lemma_seeds=range(1, 51),
     cbar = float(max(cbars)) if cbars else 1.0
 
     alphas, r2s = [], []
-    for traj in run_many(oscillation_run, osc_seeds, threads):
+    for traj in map(oscillation_run, osc_seeds):
         rep = oscillation_decay(traj, center=(0.0, np.zeros(dimension)),
                                 scale=k_sc, levels=levels, order=order)
         alphas.append(rep.alpha)
@@ -259,24 +258,9 @@ def calibrate_constants(lemma_seeds=range(1, 51),
     return const
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
 def save_calibration(constants: CalibrationConstants, path: str) -> None:
-    payload = _jsonable(dataclasses.asdict(constants))
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    from .cli import _write_json        # cli imports this module
+    _write_json(dataclasses.asdict(constants), path)
 
 
 def load_calibration(path: str) -> CalibrationConstants:

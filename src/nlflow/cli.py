@@ -26,7 +26,7 @@ from .config import ExperimentConfig, parse_config
 from .degiorgi import check_recurrence, chebyshev_chain, truncated_energies, \
     verify_corollary1, verify_corollary2, verify_lemma1, verify_lemma2
 from .ensembles import lemma_ensemble_run, level_ensemble_run, \
-    oscillation_run, recurrence_run, run_many
+    oscillation_run, recurrence_run
 from .errors import ConfigError, NlflowError
 from .fieldio import load_field, save_field
 from .flow import FlowProblem, Trajectory, run_flow
@@ -37,15 +37,6 @@ from .potentials import validate_potential
 __all__ = ["main"]
 
 _VERSION = "0.1.0"
-
-
-def _thread_count(n_jobs: int) -> int:
-    raw = os.environ.get("NLFLOW_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"NLFLOW_THREADS must be an integer, got {raw!r}")
-    return max(1, min(n, n_jobs))
 
 
 def _jsonable(obj):
@@ -157,14 +148,13 @@ def _cmd_validate(cfg: ExperimentConfig, out_dir: str) -> int:
 def _cmd_run(cfg: ExperimentConfig, out_dir: str) -> int:
     seeds = list(cfg.get("ensemble.seeds"))
     sample_every = cfg.get("flow.sample_every")
-    threads = _thread_count(len(seeds))
 
     def one(seed: int) -> Trajectory:
         return run_flow(cfg.flow_problem(seed=seed),
                         sample_every=sample_every)
 
     _ensure_dirs(out_dir, "curves", "fields")
-    trajectories = run_many(one, seeds, threads)
+    trajectories = [one(seed) for seed in seeds]
     records, notes = [], []
     for seed, traj in zip(seeds, trajectories):
         rec = {"seed": seed}
@@ -213,7 +203,6 @@ def _load_reference_constants(cfg: ExperimentConfig) -> CalibrationConstants:
 def _cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> int:
     cal = _load_reference_constants(cfg)
     seeds = list(cfg.get("ensemble.seeds"))
-    threads = _thread_count(len(seeds))
     k_max = cfg.get("diagnose.k_max")
     levels = cfg.get("diagnose.levels")
     scale = cfg.get("diagnose.scale")
@@ -259,7 +248,7 @@ def _cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> int:
         return entry
 
     _ensure_dirs(out_dir, "curves")
-    entries = run_many(diagnose_seed, seeds, threads)
+    entries = [diagnose_seed(seed) for seed in seeds]
     for seed, entry in zip(seeds, entries):
         _write_curve(
             os.path.join(out_dir, "curves", f"recurrence-seed{seed}.csv"),
@@ -376,10 +365,8 @@ def _cmd_calibrate(cfg: ExperimentConfig, out_dir: str,
         seeds = list(cfg.get("ensemble.seeds"))
         kwargs = {"lemma_seeds": seeds, "level_seeds": seeds,
                   "osc_seeds": seeds, "rec_seeds": seeds}
-    threads = _thread_count(len(cfg.get("ensemble.seeds")))
     constants = calibrate_constants(order=cfg.get("kernel.s"),
-                                    dimension=cfg.get("grid.N"),
-                                    threads=threads, **kwargs)
+                                    dimension=cfg.get("grid.N"), **kwargs)
     _ensure_dirs(out_dir)
     save_calibration(constants, os.path.join(out_dir, "calibration.json"))
     report = {

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InsufficientCoverageError, InvalidParameterError
 from .flow import Trajectory
-from .grid import Grid
+from .grid import Grid, seminorm_sq
 
 __all__ = [
     "BARRIER_KINDS",
@@ -167,22 +167,6 @@ class TruncatedEnergySequence:
         return int(self.levels[-1])
 
 
-def _stack_seminorm_sq(grid: Grid, stack: np.ndarray, order: float,
-                       cutoff: float) -> np.ndarray:
-    """Squared Gagliardo seminorm of every field in a (..., nodes) stack."""
-    shape = stack.shape[:-1]
-    wg = stack.reshape(shape + grid.shape)
-    node_axes = tuple(range(len(shape), len(shape) + grid.dimension))
-    deltas, dists = grid.offsets_within(cutoff)
-    weights = dists ** (-(grid.dimension + order))
-    acc = np.zeros(shape, dtype=np.float64)
-    for delta, wgt in zip(deltas, weights):
-        rolled = np.roll(wg, tuple(-delta), axis=node_axes)
-        diff = wg - rolled
-        acc += wgt * np.sum(diff * diff, axis=node_axes)
-    return acc * grid.spacing ** (2 * grid.dimension)
-
-
 def truncated_energies(traj: Trajectory, k_max: int, order: float | None = None,
                        cutoff: float = 2.0) -> TruncatedEnergySequence:
     """Level-truncated energies U_k over the shrinking windows [T_k, 0].
@@ -234,7 +218,7 @@ def truncated_energies(traj: Trajectory, k_max: int, order: float | None = None,
         block = traj.fields[idx[lo:hi]]            # (b, nodes)
         pos = np.maximum(block[:, None, :] - psi_l[None, :, :], 0.0)
         l2_mass[lo:hi] = np.sum(pos * pos, axis=-1) * h_n
-        seminorm[lo:hi] = _stack_seminorm_sq(grid, pos, s, cutoff)
+        seminorm[lo:hi] = seminorm_sq(grid, pos, s, cutoff)
 
     # accumulate from t = 0 backwards: reversing makes each window a prefix
     rev_mass = l2_mass[::-1]

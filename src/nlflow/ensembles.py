@@ -8,8 +8,6 @@ with the same seed are bitwise identical.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .fields import make_initial
@@ -23,7 +21,7 @@ __all__ = [
     "linear_dissipation_run", "nonlinear_dissipation_run",
     "lemma_ensemble_run", "level_ensemble_run",
     "recurrence_run", "oscillation_run",
-    "random_field_trajectory", "run_many",
+    "random_field_trajectory",
 ]
 
 
@@ -135,15 +133,3 @@ def random_field_trajectory(seed: int, n_samples: int = 5,
     return Trajectory.from_fields(grid, times, values, kind="synthetic",
                                   order=1.0)
 
-
-def run_many(recipe, seeds, threads: int = 1) -> list:
-    """Run a seed recipe over a list, optionally on a thread pool.
-
-    Results always come back in seed order, so downstream assembly is
-    deterministic regardless of scheduling.
-    """
-    seeds = list(seeds)
-    if threads <= 1 or len(seeds) <= 1:
-        return [recipe(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(recipe, seeds))

@@ -81,17 +81,8 @@ def _offset_rhs(op: DiscreteOperator, wg: np.ndarray, t: float,
                 d1=None) -> np.ndarray:
     """sum_d K_d * g(w(x+d) - w(x)) * h^N on the grid-shaped array `wg`;
     g = identity for linear runs, phi' for nonlinear ones.  The linear and
-    nonlinear paths share this loop so the quadratic degeneracy is bitwise."""
-    vals = op.offset_values(t)
-    shape = op.grid.shape
-    axes = tuple(range(op.grid.dimension))
-    acc = np.zeros_like(wg)
-    for i, delta in enumerate(op.deltas):
-        diff = np.roll(wg, tuple(-delta), axis=axes) - wg
-        if d1 is not None:
-            diff = d1(diff)
-        kd = vals[i] if vals.ndim == 1 else vals[i].reshape(shape)
-        acc += kd * diff
+    nonlinear paths share this sum so the quadratic degeneracy is bitwise."""
+    acc = op.stencil.offset_sum(wg, op.offset_values(t), d1)
     return acc * op.grid.spacing ** op.grid.dimension
 
 
@@ -124,33 +115,23 @@ def step_nonlinear(op: DiscreteOperator, potential: Potential, w: Field,
     return Field(w.grid, out.ravel()).require_finite("step_nonlinear output")
 
 
+def _energy_from_rhs(grid: Grid, rhs: np.ndarray, w: np.ndarray) -> float:
+    """B[w, w] = -2 h^N <L w, w> (the identity in `bilinear_form`)."""
+    return -2.0 * grid.spacing ** grid.dimension * float(np.dot(rhs, w))
+
+
 def linear_energy(op: DiscreteOperator, w: np.ndarray, t: float = 0.0) -> float:
-    """B[w, w] = sum over ordered pairs of K (w(x)-w(y))^2 h^(2N)."""
-    vals = op.offset_values(t)
-    shape = op.grid.shape
-    wg = w.reshape(shape)
-    axes = tuple(range(op.grid.dimension))
-    total = 0.0
-    for i, delta in enumerate(op.deltas):
-        du = wg - np.roll(wg, tuple(-delta), axis=axes)
-        kd = vals[i] if vals.ndim == 1 else vals[i].reshape(shape)
-        total += float(np.sum(kd * du * du))
-    return total * op.grid.spacing ** (2 * op.grid.dimension)
+    """B[w, w] = sum over ordered pairs of K (w(x)-w(y))^2 h^(2N), from one
+    evaluation of L w; defined for every strategy."""
+    return _energy_from_rhs(op.grid, _linear_rhs(op, w, t), w)
 
 
 def nonlinear_energy(op: DiscreteOperator, potential: Potential,
                      w: np.ndarray, t: float = 0.0) -> float:
     """V(theta) = sum over ordered pairs of phi(theta(y)-theta(x)) K h^(2N)."""
-    vals = op.offset_values(t)
-    shape = op.grid.shape
-    wg = w.reshape(shape)
-    axes = tuple(range(op.grid.dimension))
-    total = 0.0
-    for i, delta in enumerate(op.deltas):
-        du = np.roll(wg, tuple(-delta), axis=axes) - wg
-        kd = vals[i] if vals.ndim == 1 else vals[i].reshape(shape)
-        total += float(np.sum(kd * potential.value(du)))
-    return total * op.grid.spacing ** (2 * op.grid.dimension)
+    per_node = op.stencil.offset_sum(w.reshape(op.grid.shape),
+                                     op.offset_values(t), potential.value)
+    return float(np.sum(per_node)) * op.grid.spacing ** (2 * op.grid.dimension)
 
 
 @dataclass
@@ -306,20 +287,35 @@ def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
     sample_fields: list[np.ndarray] = []
     states = np.empty((n_steps + 1, n)) if problem.store_states else None
 
-    energy_fn = (lambda v, t: nonlinear_energy(op, pot, v, t)) if nonlinear \
-        else (lambda v, t: linear_energy(op, v, t))
-
     def rhs(v: np.ndarray, t: float) -> np.ndarray:
         if nonlinear:
             return _offset_rhs(op, v.reshape(grid.shape), t,
                                d1=pot.d1).ravel()
         return _linear_rhs(op, v, t)
 
+    def rhs_and_energy(v: np.ndarray, t: float) -> tuple[np.ndarray, float]:
+        """The RHS at v and the energy of v, from one pass over the offsets."""
+        if not nonlinear:
+            r = _linear_rhs(op, v, t)
+            return r, _energy_from_rhs(grid, r, v)
+        sums = []
+
+        def d1(diffs):
+            # sum phi over the nodes of each offset in the block; the
+            # kernel is translation-invariant, so K_d weights these sums
+            sums.append(np.sum(pot.value(diffs),
+                               axis=tuple(range(1, diffs.ndim))))
+            return pot.d1(diffs)
+
+        r = _offset_rhs(op, v.reshape(grid.shape), t, d1=d1).ravel()
+        energy = float(np.sum(op.offset_values(t) * np.concatenate(sums)))
+        return r, energy * grid.spacing ** (2 * grid.dimension)
+
     heun = problem.stepper == "heun"
     for i in range(n_steps + 1):
         t = float(step_times[i])
+        k1, energy[i] = rhs_and_energy(w, t)
         l2[i] = math.sqrt(float(np.sum(w * w)) * h_n)
-        energy[i] = energy_fn(w, t)
         vmin[i] = float(w.min())
         vmax[i] = float(w.max())
         mass[i] = float(np.sum(w)) * h_n
@@ -332,12 +328,10 @@ def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
             break
         dt = float(dts[i])
         if heun:
-            k1 = rhs(w, t)
-            pred = w + dt * k1
-            k2 = rhs(pred, t + dt)
+            k2 = rhs(w + dt * k1, t + dt)
             w = w + (0.5 * dt) * (k1 + k2)
         else:
-            w = w + dt * rhs(w, t)
+            w = w + dt * k1
         if not np.all(np.isfinite(w)):
             raise NonFiniteStateError(
                 f"non-finite state after step {i + 1}", step=i + 1)

@@ -20,7 +20,7 @@ from .errors import (InsufficientCoverageError, InvalidParameterError,
                      NonLatticeStepError, TrajectoryMismatchError,
                      UnderResolvedError, WindowOutOfRangeError)
 from .flow import Trajectory
-from .grid import Field, Grid
+from .grid import Field, Grid, OffsetStencil
 from .kernels import Kernel
 from .potentials import Potential
 
@@ -124,9 +124,9 @@ class DerivedKernel:
         return theta.ravel(), shifted.ravel()
 
     def _sigma_average(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        u = ((1.0 - self.sigma)[:, None] * a[None, :]
-             + self.sigma[:, None] * b[None, :])
-        vals = self.weights @ self.potential.d2(u)
+        sigma = self.sigma.reshape((-1,) + (1,) * a.ndim)
+        u = (1.0 - sigma) * a + sigma * b
+        vals = np.tensordot(self.weights, self.potential.d2(u), axes=1)
         lo, hi = self.potential.d2_bounds
         return np.clip(vals, lo, hi)
 
@@ -140,15 +140,11 @@ class DerivedKernel:
         cached = self._factor_cache.get(key)
         if cached is not None and cached.shape[0] == deltas.shape[0]:
             return cached
-        theta, theta_sh = self._theta_pair(t)
-        tg = theta.reshape(self.grid.shape)
-        tsg = theta_sh.reshape(self.grid.shape)
-        axes = tuple(range(self.grid.dimension))
+        pair = np.stack(self._theta_pair(t)).reshape((2,) + self.grid.shape)
         out = np.empty((deltas.shape[0], self.grid.n_nodes))
-        for i, delta in enumerate(deltas):
-            a = (np.roll(tg, tuple(-delta), axis=axes) - tg).ravel()
-            b = (np.roll(tsg, tuple(-delta), axis=axes) - tsg).ravel()
-            out[i] = self._sigma_average(a, b)
+        for rows, diffs in OffsetStencil(self.grid, deltas).blocks(pair):
+            out[rows] = self._sigma_average(diffs[0], diffs[1]).reshape(
+                -1, self.grid.n_nodes)
         self._factor_cache = {key: out}
         return out
 
@@ -320,8 +316,8 @@ def verify_linearization(theta_traj: Trajectory, e: int = 0,
 
     deltas, dists = grid.offsets_within(base.spec.truncation_radius)
     kd = base.radial_profile(dists)                 # per-offset scalars
+    stencil = OffsetStencil(grid, deltas)
     h_n = grid.spacing ** grid.dimension
-    axes = tuple(range(grid.dimension))
 
     step_times = theta_traj.step_times
     dts = np.diff(step_times)
@@ -344,14 +340,8 @@ def verify_linearization(theta_traj: Trajectory, e: int = 0,
         if n == dts.size:
             break
         factors = dk.offset_factors(step_times[n], deltas)
-        acc = np.zeros_like(w)
-        for i, delta in enumerate(deltas):
-            diff = np.roll(w, tuple(-delta), axis=axes) - w
-            if factors is None:
-                acc += kd[i] * diff
-            else:
-                acc += (kd[i] * factors[i].reshape(grid.shape)) * diff
-        w = w + dts[n] * (acc * h_n)
+        table = kd if factors is None else kd[:, None] * factors
+        w = w + dts[n] * (stencil.offset_sum(w, table) * h_n)
 
     max_defect = float(np.max(defects))
     return TransferReport(

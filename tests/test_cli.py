@@ -117,6 +117,18 @@ def test_run_rerun_is_byte_identical(tmp_path):
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
 
 
+@pytest.mark.parametrize("grid_sets", [
+    [], ["--set", "grid.N=2", "--set", "grid.M=32"]], ids=["1d", "2d"])
+def test_spectral_run_records_an_energy(tmp_path, grid_sets):
+    # the energy record comes from the RHS, so spectral runs have one too
+    out = tmp_path / "s"
+    rc = main(["run", "--out", str(out), "--seed", "1",
+               "--set", "flow.strategy=spectral",
+               "--set", "kernel.radius=inf"] + grid_sets)
+    assert rc == 0
+    assert read_report(out)["runs"][0]["dissipative"] is True
+
+
 # ---------------------------------------------------------------------------
 # diagnose
 
@@ -225,13 +237,6 @@ def test_calibrate_small_ensemble(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # plumbing
-
-def test_thread_count_env_is_validated(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NLFLOW_THREADS", "lots")
-    rc = main(["run", "--out", str(tmp_path / "r"), "--seed", "1"] + RUN_ARGS)
-    assert rc == 2
-    assert "NLFLOW_THREADS" in capsys.readouterr().err
-
 
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exit_info:
