@@ -28,6 +28,7 @@ from .degiorgi import check_recurrence, level_set_measures, \
 from .ensembles import lemma_ensemble_run, level_ensemble_run, \
     oscillation_run, recurrence_run
 from .errors import ConfigError
+from .fieldio import write_json
 from .oscillation import check_scale_barrier, oscillation_decay
 
 __all__ = ["CalibrationConstants", "calibrate_constants",
@@ -259,8 +260,7 @@ def calibrate_constants(lemma_seeds=range(1, 51),
 
 
 def save_calibration(constants: CalibrationConstants, path: str) -> None:
-    from .cli import _write_json        # cli imports this module
-    _write_json(dataclasses.asdict(constants), path)
+    write_json(dataclasses.asdict(constants), path)
 
 
 def load_calibration(path: str) -> CalibrationConstants:

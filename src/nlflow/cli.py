@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import time
@@ -28,7 +27,7 @@ from .degiorgi import check_recurrence, chebyshev_chain, truncated_energies, \
 from .ensembles import lemma_ensemble_run, level_ensemble_run, \
     oscillation_run, recurrence_run
 from .errors import ConfigError, NlflowError
-from .fieldio import load_field, save_field
+from .fieldio import jsonable, load_field, save_field, write_json
 from .flow import FlowProblem, Trajectory, run_flow
 from .kernels import make_kernel, validate_kernel
 from .oscillation import oscillation_decay, verify_lemma3
@@ -37,27 +36,6 @@ from .potentials import validate_potential
 __all__ = ["main"]
 
 _VERSION = "0.1.0"
-
-
-def _jsonable(obj):
-    """Report payloads: numpy -> python, non-finite floats -> strings."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        obj = obj.item()
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return repr(obj)
-    return obj
-
-
-def _write_json(payload: dict, path: str) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
 
 
 def _ensure_dirs(out_dir: str, *sub: str) -> None:
@@ -103,7 +81,7 @@ def _dissipation_record(traj: Trajectory) -> dict:
 
 
 def _lemma_dict(rep) -> dict:
-    return _jsonable(dataclasses.asdict(rep))
+    return jsonable(dataclasses.asdict(rep))
 
 
 # --------------------------------------------------------------------------
@@ -138,7 +116,7 @@ def _cmd_validate(cfg: ExperimentConfig, out_dir: str) -> int:
         "provenance": {"checks": "measured"},
     }
     _ensure_dirs(out_dir)
-    _write_json(report, os.path.join(out_dir, "report.json"))
+    write_json(report, os.path.join(out_dir, "report.json"))
     for name, ok in checks.items():
         print(f"validate {name}: {'ok' if ok else 'FAIL'}")
     print(f"validate: {'pass' if passed else 'FAIL'}")
@@ -185,7 +163,7 @@ def _cmd_run(cfg: ExperimentConfig, out_dir: str) -> int:
         "passed": all_ok,
         "provenance": {"runs": "measured"},
     }
-    _write_json(report, os.path.join(out_dir, "report.json"))
+    write_json(report, os.path.join(out_dir, "report.json"))
     for r in records:
         print(f"run seed {r['seed']}: "
               f"{'dissipative' if r['dissipative'] else 'VERDICT FAIL'} "
@@ -285,7 +263,7 @@ def _cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> int:
         "provenance": {"runs": "measured", "calibration": "calibrated",
                        "thresholds": cal.provenance},
     }
-    _write_json(report, os.path.join(out_dir, "report.json"))
+    write_json(report, os.path.join(out_dir, "report.json"))
     for name in lemma_names:
         c = counts[name]
         print(f"diagnose {name}: pass={c['pass']} fail={c['fail']} "
@@ -351,7 +329,7 @@ def _cmd_denoise(cfg: ExperimentConfig, out_dir: str) -> int:
         "passed": passed,
         "provenance": {"flow": "measured"},
     }
-    _write_json(report, os.path.join(out_dir, "report.json"))
+    write_json(report, os.path.join(out_dir, "report.json"))
     print(f"denoise: range {range_in} -> {range_out}, "
           f"energy {rec['energy_first']:.6g} -> {rec['energy_last']:.6g}")
     print(f"denoise: {'pass' if passed else 'FAIL'}")
@@ -378,7 +356,7 @@ def _cmd_calibrate(cfg: ExperimentConfig, out_dir: str,
         "passed": constants.in_unit_interval(),
         "provenance": constants.provenance,
     }
-    _write_json(report, os.path.join(out_dir, "report.json"))
+    write_json(report, os.path.join(out_dir, "report.json"))
     print(f"calibrate: eps0={constants.eps0:.6g} delta={constants.delta:.6g} "
           f"mu={constants.mu:.6g} gamma={constants.gamma:.6g} "
           f"lam_star={constants.lam_star:.6g}")
@@ -437,7 +415,7 @@ def main(argv=None) -> int:
     except NlflowError as exc:
         print(f"nlflow {args.command}: aborted: {exc}", file=sys.stderr)
         return 3
-    _write_json({"command": args.command,
+    write_json({"command": args.command,
                  "wall_clock_seconds": time.perf_counter() - t0},
                 os.path.join(out_dir, "timings.json"))
     return code

@@ -3,10 +3,12 @@
 Both formats carry a grid tag in a comment line so a file is self-describing:
 ``# nlflow field N=1 M=256 L=16.0``.  CSV round-trips bit-exactly (shortest
 round-trip float repr); PGM round-trips value-exactly at the declared maxval.
+`write_json` is the one JSON writer for reports and calibration files.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 
@@ -15,7 +17,7 @@ import numpy as np
 from .errors import DimensionMismatchError, FormatError
 from .grid import Field, Grid
 
-__all__ = ["save_field", "load_field"]
+__all__ = ["save_field", "load_field", "write_json"]
 
 _HEADER_RE = re.compile(
     r"#\s*nlflow field\s+N=(\d+)\s+M=(\d+)\s+L=([-+0-9.eE]+)")
@@ -201,3 +203,25 @@ def load_field(path: str, grid: Grid | None = None) -> Field:
     if head in (b"P2", b"P5"):
         return _load_pgm(path, grid)
     return _load_csv(path, grid)
+
+
+def jsonable(obj):
+    """Report payloads: numpy -> python, non-finite floats -> strings."""
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        obj = obj.item()
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return repr(obj)
+    return obj
+
+
+def write_json(payload: dict, path: str) -> None:
+    """Sorted, indented JSON, so equal payloads give equal bytes."""
+    text = json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"
+    with open(path, "w") as fh:
+        fh.write(text)

@@ -86,17 +86,19 @@ def _offset_rhs(op: DiscreteOperator, wg: np.ndarray, t: float,
     return acc * op.grid.spacing ** op.grid.dimension
 
 
-def _linear_rhs(op: DiscreteOperator, w: np.ndarray, t: float) -> np.ndarray:
-    if op.strategy in ("dense", "spectral"):
-        return op.apply(w, t)
-    shape = op.grid.shape
-    return _offset_rhs(op, w.reshape(shape), t).ravel()
+def _rhs(op: DiscreteOperator, pot: Potential | None, v: np.ndarray,
+         t: float) -> np.ndarray:
+    """The flow's RHS on a flat field: L v, or the phi' sum when pot is set."""
+    if pot is None and op.strategy != "banded":
+        return op.apply(v, t)
+    d1 = None if pot is None else pot.d1
+    return _offset_rhs(op, v.reshape(op.grid.shape), t, d1=d1).ravel()
 
 
 def step_linear(op: DiscreteOperator, w: Field, t: float, dt: float) -> Field:
     """One explicit Euler step of the linear flow."""
     _check_dt(op, None, t, dt)
-    out = w.values + dt * _linear_rhs(op, w.values, t)
+    out = w.values + dt * _rhs(op, None, w.values, t)
     return Field(w.grid, out).require_finite("step_linear output")
 
 
@@ -110,28 +112,48 @@ def step_nonlinear(op: DiscreteOperator, potential: Potential, w: Field,
         raise InvalidParameterError(
             "nonlinear stepping uses the banded strategy")
     _check_dt(op, potential, t, dt)
-    wg = w.values.reshape(op.grid.shape)
-    out = wg + dt * _offset_rhs(op, wg, t, d1=potential.d1)
-    return Field(w.grid, out.ravel()).require_finite("step_nonlinear output")
+    out = w.values + dt * _rhs(op, potential, w.values, t)
+    return Field(w.grid, out).require_finite("step_nonlinear output")
 
 
-def _energy_from_rhs(grid: Grid, rhs: np.ndarray, w: np.ndarray) -> float:
-    """B[w, w] = -2 h^N <L w, w> (the identity in `bilinear_form`)."""
-    return -2.0 * grid.spacing ** grid.dimension * float(np.dot(rhs, w))
+def _rhs_and_energy(op: DiscreteOperator, pot: Potential | None,
+                    v: np.ndarray, t: float) -> tuple[np.ndarray, float]:
+    """The RHS at v and the energy of v from one pass over the offsets.
+
+    Linear (pot None): B[v, v] = -2 h^N <L v, v>, the identity in
+    `bilinear_form`, so it is defined for every strategy.  Nonlinear:
+    V(v) = sum_d sum_x K_d(x) phi(v(x+d) - v(x)) h^(2N), with phi taken on
+    the difference blocks of the phi' pass, which arrive in offset order.
+    """
+    grid = op.grid
+    if pot is None:
+        r = _rhs(op, None, v, t)
+        return r, -2.0 * grid.spacing ** grid.dimension * float(np.dot(r, v))
+    table = op.offset_values(t)
+    weights = table.reshape((table.shape[0],) + (
+        grid.shape if table.ndim > 1 else (1,) * grid.dimension))
+    energy, done = 0.0, 0
+
+    def d1(diffs):
+        nonlocal energy, done
+        rows = slice(done, done + diffs.shape[0])
+        energy += float(np.sum(weights[rows] * pot.value(diffs)))
+        done = rows.stop
+        return pot.d1(diffs)
+
+    r = _offset_rhs(op, v.reshape(grid.shape), t, d1=d1).ravel()
+    return r, energy * grid.spacing ** (2 * grid.dimension)
 
 
 def linear_energy(op: DiscreteOperator, w: np.ndarray, t: float = 0.0) -> float:
-    """B[w, w] = sum over ordered pairs of K (w(x)-w(y))^2 h^(2N), from one
-    evaluation of L w; defined for every strategy."""
-    return _energy_from_rhs(op.grid, _linear_rhs(op, w, t), w)
+    """B[w, w] = sum over ordered pairs of K (w(x)-w(y))^2 h^(2N)."""
+    return _rhs_and_energy(op, None, w, t)[1]
 
 
 def nonlinear_energy(op: DiscreteOperator, potential: Potential,
                      w: np.ndarray, t: float = 0.0) -> float:
     """V(theta) = sum over ordered pairs of phi(theta(y)-theta(x)) K h^(2N)."""
-    per_node = op.stencil.offset_sum(w.reshape(op.grid.shape),
-                                     op.offset_values(t), potential.value)
-    return float(np.sum(per_node)) * op.grid.spacing ** (2 * op.grid.dimension)
+    return _rhs_and_energy(op, potential, w, t)[1]
 
 
 @dataclass
@@ -287,34 +309,10 @@ def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
     sample_fields: list[np.ndarray] = []
     states = np.empty((n_steps + 1, n)) if problem.store_states else None
 
-    def rhs(v: np.ndarray, t: float) -> np.ndarray:
-        if nonlinear:
-            return _offset_rhs(op, v.reshape(grid.shape), t,
-                               d1=pot.d1).ravel()
-        return _linear_rhs(op, v, t)
-
-    def rhs_and_energy(v: np.ndarray, t: float) -> tuple[np.ndarray, float]:
-        """The RHS at v and the energy of v, from one pass over the offsets."""
-        if not nonlinear:
-            r = _linear_rhs(op, v, t)
-            return r, _energy_from_rhs(grid, r, v)
-        sums = []
-
-        def d1(diffs):
-            # sum phi over the nodes of each offset in the block; the
-            # kernel is translation-invariant, so K_d weights these sums
-            sums.append(np.sum(pot.value(diffs),
-                               axis=tuple(range(1, diffs.ndim))))
-            return pot.d1(diffs)
-
-        r = _offset_rhs(op, v.reshape(grid.shape), t, d1=d1).ravel()
-        energy = float(np.sum(op.offset_values(t) * np.concatenate(sums)))
-        return r, energy * grid.spacing ** (2 * grid.dimension)
-
     heun = problem.stepper == "heun"
     for i in range(n_steps + 1):
         t = float(step_times[i])
-        k1, energy[i] = rhs_and_energy(w, t)
+        k1, energy[i] = _rhs_and_energy(op, pot, w, t)
         l2[i] = math.sqrt(float(np.sum(w * w)) * h_n)
         vmin[i] = float(w.min())
         vmax[i] = float(w.max())
@@ -328,7 +326,7 @@ def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
             break
         dt = float(dts[i])
         if heun:
-            k2 = rhs(w + dt * k1, t + dt)
+            k2 = _rhs(op, pot, w + dt * k1, t + dt)
             w = w + (0.5 * dt) * (k1 + k2)
         else:
             w = w + dt * k1

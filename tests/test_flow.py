@@ -17,11 +17,14 @@ from nlflow.fields import make_initial
 from nlflow.flow import (
     FlowProblem,
     Trajectory,
+    linear_energy,
+    nonlinear_energy,
     run_flow,
     stable_dt,
     step_linear,
 )
-from nlflow.grid import Field, Grid, apply_operator, make_operator
+from nlflow.grid import Field, Grid, apply_operator, bilinear_form, \
+    make_operator
 from nlflow.kernels import KernelSpec, make_kernel
 from nlflow.potentials import PotentialSpec, make_potential
 
@@ -176,6 +179,28 @@ def test_huber_energy_nonincreasing_thousand_steps():
         t_end=1.0, potential=huber(), dt_max=1e-3), sample_every=100)
     assert traj.dts.size >= 1000
     assert np.all(np.diff(traj.energy) <= 1e-12 * traj.energy[0])
+
+
+def test_energy_functions_match_the_flow_record():
+    g = grid_1d()
+    k = power_law_kernel()
+    w0 = make_initial(g, "random", amplitude=1.0, seed=5)
+    op = make_operator(g, k, strategy="banded")
+    for pot in (None, quadratic(), huber()):
+        traj = run_flow(FlowProblem(
+            kind="linear" if pot is None else "nonlinear", grid=g, kernel=k,
+            initial=w0, t_end=0.1, potential=pot))
+        energy = linear_energy(op, w0.values) if pot is None \
+            else nonlinear_energy(op, pot, w0.values)
+        assert energy == traj.energy[0]
+    # against the direct pair sum, also with a per-node (rough) kernel table:
+    # V = B / 2 for phi(x) = x^2 / 2
+    for kern in (k, rough_kernel(seed=3)):
+        op = make_operator(g, kern, strategy="banded")
+        form = bilinear_form(kern, w0, w0)
+        assert linear_energy(op, w0.values) == pytest.approx(form, rel=1e-13)
+        assert nonlinear_energy(op, quadratic(), w0.values) == pytest.approx(
+            0.5 * form, rel=1e-13)
 
 
 def test_mass_conserved_along_flow():
