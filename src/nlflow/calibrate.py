@@ -29,7 +29,8 @@ from .ensembles import lemma_ensemble_run, level_ensemble_run, \
     oscillation_run, recurrence_run
 from .errors import ConfigError
 from .fieldio import write_json
-from .oscillation import check_scale_barrier, oscillation_decay
+from .oscillation import check_scale_barrier, oscillation_decay, \
+    unit_oscillation
 
 __all__ = ["CalibrationConstants", "calibrate_constants",
            "save_calibration", "load_calibration", "default_calibration"]
@@ -174,10 +175,7 @@ def calibrate_constants(lemma_seeds=range(1, 51),
         below.append(m.below_phi0)
         above.append(m.above_phi2)
         inter.append(m.intermediate)
-        idx = traj.require_window(-1.0, 0.0)
-        nodes = traj.grid.ball(1.0)
-        sub = traj.fields[np.ix_(idx, nodes)]
-        oscs.append(float(sub.max() - sub.min()))
+        oscs.append(unit_oscillation(traj))
     mu = float(min(below))
     mu_floored = not (mu > 0.0)
     if mu_floored:

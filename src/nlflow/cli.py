@@ -27,8 +27,9 @@ from .degiorgi import check_recurrence, chebyshev_chain, truncated_energies, \
 from .ensembles import lemma_ensemble_run, level_ensemble_run, \
     oscillation_run, recurrence_run
 from .errors import ConfigError, NlflowError
-from .fieldio import jsonable, load_field, save_field, write_json
+from .fieldio import load_field, save_field, write_json
 from .flow import FlowProblem, Trajectory, run_flow
+from .grid import kernel_epoch
 from .kernels import make_kernel, validate_kernel
 from .oscillation import oscillation_decay, verify_lemma3
 from .potentials import validate_potential
@@ -54,11 +55,19 @@ def _write_curve(path: str, header: str, columns: dict) -> None:
 
 
 def _dissipation_record(traj: Trajectory) -> dict:
-    """Per-step monotonicity facts for one trajectory (measured)."""
+    """Per-step monotonicity facts for one trajectory (measured).
+
+    Energy is graded only on steps that stay inside one kernel epoch: a
+    time-dependent kernel is resampled at each epoch boundary, where
+    B_t[w, w] may jump, while L2, the bracket and the mass stay monotone.
+    """
     l2, energy = traj.l2, traj.energy
     vmin, vmax, mass = traj.vmin, traj.vmax, traj.mass
     l2_scale = max(1.0, float(l2[0]))
     mass_scale = max(1.0, abs(float(mass[0])))
+    epochs = [kernel_epoch(traj.kernel, t) for t in traj.step_times]
+    same_epoch = np.array([a == b for a, b in zip(epochs, epochs[1:])],
+                          dtype=bool)
     rec = {
         "n_steps": int(len(traj.step_times) - 1),
         "dt_max": float(np.max(traj.dts)),
@@ -66,7 +75,8 @@ def _dissipation_record(traj: Trajectory) -> dict:
         "energy_first": float(energy[0]), "energy_last": float(energy[-1]),
         "l2_nonincreasing": bool(
             np.all(np.diff(l2) <= 1e-12 * l2_scale)),
-        "energy_nonincreasing": bool(np.all(np.diff(energy) <= 1e-10)),
+        "energy_nonincreasing": bool(
+            np.all(np.diff(energy)[same_epoch] <= 1e-10)),
         "bracket_preserved": bool(
             np.all(vmin >= vmin[0] - 1e-12) and
             np.all(vmax <= vmax[0] + 1e-12)),
@@ -80,14 +90,10 @@ def _dissipation_record(traj: Trajectory) -> dict:
     return rec
 
 
-def _lemma_dict(rep) -> dict:
-    return jsonable(dataclasses.asdict(rep))
-
-
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its report body and whether every verdict passed
 
-def _cmd_validate(cfg: ExperimentConfig, out_dir: str) -> int:
+def _cmd_validate(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
     grid = cfg.make_grid()
     kernel = cfg.make_kernel()
     potential = cfg.make_potential()
@@ -103,10 +109,7 @@ def _cmd_validate(cfg: ExperimentConfig, out_dir: str) -> int:
         "potential_curvature": p_rep.fd_ok,
     }
     passed = all(checks.values())
-    report = {
-        "command": "validate",
-        "version": _VERSION,
-        "config": cfg.echo(),
+    body = {
         "grid": {"dimension": grid.dimension, "points": grid.points_per_axis,
                  "side_length": grid.side_length, "spacing": grid.spacing},
         "kernel": dataclasses.asdict(k_rep),
@@ -115,15 +118,13 @@ def _cmd_validate(cfg: ExperimentConfig, out_dir: str) -> int:
         "passed": passed,
         "provenance": {"checks": "measured"},
     }
-    _ensure_dirs(out_dir)
-    write_json(report, os.path.join(out_dir, "report.json"))
     for name, ok in checks.items():
         print(f"validate {name}: {'ok' if ok else 'FAIL'}")
     print(f"validate: {'pass' if passed else 'FAIL'}")
-    return 0 if passed else 1
+    return body, passed
 
 
-def _cmd_run(cfg: ExperimentConfig, out_dir: str) -> int:
+def _cmd_run(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
     seeds = list(cfg.get("ensemble.seeds"))
     sample_every = cfg.get("flow.sample_every")
 
@@ -154,21 +155,12 @@ def _cmd_run(cfg: ExperimentConfig, out_dir: str) -> int:
             notes.append(f"seed {seed}: final range outside [0,1], "
                          "no PGM dump")
     all_ok = all(r["dissipative"] for r in records)
-    report = {
-        "command": "run",
-        "version": _VERSION,
-        "config": cfg.echo(),
-        "runs": records,
-        "notes": notes,
-        "passed": all_ok,
-        "provenance": {"runs": "measured"},
-    }
-    write_json(report, os.path.join(out_dir, "report.json"))
     for r in records:
         print(f"run seed {r['seed']}: "
               f"{'dissipative' if r['dissipative'] else 'VERDICT FAIL'} "
               f"(l2 {r['l2_first']:.6g} -> {r['l2_last']:.6g})")
-    return 0 if all_ok else 1
+    return {"runs": records, "notes": notes, "passed": all_ok,
+            "provenance": {"runs": "measured"}}, all_ok
 
 
 def _load_reference_constants(cfg: ExperimentConfig) -> CalibrationConstants:
@@ -178,7 +170,7 @@ def _load_reference_constants(cfg: ExperimentConfig) -> CalibrationConstants:
     return default_calibration()
 
 
-def _cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> int:
+def _cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
     cal = _load_reference_constants(cfg)
     seeds = list(cfg.get("ensemble.seeds"))
     k_max = cfg.get("diagnose.k_max")
@@ -189,18 +181,18 @@ def _cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> int:
     def diagnose_seed(seed: int) -> dict:
         entry: dict = {"seed": seed}
         traj = lemma_ensemble_run(seed)
-        entry["lemma1"] = _lemma_dict(
+        entry["lemma1"] = dataclasses.asdict(
             verify_lemma1(traj, eps0=cal.eps0, order=s))
-        entry["corollary1"] = _lemma_dict(
+        entry["corollary1"] = dataclasses.asdict(
             verify_corollary1(traj, t0=0.5, eps0=cal.eps0, order=s))
-        entry["corollary2"] = _lemma_dict(
+        entry["corollary2"] = dataclasses.asdict(
             verify_corollary2(traj, delta=cal.delta, order=s))
 
         traj = level_ensemble_run(seed)
-        entry["lemma2"] = _lemma_dict(verify_lemma2(
+        entry["lemma2"] = dataclasses.asdict(verify_lemma2(
             traj, mu=cal.mu, delta=cal.delta, gamma=cal.gamma,
             lam=cal.lam, order=s))
-        entry["lemma3"] = _lemma_dict(verify_lemma3(
+        entry["lemma3"] = dataclasses.asdict(verify_lemma3(
             traj, eps=cal.eps, lam=cal.lam, lam_star=cal.lam_star, order=s))
 
         traj = recurrence_run(seed)
@@ -252,27 +244,22 @@ def _cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> int:
             failures += 1
     failures += sum(counts[name]["fail"] for name in lemma_names)
     all_pass = failures == 0
-    report = {
-        "command": "diagnose",
-        "version": _VERSION,
-        "config": cfg.echo(),
+    for name in lemma_names:
+        c = counts[name]
+        print(f"diagnose {name}: pass={c['pass']} fail={c['fail']} "
+              f"hypothesis-violated={c['hypothesis-violated']}")
+    print(f"diagnose: {'pass' if all_pass else 'FAIL'} over {len(seeds)} seeds")
+    return {
         "calibration": dataclasses.asdict(cal),
         "runs": entries,
         "summary": {"verdict_counts": counts, "failures": failures,
                     "all_pass": all_pass},
         "provenance": {"runs": "measured", "calibration": "calibrated",
                        "thresholds": cal.provenance},
-    }
-    write_json(report, os.path.join(out_dir, "report.json"))
-    for name in lemma_names:
-        c = counts[name]
-        print(f"diagnose {name}: pass={c['pass']} fail={c['fail']} "
-              f"hypothesis-violated={c['hypothesis-violated']}")
-    print(f"diagnose: {'pass' if all_pass else 'FAIL'} over {len(seeds)} seeds")
-    return 0 if all_pass else 1
+    }, all_pass
 
 
-def _cmd_denoise(cfg: ExperimentConfig, out_dir: str) -> int:
+def _cmd_denoise(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
     src = cfg.get("denoise.input")
     if not src:
         raise ConfigError("denoise needs denoise.input=<field file>")
@@ -315,10 +302,10 @@ def _cmd_denoise(cfg: ExperimentConfig, out_dir: str) -> int:
     energy_decreased = rec["energy_last"] < rec["energy_first"] - 1e-14 or \
         rec["energy_first"] == rec["energy_last"] == 0.0
     passed = contained and rec["energy_nonincreasing"]
-    report = {
-        "command": "denoise",
-        "version": _VERSION,
-        "config": cfg.echo(),
+    print(f"denoise: range {range_in} -> {range_out}, "
+          f"energy {rec['energy_first']:.6g} -> {rec['energy_last']:.6g}")
+    print(f"denoise: {'pass' if passed else 'FAIL'}")
+    return {
         "input": src,
         "output": rel_out,
         "range_in": range_in,
@@ -328,40 +315,37 @@ def _cmd_denoise(cfg: ExperimentConfig, out_dir: str) -> int:
         "flow": rec,
         "passed": passed,
         "provenance": {"flow": "measured"},
-    }
-    write_json(report, os.path.join(out_dir, "report.json"))
-    print(f"denoise: range {range_in} -> {range_out}, "
-          f"energy {rec['energy_first']:.6g} -> {rec['energy_last']:.6g}")
-    print(f"denoise: {'pass' if passed else 'FAIL'}")
-    return 0 if passed else 1
+    }, passed
 
 
-def _cmd_calibrate(cfg: ExperimentConfig, out_dir: str,
-                   seeds_given: bool) -> int:
+def _cmd_calibrate(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
+    if cfg.get("grid.N") != 1:
+        raise ConfigError("calibrate sweeps the 1-d ensembles; grid.N must "
+                          "be 1")
     kwargs = {}
-    if seeds_given:
+    if cfg.sources["ensemble.seeds"] == "--seed":
         seeds = list(cfg.get("ensemble.seeds"))
         kwargs = {"lemma_seeds": seeds, "level_seeds": seeds,
                   "osc_seeds": seeds, "rec_seeds": seeds}
-    constants = calibrate_constants(order=cfg.get("kernel.s"),
-                                    dimension=cfg.get("grid.N"), **kwargs)
+    constants = calibrate_constants(order=cfg.get("kernel.s"), **kwargs)
     _ensure_dirs(out_dir)
     save_calibration(constants, os.path.join(out_dir, "calibration.json"))
-    report = {
-        "command": "calibrate",
-        "version": _VERSION,
-        "config": cfg.echo(),
-        "calibration": dataclasses.asdict(constants),
-        "calibration_file": "calibration.json",
-        "passed": constants.in_unit_interval(),
-        "provenance": constants.provenance,
-    }
-    write_json(report, os.path.join(out_dir, "report.json"))
+    passed = constants.in_unit_interval()
     print(f"calibrate: eps0={constants.eps0:.6g} delta={constants.delta:.6g} "
           f"mu={constants.mu:.6g} gamma={constants.gamma:.6g} "
           f"lam_star={constants.lam_star:.6g}")
-    print(f"calibrate: {'pass' if constants.in_unit_interval() else 'FAIL'}")
-    return 0 if constants.in_unit_interval() else 1
+    print(f"calibrate: {'pass' if passed else 'FAIL'}")
+    return {
+        "calibration": dataclasses.asdict(constants),
+        "calibration_file": "calibration.json",
+        "passed": passed,
+        "provenance": constants.provenance,
+    }, passed
+
+
+_COMMANDS = {"validate": _cmd_validate, "run": _cmd_run,
+             "diagnose": _cmd_diagnose, "denoise": _cmd_denoise,
+             "calibrate": _cmd_calibrate}
 
 
 # --------------------------------------------------------------------------
@@ -398,27 +382,21 @@ def main(argv=None) -> int:
         cfg = parse_config(path=args.config, overrides=args.set,
                            seeds=args.seed)
         out_dir = args.out if args.out is not None else cfg.get("output.dir")
-        if args.command == "validate":
-            code = _cmd_validate(cfg, out_dir)
-        elif args.command == "run":
-            code = _cmd_run(cfg, out_dir)
-        elif args.command == "diagnose":
-            code = _cmd_diagnose(cfg, out_dir)
-        elif args.command == "denoise":
-            code = _cmd_denoise(cfg, out_dir)
-        else:
-            code = _cmd_calibrate(cfg, out_dir,
-                                  seeds_given=args.seed is not None)
+        body, passed = _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"nlflow {args.command}: {exc}", file=sys.stderr)
         return 2
     except NlflowError as exc:
         print(f"nlflow {args.command}: aborted: {exc}", file=sys.stderr)
         return 3
+    _ensure_dirs(out_dir)
+    write_json({"command": args.command, "version": _VERSION,
+                "config": cfg.echo(), **body},
+               os.path.join(out_dir, "report.json"))
     write_json({"command": args.command,
                  "wall_clock_seconds": time.perf_counter() - t0},
                 os.path.join(out_dir, "timings.json"))
-    return code
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -238,6 +238,16 @@ def _semantic_errors(values: dict[str, object]) -> list[str]:
           "expected euler or heun")
     check(values["flow.strategy"] in STRATEGIES, "flow.strategy",
           f"expected one of {', '.join(STRATEGIES)}")
+    # the nonlinear flow and the spectral strategy need a translation-
+    # invariant kernel, and the spectral symbol an untruncated one
+    if values["flow.kind"] == "nonlinear":
+        check(fam == "power-law", "kernel.family",
+              "flow.kind=nonlinear needs the power-law kernel family")
+    if values["flow.strategy"] == "spectral":
+        check(fam == "power-law", "kernel.family",
+              "flow.strategy=spectral needs the power-law kernel family")
+        check(not math.isfinite(radius), "kernel.radius",
+              "flow.strategy=spectral needs kernel.radius=inf")
     check(values["flow.end"] > values["flow.start"], "flow.end",
           f"must exceed flow.start={values['flow.start']}")
     dt_max = values["flow.dt_max"]

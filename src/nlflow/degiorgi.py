@@ -150,6 +150,13 @@ def barrier_on_grid(b: BarrierFamily, grid: Grid, center=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # truncated energies U_k
 
+def _dyadic_ladder(k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Window starts T_k = -1 - 2^-k and cut levels L_k = (1 - 2^-k)/2 for
+    k = 0..k_max, all exact dyadics."""
+    half_k = 0.5 ** np.arange(k_max + 1)
+    return -1.0 - half_k, 0.5 - 0.5 * half_k
+
+
 @dataclass(frozen=True)
 class TruncatedEnergySequence:
     levels: np.ndarray          # k = 0..k_max
@@ -161,6 +168,7 @@ class TruncatedEnergySequence:
     order: float
     cutoff: float
     n_samples: int
+    dimension: int              # N of the trajectory's grid
 
     @property
     def k_max(self) -> int:
@@ -202,8 +210,7 @@ def truncated_energies(traj: Trajectory, k_max: int, order: float | None = None,
             f"[T_{k_max}, 0] window would be under-resolved")
 
     ks = np.arange(k_max + 1)
-    t_starts = -1.0 - 0.5 ** ks
-    cuts = 0.5 - 0.5 * 0.5 ** ks
+    t_starts, cuts = _dyadic_ladder(k_max)
     psi = barrier_on_grid(BarrierFamily("psi", order=s), grid)
     psi_l = cuts[:, None] + psi[None, :]           # (K, nodes)
 
@@ -240,7 +247,7 @@ def truncated_energies(traj: Trajectory, k_max: int, order: float | None = None,
     return TruncatedEnergySequence(
         levels=ks, window_starts=t_starts, cut_levels=cuts,
         sup_part=sup_part, integral_part=int_part, values=values,
-        order=s, cutoff=cutoff, n_samples=n_idx)
+        order=s, cutoff=cutoff, n_samples=n_idx, dimension=grid.dimension)
 
 
 @dataclass(frozen=True)
@@ -254,12 +261,11 @@ class RecurrenceReport:
     tail_value: float
 
 
-def check_recurrence(seq: TruncatedEnergySequence,
-                     dimension: int | None = None) -> RecurrenceReport:
-    """Fit the smallest constant certifying U_k <= (C 2^k)^k U_{k-1}^{1+s/N}."""
+def check_recurrence(seq: TruncatedEnergySequence) -> RecurrenceReport:
+    """Fit the smallest constant certifying U_k <= (C 2^k)^k U_{k-1}^{1+s/N},
+    with N the dimension the sequence was measured in."""
     u = seq.values
-    n_dim = 1 if dimension is None else int(dimension)
-    expo = 1.0 + seq.order / n_dim
+    expo = 1.0 + seq.order / seq.dimension
     ks = seq.levels[1:]
     ratios = np.full(ks.size, np.nan)
     degenerate = False
@@ -315,13 +321,10 @@ def chebyshev_chain(traj: Trajectory, k_max: int,
         raise InsufficientCoverageError(
             "trajectory must sample [-2, 0] for the interpolation chain")
     times = traj.times[idx]
-    fields = traj.fields[idx]
     psi = barrier_on_grid(BarrierFamily("psi", order=s), grid)
-    h_n = grid.spacing ** n_dim
 
     ks = np.arange(1, k_max + 1)
-    t_starts = -1.0 - 0.5 ** np.arange(k_max + 1)
-    cuts = 0.5 - 0.5 * 0.5 ** np.arange(k_max + 1)
+    t_starts, cuts = _dyadic_ladder(k_max)
     p_lin = 1.0 + 2.0 * s / n_dim
     p_ind = 2.0 * (1.0 + s / n_dim)
     p_sq = 2.0 * s / n_dim
@@ -332,18 +335,17 @@ def chebyshev_chain(traj: Trajectory, k_max: int,
     sq = np.empty(ks.size)
     base = np.empty(ks.size)
     for i, k in enumerate(ks):
-        inside = times >= t_starts[k - 1] - 1e-9
-        tw = times[inside]
-        if tw.size < 2:
+        rows = idx[times >= t_starts[k - 1] - 1e-9]
+        if rows.size < 2:
             raise InsufficientCoverageError(
-                f"window [T_{k - 1}, 0] holds {tw.size} samples; need >= 2")
-        w = fields[inside]
+                f"window [T_{k - 1}, 0] holds {rows.size} samples; need >= 2")
+        w = traj.fields[rows]
         pos_k = np.maximum(w - (cuts[k] + psi)[None, :], 0.0)
         pos_km1 = np.maximum(w - (cuts[k - 1] + psi)[None, :], 0.0)
-        lin[i] = np.trapezoid(np.sum(pos_k, axis=1) * h_n, tw)
-        ind[i] = np.trapezoid(np.sum(pos_k > 0.0, axis=1) * h_n, tw)
-        sq[i] = np.trapezoid(np.sum(pos_k * pos_k, axis=1) * h_n, tw)
-        base[i] = np.trapezoid(np.sum(pos_km1 ** high, axis=1) * h_n, tw)
+        lin[i] = space_time_measure(traj, pos_k, rows)
+        ind[i] = space_time_measure(traj, pos_k > 0.0, rows)
+        sq[i] = space_time_measure(traj, pos_k * pos_k, rows)
+        base[i] = space_time_measure(traj, pos_km1 ** high, rows)
 
     factors = 2.0 ** (ks + 1)
     slack = np.stack([
@@ -362,10 +364,12 @@ def chebyshev_chain(traj: Trajectory, k_max: int,
 
 def space_time_measure(traj: Trajectory, masks: np.ndarray,
                        idx: np.ndarray) -> float:
-    """Trapezoid-in-time integral of the node-count measure of `masks`.
+    """Trapezoid-in-time integral of the spatial integral of `masks`.
 
-    `masks` holds one boolean row per selected sample (idx into traj.times);
-    each row's measure is count * h^N.
+    `masks` holds one row per selected sample (idx into traj.times); each
+    row integrates in space as sum * h^N.  Boolean rows give the measure of
+    a level set, real-valued rows the integral of a function such as
+    (w - psi)_+^2.
     """
     if idx.size < 2:
         raise InsufficientCoverageError(
@@ -444,20 +448,17 @@ def _verdict(precondition_ok: bool, hypothesis_ok: bool,
     return "hypothesis-violated"
 
 
-def _first_exceedance(traj: Trajectory, idx: np.ndarray,
-                      bound: np.ndarray) -> dict | None:
-    """Earliest (time, node) where a sampled field exceeds `bound`."""
-    for i in idx:
-        over = traj.fields[i] > bound
-        if np.any(over):
-            node = int(np.argmax(over))
-            return {
-                "time": float(traj.times[i]),
-                "node": node,
-                "value": float(traj.fields[i][node]),
-                "bound": float(bound[node]),
-            }
-    return None
+def _first_exceedance(traj: Trajectory, idx: np.ndarray, bound: np.ndarray,
+                      two_sided: bool = False) -> dict | None:
+    """Earliest (time, node) among the samples `idx` where w, or |w| when
+    `two_sided`, exceeds `bound`; None when the envelope holds."""
+    block = traj.fields[idx]
+    over = (np.abs(block) if two_sided else block) > bound
+    if not np.any(over):
+        return None
+    row, node = divmod(int(np.argmax(over)), over.shape[1])
+    return {"time": float(traj.times[idx[row]]), "node": node,
+            "value": float(block[row, node]), "bound": float(bound[node])}
 
 
 def verify_lemma1(traj: Trajectory, eps0: float,
@@ -471,12 +472,10 @@ def verify_lemma1(traj: Trajectory, eps0: float,
     s = float(traj.order if order is None else order)
     grid = traj.grid
     psi = barrier_on_grid(BarrierFamily("psi", order=s), grid)
-    h_n = grid.spacing ** grid.dimension
 
     idx = traj.require_window(-2.0, 0.0)
     pos = np.maximum(traj.fields[idx] - psi[None, :], 0.0)
-    truncated_mass = float(np.trapezoid(
-        np.sum(pos * pos, axis=1) * h_n, traj.times[idx]))
+    truncated_mass = space_time_measure(traj, pos * pos, idx)
     hypothesis_ok = truncated_mass <= eps0
 
     idx_late = traj.require_window(-1.0, 0.0)

@@ -102,20 +102,6 @@ def step_linear(op: DiscreteOperator, w: Field, t: float, dt: float) -> Field:
     return Field(w.grid, out).require_finite("step_linear output")
 
 
-def step_nonlinear(op: DiscreteOperator, potential: Potential, w: Field,
-                   t: float, dt: float) -> Field:
-    """One explicit Euler step of the nonlinear flow."""
-    if not op.kernel.translation_invariant:
-        raise InvalidParameterError(
-            "nonlinear flow requires a translation-invariant kernel")
-    if op.strategy != "banded":
-        raise InvalidParameterError(
-            "nonlinear stepping uses the banded strategy")
-    _check_dt(op, potential, t, dt)
-    out = w.values + dt * _rhs(op, potential, w.values, t)
-    return Field(w.grid, out).require_finite("step_nonlinear output")
-
-
 def _rhs_and_energy(op: DiscreteOperator, pot: Potential | None,
                     v: np.ndarray, t: float) -> tuple[np.ndarray, float]:
     """The RHS at v and the energy of v from one pass over the offsets.

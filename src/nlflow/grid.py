@@ -164,6 +164,14 @@ def _signed_steps(grid: Grid, steps: np.ndarray) -> np.ndarray:
     return np.where(steps <= M // 2, steps, steps - M)
 
 
+def kernel_epoch(kernel: Kernel, t: float) -> int | None:
+    """Index floor(t / epoch_length) of the epoch a time-dependent kernel is
+    sampled on at time t; None for a static kernel, which has one epoch."""
+    if not kernel.time_dependent:
+        return None
+    return math.floor(float(t) / kernel.spec.epoch_length)
+
+
 def _lattice_length(grid: Grid, deltas: np.ndarray) -> np.ndarray:
     """Coordinate length of signed integer offsets, shape (..., N) -> (...)."""
     return np.linalg.norm(deltas, axis=-1) * grid.spacing
@@ -304,6 +312,8 @@ class DiscreteOperator:
         self.grid = grid
         self.kernel = kernel
         self.strategy = strategy
+        # keyed by (what, kernel_epoch): static kernels cache under epoch
+        # None, and a new epoch of a time-dependent one replaces the entry
         self._cache: dict = {}
         radius = r_tr if math.isfinite(r_tr) else None
         if strategy in ("banded", "dense"):
@@ -316,19 +326,13 @@ class DiscreteOperator:
         else:
             self.deltas = self.dists = self.stencil = None
 
-    # -- keys: static kernels cache under epoch None, epoch-hashed under index
-    def _epoch_key(self, t: float):
-        if not self.kernel.time_dependent:
-            return None
-        return math.floor(float(t) / self.kernel.spec.epoch_length)
-
     def offset_values(self, t: float = 0.0) -> np.ndarray:
         """Kernel values per offset: (n_off,) scalars for translation-invariant
         kernels, else (n_off, n_nodes) with rows matching self.deltas."""
         if self.strategy == "spectral":
             raise StrategyMismatchError(
                 "offset_values is undefined for the spectral strategy")
-        key = ("offvals", self._epoch_key(t))
+        key = ("offvals", kernel_epoch(self.kernel, t))
         if key in self._cache:
             return self._cache[key]
         if self.kernel.translation_invariant:
@@ -349,9 +353,13 @@ class DiscreteOperator:
     def matrix(self, t: float = 0.0) -> np.ndarray:
         """Dense operator matrix A with A[i, j] = K(t, x_i, x_j) h^N, zero
         diagonal (dense strategy only; the double-sum oracle)."""
+        return self._dense(t)[0]
+
+    def _dense(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The dense matrix and its row sums, cached together per epoch."""
         if self.strategy != "dense":
             raise StrategyMismatchError("matrix() requires the dense strategy")
-        key = ("matrix", self._epoch_key(t))
+        key = ("matrix", kernel_epoch(self.kernel, t))
         if key in self._cache:
             return self._cache[key]
         grid, kern = self.grid, self.kernel
@@ -375,8 +383,8 @@ class DiscreteOperator:
             A[start:stop] = vals * h_n
         np.fill_diagonal(A, 0.0)
         self._cache.clear()
-        self._cache[key] = A
-        return A
+        self._cache[key] = (A, A.sum(axis=1))
+        return self._cache[key]
 
     def multipliers(self) -> np.ndarray:
         """Fourier symbol of the operator (spectral strategy only), flat."""
@@ -401,7 +409,7 @@ class DiscreteOperator:
             row[0] = 0.0
             return np.full(self.grid.n_nodes, row.sum() * h_n)
         if self.strategy == "dense":
-            return self.matrix(t).sum(axis=1)
+            return self._dense(t)[1]
         vals = self.offset_values(t)
         if vals.ndim == 1:
             return np.full(self.grid.n_nodes, float(vals.sum()) * h_n)
@@ -414,8 +422,8 @@ class DiscreteOperator:
             raise DimensionMismatchError(
                 f"field has {w.size} values, grid has {self.grid.n_nodes} nodes")
         if self.strategy == "dense":
-            A = self.matrix(t)
-            return A @ w - A.sum(axis=1) * w
+            A, rowsums = self._dense(t)
+            return A @ w - rowsums * w
         if self.strategy == "spectral":
             m = self.multipliers()
             wg = w.reshape(self.grid.shape)

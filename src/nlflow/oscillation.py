@@ -15,12 +15,13 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .degiorgi import BarrierFamily, barrier_on_grid, eval_barrier, LemmaReport
+from .degiorgi import BarrierFamily, LemmaReport, _first_exceedance, \
+    _verdict, barrier_on_grid, eval_barrier
 from .errors import (InsufficientCoverageError, InvalidParameterError,
                      NonLatticeStepError, TrajectoryMismatchError,
                      UnderResolvedError, WindowOutOfRangeError)
 from .flow import Trajectory
-from .grid import Field, Grid, OffsetStencil
+from .grid import DiscreteOperator, Field, Grid, OffsetStencil
 from .kernels import Kernel
 from .potentials import Potential
 
@@ -38,6 +39,7 @@ __all__ = [
     "RescaleLevel",
     "RescaleReport",
     "rescaling_sequence",
+    "unit_oscillation",
     "verify_lemma3",
     "check_scale_barrier",
 ]
@@ -314,9 +316,9 @@ def verify_linearization(theta_traj: Trajectory, e: int = 0,
                        sigma_nodes=sigma_nodes)
     axis = dk.axis
 
-    deltas, dists = grid.offsets_within(base.spec.truncation_radius)
-    kd = base.radial_profile(dists)                 # per-offset scalars
-    stencil = OffsetStencil(grid, deltas)
+    # the flow's own banded operator: its offsets, stencil and kernel table
+    op = DiscreteOperator(grid, base, "banded")
+    kd = op.offset_values()                         # per-offset scalars
     h_n = grid.spacing ** grid.dimension
 
     step_times = theta_traj.step_times
@@ -339,9 +341,9 @@ def verify_linearization(theta_traj: Trajectory, e: int = 0,
             next_cmp += 1
         if n == dts.size:
             break
-        factors = dk.offset_factors(step_times[n], deltas)
+        factors = dk.offset_factors(step_times[n], op.deltas)
         table = kd if factors is None else kd[:, None] * factors
-        w = w + dts[n] * (stencil.offset_sum(w, table) * h_n)
+        w = w + dts[n] * (op.stencil.offset_sum(w, table) * h_n)
 
     max_defect = float(np.max(defects))
     return TransferReport(
@@ -590,21 +592,11 @@ def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
             BarrierFamily("psi_eps_lambda", order=s, lam=lam, eps=eps_eff),
             grid)
         idx_env = current.window(-3.0, 0.0)
-        block = current.fields[idx_env]
-        over = np.abs(block) - barrier[None, :]
-        envelope_ok = bool(np.all(over <= 0.0))
-        violation = None
-        if not envelope_ok:
-            flat = int(np.argmax(over > 0.0))
-            row, node = divmod(flat, grid.n_nodes)
-            violation = {
-                "time": float(current.times[idx_env[row]]),
-                "node": node,
-                "value": float(block[row, node]),
-                "bound": float(barrier[node]),
-            }
-            if first_violation_level is None:
-                first_violation_level = k
+        violation = _first_exceedance(current, idx_env, barrier,
+                                      two_sided=True)
+        envelope_ok = violation is None
+        if not envelope_ok and first_violation_level is None:
+            first_violation_level = k
 
         ball = grid.ball(1.0)
         idx_mean = current.window(-1.0, 0.0)
@@ -613,9 +605,10 @@ def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
         mean_k = float(np.mean(current.fields[np.ix_(idx_mean, ball)])) \
             if n_nodes_ball and n_samp else math.nan
         records.append(RescaleLevel(
-            level=k, sup_norm=float(np.max(np.abs(block))), mean=mean_k,
-            envelope_ok=envelope_ok, nodes_in_unit_ball=n_nodes_ball,
-            samples_in_window=n_samp, first_violation=violation))
+            level=k, sup_norm=float(np.max(np.abs(current.fields[idx_env]))),
+            mean=mean_k, envelope_ok=envelope_ok,
+            nodes_in_unit_ball=n_nodes_ball, samples_in_window=n_samp,
+            first_violation=violation))
         views.append(current)
         if k == max_levels:
             break
@@ -645,6 +638,13 @@ def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
         stabilized=stabilized)
 
 
+def unit_oscillation(traj: Trajectory) -> float:
+    """sup - inf of the sampled field over the unit cylinder [-1, 0] x B_1."""
+    vals = traj.fields[np.ix_(traj.require_window(-1.0, 0.0),
+                              traj.grid.ball(1.0))]
+    return float(np.max(vals) - np.min(vals))
+
+
 def verify_lemma3(traj: Trajectory, eps: float, lam: float, lam_star: float,
                   order: float | None = None) -> LemmaReport:
     """Two-sided barrier envelope forces oscillation <= 2 - lam_star.
@@ -658,33 +658,18 @@ def verify_lemma3(traj: Trajectory, eps: float, lam: float, lam_star: float,
         raise InvalidParameterError(
             f"lambda_star must be in (0, 1), got {lam_star}")
     s = float(traj.order if order is None else order)
-    grid = traj.grid
     barrier = 1.0 + barrier_on_grid(
-        BarrierFamily("psi_eps_lambda", order=s, lam=lam, eps=eps), grid)
-    idx = traj.require_window(-3.0, 0.0)
-    block = traj.fields[idx]
-    over = np.abs(block) - barrier[None, :]
-    hypothesis_ok = bool(np.all(over <= 0.0))
-    violation = None
-    if not hypothesis_ok:
-        flat = int(np.argmax(over > 0.0))
-        row, node = divmod(flat, grid.n_nodes)
-        violation = {"time": float(traj.times[idx[row]]), "node": node,
-                     "value": float(block[row, node]),
-                     "bound": float(barrier[node])}
+        BarrierFamily("psi_eps_lambda", order=s, lam=lam, eps=eps), traj.grid)
+    violation = _first_exceedance(traj, traj.require_window(-3.0, 0.0),
+                                  barrier, two_sided=True)
+    hypothesis_ok = violation is None
 
-    idx_late = traj.require_window(-1.0, 0.0)
-    ball = grid.ball(1.0)
-    vals = traj.fields[np.ix_(idx_late, ball)]
-    osc = float(np.max(vals) - np.min(vals))
+    osc = unit_oscillation(traj)
     bound = 2.0 - lam_star
     conclusion_ok = osc <= bound
-    # conclusion-first, like the other detectors: a true conclusion passes
-    # regardless of the envelope; a broken one is a failure only in scope.
-    verdict = ("pass" if conclusion_ok
-               else "fail" if hypothesis_ok else "hypothesis-violated")
     return LemmaReport(
-        name="lemma3", verdict=verdict, precondition_ok=hypothesis_ok,
+        name="lemma3", verdict=_verdict(True, hypothesis_ok, conclusion_ok),
+        precondition_ok=hypothesis_ok,
         hypothesis_ok=hypothesis_ok, conclusion_ok=conclusion_ok,
         numbers={"oscillation": osc, "bound": bound, "eps": eps,
                  "lam": lam, "lam_star": lam_star, "order": s},

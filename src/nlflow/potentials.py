@@ -80,17 +80,6 @@ def make_potential(spec: PotentialSpec) -> Potential:
     return Potential(spec)
 
 
-def eval_potential(potential: Potential, x, derivative: int = 0) -> np.ndarray:
-    """phi / phi' / phi'' of `potential` at x (derivative in {0, 1, 2})."""
-    if derivative == 0:
-        return potential.value(x)
-    if derivative == 1:
-        return potential.d1(x)
-    if derivative == 2:
-        return potential.d2(x)
-    raise InvalidParameterError(f"derivative must be 0, 1 or 2: {derivative}")
-
-
 @dataclass
 class PotentialValidationReport:
     bounds_ok: bool

@@ -1,16 +1,20 @@
 """End-to-end CLI checks: exit codes, report files, deterministic reruns."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import nlflow
 from nlflow.calibrate import load_calibration
-from nlflow.cli import main
+from nlflow.cli import _dissipation_record, main
+from nlflow.config import parse_config
 from nlflow.fieldio import load_field, save_field
-from nlflow.grid import Field, Grid
+from nlflow.flow import run_flow
+from nlflow.grid import Field, Grid, kernel_epoch
 
 
 def read_report(out_dir):
@@ -71,12 +75,34 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert not out.exists()          # nothing written on a usage error
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["calibrate", "--set", "grid.N=2"], "grid.N must be 1"),
+    (["run", "--set", "flow.kind=nonlinear",
+      "--set", "kernel.family=rough-static"], "power-law kernel family"),
+    (["run", "--set", "flow.strategy=spectral"], "kernel.radius=inf"),
+    (["run", "--set", "flow.strategy=spectral", "--set", "kernel.radius=inf",
+      "--set", "kernel.family=rough-static"], "power-law kernel family"),
+], ids=["calibrate-2d", "nonlinear-rough", "spectral-truncated",
+        "spectral-rough"])
+def test_unsupported_config_exits_2(tmp_path, capsys, argv, message):
+    # refused before any work, not aborted later with exit 3
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runtime_abort_exits_3(tmp_path, capsys):
-    # spectral strategy rejects the (default) truncated kernel at run time
-    rc = main(["run", "--out", str(tmp_path / "r"), "--seed", "1",
-               "--set", "flow.strategy=spectral"])
+    # a P5 file whose pixel data stops short passes config checks and fails
+    # when it is read
+    src = tmp_path / "short.pgm"
+    src.write_bytes(b"P5\n8 8\n255\n\x01\x02\x03")
+    rc = main(["denoise", "--out", str(tmp_path / "n"),
+               "--set", f"denoise.input={src}"])
     assert rc == 3
-    assert "aborted" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "aborted" in err
+    assert "expected 64 pixel bytes, found 3" in err
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +153,32 @@ def test_spectral_run_records_an_energy(tmp_path, grid_sets):
                "--set", "kernel.radius=inf"] + grid_sets)
     assert rc == 0
     assert read_report(out)["runs"][0]["dissipative"] is True
+
+
+def test_time_dependent_run_grades_energy_within_epochs(tmp_path):
+    # the kernel is resampled every 0.1: the energy jumps at epoch
+    # boundaries and decreases inside each epoch
+    out = tmp_path / "t"
+    rc = main(["run", "--out", str(out), "--seed", "1",
+               "--set", "kernel.family=rough-time-dependent",
+               "--set", "flow.end=0.5"])
+    assert rc == 0
+    assert read_report(out)["runs"][0]["dissipative"] is True
+    curve = np.loadtxt(out / "curves" / "run-seed1.csv", delimiter=",",
+                       skiprows=2)
+    assert np.max(np.diff(curve[:, 2])) > 1e-10
+
+
+def test_energy_rise_inside_an_epoch_is_not_dissipative():
+    cfg = parse_config(overrides=["kernel.family=rough-time-dependent",
+                                  "grid.M=64", "flow.end=0.25"])
+    traj = run_flow(cfg.flow_problem(seed=1))
+    assert _dissipation_record(traj)["dissipative"] is True
+    assert kernel_epoch(traj.kernel, traj.step_times[1]) == 0
+    traj.energy[1] = traj.energy[0] + 1e-3
+    rec = _dissipation_record(traj)
+    assert rec["energy_nonincreasing"] is False
+    assert rec["dissipative"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +304,12 @@ def test_missing_subcommand_is_a_usage_error(capsys):
 
 
 def test_module_entry_point():
+    # the child finds the package where this process imported it from
+    package_root = os.path.dirname(os.path.dirname(nlflow.__file__))
+    path = os.pathsep.join(filter(None, [package_root,
+                                         os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "nlflow.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "0.1.0" in proc.stdout

@@ -209,13 +209,25 @@ def test_recurrence_constant_on_synthetic_geometric_sequence():
         levels=np.arange(4), window_starts=-1.0 - 0.5 ** np.arange(4),
         cut_levels=0.5 - 0.5 * 0.5 ** np.arange(4),
         sup_part=u.copy(), integral_part=np.zeros(4), values=u,
-        order=1.0, cutoff=2.0, n_samples=65)
+        order=1.0, cutoff=2.0, n_samples=65, dimension=1)
     rep = check_recurrence(seq)
     assert rep.ratios[0] == pytest.approx(0.1)
     assert rep.ratios[1] == pytest.approx(0.1 ** 0.5)
     assert rep.ratios[2] == pytest.approx(0.1 ** (1.0 / 3.0))
     assert rep.constant == pytest.approx(0.1 ** (1.0 / 3.0))
     assert rep.decayed and not rep.degenerate and not rep.vacuous
+
+
+def test_recurrence_exponent_follows_the_trajectory_dimension():
+    # a 2-d ladder is graded against U_{k-1}^{1+s/2}, not the 1-d 1+s
+    g2 = Grid(dimension=2, side_length=16.0, points_per_axis=16)
+    traj = constant_trajectory(g2, 1.0, t_lo=-2.0, t_hi=0.0, n=33)
+    seq = truncated_energies(traj, k_max=2)
+    assert seq.dimension == 2
+    u = seq.values
+    rep = check_recurrence(seq)
+    assert rep.ratios[0] == pytest.approx(u[1] / u[0] ** 1.5, rel=1e-12)
+    assert rep.ratios[0] != pytest.approx(u[1] / u[0] ** 2.0, rel=1e-6)
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from nlflow.potentials import (
     PotentialSpec,
-    eval_potential,
     make_potential,
     validate_potential,
 )
@@ -24,16 +23,16 @@ def huber(ellipticity=4.0):
 
 def test_quadratic_derivative_is_identity():
     p = quadratic()
-    assert float(eval_potential(p, 3.0, derivative=1)) == 3.0
-    assert float(eval_potential(p, 0.0, derivative=1)) == 0.0
-    assert float(eval_potential(p, 2.0, derivative=0)) == 2.0
-    assert float(eval_potential(p, 5.0, derivative=2)) == 1.0
+    assert float(p.d1(3.0)) == 3.0
+    assert float(p.d1(0.0)) == 0.0
+    assert float(p.value(2.0)) == 2.0
+    assert float(p.d2(5.0)) == 1.0
 
 
 @pytest.mark.parametrize("family", ["quadratic", "smoothed-huber"])
 def test_zero_at_origin(family):
     p = make_potential(PotentialSpec(family=family, ellipticity=4.0))
-    assert float(eval_potential(p, 0.0)) == 0.0
+    assert float(p.value(0.0)) == 0.0
 
 
 def test_huber_curvature_endpoints():
