@@ -25,8 +25,8 @@ import numpy as np
 
 from .degiorgi import check_recurrence, level_set_measures, \
     truncated_energies, verify_corollary2, verify_lemma1
-from .ensembles import lemma_ensemble_run, level_ensemble_run, \
-    oscillation_run, recurrence_run
+from .ensembles import default_grid, lemma_ensemble_run, \
+    level_ensemble_run, oscillation_run, recurrence_run
 from .errors import ConfigError
 from .fieldio import write_json
 from .oscillation import check_scale_barrier, oscillation_decay, \
@@ -142,7 +142,6 @@ def calibrate_constants(lemma_seeds=range(1, 51),
                         osc_seeds=range(1, 21),
                         rec_seeds=range(1, 21),
                         order: float = 1.0,
-                        dimension: int = 1,
                         lam: float = 0.25,
                         k_sc: float = 0.65,
                         cap: float = 0.99,
@@ -154,6 +153,7 @@ def calibrate_constants(lemma_seeds=range(1, 51),
     level_seeds = list(level_seeds)
     osc_seeds = list(osc_seeds)
     rec_seeds = list(rec_seeds)
+    dimension = default_grid().dimension     # every ensemble runs on it
 
     # --- truncated-mass budget eps0 and positivity budget delta ----------
     h_pairs: list[tuple[float, bool]] = []

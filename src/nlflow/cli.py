@@ -125,6 +125,7 @@ def _cmd_validate(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
 
 
 def _cmd_run(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
+    cfg.check_flow(cfg.get("flow.kind"))
     seeds = list(cfg.get("ensemble.seeds"))
     sample_every = cfg.get("flow.sample_every")
 
@@ -265,10 +266,7 @@ def _cmd_denoise(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
         raise ConfigError("denoise needs denoise.input=<field file>")
     if not os.path.exists(src):
         raise ConfigError(f"denoise input not found: {src}")
-    if cfg.get("kernel.family") != "power-law":
-        raise ConfigError(
-            "denoise runs the nonlinear flow, which needs the "
-            "translation-invariant power-law kernel family")
+    cfg.check_flow("nonlinear")
     noisy = load_field(src)
     # the file's own grid wins; rebuild the kernel at its dimension
     spec = dataclasses.replace(cfg.kernel_spec(),

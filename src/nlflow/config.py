@@ -16,7 +16,8 @@ from .errors import ConfigError
 from .fields import INITIAL_KINDS, make_initial
 from .flow import FlowProblem
 from .grid import STRATEGIES, Field, Grid
-from .kernels import KERNEL_FAMILIES, KernelSpec, make_kernel
+from .kernels import KERNEL_FAMILIES, TRANSLATION_INVARIANT_FAMILIES, \
+    KernelSpec, make_kernel
 from .potentials import POTENTIAL_FAMILIES, Potential, PotentialSpec, \
     make_potential
 
@@ -172,6 +173,26 @@ class ExperimentConfig:
             mode=self.get("initial.mode"),
             shift=self.get("initial.shift"))
 
+    def check_flow(self, kind: str) -> None:
+        """Raise ConfigError unless a `kind` flow can run on this config:
+        the nonlinear flow and the spectral strategy need a translation-
+        invariant kernel, and the spectral symbol an untruncated one."""
+        family = self.get("kernel.family")
+        radius = self.get("kernel.radius")
+        spectral = self.get("flow.strategy") == "spectral"
+        errors = []
+        if (kind == "nonlinear" or spectral) and \
+                family not in TRANSLATION_INVARIANT_FAMILIES:
+            errors.append(
+                f"kernel.family: the {kind} flow with flow.strategy="
+                f"{self.get('flow.strategy')} needs the translation-invariant "
+                f"{' or '.join(TRANSLATION_INVARIANT_FAMILIES)} kernel family "
+                f"(got {family!r})")
+        if spectral and math.isfinite(radius):
+            errors.append(f"kernel.radius: flow.strategy=spectral needs "
+                          f"kernel.radius=inf (got {radius!r})")
+        _refuse(errors)
+
     def flow_problem(self, seed: int | None = None) -> FlowProblem:
         """Full problem; `seed` reseeds both the kernel and the initial data."""
         grid = self.make_grid()
@@ -189,6 +210,14 @@ class ExperimentConfig:
             strategy=self.get("flow.strategy"),
             dt_max=self.get("flow.dt_max"),
             store_states=self.get("flow.store_states"))
+
+
+def _refuse(errors: list[str]) -> None:
+    """Raise one ConfigError listing every violation, if there are any."""
+    if errors:
+        exc = ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
+        exc.errors = errors
+        raise exc
 
 
 def _semantic_errors(values: dict[str, object]) -> list[str]:
@@ -238,16 +267,6 @@ def _semantic_errors(values: dict[str, object]) -> list[str]:
           "expected euler or heun")
     check(values["flow.strategy"] in STRATEGIES, "flow.strategy",
           f"expected one of {', '.join(STRATEGIES)}")
-    # the nonlinear flow and the spectral strategy need a translation-
-    # invariant kernel, and the spectral symbol an untruncated one
-    if values["flow.kind"] == "nonlinear":
-        check(fam == "power-law", "kernel.family",
-              "flow.kind=nonlinear needs the power-law kernel family")
-    if values["flow.strategy"] == "spectral":
-        check(fam == "power-law", "kernel.family",
-              "flow.strategy=spectral needs the power-law kernel family")
-        check(not math.isfinite(radius), "kernel.radius",
-              "flow.strategy=spectral needs kernel.radius=inf")
     check(values["flow.end"] > values["flow.start"], "flow.end",
           f"must exceed flow.start={values['flow.start']}")
     dt_max = values["flow.dt_max"]
@@ -331,10 +350,7 @@ def parse_config(path: str | None = None,
     # Range checks run on whatever parsed (failed keys keep their defaults).
     errors.extend(_semantic_errors(values))
 
-    if errors:
-        exc = ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
-        exc.errors = errors
-        raise exc
+    _refuse(errors)
 
     defaulted = tuple(k for k in SCHEMA if sources[k] == "default")
     return ExperimentConfig(values=values, defaulted=defaulted,

@@ -448,16 +448,16 @@ def _verdict(precondition_ok: bool, hypothesis_ok: bool,
     return "hypothesis-violated"
 
 
-def _first_exceedance(traj: Trajectory, idx: np.ndarray, bound: np.ndarray,
+def _first_exceedance(times: np.ndarray, block: np.ndarray, bound: np.ndarray,
                       two_sided: bool = False) -> dict | None:
-    """Earliest (time, node) among the samples `idx` where w, or |w| when
-    `two_sided`, exceeds `bound`; None when the envelope holds."""
-    block = traj.fields[idx]
+    """Earliest (time, node) of the sampled rows `block`, taken at `times`,
+    where w, or |w| when `two_sided`, exceeds `bound`; None when the
+    envelope holds."""
     over = (np.abs(block) if two_sided else block) > bound
     if not np.any(over):
         return None
     row, node = divmod(int(np.argmax(over)), over.shape[1])
-    return {"time": float(traj.times[idx[row]]), "node": node,
+    return {"time": float(times[row]), "node": node,
             "value": float(block[row, node]), "bound": float(bound[node])}
 
 
@@ -480,7 +480,8 @@ def verify_lemma1(traj: Trajectory, eps0: float,
 
     idx_late = traj.require_window(-1.0, 0.0)
     bound = 0.5 + psi
-    violation = _first_exceedance(traj, idx_late, bound)
+    violation = _first_exceedance(traj.times[idx_late],
+                                  traj.fields[idx_late], bound)
     conclusion_ok = violation is None
 
     # On a torus the barrier only grows out to distance L/2; record whether
@@ -566,18 +567,20 @@ def verify_corollary2(traj: Trajectory, delta: float,
     psi1 = barrier_on_grid(BarrierFamily("psi1", order=s), grid)
 
     idx = traj.require_window(-2.0, 0.0)
-    envelope_breach = _first_exceedance(traj, idx, 1.0 + psi1)
+    block = traj.fields[idx]
+    envelope_breach = _first_exceedance(traj.times[idx], block, 1.0 + psi1)
     precondition_ok = envelope_breach is None
 
     ball2 = grid.ball(2.0)
-    masks = (traj.fields[idx] > 0.0) & ball2[None, :]
+    masks = (block > 0.0) & ball2[None, :]
     positivity = space_time_measure(traj, masks, idx)
     hypothesis_ok = positivity <= delta
 
     idx_late = traj.require_window(-1.0, 0.0)
     ball1 = grid.ball(1.0)
     half = np.where(ball1, 0.5, np.inf)
-    violation = _first_exceedance(traj, idx_late, half)
+    violation = _first_exceedance(traj.times[idx_late],
+                                  traj.fields[idx_late], half)
     conclusion_ok = violation is None
     return LemmaReport(
         name="corollary2",
@@ -607,7 +610,8 @@ def verify_lemma2(traj: Trajectory, mu: float, delta: float, gamma: float,
                               grid)
 
     idx = traj.require_window(-3.0, 0.0)
-    envelope_breach = _first_exceedance(traj, idx, 1.0 + psi_lam)
+    envelope_breach = _first_exceedance(traj.times[idx], traj.fields[idx],
+                                        1.0 + psi_lam)
     precondition_ok = envelope_breach is None
 
     measures = level_set_measures(traj, lam, order=s)

@@ -28,6 +28,8 @@ import numpy as np
 from .errors import InvalidParameterError, UnsupportedDimensionError
 
 KERNEL_FAMILIES = ("power-law", "rough-static", "rough-time-dependent")
+# families whose kernel depends on x - y alone (a convolution on the torus)
+TRANSLATION_INVARIANT_FAMILIES = ("power-law",)
 
 _U64 = np.uint64
 
@@ -156,7 +158,8 @@ class Kernel:
     def __init__(self, spec: KernelSpec):
         _check_spec(spec)
         self.spec = spec
-        self.translation_invariant = spec.family == "power-law"
+        self.translation_invariant = \
+            spec.family in TRANSLATION_INVARIANT_FAMILIES
         self.time_dependent = spec.family == "rough-time-dependent"
         self._scale = 1.0 - spec.order / 2.0
         self._exponent = spec.dimension + spec.order

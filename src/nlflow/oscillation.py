@@ -133,18 +133,18 @@ class DerivedKernel:
         return np.clip(vals, lo, hi)
 
     def offset_factors(self, t: float,
-                       deltas: np.ndarray) -> np.ndarray | None:
+                       stencil: OffsetStencil) -> np.ndarray | None:
         """Per-offset sigma-average arrays, or None for quadratic phi
         (phi'' identically 1, so K^h is the base kernel verbatim)."""
         if self.quadratic:
             return None
         key = self.sample_index(t)
         cached = self._factor_cache.get(key)
-        if cached is not None and cached.shape[0] == deltas.shape[0]:
+        if cached is not None and cached.shape[0] == stencil.deltas.shape[0]:
             return cached
         pair = np.stack(self._theta_pair(t)).reshape((2,) + self.grid.shape)
-        out = np.empty((deltas.shape[0], self.grid.n_nodes))
-        for rows, diffs in OffsetStencil(self.grid, deltas).blocks(pair):
+        out = np.empty((stencil.deltas.shape[0], self.grid.n_nodes))
+        for rows, diffs in stencil.blocks(pair):
             out[rows] = self._sigma_average(diffs[0], diffs[1]).reshape(
                 -1, self.grid.n_nodes)
         self._factor_cache = {key: out}
@@ -341,7 +341,7 @@ def verify_linearization(theta_traj: Trajectory, e: int = 0,
             next_cmp += 1
         if n == dts.size:
             break
-        factors = dk.offset_factors(step_times[n], op.deltas)
+        factors = dk.offset_factors(step_times[n], op.stencil)
         table = kd if factors is None else kd[:, None] * factors
         w = w + dts[n] * (op.stencil.offset_sum(w, table) * h_n)
 
@@ -592,7 +592,8 @@ def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
             BarrierFamily("psi_eps_lambda", order=s, lam=lam, eps=eps_eff),
             grid)
         idx_env = current.window(-3.0, 0.0)
-        violation = _first_exceedance(current, idx_env, barrier,
+        block = current.fields[idx_env]
+        violation = _first_exceedance(current.times[idx_env], block, barrier,
                                       two_sided=True)
         envelope_ok = violation is None
         if not envelope_ok and first_violation_level is None:
@@ -605,7 +606,7 @@ def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
         mean_k = float(np.mean(current.fields[np.ix_(idx_mean, ball)])) \
             if n_nodes_ball and n_samp else math.nan
         records.append(RescaleLevel(
-            level=k, sup_norm=float(np.max(np.abs(current.fields[idx_env]))),
+            level=k, sup_norm=float(np.max(np.abs(block))),
             mean=mean_k, envelope_ok=envelope_ok,
             nodes_in_unit_ball=n_nodes_ball, samples_in_window=n_samp,
             first_violation=violation))
@@ -660,8 +661,9 @@ def verify_lemma3(traj: Trajectory, eps: float, lam: float, lam_star: float,
     s = float(traj.order if order is None else order)
     barrier = 1.0 + barrier_on_grid(
         BarrierFamily("psi_eps_lambda", order=s, lam=lam, eps=eps), traj.grid)
-    violation = _first_exceedance(traj, traj.require_window(-3.0, 0.0),
-                                  barrier, two_sided=True)
+    idx = traj.require_window(-3.0, 0.0)
+    violation = _first_exceedance(traj.times[idx], traj.fields[idx], barrier,
+                                  two_sided=True)
     hypothesis_ok = violation is None
 
     osc = unit_oscillation(traj)

@@ -92,6 +92,15 @@ def test_unsupported_config_exits_2(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", [
+    ["--set", "flow.strategy=spectral"],
+    ["--set", "flow.kind=nonlinear", "--set", "kernel.family=rough-static"],
+], ids=["spectral-truncated", "nonlinear-rough"])
+def test_flow_refusals_leave_validate_alone(tmp_path, capsys, setting):
+    # validate builds no flow, so flow-only combinations pass through it
+    assert main(["validate", "--out", str(tmp_path / "v")] + setting) == 0
+
+
 def test_runtime_abort_exits_3(tmp_path, capsys):
     # a P5 file whose pixel data stops short passes config checks and fails
     # when it is read
@@ -269,6 +278,12 @@ def test_denoise_guards(tmp_path, capsys):
                "--set", "kernel.family=rough-static"])
     assert rc == 2
     assert "power-law" in capsys.readouterr().err
+    rc = main(["denoise", "--out", str(tmp_path / "d"),
+               "--set", f"denoise.input={src}",
+               "--set", "flow.strategy=spectral"])
+    assert rc == 2
+    assert "kernel.radius=inf" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 # ---------------------------------------------------------------------------

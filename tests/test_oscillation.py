@@ -21,7 +21,7 @@ from nlflow.errors import (
 )
 from nlflow.fields import make_initial
 from nlflow.flow import FlowProblem, run_flow
-from nlflow.grid import Field, Grid
+from nlflow.grid import Field, Grid, OffsetStencil
 from nlflow.kernels import KernelSpec, make_kernel
 from nlflow.oscillation import (
     DerivedKernel,
@@ -111,7 +111,8 @@ def test_derived_kernel_quadratic_collapses_to_base():
     base = traj.kernel
     dk = derived_kernel(base, quadratic(), traj, 0, traj.grid.spacing)
     assert dk.quadratic
-    assert dk.offset_factors(0.0, np.array([[1], [2]])) is None
+    stencil = OffsetStencil(traj.grid, np.array([[1], [2]]))
+    assert dk.offset_factors(0.0, stencil) is None
     coords = traj.grid.node_coords()
     rng = np.random.default_rng(1)
     xi = rng.integers(0, traj.grid.n_nodes, 64)
