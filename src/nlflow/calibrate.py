@@ -2,11 +2,12 @@
 
 The regularity statements leave their small constants (truncated-mass budget
 eps0, positivity budget delta, measure levels mu/gamma, oscillation drop
-lam_star) as pure existence claims.  This module pins desk values for them by
-sweeping the seeded ensembles and searching for the largest budget that keeps
-every hypothesis-satisfying run on the right side of its conclusion.  The
-values persist in a JSON file so later runs regress against frozen numbers
-instead of re-deriving them.
+lam_star) as pure existence claims.  This module pins desk values for them
+from the runs of the seeded ensembles, searching for the largest budget that
+keeps every hypothesis-satisfying run on the right side of its conclusion.
+It integrates nothing itself: callers pass the runs.  The values persist in a
+JSON file so later runs regress against frozen numbers instead of re-deriving
+them.
 
 Four smallness constraints tie lambda to the other constants in the source
 analysis.  Two of their constants are existence-only; we report each
@@ -25,17 +26,27 @@ import numpy as np
 
 from .degiorgi import check_recurrence, level_set_measures, \
     truncated_energies, verify_corollary2, verify_lemma1
-from .ensembles import default_grid, lemma_ensemble_run, \
-    level_ensemble_run, oscillation_run, recurrence_run
 from .errors import ConfigError
 from .fieldio import write_json
 from .oscillation import check_scale_barrier, oscillation_decay, \
     unit_oscillation
 
-__all__ = ["CalibrationConstants", "calibrate_constants",
-           "save_calibration", "load_calibration", "default_calibration"]
+__all__ = ["CALIBRATION_SEEDS", "CalibrationConstants",
+           "calibrate_constants", "save_calibration", "load_calibration",
+           "default_calibration"]
 
 CALIBRATION_VERSION = 1
+
+# seeds of each recipe's runs in the shipped calibration
+CALIBRATION_SEEDS = {"lemma": range(1, 51), "level": range(1, 51),
+                     "recurrence": range(1, 21), "oscillation": range(1, 21)}
+
+LAM = 0.25          # barrier parameter lambda (existence-only in the paper)
+K_SC = 0.65         # cylinder scale of the oscillation fits
+CAP = 0.99          # largest eps0 / delta budget the search returns
+EPS_FLOOR = 1e-6    # floor of the envelope margin eps and of gamma
+K_MAX = 6           # rungs of the truncated-energy ladder
+LEVELS = 4          # nested cylinders of the oscillation fits
 
 
 @dataclass
@@ -48,11 +59,11 @@ class CalibrationConstants:
     delta: float = 0.99
     mu: float = 1e-3
     gamma: float = 1e-6
-    lam: float = 0.25
+    lam: float = LAM
     lam_star: float = 0.085
     lam_star_raw: float = 1.0
     eps: float = 1e-6
-    k_sc: float = 0.65
+    k_sc: float = K_SC
     k0: int = 1
     cbar: float = 1.0
     eps0_capped: bool = False
@@ -73,10 +84,9 @@ class CalibrationConstants:
                                            self.lam_star))
 
 
-def _largest_budget(pairs: list[tuple[float, bool]], cap: float,
-                    iterations: int = 80) -> tuple[float, bool]:
-    """Largest eps <= cap such that every run with hypothesis value <= eps
-    satisfies its conclusion.  Monotone predicate, so plain bisection.
+def _largest_budget(pairs: list[tuple[float, bool]]) -> tuple[float, bool]:
+    """Largest eps <= CAP such that every run with hypothesis value <= eps
+    satisfies its conclusion.  Monotone predicate, so 80 plain bisections.
 
     Returns (value, capped): capped means even the cap passes.
     """
@@ -84,10 +94,10 @@ def _largest_budget(pairs: list[tuple[float, bool]], cap: float,
     def holds(eps: float) -> bool:
         return all(ok for h, ok in pairs if h <= eps)
 
-    if holds(cap):
-        return cap, True
-    lo, hi = 0.0, cap       # holds(0) is vacuously true
-    for _ in range(iterations):
+    if holds(CAP):
+        return CAP, True
+    lo, hi = 0.0, CAP       # holds(0) is vacuously true
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
         if holds(mid):
             lo = mid
@@ -137,41 +147,36 @@ def _lambda_constraint_report(lam: float, mu: float, delta: float,
     return entries
 
 
-def calibrate_constants(lemma_seeds=range(1, 51),
-                        level_seeds=range(1, 51),
-                        osc_seeds=range(1, 21),
-                        rec_seeds=range(1, 21),
-                        order: float = 1.0,
-                        lam: float = 0.25,
-                        k_sc: float = 0.65,
-                        cap: float = 0.99,
-                        eps_floor: float = 1e-6,
-                        k_max: int = 6,
-                        levels: int = 4) -> CalibrationConstants:
-    """Sweep the four ensembles and pin every detector constant."""
-    lemma_seeds = list(lemma_seeds)
-    level_seeds = list(level_seeds)
-    osc_seeds = list(osc_seeds)
-    rec_seeds = list(rec_seeds)
-    dimension = default_grid().dimension     # every ensemble runs on it
+def calibrate_constants(lemma, level, recurrence,
+                        oscillation) -> CalibrationConstants:
+    """Reduce the four ensembles' runs to every detector constant.
+
+    Each argument is an iterable of (seed, Trajectory) pairs from one recipe
+    of `ensembles`, consumed once in the order lemma, level, recurrence,
+    oscillation, so lazy iterables keep one trajectory alive at a time.  The
+    runs share one kernel order and one dimension, read from the last run.
+    """
+    seeds: dict = {name: [] for name in CALIBRATION_SEEDS}
 
     # --- truncated-mass budget eps0 and positivity budget delta ----------
     h_pairs: list[tuple[float, bool]] = []
     p_pairs: list[tuple[float, bool]] = []
-    for traj in map(lemma_ensemble_run, lemma_seeds):
-        r1 = verify_lemma1(traj, eps0=cap, order=order)
+    for seed, traj in lemma:
+        seeds["lemma"].append(seed)
+        r1 = verify_lemma1(traj, eps0=CAP)
         h_pairs.append((r1.numbers["truncated_mass"], r1.conclusion_ok))
-        r2 = verify_corollary2(traj, delta=cap, order=order)
+        r2 = verify_corollary2(traj, delta=CAP)
         if r2.precondition_ok:
             p_pairs.append((r2.numbers["positivity_measure"],
                             r2.conclusion_ok))
-    eps0, eps0_capped = _largest_budget(h_pairs, cap)
-    delta, delta_capped = _largest_budget(p_pairs, cap)
+    eps0, eps0_capped = _largest_budget(h_pairs)
+    delta, delta_capped = _largest_budget(p_pairs)
 
     # --- level-set measures mu/gamma and the oscillation drop ------------
     below, above, inter, oscs = [], [], [], []
-    for traj in map(level_ensemble_run, level_seeds):
-        m = level_set_measures(traj, lam, order=order)
+    for seed, traj in level:
+        seeds["level"].append(seed)
+        m = level_set_measures(traj, LAM)
         below.append(m.below_phi0)
         above.append(m.above_phi2)
         inter.append(m.intermediate)
@@ -184,20 +189,22 @@ def calibrate_constants(lemma_seeds=range(1, 51),
     gamma_fallback = not second_branch
     gamma = float(min(second_branch) if second_branch else min(inter))
     if not (gamma > 0.0):
-        gamma, gamma_fallback = eps_floor, True
+        gamma, gamma_fallback = EPS_FLOOR, True
     # --- recurrence constant and oscillation exponents --------------------
     cbars = []
-    for traj in map(recurrence_run, rec_seeds):
-        seq = truncated_energies(traj, k_max=k_max, order=order)
-        rep = check_recurrence(seq)
+    for seed, traj in recurrence:
+        seeds["recurrence"].append(seed)
+        rep = check_recurrence(truncated_energies(traj, k_max=K_MAX))
         if rep.constant is not None and math.isfinite(rep.constant):
             cbars.append(rep.constant)
     cbar = float(max(cbars)) if cbars else 1.0
 
     alphas, r2s = [], []
-    for traj in map(oscillation_run, osc_seeds):
-        rep = oscillation_decay(traj, center=(0.0, np.zeros(dimension)),
-                                scale=k_sc, levels=levels, order=order)
+    for seed, traj in oscillation:
+        seeds["oscillation"].append(seed)
+        rep = oscillation_decay(
+            traj, center=(0.0, np.zeros(traj.grid.dimension)), scale=K_SC,
+            levels=LEVELS)
         alphas.append(rep.alpha)
         r2s.append(rep.r_squared)
     alpha_summary = {
@@ -207,13 +214,14 @@ def calibrate_constants(lemma_seeds=range(1, 51),
         "n_decaying": int(sum(1 for a in alphas if a > 0.03)),
         "n_runs": len(alphas),
     }
+    order, dimension = traj.order, traj.grid.dimension
 
     # --- envelope margin eps via the slab-count formula --------------------
     cylinder = 3.0 * _ball_volume(dimension, 3.0)   # |(-3,0) x B_3|
     k0 = max(1, math.ceil(cylinder / gamma))
-    eps_raw = (order / 4.0) * lam ** (2 * k0)
-    eps_floor_bound = eps_raw < eps_floor
-    eps = max(eps_floor, eps_raw)
+    eps_raw = (order / 4.0) * LAM ** (2 * k0)
+    eps_floor_bound = eps_raw < EPS_FLOOR
+    eps = max(EPS_FLOOR, eps_raw)
 
     # --- oscillation drop, capped by the barrier scaling inequality --------
     # The measured drop 2 - max osc is usually far above what the rescaling
@@ -222,8 +230,8 @@ def calibrate_constants(lemma_seeds=range(1, 51),
     # barrier-quotient threshold.  Take the tighter of the two with a 1%
     # margin so the reported inequality holds with slack.
     lam_star_raw = 2.0 - max(oscs)
-    barrier_probe = check_scale_barrier(lam=lam, lam_star=0.5, eps=eps,
-                                        scale=k_sc, order=order)
+    barrier_probe = check_scale_barrier(lam=LAM, lam_star=0.5, eps=eps,
+                                        scale=K_SC, order=order)
     lam_star = min(lam_star_raw, 0.99 * barrier_probe["lam_star_threshold"],
                    1.0 - 1e-6)
     lam_star_capped = lam_star < lam_star_raw
@@ -233,13 +241,12 @@ def calibrate_constants(lemma_seeds=range(1, 51),
     const = CalibrationConstants(
         order=order, dimension=dimension,
         eps0=float(eps0), delta=float(delta), mu=mu, gamma=gamma,
-        lam=lam, lam_star=float(lam_star), lam_star_raw=float(lam_star_raw),
-        eps=float(eps), k_sc=k_sc, k0=k0, cbar=cbar,
+        lam=LAM, lam_star=float(lam_star), lam_star_raw=float(lam_star_raw),
+        eps=float(eps), k_sc=K_SC, k0=k0, cbar=cbar,
         eps0_capped=eps0_capped, delta_capped=delta_capped,
         mu_floored=mu_floored, gamma_fallback=gamma_fallback,
         lam_star_capped=lam_star_capped, eps_floor_bound=eps_floor_bound,
-        seeds={"lemma": lemma_seeds, "level": level_seeds,
-               "oscillation": osc_seeds, "recurrence": rec_seeds},
+        seeds=seeds,
         provenance={
             "eps0": "calibrated", "delta": "calibrated", "mu": "calibrated",
             "gamma": "calibrated", "lam_star": "calibrated",
@@ -248,11 +255,11 @@ def calibrate_constants(lemma_seeds=range(1, 51),
             "k_sc": "chosen", "k0": "paper-existence-only",
         },
         lambda_constraints=_lambda_constraint_report(
-            lam, mu, delta, cbar, dimension),
+            LAM, mu, delta, cbar, dimension),
         alpha_summary=alpha_summary,
     )
     const.scale_barrier = check_scale_barrier(
-        lam=lam, lam_star=const.lam_star, eps=const.eps, scale=k_sc,
+        lam=LAM, lam_star=const.lam_star, eps=const.eps, scale=K_SC,
         order=order)
     return const
 

@@ -19,8 +19,9 @@ import time
 
 import numpy as np
 
-from .calibrate import CalibrationConstants, calibrate_constants, \
-    default_calibration, load_calibration, save_calibration
+from .calibrate import CALIBRATION_SEEDS, CalibrationConstants, \
+    calibrate_constants, default_calibration, load_calibration, \
+    save_calibration
 from .config import ExperimentConfig, parse_config
 from .degiorgi import check_recurrence, chebyshev_chain, truncated_energies, \
     verify_corollary1, verify_corollary2, verify_lemma1, verify_lemma2
@@ -320,12 +321,18 @@ def _cmd_calibrate(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
     if cfg.get("grid.N") != 1:
         raise ConfigError("calibrate sweeps the 1-d ensembles; grid.N must "
                           "be 1")
-    kwargs = {}
+    if cfg.get("kernel.s") != 1.0:
+        raise ConfigError("calibrate sweeps order-1 rough kernels; kernel.s "
+                          "must be 1")
+    seeds = CALIBRATION_SEEDS
     if cfg.sources["ensemble.seeds"] == "--seed":
-        seeds = list(cfg.get("ensemble.seeds"))
-        kwargs = {"lemma_seeds": seeds, "level_seeds": seeds,
-                  "osc_seeds": seeds, "rec_seeds": seeds}
-    constants = calibrate_constants(order=cfg.get("kernel.s"), **kwargs)
+        seeds = dict.fromkeys(seeds, list(cfg.get("ensemble.seeds")))
+    recipes = {"lemma": lemma_ensemble_run, "level": level_ensemble_run,
+               "recurrence": recurrence_run, "oscillation": oscillation_run}
+    # lazy pairs: each run is integrated when the reduction reaches it
+    constants = calibrate_constants(**{
+        name: zip(seeds[name], map(recipe, seeds[name]))
+        for name, recipe in recipes.items()})
     _ensure_dirs(out_dir)
     save_calibration(constants, os.path.join(out_dir, "calibration.json"))
     passed = constants.in_unit_interval()

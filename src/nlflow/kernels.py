@@ -21,7 +21,7 @@ reproducible for a given seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,16 +106,12 @@ class RoughMultiplier:
     through a stateless 64-bit hash to a uniform value in the band, and the
     value for (x, y) is the average of the two ordered lookups, so symmetry is
     exact.  Time-dependent multipliers fold the epoch index floor(t / epoch)
-    into the hash and are piecewise constant in t.
+    into the hash and are piecewise constant in t.  Built by Kernel, whose
+    spec check has already bounded the ellipticity and the cell size.
     """
 
     def __init__(self, ellipticity: float, cell_size: float = 0.25,
                  seed: int = 0, epoch_length: float | None = None):
-        if not (ellipticity > 1.0):
-            raise InvalidParameterError(
-                f"ellipticity must exceed 1: {ellipticity}")
-        if not (cell_size > 0.0):
-            raise InvalidParameterError(f"cell_size must be positive: {cell_size}")
         self.ellipticity = float(ellipticity)
         self.cell_size = float(cell_size)
         self.seed = int(seed)
@@ -125,11 +121,11 @@ class RoughMultiplier:
     def _cells(self, pts: np.ndarray) -> np.ndarray:
         return np.floor(pts / self.cell_size).astype(np.int64)
 
-    def _ordered_value(self, epoch, cells_a: np.ndarray,
+    def _ordered_value(self, epoch: np.ndarray, cells_a: np.ndarray,
                        cells_b: np.ndarray) -> np.ndarray:
         acc = np.broadcast_to(_U64(self.seed & 0xFFFFFFFFFFFFFFFF),
                               cells_a.shape[:-1]).copy()
-        acc = _hash_fold(acc, np.broadcast_to(np.int64(epoch), acc.shape))
+        acc = _hash_fold(acc, np.broadcast_to(epoch, acc.shape))
         for k in range(cells_a.shape[-1]):
             acc = _hash_fold(acc, cells_a[..., k])
         for k in range(cells_b.shape[-1]):
@@ -139,9 +135,12 @@ class RoughMultiplier:
         return lo + unit * (self.ellipticity - lo)
 
     def __call__(self, t, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        epoch = 0
+        """a(t, x, y); t is a scalar or an array of times that broadcasts
+        against the points' leading axes."""
+        epoch = np.int64(0)
         if self.time_dependent:
-            epoch = math.floor(float(t) / self.epoch_length)
+            epoch = np.floor(np.asarray(t, dtype=np.float64)
+                             / self.epoch_length).astype(np.int64)
         ca, cb = self._cells(x), self._cells(y)
         return 0.5 * (self._ordered_value(epoch, ca, cb)
                       + self._ordered_value(epoch, cb, ca))
@@ -150,8 +149,9 @@ class RoughMultiplier:
 class Kernel:
     """Concrete kernel evaluator built from a KernelSpec.
 
-    evaluate(t, x, y, dist=None) takes absolute coordinates; `dist` overrides
-    the Euclidean separation so grid code can supply periodic distances while
+    evaluate(t, x, y, dist=None) takes absolute coordinates and a time or an
+    array of times that broadcasts against them; `dist` overrides the
+    Euclidean separation so grid code can supply periodic distances while
     keeping the multiplier a function of the canonical positions.
     """
 
@@ -209,11 +209,6 @@ def make_kernel(spec: KernelSpec) -> Kernel:
     return Kernel(spec)
 
 
-def with_truncation(kernel: Kernel, truncation_radius: float) -> Kernel:
-    """Same kernel with a different support radius (used by rescaling views)."""
-    return Kernel(replace(kernel.spec, truncation_radius=truncation_radius))
-
-
 @dataclass
 class KernelValidationReport:
     symmetric: bool
@@ -237,9 +232,10 @@ def validate_kernel(kernel, spec: KernelSpec | None = None,
                     ) -> KernelValidationReport:
     """Sample (t, x, y) triples and grade symmetry, envelope band, truncation.
 
-    Works on any object exposing evaluate(t, x, y); the band tier is the tight
-    [Lambda^-1/2, Lambda^1/2] for translation-invariant kernels and the wide
-    [Lambda^-1, Lambda] otherwise.  Sampling is deterministic in `seed`.
+    Works on any object exposing evaluate(t, x, y), called once with one time
+    per sample; the band tier is the tight [Lambda^-1/2, Lambda^1/2] for
+    translation-invariant kernels and the wide [Lambda^-1, Lambda] otherwise.
+    Sampling is deterministic in `seed`.
     """
     if spec is None:
         spec = kernel.spec
@@ -261,8 +257,8 @@ def validate_kernel(kernel, spec: KernelSpec | None = None,
     y = x + radii[:, None] * direction
     t = rng.uniform(0.0, 1.0, size=n)
 
-    k_xy = _eval_rows(kernel, t, x, y)
-    k_yx = _eval_rows(kernel, t, y, x)
+    k_xy = np.asarray(kernel.evaluate(t, x, y), dtype=np.float64)
+    k_yx = np.asarray(kernel.evaluate(t, y, x), dtype=np.float64)
     max_sym = float(np.max(np.abs(k_xy - k_yx))) if n else 0.0
 
     dist = np.linalg.norm(x - y, axis=-1)
@@ -294,7 +290,7 @@ def validate_kernel(kernel, spec: KernelSpec | None = None,
         fdir /= np.linalg.norm(fdir, axis=-1, keepdims=True)
         fy = fx + far_r[:, None] * fdir
         ft = rng.uniform(0.0, 1.0, size=m)
-        far_vals = np.abs(_eval_rows(kernel, ft, fx, fy))
+        far_vals = np.abs(kernel.evaluate(ft, fx, fy))
         max_beyond = float(far_vals.max())
     else:
         max_beyond = 0.0
@@ -307,13 +303,3 @@ def validate_kernel(kernel, spec: KernelSpec | None = None,
         max_symmetry_defect=max_sym, ratio_min=ratio_min, ratio_max=ratio_max,
         band_lo=band_lo, band_hi=band_hi, tier=tier,
         max_beyond_truncation=max_beyond, sample_count=n, band_rtol=band_rtol)
-
-
-def _eval_rows(kernel, t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Evaluate row-wise, grouping by time so epoch-hashed kernels stay exact."""
-    if getattr(kernel, "time_dependent", False):
-        out = np.empty(len(t))
-        for i in range(len(t)):
-            out[i] = np.asarray(kernel.evaluate(float(t[i]), x[i], y[i]))
-        return out
-    return np.asarray(kernel.evaluate(0.0, x, y), dtype=np.float64)

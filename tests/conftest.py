@@ -37,6 +37,16 @@ cached_random_trajectory = \
     functools.lru_cache(maxsize=None)(random_field_trajectory)
 
 
+def cached_calibration_runs(seeds) -> dict:
+    """calibrate_constants arguments: each recipe's cached (seed, run) pairs
+    for the seeds `seeds[recipe]`."""
+    recipes = {"lemma": cached_lemma_run, "level": cached_level_run,
+               "recurrence": cached_recurrence_run,
+               "oscillation": cached_oscillation_run}
+    return {name: [(seed, run(seed)) for seed in seeds[name]]
+            for name, run in recipes.items()}
+
+
 @pytest.fixture(scope="session")
 def calibration():
     return default_calibration()

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import nlflow
-from nlflow.calibrate import load_calibration
+from conftest import cached_calibration_runs
+from nlflow.calibrate import CALIBRATION_SEEDS, calibrate_constants, \
+    load_calibration, save_calibration
 from nlflow.cli import _dissipation_record, main
 from nlflow.config import parse_config
 from nlflow.fieldio import load_field, save_field
@@ -77,13 +79,15 @@ def test_bad_config_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["calibrate", "--set", "grid.N=2"], "grid.N must be 1"),
+    (["calibrate", "--set", "kernel.s=1.5", "--seed", "1"],
+     "kernel.s must be 1"),
     (["run", "--set", "flow.kind=nonlinear",
       "--set", "kernel.family=rough-static"], "power-law kernel family"),
     (["run", "--set", "flow.strategy=spectral"], "kernel.radius=inf"),
     (["run", "--set", "flow.strategy=spectral", "--set", "kernel.radius=inf",
       "--set", "kernel.family=rough-static"], "power-law kernel family"),
-], ids=["calibrate-2d", "nonlinear-rough", "spectral-truncated",
-        "spectral-rough"])
+], ids=["calibrate-2d", "calibrate-order", "nonlinear-rough",
+        "spectral-truncated", "spectral-rough"])
 def test_unsupported_config_exits_2(tmp_path, capsys, argv, message):
     # refused before any work, not aborted later with exit 3
     out = tmp_path / "x"
@@ -300,6 +304,12 @@ def test_calibrate_small_ensemble(tmp_path, capsys):
         assert 0.0 < value < 1.0
     assert constants.lam_star == report["calibration"]["lam_star"]
     assert "calibrate: pass" in capsys.readouterr().out
+    # the CLI's lazy runs and the session's cached runs give the same bytes
+    in_process = tmp_path / "in-process.json"
+    save_calibration(calibrate_constants(**cached_calibration_runs(
+        dict.fromkeys(CALIBRATION_SEEDS, [1, 2]))), str(in_process))
+    assert in_process.read_bytes() == \
+        (out / "calibration.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from nlflow.kernels import (
     KernelSpec,
     make_kernel,
     validate_kernel,
-    with_truncation,
 )
 
 
@@ -62,12 +61,6 @@ def test_truncation_radius_inf_supported():
     k = power_law(truncation=math.inf)
     far = float(k.evaluate(0.0, np.array([0.0]), np.array([50.0])))
     assert far == pytest.approx(0.5 * 50.0 ** -2.0, rel=1e-14)
-
-
-def test_with_truncation_rebuilds():
-    k = with_truncation(power_law(), 1.5)
-    assert float(k.evaluate(0.0, np.array([0.0]), np.array([2.0]))) == 0.0
-    assert float(k.evaluate(0.0, np.array([0.0]), np.array([1.0]))) == 0.5
 
 
 # --------------------------------------------------------------------------
