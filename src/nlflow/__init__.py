@@ -6,6 +6,9 @@ their regularity numerically: truncated-energy ladders, level-set measure
 dichotomies, difference-quotient linearization, and oscillation-decay fits.
 """
 
+# the one version string: `nlflow --version` and every report read it
+__version__ = "0.1.0"
+
 from .calibrate import CalibrationConstants, calibrate_constants, \
     default_calibration, load_calibration, save_calibration
 from .config import ExperimentConfig, parse_config
@@ -24,8 +27,6 @@ from .oscillation import DerivedKernel, difference_quotient, \
     scan_derived_envelope, verify_lemma3, verify_linearization
 from .potentials import Potential, PotentialSpec, make_potential, \
     validate_potential
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BarrierFamily", "CalibrationConstants", "DerivedKernel",

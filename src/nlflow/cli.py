@@ -19,9 +19,9 @@ import time
 
 import numpy as np
 
-from .calibrate import CALIBRATION_SEEDS, CalibrationConstants, \
-    calibrate_constants, default_calibration, load_calibration, \
-    save_calibration
+from . import __version__
+from .calibrate import CALIBRATION_SEEDS, calibrate_constants, \
+    default_calibration, load_calibration, save_calibration
 from .config import ExperimentConfig, parse_config
 from .degiorgi import check_recurrence, chebyshev_chain, truncated_energies, \
     verify_corollary1, verify_corollary2, verify_lemma1, verify_lemma2
@@ -36,8 +36,6 @@ from .oscillation import oscillation_decay, verify_lemma3
 from .potentials import validate_potential
 
 __all__ = ["main"]
-
-_VERSION = "0.1.0"
 
 
 def _ensure_dirs(out_dir: str, *sub: str) -> None:
@@ -127,17 +125,15 @@ def _cmd_validate(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
 
 def _cmd_run(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
     cfg.check_flow(cfg.get("flow.kind"))
-    seeds = list(cfg.get("ensemble.seeds"))
-    sample_every = cfg.get("flow.sample_every")
-
-    def one(seed: int) -> Trajectory:
-        return run_flow(cfg.flow_problem(seed=seed),
-                        sample_every=sample_every)
-
     _ensure_dirs(out_dir, "curves", "fields")
-    trajectories = [one(seed) for seed in seeds]
     records, notes = [], []
-    for seed, traj in zip(seeds, trajectories):
+    traj = None
+    # each seed's outputs are written as its run finishes; seeds that do not
+    # reach the problem share its one run
+    for seed in cfg.get("ensemble.seeds"):
+        if traj is None or cfg.seeds_reach_problem():
+            traj = run_flow(cfg.flow_problem(seed=seed),
+                            sample_every=cfg.get("flow.sample_every"))
         rec = {"seed": seed}
         rec.update(_dissipation_record(traj))
         records.append(rec)
@@ -156,51 +152,43 @@ def _cmd_run(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
         else:
             notes.append(f"seed {seed}: final range outside [0,1], "
                          "no PGM dump")
+        print(f"run seed {seed}: "
+              f"{'dissipative' if rec['dissipative'] else 'VERDICT FAIL'} "
+              f"(l2 {rec['l2_first']:.6g} -> {rec['l2_last']:.6g})")
     all_ok = all(r["dissipative"] for r in records)
-    for r in records:
-        print(f"run seed {r['seed']}: "
-              f"{'dissipative' if r['dissipative'] else 'VERDICT FAIL'} "
-              f"(l2 {r['l2_first']:.6g} -> {r['l2_last']:.6g})")
     return {"runs": records, "notes": notes, "passed": all_ok,
             "provenance": {"runs": "measured"}}, all_ok
 
 
-def _load_reference_constants(cfg: ExperimentConfig) -> CalibrationConstants:
-    path = cfg.get("calibration.file")
-    if path:
-        return load_calibration(path)
-    return default_calibration()
-
-
 def _cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
-    cal = _load_reference_constants(cfg)
+    path = cfg.get("calibration.file")
+    cal = load_calibration(path) if path else default_calibration()
+    cfg.check_ensembles(cal)
     seeds = list(cfg.get("ensemble.seeds"))
     k_max = cfg.get("diagnose.k_max")
     levels = cfg.get("diagnose.levels")
     scale = cfg.get("diagnose.scale")
-    s = cal.order
 
     def diagnose_seed(seed: int) -> dict:
         entry: dict = {"seed": seed}
         traj = lemma_ensemble_run(seed)
         entry["lemma1"] = dataclasses.asdict(
-            verify_lemma1(traj, eps0=cal.eps0, order=s))
+            verify_lemma1(traj, eps0=cal.eps0))
         entry["corollary1"] = dataclasses.asdict(
-            verify_corollary1(traj, t0=0.5, eps0=cal.eps0, order=s))
+            verify_corollary1(traj, t0=0.5, eps0=cal.eps0))
         entry["corollary2"] = dataclasses.asdict(
-            verify_corollary2(traj, delta=cal.delta, order=s))
+            verify_corollary2(traj, delta=cal.delta))
 
         traj = level_ensemble_run(seed)
         entry["lemma2"] = dataclasses.asdict(verify_lemma2(
-            traj, mu=cal.mu, delta=cal.delta, gamma=cal.gamma,
-            lam=cal.lam, order=s))
+            traj, mu=cal.mu, delta=cal.delta, gamma=cal.gamma, lam=cal.lam))
         entry["lemma3"] = dataclasses.asdict(verify_lemma3(
-            traj, eps=cal.eps, lam=cal.lam, lam_star=cal.lam_star, order=s))
+            traj, eps=cal.eps, lam=cal.lam, lam_star=cal.lam_star))
 
         traj = recurrence_run(seed)
-        seq = truncated_energies(traj, k_max=k_max, order=s)
+        seq = truncated_energies(traj, k_max=k_max)
         rec = check_recurrence(seq)
-        cheb = chebyshev_chain(traj, k_max=k_max, order=s)
+        cheb = chebyshev_chain(traj, k_max=k_max)
         entry["recurrence"] = {
             "u_levels": seq.values, "monotone":
                 bool(np.all(np.diff(seq.values) <= 0.0)),
@@ -212,7 +200,7 @@ def _cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
 
         traj = oscillation_run(seed)
         osc = oscillation_decay(traj, center=(0.0, np.zeros(traj.grid.dimension)),
-                                scale=scale, levels=levels, order=s)
+                                scale=scale, levels=levels)
         entry["oscillation"] = {
             "alpha": osc.alpha, "r_squared": osc.r_squared,
             "osc": osc.osc, "radii": osc.radii, "degenerate": osc.degenerate,
@@ -318,12 +306,7 @@ def _cmd_denoise(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
 
 
 def _cmd_calibrate(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
-    if cfg.get("grid.N") != 1:
-        raise ConfigError("calibrate sweeps the 1-d ensembles; grid.N must "
-                          "be 1")
-    if cfg.get("kernel.s") != 1.0:
-        raise ConfigError("calibrate sweeps order-1 rough kernels; kernel.s "
-                          "must be 1")
+    cfg.check_ensembles()
     seeds = CALIBRATION_SEEDS
     if cfg.sources["ensemble.seeds"] == "--seed":
         seeds = dict.fromkeys(seeds, list(cfg.get("ensemble.seeds")))
@@ -360,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="nlflow",
         description="Nonlocal-flow experiments: validation, dissipation "
                     "runs, regularity diagnostics, denoising, calibration.")
-    parser.add_argument("--version", action="version", version=_VERSION)
+    parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (
             ("validate", "check kernel/potential invariants"),
@@ -395,7 +378,7 @@ def main(argv=None) -> int:
         print(f"nlflow {args.command}: aborted: {exc}", file=sys.stderr)
         return 3
     _ensure_dirs(out_dir)
-    write_json({"command": args.command, "version": _VERSION,
+    write_json({"command": args.command, "version": __version__,
                 "config": cfg.echo(), **body},
                os.path.join(out_dir, "report.json"))
     write_json({"command": args.command,

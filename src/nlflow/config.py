@@ -12,6 +12,7 @@ import difflib
 import math
 from dataclasses import dataclass, field as dataclass_field
 
+from .ensembles import DIMENSION, ORDER
 from .errors import ConfigError
 from .fields import INITIAL_KINDS, make_initial
 from .flow import FlowProblem
@@ -193,8 +194,28 @@ class ExperimentConfig:
                           f"kernel.radius=inf (got {radius!r})")
         _refuse(errors)
 
+    def check_ensembles(self, calibration=None) -> None:
+        """Raise ConfigError unless grid.N, kernel.s and `calibration`'s
+        dimension and order match the ensembles diagnose and calibrate run."""
+        found = [("grid.N", self.get("grid.N"), DIMENSION),
+                 ("kernel.s", self.get("kernel.s"), ORDER)]
+        if calibration is not None:
+            found += [("calibration.file dimension", calibration.dimension,
+                       DIMENSION),
+                      ("calibration.file order", calibration.order, ORDER)]
+        _refuse([f"{what} must be {want:g}, as in the {DIMENSION}-d "
+                 f"order-{ORDER:g} ensembles (got {got!r})"
+                 for what, got, want in found if got != want])
+
+    def seeds_reach_problem(self) -> bool:
+        """Whether `flow_problem(seed)` differs between seeds: the seed only
+        reaches rough kernel families and random initial data."""
+        return self.get("kernel.family") != "power-law" or \
+            self.get("initial.kind") == "random"
+
     def flow_problem(self, seed: int | None = None) -> FlowProblem:
-        """Full problem; `seed` reseeds both the kernel and the initial data."""
+        """Full problem; `seed` reseeds both the kernel and the initial data
+        (see `seeds_reach_problem`)."""
         grid = self.make_grid()
         kind = self.get("flow.kind")
         potential = self.make_potential() if kind == "nonlinear" else None

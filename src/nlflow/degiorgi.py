@@ -8,6 +8,9 @@ produces deterministic reports.  The detectors (`verify_lemma1`, ...,
 * ``"fail"``                -- hypothesis held but the conclusion broke;
 * ``"hypothesis-violated"`` -- hypothesis (or a precondition) did not hold,
                                so the run is vacuous for the statement.
+
+Every statement concerns one flow of one order s, so each detector reads s
+from the trajectory (`Trajectory.order`) rather than taking it as an argument.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .errors import InsufficientCoverageError, InvalidParameterError
 from .flow import Trajectory
-from .grid import Grid, seminorm_sq
+from .grid import SEMINORM_CUTOFF, Grid, seminorm_sq
 
 __all__ = [
     "BARRIER_KINDS",
@@ -100,10 +103,7 @@ class BarrierFamily:
         return 0.0
 
 
-def make_barrier(kind: str, order: float = 1.0, shift: float = 0.0,
-                 lam: float = 0.25, eps: float = 0.05) -> BarrierFamily:
-    return BarrierFamily(kind=kind, order=order, shift=shift,
-                         lam=lam, eps=eps)
+make_barrier = BarrierFamily
 
 
 def _ramp(r: np.ndarray, offset: float, exponent: float) -> np.ndarray:
@@ -175,8 +175,8 @@ class TruncatedEnergySequence:
         return int(self.levels[-1])
 
 
-def truncated_energies(traj: Trajectory, k_max: int, order: float | None = None,
-                       cutoff: float = 2.0) -> TruncatedEnergySequence:
+def truncated_energies(traj: Trajectory,
+                       k_max: int) -> TruncatedEnergySequence:
     """Level-truncated energies U_k over the shrinking windows [T_k, 0].
 
     T_k = -1 - 2^-k and L_k = (1 - 2^-k)/2 are exact dyadics, the truncation
@@ -185,14 +185,16 @@ def truncated_energies(traj: Trajectory, k_max: int, order: float | None = None,
         U_k = sup_{t in [T_k, 0]} int (w - psi_{L_k})_+^2 dx
               + int_{T_k}^0 [ (w - psi_{L_k})_+ ]_{s/2}^2 dt .
 
-    The sup and the time integral are both accumulated from t = 0 backwards
+    with s the trajectory's order and the seminorm taken over pairs within
+    `SEMINORM_CUTOFF`.  The sup and the time integral are both accumulated
+    from t = 0 backwards
     so that U_{k+1} <= U_k holds exactly in floating point (each level-k+1
     term is a rounded-monotone image of the matching level-k term, and the
     level-k sequence only gains extra nonnegative terms).
     """
     if k_max < 1:
         raise InvalidParameterError(f"k_max must be >= 1, got {k_max}")
-    s = float(traj.order if order is None else order)
+    s = float(traj.order)
     if not (0.0 < s < 2.0):
         raise InvalidParameterError(f"order must lie in (0, 2), got {s}")
     grid = traj.grid
@@ -225,7 +227,7 @@ def truncated_energies(traj: Trajectory, k_max: int, order: float | None = None,
         block = traj.fields[idx[lo:hi]]            # (b, nodes)
         pos = np.maximum(block[:, None, :] - psi_l[None, :, :], 0.0)
         l2_mass[lo:hi] = np.sum(pos * pos, axis=-1) * h_n
-        seminorm[lo:hi] = seminorm_sq(grid, pos, s, cutoff)
+        seminorm[lo:hi] = seminorm_sq(grid, pos, s)
 
     # accumulate from t = 0 backwards: reversing makes each window a prefix
     rev_mass = l2_mass[::-1]
@@ -247,7 +249,8 @@ def truncated_energies(traj: Trajectory, k_max: int, order: float | None = None,
     return TruncatedEnergySequence(
         levels=ks, window_starts=t_starts, cut_levels=cuts,
         sup_part=sup_part, integral_part=int_part, values=values,
-        order=s, cutoff=cutoff, n_samples=n_idx, dimension=grid.dimension)
+        order=s, cutoff=SEMINORM_CUTOFF, n_samples=n_idx,
+        dimension=grid.dimension)
 
 
 @dataclass(frozen=True)
@@ -298,8 +301,7 @@ class ChebyshevReport:
     all_nonnegative: bool
 
 
-def chebyshev_chain(traj: Trajectory, k_max: int,
-                    order: float | None = None) -> ChebyshevReport:
+def chebyshev_chain(traj: Trajectory, k_max: int) -> ChebyshevReport:
     """Interpolation bounds linking mass, measure, and energy across levels.
 
     Over Q_{k-1} = [T_{k-1}, 0] x nodes, with p the matching exponent,
@@ -313,7 +315,7 @@ def chebyshev_chain(traj: Trajectory, k_max: int,
     """
     if k_max < 1:
         raise InvalidParameterError(f"k_max must be >= 1, got {k_max}")
-    s = float(traj.order if order is None else order)
+    s = float(traj.order)
     grid = traj.grid
     n_dim = grid.dimension
     idx = traj.window(-2.0, 0.0)
@@ -388,10 +390,9 @@ class LevelSetMeasures:
     order: float
 
 
-def level_set_measures(traj: Trajectory, lam: float,
-                       order: float | None = None) -> LevelSetMeasures:
+def level_set_measures(traj: Trajectory, lam: float) -> LevelSetMeasures:
     """The three level-set measures entering the measure-gain dichotomy."""
-    s = float(traj.order if order is None else order)
+    s = float(traj.order)
     grid = traj.grid
     phi0 = barrier_on_grid(BarrierFamily("phi0", order=s, lam=lam), grid)
     phi2 = barrier_on_grid(BarrierFamily("phi2", order=s, lam=lam), grid)
@@ -461,15 +462,14 @@ def _first_exceedance(times: np.ndarray, block: np.ndarray, bound: np.ndarray,
             "value": float(block[row, node]), "bound": float(bound[node])}
 
 
-def verify_lemma1(traj: Trajectory, eps0: float,
-                  order: float | None = None) -> LemmaReport:
+def verify_lemma1(traj: Trajectory, eps0: float) -> LemmaReport:
     """Small truncated energy on [-2,0] forces w <= 1/2 + psi on [-1,0].
 
     Hypothesis: int_{-2}^0 int (w - psi)_+^2 dx dt <= eps0.
     """
     if not (eps0 > 0.0):
         raise InvalidParameterError(f"eps0 must be positive, got {eps0}")
-    s = float(traj.order if order is None else order)
+    s = float(traj.order)
     grid = traj.grid
     psi = barrier_on_grid(BarrierFamily("psi", order=s), grid)
 
@@ -500,8 +500,8 @@ def verify_lemma1(traj: Trajectory, eps0: float,
         first_violation=violation)
 
 
-def verify_corollary1(traj: Trajectory, t0: float, eps0: float,
-                      order: float | None = None) -> LemmaReport:
+def verify_corollary1(traj: Trajectory, t0: float,
+                      eps0: float) -> LemmaReport:
     """Sup bound from the initial L2 mass after a waiting time t0.
 
     For tau = t - t_start >= t0 the sampled sup norm is checked against
@@ -514,7 +514,7 @@ def verify_corollary1(traj: Trajectory, t0: float, eps0: float,
         raise InvalidParameterError(
             f"waiting time t0={t0} must lie in (0, 2) within the sampled "
             f"span {span}")
-    s = float(traj.order if order is None else order)
+    s = float(traj.order)
     n_dim = traj.grid.dimension
     l2_initial = traj.field(0).l2_norm()
     exponent = 0.5 * (n_dim / s + 1.0)
@@ -552,8 +552,7 @@ def verify_corollary1(traj: Trajectory, t0: float, eps0: float,
             "value": measured, "bound": bound})
 
 
-def verify_corollary2(traj: Trajectory, delta: float,
-                      order: float | None = None) -> LemmaReport:
+def verify_corollary2(traj: Trajectory, delta: float) -> LemmaReport:
     """Small positivity set plus a one-scale barrier forces w <= 1/2 inside.
 
     Precondition: w <= 1 + psi1 at every sample in [-2, 0].
@@ -562,7 +561,7 @@ def verify_corollary2(traj: Trajectory, delta: float,
     """
     if not (delta > 0.0):
         raise InvalidParameterError(f"delta must be positive, got {delta}")
-    s = float(traj.order if order is None else order)
+    s = float(traj.order)
     grid = traj.grid
     psi1 = barrier_on_grid(BarrierFamily("psi1", order=s), grid)
 
@@ -593,7 +592,7 @@ def verify_corollary2(traj: Trajectory, delta: float,
 
 
 def verify_lemma2(traj: Trajectory, mu: float, delta: float, gamma: float,
-                  lam: float, order: float | None = None) -> LemmaReport:
+                  lam: float) -> LemmaReport:
     """Measure-gain dichotomy between the phi0 and phi2 level sets.
 
     Precondition: w <= 1 + psi_lambda at every sample in [-3, 0].
@@ -604,7 +603,7 @@ def verify_lemma2(traj: Trajectory, mu: float, delta: float, gamma: float,
     for name, val in (("mu", mu), ("delta", delta), ("gamma", gamma)):
         if not (val > 0.0):
             raise InvalidParameterError(f"{name} must be positive, got {val}")
-    s = float(traj.order if order is None else order)
+    s = float(traj.order)
     grid = traj.grid
     psi_lam = barrier_on_grid(BarrierFamily("psi_lambda", order=s, lam=lam),
                               grid)
@@ -614,7 +613,7 @@ def verify_lemma2(traj: Trajectory, mu: float, delta: float, gamma: float,
                                         1.0 + psi_lam)
     precondition_ok = envelope_breach is None
 
-    measures = level_set_measures(traj, lam, order=s)
+    measures = level_set_measures(traj, lam)
     hypothesis_ok = measures.below_phi0 >= mu
     first_branch = measures.above_phi2 <= delta
     second_branch = measures.intermediate >= gamma

@@ -12,12 +12,12 @@ import numpy as np
 
 from .fields import make_initial
 from .flow import FlowProblem, Trajectory, run_flow
-from .grid import Field, Grid
+from .grid import Grid
 from .kernels import KernelSpec, make_kernel
 from .potentials import PotentialSpec, make_potential
 
 __all__ = [
-    "default_grid", "rough_kernel",
+    "ORDER", "DIMENSION", "default_grid", "rough_kernel",
     "linear_dissipation_run", "nonlinear_dissipation_run",
     "lemma_ensemble_run", "level_ensemble_run",
     "recurrence_run", "oscillation_run",
@@ -25,42 +25,44 @@ __all__ = [
 ]
 
 
-def default_grid(dimension: int = 1, points: int = 256) -> Grid:
-    return Grid(dimension=dimension, side_length=16.0,
-                points_per_axis=points)
+# the kernel order and dimension of every recipe; the detectors read the
+# order from the trajectory, and the CLI refuses any other (config.py)
+ORDER = 1.0
+DIMENSION = 1
 
 
-def rough_kernel(seed: int, dimension: int = 1, order: float = 1.0,
-                 ellipticity: float = 4.0):
-    return make_kernel(KernelSpec(
-        dimension=dimension, order=order, ellipticity=ellipticity,
-        family="rough-static", seed=seed))
+def default_grid(dimension: int = DIMENSION) -> Grid:
+    return Grid(dimension=dimension, side_length=16.0, points_per_axis=256)
+
+
+def rough_kernel(seed: int):
+    return make_kernel(KernelSpec(dimension=DIMENSION, order=ORDER,
+                                  family="rough-static", seed=seed))
 
 
 def _ramp(seed: int, n_seeds: int) -> float:
     """Deterministic position in [0, 1] for amplitude/radius ramps."""
-    if n_seeds <= 1:
-        return 0.0
     return ((seed - 1) % n_seeds) / (n_seeds - 1)
 
 
-def linear_dissipation_run(seed: int, dimension: int = 1) -> Trajectory:
+def linear_dissipation_run(seed: int) -> Trajectory:
     """Rough-kernel linear flow from random data on [0, 0.3]."""
-    grid = default_grid(dimension, 256 if dimension == 1 else 64)
-    kernel = rough_kernel(seed, dimension)
+    grid = default_grid()
+    kernel = rough_kernel(seed)
     initial = make_initial(grid, kind="random", amplitude=1.0, seed=seed)
     problem = FlowProblem(kind="linear", grid=grid, kernel=kernel,
                           initial=initial, t_start=0.0, t_end=0.3)
     return run_flow(problem, sample_every=4)
 
 
-def nonlinear_dissipation_run(seed: int, dimension: int = 1) -> Trajectory:
+def nonlinear_dissipation_run(seed: int) -> Trajectory:
     """Smoothed-huber flow; power-law constant drawn inside the band."""
-    grid = default_grid(dimension, 256 if dimension == 1 else 64)
+    grid = default_grid()
     rng = np.random.default_rng(seed)
     multiplier = 4.0 ** rng.uniform(-0.9, 0.9)
     kernel = make_kernel(KernelSpec(
-        dimension=dimension, family="power-law", multiplier=multiplier))
+        dimension=DIMENSION, order=ORDER, family="power-law",
+        multiplier=multiplier))
     potential = make_potential(PotentialSpec(family="smoothed-huber"))
     initial = make_initial(grid, kind="random", amplitude=1.0, seed=seed)
     problem = FlowProblem(kind="nonlinear", grid=grid, kernel=kernel,
@@ -69,7 +71,7 @@ def nonlinear_dissipation_run(seed: int, dimension: int = 1) -> Trajectory:
     return run_flow(problem, sample_every=4)
 
 
-def lemma_ensemble_run(seed: int, n_seeds: int = 50) -> Trajectory:
+def lemma_ensemble_run(seed: int) -> Trajectory:
     """Shifted bumps under rough kernels on [-2, 0].
 
     Amplitudes ramp across the ensemble so the detectors see the whole verdict
@@ -78,7 +80,7 @@ def lemma_ensemble_run(seed: int, n_seeds: int = 50) -> Trajectory:
     the origin at late times.  The -0.3 shift keeps the data partly negative.
     """
     grid = default_grid()
-    amplitude = 0.25 + 2.55 * _ramp(seed, n_seeds)
+    amplitude = 0.25 + 2.55 * _ramp(seed, 50)
     initial = make_initial(grid, kind="bump", amplitude=amplitude,
                            sigma=1.2, shift=-0.3)
     problem = FlowProblem(kind="linear", grid=grid,
@@ -87,10 +89,10 @@ def lemma_ensemble_run(seed: int, n_seeds: int = 50) -> Trajectory:
     return run_flow(problem, sample_every=1)
 
 
-def level_ensemble_run(seed: int, n_seeds: int = 50) -> Trajectory:
+def level_ensemble_run(seed: int) -> Trajectory:
     """Step data (-1 inside a ramped ball, +1 outside) on [-3, 0]."""
     grid = default_grid()
-    radius = 1.2 + 1.6 * _ramp(seed, n_seeds)
+    radius = 1.2 + 1.6 * _ramp(seed, 50)
     initial = make_initial(grid, kind="step", amplitude=-1.0, radius=radius)
     problem = FlowProblem(kind="linear", grid=grid,
                           kernel=rough_kernel(seed), initial=initial,
@@ -98,11 +100,11 @@ def level_ensemble_run(seed: int, n_seeds: int = 50) -> Trajectory:
     return run_flow(problem, sample_every=2)
 
 
-def recurrence_run(seed: int, n_seeds: int = 20) -> Trajectory:
+def recurrence_run(seed: int) -> Trajectory:
     """Dense-cadence runs for the truncated-energy ladder (k_max = 6 needs
     sample gaps <= 2^-8)."""
     grid = default_grid()
-    amplitude = 1.2 + 0.6 * _ramp(seed, n_seeds)
+    amplitude = 1.2 + 0.6 * _ramp(seed, 20)
     initial = make_initial(grid, kind="bump", amplitude=amplitude, sigma=1.0)
     problem = FlowProblem(kind="linear", grid=grid,
                           kernel=rough_kernel(seed), initial=initial,
@@ -121,15 +123,13 @@ def oscillation_run(seed: int) -> Trajectory:
     return run_flow(problem, sample_every=1)
 
 
-def random_field_trajectory(seed: int, n_samples: int = 5,
-                            amplitude: float = 1.5) -> Trajectory:
-    """Synthetic trajectory of iid uniform fields (no flow); exercises the
-    level-set machinery on data with no smoothness to lean on."""
+def random_field_trajectory(seed: int) -> Trajectory:
+    """Five synthetic samples of iid uniform fields in [-1.5, 1.5] (no flow);
+    exercises the level-set machinery on data with no smoothness to lean on."""
     grid = default_grid()
     rng = np.random.default_rng(seed)
-    times = np.linspace(-2.0, 0.0, n_samples)
-    values = rng.uniform(-amplitude, amplitude, size=(n_samples,
-                                                      grid.n_nodes))
+    times = np.linspace(-2.0, 0.0, 5)
+    values = rng.uniform(-1.5, 1.5, size=(times.size, grid.n_nodes))
     return Trajectory.from_fields(grid, times, values, kind="synthetic",
-                                  order=1.0)
+                                  order=ORDER)
 

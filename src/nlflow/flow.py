@@ -46,10 +46,7 @@ def _monotone_threshold(op: DiscreteOperator, potential: Potential | None,
     lam_phi = 1.0 if potential is None else potential.sup_d2
     if op.kernel.time_dependent:
         # kernel resamples over epochs; bound the row sums by the envelope
-        deltas, dists = op.grid.offsets_within(
-            op.kernel.spec.truncation_radius if math.isfinite(
-                op.kernel.spec.truncation_radius) else None)
-        unit = float(np.sum(op.kernel.envelope_profile(dists)))
+        unit = float(np.sum(op.kernel.envelope_profile(op.dists)))
         rs_max = op.kernel.upper_multiplier * unit \
             * op.grid.spacing ** op.grid.dimension
     else:
@@ -61,11 +58,12 @@ def _monotone_threshold(op: DiscreteOperator, potential: Potential | None,
     return 1.0 / denom
 
 
-def stable_dt(kernel: Kernel, grid: Grid, potential: Potential | None = None,
-              strategy: str = "banded", t: float = 0.0) -> float:
-    """0.9 / max_x (lambda_phi * row sum); raises on a degenerate kernel."""
-    op = make_operator(grid, kernel, strategy)
-    return 0.9 * _monotone_threshold(op, potential, t)
+def stable_dt(kernel: Kernel, grid: Grid,
+              potential: Potential | None = None) -> float:
+    """0.9 / max_x (lambda_phi * row sum) of the banded operator at t = 0;
+    raises on a degenerate kernel."""
+    op = make_operator(grid, kernel, "banded")
+    return 0.9 * _monotone_threshold(op, potential, 0.0)
 
 
 def _check_dt(op: DiscreteOperator, potential: Potential | None,
@@ -216,6 +214,7 @@ class Trajectory:
 
     @property
     def order(self) -> float:
+        """The flow's order s, the one every detector reads."""
         if self.kernel is None:
             return float(self.meta.get("order", 1.0))
         return self.kernel.spec.order
@@ -230,13 +229,13 @@ class Trajectory:
                        & (self.times <= t_hi + tol))[0]
         return idx
 
-    def require_window(self, t_lo: float, t_hi: float,
-                       min_samples: int = 2) -> np.ndarray:
+    def require_window(self, t_lo: float, t_hi: float) -> np.ndarray:
+        """`window`, raising unless it holds the two samples a trapezoid
+        in time needs."""
         idx = self.window(t_lo, t_hi)
-        if idx.size < min_samples:
+        if idx.size < 2:
             raise InsufficientCoverageError(
-                f"only {idx.size} samples cover [{t_lo}, {t_hi}]; "
-                f"need >= {min_samples}")
+                f"only {idx.size} samples cover [{t_lo}, {t_hi}]; need >= 2")
         return idx
 
     def nearest_sample(self, t: float) -> int:

@@ -48,6 +48,9 @@ STRATEGIES = ("dense", "banded", "spectral")
 # huber phi' on two-offset blocks measured up to twice as slow as on one.
 BLOCK_BUDGET = 1 << 14
 
+# Pair length cutoff of the discrete H^(s/2) seminorm (`seminorm_sq`).
+SEMINORM_CUTOFF = 2.0
+
 
 @dataclass
 class Grid:
@@ -119,13 +122,10 @@ class Grid:
                 np.zeros(self.dimension))
         return self._caches["origin_dist"]
 
-    def ball(self, radius: float, center=None) -> np.ndarray:
-        """Boolean node mask of the open periodic ball of given radius."""
-        if center is None:
-            dist = self.origin_distance()
-        else:
-            dist = self.distance_to(center)
-        return dist < radius
+    def ball(self, radius: float) -> np.ndarray:
+        """Boolean node mask of the open periodic ball of given radius about
+        the origin."""
+        return self.origin_distance() < radius
 
     def offsets_within(self, radius: float | None
                        ) -> tuple[np.ndarray, np.ndarray]:
@@ -342,10 +342,14 @@ class DiscreteOperator:
             index = self.grid.node_indices()
             M, h = self.grid.points_per_axis, self.grid.spacing
             vals = np.empty((self.deltas.shape[0], self.grid.n_nodes))
-            for i, (delta, dist) in enumerate(zip(self.deltas, self.dists)):
+            # one kernel call per block of offsets, sized as stencil blocks
+            step = max(1, BLOCK_BUDGET // self.grid.n_nodes)
+            for start in range(0, self.deltas.shape[0], step):
+                rows = slice(start, start + step)
                 # canonical coordinates of x + delta, as node_coords has them
-                ycoords = (index + delta) % M * h
-                vals[i] = self.kernel.evaluate(t, coords, ycoords, dist=dist)
+                ycoords = (index + self.deltas[rows, None]) % M * h
+                vals[rows] = self.kernel.evaluate(
+                    t, coords, ycoords, dist=self.dists[rows, None])
         self._cache.clear()
         self._cache[key] = vals
         return vals
@@ -433,9 +437,7 @@ class DiscreteOperator:
         return acc.ravel() * self.grid.spacing ** self.grid.dimension
 
 
-def make_operator(grid: Grid, kernel: Kernel,
-                  strategy: str = "banded") -> DiscreteOperator:
-    return DiscreteOperator(grid, kernel, strategy)
+make_operator = DiscreteOperator
 
 
 def apply_operator(op: DiscreteOperator, w: Field, t: float = 0.0) -> Field:
@@ -471,14 +473,13 @@ def bilinear_form(kernel_or_op, u: Field, v: Field, t: float = 0.0) -> float:
     return float(np.sum(per_node)) * u.grid.spacing ** (2 * u.grid.dimension)
 
 
-def seminorm_sq(grid: Grid, stack: np.ndarray, order: float,
-                cutoff: float) -> np.ndarray:
+def seminorm_sq(grid: Grid, stack: np.ndarray, order: float) -> np.ndarray:
     """Squared discrete H^(s/2) seminorm of every field in a (..., n_nodes)
-    stack, pairs within `cutoff`:
+    stack, pairs within cutoff = SEMINORM_CUTOFF:
 
         sum_x sum_{0 < |x-y| <= cutoff} [u(x)-u(y)]^2 / |x-y|^(N+s) h^(2N)
     """
-    deltas, dists = grid.offsets_within(cutoff)
+    deltas, dists = grid.offsets_within(SEMINORM_CUTOFF)
     weights = dists ** (-(grid.dimension + order))
     wg = stack.reshape(stack.shape[:-1] + grid.shape)
     # square in place: blocks are fresh arrays, and U_k stacks are large
@@ -487,10 +488,8 @@ def seminorm_sq(grid: Grid, stack: np.ndarray, order: float,
     return np.sum(sums * weights, axis=-1) * grid.spacing ** (2 * grid.dimension)
 
 
-def sobolev_seminorm(u: Field, s: float, cutoff: float = 2.0) -> float:
+def sobolev_seminorm(u: Field, s: float) -> float:
     """`seminorm_sq` of one field; scales as c^2 under u -> c u."""
     if not (0.0 < s < 2.0):
         raise InvalidParameterError(f"order out of (0, 2): {s}")
-    if not (cutoff > 0.0):
-        raise InvalidParameterError(f"cutoff must be positive: {cutoff}")
-    return float(seminorm_sq(u.grid, u.values, s, cutoff))
+    return float(seminorm_sq(u.grid, u.values, s))

@@ -11,18 +11,18 @@ of oscillations over nested cylinders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .degiorgi import BarrierFamily, LemmaReport, _first_exceedance, \
     _verdict, barrier_on_grid, eval_barrier
-from .errors import (InsufficientCoverageError, InvalidParameterError,
-                     NonLatticeStepError, TrajectoryMismatchError,
-                     UnderResolvedError, WindowOutOfRangeError)
+from .errors import (InvalidParameterError, NonLatticeStepError,
+                     TrajectoryMismatchError, UnderResolvedError,
+                     WindowOutOfRangeError)
 from .flow import Trajectory
 from .grid import DiscreteOperator, Field, Grid, OffsetStencil
-from .kernels import Kernel
+from .kernels import SAMPLING_SEED, Kernel
 from .potentials import Potential
 
 __all__ = [
@@ -43,6 +43,11 @@ __all__ = [
     "verify_lemma3",
     "check_scale_barrier",
 ]
+
+SIGMA_NODES = 8                   # Gauss-Legendre nodes of the sigma-average
+ENVELOPE_STEP_FACTORS = (1, 2, 4)  # steps h / spacing the envelope scan tries
+MAX_RESCALE_LEVELS = 8            # deepest level of `rescaling_sequence`
+BARRIER_PROBE_POINTS = 4096       # radii of `check_scale_barrier`'s probe
 
 
 def _lattice_steps(grid: Grid, h: float) -> int:
@@ -89,7 +94,7 @@ class DerivedKernel:
     """
 
     def __init__(self, base: Kernel, potential: Potential,
-                 traj: Trajectory, e: int, h: float, sigma_nodes: int = 8):
+                 traj: Trajectory, e: int, h: float):
         if not base.translation_invariant:
             raise InvalidParameterError(
                 "derived kernels require a translation-invariant base")
@@ -97,9 +102,6 @@ class DerivedKernel:
             raise InvalidParameterError(
                 f"trajectory dimension {traj.grid.dimension} != kernel "
                 f"dimension {base.spec.dimension}")
-        if sigma_nodes < 2:
-            raise InvalidParameterError(
-                f"sigma_nodes must be >= 2, got {sigma_nodes}")
         self.base = base
         self.potential = potential
         self.traj = traj
@@ -107,8 +109,7 @@ class DerivedKernel:
         self.axis = _check_axis(traj.grid, e)
         self.step = float(h)
         self.steps = _lattice_steps(traj.grid, h)
-        self.sigma_nodes = int(sigma_nodes)
-        nodes, weights = np.polynomial.legendre.leggauss(self.sigma_nodes)
+        nodes, weights = np.polynomial.legendre.leggauss(SIGMA_NODES)
         self.sigma = 0.5 * (nodes + 1.0)
         self.weights = 0.5 * weights
         lo, hi = potential.d2_bounds
@@ -182,10 +183,7 @@ class DerivedKernel:
         return near[:, 0] * grid.points_per_axis + near[:, 1]
 
 
-def derived_kernel(base: Kernel, potential: Potential, theta_traj: Trajectory,
-                   e: int, h: float, sigma_nodes: int = 8) -> DerivedKernel:
-    return DerivedKernel(base, potential, theta_traj, e, h,
-                         sigma_nodes=sigma_nodes)
+derived_kernel = DerivedKernel
 
 
 @dataclass(frozen=True)
@@ -204,11 +202,10 @@ class DerivedEnvelopeReport:
 
 
 def scan_derived_envelope(potential: Potential, theta_traj: Trajectory,
-                          e: int = 0, step_factors=(1, 2, 4),
-                          sample_count: int = 10000,
-                          seed: int = 20260817,
-                          sigma_nodes: int = 8) -> DerivedEnvelopeReport:
-    """Two-sided envelope scan of K^h over random lattice pairs and times.
+                          e: int = 0, sample_count: int = 10000
+                          ) -> DerivedEnvelopeReport:
+    """Two-sided envelope scan of K^h over random lattice pairs and times,
+    at the steps h = m * spacing for m in ENVELOPE_STEP_FACTORS.
 
     The certified band is the measurable-kernel tier: the base multiplier and
     the phi'' average each live in [Lambda^{-1/2}, Lambda^{1/2}], so their
@@ -222,18 +219,17 @@ def scan_derived_envelope(potential: Potential, theta_traj: Trajectory,
     s = base.spec.order
     grid = theta_traj.grid
     n_dim = grid.dimension
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SAMPLING_SEED)
     coords = grid.node_coords()
     t_lo, t_hi = float(theta_traj.times[0]), float(theta_traj.times[-1])
 
     ratio_min, ratio_max = math.inf, -math.inf
     violations = 0
-    per_h = max(1, sample_count // len(tuple(step_factors)))
+    per_h = max(1, sample_count // len(ENVELOPE_STEP_FACTORS))
     band_lo, band_hi = 1.0 / lam, lam
     batch = 256
-    for mf in step_factors:
-        dk = DerivedKernel(base, potential, theta_traj, e, mf * grid.spacing,
-                           sigma_nodes=sigma_nodes)
+    for mf in ENVELOPE_STEP_FACTORS:
+        dk = DerivedKernel(base, potential, theta_traj, e, mf * grid.spacing)
         got = 0
         while got < per_h:
             # one frozen time per batch keeps the evaluation vectorized
@@ -256,10 +252,10 @@ def scan_derived_envelope(potential: Potential, theta_traj: Trajectory,
             violations += int(np.sum((ratios < band_lo) | (ratios > band_hi)))
             got += take
     return DerivedEnvelopeReport(
-        sample_count=per_h * len(tuple(step_factors)),
+        sample_count=per_h * len(ENVELOPE_STEP_FACTORS),
         ratio_min=ratio_min, ratio_max=ratio_max,
         band_lo=band_lo, band_hi=band_hi, violations=violations,
-        step_factors=tuple(step_factors))
+        step_factors=ENVELOPE_STEP_FACTORS)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +280,7 @@ class TransferReport:
 
 
 def verify_linearization(theta_traj: Trajectory, e: int = 0,
-                         h: float | None = None,
-                         sigma_nodes: int = 8) -> TransferReport:
+                         h: float | None = None) -> TransferReport:
     """Integrate the linear flow of w = D_e^h theta with kernel K^h.
 
     The kernel is frozen from the latest trajectory *sample* at or before
@@ -312,8 +307,7 @@ def verify_linearization(theta_traj: Trajectory, e: int = 0,
     grid = theta_traj.grid
     if h is None:
         h = grid.spacing
-    dk = DerivedKernel(base, potential, theta_traj, e, h,
-                       sigma_nodes=sigma_nodes)
+    dk = DerivedKernel(base, potential, theta_traj, e, h)
     axis = dk.axis
 
     # the flow's own banded operator: its offsets, stencil and kernel table
@@ -352,15 +346,15 @@ def verify_linearization(theta_traj: Trajectory, e: int = 0,
         quadratic=dk.quadratic, step=float(h), axis=axis,
         n_steps=int(dts.size),
         freeze_interval=float(np.max(np.diff(theta_traj.times))),
-        sigma_nodes=sigma_nodes)
+        sigma_nodes=SIGMA_NODES)
 
 
 # ---------------------------------------------------------------------------
 # parabolic rescaling
 
-def parabolic_rescale(traj: Trajectory, center, rho: float,
-                      order: float | None = None) -> Trajectory:
-    """View w(t0 + rho^s tau, x0 + rho xi) on a grid with side L / rho.
+def parabolic_rescale(traj: Trajectory, center, rho: float) -> Trajectory:
+    """View w(t0 + rho^s tau, x0 + rho xi) on a grid with side L / rho, with
+    s the trajectory's order.
 
     The view keeps all M^N nodes: node xi_j of the rescaled grid lands on
     parent coordinate x0 + j * h exactly, so an on-lattice centre needs no
@@ -369,7 +363,7 @@ def parabolic_rescale(traj: Trajectory, center, rho: float,
     """
     if not (rho > 0.0):
         raise InvalidParameterError(f"rescale factor must be > 0, got {rho}")
-    s = float(traj.order if order is None else order)
+    s = float(traj.order)
     t0, x0 = center
     t0 = float(t0)
     grid = traj.grid
@@ -479,9 +473,10 @@ def _fit_decay(osc: np.ndarray, scale: float, s: float
     return slope, r2, False
 
 
-def oscillation_decay(traj: Trajectory, center, scale: float, levels: int,
-                      order: float | None = None) -> OscillationReport:
-    """Oscillation over nested cylinders (t0 - scale^{ks}, t0] x B_{scale^k}.
+def oscillation_decay(traj: Trajectory, center, scale: float,
+                      levels: int) -> OscillationReport:
+    """Oscillation over nested cylinders (t0 - scale^{ks}, t0] x B_{scale^k},
+    with s the trajectory's order.
 
     Nesting makes osc_k nonincreasing exactly; the fitted slope alpha is the
     Holder exponent when the decay is geometric.
@@ -491,7 +486,7 @@ def oscillation_decay(traj: Trajectory, center, scale: float, levels: int,
     if not (0.0 < scale < 1.0):
         raise InvalidParameterError(
             f"scale factor must lie in (0, 1), got {scale}")
-    s = float(traj.order if order is None else order)
+    s = float(traj.order)
     t0, x0 = center
     t0 = float(t0)
     grid = traj.grid
@@ -556,15 +551,14 @@ class RescaleReport:
 
 
 def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
-                       scale: float, eps: float | None = None,
-                       max_levels: int = 8,
-                       order: float | None = None) -> RescaleReport:
+                       scale: float, eps: float | None = None
+                       ) -> RescaleReport:
     """w_{k+1}(t,x) = (w_k(scale^s t, scale x) - mean_k) / (1 - lam_star/4).
 
     mean_k is the plain node/time average of w_k over [-1,0] x B_1.  Each
     level is checked against the +-(1 + psi_{eps,lam}) envelope; a violation
-    is recorded (not raised).  Levels stop at max_levels or when the unit
-    cylinder falls below 8 nodes / 8 samples.
+    is recorded (not raised).  Levels stop at MAX_RESCALE_LEVELS or when the
+    unit cylinder falls below 8 nodes / 8 samples.
     """
     if not (0.0 < lam < 1.0 / 3.0):
         raise InvalidParameterError(f"lambda must be in (0, 1/3), got {lam}")
@@ -574,7 +568,7 @@ def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
     if not (0.0 < scale < 1.0):
         raise InvalidParameterError(
             f"scale factor must be in (0, 1), got {scale}")
-    s = float(traj.order if order is None else order)
+    s = float(traj.order)
     eps_floor = 1e-6
     floor_bound = eps is None or eps < eps_floor
     eps_eff = max(eps_floor, eps) if eps is not None else eps_floor
@@ -586,7 +580,7 @@ def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
     views: list[Trajectory] = []
     first_violation_level = None
     floor_level = None
-    for k in range(max_levels + 1):
+    for k in range(MAX_RESCALE_LEVELS + 1):
         grid = current.grid
         barrier = 1.0 + barrier_on_grid(
             BarrierFamily("psi_eps_lambda", order=s, lam=lam, eps=eps_eff),
@@ -611,7 +605,7 @@ def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
             nodes_in_unit_ball=n_nodes_ball, samples_in_window=n_samp,
             first_violation=violation))
         views.append(current)
-        if k == max_levels:
+        if k == MAX_RESCALE_LEVELS:
             break
 
         # resolution check for the next level's unit cylinder
@@ -622,7 +616,7 @@ def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
             floor_level = k
             break
         zoom = parabolic_rescale(current, (0.0, np.zeros(grid.dimension)),
-                                 scale, order=s)
+                                 scale)
         current = Trajectory.from_fields(
             zoom.grid, zoom.times, (zoom.fields - mean_k) / shrink,
             kind="rescaled-view", kernel=zoom.kernel,
@@ -646,8 +640,8 @@ def unit_oscillation(traj: Trajectory) -> float:
     return float(np.max(vals) - np.min(vals))
 
 
-def verify_lemma3(traj: Trajectory, eps: float, lam: float, lam_star: float,
-                  order: float | None = None) -> LemmaReport:
+def verify_lemma3(traj: Trajectory, eps: float, lam: float,
+                  lam_star: float) -> LemmaReport:
     """Two-sided barrier envelope forces oscillation <= 2 - lam_star.
 
     Hypothesis: -1 - psi_{eps,lam} <= w <= 1 + psi_{eps,lam} on [-3, 0].
@@ -658,7 +652,7 @@ def verify_lemma3(traj: Trajectory, eps: float, lam: float, lam_star: float,
     if not (0.0 < lam_star < 1.0):
         raise InvalidParameterError(
             f"lambda_star must be in (0, 1), got {lam_star}")
-    s = float(traj.order if order is None else order)
+    s = float(traj.order)
     barrier = 1.0 + barrier_on_grid(
         BarrierFamily("psi_eps_lambda", order=s, lam=lam, eps=eps), traj.grid)
     idx = traj.require_window(-3.0, 0.0)
@@ -680,8 +674,7 @@ def verify_lemma3(traj: Trajectory, eps: float, lam: float, lam_star: float,
 
 
 def check_scale_barrier(lam: float, lam_star: float, eps: float,
-                        scale: float, order: float,
-                        n_points: int = 4096) -> dict:
+                        scale: float, order: float) -> dict:
     """Report whether (1/(1-lam_star/2)) psi_{eps,lam}(scale*r) <= psi_{eps,lam}(r)
     holds for r >= 1/scale, on a log-spaced radial grid.
 
@@ -694,7 +687,8 @@ def check_scale_barrier(lam: float, lam_star: float, eps: float,
     """
     b = BarrierFamily("psi_eps_lambda", order=order, lam=lam, eps=eps)
     support = b.support_radius
-    r = np.geomspace(1.0 / scale, max(100.0 * support, 1e4), n_points)
+    r = np.geomspace(1.0 / scale, max(100.0 * support, 1e4),
+                     BARRIER_PROBE_POINTS)
     num = eval_barrier(b, scale * r)
     rhs = eval_barrier(b, r)
     lhs = num / (1.0 - 0.5 * lam_star)

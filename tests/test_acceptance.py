@@ -231,10 +231,10 @@ def test_truncated_energy_recurrence():
     monotone_bad, cheb_bad, constants = [], [], []
     for seed in range(1, 21):
         traj = cached_recurrence_run(seed)
-        seq = truncated_energies(traj, k_max=6, order=1.0)
+        seq = truncated_energies(traj, k_max=6)
         if not np.all(np.diff(seq.values) <= 0.0):
             monotone_bad.append(seed)
-        if not chebyshev_chain(traj, k_max=6, order=1.0).all_nonnegative:
+        if not chebyshev_chain(traj, k_max=6).all_nonnegative:
             cheb_bad.append(("flow", seed))
         fit = check_recurrence(seq).constant
         if fit is not None and math.isfinite(fit):
@@ -267,37 +267,35 @@ def test_detectors_on_ensembles_and_counterexamples(calibration):
     for seed in range(1, 51):
         traj = cached_lemma_run(seed)
         verdicts["lemma1"][verify_lemma1(
-            traj, eps0=cal.eps0, order=cal.order).verdict] += 1
+            traj, eps0=cal.eps0).verdict] += 1
         verdicts["corollary1"][verify_corollary1(
-            traj, t0=0.5, eps0=cal.eps0, order=cal.order).verdict] += 1
+            traj, t0=0.5, eps0=cal.eps0).verdict] += 1
         verdicts["corollary2"][verify_corollary2(
-            traj, delta=cal.delta, order=cal.order).verdict] += 1
+            traj, delta=cal.delta).verdict] += 1
         level = cached_level_run(seed)
         verdicts["lemma2"][verify_lemma2(
             level, mu=cal.mu, delta=cal.delta, gamma=cal.gamma,
-            lam=cal.lam, order=cal.order).verdict] += 1
+            lam=cal.lam).verdict] += 1
         verdicts["lemma3"][verify_lemma3(
-            level, eps=cal.eps, lam=cal.lam, lam_star=cal.lam_star,
-            order=cal.order).verdict] += 1
+            level, eps=cal.eps, lam=cal.lam,
+            lam_star=cal.lam_star).verdict] += 1
     clean = all(c["fail"] == 0 and c["pass"] >= 1 for c in verdicts.values())
 
     grid = default_grid(1)
     flagged = (
-        verify_lemma1(lemma1_counterexample(grid), eps0=cal.eps0,
-                      order=cal.order).verdict == "fail"
+        verify_lemma1(lemma1_counterexample(grid),
+                      eps0=cal.eps0).verdict == "fail"
         and verify_corollary1(corollary1_counterexample(grid), t0=0.5,
-                              eps0=cal.eps0, order=cal.order).verdict
-        == "fail"
+                              eps0=cal.eps0).verdict == "fail"
         and verify_corollary2(corollary2_counterexample(grid),
-                              delta=cal.delta, order=cal.order).verdict
-        == "fail"
+                              delta=cal.delta).verdict == "fail"
         and verify_lemma2(lemma2_counterexample(grid, lam=cal.lam),
                           mu=cal.mu, delta=cal.delta, gamma=cal.gamma,
-                          lam=cal.lam, order=cal.order).verdict == "fail"
+                          lam=cal.lam).verdict == "fail"
         and verify_lemma3(lemma3_counterexample(grid, eps=cal.eps,
                                                 lam=cal.lam),
-                          eps=cal.eps, lam=cal.lam, lam_star=cal.lam_star,
-                          order=cal.order).verdict == "fail")
+                          eps=cal.eps, lam=cal.lam,
+                          lam_star=cal.lam_star).verdict == "fail")
 
     in_band = all(0.0 < getattr(cal, n) < 1.0
                   for n in ("eps0", "delta", "lam_star"))
@@ -315,7 +313,7 @@ def test_oscillation_exponent_ensemble():
     alphas = []
     for seed in range(1, 21):
         rep = oscillation_decay(cached_oscillation_run(seed),
-                                (0.0, np.zeros(1)), 0.65, 4, order=1.0)
+                                (0.0, np.zeros(1)), 0.65, 4)
         alphas.append(rep.alpha)
         if rep.alpha > 0.03 and rep.r_squared >= 0.9:
             good += 1
@@ -349,7 +347,7 @@ def test_early_time_sup_bound(calibration):
         traj = cached_lemma_run(seed)
         for t0 in 0.5 ** np.arange(1, 7):
             rep = verify_corollary1(traj, t0=float(t0),
-                                    eps0=calibration.eps0, order=1.0)
+                                    eps0=calibration.eps0)
             ratio = rep.numbers["measured_sup"] / rep.numbers["bound"]
             worst_ratio = max(worst_ratio, ratio)
             if not rep.conclusion_ok:

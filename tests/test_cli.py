@@ -1,5 +1,6 @@
 """End-to-end CLI checks: exit codes, report files, deterministic reruns."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 import nlflow
 from conftest import cached_calibration_runs
 from nlflow.calibrate import CALIBRATION_SEEDS, calibrate_constants, \
-    load_calibration, save_calibration
+    default_calibration, load_calibration, save_calibration
 from nlflow.cli import _dissipation_record, main
 from nlflow.config import parse_config
 from nlflow.fieldio import load_field, save_field
@@ -46,6 +47,7 @@ def test_validate_writes_a_report(tmp_path, capsys):
     assert rc == 0
     report = read_report(out)
     assert report["command"] == "validate"
+    assert report["version"] == nlflow.__version__
     assert report["passed"] is True
     assert all(report["checks"].values())
     assert "grid.M" not in report["config"]["defaulted_keys"]
@@ -81,15 +83,31 @@ def test_bad_config_exits_2(tmp_path, capsys):
     (["calibrate", "--set", "grid.N=2"], "grid.N must be 1"),
     (["calibrate", "--set", "kernel.s=1.5", "--seed", "1"],
      "kernel.s must be 1"),
+    (["diagnose", "--set", "grid.N=2", "--seed", "1"], "grid.N must be 1"),
+    (["diagnose", "--set", "kernel.s=1.5", "--seed", "1"],
+     "kernel.s must be 1"),
+    (["diagnose", "--seed", "1", "--set", {"order": 1.5}],
+     "calibration.file order must be 1"),
+    (["diagnose", "--seed", "1", "--set", {"dimension": 2}],
+     "calibration.file dimension must be 1"),
     (["run", "--set", "flow.kind=nonlinear",
       "--set", "kernel.family=rough-static"], "power-law kernel family"),
     (["run", "--set", "flow.strategy=spectral"], "kernel.radius=inf"),
     (["run", "--set", "flow.strategy=spectral", "--set", "kernel.radius=inf",
       "--set", "kernel.family=rough-static"], "power-law kernel family"),
-], ids=["calibrate-2d", "calibrate-order", "nonlinear-rough",
-        "spectral-truncated", "spectral-rough"])
+], ids=["calibrate-2d", "calibrate-order", "diagnose-2d", "diagnose-order",
+        "diagnose-calibration-order", "diagnose-calibration-2d",
+        "nonlinear-rough", "spectral-truncated", "spectral-rough"])
 def test_unsupported_config_exits_2(tmp_path, capsys, argv, message):
-    # refused before any work, not aborted later with exit 3
+    # refused before any work, not aborted later with exit 3; a dict in argv
+    # stands for a calibration file with those entries changed
+    argv = list(argv)
+    for i, item in enumerate(argv):
+        if isinstance(item, dict):
+            path = tmp_path / "calibration.json"
+            save_calibration(dataclasses.replace(default_calibration(),
+                                                 **item), str(path))
+            argv[i] = f"calibration.file={path}"
     out = tmp_path / "x"
     assert main(argv + ["--out", str(out)]) == 2
     assert message in capsys.readouterr().err
@@ -145,6 +163,26 @@ def test_run_records_dissipation(tmp_path, capsys):
     b = load_field(str(out / "fields" / "final-seed2.csv"))
     assert not np.array_equal(a.values, b.values)
     assert "run seed 2: dissipative" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sets, calls", [
+    ([], 1), (["--set", "kernel.family=rough-static"], 3)],
+    ids=["power-law-bump", "rough"])
+def test_run_integrates_once_unless_seeds_reach_the_problem(
+        tmp_path, monkeypatch, sets, calls):
+    # a power-law kernel and bump data ignore the seed: one run serves all
+    counter = []
+
+    def counting_run_flow(*args, **kwargs):
+        counter.append(1)
+        return run_flow(*args, **kwargs)
+
+    monkeypatch.setattr("nlflow.cli.run_flow", counting_run_flow)
+    out = tmp_path / "r"
+    assert main(["run", "--out", str(out), "--seed", "1..3"] + sets) == 0
+    assert len(counter) == calls
+    assert [r["seed"] for r in read_report(out)["runs"]] == [1, 2, 3]
+    assert (out / "curves" / "run-seed3.csv").exists()
 
 
 def test_run_rerun_is_byte_identical(tmp_path):
@@ -319,7 +357,7 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--version"])
     assert exit_info.value.code == 0
-    assert "0.1.0" in capsys.readouterr().out
+    assert capsys.readouterr().out.strip() == nlflow.__version__
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

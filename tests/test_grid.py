@@ -299,7 +299,7 @@ def test_seminorm_bounded_by_form_plus_l2():
     ratios = []
     for seed in range(20):
         u = make_initial(g, "random", amplitude=1.0, seed=seed)
-        semi = sobolev_seminorm(u, s=1.0, cutoff=2.0)
+        semi = sobolev_seminorm(u, s=1.0)
         form = 4.0 * bilinear_form(k, u, u)
         l2sq = u.l2_norm() ** 2
         ratios.append((semi - form) / l2sq)
@@ -307,7 +307,7 @@ def test_seminorm_bounded_by_form_plus_l2():
     print(f"measured C_discrete = {c_discrete:.6f}")
     for seed in range(20, 40):
         u = make_initial(g, "random", amplitude=0.7, seed=seed)
-        semi = sobolev_seminorm(u, s=1.0, cutoff=2.0)
+        semi = sobolev_seminorm(u, s=1.0)
         bound = 4.0 * bilinear_form(k, u, u) \
             + max(c_discrete, 0.0) * u.l2_norm() ** 2 + 1e-12
         assert semi <= bound * (1.0 + 1e-9)
