@@ -19,7 +19,7 @@ from .errors import NlflowError
 from .fieldio import load_field, save_field
 from .fields import make_initial
 from .flow import FlowProblem, Trajectory, linear_energy, nonlinear_energy, \
-    run_flow, stable_dt, step_linear
+    run_flow, stable_dt
 from .grid import DiscreteOperator, Field, Grid
 from .kernels import Kernel, KernelSpec, make_kernel, validate_kernel
 from .oscillation import DerivedKernel, difference_quotient, \
@@ -39,7 +39,7 @@ __all__ = [
     "make_kernel", "make_potential", "nonlinear_energy",
     "oscillation_decay", "parabolic_rescale", "parse_config",
     "rescaling_sequence", "run_flow", "save_calibration", "save_field",
-    "scan_derived_envelope", "stable_dt", "step_linear",
+    "scan_derived_envelope", "stable_dt",
     "truncated_energies", "validate_kernel", "validate_potential",
     "verify_corollary1", "verify_corollary2", "verify_lemma1",
     "verify_lemma2", "verify_lemma3", "verify_linearization",

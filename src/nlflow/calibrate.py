@@ -202,9 +202,7 @@ def calibrate_constants(lemma, level, recurrence,
     alphas, r2s = [], []
     for seed, traj in oscillation:
         seeds["oscillation"].append(seed)
-        rep = oscillation_decay(
-            traj, center=(0.0, np.zeros(traj.grid.dimension)), scale=K_SC,
-            levels=LEVELS)
+        rep = oscillation_decay(traj, scale=K_SC, levels=LEVELS)
         alphas.append(rep.alpha)
         r2s.append(rep.r_squared)
     alpha_summary = {
@@ -269,8 +267,13 @@ def save_calibration(constants: CalibrationConstants, path: str) -> None:
 
 
 def load_calibration(path: str) -> CalibrationConstants:
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read calibration file {path!r}: {exc}")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"calibration file {path!r} holds no JSON object")
     known = {f.name for f in dataclasses.fields(CalibrationConstants)}
     unknown = set(raw) - known
     if unknown:

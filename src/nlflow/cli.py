@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import shutil
 import sys
 import time
 
@@ -38,8 +39,19 @@ from .potentials import validate_potential
 __all__ = ["main"]
 
 
+def _make_out_dir(out_dir: str) -> str | None:
+    """Create `out_dir`; return the outermost directory made, or None."""
+    top, path = None, os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        top, path = path, os.path.dirname(path)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir!r}: {exc}")
+    return top
+
+
 def _ensure_dirs(out_dir: str, *sub: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     for name in sub:
         os.makedirs(os.path.join(out_dir, name), exist_ok=True)
 
@@ -124,7 +136,7 @@ def _cmd_validate(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
 
 
 def _cmd_run(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
-    cfg.check_flow(cfg.get("flow.kind"))
+    cfg.check_flow(cfg.get("flow.kind"), cfg.make_grid())
     _ensure_dirs(out_dir, "curves", "fields")
     records, notes = [], []
     traj = None
@@ -199,8 +211,7 @@ def _cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
         }
 
         traj = oscillation_run(seed)
-        osc = oscillation_decay(traj, center=(0.0, np.zeros(traj.grid.dimension)),
-                                scale=scale, levels=levels)
+        osc = oscillation_decay(traj, scale=scale, levels=levels)
         entry["oscillation"] = {
             "alpha": osc.alpha, "r_squared": osc.r_squared,
             "osc": osc.osc, "radii": osc.radii, "degenerate": osc.degenerate,
@@ -253,10 +264,10 @@ def _cmd_denoise(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
     src = cfg.get("denoise.input")
     if not src:
         raise ConfigError("denoise needs denoise.input=<field file>")
-    if not os.path.exists(src):
-        raise ConfigError(f"denoise input not found: {src}")
-    cfg.check_flow("nonlinear")
+    if not os.path.isfile(src):
+        raise ConfigError(f"denoise input is not a file: {src}")
     noisy = load_field(src)
+    cfg.check_flow("nonlinear", noisy.grid)
     # the file's own grid wins; rebuild the kernel at its dimension
     spec = dataclasses.replace(cfg.kernel_spec(),
                                dimension=noisy.grid.dimension)
@@ -316,7 +327,6 @@ def _cmd_calibrate(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
     constants = calibrate_constants(**{
         name: zip(seeds[name], map(recipe, seeds[name]))
         for name, recipe in recipes.items()})
-    _ensure_dirs(out_dir)
     save_calibration(constants, os.path.join(out_dir, "calibration.json"))
     passed = constants.in_unit_interval()
     print(f"calibrate: eps0={constants.eps0:.6g} delta={constants.delta:.6g} "
@@ -366,18 +376,21 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
+    made = None
     try:
         cfg = parse_config(path=args.config, overrides=args.set,
                            seeds=args.seed)
         out_dir = args.out if args.out is not None else cfg.get("output.dir")
+        made = _make_out_dir(out_dir)
         body, passed = _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
+        if made is not None:
+            shutil.rmtree(made)
         print(f"nlflow {args.command}: {exc}", file=sys.stderr)
         return 2
     except NlflowError as exc:
         print(f"nlflow {args.command}: aborted: {exc}", file=sys.stderr)
         return 3
-    _ensure_dirs(out_dir)
     write_json({"command": args.command, "version": __version__,
                 "config": cfg.echo(), **body},
                os.path.join(out_dir, "report.json"))

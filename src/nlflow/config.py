@@ -12,7 +12,7 @@ import difflib
 import math
 from dataclasses import dataclass, field as dataclass_field
 
-from .ensembles import DIMENSION, ORDER
+from .ensembles import DIMENSION, MAX_K, MIN_DEPTH, MIN_RADIUS, ORDER
 from .errors import ConfigError
 from .fields import INITIAL_KINDS, make_initial
 from .flow import FlowProblem
@@ -174,10 +174,11 @@ class ExperimentConfig:
             mode=self.get("initial.mode"),
             shift=self.get("initial.shift"))
 
-    def check_flow(self, kind: str) -> None:
-        """Raise ConfigError unless a `kind` flow can run on this config:
-        the nonlinear flow and the spectral strategy need a translation-
-        invariant kernel, and the spectral symbol an untruncated one."""
+    def check_flow(self, kind: str, grid: Grid) -> None:
+        """Raise ConfigError unless a `kind` flow can run on this config and
+        `grid`: the nonlinear flow and the spectral strategy need a
+        translation-invariant kernel, the spectral symbol an untruncated one,
+        and the kernel a lattice neighbor inside its radius."""
         family = self.get("kernel.family")
         radius = self.get("kernel.radius")
         spectral = self.get("flow.strategy") == "spectral"
@@ -192,20 +193,37 @@ class ExperimentConfig:
         if spectral and math.isfinite(radius):
             errors.append(f"kernel.radius: flow.strategy=spectral needs "
                           f"kernel.radius=inf (got {radius!r})")
+        if radius < grid.spacing:
+            errors.append(f"kernel.radius: no lattice neighbor within it at "
+                          f"grid spacing {grid.spacing:g} (got {radius!r})")
         _refuse(errors)
 
     def check_ensembles(self, calibration=None) -> None:
         """Raise ConfigError unless grid.N, kernel.s and `calibration`'s
-        dimension and order match the ensembles diagnose and calibrate run."""
+        dimension and order match the ensembles diagnose and calibrate run;
+        with the calibration diagnose passes, its runs must also resolve the
+        diagnose.* keys."""
         found = [("grid.N", self.get("grid.N"), DIMENSION),
                  ("kernel.s", self.get("kernel.s"), ORDER)]
+        errors = []
         if calibration is not None:
             found += [("calibration.file dimension", calibration.dimension,
                        DIMENSION),
                       ("calibration.file order", calibration.order, ORDER)]
+            if self.get("diagnose.k_max") > MAX_K:
+                errors.append(f"diagnose.k_max: the recurrence runs resolve "
+                              f"at most {MAX_K} rungs")
+            inner = self.get("diagnose.scale") ** (
+                self.get("diagnose.levels") - 1)
+            if not (inner > MIN_RADIUS and inner ** ORDER > MIN_DEPTH):
+                errors.append(
+                    f"diagnose.scale, diagnose.levels: the oscillation runs "
+                    f"resolve an innermost cylinder of radius above "
+                    f"{MIN_RADIUS:g} and depth above {MIN_DEPTH:g}, not "
+                    f"scale^(levels-1) = {inner:g}")
         _refuse([f"{what} must be {want:g}, as in the {DIMENSION}-d "
                  f"order-{ORDER:g} ensembles (got {got!r})"
-                 for what, got, want in found if got != want])
+                 for what, got, want in found if got != want] + errors)
 
     def seeds_reach_problem(self) -> bool:
         """Whether `flow_problem(seed)` differs between seeds: the seed only

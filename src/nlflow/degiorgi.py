@@ -27,7 +27,6 @@ from .grid import SEMINORM_CUTOFF, Grid, seminorm_sq
 __all__ = [
     "BARRIER_KINDS",
     "BarrierFamily",
-    "make_barrier",
     "eval_barrier",
     "barrier_on_grid",
     "TruncatedEnergySequence",
@@ -103,9 +102,6 @@ class BarrierFamily:
         return 0.0
 
 
-make_barrier = BarrierFamily
-
-
 def _ramp(r: np.ndarray, offset: float, exponent: float) -> np.ndarray:
     # ((r - offset)^exponent - 1)_+ with the power only taken past the offset
     shifted = np.maximum(r - offset, 0.0)
@@ -138,13 +134,9 @@ def eval_barrier(b: BarrierFamily, x) -> np.ndarray:
     return 1.0 + eval_barrier(base, r) + scale * hump
 
 
-def barrier_on_grid(b: BarrierFamily, grid: Grid, center=None) -> np.ndarray:
-    """Barrier values at every node (flat), measured from `center`."""
-    if center is None:
-        dist = grid.origin_distance()
-    else:
-        dist = grid.distance_to(center)
-    return eval_barrier(b, dist)
+def barrier_on_grid(b: BarrierFamily, grid: Grid) -> np.ndarray:
+    """Barrier values at every node (flat), measured from the origin."""
+    return eval_barrier(b, grid.origin_distance())
 
 
 # ---------------------------------------------------------------------------

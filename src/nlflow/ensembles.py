@@ -8,6 +8,8 @@ with the same seed are bitwise identical.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .fields import make_initial
@@ -29,10 +31,20 @@ __all__ = [
 # order from the trajectory, and the CLI refuses any other (config.py)
 ORDER = 1.0
 DIMENSION = 1
+# the grid of every recipe, and the sample gaps (each dt_max) of the runs
+# diagnose reads the ladder and the cylinders from.  The CLI refuses
+# settings they do not resolve: truncated_energies needs gaps <= 2^-k_max/4,
+# and oscillation_decay's innermost cylinder 8 nodes and 8 samples, so a
+# radius above 4 spacings and a depth above 7 gaps
+SIDE_LENGTH, POINTS = 16.0, 256
+RECURRENCE_GAP, OSCILLATION_GAP = 2.0 ** -8, 0.004
+MAX_K = int(-math.log2(4.0 * RECURRENCE_GAP))
+MIN_RADIUS, MIN_DEPTH = 4.0 * SIDE_LENGTH / POINTS, 7.0 * OSCILLATION_GAP
 
 
 def default_grid(dimension: int = DIMENSION) -> Grid:
-    return Grid(dimension=dimension, side_length=16.0, points_per_axis=256)
+    return Grid(dimension=dimension, side_length=SIDE_LENGTH,
+                points_per_axis=POINTS)
 
 
 def rough_kernel(seed: int):
@@ -101,14 +113,13 @@ def level_ensemble_run(seed: int) -> Trajectory:
 
 
 def recurrence_run(seed: int) -> Trajectory:
-    """Dense-cadence runs for the truncated-energy ladder (k_max = 6 needs
-    sample gaps <= 2^-8)."""
+    """Dense-cadence runs for the truncated-energy ladder (MAX_K rungs)."""
     grid = default_grid()
     amplitude = 1.2 + 0.6 * _ramp(seed, 20)
     initial = make_initial(grid, kind="bump", amplitude=amplitude, sigma=1.0)
     problem = FlowProblem(kind="linear", grid=grid,
                           kernel=rough_kernel(seed), initial=initial,
-                          t_start=-2.0, t_end=0.0, dt_max=2.0 ** -8)
+                          t_start=-2.0, t_end=0.0, dt_max=RECURRENCE_GAP)
     return run_flow(problem, sample_every=1)
 
 
@@ -119,7 +130,7 @@ def oscillation_run(seed: int) -> Trajectory:
     initial = make_initial(grid, kind="step", amplitude=0.5, radius=1.5)
     problem = FlowProblem(kind="linear", grid=grid,
                           kernel=rough_kernel(seed), initial=initial,
-                          t_start=-1.2, t_end=0.0, dt_max=0.004)
+                          t_start=-1.2, t_end=0.0, dt_max=OSCILLATION_GAP)
     return run_flow(problem, sample_every=1)
 
 

@@ -26,10 +26,6 @@ class GridMismatchError(NlflowError):
     """Fields or operators built on different grids were combined."""
 
 
-class UnstableStepError(NlflowError):
-    """Requested time step violates the monotone-scheme stability bound."""
-
-
 class NonFiniteStateError(NlflowError):
     """A field picked up NaN/Inf values; carries the offending step index."""
 

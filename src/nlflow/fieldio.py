@@ -9,7 +9,6 @@ round-trip float repr); PGM round-trips value-exactly at the declared maxval.
 from __future__ import annotations
 
 import json
-import math
 import re
 
 import numpy as np

@@ -31,9 +31,8 @@ from .errors import (
     InsufficientCoverageError,
     InvalidParameterError,
     NonFiniteStateError,
-    UnstableStepError,
 )
-from .grid import DiscreteOperator, Field, Grid, make_operator
+from .grid import DiscreteOperator, Field, Grid
 from .kernels import Kernel
 from .potentials import Potential
 
@@ -62,17 +61,8 @@ def stable_dt(kernel: Kernel, grid: Grid,
               potential: Potential | None = None) -> float:
     """0.9 / max_x (lambda_phi * row sum) of the banded operator at t = 0;
     raises on a degenerate kernel."""
-    op = make_operator(grid, kernel, "banded")
+    op = DiscreteOperator(grid, kernel, "banded")
     return 0.9 * _monotone_threshold(op, potential, 0.0)
-
-
-def _check_dt(op: DiscreteOperator, potential: Potential | None,
-              t: float, dt: float) -> None:
-    if not (dt > 0.0) or not math.isfinite(dt):
-        raise InvalidParameterError(f"dt must be positive and finite: {dt}")
-    if dt > _monotone_threshold(op, potential, t) * (1.0 + 1e-12):
-        raise UnstableStepError(
-            f"dt={dt} exceeds the monotone-scheme stability bound at t={t}")
 
 
 def _offset_rhs(op: DiscreteOperator, wg: np.ndarray, t: float,
@@ -91,13 +81,6 @@ def _rhs(op: DiscreteOperator, pot: Potential | None, v: np.ndarray,
         return op.apply(v, t)
     d1 = None if pot is None else pot.d1
     return _offset_rhs(op, v.reshape(op.grid.shape), t, d1=d1).ravel()
-
-
-def step_linear(op: DiscreteOperator, w: Field, t: float, dt: float) -> Field:
-    """One explicit Euler step of the linear flow."""
-    _check_dt(op, None, t, dt)
-    out = w.values + dt * _rhs(op, None, w.values, t)
-    return Field(w.grid, out).require_finite("step_linear output")
 
 
 def _rhs_and_energy(op: DiscreteOperator, pot: Potential | None,
@@ -238,9 +221,6 @@ class Trajectory:
                 f"only {idx.size} samples cover [{t_lo}, {t_hi}]; need >= 2")
         return idx
 
-    def nearest_sample(self, t: float) -> int:
-        return int(np.argmin(np.abs(self.times - t)))
-
     @staticmethod
     def from_fields(grid: Grid, times, values, kind: str = "synthetic",
                     kernel: Kernel | None = None,
@@ -269,7 +249,7 @@ def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
     grid, kernel = problem.grid, problem.kernel
     nonlinear = problem.kind == "nonlinear"
     strategy = "banded" if nonlinear else problem.strategy
-    op = make_operator(grid, kernel, strategy)
+    op = DiscreteOperator(grid, kernel, strategy)
     pot = problem.potential if nonlinear else None
 
     dt_target = 0.9 * _monotone_threshold(op, pot, problem.t_start)

@@ -35,7 +35,6 @@ from .errors import (
     DimensionMismatchError,
     GridMismatchError,
     InvalidParameterError,
-    NonFiniteStateError,
     StrategyMismatchError,
     UnsupportedDimensionError,
 )
@@ -87,13 +86,10 @@ class Grid:
     def shape(self) -> tuple[int, ...]:
         return (self.points_per_axis,) * self.dimension
 
-    def axis_coords(self) -> np.ndarray:
-        return np.arange(self.points_per_axis) * self.spacing
-
     def node_coords(self) -> np.ndarray:
         """All node coordinates, shape (n_nodes, N), lexicographic order."""
         if "coords" not in self._caches:
-            ax = self.axis_coords()
+            ax = np.arange(self.points_per_axis) * self.spacing
             if self.dimension == 1:
                 coords = ax[:, None]
             else:
@@ -107,19 +103,11 @@ class Grid:
         L = self.side_length
         return -((-np.asarray(delta) + 0.5 * L) % L - 0.5 * L)
 
-    def distance_to(self, center) -> np.ndarray:
-        """Periodic distance from every node to `center` (coords), flat."""
-        c = np.atleast_1d(np.asarray(center, dtype=np.float64))
-        if c.shape != (self.dimension,):
-            raise DimensionMismatchError(
-                f"center shape {c.shape} != ({self.dimension},)")
-        d = self.wrap(self.node_coords() - c)
-        return np.linalg.norm(d, axis=-1)
-
     def origin_distance(self) -> np.ndarray:
+        """Periodic distance from every node to the origin, flat."""
         if "origin_dist" not in self._caches:
-            self._caches["origin_dist"] = self.distance_to(
-                np.zeros(self.dimension))
+            self._caches["origin_dist"] = np.linalg.norm(
+                self.wrap(self.node_coords()), axis=-1)
         return self._caches["origin_dist"]
 
     def ball(self, radius: float) -> np.ndarray:
@@ -262,26 +250,9 @@ class Field:
                 f"field has {self.values.size} values, grid has "
                 f"{self.grid.n_nodes} nodes")
 
-    def require_finite(self, context: str = "field") -> "Field":
-        if not np.all(np.isfinite(self.values)):
-            raise NonFiniteStateError(f"non-finite values in {context}")
-        return self
-
     def l2_norm(self) -> float:
         h_n = self.grid.spacing ** self.grid.dimension
         return math.sqrt(float(np.sum(self.values * self.values)) * h_n)
-
-    def mass(self) -> float:
-        return float(np.sum(self.values)) * self.grid.spacing ** self.grid.dimension
-
-    def min(self) -> float:
-        return float(self.values.min())
-
-    def max(self) -> float:
-        return float(self.values.max())
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
 
 
 class DiscreteOperator:
@@ -354,15 +325,10 @@ class DiscreteOperator:
         self._cache[key] = vals
         return vals
 
-    def matrix(self, t: float = 0.0) -> np.ndarray:
-        """Dense operator matrix A with A[i, j] = K(t, x_i, x_j) h^N, zero
-        diagonal (dense strategy only; the double-sum oracle)."""
-        return self._dense(t)[0]
-
     def _dense(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """The dense matrix and its row sums, cached together per epoch."""
-        if self.strategy != "dense":
-            raise StrategyMismatchError("matrix() requires the dense strategy")
+        """Dense operator matrix A with A[i, j] = K(t, x_i, x_j) h^N, zero
+        diagonal (the double-sum oracle), and its row sums, cached together
+        per epoch."""
         key = ("matrix", kernel_epoch(self.kernel, t))
         if key in self._cache:
             return self._cache[key]
@@ -437,16 +403,6 @@ class DiscreteOperator:
         return acc.ravel() * self.grid.spacing ** self.grid.dimension
 
 
-make_operator = DiscreteOperator
-
-
-def apply_operator(op: DiscreteOperator, w: Field, t: float = 0.0) -> Field:
-    if not op.grid.compatible_with(w.grid):
-        raise GridMismatchError("operator and field grids differ")
-    out = Field(w.grid, op.apply(w.values, t))
-    return out.require_finite("apply_operator output")
-
-
 def bilinear_form(kernel_or_op, u: Field, v: Field, t: float = 0.0) -> float:
     """B[u, v] = sum_x sum_{y != x} K [u(x)-u(y)] [v(x)-v(y)] h^(2N).
 
@@ -486,10 +442,3 @@ def seminorm_sq(grid: Grid, stack: np.ndarray, order: float) -> np.ndarray:
     sums = OffsetStencil(grid, deltas).node_sums(
         wg, lambda d: np.square(d, out=d))
     return np.sum(sums * weights, axis=-1) * grid.spacing ** (2 * grid.dimension)
-
-
-def sobolev_seminorm(u: Field, s: float) -> float:
-    """`seminorm_sq` of one field; scales as c^2 under u -> c u."""
-    if not (0.0 < s < 2.0):
-        raise InvalidParameterError(f"order out of (0, 2): {s}")
-    return float(seminorm_sq(u.grid, u.values, s))

@@ -22,13 +22,12 @@ from .errors import (InvalidParameterError, NonLatticeStepError,
                      WindowOutOfRangeError)
 from .flow import Trajectory
 from .grid import DiscreteOperator, Field, Grid, OffsetStencil
-from .kernels import SAMPLING_SEED, Kernel
+from .kernels import Kernel
 from .potentials import Potential
 
 __all__ = [
     "difference_quotient",
     "DerivedKernel",
-    "derived_kernel",
     "DerivedEnvelopeReport",
     "scan_derived_envelope",
     "TransferReport",
@@ -88,9 +87,10 @@ class DerivedKernel:
 
     with a = theta(y) - theta(x), b the same difference one lattice step h
     along axis e, and theta read from the latest trajectory sample at or
-    before t.  The sigma-average is clamped to the potential's certified
-    phi'' range, so the two-sided kernel envelope holds for every evaluation
-    regardless of quadrature error.
+    before t.  K^h exists only as per-offset tables on the flow's stencil
+    (`offset_factors`), the form its linear flow consumes.  The sigma-average
+    is clamped to the potential's certified phi'' range, so the two-sided
+    kernel envelope holds for every pair regardless of quadrature error.
     """
 
     def __init__(self, base: Kernel, potential: Potential,
@@ -102,12 +102,10 @@ class DerivedKernel:
             raise InvalidParameterError(
                 f"trajectory dimension {traj.grid.dimension} != kernel "
                 f"dimension {base.spec.dimension}")
-        self.base = base
         self.potential = potential
         self.traj = traj
         self.grid = traj.grid
         self.axis = _check_axis(traj.grid, e)
-        self.step = float(h)
         self.steps = _lattice_steps(traj.grid, h)
         nodes, weights = np.polynomial.legendre.leggauss(SIGMA_NODES)
         self.sigma = 0.5 * (nodes + 1.0)
@@ -120,11 +118,6 @@ class DerivedKernel:
         times = self.traj.times
         i = int(np.searchsorted(times, t + 1e-12)) - 1
         return min(max(i, 0), times.size - 1)
-
-    def _theta_pair(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        theta = self.traj.fields[self.sample_index(t)].reshape(self.grid.shape)
-        shifted = np.roll(theta, -self.steps, axis=self.axis)
-        return theta.ravel(), shifted.ravel()
 
     def _sigma_average(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         sigma = self.sigma.reshape((-1,) + (1,) * a.ndim)
@@ -143,47 +136,14 @@ class DerivedKernel:
         cached = self._factor_cache.get(key)
         if cached is not None and cached.shape[0] == stencil.deltas.shape[0]:
             return cached
-        pair = np.stack(self._theta_pair(t)).reshape((2,) + self.grid.shape)
+        theta = self.traj.fields[key].reshape(self.grid.shape)
+        pair = np.stack([theta, np.roll(theta, -self.steps, axis=self.axis)])
         out = np.empty((stencil.deltas.shape[0], self.grid.n_nodes))
         for rows, diffs in stencil.blocks(pair):
             out[rows] = self._sigma_average(diffs[0], diffs[1]).reshape(
                 -1, self.grid.n_nodes)
         self._factor_cache = {key: out}
         return out
-
-    def evaluate(self, t: float, x, y) -> np.ndarray:
-        """Pointwise K^h at lattice points x, y (arrays of coordinates)."""
-        grid = self.grid
-        xi = self._node_index(x)
-        yi = self._node_index(y)
-        coords = grid.node_coords()
-        dist = np.linalg.norm(grid.wrap(coords[yi] - coords[xi]), axis=-1)
-        base_vals = self.base.evaluate(t, coords[xi], coords[yi], dist=dist)
-        if self.quadratic:
-            return base_vals
-        theta, theta_sh = self._theta_pair(t)
-        a = theta[yi] - theta[xi]
-        b = theta_sh[yi] - theta_sh[xi]
-        return base_vals * self._sigma_average(a, b)
-
-    def _node_index(self, pts) -> np.ndarray:
-        grid = self.grid
-        p = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        if p.shape[-1] != grid.dimension:
-            raise InvalidParameterError(
-                f"points must have {grid.dimension} coordinates")
-        idx = p / grid.spacing
-        near = np.round(idx)
-        if np.max(np.abs(idx - near)) > 1e-6:
-            raise NonLatticeStepError(
-                "derived kernels evaluate at lattice nodes only")
-        near = near.astype(np.int64) % grid.points_per_axis
-        if grid.dimension == 1:
-            return near[:, 0]
-        return near[:, 0] * grid.points_per_axis + near[:, 1]
-
-
-derived_kernel = DerivedKernel
 
 
 @dataclass(frozen=True)
@@ -202,10 +162,10 @@ class DerivedEnvelopeReport:
 
 
 def scan_derived_envelope(potential: Potential, theta_traj: Trajectory,
-                          e: int = 0, sample_count: int = 10000
-                          ) -> DerivedEnvelopeReport:
-    """Two-sided envelope scan of K^h over random lattice pairs and times,
-    at the steps h = m * spacing for m in ENVELOPE_STEP_FACTORS.
+                          e: int = 0) -> DerivedEnvelopeReport:
+    """Two-sided envelope scan of K^h over every lattice pair within the
+    truncation radius at every sample time, at the steps h = m * spacing for
+    m in ENVELOPE_STEP_FACTORS; `sample_count` is the number of pairs checked.
 
     The certified band is the measurable-kernel tier: the base multiplier and
     the phi'' average each live in [Lambda^{-1/2}, Lambda^{1/2}], so their
@@ -215,45 +175,30 @@ def scan_derived_envelope(potential: Potential, theta_traj: Trajectory,
     base = theta_traj.kernel
     if base is None:
         raise TrajectoryMismatchError("trajectory carries no kernel")
-    lam = base.spec.ellipticity
-    s = base.spec.order
     grid = theta_traj.grid
-    n_dim = grid.dimension
-    rng = np.random.default_rng(SAMPLING_SEED)
-    coords = grid.node_coords()
-    t_lo, t_hi = float(theta_traj.times[0]), float(theta_traj.times[-1])
-
+    kernels = [DerivedKernel(base, potential, theta_traj, e, m * grid.spacing)
+               for m in ENVELOPE_STEP_FACTORS]
+    op = DiscreteOperator(grid, base, "banded")
+    s = base.spec.order
+    # K |x-y|^(N+s) / ((1 - s/2) multiplier) per offset, times each pair's
+    # sigma-average for K^h
+    base_ratio = (op.offset_values() * op.dists ** (grid.dimension + s)
+                  / ((1.0 - 0.5 * s) * base.spec.multiplier))[:, None]
+    band_lo, band_hi = 1.0 / base.spec.ellipticity, base.spec.ellipticity
     ratio_min, ratio_max = math.inf, -math.inf
-    violations = 0
-    per_h = max(1, sample_count // len(ENVELOPE_STEP_FACTORS))
-    band_lo, band_hi = 1.0 / lam, lam
-    batch = 256
-    for mf in ENVELOPE_STEP_FACTORS:
-        dk = DerivedKernel(base, potential, theta_traj, e, mf * grid.spacing)
-        got = 0
-        while got < per_h:
-            # one frozen time per batch keeps the evaluation vectorized
-            t = float(rng.uniform(t_lo, t_hi))
-            n = min(batch, per_h - got) * 2
-            xi = rng.integers(0, grid.n_nodes, size=n)
-            yi = rng.integers(0, grid.n_nodes, size=n)
-            d = np.linalg.norm(grid.wrap(coords[yi] - coords[xi]), axis=-1)
-            keep = (d > 0.0) & (d <= base.spec.truncation_radius)
-            xi, yi, d = xi[keep], yi[keep], d[keep]
-            take = min(xi.size, per_h - got)
-            if take == 0:
-                continue
-            xi, yi, d = xi[:take], yi[:take], d[:take]
-            vals = dk.evaluate(t, coords[xi], coords[yi])
-            ratios = vals * d ** (n_dim + s) / ((1.0 - 0.5 * s)
-                                                * base.spec.multiplier)
+    violations = count = 0
+    for dk in kernels:
+        for t in theta_traj.times:
+            factors = dk.offset_factors(t, op.stencil)
+            ratios = np.broadcast_to(
+                base_ratio if factors is None else base_ratio * factors,
+                (base_ratio.size, grid.n_nodes))
             ratio_min = min(ratio_min, float(np.min(ratios)))
             ratio_max = max(ratio_max, float(np.max(ratios)))
             violations += int(np.sum((ratios < band_lo) | (ratios > band_hi)))
-            got += take
+            count += ratios.size
     return DerivedEnvelopeReport(
-        sample_count=per_h * len(ENVELOPE_STEP_FACTORS),
-        ratio_min=ratio_min, ratio_max=ratio_max,
+        sample_count=count, ratio_min=ratio_min, ratio_max=ratio_max,
         band_lo=band_lo, band_hi=band_hi, violations=violations,
         step_factors=ENVELOPE_STEP_FACTORS)
 
@@ -352,53 +297,29 @@ def verify_linearization(theta_traj: Trajectory, e: int = 0,
 # ---------------------------------------------------------------------------
 # parabolic rescaling
 
-def parabolic_rescale(traj: Trajectory, center, rho: float) -> Trajectory:
-    """View w(t0 + rho^s tau, x0 + rho xi) on a grid with side L / rho, with
-    s the trajectory's order.
+def parabolic_rescale(traj: Trajectory, rho: float) -> Trajectory:
+    """View w(rho^s tau, rho xi) on a grid with side L / rho, with s the
+    trajectory's order: the cylinder about the origin of space-time.
 
     The view keeps all M^N nodes: node xi_j of the rescaled grid lands on
-    parent coordinate x0 + j * h exactly, so an on-lattice centre needs no
-    interpolation — off-lattice centres use periodic linear interpolation
-    (convex, so min/max are preserved) and set meta["interpolated"].
+    parent coordinate j * h exactly, so the view's fields are the parent's
+    samples up to t = 0 unchanged.
     """
     if not (rho > 0.0):
         raise InvalidParameterError(f"rescale factor must be > 0, got {rho}")
     s = float(traj.order)
-    t0, x0 = center
-    t0 = float(t0)
     grid = traj.grid
     span = float(traj.times[-1] - traj.times[0])
     tol = 1e-9 * max(1.0, span)
-    if t0 < traj.times[0] - tol or t0 > traj.times[-1] + tol:
+    if traj.times[-1] < -tol:
         raise WindowOutOfRangeError(
-            f"centre time {t0} outside sampled span "
-            f"[{traj.times[0]}, {traj.times[-1]}]")
-    keep = np.where(traj.times <= t0 + tol)[0]
+            f"samples [{traj.times[0]}, {traj.times[-1]}] end before t = 0")
+    keep = np.where(traj.times <= tol)[0]
     if keep.size < 2:
         raise WindowOutOfRangeError(
-            f"only {keep.size} samples at or before t0={t0}")
-
-    x0v = np.atleast_1d(np.asarray(x0, dtype=np.float64))
-    if x0v.shape != (grid.dimension,):
-        raise InvalidParameterError(
-            f"centre must have {grid.dimension} coordinates")
-    idx_f = x0v / grid.spacing
-    idx_i = np.floor(idx_f).astype(np.int64)
-    frac = idx_f - idx_i
-    interpolated = bool(np.any(np.abs(frac) > 1e-9))
-
-    stack = traj.fields[keep].reshape((keep.size,) + grid.shape)
-    for ax in range(grid.dimension):
-        shift = int(idx_i[ax])
-        f = float(frac[ax])
-        lo = np.roll(stack, -shift, axis=1 + ax)
-        if f > 1e-9:
-            hi = np.roll(stack, -(shift + 1), axis=1 + ax)
-            stack = (1.0 - f) * lo + f * hi
-        else:
-            stack = lo
-    view_fields = stack.reshape(keep.size, grid.n_nodes)
-    view_times = (traj.times[keep] - t0) / rho ** s
+            f"only {keep.size} samples at or before t = 0")
+    view_fields = traj.fields[keep]
+    view_times = traj.times[keep] / rho ** s
 
     view_grid = Grid(dimension=grid.dimension,
                      side_length=grid.side_length / rho,
@@ -419,9 +340,7 @@ def parabolic_rescale(traj: Trajectory, center, rho: float) -> Trajectory:
         view_grid, view_times, view_fields, kind="rescaled-view",
         kernel=induced, potential=traj.potential, order=s)
     view.meta.update({
-        "rho": float(rho), "center_time": t0,
-        "center_point": [float(v) for v in x0v],
-        "interpolated": interpolated, "order": s,
+        "rho": float(rho), "order": s,
         "parent_kind": traj.kind,
     })
     return view
@@ -432,8 +351,6 @@ def parabolic_rescale(traj: Trajectory, center, rho: float) -> Trajectory:
 
 @dataclass(frozen=True)
 class OscillationReport:
-    center_time: float
-    center_point: tuple
     scale: float                # K_sc
     levels: int
     order: float
@@ -473,10 +390,10 @@ def _fit_decay(osc: np.ndarray, scale: float, s: float
     return slope, r2, False
 
 
-def oscillation_decay(traj: Trajectory, center, scale: float,
+def oscillation_decay(traj: Trajectory, scale: float,
                       levels: int) -> OscillationReport:
-    """Oscillation over nested cylinders (t0 - scale^{ks}, t0] x B_{scale^k},
-    with s the trajectory's order.
+    """Oscillation over nested cylinders (-scale^{ks}, 0] x B_{scale^k} about
+    the origin, with s the trajectory's order.
 
     Nesting makes osc_k nonincreasing exactly; the fitted slope alpha is the
     Holder exponent when the decay is geometric.
@@ -487,11 +404,7 @@ def oscillation_decay(traj: Trajectory, center, scale: float,
         raise InvalidParameterError(
             f"scale factor must lie in (0, 1), got {scale}")
     s = float(traj.order)
-    t0, x0 = center
-    t0 = float(t0)
-    grid = traj.grid
-    x0v = np.atleast_1d(np.asarray(x0, dtype=np.float64))
-    dist = grid.distance_to(x0v)
+    dist = traj.grid.origin_distance()
     span = float(traj.times[-1] - traj.times[0])
     tol = 1e-9 * max(1.0, span)
 
@@ -503,8 +416,7 @@ def oscillation_decay(traj: Trajectory, center, scale: float,
     sample_counts = np.empty(levels, dtype=np.int64)
     for k in range(levels):
         nodes = dist < radii[k]
-        t_mask = (traj.times > t0 - depths[k] - tol) & \
-                 (traj.times <= t0 + tol)
+        t_mask = (traj.times > -depths[k] - tol) & (traj.times <= tol)
         node_counts[k] = int(np.sum(nodes))
         sample_counts[k] = int(np.sum(t_mask))
         if node_counts[k] < 8 or sample_counts[k] < 8:
@@ -515,7 +427,6 @@ def oscillation_decay(traj: Trajectory, center, scale: float,
         osc[k] = float(np.max(vals) - np.min(vals))
     alpha, r2, degenerate = _fit_decay(osc, scale, s)
     return OscillationReport(
-        center_time=t0, center_point=tuple(float(v) for v in x0v),
         scale=float(scale), levels=levels, order=s, radii=radii,
         depths=depths, osc=osc, node_counts=node_counts,
         sample_counts=sample_counts, alpha=alpha, r_squared=r2,
@@ -615,8 +526,7 @@ def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
         if next_nodes < 8 or next_samples < 8:
             floor_level = k
             break
-        zoom = parabolic_rescale(current, (0.0, np.zeros(grid.dimension)),
-                                 scale)
+        zoom = parabolic_rescale(current, scale)
         current = Trajectory.from_fields(
             zoom.grid, zoom.times, (zoom.fields - mean_k) / shrink,
             kind="rescaled-view", kernel=zoom.kernel,

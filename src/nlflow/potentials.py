@@ -59,15 +59,25 @@ class Potential:
         x = np.asarray(x, dtype=np.float64)
         if self.spec.family == "quadratic":
             return 0.5 * x * x
-        # antiderivative of a*x + b*arctan(x); even, vanishes at 0
-        return (0.5 * self._a * x * x
-                + self._b * (x * np.arctan(x) - 0.5 * np.log1p(x * x)))
+        # antiderivative of a*x + b*arctan(x); even, vanishes at 0:
+        # 0.5 a x x + b (x arctan(x) - 0.5 log1p(x x)) in two buffers, see d1
+        out, tmp = np.empty_like(x), np.empty_like(x)
+        np.log1p(np.multiply(x, x, out=tmp), out=tmp)
+        np.multiply(x, np.arctan(x, out=out), out=out)
+        out -= np.multiply(0.5, tmp, out=tmp)
+        out *= self._b
+        np.multiply(np.multiply(0.5 * self._a, x, out=tmp), x, out=tmp)
+        return np.add(tmp, out, out=out)
 
     def d1(self, x) -> np.ndarray:
         if self.spec.family == "quadratic":
             return np.asarray(x, dtype=np.float64)
         x = np.asarray(x, dtype=np.float64)
-        return self._a * x + self._b * np.arctan(x)
+        # a x + b arctan(x) in two buffers: on grid-sized blocks a temporary
+        # per operation made malloc trim and regrow its heap on every block
+        out, tmp = np.empty_like(x), np.empty_like(x)
+        np.multiply(self._b, np.arctan(x, out=out), out=out)
+        return np.add(np.multiply(self._a, x, out=tmp), out, out=out)
 
     def d2(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

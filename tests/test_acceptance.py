@@ -46,10 +46,10 @@ from nlflow.ensembles import default_grid
 from nlflow.fieldio import load_field, save_field
 from nlflow.fields import make_initial
 from nlflow.flow import FlowProblem, run_flow
-from nlflow.grid import Field, Grid, apply_operator, make_operator
+from nlflow.grid import DiscreteOperator, Field, Grid, OffsetStencil
 from nlflow.kernels import KernelSpec, make_kernel
 from nlflow.oscillation import (
-    derived_kernel,
+    DerivedKernel,
     oscillation_decay,
     scan_derived_envelope,
     verify_lemma3,
@@ -118,12 +118,12 @@ def test_operator_strategies_agree_with_dense_oracle():
                  ("banded",)))
         for spec, strategies in cases:
             kernel = make_kernel(spec)
-            dense = apply_operator(
-                make_operator(g, kernel, strategy="dense"), w).values
+            dense = DiscreteOperator(g, kernel, strategy="dense").apply(
+                w.values)
             scale = float(np.max(np.abs(dense)))
             for strategy in strategies:
-                out = apply_operator(
-                    make_operator(g, kernel, strategy=strategy), w).values
+                out = DiscreteOperator(g, kernel, strategy=strategy).apply(
+                    w.values)
                 worst = max(worst, float(np.max(np.abs(out - dense))) / scale)
                 pairings += 1
     elapsed = time.perf_counter() - t_begin
@@ -137,9 +137,9 @@ def eigenvalue_of_mode(points, kernel, mode=3, strategy="spectral"):
     g = Grid(dimension=1, side_length=16.0, points_per_axis=points)
     x = g.node_coords()[:, 0]
     w = Field(g, np.cos(2.0 * np.pi * mode * x / g.side_length))
-    out = apply_operator(make_operator(g, kernel, strategy=strategy), w)
-    lam = -float(np.dot(out.values, w.values) / np.dot(w.values, w.values))
-    residual = out.values + lam * w.values
+    out = DiscreteOperator(g, kernel, strategy=strategy).apply(w.values)
+    lam = -float(np.dot(out, w.values) / np.dot(w.values, w.values))
+    residual = out + lam * w.values
     assert np.max(np.abs(residual)) <= 1e-10 * abs(lam)
     return lam
 
@@ -195,16 +195,10 @@ def test_linearization_transfer_and_envelope():
     quad = make_potential(PotentialSpec(family="quadratic", ellipticity=4.0))
     traj_q = nonlinear_run(quad, t_end=0.02)
     rep_q = verify_linearization(traj_q)
-    dk = derived_kernel(traj_q.kernel, quad, traj_q, 0,
-                        traj_q.grid.spacing)
-    coords = traj_q.grid.node_coords()
-    rng = np.random.default_rng(1)
-    xi = rng.integers(0, traj_q.grid.n_nodes, 256)
-    yi = rng.integers(0, traj_q.grid.n_nodes, 256)
-    d = np.linalg.norm(traj_q.grid.wrap(coords[yi] - coords[xi]), axis=-1)
-    collapse_ok = np.array_equal(
-        dk.evaluate(0.01, coords[xi], coords[yi]),
-        traj_q.kernel.evaluate(0.01, coords[xi], coords[yi], dist=d))
+    dk = DerivedKernel(traj_q.kernel, quad, traj_q, 0, traj_q.grid.spacing)
+    # no factor table: K^h is the base kernel's own per-offset table
+    collapse_ok = dk.offset_factors(0.01, OffsetStencil(
+        traj_q.grid, np.array([[1], [2]]))) is None
     quadratic_ok = rep_q.bitwise and rep_q.quadratic and collapse_ok
 
     defects = [verify_linearization(nonlinear_run(huber(), dt_max=dt)
@@ -213,15 +207,15 @@ def test_linearization_transfer_and_envelope():
     slope = math.log2(defects[0] / defects[2]) / 2.0
     order_ok = defects[0] > defects[1] > defects[2] and slope >= 0.9
 
-    scan = scan_derived_envelope(huber(), nonlinear_run(huber()),
-                                 sample_count=10_000)
+    scan = scan_derived_envelope(huber(), nonlinear_run(huber()))
     envelope_ok = (scan.passed and scan.violations == 0
                    and scan.step_factors == (1, 2, 4)
                    and scan.band_lo == 0.25 and scan.band_hi == 4.0)
     announce("linearization-transfer",
              quadratic_ok and order_ok and envelope_ok,
              f"quadratic bitwise={rep_q.bitwise}, defect slope {slope:.2f}, "
-             f"{scan.violations} envelope violations on 10^4 samples")
+             f"{scan.violations} envelope violations on {scan.sample_count} "
+             "lattice pairs")
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +306,7 @@ def test_oscillation_exponent_ensemble():
     good = 0
     alphas = []
     for seed in range(1, 21):
-        rep = oscillation_decay(cached_oscillation_run(seed),
-                                (0.0, np.zeros(1)), 0.65, 4)
+        rep = oscillation_decay(cached_oscillation_run(seed), 0.65, 4)
         alphas.append(rep.alpha)
         if rep.alpha > 0.03 and rep.r_squared >= 0.9:
             good += 1
@@ -322,10 +315,10 @@ def test_oscillation_exponent_ensemble():
     quant = np.round(traj.fields * 2.0 ** 20) / 2.0 ** 20
     base = oscillation_decay(
         synthetic_trajectory(traj.grid, traj.times, quant),
-        (0.0, np.zeros(1)), 0.65, 4)
+        0.65, 4)
     moved = oscillation_decay(
         synthetic_trajectory(traj.grid, traj.times, 2.0 * quant + 0.5),
-        (0.0, np.zeros(1)), 0.65, 4)
+        0.65, 4)
     affine_exact = (moved.alpha == base.alpha
                     and moved.r_squared == base.r_squared
                     and np.array_equal(moved.osc, 2.0 * base.osc))

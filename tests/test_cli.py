@@ -79,6 +79,11 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert not out.exists()          # nothing written on a usage error
 
 
+# input files every refusal case finds in its tmp_path, named as {tmp}/NAME
+BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
+              "tiny.pgm": "P5\n8 8\n255\n" + "\0" * 64}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["calibrate", "--set", "grid.N=2"], "grid.N must be 1"),
     (["calibrate", "--set", "kernel.s=1.5", "--seed", "1"],
@@ -95,13 +100,40 @@ def test_bad_config_exits_2(tmp_path, capsys):
     (["run", "--set", "flow.strategy=spectral"], "kernel.radius=inf"),
     (["run", "--set", "flow.strategy=spectral", "--set", "kernel.radius=inf",
       "--set", "kernel.family=rough-static"], "power-law kernel family"),
+    (["diagnose", "--seed", "1", "--set", "calibration.file={tmp}/no.json"],
+     "cannot read calibration file"),
+    (["diagnose", "--seed", "1", "--set", "calibration.file={tmp}/cut.json"],
+     "cannot read calibration file"),
+    (["diagnose", "--seed", "1", "--set", "calibration.file={tmp}/list.json"],
+     "holds no JSON object"),
+    (["denoise", "--set", "denoise.input={tmp}"], "is not a file"),
+    (["diagnose", "--seed", "1", "--out", "{tmp}/taken"],
+     "cannot create output directory"),
+    (["diagnose", "--seed", "1", "--set", "diagnose.k_max=7"],
+     "at most 6 rungs"),
+    (["diagnose", "--seed", "1", "--set", "diagnose.levels=5"],
+     "innermost cylinder"),
+    (["diagnose", "--seed", "1", "--set", "diagnose.scale=0.3"],
+     "innermost cylinder"),
+    (["run", "--seed", "1", "--set", "grid.M=8", "--set", "kernel.radius=1.0"],
+     "no lattice neighbor"),
+    (["denoise", "--set", "denoise.input={tmp}/tiny.pgm",
+      "--set", "kernel.radius=1.0"], "no lattice neighbor"),
 ], ids=["calibrate-2d", "calibrate-order", "diagnose-2d", "diagnose-order",
         "diagnose-calibration-order", "diagnose-calibration-2d",
-        "nonlinear-rough", "spectral-truncated", "spectral-rough"])
+        "nonlinear-rough", "spectral-truncated", "spectral-rough",
+        "calibration-missing", "calibration-truncated", "calibration-list",
+        "denoise-directory", "out-is-a-file", "diagnose-k-max",
+        "diagnose-levels", "diagnose-scale", "run-radius-below-spacing",
+        "denoise-radius-below-spacing"])
 def test_unsupported_config_exits_2(tmp_path, capsys, argv, message):
-    # refused before any work, not aborted later with exit 3; a dict in argv
-    # stands for a calibration file with those entries changed
-    argv = list(argv)
+    # refused before any work, not aborted later with exit 1 or 3; a dict in
+    # argv stands for a calibration file with those entries changed, and
+    # {tmp} for the directory holding BAD_INPUTS
+    for name, text in BAD_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    argv = [item.format(tmp=tmp_path) if isinstance(item, str) else item
+            for item in argv]
     for i, item in enumerate(argv):
         if isinstance(item, dict):
             path = tmp_path / "calibration.json"
@@ -109,7 +141,9 @@ def test_unsupported_config_exits_2(tmp_path, capsys, argv, message):
                                                  **item), str(path))
             argv[i] = f"calibration.file={path}"
     out = tmp_path / "x"
-    assert main(argv + ["--out", str(out)]) == 2
+    if "--out" not in argv:
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 

@@ -24,7 +24,6 @@ from nlflow.degiorgi import (
     chebyshev_chain,
     eval_barrier,
     level_set_measures,
-    make_barrier,
     truncated_energies,
     verify_corollary1,
     verify_corollary2,
@@ -36,7 +35,7 @@ from nlflow.grid import Grid
 
 
 def radial(kind, r, order=1.0, **kw):
-    return float(eval_barrier(make_barrier(kind, order=order, **kw), r))
+    return float(eval_barrier(BarrierFamily(kind, order=order, **kw), r))
 
 
 # --------------------------------------------------------------------------
@@ -68,7 +67,7 @@ def test_cutoff_hump_values():
 
 
 def test_lambda_barrier_support():
-    b = make_barrier("psi_lambda", order=1.0, lam=0.25)
+    b = BarrierFamily("psi_lambda", order=1.0, lam=0.25)
     assert b.support_radius == pytest.approx(256.0)    # 0.25^(-4)
     assert float(eval_barrier(b, 100.0)) == 0.0
     assert float(eval_barrier(b, 272.0)) == pytest.approx(1.0)  # 16^(1/4) = 2
@@ -77,8 +76,8 @@ def test_lambda_barrier_support():
 
 def test_flat_exponent_barrier_below_psi1():
     r = np.geomspace(0.1, 1e4, 2000)
-    flat = eval_barrier(make_barrier("psi_eps_lambda", lam=0.25, eps=0.05), r)
-    quarter = eval_barrier(make_barrier("psi1"), r)
+    flat = eval_barrier(BarrierFamily("psi_eps_lambda", lam=0.25, eps=0.05), r)
+    quarter = eval_barrier(BarrierFamily("psi1"), r)
     assert np.all(flat <= quarter + 1e-15)
 
 
@@ -88,9 +87,9 @@ def test_phi_family_values_and_ordering():
     assert radial("phi1", 0.0, lam=lam) == pytest.approx(0.75)
     assert radial("phi2", 0.0, lam=lam) == pytest.approx(0.9375)
     r = np.linspace(0.0, 400.0, 4001)
-    phi0 = eval_barrier(make_barrier("phi0", lam=lam), r)
-    phi1 = eval_barrier(make_barrier("phi1", lam=lam), r)
-    phi2 = eval_barrier(make_barrier("phi2", lam=lam), r)
+    phi0 = eval_barrier(BarrierFamily("phi0", lam=lam), r)
+    phi1 = eval_barrier(BarrierFamily("phi1", lam=lam), r)
+    phi2 = eval_barrier(BarrierFamily("phi2", lam=lam), r)
     assert np.all(phi0 <= phi1) and np.all(phi1 <= phi2)
     # the three coincide once the hump has closed
     far = r >= 3.0
@@ -99,24 +98,15 @@ def test_phi_family_values_and_ordering():
 
 def test_barrier_parameter_guards():
     with pytest.raises(InvalidParameterError):
-        make_barrier("psi_cubed")
+        BarrierFamily("psi_cubed")
     with pytest.raises(InvalidParameterError):
-        make_barrier("psi", order=2.0)
+        BarrierFamily("psi", order=2.0)
     with pytest.raises(InvalidParameterError):
-        make_barrier("psi_L", shift=-0.1)
+        BarrierFamily("psi_L", shift=-0.1)
     with pytest.raises(InvalidParameterError):
-        make_barrier("psi_lambda", lam=0.5)    # must stay below 1/3
+        BarrierFamily("psi_lambda", lam=0.5)    # must stay below 1/3
     with pytest.raises(InvalidParameterError):
-        make_barrier("psi_eps_lambda", eps=0.0)
-
-
-def test_barrier_on_grid_recenters(grid1):
-    b = make_barrier("psi")
-    center = np.array([4.0])
-    vals = barrier_on_grid(b, grid1, center=center)
-    idx = int(np.argmin(np.abs(grid1.node_coords()[:, 0] - 4.0)))
-    assert vals[idx] == 0.0
-    assert np.max(vals) == pytest.approx(radial("psi", 8.0))
+        BarrierFamily("psi_eps_lambda", eps=0.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -124,7 +114,7 @@ def test_barrier_on_grid_recenters(grid1):
        order=st.floats(0.1, 1.9, allow_nan=False))
 def test_barriers_nonnegative_and_monotone(r, order):
     for kind in ("psi", "psi1", "psi_lambda", "psi_eps_lambda"):
-        b = make_barrier(kind, order=order)
+        b = BarrierFamily(kind, order=order)
         lo = float(eval_barrier(b, r))
         hi = float(eval_barrier(b, r * 1.5 + 0.1))
         assert 0.0 <= lo <= hi
@@ -158,7 +148,7 @@ def test_truncated_energies_vanish_for_zero_field(grid1):
 
 
 def test_truncated_energies_vanish_below_the_barrier(grid1):
-    psi = barrier_on_grid(make_barrier("psi"), grid1)
+    psi = barrier_on_grid(BarrierFamily("psi"), grid1)
     times = np.linspace(-2.0, 0.0, 65)
     traj = synthetic_trajectory(grid1, times,
                                 np.tile(psi, (times.size, 1)))
@@ -169,7 +159,7 @@ def test_truncated_energies_vanish_below_the_barrier(grid1):
 def test_truncated_energies_match_constant_field_oracle(grid1):
     traj = constant_trajectory(grid1, 1.0, t_lo=-2.0, t_hi=0.0, n=65)
     seq = truncated_energies(traj, k_max=3)
-    psi = barrier_on_grid(make_barrier("psi"), grid1)
+    psi = barrier_on_grid(BarrierFamily("psi"), grid1)
     h = grid1.spacing
     for j, k in enumerate(seq.levels):
         cut = 0.5 - 0.5 * 0.5 ** k
@@ -247,7 +237,7 @@ def test_chebyshev_chain_matches_brute_force(grid1):
     fields = rng.uniform(-1.0, 2.5, size=(times.size, grid1.n_nodes))
     traj = synthetic_trajectory(grid1, times, fields)
     rep = chebyshev_chain(traj, k_max=3)
-    psi = barrier_on_grid(make_barrier("psi"), grid1)
+    psi = barrier_on_grid(BarrierFamily("psi"), grid1)
     h = grid1.spacing
     for i, k in enumerate(rep.levels):
         t_start = -1.0 - 0.5 ** (k - 1)
@@ -299,12 +289,12 @@ def test_level_set_measures_constant_two(grid1):
 
 def test_level_set_measures_middle_band(grid1):
     lam = 0.25
-    phi1 = barrier_on_grid(make_barrier("phi1", lam=lam), grid1)
+    phi1 = barrier_on_grid(BarrierFamily("phi1", lam=lam), grid1)
     traj = constant_trajectory(grid1, 0.0)
     fields = np.tile(phi1, (traj.times.size, 1))
     traj = synthetic_trajectory(grid1, traj.times, fields)
     m = level_set_measures(traj, lam=lam)
-    hump = eval_barrier(make_barrier("F"), grid1.origin_distance())
+    hump = eval_barrier(BarrierFamily("F"), grid1.origin_distance())
     count = int(np.sum(hump < 0.0))
     assert m.intermediate == pytest.approx(3.0 * count * grid1.spacing,
                                            rel=1e-12)

@@ -8,11 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlflow.errors import (
-    InsufficientCoverageError,
-    InvalidParameterError,
-    UnstableStepError,
-)
+from nlflow.errors import InsufficientCoverageError, InvalidParameterError
 from nlflow.fields import make_initial
 from nlflow.flow import (
     FlowProblem,
@@ -21,10 +17,8 @@ from nlflow.flow import (
     nonlinear_energy,
     run_flow,
     stable_dt,
-    step_linear,
 )
-from nlflow.grid import Field, Grid, apply_operator, bilinear_form, \
-    make_operator
+from nlflow.grid import DiscreteOperator, Field, Grid, bilinear_form
 from nlflow.kernels import KernelSpec, make_kernel
 from nlflow.potentials import PotentialSpec, make_potential
 
@@ -56,10 +50,9 @@ def huber(ellipticity=4.0):
 
 def dense_matrix(grid, kernel):
     """The full n x n generator, column by column."""
-    op = make_operator(grid, kernel, strategy="dense")
+    op = DiscreteOperator(grid, kernel, strategy="dense")
     n = grid.n_nodes
-    cols = [apply_operator(op, Field(grid, col)).values
-            for col in np.eye(n)]
+    cols = [op.apply(col) for col in np.eye(n)]
     return np.column_stack(cols)
 
 
@@ -130,8 +123,8 @@ def test_single_mode_decays_at_its_eigenrate():
     k = power_law_kernel(truncation=math.inf)
     x = g.node_coords()[:, 0]
     w0 = Field(g, np.cos(2.0 * np.pi * 3 * x / g.side_length))
-    op = make_operator(g, k, strategy="banded")
-    lam = -float(np.dot(apply_operator(op, w0).values, w0.values)
+    op = DiscreteOperator(g, k, strategy="banded")
+    lam = -float(np.dot(op.apply(w0.values), w0.values)
                  / np.dot(w0.values, w0.values))
     t_end = 0.2
     traj = run_flow(FlowProblem(
@@ -185,7 +178,7 @@ def test_energy_functions_match_the_flow_record():
     g = grid_1d()
     k = power_law_kernel()
     w0 = make_initial(g, "random", amplitude=1.0, seed=5)
-    op = make_operator(g, k, strategy="banded")
+    op = DiscreteOperator(g, k, strategy="banded")
     for pot in (None, quadratic(), huber()):
         traj = run_flow(FlowProblem(
             kind="linear" if pot is None else "nonlinear", grid=g, kernel=k,
@@ -196,7 +189,7 @@ def test_energy_functions_match_the_flow_record():
     # against the direct pair sum, also with a per-node (rough) kernel table:
     # V = B / 2 for phi(x) = x^2 / 2
     for kern in (k, rough_kernel(seed=3)):
-        op = make_operator(g, kern, strategy="banded")
+        op = DiscreteOperator(g, kern, strategy="banded")
         form = bilinear_form(kern, w0, w0)
         assert linear_energy(op, w0.values) == pytest.approx(form, rel=1e-13)
         assert nonlinear_energy(op, quadratic(), w0.values) == pytest.approx(
@@ -276,18 +269,6 @@ def test_degenerate_kernel_has_no_stable_step():
 
     with pytest.raises(InvalidParameterError):
         stable_dt(_Zero(), grid_1d())
-
-
-def test_oversized_step_rejected():
-    g = grid_1d()
-    k = rough_kernel(seed=1)
-    op = make_operator(g, k, strategy="banded")
-    threshold = stable_dt(k, g) / 0.9
-    w = make_initial(g, "random", amplitude=1.0, seed=0)
-    with pytest.raises(UnstableStepError):
-        step_linear(op, w, 0.0, 1.05 * threshold)
-    # just below the bound is fine
-    step_linear(op, w, 0.0, 0.99 * threshold)
 
 
 # --------------------------------------------------------------------------
@@ -376,8 +357,6 @@ def test_window_helpers():
     assert traj.window(0.0, 1.0).size == traj.n_samples
     with pytest.raises(InsufficientCoverageError):
         traj.require_window(2.0, 3.0)
-    assert traj.nearest_sample(0.0) == 0
-    assert traj.nearest_sample(10.0) == traj.n_samples - 1
 
 
 def test_synthetic_trajectory_rejects_bad_times():

@@ -26,7 +26,6 @@ from nlflow.kernels import KernelSpec, make_kernel
 from nlflow.oscillation import (
     DerivedKernel,
     check_scale_barrier,
-    derived_kernel,
     difference_quotient,
     oscillation_decay,
     parabolic_rescale,
@@ -109,23 +108,16 @@ def test_quotient_step_guards():
 def test_derived_kernel_quadratic_collapses_to_base():
     traj = nonlinear_run(quadratic(), t_end=0.02)
     base = traj.kernel
-    dk = derived_kernel(base, quadratic(), traj, 0, traj.grid.spacing)
+    dk = DerivedKernel(base, quadratic(), traj, 0, traj.grid.spacing)
     assert dk.quadratic
+    # no factor table: K^h is the base kernel's own per-offset table
     stencil = OffsetStencil(traj.grid, np.array([[1], [2]]))
     assert dk.offset_factors(0.0, stencil) is None
-    coords = traj.grid.node_coords()
-    rng = np.random.default_rng(1)
-    xi = rng.integers(0, traj.grid.n_nodes, 64)
-    yi = rng.integers(0, traj.grid.n_nodes, 64)
-    d = np.linalg.norm(traj.grid.wrap(coords[yi] - coords[xi]), axis=-1)
-    got = dk.evaluate(0.01, coords[xi], coords[yi])
-    want = base.evaluate(0.01, coords[xi], coords[yi], dist=d)
-    assert np.array_equal(got, want)
 
 
 def test_sigma_average_matches_dense_riemann():
     traj = nonlinear_run(huber(), t_end=0.02)
-    dk = derived_kernel(traj.kernel, huber(), traj, 0, traj.grid.spacing)
+    dk = DerivedKernel(traj.kernel, huber(), traj, 0, traj.grid.spacing)
     theta = traj.fields[-1]
     pot = huber()
     sig = (np.arange(10 ** 6) + 0.5) / 10 ** 6
@@ -139,7 +131,7 @@ def test_sigma_average_matches_dense_riemann():
 
 def test_sigma_average_clamped_to_certified_band():
     traj = nonlinear_run(huber(), t_end=0.02)
-    dk = derived_kernel(traj.kernel, huber(), traj, 0, traj.grid.spacing)
+    dk = DerivedKernel(traj.kernel, huber(), traj, 0, traj.grid.spacing)
     lo, hi = huber().d2_bounds
     rng = np.random.default_rng(2)
     a = rng.uniform(-50.0, 50.0, 200)
@@ -155,20 +147,16 @@ def test_derived_kernel_needs_translation_invariance():
         dimension=1, order=1.0, ellipticity=4.0, truncation_radius=3.0,
         family="rough-static", seed=3))
     with pytest.raises(InvalidParameterError):
-        derived_kernel(rough, huber(), traj, 0, traj.grid.spacing)
-
-
-def test_derived_kernel_lattice_only():
-    traj = nonlinear_run(huber(), t_end=0.02)
-    dk = derived_kernel(traj.kernel, huber(), traj, 0, traj.grid.spacing)
-    with pytest.raises(NonLatticeStepError):
-        dk.evaluate(0.0, np.array([[0.1]]), np.array([[0.35]]))
+        DerivedKernel(rough, huber(), traj, 0, traj.grid.spacing)
 
 
 def test_derived_envelope_scan_zero_violations():
     traj = nonlinear_run(huber(), t_end=0.05)
-    rep = scan_derived_envelope(huber(), traj, sample_count=3000)
+    rep = scan_derived_envelope(huber(), traj)
     assert rep.passed and rep.violations == 0
+    # every pair within the truncation radius, at every sample and step
+    n_off = 2 * int(3.0 / traj.grid.spacing)
+    assert rep.sample_count == 3 * traj.n_samples * n_off * traj.grid.n_nodes
     assert rep.band_lo == 0.25 and rep.band_hi == 4.0
     assert rep.band_lo <= rep.ratio_min <= rep.ratio_max <= rep.band_hi
     assert rep.step_factors == (1, 2, 4)
@@ -228,16 +216,15 @@ def test_transfer_input_guards(grid1):
 
 def test_rescale_identity_at_unit_factor():
     traj = cached_oscillation_run(1)
-    view = parabolic_rescale(traj, (0.0, np.zeros(1)), 1.0)
+    view = parabolic_rescale(traj, 1.0)
     assert np.array_equal(view.fields, traj.fields)
     assert np.array_equal(view.times, traj.times)
     assert view.kind == "rescaled-view"
-    assert not view.meta["interpolated"]
 
 
 def test_rescale_scales_grid_and_kernel_spec():
     traj = cached_oscillation_run(1)
-    view = parabolic_rescale(traj, (0.0, np.zeros(1)), 0.5)
+    view = parabolic_rescale(traj, 0.5)
     assert view.grid.side_length == 32.0
     assert view.kernel.spec.truncation_radius == 6.0
     assert view.kernel.spec.cell_size == 0.5
@@ -252,7 +239,7 @@ def test_rescale_commutes_with_the_flow():
     two, so the two orders of operation agree bitwise.
     """
     parent = cached_oscillation_run(3)
-    view = parabolic_rescale(parent, (0.0, np.zeros(1)), 0.5)
+    view = parabolic_rescale(parent, 0.5)
     re_run = run_flow(FlowProblem(
         kind="linear", grid=view.grid, kernel=view.kernel,
         initial=view.field(0), t_start=float(view.times[0]), t_end=0.0,
@@ -261,23 +248,14 @@ def test_rescale_commutes_with_the_flow():
     assert np.array_equal(re_run.fields, view.fields)
 
 
-def test_rescale_interpolates_off_lattice_centers():
-    traj = cached_oscillation_run(1)
-    h = traj.grid.spacing
-    view = parabolic_rescale(traj, (0.0, np.array([0.4 * h])), 1.0)
-    assert view.meta["interpolated"]
-    assert np.min(view.fields) >= np.min(traj.fields) - 1e-15
-    assert np.max(view.fields) <= np.max(traj.fields) + 1e-15
-
-
-def test_rescale_window_guards():
-    traj = cached_oscillation_run(1)
-    with pytest.raises(WindowOutOfRangeError):
-        parabolic_rescale(traj, (5.0, np.zeros(1)), 0.5)
+def test_rescale_window_guards(grid1):
     with pytest.raises(InvalidParameterError):
-        parabolic_rescale(traj, (0.0, np.zeros(2)), 0.5)
-    with pytest.raises(InvalidParameterError):
-        parabolic_rescale(traj, (0.0, np.zeros(1)), 0.0)
+        parabolic_rescale(cached_oscillation_run(1), 0.0)
+    # the view is the cylinder about t = 0, which these samples miss
+    for t_lo, t_hi in ((-3.0, -1.0), (0.5, 2.0)):
+        with pytest.raises(WindowOutOfRangeError):
+            parabolic_rescale(constant_trajectory(grid1, 0.0, t_lo, t_hi),
+                              0.5)
 
 
 # --------------------------------------------------------------------------
@@ -285,7 +263,7 @@ def test_rescale_window_guards():
 
 def test_oscillation_decay_degenerate_on_constants(grid1):
     traj = constant_trajectory(grid1, 1.0, t_lo=-1.2, t_hi=0.0, n=400)
-    rep = oscillation_decay(traj, (0.0, np.zeros(1)), 0.65, 4)
+    rep = oscillation_decay(traj, 0.65, 4)
     assert rep.degenerate
     assert math.isinf(rep.alpha)
     assert np.all(rep.osc == 0.0)
@@ -293,8 +271,7 @@ def test_oscillation_decay_degenerate_on_constants(grid1):
 
 def test_oscillation_decay_on_smoothing_runs():
     for seed in (1, 2, 3):
-        rep = oscillation_decay(cached_oscillation_run(seed),
-                                (0.0, np.zeros(1)), 0.65, 4)
+        rep = oscillation_decay(cached_oscillation_run(seed), 0.65, 4)
         assert not rep.degenerate
         assert np.all(np.diff(rep.osc) <= 0.0)     # nested cylinders
         assert rep.alpha > 0.0
@@ -308,8 +285,8 @@ def test_oscillation_fit_is_affine_invariant():
     base = synthetic_trajectory(traj.grid, traj.times, quant)
     moved = synthetic_trajectory(traj.grid, traj.times,
                                  2.0 * quant + 0.5)
-    a = oscillation_decay(base, (0.0, np.zeros(1)), 0.65, 4)
-    b = oscillation_decay(moved, (0.0, np.zeros(1)), 0.65, 4)
+    a = oscillation_decay(base, 0.65, 4)
+    b = oscillation_decay(moved, 0.65, 4)
     assert np.array_equal(b.osc, 2.0 * a.osc)
     assert b.alpha == a.alpha
     assert b.r_squared == a.r_squared
@@ -318,11 +295,11 @@ def test_oscillation_fit_is_affine_invariant():
 def test_oscillation_decay_guards(grid1):
     traj = constant_trajectory(grid1, 0.0, t_lo=-1.2, t_hi=0.0, n=400)
     with pytest.raises(InvalidParameterError):
-        oscillation_decay(traj, (0.0, np.zeros(1)), 0.65, 2)
+        oscillation_decay(traj, 0.65, 2)
     with pytest.raises(InvalidParameterError):
-        oscillation_decay(traj, (0.0, np.zeros(1)), 1.0, 4)
+        oscillation_decay(traj, 1.0, 4)
     with pytest.raises(UnderResolvedError):
-        oscillation_decay(traj, (0.0, np.zeros(1)), 0.65, 12)
+        oscillation_decay(traj, 0.65, 12)
 
 
 # --------------------------------------------------------------------------
