@@ -178,7 +178,8 @@ class ExperimentConfig:
         """Raise ConfigError unless a `kind` flow can run on this config and
         `grid`: the nonlinear flow and the spectral strategy need a
         translation-invariant kernel, the spectral symbol an untruncated one,
-        and the kernel a lattice neighbor inside its radius."""
+        and the kernel a lattice neighbor inside its radius and a torus wider
+        than twice that radius."""
         family = self.get("kernel.family")
         radius = self.get("kernel.radius")
         spectral = self.get("flow.strategy") == "spectral"
@@ -196,6 +197,10 @@ class ExperimentConfig:
         if radius < grid.spacing:
             errors.append(f"kernel.radius: no lattice neighbor within it at "
                           f"grid spacing {grid.spacing:g} (got {radius!r})")
+        if math.isfinite(radius) and not (grid.side_length > 2.0 * radius):
+            errors.append(f"kernel.radius: the torus width "
+                          f"{grid.side_length:g} must exceed twice it "
+                          f"(got {radius!r})")
         _refuse(errors)
 
     def check_ensembles(self, calibration=None) -> None:

@@ -4,7 +4,12 @@ Linear runs integrate  w_t = (L w)(t);  nonlinear runs integrate
 
     theta_t(x) = sum_{z != 0} phi'(theta(x+z) - theta(x)) K(t, z) h^N
 
-with a translation-invariant kernel.  Both use the step bound
+with a translation-invariant kernel.  Banded runs sum the half-stencil
+fluxes F_d(x) = K(x, x+d) g(w(x+d) - w(x)) of `grid.OffsetStencil`, g the
+identity or phi' (odd, as K is symmetric): rhs = sum_d [F_d(x) - F_d(x-d)]
+h^N.  The nonlinear energy 2 sum_d sum_x K_d(x) phi(w(x+d) - w(x)) h^(2N)
+(weight 1/2 where 2d = 0 mod M) takes phi with phi' from each block of
+differences, one arctan a block.  Both kinds of run use the step bound
 
     stable_dt = 0.9 / max_x ( lambda_phi * sum_{y != x} K(t, x, y) h^N )
 
@@ -13,8 +18,8 @@ linear runs and the quadratic family).  Under that bound every Euler step is
 a convex combination of node values, so min/max brackets, comparison, and
 L^2/energy dissipation all hold; Heun is the average of two Euler maps and
 inherits them.  A quadratic-potential nonlinear run reproduces the linear run
-bitwise: both paths evaluate the same per-offset expressions in the same
-order, and phi' is the identity.
+bitwise: both go through the one flux routine `_offset_rhs`, and phi' is
+the identity.
 
 Heun exists to measure temporal convergence order; production runs default to
 Euler.
@@ -45,7 +50,8 @@ def _monotone_threshold(op: DiscreteOperator, potential: Potential | None,
     lam_phi = 1.0 if potential is None else potential.sup_d2
     if op.kernel.time_dependent:
         # kernel resamples over epochs; bound the row sums by the envelope
-        unit = float(np.sum(op.kernel.envelope_profile(op.dists)))
+        unit = float(np.dot(op.stencil.multiplicity,
+                            op.kernel.envelope_profile(op.dists)))
         rs_max = op.kernel.upper_multiplier * unit \
             * op.grid.spacing ** op.grid.dimension
     else:
@@ -67,9 +73,10 @@ def stable_dt(kernel: Kernel, grid: Grid,
 
 def _offset_rhs(op: DiscreteOperator, wg: np.ndarray, t: float,
                 d1=None) -> np.ndarray:
-    """sum_d K_d * g(w(x+d) - w(x)) * h^N on the grid-shaped array `wg`;
-    g = identity for linear runs, phi' for nonlinear ones.  The linear and
-    nonlinear paths share this sum so the quadratic degeneracy is bitwise."""
+    """sum_d [F_d(x) - F_d(x-d)] h^N, F_d = K_d g(w(x+d) - w(x)), on the
+    grid-shaped array `wg`; g = identity for linear runs, phi' for nonlinear
+    ones.  The linear and nonlinear paths share this sum so the quadratic
+    degeneracy is bitwise."""
     acc = op.stencil.offset_sum(wg, op.offset_values(t), d1)
     return acc * op.grid.spacing ** op.grid.dimension
 
@@ -89,24 +96,23 @@ def _rhs_and_energy(op: DiscreteOperator, pot: Potential | None,
 
     Linear (pot None): B[v, v] = -2 h^N <L v, v>, the identity in
     `bilinear_form`, so it is defined for every strategy.  Nonlinear:
-    V(v) = sum_d sum_x K_d(x) phi(v(x+d) - v(x)) h^(2N), with phi taken on
-    the difference blocks of the phi' pass, which arrive in offset order.
+    V(v) = 2 sum_d sum_x K_d(x) phi(v(x+d) - v(x)) h^(2N), phi taken with
+    phi' on each difference block of the flux pass, in offset order.
     """
     grid = op.grid
     if pot is None:
         r = _rhs(op, None, v, t)
         return r, -2.0 * grid.spacing ** grid.dimension * float(np.dot(r, v))
     table = op.offset_values(t)
-    weights = table.reshape((table.shape[0],) + (
-        grid.shape if table.ndim > 1 else (1,) * grid.dimension))
     energy, done = 0.0, 0
 
     def d1(diffs):
         nonlocal energy, done
         rows = slice(done, done + diffs.shape[0])
-        energy += float(np.sum(weights[rows] * pot.value(diffs)))
+        flux, phi = pot.d1_and_value(diffs)
+        energy += op.stencil.pair_total(rows, table, phi)
         done = rows.stop
-        return pot.d1(diffs)
+        return flux
 
     r = _offset_rhs(op, v.reshape(grid.shape), t, d1=d1).ravel()
     return r, energy * grid.spacing ** (2 * grid.dimension)

@@ -13,8 +13,11 @@ untruncated kernels use the nearest-image displacement.
 Three evaluation strategies give the same quadrature:
 
   dense     explicit n x n matrix (the oracle; small grids)
-  banded    neighbor sums over the lattice offsets within the truncation
-            radius, evaluated by `OffsetStencil`
+  banded    (L w)(x) = sum_d [F_d(x) - F_d(x - d)] h^N with the flux
+            F_d(x) = K(x, x+d) [w(x+d) - w(x)] over one offset d of each
+            pair {d, -d mod M} within the truncation radius: K is symmetric,
+            so d and -d carry one flux (`OffsetStencil`, which also gives
+            the weight-1/2 rule for offsets with 2d = 0 mod M)
   spectral  Fourier multiplier; translation-invariant untruncated kernels only
 
 Kernel values are always evaluated at canonical node coordinates in [0, L)^N
@@ -117,18 +120,25 @@ class Grid:
 
     def offsets_within(self, radius: float | None
                        ) -> tuple[np.ndarray, np.ndarray]:
-        """Nonzero lattice offsets with periodic length <= radius.
+        """Nonzero lattice offsets with periodic length <= radius, one a
+        pair.
 
         Returns (deltas, dists): integer index shifts, shape (n_off, N), in
         lexicographic order, and their periodic lengths in coordinate units.
         radius=None keeps every nonzero offset (nearest-image convention).
+        Of each pair {d, -d mod M} only the offset whose residue mod M is
+        lexicographically smaller is kept (the half stencil of
+        `OffsetStencil`): in 2-d at even M, (M/2, k) and (M/2, -k) are one.
         """
         key = ("offsets", radius)
         if key in self._caches:
             return self._caches[key]
-        deltas = _signed_steps(self, self.node_indices())
+        steps = self.node_indices()
+        back = np.mod(-steps, self.points_per_axis)
+        first = (np.arange(steps.shape[0]), np.argmax(steps != back, axis=1))
+        deltas = _signed_steps(self, steps)
         dists = _lattice_length(self, deltas)
-        keep = dists > 0.0
+        keep = (dists > 0.0) & (steps[first] <= back[first])
         if radius is not None and math.isfinite(radius):
             keep &= dists <= radius
         deltas, dists = deltas[keep], dists[keep]
@@ -165,75 +175,135 @@ def _lattice_length(grid: Grid, deltas: np.ndarray) -> np.ndarray:
     return np.linalg.norm(deltas, axis=-1) * grid.spacing
 
 
-class OffsetStencil:
-    """Lattice differences w(x + d) - w(x) over a fixed list of offsets d.
+def _block_sum(block: np.ndarray, axis: int) -> np.ndarray:
+    """Sum over the block axis, one row as a view: numpy sums a length-one
+    axis as slowly as a long one."""
+    return block.squeeze(axis) if block.shape[axis] == 1 else \
+        np.sum(block, axis=axis)
 
-    The field is wrapped periodically once, with a halo of the largest offset,
-    and each block of offsets is gathered by one fancy-index call on a sliding
-    window view of the wrapped field.  Fields have shape (..., *grid.shape):
-    leading axes are a batch.  Blocks follow the order of `deltas` and every
-    batch row goes through the same operations, so all stacked rows are
-    reduced in one shared order.
+
+def _padded(lead: tuple, shape: tuple, lo, hi):
+    """A new array padded by lo[k] nodes below and hi[k] above node axis k:
+    its nodes, (padding, nodes) view pairs that wrap it periodically when
+    copied in order, and its view of every node-shaped window."""
+    buf = np.empty(lead + tuple(n + a + b for n, a, b in zip(shape, lo, hi)))
+    wraps = []
+    for k, (n, a, b) in enumerate(zip(shape, lo, hi)):
+        at = (slice(None),) * (len(lead) + k)
+        wraps += [(buf[at + (slice(0, a),)], buf[at + (slice(n, n + a),)]),
+                  (buf[at + (slice(a + n, a + n + b),)],
+                   buf[at + (slice(a, a + b),)])]
+    return (buf[(Ellipsis,) + tuple(slice(a, a + n) for a, n in zip(lo, shape))],
+            [pair for pair in wraps if pair[0].size],
+            sliding_window_view(buf, shape, axis=tuple(range(len(lead),
+                                                             buf.ndim))))
+
+
+class OffsetStencil:
+    """Pair sums over lattice differences w(x + d) - w(x), one offset a pair.
+
+    `deltas` holds one offset of each pair {d, -d mod M}, as
+    `Grid.offsets_within` gives them.  With a symmetric table T, F_d(x) =
+    T_d(x) g(w(x + d) - w(x)) is the flux of both offsets, and a sum over
+    every ordered offset is sum_d [F_d(x) - F_d(x - d)] for odd g
+    (`offset_sum`), or 2 sum_d sum_x F_d(x) for even g (`pair_total`).  An
+    offset with 2d = 0 (mod M) is its own partner: weight 1/2 in the doubled
+    sums (`multiplicity` 1, not 2), and F_d(x) alone among the fluxes.
+
+    Fields have shape (..., *grid.shape), leading axes a batch.  Per field
+    shape, a halo'd field and a halo'd block of fluxes are built once (so a
+    stencil serves one call per field shape at a time); a block of offsets
+    is gathered at x + d from the one and its fluxes at x - d from the other.
+    Blocks follow `deltas`, every batch row through the same operations, so
+    all stacked rows reduce in one shared order.
     """
 
     def __init__(self, grid: Grid, deltas: np.ndarray):
-        self.grid = grid
-        self.deltas = deltas
-        self.halo = int(np.max(np.abs(deltas), initial=0))
-        self._index = tuple(deltas.T + self.halo)
+        self.grid, self.deltas = grid, deltas
+        self.multiplicity = np.where(np.all(
+            np.mod(2 * deltas, grid.points_per_axis) == 0, axis=1), 1.0, 2.0)
+        self._plans: dict = {}
+
+    def _plan(self, shape: tuple):
+        """Built once per field shape: the halo'd field (nodes, wraps,
+        windows, nodes as a block), the halo'd fluxes (windows, wraps) and
+        per block of BLOCK_BUDGET // size offsets (at least one) its rows,
+        the index of x + d, its fluxes and the index of x - d (None if no
+        offset in it has a partner)."""
+        if shape not in self._plans:
+            grid, tail = self.grid, (slice(None),) * self.grid.dimension
+            batch = shape[:len(shape) - grid.dimension]
+            n, step = self.deltas.shape[0], max(1, BLOCK_BUDGET // int(
+                np.prod(shape)))
+            # x + d spans [-lo, M + hi) on each axis, x - d spans [-hi, M + lo)
+            lo = np.maximum(0, -np.min(self.deltas, axis=0, initial=0))
+            hi = np.maximum(0, np.max(self.deltas, axis=0, initial=0))
+            nodes, wraps, windows = _padded(batch, grid.shape, lo, hi)
+            fluxes, flux_wraps, flux_windows = _padded(
+                batch + (step,), grid.shape, hi, lo)
+            blocks = []
+            for start in range(0, n, step):
+                rows = slice(start, min(start + step, n))
+                ahead = (Ellipsis,) + tuple((self.deltas[rows] + lo).T) + tail
+                out = fluxes[(Ellipsis, slice(0, rows.stop - start)) + tail]
+                j = np.flatnonzero(self.multiplicity[rows] == 2.0)
+                starts = tuple((hi - self.deltas[rows][j]).T)
+                if j.size == 1:     # basic indexing: a view, not a copy
+                    behind = (Ellipsis, slice(j[0], j[0] + 1)) + tuple(
+                        int(at[0]) for at in starts) + tail
+                else:
+                    behind = (Ellipsis, j) + starts + tail if j.size else None
+                blocks.append((rows, ahead, out, behind))
+            self._plans[shape] = (nodes, wraps, windows, np.expand_dims(
+                nodes, len(batch)), flux_windows, flux_wraps, blocks)
+        return self._plans[shape]
 
     def blocks(self, w: np.ndarray):
         """Yield (rows, diffs) with diffs[..., j, *grid.shape] equal to
-        w(x + deltas[rows][j]) - w(x); a block holds BLOCK_BUDGET // w.size
-        offsets (at least one)."""
-        n_dim = self.grid.dimension
-        batch = w.ndim - n_dim
-        node_axes = tuple(range(batch, w.ndim))
-        wrapped = np.pad(w, [(0, 0)] * batch + [(self.halo, self.halo)] * n_dim,
-                         mode="wrap")
-        windows = sliding_window_view(wrapped, self.grid.shape, axis=node_axes)
-        base = np.expand_dims(w, batch)
-        nodes = (slice(None),) * n_dim
-        step = max(1, BLOCK_BUDGET // w.size)
-        for start in range(0, self.deltas.shape[0], step):
-            rows = slice(start, start + step)
-            diffs = windows[(Ellipsis,) + tuple(ix[rows] for ix in self._index)
-                            + nodes]
+        w(x + deltas[rows][j]) - w(x), block by block."""
+        nodes, wraps, windows, base, _, _, blocks = self._plan(w.shape)
+        nodes[...] = w
+        for pad, src in wraps:
+            pad[...] = src
+        for rows, index, _, _ in blocks:
+            diffs = windows[index]
             diffs -= base
             yield rows, diffs
             del diffs       # hold no block while gathering the next one
 
     def offset_sum(self, w: np.ndarray, table: np.ndarray,
                    g=None) -> np.ndarray:
-        """sum_d table[d] * g(w(x + d) - w(x)), g = identity by default.
-
-        `table` holds one weight per offset, shape (n_off,), or one per offset
-        and node, shape (n_off, *grid.shape).  `g` maps a block of differences
-        to an array with the block axis just before the node axes.  Within a
-        block the offsets are summed in order, as a loop over them would.
-        """
-        nodes = "xy"[:self.grid.dimension]
-        weights = "i" + nodes if table.ndim > 1 else "i"
-        spec = f"{weights},...i{nodes}->...{nodes}"
-        table = table.reshape((-1,) + self.grid.shape) if table.ndim > 1 \
-            else table
-        acc = None
-        for rows, diffs in self.blocks(w):
-            part = np.einsum(spec, table[rows], diffs if g is None else g(diffs))
-            if acc is None:
-                acc = part
-            else:
-                acc += part
+        """sum_d [F_d(x) - F_d(x - d)], F_d = table[d] * g(w(x + d) - w(x)),
+        g = identity by default: for a symmetric table and an odd g, the sum
+        over every ordered offset.  `table` holds one weight per kept offset,
+        shape (n_off,), or per offset and node, (n_off, n_nodes); `g` maps a
+        block of differences to an array of its shape."""
+        *_, windows, wraps, blocks = self._plan(w.shape)
+        weights = table.reshape(table.shape[:1] + (
+            self.grid.shape if table.ndim > 1 else (1,) * self.grid.dimension))
+        axis = w.ndim - self.grid.dimension
+        acc = np.zeros(w.shape)
+        for (rows, diffs), (_, _, out, back) in zip(self.blocks(w), blocks):
+            np.multiply(diffs if g is None else g(diffs), weights[rows],
+                        out=out)
+            acc += _block_sum(out, axis)
+            if back is not None:
+                for pad, src in wraps:
+                    pad[...] = src
+                acc -= _block_sum(windows[back], axis)
         return acc
 
-    def node_sums(self, w: np.ndarray, g) -> np.ndarray:
-        """sum_x g(w(x + d) - w(x)) per offset, shape (..., n_off)."""
-        n_dim = self.grid.dimension
-        out = np.empty(w.shape[:w.ndim - n_dim] + (self.deltas.shape[0],))
-        for rows, diffs in self.blocks(w):
-            out[..., rows] = np.sum(g(diffs), axis=tuple(range(-n_dim, 0)))
-            del diffs       # hold no block while the next one is gathered
-        return out
+    def pair_total(self, rows: slice, table: np.ndarray,
+                   values: np.ndarray) -> float:
+        """sum_d multiplicity[d] sum_x table[d](x) values[d](x) over the
+        block `rows`, `values` shaped as its differences: the block's share
+        of the sum over every ordered offset of an even quantity."""
+        nodes, mult = "xy"[:self.grid.dimension], self.multiplicity[rows]
+        if table.ndim == 1:
+            return float(np.einsum(f"i,i{nodes}->", mult * table[rows],
+                                   values))
+        weights = (table[rows] * mult[:, None]).reshape((-1,) + self.grid.shape)
+        return float(np.einsum(f"i{nodes},i{nodes}->", weights, values))
 
 
 @dataclass
@@ -298,8 +368,9 @@ class DiscreteOperator:
             self.deltas = self.dists = self.stencil = None
 
     def offset_values(self, t: float = 0.0) -> np.ndarray:
-        """Kernel values per offset: (n_off,) scalars for translation-invariant
-        kernels, else (n_off, n_nodes) with rows matching self.deltas."""
+        """Kernel values K(t, x, x + d) per kept offset d, the half table of
+        the stencil: (n_off,) scalars for translation-invariant kernels, else
+        (n_off, n_nodes) with rows matching self.deltas."""
         if self.strategy == "spectral":
             raise StrategyMismatchError(
                 "offset_values is undefined for the spectral strategy")
@@ -382,8 +453,12 @@ class DiscreteOperator:
             return self._dense(t)[1]
         vals = self.offset_values(t)
         if vals.ndim == 1:
-            return np.full(self.grid.n_nodes, float(vals.sum()) * h_n)
-        return vals.sum(axis=0) * h_n
+            return np.full(self.grid.n_nodes,
+                           float(np.dot(self.stencil.multiplicity, vals)) * h_n)
+        # the fluxes of g = -1 sum to sum_d [K_d(x - d) - K_d(x)]
+        back = self.stencil.offset_sum(np.zeros(self.grid.shape), vals,
+                                       lambda d: np.full_like(d, -1.0))
+        return (back.ravel() + 2.0 * vals.sum(axis=0)) * h_n
 
     def apply(self, values: np.ndarray, t: float = 0.0) -> np.ndarray:
         """(L w) at every node for flat float64 `values`."""
@@ -403,30 +478,23 @@ class DiscreteOperator:
         return acc.ravel() * self.grid.spacing ** self.grid.dimension
 
 
-def bilinear_form(kernel_or_op, u: Field, v: Field, t: float = 0.0) -> float:
-    """B[u, v] = sum_x sum_{y != x} K [u(x)-u(y)] [v(x)-v(y)] h^(2N).
+def bilinear_form(kernel: Kernel, u: Field, v: Field, t: float = 0.0) -> float:
+    """B[u, v] = sum_x sum_{y != x} K [u(x)-u(y)] [v(x)-v(y)] h^(2N) on the
+    banded operator of the fields' grid.
 
-    Accepts a kernel (a banded operator is built on the fields' grid) or a
-    prebuilt banded/dense-compatible operator.  Satisfies
-    <L u, v> h^N = -B[u, v] / 2 up to roundoff and B[u, u] >= 0.  It stays
-    the direct pair sum, which the tests compare that identity against; flow
-    records take the energy from the identity instead.
+    Satisfies <L u, v> h^N = -B[u, v] / 2 up to roundoff and B[u, u] >= 0.
+    It stays the direct pair sum, twice that over the kept offsets, which the
+    tests compare that identity against; flow records take the energy from
+    the identity instead.
     """
     if not u.grid.compatible_with(v.grid):
         raise GridMismatchError("bilinear_form fields live on different grids")
-    if isinstance(kernel_or_op, DiscreteOperator):
-        op = kernel_or_op
-        if op.strategy == "spectral":
-            raise StrategyMismatchError(
-                "bilinear_form needs offset data; use banded or dense")
-        if not op.grid.compatible_with(u.grid):
-            raise GridMismatchError("operator and field grids differ")
-    else:
-        op = DiscreteOperator(u.grid, kernel_or_op, "banded")
+    op = DiscreteOperator(u.grid, kernel, "banded")
     pair = np.stack([u.values, v.values]).reshape((2,) + u.grid.shape)
-    per_node = op.stencil.offset_sum(pair, op.offset_values(t),
-                                     lambda d: d[0] * d[1])
-    return float(np.sum(per_node)) * u.grid.spacing ** (2 * u.grid.dimension)
+    table = op.offset_values(t)
+    total = sum(op.stencil.pair_total(rows, table, diffs[0] * diffs[1])
+                for rows, diffs in op.stencil.blocks(pair))
+    return total * u.grid.spacing ** (2 * u.grid.dimension)
 
 
 def seminorm_sq(grid: Grid, stack: np.ndarray, order: float) -> np.ndarray:
@@ -436,9 +504,14 @@ def seminorm_sq(grid: Grid, stack: np.ndarray, order: float) -> np.ndarray:
         sum_x sum_{0 < |x-y| <= cutoff} [u(x)-u(y)]^2 / |x-y|^(N+s) h^(2N)
     """
     deltas, dists = grid.offsets_within(SEMINORM_CUTOFF)
-    weights = dists ** (-(grid.dimension + order))
+    # a stencil per call: its halo buffer is as large as the U_k stack
+    stencil = OffsetStencil(grid, deltas)
+    weights = stencil.multiplicity * dists ** (-(grid.dimension + order))
     wg = stack.reshape(stack.shape[:-1] + grid.shape)
-    # square in place: blocks are fresh arrays, and U_k stacks are large
-    sums = OffsetStencil(grid, deltas).node_sums(
-        wg, lambda d: np.square(d, out=d))
+    sums = np.empty(stack.shape[:-1] + stencil.deltas.shape[:1])
+    for rows, diffs in stencil.blocks(wg):
+        # square in place: blocks are fresh arrays
+        sums[..., rows] = np.sum(np.square(diffs, out=diffs),
+                                 axis=tuple(range(-grid.dimension, 0)))
+        del diffs       # hold no block while the next one is gathered
     return np.sum(sums * weights, axis=-1) * grid.spacing ** (2 * grid.dimension)

@@ -88,7 +88,8 @@ class DerivedKernel:
     with a = theta(y) - theta(x), b the same difference one lattice step h
     along axis e, and theta read from the latest trajectory sample at or
     before t.  K^h exists only as per-offset tables on the flow's stencil
-    (`offset_factors`), the form its linear flow consumes.  The sigma-average
+    (`offset_factors`) over the stencil's kept offsets, the form its linear
+    flow consumes (phi'' is even, so K^h is symmetric).  The sigma-average
     is clamped to the potential's certified phi'' range, so the two-sided
     kernel envelope holds for every pair regardless of quadrature error.
     """
@@ -179,6 +180,8 @@ def scan_derived_envelope(potential: Potential, theta_traj: Trajectory,
     kernels = [DerivedKernel(base, potential, theta_traj, e, m * grid.spacing)
                for m in ENVELOPE_STEP_FACTORS]
     op = DiscreteOperator(grid, base, "banded")
+    # a kept offset stands for `multiplicity` ordered ones (K^h symmetric)
+    mult = op.stencil.multiplicity[:, None]
     s = base.spec.order
     # K |x-y|^(N+s) / ((1 - s/2) multiplier) per offset, times each pair's
     # sigma-average for K^h
@@ -195,8 +198,9 @@ def scan_derived_envelope(potential: Potential, theta_traj: Trajectory,
                 (base_ratio.size, grid.n_nodes))
             ratio_min = min(ratio_min, float(np.min(ratios)))
             ratio_max = max(ratio_max, float(np.max(ratios)))
-            violations += int(np.sum((ratios < band_lo) | (ratios > band_hi)))
-            count += ratios.size
+            violations += int(np.sum(
+                mult * ((ratios < band_lo) | (ratios > band_hi))))
+            count += int(np.sum(mult)) * grid.n_nodes
     return DerivedEnvelopeReport(
         sample_count=count, ratio_min=ratio_min, ratio_max=ratio_max,
         band_lo=band_lo, band_hi=band_hi, violations=violations,

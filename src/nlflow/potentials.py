@@ -56,18 +56,7 @@ class Potential:
         return self.d2_bounds[1]
 
     def value(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if self.spec.family == "quadratic":
-            return 0.5 * x * x
-        # antiderivative of a*x + b*arctan(x); even, vanishes at 0:
-        # 0.5 a x x + b (x arctan(x) - 0.5 log1p(x x)) in two buffers, see d1
-        out, tmp = np.empty_like(x), np.empty_like(x)
-        np.log1p(np.multiply(x, x, out=tmp), out=tmp)
-        np.multiply(x, np.arctan(x, out=out), out=out)
-        out -= np.multiply(0.5, tmp, out=tmp)
-        out *= self._b
-        np.multiply(np.multiply(0.5 * self._a, x, out=tmp), x, out=tmp)
-        return np.add(tmp, out, out=out)
+        return self.d1_and_value(x)[1]
 
     def d1(self, x) -> np.ndarray:
         if self.spec.family == "quadratic":
@@ -78,6 +67,22 @@ class Potential:
         out, tmp = np.empty_like(x), np.empty_like(x)
         np.multiply(self._b, np.arctan(x, out=out), out=out)
         return np.add(np.multiply(self._a, x, out=tmp), out, out=out)
+
+    def d1_and_value(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """phi'(x) and phi(x) = x phi'(x) - (a x^2 + b log1p(x^2)) / 2, the
+        antiderivative of x phi''(x) subtracted: one arctan, in `d1`."""
+        x = np.asarray(x, dtype=np.float64)
+        d1 = self.d1(x)
+        if self.spec.family == "quadratic":
+            return d1, 0.5 * x * x
+        # x (phi'(x) - a x / 2) - b log1p(x^2) / 2 in two buffers
+        out, tmp = np.empty_like(x), np.empty_like(x)
+        np.log1p(np.multiply(x, x, out=tmp), out=tmp)
+        tmp *= -0.5 * self._b
+        np.multiply(-0.5 * self._a, x, out=out)
+        out += d1
+        out *= x
+        return d1, np.add(out, tmp, out=out)
 
     def d2(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

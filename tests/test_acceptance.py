@@ -9,6 +9,7 @@ the early-time sup bound, the drift of the shipped calibration, and the
 denoising round trip.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -110,20 +111,33 @@ def test_operator_strategies_agree_with_dense_oracle():
                         truncation_radius=math.inf, family="power-law"),
              ("banded", "spectral")),
         ]
+        cases = [(spec, strategies, 0.0) for spec, strategies in cases]
         if dim == 1:
             cases.append(
                 (KernelSpec(dimension=1, order=1.0, ellipticity=4.0,
                             truncation_radius=3.0, family="rough-static",
                             seed=3),
-                 ("banded",)))
-        for spec, strategies in cases:
+                 ("banded",), 0.0))
+            # in the second epoch of its multiplier
+            cases.append(
+                (KernelSpec(dimension=1, order=1.0, ellipticity=4.0,
+                            truncation_radius=3.0,
+                            family="rough-time-dependent", seed=3),
+                 ("banded",), 0.15))
+        if (dim, points) == (2, 48):
+            cases.append(
+                (KernelSpec(dimension=2, order=1.0, ellipticity=4.0,
+                            truncation_radius=3.0, family="rough-static",
+                            seed=3),
+                 ("banded",), 0.0))
+        for spec, strategies, t in cases:
             kernel = make_kernel(spec)
             dense = DiscreteOperator(g, kernel, strategy="dense").apply(
-                w.values)
+                w.values, t)
             scale = float(np.max(np.abs(dense)))
             for strategy in strategies:
                 out = DiscreteOperator(g, kernel, strategy=strategy).apply(
-                    w.values)
+                    w.values, t)
                 worst = max(worst, float(np.max(np.abs(out - dense))) / scale)
                 pairings += 1
     elapsed = time.perf_counter() - t_begin
@@ -353,6 +367,18 @@ def test_early_time_sup_bound(calibration):
 # ---------------------------------------------------------------------------
 # the shipped constants against a re-derivation from the same runs
 
+def same_constants(a, b) -> bool:
+    """Equal structure and entries, floats to 1e-12 relative."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(same_constants(a[k], b[k])
+                                            for k in a)
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        return len(a) == len(b) and all(map(same_constants, a, b))
+    if isinstance(a, float) or isinstance(b, float):
+        return math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+    return a == b
+
+
 def test_calibration_drift(calibration, repinned_constants):
     # after the ensemble gates above, so the fixture reduces their cached runs
     fit_drift = abs(repinned_constants.cbar / calibration.cbar - 1.0)
@@ -361,6 +387,9 @@ def test_calibration_drift(calibration, repinned_constants):
     announce("calibration-drift", fit_drift <= 0.05 and drift <= 0.10,
              f"fitted recurrence constant drift {100 * fit_drift:.2f}%, "
              f"eps0/delta/lam_star drift {100 * drift:.2f}%")
+    # the shipped file is what `nlflow calibrate` writes at this commit
+    assert same_constants(dataclasses.asdict(calibration),
+                          dataclasses.asdict(repinned_constants))
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,8 @@ def test_bad_config_exits_2(tmp_path, capsys):
 
 # input files every refusal case finds in its tmp_path, named as {tmp}/NAME
 BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
-              "tiny.pgm": "P5\n8 8\n255\n" + "\0" * 64}
+              "tiny.pgm": "P5\n8 8\n255\n" + "\0" * 64,
+              "narrow.csv": "# nlflow field N=1 M=8 L=4.0\n" + "0.5\n" * 8}
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -119,13 +120,15 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
      "no lattice neighbor"),
     (["denoise", "--set", "denoise.input={tmp}/tiny.pgm",
       "--set", "kernel.radius=1.0"], "no lattice neighbor"),
+    (["denoise", "--set", "denoise.input={tmp}/narrow.csv"],
+     "torus width 4 must exceed twice it"),
 ], ids=["calibrate-2d", "calibrate-order", "diagnose-2d", "diagnose-order",
         "diagnose-calibration-order", "diagnose-calibration-2d",
         "nonlinear-rough", "spectral-truncated", "spectral-rough",
         "calibration-missing", "calibration-truncated", "calibration-list",
         "denoise-directory", "out-is-a-file", "diagnose-k-max",
         "diagnose-levels", "diagnose-scale", "run-radius-below-spacing",
-        "denoise-radius-below-spacing"])
+        "denoise-radius-below-spacing", "denoise-torus-narrower-than-radius"])
 def test_unsupported_config_exits_2(tmp_path, capsys, argv, message):
     # refused before any work, not aborted later with exit 1 or 3; a dict in
     # argv stands for a calibration file with those entries changed, and

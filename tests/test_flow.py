@@ -13,6 +13,7 @@ from nlflow.fields import make_initial
 from nlflow.flow import (
     FlowProblem,
     Trajectory,
+    _rhs_and_energy,
     linear_energy,
     nonlinear_energy,
     run_flow,
@@ -150,6 +151,35 @@ def test_quadratic_flow_matches_linear_bitwise():
         potential=quadratic()))
     assert np.array_equal(lin.fields, non.fields)
     assert np.array_equal(lin.step_times, non.step_times)
+
+
+@pytest.mark.parametrize("dim, points, radius", [
+    (dim, points, radius) for dim in (1, 2) for points in (48, 64)
+    for radius in (3.0, math.inf)])
+def test_nonlinear_rhs_and_energy_match_dense_pair_sums(dim, points, radius):
+    # the half-stencil fluxes against sum_j A_ij phi'(v_j - v_i) and
+    # h^N sum_ij A_ij phi(v_j - v_i) over the dense matrix; at radius inf
+    # the offsets with 2d = 0 (mod M) are their own partners
+    g = Grid(dimension=dim, side_length=16.0, points_per_axis=points)
+    kernel = make_kernel(KernelSpec(
+        dimension=dim, order=1.0, ellipticity=4.0, truncation_radius=radius,
+        family="power-law"))
+    op = DiscreteOperator(g, kernel, strategy="banded")
+    A = DiscreteOperator(g, kernel, strategy="dense")._dense(0.0)[0]
+    v = np.random.default_rng(points + dim).uniform(-2.0, 2.0, g.n_nodes)
+    for pot in (quadratic(), huber()):
+        rhs, energy = _rhs_and_energy(op, pot, v, 0.0)
+        want_rhs = np.empty(g.n_nodes)
+        want_energy = 0.0
+        for lo in range(0, g.n_nodes, 512):
+            rows = slice(lo, lo + 512)
+            diffs = v[None, :] - v[rows, None]
+            want_rhs[rows] = np.sum(A[rows] * pot.d1(diffs), axis=1)
+            want_energy += float(np.sum(A[rows] * pot.value(diffs)))
+        want_energy *= g.spacing ** dim
+        assert np.max(np.abs(rhs - want_rhs)) <= 1e-12 * np.max(
+            np.abs(want_rhs))
+        assert abs(energy - want_energy) <= 1e-12 * want_energy
 
 
 # --------------------------------------------------------------------------

@@ -187,6 +187,47 @@ def test_strategy_equivalence_within_tolerance():
     assert np.max(np.abs(dense - banded)) <= 1e-12 * scale
 
 
+def full_offset_table(grid, kernel, t):
+    """K(t, x, x + d) for every nonzero offset d within the radius and every
+    node x, the table a full stencil would hold: (deltas, values)."""
+    coords, index = grid.node_coords(), grid.node_indices()
+    M, h = grid.points_per_axis, grid.spacing
+    deltas = np.where(index <= M // 2, index, index - M)
+    dists = np.linalg.norm(deltas, axis=1) * h
+    keep = (dists > 0.0) & (dists <= kernel.spec.truncation_radius)
+    deltas, dists = deltas[keep], dists[keep]
+    values = np.empty((deltas.shape[0], grid.n_nodes))
+    for lo in range(0, deltas.shape[0], 64):
+        rows = slice(lo, lo + 64)
+        ycoords = (index + deltas[rows, None]) % M * h
+        values[rows] = kernel.evaluate(t, coords, ycoords,
+                                       dist=dists[rows, None])
+    return deltas, values
+
+
+@pytest.mark.parametrize("family, t", [
+    ("rough-static", 0.0), ("rough-time-dependent", 0.0),
+    ("rough-time-dependent", 0.15)])
+@pytest.mark.parametrize("dim, points", [(1, 256), (2, 64)])
+def test_half_table_rests_on_shifted_symmetry(family, t, dim, points):
+    # K(x, x - d) = K(x - d, x): the -d row is the +d row shifted by d, bit
+    # for bit, so the banded operator keeps only one row of each pair
+    g = Grid(dimension=dim, side_length=16.0, points_per_axis=points)
+    k = make_kernel(KernelSpec(dimension=dim, order=1.0, ellipticity=4.0,
+                               truncation_radius=3.0, family=family, seed=11))
+    deltas, full = full_offset_table(g, k, t)
+    row_of = {tuple(d): i for i, d in enumerate(np.mod(deltas, points).tolist())}
+    axes = tuple(range(dim))
+    for i, d in enumerate(deltas.tolist()):
+        partner = full[row_of[tuple(np.mod(np.negative(d), points).tolist())]]
+        shifted = np.roll(full[i].reshape(g.shape), d, axis=axes)
+        assert np.array_equal(partner.reshape(g.shape), shifted)
+    op = DiscreteOperator(g, k, strategy="banded")
+    kept = [row_of[tuple(d)] for d in np.mod(op.deltas, points).tolist()]
+    assert 2 * len(kept) == deltas.shape[0]
+    assert np.array_equal(op.offset_values(t), full[kept])
+
+
 def test_apply_deterministic_bitwise():
     g = grid_1d(128)
     k = rough_kernel(seed=3)
