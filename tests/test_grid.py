@@ -226,6 +226,9 @@ def test_half_table_rests_on_shifted_symmetry(family, t, dim, points):
     kept = [row_of[tuple(d)] for d in np.mod(op.deltas, points).tolist()]
     assert 2 * len(kept) == deltas.shape[0]
     assert np.array_equal(op.offset_values(t), full[kept])
+    # the row sums from the half table: each row plus its shift
+    want = full.sum(axis=0) * g.spacing ** dim
+    assert np.max(np.abs(op.rowsums(t) - want)) <= 1e-12 * np.max(want)
 
 
 def test_apply_deterministic_bitwise():
