@@ -26,6 +26,7 @@ import numpy as np
 
 from .degiorgi import check_recurrence, level_set_measures, \
     truncated_energies, verify_corollary2, verify_lemma1
+from .ensembles import LEVELS, MAX_K, SCALE
 from .errors import ConfigError
 from .fieldio import write_json
 from .oscillation import check_scale_barrier, oscillation_decay, \
@@ -42,11 +43,8 @@ CALIBRATION_SEEDS = {"lemma": range(1, 51), "level": range(1, 51),
                      "recurrence": range(1, 21), "oscillation": range(1, 21)}
 
 LAM = 0.25          # barrier parameter lambda (existence-only in the paper)
-K_SC = 0.65         # cylinder scale of the oscillation fits
 CAP = 0.99          # largest eps0 / delta budget the search returns
 EPS_FLOOR = 1e-6    # floor of the envelope margin eps and of gamma
-K_MAX = 6           # rungs of the truncated-energy ladder
-LEVELS = 4          # nested cylinders of the oscillation fits
 
 
 @dataclass
@@ -63,7 +61,7 @@ class CalibrationConstants:
     lam_star: float = 0.085
     lam_star_raw: float = 1.0
     eps: float = 1e-6
-    k_sc: float = K_SC
+    k_sc: float = SCALE
     k0: int = 1
     cbar: float = 1.0
     eps0_capped: bool = False
@@ -194,7 +192,7 @@ def calibrate_constants(lemma, level, recurrence,
     cbars = []
     for seed, traj in recurrence:
         seeds["recurrence"].append(seed)
-        rep = check_recurrence(truncated_energies(traj, k_max=K_MAX))
+        rep = check_recurrence(truncated_energies(traj, k_max=MAX_K))
         if rep.constant is not None and math.isfinite(rep.constant):
             cbars.append(rep.constant)
     cbar = float(max(cbars)) if cbars else 1.0
@@ -202,7 +200,7 @@ def calibrate_constants(lemma, level, recurrence,
     alphas, r2s = [], []
     for seed, traj in oscillation:
         seeds["oscillation"].append(seed)
-        rep = oscillation_decay(traj, scale=K_SC, levels=LEVELS)
+        rep = oscillation_decay(traj, scale=SCALE, levels=LEVELS)
         alphas.append(rep.alpha)
         r2s.append(rep.r_squared)
     alpha_summary = {
@@ -229,7 +227,7 @@ def calibrate_constants(lemma, level, recurrence,
     # margin so the reported inequality holds with slack.
     lam_star_raw = 2.0 - max(oscs)
     barrier_probe = check_scale_barrier(lam=LAM, lam_star=0.5, eps=eps,
-                                        scale=K_SC, order=order)
+                                        scale=SCALE, order=order)
     lam_star = min(lam_star_raw, 0.99 * barrier_probe["lam_star_threshold"],
                    1.0 - 1e-6)
     lam_star_capped = lam_star < lam_star_raw
@@ -240,7 +238,7 @@ def calibrate_constants(lemma, level, recurrence,
         order=order, dimension=dimension,
         eps0=float(eps0), delta=float(delta), mu=mu, gamma=gamma,
         lam=LAM, lam_star=float(lam_star), lam_star_raw=float(lam_star_raw),
-        eps=float(eps), k_sc=K_SC, k0=k0, cbar=cbar,
+        eps=float(eps), k_sc=SCALE, k0=k0, cbar=cbar,
         eps0_capped=eps0_capped, delta_capped=delta_capped,
         mu_floored=mu_floored, gamma_fallback=gamma_fallback,
         lam_star_capped=lam_star_capped, eps_floor_bound=eps_floor_bound,
@@ -257,7 +255,7 @@ def calibrate_constants(lemma, level, recurrence,
         alpha_summary=alpha_summary,
     )
     const.scale_barrier = check_scale_barrier(
-        lam=LAM, lam_star=const.lam_star, eps=const.eps, scale=K_SC,
+        lam=LAM, lam_star=const.lam_star, eps=const.eps, scale=SCALE,
         order=order)
     return const
 

@@ -12,7 +12,8 @@ import difflib
 import math
 from dataclasses import dataclass, field as dataclass_field
 
-from .ensembles import DIMENSION, MAX_K, MIN_DEPTH, MIN_RADIUS, ORDER
+from .ensembles import DIMENSION, LEVELS, MAX_K, MIN_DEPTH, MIN_RADIUS, \
+    ORDER, SCALE
 from .errors import ConfigError
 from .fields import INITIAL_KINDS, make_initial
 from .flow import FlowProblem
@@ -56,9 +57,9 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "flow.sample_every": ("int", 1),
     "flow.store_states": ("bool", False),
     "ensemble.seeds": ("seeds", tuple(range(1, 21))),
-    "diagnose.k_max": ("int", 6),
-    "diagnose.levels": ("int", 4),
-    "diagnose.scale": ("float", 0.65),
+    "diagnose.k_max": ("int", MAX_K),
+    "diagnose.levels": ("int", LEVELS),
+    "diagnose.scale": ("float", SCALE),
     "denoise.input": ("str", ""),
     "denoise.time": ("float", 0.1),
     "output.dir": ("str", "out"),
@@ -176,19 +177,23 @@ class ExperimentConfig:
 
     def check_flow(self, kind: str, grid: Grid) -> None:
         """Raise ConfigError unless a `kind` flow can run on this config and
-        `grid`: the nonlinear flow and the spectral strategy need a
-        translation-invariant kernel, the spectral symbol an untruncated one,
-        and the kernel a lattice neighbor inside its radius and a torus wider
-        than twice that radius."""
+        `grid`: the nonlinear flow steps with the banded strategy, it and the
+        spectral strategy need a translation-invariant kernel, the spectral
+        symbol an untruncated one, and the kernel a lattice neighbor inside
+        its radius and a torus wider than twice that radius."""
         family = self.get("kernel.family")
         radius = self.get("kernel.radius")
-        spectral = self.get("flow.strategy") == "spectral"
+        strategy = self.get("flow.strategy")
+        spectral = strategy == "spectral"
         errors = []
+        if kind == "nonlinear" and strategy != "banded":
+            errors.append(f"flow.strategy: the nonlinear flow steps with the "
+                          f"banded strategy (got {strategy!r})")
         if (kind == "nonlinear" or spectral) and \
                 family not in TRANSLATION_INVARIANT_FAMILIES:
             errors.append(
                 f"kernel.family: the {kind} flow with flow.strategy="
-                f"{self.get('flow.strategy')} needs the translation-invariant "
+                f"{strategy} needs the translation-invariant "
                 f"{' or '.join(TRANSLATION_INVARIANT_FAMILIES)} kernel family "
                 f"(got {family!r})")
         if spectral and math.isfinite(radius):

@@ -139,6 +139,12 @@ def barrier_on_grid(b: BarrierFamily, grid: Grid) -> np.ndarray:
     return eval_barrier(b, grid.origin_distance())
 
 
+def _barrier(traj: Trajectory, kind: str, **params) -> np.ndarray:
+    """The `kind` barrier of the trajectory's order on its grid."""
+    return barrier_on_grid(
+        BarrierFamily(kind, order=float(traj.order), **params), traj.grid)
+
+
 # ---------------------------------------------------------------------------
 # truncated energies U_k
 
@@ -190,11 +196,9 @@ def truncated_energies(traj: Trajectory,
     if not (0.0 < s < 2.0):
         raise InvalidParameterError(f"order must lie in (0, 2), got {s}")
     grid = traj.grid
-    idx = traj.window(-2.0, 0.0)
-    if idx.size < 2 or traj.times[idx[0]] > -2.0 + 1e-9 or \
-            traj.times[idx[-1]] < -1e-9:
-        raise InsufficientCoverageError(
-            "trajectory samples must cover [-2, 0] for truncated energies")
+    for edge in (-2.0, 0.0):            # samples reach both ends of [-2, 0]
+        traj.window(edge, edge, need=1)
+    idx = traj.window(-2.0)
     times = traj.times[idx]
     max_gap = float(np.max(np.diff(times)))
     cadence = 2.0 ** (-k_max) / 4.0
@@ -205,8 +209,7 @@ def truncated_energies(traj: Trajectory,
 
     ks = np.arange(k_max + 1)
     t_starts, cuts = _dyadic_ladder(k_max)
-    psi = barrier_on_grid(BarrierFamily("psi", order=s), grid)
-    psi_l = cuts[:, None] + psi[None, :]           # (K, nodes)
+    psi_l = cuts[:, None] + _barrier(traj, "psi")[None, :]     # (K, nodes)
 
     h_n = grid.spacing ** grid.dimension
     n_idx = idx.size
@@ -232,11 +235,10 @@ def truncated_energies(traj: Trajectory,
 
     sup_part = np.empty(n_k)
     int_part = np.empty(n_k)
-    tol = 1e-9
     for j, t_k in enumerate(t_starts):
-        n_in = int(np.sum(times >= t_k - tol))
+        n_in = traj.window(t_k).size    # [T_k, 0] is idx's last n_in
         sup_part[j] = running_sup[n_in - 1, j]
-        int_part[j] = running_int[n_in - 2, j] if n_in >= 2 else 0.0
+        int_part[j] = running_int[n_in - 2, j]
     values = sup_part + int_part
     return TruncatedEnergySequence(
         levels=ks, window_starts=t_starts, cut_levels=cuts,
@@ -308,14 +310,8 @@ def chebyshev_chain(traj: Trajectory, k_max: int) -> ChebyshevReport:
     if k_max < 1:
         raise InvalidParameterError(f"k_max must be >= 1, got {k_max}")
     s = float(traj.order)
-    grid = traj.grid
-    n_dim = grid.dimension
-    idx = traj.window(-2.0, 0.0)
-    if idx.size < 2:
-        raise InsufficientCoverageError(
-            "trajectory must sample [-2, 0] for the interpolation chain")
-    times = traj.times[idx]
-    psi = barrier_on_grid(BarrierFamily("psi", order=s), grid)
+    n_dim = traj.grid.dimension
+    psi = _barrier(traj, "psi")
 
     ks = np.arange(1, k_max + 1)
     t_starts, cuts = _dyadic_ladder(k_max)
@@ -329,10 +325,7 @@ def chebyshev_chain(traj: Trajectory, k_max: int) -> ChebyshevReport:
     sq = np.empty(ks.size)
     base = np.empty(ks.size)
     for i, k in enumerate(ks):
-        rows = idx[times >= t_starts[k - 1] - 1e-9]
-        if rows.size < 2:
-            raise InsufficientCoverageError(
-                f"window [T_{k - 1}, 0] holds {rows.size} samples; need >= 2")
+        rows = traj.window(t_starts[k - 1])
         w = traj.fields[rows]
         pos_k = np.maximum(w - (cuts[k] + psi)[None, :], 0.0)
         pos_km1 = np.maximum(w - (cuts[k - 1] + psi)[None, :], 0.0)
@@ -384,27 +377,26 @@ class LevelSetMeasures:
 
 def level_set_measures(traj: Trajectory, lam: float) -> LevelSetMeasures:
     """The three level-set measures entering the measure-gain dichotomy."""
-    s = float(traj.order)
-    grid = traj.grid
-    phi0 = barrier_on_grid(BarrierFamily("phi0", order=s, lam=lam), grid)
-    phi2 = barrier_on_grid(BarrierFamily("phi2", order=s, lam=lam), grid)
-    ball1 = grid.ball(1.0)
+    phi0 = _barrier(traj, "phi0", lam=lam)
+    phi2 = _barrier(traj, "phi2", lam=lam)
+    ball1 = traj.grid.ball(1.0)
 
-    idx_early = traj.require_window(-3.0, -2.0)
+    idx_early = traj.window(-3.0, -2.0)
     w = traj.fields[idx_early]
     below = space_time_measure(
         traj, (w < phi0[None, :]) & ball1[None, :], idx_early)
 
-    idx_late = traj.require_window(-2.0, 0.0)
+    idx_late = traj.window(-2.0)
     w = traj.fields[idx_late]
     above = space_time_measure(traj, w > phi2[None, :], idx_late)
 
-    idx_full = traj.require_window(-3.0, 0.0)
+    idx_full = traj.window(-3.0)
     w = traj.fields[idx_full]
     mid = space_time_measure(
         traj, (w > phi0[None, :]) & (w < phi2[None, :]), idx_full)
     return LevelSetMeasures(below_phi0=below, above_phi2=above,
-                            intermediate=mid, lam=lam, order=s)
+                            intermediate=mid, lam=lam,
+                            order=float(traj.order))
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +417,10 @@ class LemmaReport:
         return self.verdict == "pass"
 
 
-def _verdict(precondition_ok: bool, hypothesis_ok: bool,
-             conclusion_ok: bool) -> str:
-    """Conclusion-first grading shared by every detector.
+def _graded(name: str, precondition_ok: bool, hypothesis_ok: bool,
+            conclusion_ok: bool, numbers: dict,
+            first_violation: dict | None) -> LemmaReport:
+    """A detector's report, graded conclusion first as every detector is.
 
     A run whose conclusion holds passes outright — the statements are
     implications, so a true consequent can never witness a violation.  A
@@ -435,22 +428,26 @@ def _verdict(precondition_ok: bool, hypothesis_ok: bool,
     otherwise the run is outside the statement's scope.
     """
     if conclusion_ok:
-        return "pass"
-    if precondition_ok and hypothesis_ok:
-        return "fail"
-    return "hypothesis-violated"
+        verdict = "pass"
+    elif precondition_ok and hypothesis_ok:
+        verdict = "fail"
+    else:
+        verdict = "hypothesis-violated"
+    return LemmaReport(name, verdict, precondition_ok, hypothesis_ok,
+                       conclusion_ok, numbers, first_violation)
 
 
-def _first_exceedance(times: np.ndarray, block: np.ndarray, bound: np.ndarray,
+def _first_exceedance(traj: Trajectory, t_lo: float, bound: np.ndarray,
                       two_sided: bool = False) -> dict | None:
-    """Earliest (time, node) of the sampled rows `block`, taken at `times`,
-    where w, or |w| when `two_sided`, exceeds `bound`; None when the
-    envelope holds."""
+    """Earliest (time, node) of the samples in [t_lo, 0] where w, or |w|
+    when `two_sided`, exceeds `bound`; None when the envelope holds."""
+    idx = traj.window(t_lo)
+    block = traj.fields[idx]
     over = (np.abs(block) if two_sided else block) > bound
     if not np.any(over):
         return None
     row, node = divmod(int(np.argmax(over)), over.shape[1])
-    return {"time": float(times[row]), "node": node,
+    return {"time": float(traj.times[idx[row]]), "node": node,
             "value": float(block[row, node]), "bound": float(bound[node])}
 
 
@@ -462,34 +459,27 @@ def verify_lemma1(traj: Trajectory, eps0: float) -> LemmaReport:
     if not (eps0 > 0.0):
         raise InvalidParameterError(f"eps0 must be positive, got {eps0}")
     s = float(traj.order)
-    grid = traj.grid
-    psi = barrier_on_grid(BarrierFamily("psi", order=s), grid)
+    psi = _barrier(traj, "psi")
 
-    idx = traj.require_window(-2.0, 0.0)
+    idx = traj.window(-2.0)
     pos = np.maximum(traj.fields[idx] - psi[None, :], 0.0)
     truncated_mass = space_time_measure(traj, pos * pos, idx)
     hypothesis_ok = truncated_mass <= eps0
 
-    idx_late = traj.require_window(-1.0, 0.0)
-    bound = 0.5 + psi
-    violation = _first_exceedance(traj.times[idx_late],
-                                  traj.fields[idx_late], bound)
-    conclusion_ok = violation is None
+    violation = _first_exceedance(traj, -1.0, 0.5 + psi)
 
     # On a torus the barrier only grows out to distance L/2; record whether
     # psi(L/2) dominates the data, the validity condition for reading the
     # whole-space statement on periodic geometry.
     psi_at_half = float(eval_barrier(BarrierFamily("psi", order=s),
-                                     0.5 * grid.side_length))
+                                     0.5 * traj.grid.side_length))
     sup_w = float(np.max(np.abs(traj.fields[idx])))
-    return LemmaReport(
-        name="lemma1", verdict=_verdict(True, hypothesis_ok, conclusion_ok),
-        precondition_ok=True, hypothesis_ok=hypothesis_ok,
-        conclusion_ok=conclusion_ok,
-        numbers={"truncated_mass": truncated_mass, "eps0": eps0,
-                 "order": s, "far_field_margin": psi_at_half - 2.0 * sup_w,
-                 "far_field_ok": bool(psi_at_half >= 2.0 * sup_w)},
-        first_violation=violation)
+    return _graded(
+        "lemma1", True, hypothesis_ok, violation is None,
+        {"truncated_mass": truncated_mass, "eps0": eps0, "order": s,
+         "far_field_margin": psi_at_half - 2.0 * sup_w,
+         "far_field_ok": bool(psi_at_half >= 2.0 * sup_w)},
+        violation)
 
 
 def verify_corollary1(traj: Trajectory, t0: float,
@@ -512,17 +502,14 @@ def verify_corollary1(traj: Trajectory, t0: float,
     exponent = 0.5 * (n_dim / s + 1.0)
     bound = l2_initial / (2.0 * math.sqrt(eps0) * (0.5 * t0) ** exponent)
 
-    tau = traj.times - traj.times[0]
-    idx = np.where(tau >= t0 - 1e-9 * max(1.0, span))[0]
-    if idx.size == 0:
-        raise InsufficientCoverageError(
-            f"no samples at or beyond waiting time {t0}")
+    idx = traj.window(traj.times[0] + t0, traj.times[-1], need=1)
     sup_curve = np.max(np.abs(traj.fields[idx]), axis=1)
     measured = float(np.max(sup_curve))
     conclusion_ok = measured <= bound
     worst = int(np.argmax(sup_curve))
 
     # dimensionless decay profile r(t0) over a dyadic ladder of waiting times
+    tau = traj.times - traj.times[0]
     ladder, ratios = [], []
     if l2_initial > 0.0:
         for t_d in 0.5 ** np.arange(1, 7):
@@ -532,16 +519,14 @@ def verify_corollary1(traj: Trajectory, t0: float,
             sup_here = float(np.max(np.abs(traj.fields[j])))
             ladder.append(float(t_d))
             ratios.append(sup_here * t_d ** exponent / l2_initial)
-    return LemmaReport(
-        name="corollary1", verdict=_verdict(True, True, conclusion_ok),
-        precondition_ok=True, hypothesis_ok=True, conclusion_ok=conclusion_ok,
-        numbers={"bound": bound, "measured_sup": measured,
-                 "l2_initial": l2_initial, "t0": t0, "eps0": eps0,
-                 "worst_time": float(traj.times[idx[worst]]),
-                 "ratio_t0": ladder, "ratio_r": ratios},
-        first_violation=None if conclusion_ok else {
-            "time": float(traj.times[idx[worst]]),
-            "value": measured, "bound": bound})
+    worst_time = float(traj.times[idx[worst]])
+    return _graded(
+        "corollary1", True, True, conclusion_ok,
+        {"bound": bound, "measured_sup": measured, "l2_initial": l2_initial,
+         "t0": t0, "eps0": eps0, "worst_time": worst_time,
+         "ratio_t0": ladder, "ratio_r": ratios},
+        None if conclusion_ok else {
+            "time": worst_time, "value": measured, "bound": bound})
 
 
 def verify_corollary2(traj: Trajectory, delta: float) -> LemmaReport:
@@ -553,34 +538,22 @@ def verify_corollary2(traj: Trajectory, delta: float) -> LemmaReport:
     """
     if not (delta > 0.0):
         raise InvalidParameterError(f"delta must be positive, got {delta}")
-    s = float(traj.order)
     grid = traj.grid
-    psi1 = barrier_on_grid(BarrierFamily("psi1", order=s), grid)
+    envelope_breach = _first_exceedance(traj, -2.0,
+                                        1.0 + _barrier(traj, "psi1"))
 
-    idx = traj.require_window(-2.0, 0.0)
-    block = traj.fields[idx]
-    envelope_breach = _first_exceedance(traj.times[idx], block, 1.0 + psi1)
-    precondition_ok = envelope_breach is None
-
-    ball2 = grid.ball(2.0)
-    masks = (block > 0.0) & ball2[None, :]
+    idx = traj.window(-2.0)
+    masks = (traj.fields[idx] > 0.0) & grid.ball(2.0)[None, :]
     positivity = space_time_measure(traj, masks, idx)
-    hypothesis_ok = positivity <= delta
 
-    idx_late = traj.require_window(-1.0, 0.0)
-    ball1 = grid.ball(1.0)
-    half = np.where(ball1, 0.5, np.inf)
-    violation = _first_exceedance(traj.times[idx_late],
-                                  traj.fields[idx_late], half)
-    conclusion_ok = violation is None
-    return LemmaReport(
-        name="corollary2",
-        verdict=_verdict(precondition_ok, hypothesis_ok, conclusion_ok),
-        precondition_ok=precondition_ok, hypothesis_ok=hypothesis_ok,
-        conclusion_ok=conclusion_ok,
-        numbers={"positivity_measure": positivity, "delta": delta,
-                 "order": s},
-        first_violation=violation if violation is not None else envelope_breach)
+    violation = _first_exceedance(traj, -1.0,
+                                  np.where(grid.ball(1.0), 0.5, np.inf))
+    return _graded(
+        "corollary2", envelope_breach is None, positivity <= delta,
+        violation is None,
+        {"positivity_measure": positivity, "delta": delta,
+         "order": float(traj.order)},
+        violation if violation is not None else envelope_breach)
 
 
 def verify_lemma2(traj: Trajectory, mu: float, delta: float, gamma: float,
@@ -595,31 +568,18 @@ def verify_lemma2(traj: Trajectory, mu: float, delta: float, gamma: float,
     for name, val in (("mu", mu), ("delta", delta), ("gamma", gamma)):
         if not (val > 0.0):
             raise InvalidParameterError(f"{name} must be positive, got {val}")
-    s = float(traj.order)
-    grid = traj.grid
-    psi_lam = barrier_on_grid(BarrierFamily("psi_lambda", order=s, lam=lam),
-                              grid)
-
-    idx = traj.require_window(-3.0, 0.0)
-    envelope_breach = _first_exceedance(traj.times[idx], traj.fields[idx],
-                                        1.0 + psi_lam)
-    precondition_ok = envelope_breach is None
+    envelope_breach = _first_exceedance(
+        traj, -3.0, 1.0 + _barrier(traj, "psi_lambda", lam=lam))
 
     measures = level_set_measures(traj, lam)
-    hypothesis_ok = measures.below_phi0 >= mu
     first_branch = measures.above_phi2 <= delta
     second_branch = measures.intermediate >= gamma
-    conclusion_ok = first_branch or second_branch
     branch = ("small-upper-set" if first_branch
               else "mass-gained" if second_branch else "violated")
-    return LemmaReport(
-        name="lemma2",
-        verdict=_verdict(precondition_ok, hypothesis_ok, conclusion_ok),
-        precondition_ok=precondition_ok, hypothesis_ok=hypothesis_ok,
-        conclusion_ok=conclusion_ok,
-        numbers={"below_phi0": measures.below_phi0,
-                 "above_phi2": measures.above_phi2,
-                 "intermediate": measures.intermediate,
-                 "mu": mu, "delta": delta, "gamma": gamma, "lam": lam,
-                 "branch": branch},
-        first_violation=envelope_breach)
+    return _graded(
+        "lemma2", envelope_breach is None, measures.below_phi0 >= mu,
+        first_branch or second_branch,
+        {"below_phi0": measures.below_phi0, "above_phi2": measures.above_phi2,
+         "intermediate": measures.intermediate, "mu": mu, "delta": delta,
+         "gamma": gamma, "lam": lam, "branch": branch},
+        envelope_breach)

@@ -16,10 +16,12 @@ from .fields import make_initial
 from .flow import FlowProblem, Trajectory, run_flow
 from .grid import Grid
 from .kernels import KernelSpec, make_kernel
+from .oscillation import MIN_CYLINDER
 from .potentials import PotentialSpec, make_potential
 
 __all__ = [
-    "ORDER", "DIMENSION", "default_grid", "rough_kernel",
+    "ORDER", "DIMENSION", "MAX_K", "LEVELS", "SCALE",
+    "default_grid", "rough_kernel",
     "linear_dissipation_run", "nonlinear_dissipation_run",
     "lemma_ensemble_run", "level_ensemble_run",
     "recurrence_run", "oscillation_run",
@@ -34,12 +36,17 @@ DIMENSION = 1
 # the grid of every recipe, and the sample gaps (each dt_max) of the runs
 # diagnose reads the ladder and the cylinders from.  The CLI refuses
 # settings they do not resolve: truncated_energies needs gaps <= 2^-k_max/4,
-# and oscillation_decay's innermost cylinder 8 nodes and 8 samples, so a
-# radius above 4 spacings and a depth above 7 gaps
+# and oscillation_decay's innermost cylinder MIN_CYLINDER nodes and samples,
+# so a radius above MIN_CYLINDER // 2 spacings and a depth above
+# MIN_CYLINDER - 1 gaps
 SIDE_LENGTH, POINTS = 16.0, 256
 RECURRENCE_GAP, OSCILLATION_GAP = 2.0 ** -8, 0.004
 MAX_K = int(-math.log2(4.0 * RECURRENCE_GAP))
-MIN_RADIUS, MIN_DEPTH = 4.0 * SIDE_LENGTH / POINTS, 7.0 * OSCILLATION_GAP
+MIN_RADIUS = MIN_CYLINDER // 2 * SIDE_LENGTH / POINTS
+MIN_DEPTH = (MIN_CYLINDER - 1) * OSCILLATION_GAP
+# the settings diagnose (by default) and calibrate read the runs with: MAX_K
+# ladder rungs, and LEVELS nested cylinders shrinking by SCALE
+LEVELS, SCALE = 4, 0.65
 
 
 def default_grid(dimension: int = DIMENSION) -> Grid:

@@ -46,8 +46,8 @@ class UnderResolvedError(NlflowError):
     """A cylinder holds too few nodes/time samples to be meaningful."""
 
 
-class InsufficientCoverageError(NlflowError):
-    """Trajectory samples miss a required time window."""
+class InsufficientCoverageError(WindowOutOfRangeError):
+    """Too few trajectory samples fall in a required time window."""
 
 
 class FormatError(NlflowError):

@@ -2,7 +2,9 @@
 
 Both formats carry a grid tag in a comment line so a file is self-describing:
 ``# nlflow field N=1 M=256 L=16.0``.  CSV round-trips bit-exactly (shortest
-round-trip float repr); PGM round-trips value-exactly at the declared maxval.
+round-trip float repr).  PGM files are written as 8-bit binary (P5) and read
+as P2 or P5 at any maxval up to 65535; they round-trip value-exactly on the
+8-bit levels.
 `write_json` is the one JSON writer for reports and calibration files.
 """
 
@@ -36,12 +38,11 @@ def _parse_header(line: str) -> Grid | None:
                 side_length=float(m.group(3)))
 
 
-def save_field(field: Field, path: str, maxval: int = 255,
-               ascii_pgm: bool = False) -> None:
+def save_field(field: Field, path: str) -> None:
     """Write a field: ``.csv`` for N=1 data, ``.pgm`` for N=2 images.
 
-    PGM values must lie in [0, 1]; they are quantized to maxval levels
-    (255 -> single byte, up to 65535 -> big-endian double byte).
+    PGM values must lie in [0, 1]; they are quantized to 8-bit binary (P5)
+    pixels.
     """
     grid = field.grid
     lower = path.lower()
@@ -58,28 +59,16 @@ def save_field(field: Field, path: str, maxval: int = 255,
         if grid.dimension != 2:
             raise FormatError(
                 f"PGM holds 2-d fields; grid is {grid.dimension}-d")
-        if not (1 <= maxval <= 65535):
-            raise FormatError(f"maxval must be in [1, 65535], got {maxval}")
         vals = field.values
         if np.min(vals) < -1e-12 or np.max(vals) > 1.0 + 1e-12:
             raise FormatError(
                 f"PGM output needs values in [0, 1]; range is "
                 f"[{np.min(vals):.3g}, {np.max(vals):.3g}]")
-        px = np.clip(np.round(vals * maxval), 0, maxval).astype(np.uint32)
+        px = np.clip(np.round(vals * 255), 0, 255).astype(np.uint8)
         m = grid.points_per_axis
-        magic = "P2" if ascii_pgm else "P5"
-        head = (f"{magic}\n{_header(grid)}\n{m} {m}\n{maxval}\n"
-                .encode("ascii"))
         with open(path, "wb") as fh:
-            fh.write(head)
-            if ascii_pgm:
-                rows = px.reshape(m, m)
-                body = "\n".join(" ".join(str(int(v)) for v in row)
-                                 for row in rows)
-                fh.write(body.encode("ascii") + b"\n")
-            else:
-                dtype = ">u2" if maxval > 255 else "u1"
-                fh.write(px.astype(dtype).tobytes())
+            fh.write(f"P5\n{_header(grid)}\n{m} {m}\n255\n".encode("ascii"))
+            fh.write(px.tobytes())
         return
     raise FormatError(f"unknown field format for {path!r} (.csv or .pgm)")
 

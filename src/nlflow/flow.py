@@ -162,6 +162,10 @@ class FlowProblem:
             if not self.kernel.translation_invariant:
                 raise InvalidParameterError(
                     "nonlinear flow requires a translation-invariant kernel")
+            if self.strategy != "banded":
+                raise InvalidParameterError(
+                    f"nonlinear flow steps with the banded strategy, not "
+                    f"{self.strategy!r}")
         if not self.grid.compatible_with(self.initial.grid):
             raise InvalidParameterError("initial field grid != problem grid")
 
@@ -211,20 +215,18 @@ class Trajectory:
     def field(self, index: int) -> Field:
         return Field(self.grid, self.fields[index])
 
-    def window(self, t_lo: float, t_hi: float) -> np.ndarray:
-        """Indices of samples with t in [t_lo, t_hi] (closed, fl-tolerant)."""
+    def window(self, t_lo: float, t_hi: float = 0.0,
+               need: int = 2) -> np.ndarray:
+        """Indices of the samples with t in [t_lo, t_hi], closed up to
+        1e-9 of the sampled span; raises unless there are `need` of them
+        (two by default, the least a trapezoid in time takes)."""
         tol = 1e-9 * max(1.0, float(self.times[-1] - self.times[0]))
         idx = np.where((self.times >= t_lo - tol)
                        & (self.times <= t_hi + tol))[0]
-        return idx
-
-    def require_window(self, t_lo: float, t_hi: float) -> np.ndarray:
-        """`window`, raising unless it holds the two samples a trapezoid
-        in time needs."""
-        idx = self.window(t_lo, t_hi)
-        if idx.size < 2:
+        if idx.size < need:
             raise InsufficientCoverageError(
-                f"only {idx.size} samples cover [{t_lo}, {t_hi}]; need >= 2")
+                f"only {idx.size} samples cover [{t_lo}, {t_hi}]; "
+                f"need >= {need}")
         return idx
 
     @staticmethod
@@ -253,10 +255,8 @@ def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
         raise InvalidParameterError(
             f"sample_every must be a positive integer: {sample_every}")
     grid, kernel = problem.grid, problem.kernel
-    nonlinear = problem.kind == "nonlinear"
-    strategy = "banded" if nonlinear else problem.strategy
-    op = DiscreteOperator(grid, kernel, strategy)
-    pot = problem.potential if nonlinear else None
+    op = DiscreteOperator(grid, kernel, problem.strategy)
+    pot = problem.potential if problem.kind == "nonlinear" else None
 
     dt_target = 0.9 * _monotone_threshold(op, pot, problem.t_start)
     if problem.dt_max is not None:
@@ -312,7 +312,7 @@ def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
         step_times=step_times, dts=dts, l2=l2, energy=energy,
         vmin=vmin, vmax=vmax, mass=mass,
         kernel=kernel, potential=problem.potential,
-        stepper=problem.stepper, strategy=strategy,
+        stepper=problem.stepper, strategy=problem.strategy,
         states=states,
         meta={"t_start": problem.t_start, "t_end": problem.t_end,
               "sample_every": sample_every, "n_steps": n_steps})

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degiorgi import BarrierFamily, LemmaReport, _first_exceedance, \
-    _verdict, barrier_on_grid, eval_barrier
+from .degiorgi import BarrierFamily, LemmaReport, _barrier, \
+    _first_exceedance, _graded, eval_barrier
 from .errors import (InvalidParameterError, NonLatticeStepError,
-                     TrajectoryMismatchError, UnderResolvedError,
-                     WindowOutOfRangeError)
+                     TrajectoryMismatchError, UnderResolvedError)
 from .flow import Trajectory
 from .grid import DiscreteOperator, Field, Grid, OffsetStencil
 from .kernels import Kernel
@@ -46,6 +45,7 @@ __all__ = [
 SIGMA_NODES = 8                   # Gauss-Legendre nodes of the sigma-average
 ENVELOPE_STEP_FACTORS = (1, 2, 4)  # steps h / spacing the envelope scan tries
 MAX_RESCALE_LEVELS = 8            # deepest level of `rescaling_sequence`
+MIN_CYLINDER = 8                  # nodes and samples of a resolved cylinder
 BARRIER_PROBE_POINTS = 4096       # radii of `check_scale_barrier`'s probe
 
 
@@ -313,15 +313,8 @@ def parabolic_rescale(traj: Trajectory, rho: float) -> Trajectory:
         raise InvalidParameterError(f"rescale factor must be > 0, got {rho}")
     s = float(traj.order)
     grid = traj.grid
-    span = float(traj.times[-1] - traj.times[0])
-    tol = 1e-9 * max(1.0, span)
-    if traj.times[-1] < -tol:
-        raise WindowOutOfRangeError(
-            f"samples [{traj.times[0]}, {traj.times[-1]}] end before t = 0")
-    keep = np.where(traj.times <= tol)[0]
-    if keep.size < 2:
-        raise WindowOutOfRangeError(
-            f"only {keep.size} samples at or before t = 0")
+    traj.window(0.0, math.inf, need=1)      # the samples do not end before 0
+    keep = traj.window(-math.inf)
     view_fields = traj.fields[keep]
     view_times = traj.times[keep] / rho ** s
 
@@ -352,6 +345,20 @@ def parabolic_rescale(traj: Trajectory, rho: float) -> Trajectory:
 
 # ---------------------------------------------------------------------------
 # oscillation decay and the Holder exponent
+
+def _cylinder(traj: Trajectory, radius: float,
+              depth: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sample indices and node mask of [-depth, 0] x B_radius about the
+    origin; raises unless each holds MIN_CYLINDER."""
+    rows = traj.window(-depth, need=0)
+    nodes = traj.grid.ball(radius)
+    n_nodes = int(np.sum(nodes))
+    if n_nodes < MIN_CYLINDER or rows.size < MIN_CYLINDER:
+        raise UnderResolvedError(
+            f"cylinder [-{depth:g}, 0] x B_{radius:g} holds {n_nodes} nodes "
+            f"and {rows.size} samples; need >= {MIN_CYLINDER} of each")
+    return rows, nodes
+
 
 @dataclass(frozen=True)
 class OscillationReport:
@@ -408,10 +415,6 @@ def oscillation_decay(traj: Trajectory, scale: float,
         raise InvalidParameterError(
             f"scale factor must lie in (0, 1), got {scale}")
     s = float(traj.order)
-    dist = traj.grid.origin_distance()
-    span = float(traj.times[-1] - traj.times[0])
-    tol = 1e-9 * max(1.0, span)
-
     ks = np.arange(levels)
     radii = scale ** ks
     depths = scale ** (ks * s)
@@ -419,15 +422,9 @@ def oscillation_decay(traj: Trajectory, scale: float,
     node_counts = np.empty(levels, dtype=np.int64)
     sample_counts = np.empty(levels, dtype=np.int64)
     for k in range(levels):
-        nodes = dist < radii[k]
-        t_mask = (traj.times > -depths[k] - tol) & (traj.times <= tol)
-        node_counts[k] = int(np.sum(nodes))
-        sample_counts[k] = int(np.sum(t_mask))
-        if node_counts[k] < 8 or sample_counts[k] < 8:
-            raise UnderResolvedError(
-                f"cylinder level {k} holds {node_counts[k]} nodes and "
-                f"{sample_counts[k]} samples; need >= 8 of each")
-        vals = traj.fields[np.ix_(t_mask, nodes)]
+        rows, nodes = _cylinder(traj, radii[k], depths[k])
+        node_counts[k], sample_counts[k] = np.sum(nodes), rows.size
+        vals = traj.fields[np.ix_(rows, nodes)]
         osc[k] = float(np.max(vals) - np.min(vals))
     alpha, r2, degenerate = _fit_decay(osc, scale, s)
     return OscillationReport(
@@ -472,8 +469,9 @@ def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
 
     mean_k is the plain node/time average of w_k over [-1,0] x B_1.  Each
     level is checked against the +-(1 + psi_{eps,lam}) envelope; a violation
-    is recorded (not raised).  Levels stop at MAX_RESCALE_LEVELS or when the
-    unit cylinder falls below 8 nodes / 8 samples.
+    is recorded (not raised).  Levels stop at MAX_RESCALE_LEVELS or before
+    the first whose unit cylinder holds fewer than MIN_CYLINDER nodes or
+    samples; the input's own unit cylinder must hold them.
     """
     if not (0.0 < lam < 1.0 / 3.0):
         raise InvalidParameterError(f"lambda must be in (0, 1/3), got {lam}")
@@ -487,55 +485,43 @@ def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
     eps_floor = 1e-6
     floor_bound = eps is None or eps < eps_floor
     eps_eff = max(eps_floor, eps) if eps is not None else eps_floor
-    traj.require_window(-3.0, 0.0)
 
     shrink = 1.0 - 0.25 * lam_star
     current = traj
+    rows, ball = _cylinder(traj, 1.0, 1.0)
     records: list[RescaleLevel] = []
     views: list[Trajectory] = []
     first_violation_level = None
     floor_level = None
     for k in range(MAX_RESCALE_LEVELS + 1):
-        grid = current.grid
-        barrier = 1.0 + barrier_on_grid(
-            BarrierFamily("psi_eps_lambda", order=s, lam=lam, eps=eps_eff),
-            grid)
-        idx_env = current.window(-3.0, 0.0)
-        block = current.fields[idx_env]
-        violation = _first_exceedance(current.times[idx_env], block, barrier,
-                                      two_sided=True)
-        envelope_ok = violation is None
-        if not envelope_ok and first_violation_level is None:
+        violation = _first_exceedance(
+            current, -3.0,
+            1.0 + _barrier(current, "psi_eps_lambda", lam=lam, eps=eps_eff),
+            two_sided=True)
+        if violation is not None and first_violation_level is None:
             first_violation_level = k
-
-        ball = grid.ball(1.0)
-        idx_mean = current.window(-1.0, 0.0)
-        n_nodes_ball = int(np.sum(ball))
-        n_samp = int(idx_mean.size)
-        mean_k = float(np.mean(current.fields[np.ix_(idx_mean, ball)])) \
-            if n_nodes_ball and n_samp else math.nan
+        mean_k = float(np.mean(current.fields[np.ix_(rows, ball)]))
         records.append(RescaleLevel(
-            level=k, sup_norm=float(np.max(np.abs(block))),
-            mean=mean_k, envelope_ok=envelope_ok,
-            nodes_in_unit_ball=n_nodes_ball, samples_in_window=n_samp,
+            level=k, sup_norm=float(np.max(np.abs(
+                current.fields[current.window(-3.0)]))),
+            mean=mean_k, envelope_ok=violation is None,
+            nodes_in_unit_ball=int(np.sum(ball)), samples_in_window=rows.size,
             first_violation=violation))
         views.append(current)
         if k == MAX_RESCALE_LEVELS:
             break
-
-        # resolution check for the next level's unit cylinder
-        next_nodes = int(np.sum(grid.origin_distance() < scale))
-        next_samples = int(np.sum(
-            (current.times >= -scale ** s - 1e-12) & (current.times <= 1e-12)))
-        if next_nodes < 8 or next_samples < 8:
+        # the view keeps every node and, in order, the samples up to t = 0,
+        # so this cylinder's indices are those of the next unit cylinder
+        try:
+            rows, ball = _cylinder(current, scale, scale ** s)
+        except UnderResolvedError:
             floor_level = k
             break
-        zoom = parabolic_rescale(current, scale)
-        current = Trajectory.from_fields(
-            zoom.grid, zoom.times, (zoom.fields - mean_k) / shrink,
-            kind="rescaled-view", kernel=zoom.kernel,
-            potential=zoom.potential, order=s)
-        current.meta.update(zoom.meta)
+        current = parabolic_rescale(current, scale)
+        # an increasing affine map commutes with each sample's min and max
+        current.fields, current.vmin, current.vmax = (
+            (a - mean_k) / shrink
+            for a in (current.fields, current.vmin, current.vmax))
 
     sups = [r.sup_norm for r in records]
     stabilized = len(sups) >= 2 and sups[-1] <= sups[0] + 1e-12
@@ -549,8 +535,7 @@ def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
 
 def unit_oscillation(traj: Trajectory) -> float:
     """sup - inf of the sampled field over the unit cylinder [-1, 0] x B_1."""
-    vals = traj.fields[np.ix_(traj.require_window(-1.0, 0.0),
-                              traj.grid.ball(1.0))]
+    vals = traj.fields[np.ix_(*_cylinder(traj, 1.0, 1.0))]
     return float(np.max(vals) - np.min(vals))
 
 
@@ -566,24 +551,18 @@ def verify_lemma3(traj: Trajectory, eps: float, lam: float,
     if not (0.0 < lam_star < 1.0):
         raise InvalidParameterError(
             f"lambda_star must be in (0, 1), got {lam_star}")
-    s = float(traj.order)
-    barrier = 1.0 + barrier_on_grid(
-        BarrierFamily("psi_eps_lambda", order=s, lam=lam, eps=eps), traj.grid)
-    idx = traj.require_window(-3.0, 0.0)
-    violation = _first_exceedance(traj.times[idx], traj.fields[idx], barrier,
-                                  two_sided=True)
+    violation = _first_exceedance(
+        traj, -3.0, 1.0 + _barrier(traj, "psi_eps_lambda", lam=lam, eps=eps),
+        two_sided=True)
     hypothesis_ok = violation is None
-
     osc = unit_oscillation(traj)
     bound = 2.0 - lam_star
     conclusion_ok = osc <= bound
-    return LemmaReport(
-        name="lemma3", verdict=_verdict(True, hypothesis_ok, conclusion_ok),
-        precondition_ok=hypothesis_ok,
-        hypothesis_ok=hypothesis_ok, conclusion_ok=conclusion_ok,
-        numbers={"oscillation": osc, "bound": bound, "eps": eps,
-                 "lam": lam, "lam_star": lam_star, "order": s},
-        first_violation=violation if violation is not None else (
+    return _graded(
+        "lemma3", hypothesis_ok, hypothesis_ok, conclusion_ok,
+        {"oscillation": osc, "bound": bound, "eps": eps, "lam": lam,
+         "lam_star": lam_star, "order": float(traj.order)},
+        violation if violation is not None else (
             None if conclusion_ok else {"oscillation": osc, "bound": bound}))
 
 

@@ -1,0 +1,46 @@
+"""The benchmark's hooks into the package still resolve.
+
+`perfbench/tracer.py` wraps package names where their callers look them up,
+and `perfbench/layers.py` builds each workload's operator from package calls.
+A renamed hook would only make a traced benchmark run incomplete; these tests
+make it fail here instead.  Nothing is installed or patched.
+"""
+
+import importlib
+import json
+import os
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import layers  # noqa: E402
+import tracer  # noqa: E402
+import workloads  # noqa: E402
+
+with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+    GATED = [w["name"] for w in json.load(fh)["workloads"]]
+
+
+@pytest.mark.parametrize("module_name, attr", [
+    (module_name, attr) for module_name, attr, _, _ in tracer.PATCHES],
+    ids=[f"{m}.{a}" for m, a, _, _ in tracer.PATCHES])
+def test_traced_name_resolves(module_name, attr):
+    # the lookup `tracer.install` makes, without the setattr
+    owner = importlib.import_module(module_name)
+    for part in attr.split("."):
+        owner = getattr(owner, part, None)
+    assert callable(owner), f"{module_name}.{attr} no longer exists"
+
+
+@pytest.mark.parametrize("workload", GATED)
+def test_layer_probe_builds_the_operator(workload, tmp_path):
+    if workload == "denoise-2d":
+        workloads.write_noisy_pgm(str(tmp_path / "noisy.pgm"), 0)
+    op, grid, d1 = layers.operator_for(workload, 0, str(tmp_path))
+    assert op.strategy == "banded"
+    assert op.grid.compatible_with(grid)
+    assert op.offset_values(0.0).shape[0] == op.deltas.shape[0]
+    assert (d1 is None) == (workload == "diagnose-1d")

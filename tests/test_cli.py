@@ -122,13 +122,18 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
       "--set", "kernel.radius=1.0"], "no lattice neighbor"),
     (["denoise", "--set", "denoise.input={tmp}/narrow.csv"],
      "torus width 4 must exceed twice it"),
+    (["denoise", "--set", "denoise.input={tmp}/tiny.pgm",
+      "--set", "flow.strategy=dense"], "flow.strategy"),
+    (["run", "--seed", "1", "--set", "flow.kind=nonlinear",
+      "--set", "flow.strategy=dense"], "flow.strategy"),
 ], ids=["calibrate-2d", "calibrate-order", "diagnose-2d", "diagnose-order",
         "diagnose-calibration-order", "diagnose-calibration-2d",
         "nonlinear-rough", "spectral-truncated", "spectral-rough",
         "calibration-missing", "calibration-truncated", "calibration-list",
         "denoise-directory", "out-is-a-file", "diagnose-k-max",
         "diagnose-levels", "diagnose-scale", "run-radius-below-spacing",
-        "denoise-radius-below-spacing", "denoise-torus-narrower-than-radius"])
+        "denoise-radius-below-spacing", "denoise-torus-narrower-than-radius",
+        "denoise-dense", "nonlinear-dense"])
 def test_unsupported_config_exits_2(tmp_path, capsys, argv, message):
     # refused before any work, not aborted later with exit 1 or 3; a dict in
     # argv stands for a calibration file with those entries changed, and

@@ -386,7 +386,7 @@ def test_window_helpers():
         initial=make_initial(g, "random", seed=0), t_end=1.0))
     assert traj.window(0.0, 1.0).size == traj.n_samples
     with pytest.raises(InsufficientCoverageError):
-        traj.require_window(2.0, 3.0)
+        traj.window(2.0, 3.0)
 
 
 def test_synthetic_trajectory_rejects_bad_times():

@@ -353,6 +353,21 @@ def test_rescaling_sequence_guards(grid1, calibration):
         rescaling_sequence(traj, calibration.lam, calibration.lam_star, 1.0)
 
 
+def test_rescaling_and_decay_share_the_cylinder_edge(grid1):
+    # one sample lies 5e-10 outside (-0.65, 0], inside the window tolerance:
+    # both detectors count 8 samples in that cylinder and resolve it
+    times = np.concatenate([np.linspace(-3.0, -0.8, 23), [-0.65 - 5e-10],
+                            np.linspace(-0.6, 0.0, 7)])
+    traj = synthetic_trajectory(grid1, times,
+                                np.zeros((times.size, grid1.n_nodes)))
+    rep = rescaling_sequence(traj, 0.25, 0.085, 0.65)
+    assert rep.floor_level == 1
+    assert rep.levels[1].samples_in_window == 8
+    # level 1 resolves; level 2, (-0.4225, 0] x B_0.4225, does not
+    with pytest.raises(UnderResolvedError, match="13 nodes and 5 samples"):
+        oscillation_decay(traj, 0.65, 3)
+
+
 # --------------------------------------------------------------------------
 # oscillation drop detector and the barrier scaling inequality
 
