@@ -3,7 +3,9 @@
 Outputs land under --out (default: config output.dir): a deterministic
 report.json (byte-identical across reruns with the same config and seeds),
 CSV curves, optional field dumps, and a separate timings.json holding the
-wall-clock numbers that must not perturb report bytes.
+wall-clock numbers that must not perturb report bytes: the wall time, the
+phase spans (setup, then integrate / detect / write, each running until the
+next begins) and the work counters of `grid.COUNTERS`.
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 usage/config error,
 3 runtime abort.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import shutil
 import sys
@@ -31,12 +34,28 @@ from .ensembles import lemma_ensemble_run, level_ensemble_run, \
 from .errors import ConfigError, NlflowError
 from .fieldio import load_field, save_field, write_json
 from .flow import FlowProblem, Trajectory, run_flow
-from .grid import kernel_epoch
+from .grid import COUNTERS, kernel_epoch
 from .kernels import make_kernel, validate_kernel
 from .oscillation import oscillation_decay, verify_lemma3
 from .potentials import validate_potential
 
 __all__ = ["main"]
+
+_MARKS: list = [("setup", 0.0)]     # (phase, start time), one at a time
+
+
+def _phase(name: str) -> None:
+    """End the running phase and start `name`, unless `name` is running."""
+    if _MARKS[-1][0] != name:
+        _MARKS.append((name, time.perf_counter()))
+
+
+def _integrate(run, *args, **kwargs):
+    """run(*args, **kwargs) as the integrate phase; detect follows."""
+    _phase("integrate")
+    traj = run(*args, **kwargs)
+    _phase("detect")
+    return traj
 
 
 def _make_out_dir(out_dir: str) -> str | None:
@@ -108,6 +127,7 @@ def _cmd_validate(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
     grid = cfg.make_grid()
     kernel = cfg.make_kernel()
     potential = cfg.make_potential()
+    _phase("detect")
     k_rep = validate_kernel(kernel)
     p_rep = validate_potential(potential)
     checks = {
@@ -144,11 +164,13 @@ def _cmd_run(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
     # reach the problem share its one run
     for seed in cfg.get("ensemble.seeds"):
         if traj is None or cfg.seeds_reach_problem():
-            traj = run_flow(cfg.flow_problem(seed=seed),
-                            sample_every=cfg.get("flow.sample_every"))
+            traj = _integrate(run_flow, cfg.flow_problem(seed=seed),
+                              sample_every=cfg.get("flow.sample_every"))
+        _phase("detect")
         rec = {"seed": seed}
         rec.update(_dissipation_record(traj))
         records.append(rec)
+        _phase("write")
         _write_curve(
             os.path.join(out_dir, "curves", f"run-seed{seed}.csv"),
             f"seed={seed}",
@@ -183,7 +205,7 @@ def _cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
 
     def diagnose_seed(seed: int) -> dict:
         entry: dict = {"seed": seed}
-        traj = lemma_ensemble_run(seed)
+        traj = _integrate(lemma_ensemble_run, seed)
         entry["lemma1"] = dataclasses.asdict(
             verify_lemma1(traj, eps0=cal.eps0))
         entry["corollary1"] = dataclasses.asdict(
@@ -191,13 +213,13 @@ def _cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
         entry["corollary2"] = dataclasses.asdict(
             verify_corollary2(traj, delta=cal.delta))
 
-        traj = level_ensemble_run(seed)
+        traj = _integrate(level_ensemble_run, seed)
         entry["lemma2"] = dataclasses.asdict(verify_lemma2(
             traj, mu=cal.mu, delta=cal.delta, gamma=cal.gamma, lam=cal.lam))
         entry["lemma3"] = dataclasses.asdict(verify_lemma3(
             traj, eps=cal.eps, lam=cal.lam, lam_star=cal.lam_star))
 
-        traj = recurrence_run(seed)
+        traj = _integrate(recurrence_run, seed)
         seq = truncated_energies(traj, k_max=k_max)
         rec = check_recurrence(seq)
         cheb = chebyshev_chain(traj, k_max=k_max)
@@ -210,7 +232,7 @@ def _cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
             "chebyshev_ok": cheb.all_nonnegative,
         }
 
-        traj = oscillation_run(seed)
+        traj = _integrate(oscillation_run, seed)
         osc = oscillation_decay(traj, scale=scale, levels=levels)
         entry["oscillation"] = {
             "alpha": osc.alpha, "r_squared": osc.r_squared,
@@ -220,6 +242,7 @@ def _cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
 
     _ensure_dirs(out_dir, "curves")
     entries = [diagnose_seed(seed) for seed in seeds]
+    _phase("write")
     for seed, entry in zip(seeds, entries):
         _write_curve(
             os.path.join(out_dir, "curves", f"recurrence-seed{seed}.csv"),
@@ -282,17 +305,19 @@ def _cmd_denoise(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
         stepper=cfg.get("flow.stepper"),
         strategy=cfg.get("flow.strategy"),
         dt_max=cfg.get("flow.dt_max"))
-    traj = run_flow(problem, sample_every=cfg.get("flow.sample_every"))
+    traj = _integrate(run_flow, problem,
+                      sample_every=cfg.get("flow.sample_every"))
+    rec = _dissipation_record(traj)
     out_field = traj.field(traj.n_samples - 1)
     ext = ".pgm" if src.lower().endswith(".pgm") else ".csv"
     _ensure_dirs(out_dir, "curves", "fields")
     rel_out = os.path.join("fields", "denoised" + ext)
+    _phase("write")
     save_field(out_field, os.path.join(out_dir, rel_out))
     _write_curve(os.path.join(out_dir, "curves", "denoise-energy.csv"),
                  "denoise",
                  {"t": traj.step_times, "energy": traj.energy,
                   "l2": traj.l2})
-    rec = _dissipation_record(traj)
     range_in = (float(noisy.values.min()), float(noisy.values.max()))
     range_out = (float(out_field.values.min()), float(out_field.values.max()))
     contained = (range_out[0] >= range_in[0] - 1e-12 and
@@ -325,8 +350,10 @@ def _cmd_calibrate(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
                "recurrence": recurrence_run, "oscillation": oscillation_run}
     # lazy pairs: each run is integrated when the reduction reaches it
     constants = calibrate_constants(**{
-        name: zip(seeds[name], map(recipe, seeds[name]))
+        name: zip(seeds[name], map(functools.partial(_integrate, recipe),
+                                   seeds[name]))
         for name, recipe in recipes.items()})
+    _phase("write")
     save_calibration(constants, os.path.join(out_dir, "calibration.json"))
     passed = constants.in_unit_interval()
     print(f"calibrate: eps0={constants.eps0:.6g} delta={constants.delta:.6g} "
@@ -377,12 +404,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
     made = None
+    _MARKS[:] = [("setup", t0)]
+    COUNTERS.update(dict.fromkeys(COUNTERS, 0))
     try:
         cfg = parse_config(path=args.config, overrides=args.set,
                            seeds=args.seed)
         out_dir = args.out if args.out is not None else cfg.get("output.dir")
         made = _make_out_dir(out_dir)
         body, passed = _COMMANDS[args.command](cfg, out_dir)
+        _phase("write")
     except ConfigError as exc:
         if made is not None:
             shutil.rmtree(made)
@@ -394,9 +424,14 @@ def main(argv=None) -> int:
     write_json({"command": args.command, "version": __version__,
                 "config": cfg.echo(), **body},
                os.path.join(out_dir, "report.json"))
+    _phase("end")
     write_json({"command": args.command,
-                 "wall_clock_seconds": time.perf_counter() - t0},
-                os.path.join(out_dir, "timings.json"))
+                "wall_clock_seconds": _MARKS[-1][1] - t0,
+                "phases": [{"phase": name, "start_s": start - t0,
+                            "seconds": stop - start} for (name, start), (
+                                _, stop) in zip(_MARKS, _MARKS[1:])],
+                "counters": dict(COUNTERS)},
+               os.path.join(out_dir, "timings.json"))
     return 0 if passed else 1
 
 

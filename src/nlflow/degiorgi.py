@@ -209,41 +209,31 @@ def truncated_energies(traj: Trajectory,
 
     ks = np.arange(k_max + 1)
     t_starts, cuts = _dyadic_ladder(k_max)
-    psi_l = cuts[:, None] + _barrier(traj, "psi")[None, :]     # (K, nodes)
-
+    psi = _barrier(traj, "psi")
     h_n = grid.spacing ** grid.dimension
-    n_idx = idx.size
-    n_k = ks.size
-    l2_mass = np.empty((n_idx, n_k), dtype=np.float64)
-    seminorm = np.empty((n_idx, n_k), dtype=np.float64)
-    chunk = max(1, (1 << 22) // max(1, n_k * grid.n_nodes))
-    for lo in range(0, n_idx, chunk):
-        hi = min(lo + chunk, n_idx)
-        block = traj.fields[idx[lo:hi]]            # (b, nodes)
-        pos = np.maximum(block[:, None, :] - psi_l[None, :, :], 0.0)
-        l2_mass[lo:hi] = np.sum(pos * pos, axis=-1) * h_n
-        seminorm[lo:hi] = seminorm_sq(grid, pos, s)
-
-    # accumulate from t = 0 backwards: reversing makes each window a prefix
-    rev_mass = l2_mass[::-1]
-    rev_times = times[::-1]
-    running_sup = np.maximum.accumulate(rev_mass, axis=0)
-    gaps = -np.diff(rev_times)                     # positive, 0-side first
-    pair_terms = gaps[:, None] * 0.5 * (seminorm[::-1][:-1]
-                                        + seminorm[::-1][1:])
-    running_int = np.cumsum(pair_terms, axis=0)
-
-    sup_part = np.empty(n_k)
-    int_part = np.empty(n_k)
+    chunk = max(1, (1 << 22) // grid.n_nodes)
+    sup_part = np.empty(ks.size)
+    int_part = np.empty(ks.size)
     for j, t_k in enumerate(t_starts):
-        n_in = traj.window(t_k).size    # [T_k, 0] is idx's last n_in
-        sup_part[j] = running_sup[n_in - 1, j]
-        int_part[j] = running_int[n_in - 2, j]
+        # rung k reads only the samples of [T_k, 0], idx's last ones
+        rows = idx[idx.size - traj.window(t_k).size:]
+        l2_mass = np.empty(rows.size)
+        seminorm = np.empty(rows.size)
+        for lo in range(0, rows.size, chunk):
+            pos = np.maximum(traj.fields[rows[lo:lo + chunk]]
+                             - (cuts[j] + psi), 0.0)
+            l2_mass[lo:lo + chunk] = np.sum(pos * pos, axis=-1) * h_n
+            seminorm[lo:lo + chunk] = seminorm_sq(grid, pos, s)
+        # accumulate from t = 0 backwards, in order
+        gaps = -np.diff(traj.times[rows][::-1])
+        sup_part[j] = np.max(l2_mass)
+        int_part[j] = np.cumsum(gaps * 0.5 * (seminorm[::-1][:-1]
+                                              + seminorm[::-1][1:]))[-1]
     values = sup_part + int_part
     return TruncatedEnergySequence(
         levels=ks, window_starts=t_starts, cut_levels=cuts,
         sup_part=sup_part, integral_part=int_part, values=values,
-        order=s, cutoff=SEMINORM_CUTOFF, n_samples=n_idx,
+        order=s, cutoff=SEMINORM_CUTOFF, n_samples=idx.size,
         dimension=grid.dimension)
 
 

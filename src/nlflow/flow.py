@@ -7,9 +7,8 @@ Linear runs integrate  w_t = (L w)(t);  nonlinear runs integrate
 with a translation-invariant kernel.  Banded runs sum the half-stencil
 fluxes F_d(x) = K(x, x+d) g(w(x+d) - w(x)) of `grid.OffsetStencil`, g the
 identity or phi' (odd, as K is symmetric): rhs = sum_d [F_d(x) - F_d(x-d)]
-h^N.  The nonlinear energy 2 sum_d sum_x K_d(x) phi(w(x+d) - w(x)) h^(2N)
-(weight 1/2 where 2d = 0 mod M) takes phi with phi' from each block of
-differences, one arctan a block.  Both kinds of run use the step bound
+h^N, and the energy of the state comes out of the same pass
+(`_rhs_and_energy`).  Both kinds of run use the step bound
 
     stable_dt = 0.9 / max_x ( lambda_phi * sum_{y != x} K(t, x, y) h^N )
 
@@ -37,7 +36,7 @@ from .errors import (
     InvalidParameterError,
     NonFiniteStateError,
 )
-from .grid import DiscreteOperator, Field, Grid
+from .grid import COUNTERS, DiscreteOperator, Field, Grid
 from .kernels import Kernel
 from .potentials import Potential
 
@@ -94,28 +93,30 @@ def _rhs_and_energy(op: DiscreteOperator, pot: Potential | None,
                     v: np.ndarray, t: float) -> tuple[np.ndarray, float]:
     """The RHS at v and the energy of v from one pass over the offsets.
 
-    Linear (pot None): B[v, v] = -2 h^N <L v, v>, the identity in
-    `bilinear_form`, so it is defined for every strategy.  Nonlinear:
-    V(v) = 2 sum_d sum_x K_d(x) phi(v(x+d) - v(x)) h^(2N), phi taken with
-    phi' on each difference block of the flux pass, in offset order.
+    For a symmetric table and an odd g the fluxes sum to the pair sum of
+    x g(x): sum_d mult_d sum_x F_d(x) (v(x+d) - v(x)) = -2 h^N <rhs, v>.
+    That is B[v, v] for linear runs (pot None; `bilinear_form`'s identity,
+    so every strategy has it) and twice V(v) for the quadratic potential;
+    otherwise V(v) = -2 h^N <rhs, v> - 2 sum_d sum_x K_d psi(v(x+d) - v(x))
+    h^(2N), phi = x phi' - psi, psi summed on each block of the pass.
     """
-    grid = op.grid
-    if pot is None:
-        r = _rhs(op, None, v, t)
-        return r, -2.0 * grid.spacing ** grid.dimension * float(np.dot(r, v))
-    table = op.offset_values(t)
-    energy, done = 0.0, 0
+    h_n = op.grid.spacing ** op.grid.dimension
+    if pot is None or pot.spec.family == "quadratic":
+        r = _rhs(op, pot, v, t)
+        energy = -2.0 * h_n * float(np.dot(r, v))
+        return r, energy if pot is None else 0.5 * energy
+    table, psi_total, done = op.offset_values(t), 0.0, 0
 
     def d1(diffs):
-        nonlocal energy, done
-        rows = slice(done, done + diffs.shape[0])
-        flux, phi = pot.d1_and_value(diffs)
-        energy += op.stencil.pair_total(rows, table, phi)
-        done = rows.stop
+        nonlocal psi_total, done
+        rows, done = slice(done, done + diffs.shape[0]), done + diffs.shape[0]
+        flux = pot.d1(diffs)
+        psi_total += pot.psi(diffs, lambda values: op.stencil.pair_total(
+            rows, table, values))
         return flux
 
-    r = _offset_rhs(op, v.reshape(grid.shape), t, d1=d1).ravel()
-    return r, energy * grid.spacing ** (2 * grid.dimension)
+    r = _offset_rhs(op, v.reshape(op.grid.shape), t, d1=d1).ravel()
+    return r, -2.0 * h_n * float(np.dot(r, v)) - psi_total * h_n * h_n
 
 
 def linear_energy(op: DiscreteOperator, w: np.ndarray, t: float = 0.0) -> float:
@@ -266,6 +267,7 @@ def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
     span = problem.t_end - problem.t_start
     n_steps = max(1, int(math.ceil(span / dt_target - 1e-12)))
     step_times = np.linspace(problem.t_start, problem.t_end, n_steps + 1)
+    COUNTERS["steps"] += n_steps
     dts = np.diff(step_times)
 
     n = grid.n_nodes

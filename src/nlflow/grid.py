@@ -17,13 +17,16 @@ Three evaluation strategies give the same quadrature:
             F_d(x) = K(x, x+d) [w(x+d) - w(x)] over one offset d of each
             pair {d, -d mod M} within the truncation radius: K is symmetric,
             so d and -d carry one flux (`OffsetStencil`, which also gives
-            the weight-1/2 rule for offsets with 2d = 0 mod M)
+            the weight-1/2 rule for offsets with 2d = 0 mod M).  Offsets
+            sharing their trailing component are swept together on a copy
+            of w rolled by it and padded along the leading axis only, so
+            every gather and scatter is a contiguous slice
   spectral  Fourier multiplier; translation-invariant untruncated kernels only
 
 Kernel values are always evaluated at canonical node coordinates in [0, L)^N
 with the periodic distance passed explicitly, so rough-kernel symmetry holds
 exactly at wrap-around pairs and banded/dense see bitwise-identical values.
-All reductions run in fixed lexicographic order.
+All reductions run in a fixed order.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import (
     DimensionMismatchError,
@@ -45,13 +48,19 @@ from .kernels import Kernel
 
 STRATEGIES = ("dense", "banded", "spectral")
 
-# Offsets x nodes in one block of lattice differences.  A 1-d row of 256 nodes
-# takes 64 offsets a block; a 128 x 128 grid takes one, because the smoothed
-# huber phi' on two-offset blocks measured up to twice as slow as on one.
+# Offsets x nodes in one block of lattice differences.  A 1-d row of 256
+# nodes takes 64 offsets a block (all 48 of the diagnose runs: 2^13 and 2^12
+# measured 10-40% slower); a 128 x 128 grid takes one: a smoothed-huber flux
+# and energy pass over its 896 offsets took ~100 ms so, ~105 ms with two
+# offsets a block and ~190 ms with four (2-vCPU Xeon, 2 MB L2 a core).
 BLOCK_BUDGET = 1 << 14
 
 # Pair length cutoff of the discrete H^(s/2) seminorm (`seminorm_sq`).
 SEMINORM_CUTOFF = 2.0
+
+# Work counts for timings.json (flux passes are `OffsetStencil.offset_sum`s)
+COUNTERS = dict.fromkeys(("steps", "flux_passes", "offset_table_builds",
+                          "operator_cache_hits", "operator_cache_misses"), 0)
 
 
 @dataclass
@@ -123,12 +132,12 @@ class Grid:
         """Nonzero lattice offsets with periodic length <= radius, one a
         pair.
 
-        Returns (deltas, dists): integer index shifts, shape (n_off, N), in
-        lexicographic order, and their periodic lengths in coordinate units.
-        radius=None keeps every nonzero offset (nearest-image convention).
-        Of each pair {d, -d mod M} only the offset whose residue mod M is
-        lexicographically smaller is kept (the half stencil of
-        `OffsetStencil`): in 2-d at even M, (M/2, k) and (M/2, -k) are one.
+        Returns (deltas, dists): integer index shifts, shape (n_off, N), by
+        trailing then leading component, and their periodic lengths in
+        coordinate units.  radius=None keeps every nonzero offset
+        (nearest-image convention).  Of each pair {d, -d mod M} only the
+        offset whose residue mod M is lexicographically smaller is kept (the
+        half stencil): in 2-d at even M, (M/2, k) and (M/2, -k) are one.
         """
         key = ("offsets", radius)
         if key in self._caches:
@@ -141,7 +150,8 @@ class Grid:
         keep = (dists > 0.0) & (steps[first] <= back[first])
         if radius is not None and math.isfinite(radius):
             keep &= dists <= radius
-        deltas, dists = deltas[keep], dists[keep]
+        order = np.lexsort(deltas[keep].T)
+        deltas, dists = deltas[keep][order], dists[keep][order]
         self._caches[key] = (deltas, dists)
         return deltas, dists
 
@@ -182,21 +192,13 @@ def _block_sum(block: np.ndarray, axis: int) -> np.ndarray:
         np.sum(block, axis=axis)
 
 
-def _padded(lead: tuple, shape: tuple, lo, hi):
-    """A new array padded by lo[k] nodes below and hi[k] above node axis k:
-    its nodes, (padding, nodes) view pairs that wrap it periodically when
-    copied in order, and its view of every node-shaped window."""
-    buf = np.empty(lead + tuple(n + a + b for n, a, b in zip(shape, lo, hi)))
-    wraps = []
-    for k, (n, a, b) in enumerate(zip(shape, lo, hi)):
-        at = (slice(None),) * (len(lead) + k)
-        wraps += [(buf[at + (slice(0, a),)], buf[at + (slice(n, n + a),)]),
-                  (buf[at + (slice(a + n, a + n + b),)],
-                   buf[at + (slice(a, a + b),)])]
-    return (buf[(Ellipsis,) + tuple(slice(a, a + n) for a, n in zip(lo, shape))],
-            [pair for pair in wraps if pair[0].size],
-            sliding_window_view(buf, shape, axis=tuple(range(len(lead),
-                                                             buf.ndim))))
+def _skewed(buf: np.ndarray, axis: int) -> np.ndarray:
+    """The view v[..., j, i, ...] = buf[..., j, i + j, ...] of n rows of
+    m + n - 1 entries: summing buf over `axis` adds v's row j at i + j."""
+    st = buf.strides
+    return as_strided(buf, buf.shape[:axis + 1] + (
+        buf.shape[axis + 1] - buf.shape[axis] + 1,) + buf.shape[axis + 2:],
+        st[:axis] + (st[axis] + st[axis + 1],) + st[axis + 1:])
 
 
 class OffsetStencil:
@@ -210,12 +212,14 @@ class OffsetStencil:
     offset with 2d = 0 (mod M) is its own partner: weight 1/2 in the doubled
     sums (`multiplicity` 1, not 2), and F_d(x) alone among the fluxes.
 
-    Fields have shape (..., *grid.shape), leading axes a batch.  Per field
-    shape, a halo'd field and a halo'd block of fluxes are built once (so a
-    stencil serves one call per field shape at a time); a block of offsets
-    is gathered at x + d from the one and its fluxes at x - d from the other.
-    Blocks follow `deltas`, every batch row through the same operations, so
-    all stacked rows reduce in one shared order.
+    Fields have shape (..., *grid.shape), leading axes a batch.  Rows of the
+    table sharing their trailing shift d[-1] (all, in 1-d) form a group, swept
+    on w rolled by it and padded on the leading axis, so w(x + d) is the row
+    slice at d[0] and -F_d reaches x + d through a scatter buffer of that
+    layout, folded and rolled back per group; a block (a group's offsets
+    with consecutive d[0]) takes one subtraction, and its fluxes, each one
+    row lower, scatter as one sum.  Buffers are built once per field shape,
+    so a stencil serves one call per shape at a time.
     """
 
     def __init__(self, grid: Grid, deltas: np.ndarray):
@@ -224,52 +228,72 @@ class OffsetStencil:
             np.mod(2 * deltas, grid.points_per_axis) == 0, axis=1), 1.0, 2.0)
         self._plans: dict = {}
 
-    def _plan(self, shape: tuple):
-        """Built once per field shape: the halo'd field (nodes, wraps,
-        windows, nodes as a block), the halo'd fluxes (windows, wraps) and
-        per block of BLOCK_BUDGET // size offsets (at least one) its rows,
-        the index of x + d, its fluxes and the index of x - d (None if no
-        offset in it has a partner)."""
-        if shape not in self._plans:
-            grid, tail = self.grid, (slice(None),) * self.grid.dimension
-            batch = shape[:len(shape) - grid.dimension]
-            n, step = self.deltas.shape[0], max(1, BLOCK_BUDGET // int(
-                np.prod(shape)))
-            # x + d spans [-lo, M + hi) on each axis, x - d spans [-hi, M + lo)
-            lo = np.maximum(0, -np.min(self.deltas, axis=0, initial=0))
-            hi = np.maximum(0, np.max(self.deltas, axis=0, initial=0))
-            nodes, wraps, windows = _padded(batch, grid.shape, lo, hi)
-            fluxes, flux_wraps, flux_windows = _padded(
-                batch + (step,), grid.shape, hi, lo)
-            blocks = []
-            for start in range(0, n, step):
-                rows = slice(start, min(start + step, n))
-                ahead = (Ellipsis,) + tuple((self.deltas[rows] + lo).T) + tail
-                out = fluxes[(Ellipsis, slice(0, rows.stop - start)) + tail]
-                j = np.flatnonzero(self.multiplicity[rows] == 2.0)
-                starts = tuple((hi - self.deltas[rows][j]).T)
-                if j.size == 1:     # basic indexing: a view, not a copy
-                    behind = (Ellipsis, slice(j[0], j[0] + 1)) + tuple(
-                        int(at[0]) for at in starts) + tail
-                else:
-                    behind = (Ellipsis, j) + starts + tail if j.size else None
-                blocks.append((rows, ahead, out, behind))
-            self._plans[shape] = (nodes, wraps, windows, np.expand_dims(
-                nodes, len(batch)), flux_windows, flux_wraps, blocks)
-        return self._plans[shape]
+    def _plan(self, shape: tuple, size: int):
+        """Per field shape and block size (offsets x `size` <= BLOCK_BUDGET):
+        node rows and (padding, node rows) wraps of the padded field and of
+        the scatter buffer, and the groups (trailing shift, blocks: table
+        rows, field window, diffs, skewed flux view, flux buffer, scatter
+        window or None if unpaired)."""
+        key = (shape, size)
+        if key in self._plans:
+            return self._plans[key]
+        M, dim, d0 = self.grid.points_per_axis, self.grid.dimension, \
+            self.deltas[:, 0]
+        lead, lo, hi = len(shape) - dim, max(0, -d0.min()), max(0, d0.max())
+        pad = np.empty(shape[:lead] + (lo + M + hi,) + shape[lead + 1:])
+        scatter = np.empty_like(pad)
+
+        def rows(buf, a, n, tail=(slice(None),) * (dim - 1)):
+            return buf[(Ellipsis, slice(a, a + n)) + tail]
+
+        def halo(buf):
+            return [(rows(buf, a, n), rows(buf, b, n)) for a, b, n in (
+                (0, M, lo), (lo + M, lo, hi)) if n]
+
+        windows = np.moveaxis(sliding_window_view(pad, M, axis=lead), -1,
+                              lead + 1)
+        shift = np.mod(self.deltas[:, -1], M) * (dim > 1)
+        groups, buffers, start = {}, {}, 0
+        for j in range(1, d0.size + 1):
+            if j < d0.size and shift[j] == shift[start] and \
+                    d0[j] == d0[j - 1] + 1 and (j - start + 1) * size <= \
+                    BLOCK_BUDGET and self.multiplicity[j] == \
+                    self.multiplicity[start]:
+                continue
+            n, k = j - start, lo + d0[start]
+            if n not in buffers:
+                buf = np.zeros(shape[:lead] + (n, M + n - 1)
+                               + shape[lead + 1:])
+                buffers[n] = (np.empty(shape[:lead] + (n,) + shape[lead:]),
+                              _skewed(buf, lead), buf)
+            groups.setdefault(shift[start], []).append((
+                slice(start, j), rows(windows, k, n, (slice(None),) * dim),
+                *buffers[n], rows(scatter, k, M + n - 1)
+                if self.multiplicity[start] == 2.0 else None))
+            start = j
+        self._plans[key] = (rows(pad, lo, M), halo(pad), scatter,
+                            rows(scatter, lo, M), halo(scatter),
+                            list(groups.items()))
+        return self._plans[key]
+
+    def _groups(self, w: np.ndarray, size: int):
+        """Yield (shift, blocks, diffs of each block) per group, the padded
+        field holding w rolled by the group's trailing shift."""
+        nodes, wraps, _, _, _, groups = self._plan(w.shape, size)
+        base = np.expand_dims(w, w.ndim - self.grid.dimension)
+        for shift, blocks in groups:
+            nodes[...] = np.roll(w, -shift, axis=-1) if shift else w
+            for pad_rows, node_rows in wraps:
+                pad_rows[...] = node_rows
+            yield shift, blocks, (np.subtract(window, base, out=out)
+                                  for _, window, out, _, _, _ in blocks)
 
     def blocks(self, w: np.ndarray):
         """Yield (rows, diffs) with diffs[..., j, *grid.shape] equal to
-        w(x + deltas[rows][j]) - w(x), block by block."""
-        nodes, wraps, windows, base, _, _, blocks = self._plan(w.shape)
-        nodes[...] = w
-        for pad, src in wraps:
-            pad[...] = src
-        for rows, index, _, _ in blocks:
-            diffs = windows[index]
-            diffs -= base
-            yield rows, diffs
-            del diffs       # hold no block while gathering the next one
+        w(x + deltas[rows][j]) - w(x), block by block, in reused buffers."""
+        for _, blocks, diffs in self._groups(w, math.prod(w.shape)):
+            for block, block_diffs in zip(blocks, diffs):
+                yield block[0], block_diffs
 
     def offset_sum(self, w: np.ndarray, table: np.ndarray,
                    g=None) -> np.ndarray:
@@ -277,20 +301,28 @@ class OffsetStencil:
         g = identity by default: for a symmetric table and an odd g, the sum
         over every ordered offset.  `table` holds one weight per kept offset,
         shape (n_off,), or per offset and node, (n_off, n_nodes); `g` maps a
-        block of differences to an array of its shape."""
-        *_, windows, wraps, blocks = self._plan(w.shape)
+        block of differences to an array of its shape.  Blocks are sized by
+        the grid alone, so stacked rows sum as they would alone."""
+        COUNTERS["flux_passes"] += 1
+        grid = self.grid
+        _, _, scatter, nodes, folds, _ = self._plan(w.shape, grid.n_nodes)
         weights = table.reshape(table.shape[:1] + (
-            self.grid.shape if table.ndim > 1 else (1,) * self.grid.dimension))
-        axis = w.ndim - self.grid.dimension
+            grid.shape if table.ndim > 1 else (1,) * grid.dimension))
+        lead = w.ndim - grid.dimension
         acc = np.zeros(w.shape)
-        for (rows, diffs), (_, _, out, back) in zip(self.blocks(w), blocks):
-            np.multiply(diffs if g is None else g(diffs), weights[rows],
-                        out=out)
-            acc += _block_sum(out, axis)
-            if back is not None:
-                for pad, src in wraps:
-                    pad[...] = src
-                acc -= _block_sum(windows[back], axis)
+        for shift, blocks, diffs in self._groups(w, grid.n_nodes):
+            scatter[...] = 0.0
+            for (rows, _, _, flux, buf, to), block_diffs in zip(blocks,
+                                                                 diffs):
+                np.multiply(block_diffs if g is None else g(block_diffs),
+                            weights[rows], out=flux)
+                acc += _block_sum(flux, lead)
+                if to is not None:
+                    to += _block_sum(buf, lead)
+            for pad_rows, node_rows in folds:
+                node_rows += pad_rows
+            # -F_d(x) went to x + d, rolled by the shift
+            acc -= np.roll(nodes, shift, axis=-1) if shift else nodes
         return acc
 
     def pair_total(self, rows: slice, table: np.ndarray,
@@ -367,6 +399,12 @@ class DiscreteOperator:
         else:
             self.deltas = self.dists = self.stencil = None
 
+    def _hit(self, key) -> bool:
+        """Whether `key` is cached, counted as a cache hit or miss."""
+        hit = key in self._cache
+        COUNTERS["operator_cache_" + ("hits" if hit else "misses")] += 1
+        return hit
+
     def offset_values(self, t: float = 0.0) -> np.ndarray:
         """Kernel values K(t, x, x + d) per kept offset d, the half table of
         the stencil: (n_off,) scalars for translation-invariant kernels, else
@@ -375,8 +413,9 @@ class DiscreteOperator:
             raise StrategyMismatchError(
                 "offset_values is undefined for the spectral strategy")
         key = ("offvals", kernel_epoch(self.kernel, t))
-        if key in self._cache:
+        if self._hit(key):
             return self._cache[key]
+        COUNTERS["offset_table_builds"] += 1
         if self.kernel.translation_invariant:
             vals = self.kernel.radial_profile(self.dists)
         else:
@@ -401,7 +440,7 @@ class DiscreteOperator:
         diagonal (the double-sum oracle), and its row sums, cached together
         per epoch."""
         key = ("matrix", kernel_epoch(self.kernel, t))
-        if key in self._cache:
+        if self._hit(key):
             return self._cache[key]
         grid, kern = self.grid, self.kernel
         coords = grid.node_coords()
@@ -432,7 +471,7 @@ class DiscreteOperator:
         if self.strategy != "spectral":
             raise StrategyMismatchError(
                 "multipliers() requires the spectral strategy")
-        if "symbol" not in self._cache:
+        if not self._hit("symbol"):
             grid = self.grid
             row = self.kernel.radial_profile(grid.origin_distance())
             row[0] = 0.0
@@ -510,8 +549,6 @@ def seminorm_sq(grid: Grid, stack: np.ndarray, order: float) -> np.ndarray:
     wg = stack.reshape(stack.shape[:-1] + grid.shape)
     sums = np.empty(stack.shape[:-1] + stencil.deltas.shape[:1])
     for rows, diffs in stencil.blocks(wg):
-        # square in place: blocks are fresh arrays
         sums[..., rows] = np.sum(np.square(diffs, out=diffs),
                                  axis=tuple(range(-grid.dimension, 0)))
-        del diffs       # hold no block while the next one is gathered
     return np.sum(sums * weights, axis=-1) * grid.spacing ** (2 * grid.dimension)

@@ -12,6 +12,12 @@ Families:
 
 `d2_bounds` are certified analytically per family, not measured, so callers
 (time-step bounds, derived-kernel clamps) can rely on them exactly.
+
+phi(x) = x phi'(x) - psi(x) with psi(x) = (a x^2 + b log1p(x^2)) / 2, the
+antiderivative of x phi''(x) (a = 1, b = 0 for the quadratic): a flow's
+fluxes already sum x phi'(x) over every pair, so its energy adds only the
+sum of psi over the differences, and phi is never formed there
+(`flow._rhs_and_energy`).
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ class PotentialSpec:
 
 
 class Potential:
-    """Evaluator bundle: value / d1 / d2 plus certified d2 bounds."""
+    """Evaluator bundle: value / d1 / psi / d2 plus certified d2 bounds."""
 
     def __init__(self, spec: PotentialSpec):
         if spec.family not in POTENTIAL_FAMILIES:
@@ -56,7 +62,8 @@ class Potential:
         return self.d2_bounds[1]
 
     def value(self, x) -> np.ndarray:
-        return self.d1_and_value(x)[1]
+        x = np.asarray(x, dtype=np.float64)
+        return x * self.d1(x) - self.psi(x.copy())
 
     def d1(self, x) -> np.ndarray:
         if self.spec.family == "quadratic":
@@ -68,21 +75,16 @@ class Potential:
         np.multiply(self._b, np.arctan(x, out=out), out=out)
         return np.add(np.multiply(self._a, x, out=tmp), out, out=out)
 
-    def d1_and_value(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """phi'(x) and phi(x) = x phi'(x) - (a x^2 + b log1p(x^2)) / 2, the
-        antiderivative of x phi''(x) subtracted: one arctan, in `d1`."""
-        x = np.asarray(x, dtype=np.float64)
-        d1 = self.d1(x)
+    def psi(self, x: np.ndarray, total=None):
+        """total(psi(x)) for psi(x) = x phi'(x) - phi(x) = (a x^2 + b log1p(
+        x^2)) / 2 (a = 1, b = 0 for the quadratic) and a linear `total`, the
+        identity by default; x, float64, is overwritten."""
+        total = total or (lambda y: y)
+        np.square(x, out=x)
         if self.spec.family == "quadratic":
-            return d1, 0.5 * x * x
-        # x (phi'(x) - a x / 2) - b log1p(x^2) / 2 in two buffers
-        out, tmp = np.empty_like(x), np.empty_like(x)
-        np.log1p(np.multiply(x, x, out=tmp), out=tmp)
-        tmp *= -0.5 * self._b
-        np.multiply(-0.5 * self._a, x, out=out)
-        out += d1
-        out *= x
-        return d1, np.add(out, tmp, out=out)
+            return 0.5 * total(x)
+        part = (0.5 * self._a) * total(x)
+        return part + (0.5 * self._b) * total(np.log1p(x, out=x))
 
     def d2(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

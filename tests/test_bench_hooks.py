@@ -3,7 +3,8 @@
 `perfbench/tracer.py` wraps package names where their callers look them up,
 and `perfbench/layers.py` builds each workload's operator from package calls.
 A renamed hook would only make a traced benchmark run incomplete; these tests
-make it fail here instead.  Nothing is installed or patched.
+make it fail here instead, and check that the right-hand side the probe times
+is the one the flow steps with.  Nothing is installed or patched.
 """
 
 import importlib
@@ -11,7 +12,10 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
+
+from nlflow import flow
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -44,3 +48,16 @@ def test_layer_probe_builds_the_operator(workload, tmp_path):
     assert op.grid.compatible_with(grid)
     assert op.offset_values(0.0).shape[0] == op.deltas.shape[0]
     assert (d1 is None) == (workload == "diagnose-1d")
+
+
+@pytest.mark.parametrize("workload", GATED)
+def test_benchmarked_rhs_is_the_flow_rhs(workload, tmp_path):
+    # the RHS the layer probe times is the one the flow steps with, bit for
+    # bit, though the flow's pass also sums the energy
+    if workload == "denoise-2d":
+        workloads.write_noisy_pgm(str(tmp_path / "noisy.pgm"), 0)
+    op, grid, d1 = layers.operator_for(workload, 0, str(tmp_path))
+    potential = None if d1 is None else d1.__self__
+    v = np.random.default_rng(1).uniform(0.0, 1.0, grid.n_nodes)
+    rhs = flow._offset_rhs(op, v.reshape(grid.shape), 0.0, d1=d1).ravel()
+    assert np.array_equal(rhs, flow._rhs_and_energy(op, potential, v, 0.0)[0])

@@ -205,6 +205,21 @@ def test_run_records_dissipation(tmp_path, capsys):
     b = load_field(str(out / "fields" / "final-seed2.csv"))
     assert not np.array_equal(a.values, b.values)
     assert "run seed 2: dissipative" in capsys.readouterr().out
+    # timings.json: disjoint phase spans in order, and the work counters
+    timings = json.loads((out / "timings.json").read_text())
+    spans = timings["phases"]
+    assert [s["phase"] for s in spans] == ["setup"] + [
+        "integrate", "detect", "write"] * 2
+    for span, after in zip(spans, spans[1:]):
+        assert span["seconds"] >= 0.0
+        assert after["start_s"] == pytest.approx(
+            span["start_s"] + span["seconds"], abs=1e-9)
+    steps = sum(r["n_steps"] for r in report["runs"])
+    # one flux pass per state, and one for each rough table's row sums
+    assert timings["counters"] == {
+        "steps": steps, "flux_passes": steps + 2 * 2,
+        "offset_table_builds": 2, "operator_cache_misses": 2,
+        "operator_cache_hits": steps + 2}
 
 
 @pytest.mark.parametrize("sets, calls", [

@@ -369,6 +369,25 @@ def test_2d_constant_and_oracle_small_grid():
         np.max(np.abs(oracle)))
 
 
+@pytest.mark.parametrize("dim, points", [(1, 64), (2, 45)])
+def test_stacked_rows_sum_as_they_would_alone(dim, points):
+    # every batch row takes the same blocks and reductions, bit for bit
+    g = Grid(dimension=dim, side_length=16.0, points_per_axis=points)
+    op = DiscreteOperator(g, rough_kernel(seed=4, dimension=dim), "banded")
+    table = op.offset_values()
+    stack = np.random.default_rng(points).uniform(-1.0, 1.0,
+                                                  (2, 3, g.n_nodes))
+    sums = op.stencil.offset_sum(stack.reshape((2, 3) + g.shape), table,
+                                 np.tanh)
+    semi = seminorm_sq(g, stack, 1.0)
+    for i in range(2):
+        for j in range(3):
+            alone = op.stencil.offset_sum(stack[i, j].reshape(g.shape),
+                                          table, np.tanh)
+            assert np.array_equal(sums[i, j], alone)
+            assert semi[i, j] == seminorm_sq(g, stack[i, j], 1.0)
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 1000), amp=st.floats(0.1, 3.0))
 def test_property_form_nonnegative_and_sbp(seed, amp):
