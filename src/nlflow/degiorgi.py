@@ -155,6 +155,45 @@ def _dyadic_ladder(k_max: int) -> tuple[np.ndarray, np.ndarray]:
     return -1.0 - half_k, 0.5 - 0.5 * half_k
 
 
+def _cyclic_cover(hits: np.ndarray, halo: int) -> tuple[int, int]:
+    """(first node, length) of the shortest cyclic interval holding every
+    True entry of `hits`, widened by `halo` nodes on both sides."""
+    nodes = np.flatnonzero(hits)
+    if nodes.size == 0:
+        return 0, 2 * halo + 1
+    gaps = np.diff(nodes, append=nodes[0] + hits.size)
+    j = int(np.argmax(gaps))
+    return int(nodes[(j + 1) % nodes.size]) - halo, \
+        hits.size - int(gaps[j]) + 1 + 2 * halo
+
+
+def _truncation_box(traj: Trajectory, idx: np.ndarray, psi: np.ndarray
+                    ) -> tuple[int | None, np.ndarray, np.ndarray]:
+    """(points an axis or None, fields of the samples idx, psi) on the
+    sub-torus every truncation (w - psi_{L_k})_+ of those samples lives on.
+
+    The rung-0 truncation (w - psi)_+ vanishes off a node set S, and every
+    rung's truncation lies below it.  The box is the shortest cyclic interval
+    of each axis holding S, widened by the longest seminorm offset on both
+    sides and made square; read as a torus of its own, a seminorm pair that
+    leaves it or wraps around it joins two nodes off S, so sums over the box
+    miss only exact zeros.  A box not smaller than the grid is the grid
+    (points None).
+    """
+    grid, fields = traj.grid, traj.fields[idx]
+    M, dim = grid.points_per_axis, grid.dimension
+    halo = int(np.abs(grid.offsets_within(SEMINORM_CUTOFF)[0]).max(initial=0))
+    support = np.any(fields > psi, axis=0).reshape(grid.shape)
+    covers = [_cyclic_cover(np.any(support, axis=(1 - a,) * (dim - 1)), halo)
+              for a in range(dim)]
+    points = max(8, *(length for _, length in covers))
+    if points >= M:
+        return None, fields, psi
+    axes = [(first + np.arange(points)) % M for first, _ in covers]
+    nodes = axes[0] if dim == 1 else (axes[0][:, None] * M + axes[1]).ravel()
+    return points, fields[:, nodes], psi[nodes]
+
+
 @dataclass(frozen=True)
 class TruncatedEnergySequence:
     levels: np.ndarray          # k = 0..k_max
@@ -184,11 +223,12 @@ def truncated_energies(traj: Trajectory,
               + int_{T_k}^0 [ (w - psi_{L_k})_+ ]_{s/2}^2 dt .
 
     with s the trajectory's order and the seminorm taken over pairs within
-    `SEMINORM_CUTOFF`.  The sup and the time integral are both accumulated
-    from t = 0 backwards
-    so that U_{k+1} <= U_k holds exactly in floating point (each level-k+1
-    term is a rounded-monotone image of the matching level-k term, and the
-    level-k sequence only gains extra nonnegative terms).
+    `SEMINORM_CUTOFF`.  Every rung sums over the one sub-torus the rung-0
+    truncation lives on (`_truncation_box`), and the sup and the time
+    integral are both accumulated from t = 0 backwards, so that U_{k+1} <=
+    U_k holds exactly in floating point (each level-k+1 term is a
+    rounded-monotone image of the matching level-k term, and the level-k
+    sequence only gains extra nonnegative terms).
     """
     if k_max < 1:
         raise InvalidParameterError(f"k_max must be >= 1, got {k_max}")
@@ -209,23 +249,26 @@ def truncated_energies(traj: Trajectory,
 
     ks = np.arange(k_max + 1)
     t_starts, cuts = _dyadic_ladder(k_max)
-    psi = _barrier(traj, "psi")
+    points, fields, psi = _truncation_box(traj, idx, _barrier(traj, "psi"))
     h_n = grid.spacing ** grid.dimension
-    chunk = max(1, (1 << 22) // grid.n_nodes)
+    chunk = max(1, (1 << 22) // psi.size)
     sup_part = np.empty(ks.size)
     int_part = np.empty(ks.size)
     for j, t_k in enumerate(t_starts):
         # rung k reads only the samples of [T_k, 0], idx's last ones
-        rows = idx[idx.size - traj.window(t_k).size:]
-        l2_mass = np.empty(rows.size)
-        seminorm = np.empty(rows.size)
-        for lo in range(0, rows.size, chunk):
-            pos = np.maximum(traj.fields[rows[lo:lo + chunk]]
-                             - (cuts[j] + psi), 0.0)
+        rows = fields[idx.size - traj.window(t_k).size:]
+        l2_mass = np.empty(rows.shape[0])
+        seminorm = np.empty(rows.shape[0])
+        for lo in range(0, rows.shape[0], chunk):
+            pos = np.maximum(rows[lo:lo + chunk] - (cuts[j] + psi), 0.0)
             l2_mass[lo:lo + chunk] = np.sum(pos * pos, axis=-1) * h_n
-            seminorm[lo:lo + chunk] = seminorm_sq(grid, pos, s)
+            # a sample whose truncation vanishes has seminorm exactly 0
+            live = np.any(pos, axis=-1)
+            seminorm[lo:lo + chunk] = 0.0
+            seminorm[lo:lo + chunk][live] = seminorm_sq(grid, pos[live], s,
+                                                        points)
         # accumulate from t = 0 backwards, in order
-        gaps = -np.diff(traj.times[rows][::-1])
+        gaps = -np.diff(traj.times[idx[-rows.shape[0]:]][::-1])
         sup_part[j] = np.max(l2_mass)
         int_part[j] = np.cumsum(gaps * 0.5 * (seminorm[::-1][:-1]
                                               + seminorm[::-1][1:]))[-1]
@@ -295,13 +338,14 @@ def chebyshev_chain(traj: Trajectory, k_max: int) -> ChebyshevReport:
         iint (w - psi_{L_k})_+^2    <= (2^{k+1})^{2s/N}     iint ...
 
     which follow pointwise from (w - psi_{L_{k-1}})_+ >= 2^{-(k+1)} on the
-    set where w exceeds psi_{L_k}.
+    set where w exceeds psi_{L_k}.  The sums run over the sub-torus of
+    `_truncation_box`, and rung k's truncation on [T_k, 0], the tail of its
+    window, is rung k+1's base.
     """
     if k_max < 1:
         raise InvalidParameterError(f"k_max must be >= 1, got {k_max}")
     s = float(traj.order)
     n_dim = traj.grid.dimension
-    psi = _barrier(traj, "psi")
 
     ks = np.arange(1, k_max + 1)
     t_starts, cuts = _dyadic_ladder(k_max)
@@ -309,20 +353,23 @@ def chebyshev_chain(traj: Trajectory, k_max: int) -> ChebyshevReport:
     p_ind = 2.0 * (1.0 + s / n_dim)
     p_sq = 2.0 * s / n_dim
     high = 2.0 * (1.0 + s / n_dim)
+    _, fields, psi = _truncation_box(traj, traj.window(t_starts[0]),
+                                     _barrier(traj, "psi"))
 
     lin = np.empty(ks.size)
     ind = np.empty(ks.size)
     sq = np.empty(ks.size)
     base = np.empty(ks.size)
+    pos = np.maximum(fields - (cuts[0] + psi), 0.0)
     for i, k in enumerate(ks):
         rows = traj.window(t_starts[k - 1])
-        w = traj.fields[rows]
-        pos_k = np.maximum(w - (cuts[k] + psi)[None, :], 0.0)
-        pos_km1 = np.maximum(w - (cuts[k - 1] + psi)[None, :], 0.0)
-        lin[i] = space_time_measure(traj, pos_k, rows)
-        ind[i] = space_time_measure(traj, pos_k > 0.0, rows)
-        sq[i] = space_time_measure(traj, pos_k * pos_k, rows)
-        base[i] = space_time_measure(traj, pos_km1 ** high, rows)
+        base[i] = space_time_measure(traj, pos[pos.shape[0] - rows.size:]
+                                     ** high, rows)
+        pos = np.maximum(fields[fields.shape[0] - rows.size:]
+                         - (cuts[k] + psi), 0.0)
+        lin[i] = space_time_measure(traj, pos, rows)
+        ind[i] = space_time_measure(traj, pos > 0.0, rows)
+        sq[i] = space_time_measure(traj, pos * pos, rows)
 
     factors = 2.0 ** (ks + 1)
     slack = np.stack([

@@ -41,6 +41,7 @@ from .kernels import Kernel
 from .potentials import Potential
 
 STEPPERS = ("euler", "heun")
+STATE_CHUNK = 1 << 14    # values of run_flow's state buffer (2 states or more)
 
 
 def _monotone_threshold(op: DiscreteOperator, potential: Potential | None,
@@ -77,7 +78,7 @@ def _offset_rhs(op: DiscreteOperator, wg: np.ndarray, t: float,
     ones.  The linear and nonlinear paths share this sum so the quadratic
     degeneracy is bitwise."""
     acc = op.stencil.offset_sum(wg, op.offset_values(t), d1)
-    return acc * op.grid.spacing ** op.grid.dimension
+    return np.multiply(acc, op.grid.spacing ** op.grid.dimension, out=acc)
 
 
 def _rhs(op: DiscreteOperator, pot: Potential | None, v: np.ndarray,
@@ -251,7 +252,13 @@ class Trajectory:
 
 def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
     """Integrate the flow; samples every `sample_every`-th state (plus the
-    final one) and records dt / L2 / energy / min / max / mass per state."""
+    final one) and records dt / L2 / energy / min / max / mass per state.
+
+    Steps write states into a reused buffer of STATE_CHUNK values (or all
+    states, when stored), whose rows give L2, min, max and mass as row
+    reductions, bit for bit the per-state sums.  The energy comes with the
+    RHS; only a non-finite energy, which a non-finite state makes, is
+    followed by a look for non-finite entries."""
     if sample_every < 1:
         raise InvalidParameterError(
             f"sample_every must be a positive integer: {sample_every}")
@@ -270,51 +277,44 @@ def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
     COUNTERS["steps"] += n_steps
     dts = np.diff(step_times)
 
-    n = grid.n_nodes
-    h_n = grid.spacing ** grid.dimension
-    w = problem.initial.values.copy()
-    l2 = np.empty(n_steps + 1)
-    energy = np.empty(n_steps + 1)
-    vmin = np.empty(n_steps + 1)
-    vmax = np.empty(n_steps + 1)
-    mass = np.empty(n_steps + 1)
-    sample_idx: list[int] = []
-    sample_fields: list[np.ndarray] = []
+    n, h_n = grid.n_nodes, grid.spacing ** grid.dimension
+    sampled = np.union1d(np.arange(0, n_steps + 1, sample_every), n_steps)
+    fields = np.empty((sampled.size, n))
+    energy, l2, vmin, vmax, mass = np.empty((5, n_steps + 1))
     states = np.empty((n_steps + 1, n)) if problem.store_states else None
-
-    heun = problem.stepper == "heun"
+    buf = states if states is not None else np.empty(
+        (min(n_steps + 1, max(2, STATE_CHUNK // n)), n))
+    buf[0] = problem.initial.values
+    first = 0                           # the state in buf[0]
     for i in range(n_steps + 1):
-        t = float(step_times[i])
+        w, t = buf[i - first], float(step_times[i])
         k1, energy[i] = _rhs_and_energy(op, pot, w, t)
-        l2[i] = math.sqrt(float(np.sum(w * w)) * h_n)
-        vmin[i] = float(w.min())
-        vmax[i] = float(w.max())
-        mass[i] = float(np.sum(w)) * h_n
-        if states is not None:
-            states[i] = w
-        if i % sample_every == 0 or i == n_steps:
-            sample_idx.append(i)
-            sample_fields.append(w.copy())
+        if not math.isfinite(energy[i]) and not np.all(np.isfinite(w)):
+            # non-finite initial data makes state 1 non-finite as well
+            raise NonFiniteStateError(
+                f"non-finite state after step {max(i, 1)}", step=max(i, 1))
+        if i == n_steps or i - first == buf.shape[0] - 1:
+            done, recs = buf[:i - first + 1], slice(first, i + 1)
+            l2[recs] = np.sqrt(np.add.reduce(done * done, axis=1) * h_n)
+            vmin[recs], vmax[recs] = done.min(axis=1), done.max(axis=1)
+            mass[recs] = np.add.reduce(done, axis=1) * h_n
+            rows = slice(*np.searchsorted(sampled, (first, i + 1)))
+            fields[rows] = done[sampled[rows] - first]
+            first = i + 1
         if i == n_steps:
             break
-        dt = float(dts[i])
-        if heun:
+        # w + dt k1 and w + (dt/2)(k1 + k2), as products then sums
+        nxt, dt = buf[i + 1 - first], float(dts[i])
+        if problem.stepper == "heun":
             k2 = _rhs(op, pot, w + dt * k1, t + dt)
-            w = w + (0.5 * dt) * (k1 + k2)
-        else:
-            w = w + dt * k1
-        if not np.all(np.isfinite(w)):
-            raise NonFiniteStateError(
-                f"non-finite state after step {i + 1}", step=i + 1)
+            k1, dt = np.add(k1, k2, out=nxt), 0.5 * dt
+        np.add(np.multiply(k1, dt, out=nxt), w, out=nxt)
 
     return Trajectory(
-        grid=grid, kind=problem.kind,
-        times=step_times[np.array(sample_idx)],
-        fields=np.array(sample_fields),
-        step_times=step_times, dts=dts, l2=l2, energy=energy,
-        vmin=vmin, vmax=vmax, mass=mass,
-        kernel=kernel, potential=problem.potential,
-        stepper=problem.stepper, strategy=problem.strategy,
-        states=states,
+        grid=grid, kind=problem.kind, times=step_times[sampled],
+        fields=fields, step_times=step_times, dts=dts, l2=l2, energy=energy,
+        vmin=vmin, vmax=vmax, mass=mass, kernel=kernel,
+        potential=problem.potential, stepper=problem.stepper,
+        strategy=problem.strategy, states=states,
         meta={"t_start": problem.t_start, "t_end": problem.t_end,
               "sample_every": sample_every, "n_steps": n_steps})

@@ -185,11 +185,12 @@ def _lattice_length(grid: Grid, deltas: np.ndarray) -> np.ndarray:
     return np.linalg.norm(deltas, axis=-1) * grid.spacing
 
 
-def _block_sum(block: np.ndarray, axis: int) -> np.ndarray:
-    """Sum over the block axis, one row as a view: numpy sums a length-one
-    axis as slowly as a long one."""
-    return block.squeeze(axis) if block.shape[axis] == 1 else \
-        np.sum(block, axis=axis)
+def _block_sum(block: np.ndarray, axis: int, out: np.ndarray | None
+               ) -> np.ndarray:
+    """Sum over the block axis into `out`, or, with out None, the block's one
+    row as a view: numpy sums a length-one axis as slowly as a long one."""
+    return block.squeeze(axis) if out is None else \
+        np.add.reduce(block, axis=axis, out=out)
 
 
 def _skewed(buf: np.ndarray, axis: int) -> np.ndarray:
@@ -218,8 +219,8 @@ class OffsetStencil:
     slice at d[0] and -F_d reaches x + d through a scatter buffer of that
     layout, folded and rolled back per group; a block (a group's offsets
     with consecutive d[0]) takes one subtraction, and its fluxes, each one
-    row lower, scatter as one sum.  Buffers are built once per field shape,
-    so a stencil serves one call per shape at a time.
+    row lower, scatter as one sum.  Buffers and views are built once per
+    field shape, so a stencil serves one call per shape at a time.
     """
 
     def __init__(self, grid: Grid, deltas: np.ndarray):
@@ -230,18 +231,21 @@ class OffsetStencil:
 
     def _plan(self, shape: tuple, size: int):
         """Per field shape and block size (offsets x `size` <= BLOCK_BUDGET):
-        node rows and (padding, node rows) wraps of the padded field and of
-        the scatter buffer, and the groups (trailing shift, blocks: table
-        rows, field window, diffs, skewed flux view, flux buffer, scatter
-        window or None if unpaired)."""
-        key = (shape, size)
-        if key in self._plans:
-            return self._plans[key]
+        the index broadcasting w over a block's offsets, node rows and
+        (padding, node rows) wraps of the padded field and of the scatter
+        buffer, and the groups (trailing shift, blocks: table rows, field
+        window, diffs, skewed flux view, flux buffer, scatter window or None
+        if unpaired, and the buffers its two sums reduce into, None for a
+        one-offset block)."""
+        plan = self._plans.get((shape, size))
+        if plan is not None:
+            return plan
         M, dim, d0 = self.grid.points_per_axis, self.grid.dimension, \
             self.deltas[:, 0]
         lead, lo, hi = len(shape) - dim, max(0, -d0.min()), max(0, d0.max())
         pad = np.empty(shape[:lead] + (lo + M + hi,) + shape[lead + 1:])
         scatter = np.empty_like(pad)
+        flux_sum = np.empty(shape)
 
         def rows(buf, a, n, tail=(slice(None),) * (dim - 1)):
             return buf[(Ellipsis, slice(a, a + n)) + tail]
@@ -265,35 +269,37 @@ class OffsetStencil:
                 buf = np.zeros(shape[:lead] + (n, M + n - 1)
                                + shape[lead + 1:])
                 buffers[n] = (np.empty(shape[:lead] + (n,) + shape[lead:]),
-                              _skewed(buf, lead), buf)
+                              _skewed(buf, lead), buf, (None, None) if n == 1
+                              else (flux_sum, np.empty(buf.shape[:lead]
+                                                       + buf.shape[lead + 1:])))
+            diffs, flux, buf, sums = buffers[n]
             groups.setdefault(shift[start], []).append((
                 slice(start, j), rows(windows, k, n, (slice(None),) * dim),
-                *buffers[n], rows(scatter, k, M + n - 1)
-                if self.multiplicity[start] == 2.0 else None))
+                diffs, flux, buf, rows(scatter, k, M + n - 1)
+                if self.multiplicity[start] == 2.0 else None, sums))
             start = j
-        self._plans[key] = (rows(pad, lo, M), halo(pad), scatter,
-                            rows(scatter, lo, M), halo(scatter),
-                            list(groups.items()))
-        return self._plans[key]
+        plan = self._plans[(shape, size)] = (
+            (Ellipsis, None) + (slice(None),) * dim, rows(pad, lo, M),
+            halo(pad), scatter, rows(scatter, lo, M), halo(scatter),
+            list(groups.items()))
+        return plan
 
-    def _groups(self, w: np.ndarray, size: int):
-        """Yield (shift, blocks, diffs of each block) per group, the padded
-        field holding w rolled by the group's trailing shift."""
-        nodes, wraps, _, _, _, groups = self._plan(w.shape, size)
-        base = np.expand_dims(w, w.ndim - self.grid.dimension)
-        for shift, blocks in groups:
-            nodes[...] = np.roll(w, -shift, axis=-1) if shift else w
-            for pad_rows, node_rows in wraps:
-                pad_rows[...] = node_rows
-            yield shift, blocks, (np.subtract(window, base, out=out)
-                                  for _, window, out, _, _, _ in blocks)
+    @staticmethod
+    def _load(w: np.ndarray, shift: int, nodes: np.ndarray, wraps) -> None:
+        """Fill the padded field with w rolled by a group's trailing shift."""
+        nodes[...] = np.roll(w, -shift, axis=-1) if shift else w
+        for pad_rows, node_rows in wraps:
+            pad_rows[...] = node_rows
 
     def blocks(self, w: np.ndarray):
         """Yield (rows, diffs) with diffs[..., j, *grid.shape] equal to
         w(x + deltas[rows][j]) - w(x), block by block, in reused buffers."""
-        for _, blocks, diffs in self._groups(w, math.prod(w.shape)):
-            for block, block_diffs in zip(blocks, diffs):
-                yield block[0], block_diffs
+        base, nodes, wraps, _, _, _, groups = self._plan(
+            w.shape, math.prod(w.shape))
+        for shift, blocks in groups:
+            self._load(w, shift, nodes, wraps)
+            for rows, window, diffs, *_ in blocks:
+                yield rows, np.subtract(window, w[base], out=diffs)
 
     def offset_sum(self, w: np.ndarray, table: np.ndarray,
                    g=None) -> np.ndarray:
@@ -302,27 +308,31 @@ class OffsetStencil:
         over every ordered offset.  `table` holds one weight per kept offset,
         shape (n_off,), or per offset and node, (n_off, n_nodes); `g` maps a
         block of differences to an array of its shape.  Blocks are sized by
-        the grid alone, so stacked rows sum as they would alone."""
+        the grid alone, so stacked rows sum as they would alone.  Every view
+        and buffer comes from the plan: a block takes a subtraction, a
+        multiplication into its flux buffer and its two sums."""
         COUNTERS["flux_passes"] += 1
         grid = self.grid
-        _, _, scatter, nodes, folds, _ = self._plan(w.shape, grid.n_nodes)
+        base, nodes, wraps, scatter, scattered, folds, groups = self._plan(
+            w.shape, grid.n_nodes)
         weights = table.reshape(table.shape[:1] + (
             grid.shape if table.ndim > 1 else (1,) * grid.dimension))
-        lead = w.ndim - grid.dimension
+        lead, w_base = w.ndim - grid.dimension, w[base]
         acc = np.zeros(w.shape)
-        for shift, blocks, diffs in self._groups(w, grid.n_nodes):
+        for shift, blocks in groups:
+            self._load(w, shift, nodes, wraps)
             scatter[...] = 0.0
-            for (rows, _, _, flux, buf, to), block_diffs in zip(blocks,
-                                                                 diffs):
-                np.multiply(block_diffs if g is None else g(block_diffs),
-                            weights[rows], out=flux)
-                acc += _block_sum(flux, lead)
+            for rows, window, diffs, flux, buf, to, sums in blocks:
+                np.subtract(window, w_base, out=diffs)
+                np.multiply(diffs if g is None else g(diffs), weights[rows],
+                            out=flux)
+                acc += _block_sum(flux, lead, sums[0])
                 if to is not None:
-                    to += _block_sum(buf, lead)
+                    to += _block_sum(buf, lead, sums[1])
             for pad_rows, node_rows in folds:
                 node_rows += pad_rows
             # -F_d(x) went to x + d, rolled by the shift
-            acc -= np.roll(nodes, shift, axis=-1) if shift else nodes
+            acc -= np.roll(scattered, shift, axis=-1) if shift else scattered
         return acc
 
     def pair_total(self, rows: slice, table: np.ndarray,
@@ -536,13 +546,21 @@ def bilinear_form(kernel: Kernel, u: Field, v: Field, t: float = 0.0) -> float:
     return total * u.grid.spacing ** (2 * u.grid.dimension)
 
 
-def seminorm_sq(grid: Grid, stack: np.ndarray, order: float) -> np.ndarray:
+def seminorm_sq(grid: Grid, stack: np.ndarray, order: float,
+                points: int | None = None) -> np.ndarray:
     """Squared discrete H^(s/2) seminorm of every field in a (..., n_nodes)
     stack, pairs within cutoff = SEMINORM_CUTOFF:
 
         sum_x sum_{0 < |x-y| <= cutoff} [u(x)-u(y)]^2 / |x-y|^(N+s) h^(2N)
+
+    With `points`, the fields live on a sub-torus of `points` nodes an axis
+    at the grid's spacing, with the grid's offsets and lengths; every offset
+    must be shorter than points / 2 an axis.
     """
     deltas, dists = grid.offsets_within(SEMINORM_CUTOFF)
+    h_2n = grid.spacing ** (2 * grid.dimension)
+    if points is not None:
+        grid = Grid(grid.dimension, points * grid.spacing, points)
     # a stencil per call: its halo buffer is as large as the U_k stack
     stencil = OffsetStencil(grid, deltas)
     weights = stencil.multiplicity * dists ** (-(grid.dimension + order))
@@ -551,4 +569,4 @@ def seminorm_sq(grid: Grid, stack: np.ndarray, order: float) -> np.ndarray:
     for rows, diffs in stencil.blocks(wg):
         sums[..., rows] = np.sum(np.square(diffs, out=diffs),
                                  axis=tuple(range(-grid.dimension, 0)))
-    return np.sum(sums * weights, axis=-1) * grid.spacing ** (2 * grid.dimension)
+    return np.sum(sums * weights, axis=-1) * h_2n

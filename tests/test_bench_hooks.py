@@ -4,7 +4,8 @@
 and `perfbench/layers.py` builds each workload's operator from package calls.
 A renamed hook would only make a traced benchmark run incomplete; these tests
 make it fail here instead, and check that the right-hand side the probe times
-is the one the flow steps with.  Nothing is installed or patched.
+is the one the flow steps with, and that every banded step goes through the
+patched name.  Nothing is installed; one test patches with monkeypatch.
 """
 
 import importlib
@@ -15,7 +16,8 @@ import sys
 import numpy as np
 import pytest
 
-from nlflow import flow
+from nlflow import ensembles, flow
+from nlflow.fields import make_initial
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -61,3 +63,29 @@ def test_benchmarked_rhs_is_the_flow_rhs(workload, tmp_path):
     v = np.random.default_rng(1).uniform(0.0, 1.0, grid.n_nodes)
     rhs = flow._offset_rhs(op, v.reshape(grid.shape), 0.0, d1=d1).ravel()
     assert np.array_equal(rhs, flow._rhs_and_energy(op, potential, v, 0.0)[0])
+
+
+def test_every_banded_rhs_goes_through_the_hook(monkeypatch):
+    # `tracer.install` wraps `flow._offset_rhs` in the flow module; a banded
+    # Euler run must call it once a state, look it up at call time, and step
+    # with what it returns, so a traced `flow.rhs_calls` counts every RHS
+    grid = ensembles.default_grid()
+    problem = flow.FlowProblem(
+        kind="linear", grid=grid, kernel=ensembles.rough_kernel(3),
+        initial=make_initial(grid, "random", seed=3),
+        t_end=0.3, dt_max=0.01, store_states=True)
+    plain = flow.run_flow(problem)
+    rhs, outputs = flow._offset_rhs, []
+
+    def counting(*args, **kwargs):
+        outputs.append(rhs(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(flow, "_offset_rhs", counting)
+    traced = flow.run_flow(problem)
+    assert len(outputs) == traced.meta["n_steps"] + 1
+    for name in ("fields", "states", "l2", "energy", "vmin", "vmax", "mass"):
+        assert np.array_equal(getattr(traced, name), getattr(plain, name))
+    for i, dt in enumerate(traced.dts):
+        assert np.array_equal(traced.states[i + 1],
+                              traced.states[i] + dt * outputs[i].ravel())

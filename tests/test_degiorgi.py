@@ -1,5 +1,6 @@
 """Barriers, truncated energies, level-set measures, and the four detectors."""
 
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from conftest import (
 )
 from nlflow.degiorgi import (
     BarrierFamily,
+    _truncation_box,
     TruncatedEnergySequence,
     barrier_on_grid,
     check_recurrence,
@@ -266,6 +268,95 @@ def test_chebyshev_chain_holds_for_random_fields(grid1):
         rep = chebyshev_chain(synthetic_trajectory(grid1, times, fields),
                               k_max=4)
         assert rep.all_nonnegative
+
+
+def seminorm_brute_nd(grid, u, order=1.0, cutoff=2.0):
+    """Every ordered pair of the torus within the cutoff, by np.roll."""
+    M, h = grid.points_per_axis, grid.spacing
+    ug, total = u.reshape(grid.shape), 0.0
+    for d in itertools.product(range(1 - M // 2, M // 2 + 1),
+                               repeat=grid.dimension):
+        length = float(np.linalg.norm(d)) * h
+        if 0.0 < length <= cutoff:
+            diff = ug - np.roll(ug, [-k for k in d],
+                                axis=tuple(range(grid.dimension)))
+            total += float(np.sum(diff * diff)) * length ** (
+                -(grid.dimension + order))
+    return total * h ** (2 * grid.dimension)
+
+
+def ladder_brute(traj, k_max):
+    """U_0..U_kmax and the Chebyshev sums of k = 1..k_max, on the whole
+    torus, by numpy sums and the trapezoid rule."""
+    grid, times = traj.grid, traj.times
+    psi = barrier_on_grid(BarrierFamily("psi"), grid)
+    h_n = grid.spacing ** grid.dimension
+
+    def pos(k, inside):
+        return np.maximum(traj.fields[inside] - (0.5 - 0.5 * 0.5 ** k) - psi,
+                          0.0)
+
+    def integral(rows, inside):
+        return np.trapezoid(rows.sum(axis=1) * h_n, times[inside])
+
+    u, cheb = [], []
+    for k in range(k_max + 1):
+        inside = times >= -1.0 - 0.5 ** k - 1e-9
+        p = pos(k, inside)
+        u.append(np.max((p * p).sum(axis=1)) * h_n + np.trapezoid(
+            [seminorm_brute_nd(grid, row) for row in p], times[inside]))
+        if k:
+            inside = times >= -1.0 - 0.5 ** (k - 1) - 1e-9
+            p, base = pos(k, inside), pos(k - 1, inside)
+            cheb.append([integral(p, inside), integral(p > 0, inside),
+                         integral(p * p, inside),
+                         integral(base ** (2.0 + 2.0 / grid.dimension),
+                                  inside)])
+    return np.array(u), np.array(cheb).T
+
+
+def _blobs(grid, times, centres, radius, seed):
+    """-0.5 plus noise, and uniform(1.5, 3) times a decay in time inside
+    each ball of `radius` about the given centres."""
+    rng = np.random.default_rng(seed)
+    fields = rng.uniform(-0.75, -0.25, size=(times.size, grid.n_nodes))
+    coords = grid.node_coords()
+    for centre in centres:
+        near = np.linalg.norm(grid.wrap(coords - centre), axis=1) < radius
+        fields[:, near] = rng.uniform(1.5, 3.0, (times.size, near.sum())) \
+            * np.exp(0.4 * times)[:, None]
+    return synthetic_trajectory(grid, times, fields)
+
+
+@pytest.mark.parametrize("case", ["wraps", "covers", "empty", "2-d"])
+def test_sub_torus_ladder_matches_brute_force(case):
+    # the truncations live on a sub-torus that wraps around node 0 further
+    # than the halo reaches, on one whose halo covers the torus (the whole
+    # grid is used), on none (every sum is 0), or on a non-square box of a
+    # 2-d grid that wraps around both axes
+    grid = Grid(dimension=2 if case == "2-d" else 1, side_length=16.0,
+                points_per_axis=64 if case == "2-d" else 256)
+    k_max = 2 if case == "2-d" else 3
+    times = np.linspace(-2.0, 0.0, 8 * 2 ** k_max + 1)
+    centres = {"wraps": [[-1.0]], "covers": [[0.0], [5.5], [-5.5]],
+               "empty": [], "2-d": [[0.0, 0.0], [1.5, 0.0]]}[case]
+    traj = _blobs(grid, times, np.array(centres), 1.5, seed=len(case))
+    psi = barrier_on_grid(BarrierFamily("psi"), grid)
+    points, _, _ = _truncation_box(traj, np.arange(times.size), psi)
+    assert (points is None) == (case == "covers")
+    if case == "wraps":
+        assert points < grid.points_per_axis
+        assert np.all(traj.fields[:, [0, -1]] > psi[[0, -1]])
+    u, cheb = ladder_brute(traj, k_max)
+    assert np.any(u > 0.0) == (case != "empty")
+    seq = truncated_energies(traj, k_max=k_max)
+    assert seq.values == pytest.approx(u, rel=1e-12, abs=0.0)
+    assert np.all(np.diff(seq.values) <= 0.0)
+    rep = chebyshev_chain(traj, k_max=k_max)
+    for got, want in zip((rep.linear_lhs, rep.indicator_lhs,
+                          rep.quadratic_lhs, rep.base_integral), cheb):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert rep.all_nonnegative
 
 
 # --------------------------------------------------------------------------

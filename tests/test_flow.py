@@ -8,7 +8,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlflow.errors import InsufficientCoverageError, InvalidParameterError
+from nlflow import flow
+from nlflow.errors import (
+    InsufficientCoverageError,
+    InvalidParameterError,
+    NonFiniteStateError,
+)
 from nlflow.fields import make_initial
 from nlflow.flow import (
     FlowProblem,
@@ -364,6 +369,69 @@ def test_store_states_keeps_every_step():
     for t, row in zip(traj.times, traj.fields):
         i = int(np.where(traj.step_times == t)[0][0])
         assert np.array_equal(traj.states[i], row)
+
+
+def test_non_finite_state_names_its_step(monkeypatch):
+    g = grid_1d(256)
+    problem = FlowProblem(kind="linear", grid=g, kernel=power_law_kernel(),
+                          initial=make_initial(g, "random", seed=0),
+                          t_end=0.5)
+    assert run_flow(problem).meta["n_steps"] == 15
+    rhs, calls = flow._offset_rhs, []
+
+    def poisoned(*args, **kwargs):
+        # the RHS of state 4 is infinite, so state 5 is the first bad one
+        calls.append(None)
+        out = rhs(*args, **kwargs)
+        return np.full_like(out, np.inf) if len(calls) == 5 else out
+
+    monkeypatch.setattr(flow, "_offset_rhs", poisoned)
+    with pytest.raises(NonFiniteStateError) as err:
+        run_flow(problem)
+    assert err.value.step == 5
+    monkeypatch.setattr(flow, "_offset_rhs", rhs)
+    values = make_initial(g, "random", seed=0).values
+    values[7] = np.nan
+    with pytest.raises(NonFiniteStateError) as err:
+        run_flow(FlowProblem(kind="linear", grid=g, kernel=power_law_kernel(),
+                             initial=Field(g, values), t_end=0.5))
+    assert err.value.step == 1
+
+
+@pytest.mark.parametrize("sample_every", [1, 3])
+@pytest.mark.parametrize("stepper", ["euler", "heun"])
+@pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+def test_chunked_records_match_per_state_sums(kind, stepper, sample_every):
+    # 256 nodes fill a state buffer in 64 states; the run takes 141
+    g = grid_1d(256)
+    problem = FlowProblem(
+        kind=kind, grid=g, initial=make_initial(g, "random", seed=3),
+        kernel=rough_kernel() if kind == "linear" else power_law_kernel(),
+        potential=huber() if kind == "nonlinear" else None,
+        stepper=stepper, t_end=0.7, dt_max=0.005)
+    traj = run_flow(problem, sample_every=sample_every)
+    problem.store_states = True
+    stored = run_flow(problem, sample_every=sample_every)
+    assert traj.step_times.size == 141
+    states, h = stored.states, g.spacing
+    op = DiscreteOperator(g, problem.kernel, "banded")
+    expected = {
+        "l2": [math.sqrt(float(np.sum(w * w)) * h) for w in states],
+        "vmin": [float(w.min()) for w in states],
+        "vmax": [float(w.max()) for w in states],
+        "mass": [float(np.sum(w)) * h for w in states],
+        "energy": [
+            linear_energy(op, w, t) if kind == "linear"
+            else nonlinear_energy(op, problem.potential, w, t)
+            for w, t in zip(states, stored.step_times)],
+    }
+    keep = np.isin(stored.step_times, stored.times)
+    for run in (traj, stored):
+        for name, values in expected.items():
+            assert np.array_equal(getattr(run, name), values), name
+        assert np.array_equal(run.fields, states[keep])
+        assert np.array_equal(run.times, stored.step_times[
+            np.union1d(np.arange(0, 141, sample_every), 140)])
 
 
 def test_time_dependent_kernel_runs_deterministically():
