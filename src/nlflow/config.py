@@ -17,7 +17,7 @@ from .ensembles import DIMENSION, LEVELS, MAX_K, MIN_DEPTH, MIN_RADIUS, \
 from .errors import ConfigError
 from .fields import INITIAL_KINDS, make_initial
 from .flow import FlowProblem
-from .grid import STRATEGIES, Field, Grid
+from .grid import DENSE_MAX_NODES, STRATEGIES, Field, Grid
 from .kernels import KERNEL_FAMILIES, TRANSLATION_INVARIANT_FAMILIES, \
     KernelSpec, make_kernel
 from .potentials import POTENTIAL_FAMILIES, Potential, PotentialSpec, \
@@ -179,8 +179,9 @@ class ExperimentConfig:
         """Raise ConfigError unless a `kind` flow can run on this config and
         `grid`: the nonlinear flow steps with the banded strategy, it and the
         spectral strategy need a translation-invariant kernel, the spectral
-        symbol an untruncated one, and the kernel a lattice neighbor inside
-        its radius and a torus wider than twice that radius."""
+        symbol an untruncated one, the dense matrix at most DENSE_MAX_NODES
+        nodes, and the kernel a lattice neighbor inside its radius and a
+        torus wider than twice that radius."""
         family = self.get("kernel.family")
         radius = self.get("kernel.radius")
         strategy = self.get("flow.strategy")
@@ -196,6 +197,9 @@ class ExperimentConfig:
                 f"{strategy} needs the translation-invariant "
                 f"{' or '.join(TRANSLATION_INVARIANT_FAMILIES)} kernel family "
                 f"(got {family!r})")
+        if strategy == "dense" and grid.n_nodes > DENSE_MAX_NODES:
+            errors.append(f"flow.strategy: the dense operator takes at most "
+                          f"{DENSE_MAX_NODES} nodes (got {grid.n_nodes})")
         if spectral and math.isfinite(radius):
             errors.append(f"kernel.radius: flow.strategy=spectral needs "
                           f"kernel.radius=inf (got {radius!r})")

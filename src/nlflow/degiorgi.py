@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import InsufficientCoverageError, InvalidParameterError
 from .flow import Trajectory
-from .grid import SEMINORM_CUTOFF, Grid, seminorm_sq
+from .grid import BLOCK_BUDGET, SEMINORM_CUTOFF, Grid, seminorm_sq, \
+    seminorm_stencil
 
 __all__ = [
     "BARRIER_KINDS",
@@ -62,6 +63,11 @@ BARRIER_KINDS = (
 )
 
 _LAMBDA_KINDS = ("psi_lambda", "psi_eps_lambda", "phi0", "phi1", "phi2")
+
+# Values of one chunk of samples: the detectors read a window of samples a
+# chunk at a time, so their temporaries stay a few chunks large however long
+# the window is.
+WINDOW_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -145,6 +151,30 @@ def _barrier(traj: Trajectory, kind: str, **params) -> np.ndarray:
         BarrierFamily(kind, order=float(traj.order), **params), traj.grid)
 
 
+def _chunks(traj: Trajectory, idx: np.ndarray,
+            nodes: np.ndarray | None = None):
+    """Yield (rows, block) over the window `idx` a WINDOW_CHUNK of values at
+    a time: `rows` a slice of idx, `block` the fields of its samples as a
+    view of the trajectory or, with `nodes`, gathered at those nodes."""
+    fields = traj.samples(idx)
+    step = max(1, WINDOW_CHUNK // (fields.shape[1] if nodes is None
+                                   else nodes.size))
+    for lo in range(0, idx.size, step):
+        rows = slice(lo, lo + step)
+        yield rows, fields[rows] if nodes is None else fields[rows][:, nodes]
+
+
+def _node_sums(values: np.ndarray, nodes: np.ndarray | None) -> np.ndarray:
+    """Each sample's sum of `values` over its nodes: pairwise over a whole
+    grid row, and node by node in box order over the `nodes` of a box (as
+    numpy reduces a column-major stack of two samples or more)."""
+    if nodes is None:
+        return np.sum(values, axis=-1)
+    if values.shape[0] == 1:
+        return np.add.accumulate(values, axis=-1)[:, -1]
+    return np.add.reduce(np.asfortranarray(values), axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # truncated energies U_k
 
@@ -168,9 +198,9 @@ def _cyclic_cover(hits: np.ndarray, halo: int) -> tuple[int, int]:
 
 
 def _truncation_box(traj: Trajectory, idx: np.ndarray, psi: np.ndarray
-                    ) -> tuple[int | None, np.ndarray, np.ndarray]:
-    """(points an axis or None, fields of the samples idx, psi) on the
-    sub-torus every truncation (w - psi_{L_k})_+ of those samples lives on.
+                    ) -> tuple[int | None, np.ndarray | None, np.ndarray]:
+    """(points an axis, its nodes, psi at them) of the sub-torus every
+    truncation (w - psi_{L_k})_+ of the samples idx lives on.
 
     The rung-0 truncation (w - psi)_+ vanishes off a node set S, and every
     rung's truncation lies below it.  The box is the shortest cyclic interval
@@ -178,20 +208,23 @@ def _truncation_box(traj: Trajectory, idx: np.ndarray, psi: np.ndarray
     sides and made square; read as a torus of its own, a seminorm pair that
     leaves it or wraps around it joins two nodes off S, so sums over the box
     miss only exact zeros.  A box not smaller than the grid is the grid
-    (points None).
+    (points and nodes None).
     """
-    grid, fields = traj.grid, traj.fields[idx]
+    grid = traj.grid
     M, dim = grid.points_per_axis, grid.dimension
     halo = int(np.abs(grid.offsets_within(SEMINORM_CUTOFF)[0]).max(initial=0))
-    support = np.any(fields > psi, axis=0).reshape(grid.shape)
+    support = np.zeros(grid.n_nodes, dtype=bool)
+    for _, block in _chunks(traj, idx):
+        support |= np.any(block > psi, axis=0)
+    support = support.reshape(grid.shape)
     covers = [_cyclic_cover(np.any(support, axis=(1 - a,) * (dim - 1)), halo)
               for a in range(dim)]
     points = max(8, *(length for _, length in covers))
     if points >= M:
-        return None, fields, psi
+        return None, None, psi
     axes = [(first + np.arange(points)) % M for first, _ in covers]
     nodes = axes[0] if dim == 1 else (axes[0][:, None] * M + axes[1]).ravel()
-    return points, fields[:, nodes], psi[nodes]
+    return points, nodes, psi[nodes]
 
 
 @dataclass(frozen=True)
@@ -249,26 +282,40 @@ def truncated_energies(traj: Trajectory,
 
     ks = np.arange(k_max + 1)
     t_starts, cuts = _dyadic_ladder(k_max)
-    points, fields, psi = _truncation_box(traj, idx, _barrier(traj, "psi"))
+    points, nodes, psi = _truncation_box(traj, idx, _barrier(traj, "psi"))
+    levels = cuts[:, None] + psi
     h_n = grid.spacing ** grid.dimension
-    chunk = max(1, (1 << 22) // psi.size)
+    # rung k reads only the samples of [T_k, 0], idx's last ones, and of
+    # those only the live ones: a vanishing truncation has both sums 0
+    firsts = np.array([idx.size - traj.window(t_k).size for t_k in t_starts])
+    alive = np.concatenate([~np.all(block[:, None] <= levels, axis=-1)
+                            for _, block in _chunks(traj, idx, nodes)]).T
+    rungs, at = np.nonzero(alive & (np.arange(idx.size) >= firsts[:, None]))
+    # every rung's live truncations, packed into stacks of one shape (the
+    # last one zero-filled), so one stencil and its one plan serve them all;
+    # a stack of BLOCK_BUDGET values takes one offset a stencil block
+    stencil = seminorm_stencil(grid, points)
+    pack = np.zeros((max(1, BLOCK_BUDGET // psi.size), psi.size))
+    sums = np.zeros((2,) + alive.shape)
+    for lo in range(0, at.size, pack.shape[0]):
+        live = slice(lo, lo + pack.shape[0])
+        n, part = at[live].size, idx[at[live]]
+        pos = pack[:n]
+        pos[...] = traj.fields[part] if nodes is None else \
+            traj.fields[part[:, None], nodes]
+        np.subtract(pos, levels[rungs[live]], out=pos)
+        np.maximum(pos, 0.0, out=pos)
+        pack[n:] = 0.0
+        sums[0, rungs[live], at[live]] = \
+            _node_sums(pack * pack, nodes)[:n] * h_n
+        sums[1, rungs[live], at[live]] = \
+            seminorm_sq(grid, pack, s, stencil)[:n]
     sup_part = np.empty(ks.size)
     int_part = np.empty(ks.size)
-    for j, t_k in enumerate(t_starts):
-        # rung k reads only the samples of [T_k, 0], idx's last ones
-        rows = fields[idx.size - traj.window(t_k).size:]
-        l2_mass = np.empty(rows.shape[0])
-        seminorm = np.empty(rows.shape[0])
-        for lo in range(0, rows.shape[0], chunk):
-            pos = np.maximum(rows[lo:lo + chunk] - (cuts[j] + psi), 0.0)
-            l2_mass[lo:lo + chunk] = np.sum(pos * pos, axis=-1) * h_n
-            # a sample whose truncation vanishes has seminorm exactly 0
-            live = np.any(pos, axis=-1)
-            seminorm[lo:lo + chunk] = 0.0
-            seminorm[lo:lo + chunk][live] = seminorm_sq(grid, pos[live], s,
-                                                        points)
+    for j, first in enumerate(firsts):
+        l2_mass, seminorm = sums[:, j, first:]
         # accumulate from t = 0 backwards, in order
-        gaps = -np.diff(traj.times[idx[-rows.shape[0]:]][::-1])
+        gaps = -np.diff(traj.times[idx[first:]][::-1])
         sup_part[j] = np.max(l2_mass)
         int_part[j] = np.cumsum(gaps * 0.5 * (seminorm[::-1][:-1]
                                               + seminorm[::-1][1:]))[-1]
@@ -340,7 +387,8 @@ def chebyshev_chain(traj: Trajectory, k_max: int) -> ChebyshevReport:
     which follow pointwise from (w - psi_{L_{k-1}})_+ >= 2^{-(k+1)} on the
     set where w exceeds psi_{L_k}.  The sums run over the sub-torus of
     `_truncation_box`, and rung k's truncation on [T_k, 0], the tail of its
-    window, is rung k+1's base.
+    window, is rung k+1's base.  Each rung reads its window a chunk of
+    samples at a time.
     """
     if k_max < 1:
         raise InvalidParameterError(f"k_max must be >= 1, got {k_max}")
@@ -353,23 +401,28 @@ def chebyshev_chain(traj: Trajectory, k_max: int) -> ChebyshevReport:
     p_ind = 2.0 * (1.0 + s / n_dim)
     p_sq = 2.0 * s / n_dim
     high = 2.0 * (1.0 + s / n_dim)
-    _, fields, psi = _truncation_box(traj, traj.window(t_starts[0]),
-                                     _barrier(traj, "psi"))
+    _, nodes, psi = _truncation_box(traj, traj.window(t_starts[0]),
+                                    _barrier(traj, "psi"))
 
     lin = np.empty(ks.size)
     ind = np.empty(ks.size)
     sq = np.empty(ks.size)
     base = np.empty(ks.size)
-    pos = np.maximum(fields - (cuts[0] + psi), 0.0)
     for i, k in enumerate(ks):
         rows = traj.window(t_starts[k - 1])
-        base[i] = space_time_measure(traj, pos[pos.shape[0] - rows.size:]
-                                     ** high, rows)
-        pos = np.maximum(fields[fields.shape[0] - rows.size:]
-                         - (cuts[k] + psi), 0.0)
-        lin[i] = space_time_measure(traj, pos, rows)
-        ind[i] = space_time_measure(traj, pos > 0.0, rows)
-        sq[i] = space_time_measure(traj, pos * pos, rows)
+        below, level = cuts[k - 1] + psi, cuts[k] + psi
+        sums = np.empty((4, rows.size))
+        for part, block in _chunks(traj, rows, nodes):
+            # pow is slow at 0, and 0 ** high = 0: raise the others only
+            low = np.maximum(block - below, 0.0)
+            sums[0, part] = _node_sums(np.power(
+                low, high, out=np.zeros_like(low), where=low != 0.0), nodes)
+            pos = np.maximum(block - level, 0.0)
+            sums[1, part] = _node_sums(pos, nodes)
+            sums[2, part] = np.sum(pos > 0.0, axis=1)
+            sums[3, part] = _node_sums(pos * pos, nodes)
+        base[i], lin[i], ind[i], sq[i] = (_time_integral(traj, row, rows)
+                                          for row in sums)
 
     factors = 2.0 ** (ks + 1)
     slack = np.stack([
@@ -395,12 +448,27 @@ def space_time_measure(traj: Trajectory, masks: np.ndarray,
     a level set, real-valued rows the integral of a function such as
     (w - psi)_+^2.
     """
+    return _time_integral(traj, np.sum(masks, axis=1), idx)
+
+
+def _time_integral(traj: Trajectory, sums: np.ndarray,
+                   idx: np.ndarray) -> float:
+    """Trapezoid-in-time integral of the node sums of the samples idx, each
+    times h^N."""
     if idx.size < 2:
         raise InsufficientCoverageError(
             f"need >= 2 samples for a space-time measure, got {idx.size}")
     h_n = traj.grid.spacing ** traj.grid.dimension
-    slice_measure = np.sum(masks, axis=1) * h_n
-    return float(np.trapezoid(slice_measure, traj.times[idx]))
+    return float(np.trapezoid(sums * h_n, traj.times[idx]))
+
+
+def _window_measure(traj: Trajectory, idx: np.ndarray, integrand) -> float:
+    """space_time_measure(traj, integrand(traj.fields[idx]), idx), taking
+    the integrand of a chunk of samples at a time."""
+    sums = np.empty(idx.size)
+    for rows, block in _chunks(traj, idx):
+        sums[rows] = np.sum(integrand(block), axis=1)
+    return _time_integral(traj, sums, idx)
 
 
 @dataclass(frozen=True)
@@ -418,19 +486,11 @@ def level_set_measures(traj: Trajectory, lam: float) -> LevelSetMeasures:
     phi2 = _barrier(traj, "phi2", lam=lam)
     ball1 = traj.grid.ball(1.0)
 
-    idx_early = traj.window(-3.0, -2.0)
-    w = traj.fields[idx_early]
-    below = space_time_measure(
-        traj, (w < phi0[None, :]) & ball1[None, :], idx_early)
-
-    idx_late = traj.window(-2.0)
-    w = traj.fields[idx_late]
-    above = space_time_measure(traj, w > phi2[None, :], idx_late)
-
-    idx_full = traj.window(-3.0)
-    w = traj.fields[idx_full]
-    mid = space_time_measure(
-        traj, (w > phi0[None, :]) & (w < phi2[None, :]), idx_full)
+    below = _window_measure(traj, traj.window(-3.0, -2.0),
+                            lambda w: (w < phi0) & ball1)
+    above = _window_measure(traj, traj.window(-2.0), lambda w: w > phi2)
+    mid = _window_measure(traj, traj.window(-3.0),
+                          lambda w: (w > phi0) & (w < phi2))
     return LevelSetMeasures(below_phi0=below, above_phi2=above,
                             intermediate=mid, lam=lam,
                             order=float(traj.order))
@@ -479,8 +539,10 @@ def _first_exceedance(traj: Trajectory, t_lo: float, bound: np.ndarray,
     """Earliest (time, node) of the samples in [t_lo, 0] where w, or |w|
     when `two_sided`, exceeds `bound`; None when the envelope holds."""
     idx = traj.window(t_lo)
-    block = traj.fields[idx]
-    over = (np.abs(block) if two_sided else block) > bound
+    block = traj.samples(idx)
+    over = block > bound
+    if two_sided:
+        over |= block < -bound
     if not np.any(over):
         return None
     row, node = divmod(int(np.argmax(over)), over.shape[1])
@@ -499,8 +561,8 @@ def verify_lemma1(traj: Trajectory, eps0: float) -> LemmaReport:
     psi = _barrier(traj, "psi")
 
     idx = traj.window(-2.0)
-    pos = np.maximum(traj.fields[idx] - psi[None, :], 0.0)
-    truncated_mass = space_time_measure(traj, pos * pos, idx)
+    truncated_mass = _window_measure(
+        traj, idx, lambda w: np.square(np.maximum(w - psi, 0.0)))
     hypothesis_ok = truncated_mass <= eps0
 
     violation = _first_exceedance(traj, -1.0, 0.5 + psi)
@@ -510,7 +572,8 @@ def verify_lemma1(traj: Trajectory, eps0: float) -> LemmaReport:
     # whole-space statement on periodic geometry.
     psi_at_half = float(eval_barrier(BarrierFamily("psi", order=s),
                                      0.5 * traj.grid.side_length))
-    sup_w = float(np.max(np.abs(traj.fields[idx])))
+    block = traj.samples(idx)
+    sup_w = max(abs(float(block.min())), abs(float(block.max())))
     return _graded(
         "lemma1", True, hypothesis_ok, violation is None,
         {"truncated_mass": truncated_mass, "eps0": eps0, "order": s,
@@ -540,7 +603,9 @@ def verify_corollary1(traj: Trajectory, t0: float,
     bound = l2_initial / (2.0 * math.sqrt(eps0) * (0.5 * t0) ** exponent)
 
     idx = traj.window(traj.times[0] + t0, traj.times[-1], need=1)
-    sup_curve = np.max(np.abs(traj.fields[idx]), axis=1)
+    block = traj.samples(idx)
+    sup_curve = np.maximum(np.abs(block.min(axis=1)),
+                           np.abs(block.max(axis=1)))
     measured = float(np.max(sup_curve))
     conclusion_ok = measured <= bound
     worst = int(np.argmax(sup_curve))
@@ -579,9 +644,9 @@ def verify_corollary2(traj: Trajectory, delta: float) -> LemmaReport:
     envelope_breach = _first_exceedance(traj, -2.0,
                                         1.0 + _barrier(traj, "psi1"))
 
-    idx = traj.window(-2.0)
-    masks = (traj.fields[idx] > 0.0) & grid.ball(2.0)[None, :]
-    positivity = space_time_measure(traj, masks, idx)
+    ball2 = grid.ball(2.0)
+    positivity = _window_measure(traj, traj.window(-2.0),
+                                 lambda w: (w > 0.0) & ball2)
 
     violation = _first_exceedance(traj, -1.0,
                                   np.where(grid.ball(1.0), 0.5, np.inf))

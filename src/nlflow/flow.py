@@ -221,15 +221,24 @@ class Trajectory:
                need: int = 2) -> np.ndarray:
         """Indices of the samples with t in [t_lo, t_hi], closed up to
         1e-9 of the sampled span; raises unless there are `need` of them
-        (two by default, the least a trapezoid in time takes)."""
+        (two by default, the least a trapezoid in time takes).
+
+        Sample times strictly increase, so a window is a contiguous run of
+        samples, and `samples` reads its fields as a view, without a copy.
+        """
         tol = 1e-9 * max(1.0, float(self.times[-1] - self.times[0]))
-        idx = np.where((self.times >= t_lo - tol)
-                       & (self.times <= t_hi + tol))[0]
+        idx = np.arange(np.searchsorted(self.times, t_lo - tol, "left"),
+                        np.searchsorted(self.times, t_hi + tol, "right"))
         if idx.size < need:
             raise InsufficientCoverageError(
                 f"only {idx.size} samples cover [{t_lo}, {t_hi}]; "
                 f"need >= {need}")
         return idx
+
+    def samples(self, idx: np.ndarray) -> np.ndarray:
+        """`fields[idx]` of a window's indices, as a view of `fields`."""
+        return self.fields[idx[0]:idx[-1] + 1] if idx.size else \
+            self.fields[:0]
 
     @staticmethod
     def from_fields(grid: Grid, times, values, kind: str = "synthetic",
@@ -278,7 +287,9 @@ def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
     dts = np.diff(step_times)
 
     n, h_n = grid.n_nodes, grid.spacing ** grid.dimension
-    sampled = np.union1d(np.arange(0, n_steps + 1, sample_every), n_steps)
+    sampled = np.arange(0, n_steps + 1, sample_every)
+    if sampled[-1] != n_steps:
+        sampled = np.append(sampled, n_steps)
     fields = np.empty((sampled.size, n))
     energy, l2, vmin, vmax, mass = np.empty((5, n_steps + 1))
     states = np.empty((n_steps + 1, n)) if problem.store_states else None

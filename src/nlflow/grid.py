@@ -47,6 +47,10 @@ from .errors import (
 from .kernels import Kernel
 
 STRATEGIES = ("dense", "banded", "spectral")
+# Most nodes of a dense operator: its n x n matrix takes 8 n^2 bytes, 128 MiB
+# at the 64 x 64 grid of the largest dense-oracle test (the default 256 x 256
+# grid would take 32 GiB)
+DENSE_MAX_NODES = 4096
 
 # Offsets x nodes in one block of lattice differences.  A 1-d row of 256
 # nodes takes 64 offsets a block (all 48 of the diagnose runs: 2^13 and 2^12
@@ -229,23 +233,24 @@ class OffsetStencil:
             np.mod(2 * deltas, grid.points_per_axis) == 0, axis=1), 1.0, 2.0)
         self._plans: dict = {}
 
-    def _plan(self, shape: tuple, size: int):
+    def _plan(self, shape: tuple, size: int, fluxes: bool = True):
         """Per field shape and block size (offsets x `size` <= BLOCK_BUDGET):
         the index broadcasting w over a block's offsets, node rows and
         (padding, node rows) wraps of the padded field and of the scatter
         buffer, and the groups (trailing shift, blocks: table rows, field
         window, diffs, skewed flux view, flux buffer, scatter window or None
         if unpaired, and the buffers its two sums reduce into, None for a
-        one-offset block)."""
-        plan = self._plans.get((shape, size))
+        one-offset block).  Without `fluxes` (differences only) the scatter
+        and flux entries are None and nothing is allocated for them."""
+        plan = self._plans.get((shape, size, fluxes))
         if plan is not None:
             return plan
         M, dim, d0 = self.grid.points_per_axis, self.grid.dimension, \
             self.deltas[:, 0]
         lead, lo, hi = len(shape) - dim, max(0, -d0.min()), max(0, d0.max())
         pad = np.empty(shape[:lead] + (lo + M + hi,) + shape[lead + 1:])
-        scatter = np.empty_like(pad)
-        flux_sum = np.empty(shape)
+        scatter = np.empty_like(pad) if fluxes else None
+        flux_sum = np.empty(shape) if fluxes else None
 
         def rows(buf, a, n, tail=(slice(None),) * (dim - 1)):
             return buf[(Ellipsis, slice(a, a + n)) + tail]
@@ -266,21 +271,26 @@ class OffsetStencil:
                 continue
             n, k = j - start, lo + d0[start]
             if n not in buffers:
-                buf = np.zeros(shape[:lead] + (n, M + n - 1)
-                               + shape[lead + 1:])
-                buffers[n] = (np.empty(shape[:lead] + (n,) + shape[lead:]),
-                              _skewed(buf, lead), buf, (None, None) if n == 1
-                              else (flux_sum, np.empty(buf.shape[:lead]
-                                                       + buf.shape[lead + 1:])))
+                diffs = np.empty(shape[:lead] + (n,) + shape[lead:])
+                if fluxes:
+                    buf = np.zeros(shape[:lead] + (n, M + n - 1)
+                                   + shape[lead + 1:])
+                    buffers[n] = (diffs, _skewed(buf, lead), buf, (
+                        None, None) if n == 1 else (flux_sum, np.empty(
+                            buf.shape[:lead] + buf.shape[lead + 1:])))
+                else:
+                    buffers[n] = (diffs, None, None, None)
             diffs, flux, buf, sums = buffers[n]
             groups.setdefault(shift[start], []).append((
                 slice(start, j), rows(windows, k, n, (slice(None),) * dim),
                 diffs, flux, buf, rows(scatter, k, M + n - 1)
-                if self.multiplicity[start] == 2.0 else None, sums))
+                if fluxes and self.multiplicity[start] == 2.0 else None,
+                sums))
             start = j
-        plan = self._plans[(shape, size)] = (
+        plan = self._plans[(shape, size, fluxes)] = (
             (Ellipsis, None) + (slice(None),) * dim, rows(pad, lo, M),
-            halo(pad), scatter, rows(scatter, lo, M), halo(scatter),
+            halo(pad), scatter, *((rows(scatter, lo, M), halo(scatter))
+                                  if fluxes else (None, None)),
             list(groups.items()))
         return plan
 
@@ -295,7 +305,7 @@ class OffsetStencil:
         """Yield (rows, diffs) with diffs[..., j, *grid.shape] equal to
         w(x + deltas[rows][j]) - w(x), block by block, in reused buffers."""
         base, nodes, wraps, _, _, _, groups = self._plan(
-            w.shape, math.prod(w.shape))
+            w.shape, math.prod(w.shape), fluxes=False)
         for shift, blocks in groups:
             self._load(w, shift, nodes, wraps)
             for rows, window, diffs, *_ in blocks:
@@ -546,27 +556,36 @@ def bilinear_form(kernel: Kernel, u: Field, v: Field, t: float = 0.0) -> float:
     return total * u.grid.spacing ** (2 * u.grid.dimension)
 
 
+def seminorm_stencil(grid: Grid, points: int | None = None
+                     ) -> OffsetStencil:
+    """The stencil of `seminorm_sq`'s pairs, on the grid or, with `points`,
+    on a sub-torus of `points` nodes an axis at the grid's spacing with the
+    grid's offsets; every offset must be shorter than points / 2 an axis."""
+    deltas = grid.offsets_within(SEMINORM_CUTOFF)[0]
+    if points is not None:
+        grid = Grid(grid.dimension, points * grid.spacing, points)
+    return OffsetStencil(grid, deltas)
+
+
 def seminorm_sq(grid: Grid, stack: np.ndarray, order: float,
-                points: int | None = None) -> np.ndarray:
+                stencil: OffsetStencil | None = None) -> np.ndarray:
     """Squared discrete H^(s/2) seminorm of every field in a (..., n_nodes)
     stack, pairs within cutoff = SEMINORM_CUTOFF:
 
         sum_x sum_{0 < |x-y| <= cutoff} [u(x)-u(y)]^2 / |x-y|^(N+s) h^(2N)
 
-    With `points`, the fields live on a sub-torus of `points` nodes an axis
-    at the grid's spacing, with the grid's offsets and lengths; every offset
-    must be shorter than points / 2 an axis.
+    The fields live on the torus of `stencil`, a `seminorm_stencil` of the
+    grid (its own by default); a caller summing many stacks of one shape
+    passes one stencil, whose plan then serves them all.
     """
-    deltas, dists = grid.offsets_within(SEMINORM_CUTOFF)
+    dists = grid.offsets_within(SEMINORM_CUTOFF)[1]
     h_2n = grid.spacing ** (2 * grid.dimension)
-    if points is not None:
-        grid = Grid(grid.dimension, points * grid.spacing, points)
-    # a stencil per call: its halo buffer is as large as the U_k stack
-    stencil = OffsetStencil(grid, deltas)
+    stencil = seminorm_stencil(grid) if stencil is None else stencil
     weights = stencil.multiplicity * dists ** (-(grid.dimension + order))
-    wg = stack.reshape(stack.shape[:-1] + grid.shape)
-    sums = np.empty(stack.shape[:-1] + stencil.deltas.shape[:1])
+    wg = stack.reshape(stack.shape[:-1] + stencil.grid.shape)
+    sums = np.empty(stack.shape[:-1] + dists.shape)
+    axes = tuple(range(-grid.dimension, 0))
     for rows, diffs in stencil.blocks(wg):
-        sums[..., rows] = np.sum(np.square(diffs, out=diffs),
-                                 axis=tuple(range(-grid.dimension, 0)))
+        np.add.reduce(np.square(diffs, out=diffs), axis=axes,
+                      out=sums[..., rows])
     return np.sum(sums * weights, axis=-1) * h_2n

@@ -22,6 +22,7 @@ sum of psi over the differences, and phi is never formed there
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,16 +119,21 @@ class PotentialValidationReport:
 
 def validate_potential(potential, ellipticity: float | None = None,
                        grid_span: float = 10.0, grid_points: int = 100001,
-                       fd_step: float = 1e-3, fd_tol: float = 1e-6
+                       fd_step: float | None = None, fd_tol: float = 1e-6
                        ) -> PotentialValidationReport:
     """Grade curvature band, evenness, phi(0) = 0, and d1/d2 consistency.
 
     Works on any object with value/d1/d2 methods; `ellipticity` defaults to the
     potential's own spec.  The d2 band check uses the Lambda^+-1/2 envelope;
     the finite-difference check compares d2 against a centered difference of d1.
+    Its truncation error grows with the curvature Lambda^(1/2) and shrinks
+    with the step squared, so the default step 1e-3 shrinks as Lambda^(-1/2)
+    above Lambda = 4.
     """
     if ellipticity is None:
         ellipticity = potential.spec.ellipticity
+    if fd_step is None:
+        fd_step = 1e-3 * min(1.0, math.sqrt(4.0 / ellipticity))
     if grid_points < 3:
         raise InvalidParameterError("grid_points must be >= 3")
     xs = np.linspace(-grid_span, grid_span, int(grid_points))

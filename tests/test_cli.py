@@ -71,6 +71,18 @@ def test_validate_flags_an_envelope_breach(tmp_path, capsys):
     assert "kernel_envelope: FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("lam", [30.0, 100.0])
+def test_validate_resolves_a_large_potential_lambda(tmp_path, capsys, lam):
+    # the difference check's truncation error grows with Lambda; its step
+    # shrinks with it, and the tolerance stays 1e-6
+    out = tmp_path / "v"
+    assert main(["validate", "--out", str(out),
+                 "--set", f"potential.lambda={lam}"]) == 0
+    potential = read_report(out)["potential"]
+    assert potential["max_fd_defect"] <= 1e-6
+    assert potential["fd_step"] < 1e-3
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     out = tmp_path / "v"
     rc = main(["validate", "--out", str(out), "--set", "kernel.s=2.5"])
@@ -126,6 +138,8 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
       "--set", "flow.strategy=dense"], "flow.strategy"),
     (["run", "--seed", "1", "--set", "flow.kind=nonlinear",
       "--set", "flow.strategy=dense"], "flow.strategy"),
+    (["run", "--seed", "1", "--set", "flow.strategy=dense", "--set",
+      "grid.N=2", "--set", "grid.M=65"], "at most 4096 nodes"),
 ], ids=["calibrate-2d", "calibrate-order", "diagnose-2d", "diagnose-order",
         "diagnose-calibration-order", "diagnose-calibration-2d",
         "nonlinear-rough", "spectral-truncated", "spectral-rough",
@@ -133,7 +147,7 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
         "denoise-directory", "out-is-a-file", "diagnose-k-max",
         "diagnose-levels", "diagnose-scale", "run-radius-below-spacing",
         "denoise-radius-below-spacing", "denoise-torus-narrower-than-radius",
-        "denoise-dense", "nonlinear-dense"])
+        "denoise-dense", "nonlinear-dense", "dense-over-cap"])
 def test_unsupported_config_exits_2(tmp_path, capsys, argv, message):
     # refused before any work, not aborted later with exit 1 or 3; a dict in
     # argv stands for a calibration file with those entries changed, and
@@ -421,6 +435,23 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main([])
     assert exit_info.value.code == 2
+
+
+def test_a_run_leaves_numpy_ma_unimported(tmp_path):
+    # importing numpy.ma costs every flow process 14-21 ms and 0.5 MB
+    package_root = os.path.dirname(os.path.dirname(nlflow.__file__))
+    path = os.pathsep.join(filter(None, [package_root,
+                                         os.environ.get("PYTHONPATH")]))
+    code = ("import sys\nfrom nlflow.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "run", "--seed", "1", "--set",
+         "grid.M=16", "--set", "flow.sample_every=3", "--out",
+         str(tmp_path / "r")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_module_entry_point():

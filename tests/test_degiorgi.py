@@ -1,7 +1,10 @@
 """Barriers, truncated energies, level-set measures, and the four detectors."""
 
+import dataclasses
 import itertools
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    cached_lemma_run,
+    cached_level_run,
+    cached_oscillation_run,
     cached_recurrence_run,
     constant_trajectory,
     corollary1_counterexample,
@@ -17,6 +23,7 @@ from conftest import (
     lemma2_counterexample,
     synthetic_trajectory,
 )
+from nlflow import grid as grid_module
 from nlflow.degiorgi import (
     BarrierFamily,
     _truncation_box,
@@ -34,6 +41,8 @@ from nlflow.degiorgi import (
 )
 from nlflow.errors import InsufficientCoverageError, InvalidParameterError
 from nlflow.grid import Grid
+from nlflow.oscillation import oscillation_decay, unit_oscillation, \
+    verify_lemma3
 
 
 def radial(kind, r, order=1.0, **kw):
@@ -532,3 +541,82 @@ def test_lemma2_parameter_guards(grid1):
         verify_lemma2(traj, mu=0.0, delta=0.99, gamma=4.2, lam=0.25)
     with pytest.raises(InvalidParameterError):
         verify_lemma2(traj, mu=1.0, delta=0.99, gamma=4.2, lam=0.4)
+
+
+# --------------------------------------------------------------------------
+# working set: detectors read windows as views and never write into them
+
+def detector_calls(cal, diagnose_only=False):
+    """(recipe, {name: detector}) for every detector diagnose calls, with
+    its settings, and unless `diagnose_only` those calibrate adds."""
+    calls = [
+        (cached_lemma_run, {
+            "verify_lemma1": lambda t: verify_lemma1(t, eps0=cal.eps0),
+            "verify_corollary1": lambda t: verify_corollary1(
+                t, t0=0.5, eps0=cal.eps0),
+            "verify_corollary2": lambda t: verify_corollary2(
+                t, delta=cal.delta)}),
+        (cached_level_run, {
+            "verify_lemma2": lambda t: verify_lemma2(
+                t, mu=cal.mu, delta=cal.delta, gamma=cal.gamma, lam=cal.lam),
+            "verify_lemma3": lambda t: verify_lemma3(
+                t, eps=cal.eps, lam=cal.lam, lam_star=cal.lam_star)}),
+        (cached_recurrence_run, {
+            "truncated_energies": lambda t: truncated_energies(t, k_max=6),
+            "chebyshev_chain": lambda t: chebyshev_chain(t, k_max=6)}),
+        (cached_oscillation_run, {
+            "oscillation_decay": lambda t: oscillation_decay(
+                t, scale=0.65, levels=4)}),
+    ]
+    if not diagnose_only:
+        calls[1][1]["level_set_measures"] = \
+            lambda t: level_set_measures(t, cal.lam)
+        calls[1][1]["unit_oscillation"] = unit_oscillation
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 7, 20])
+def test_detectors_hold_less_than_the_trajectory(calibration, seed):
+    # windows are views of the samples and the ladder streams its rungs, so
+    # no detector allocates as much as the trajectory's fields at once
+    for run, detectors in detector_calls(calibration, diagnose_only=True):
+        traj = run(seed)
+        for name, detect in detectors.items():
+            tracemalloc.start()
+            try:
+                detect(traj)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < traj.fields.nbytes, \
+                f"{name}: peak {peak / traj.fields.nbytes:.2f} x fields"
+
+
+def test_one_stencil_and_plan_per_ladder(monkeypatch):
+    # every rung's seminorms share one stencil at one stack shape
+    traj, built = cached_recurrence_run(3), []
+
+    class Counted(grid_module.OffsetStencil):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(grid_module, "OffsetStencil", Counted)
+    for _ in range(2):
+        truncated_energies(traj, k_max=6)
+    assert len(built) == 2
+    assert [len(stencil._plans) for stencil in built] == [1, 1]
+
+
+@pytest.mark.parametrize("seed", [2, 13])
+def test_detectors_never_write_into_a_trajectory(calibration, seed):
+    # with read-only samples a write into a window view would raise; the
+    # results equal those on writable samples bit for bit
+    for run, detectors in detector_calls(calibration):
+        traj = run(seed)
+        frozen, writable = (dataclasses.replace(traj, fields=traj.fields.copy())
+                            for _ in range(2))
+        frozen.fields.flags.writeable = False
+        for name, detect in detectors.items():
+            assert pickle.dumps(detect(frozen)) == \
+                pickle.dumps(detect(writable)), name
