@@ -84,24 +84,15 @@ class CalibrationConstants:
 
 def _largest_budget(pairs: list[tuple[float, bool]]) -> tuple[float, bool]:
     """Largest eps <= CAP such that every run with hypothesis value <= eps
-    satisfies its conclusion.  Monotone predicate, so 80 plain bisections.
+    satisfies its conclusion: the float just below the smallest failing
+    value, or CAP when no run at or below CAP fails.
 
     Returns (value, capped): capped means even the cap passes.
     """
-
-    def holds(eps: float) -> bool:
-        return all(ok for h, ok in pairs if h <= eps)
-
-    if holds(CAP):
+    failing = [h for h, ok in pairs if not ok and h <= CAP]
+    if not failing:
         return CAP, True
-    lo, hi = 0.0, CAP       # holds(0) is vacuously true
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, False
+    return float(np.nextafter(min(failing), 0.0)), False
 
 
 def _ball_volume(dimension: int, radius: float) -> float:

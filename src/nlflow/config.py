@@ -290,8 +290,16 @@ def _semantic_errors(values: dict[str, object]) -> list[str]:
     fam = values["kernel.family"]
     check(fam in KERNEL_FAMILIES, "kernel.family",
           f"expected one of {', '.join(KERNEL_FAMILIES)}")
-    check(values["kernel.multiplier"] > 0.0, "kernel.multiplier",
-          "multiplier must be positive")
+    lam = values["kernel.lambda"]
+    if fam in TRANSLATION_INVARIANT_FAMILIES and lam > 1.0:
+        # the tight band `validate_kernel` grades a convolution kernel in
+        lo, hi = lam ** -0.5, lam ** 0.5
+        check(lo <= values["kernel.multiplier"] <= hi, "kernel.multiplier",
+              f"{fam} multiplier must lie in [Lambda^-1/2, Lambda^1/2] = "
+              f"[{lo:g}, {hi:g}]")
+    else:
+        check(values["kernel.multiplier"] > 0.0, "kernel.multiplier",
+              "multiplier must be positive")
     check(values["kernel.cell"] > 0.0, "kernel.cell",
           "cell size must be positive")
     check(values["kernel.epoch"] > 0.0, "kernel.epoch",

@@ -36,7 +36,6 @@ __all__ = [
     "check_recurrence",
     "ChebyshevReport",
     "chebyshev_chain",
-    "space_time_measure",
     "LevelSetMeasures",
     "level_set_measures",
     "LemmaReport",
@@ -164,17 +163,6 @@ def _chunks(traj: Trajectory, idx: np.ndarray,
         yield rows, fields[rows] if nodes is None else fields[rows][:, nodes]
 
 
-def _node_sums(values: np.ndarray, nodes: np.ndarray | None) -> np.ndarray:
-    """Each sample's sum of `values` over its nodes: pairwise over a whole
-    grid row, and node by node in box order over the `nodes` of a box (as
-    numpy reduces a column-major stack of two samples or more)."""
-    if nodes is None:
-        return np.sum(values, axis=-1)
-    if values.shape[0] == 1:
-        return np.add.accumulate(values, axis=-1)[:, -1]
-    return np.add.reduce(np.asfortranarray(values), axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # truncated energies U_k
 
@@ -260,7 +248,8 @@ def truncated_energies(traj: Trajectory,
     truncation lives on (`_truncation_box`), and the sup and the time
     integral are both accumulated from t = 0 backwards, so that U_{k+1} <=
     U_k holds exactly in floating point (each level-k+1 term is a
-    rounded-monotone image of the matching level-k term, and the level-k
+    rounded-monotone image of the matching level-k term, as every row is
+    summed along its nodes by one fixed pairwise tree, and the level-k
     sequence only gains extra nonnegative terms).
     """
     if k_max < 1:
@@ -307,7 +296,7 @@ def truncated_energies(traj: Trajectory,
         np.maximum(pos, 0.0, out=pos)
         pack[n:] = 0.0
         sums[0, rungs[live], at[live]] = \
-            _node_sums(pack * pack, nodes)[:n] * h_n
+            (pack * pack).sum(axis=-1)[:n] * h_n
         sums[1, rungs[live], at[live]] = \
             seminorm_sq(grid, pack, s, stencil)[:n]
     sup_part = np.empty(ks.size)
@@ -415,12 +404,12 @@ def chebyshev_chain(traj: Trajectory, k_max: int) -> ChebyshevReport:
         for part, block in _chunks(traj, rows, nodes):
             # pow is slow at 0, and 0 ** high = 0: raise the others only
             low = np.maximum(block - below, 0.0)
-            sums[0, part] = _node_sums(np.power(
-                low, high, out=np.zeros_like(low), where=low != 0.0), nodes)
+            sums[0, part] = np.power(low, high, out=np.zeros_like(low),
+                                     where=low != 0.0).sum(axis=-1)
             pos = np.maximum(block - level, 0.0)
-            sums[1, part] = _node_sums(pos, nodes)
-            sums[2, part] = np.sum(pos > 0.0, axis=1)
-            sums[3, part] = _node_sums(pos * pos, nodes)
+            sums[1, part] = pos.sum(axis=-1)
+            sums[2, part] = (pos > 0.0).sum(axis=-1)
+            sums[3, part] = (pos * pos).sum(axis=-1)
         base[i], lin[i], ind[i], sq[i] = (_time_integral(traj, row, rows)
                                           for row in sums)
 
@@ -439,18 +428,6 @@ def chebyshev_chain(traj: Trajectory, k_max: int) -> ChebyshevReport:
 # ---------------------------------------------------------------------------
 # space-time level-set measures
 
-def space_time_measure(traj: Trajectory, masks: np.ndarray,
-                       idx: np.ndarray) -> float:
-    """Trapezoid-in-time integral of the spatial integral of `masks`.
-
-    `masks` holds one row per selected sample (idx into traj.times); each
-    row integrates in space as sum * h^N.  Boolean rows give the measure of
-    a level set, real-valued rows the integral of a function such as
-    (w - psi)_+^2.
-    """
-    return _time_integral(traj, np.sum(masks, axis=1), idx)
-
-
 def _time_integral(traj: Trajectory, sums: np.ndarray,
                    idx: np.ndarray) -> float:
     """Trapezoid-in-time integral of the node sums of the samples idx, each
@@ -463,11 +440,13 @@ def _time_integral(traj: Trajectory, sums: np.ndarray,
 
 
 def _window_measure(traj: Trajectory, idx: np.ndarray, integrand) -> float:
-    """space_time_measure(traj, integrand(traj.fields[idx]), idx), taking
-    the integrand of a chunk of samples at a time."""
+    """Trapezoid-in-time integral of the spatial integral of
+    integrand(traj.fields[idx]), taking the integrand of a chunk of samples
+    at a time.  Boolean integrands give the measure of a level set, real
+    ones the integral of a function such as (w - psi)_+^2."""
     sums = np.empty(idx.size)
     for rows, block in _chunks(traj, idx):
-        sums[rows] = np.sum(integrand(block), axis=1)
+        sums[rows] = integrand(block).sum(axis=-1)
     return _time_integral(traj, sums, idx)
 
 

@@ -307,7 +307,7 @@ def parabolic_rescale(traj: Trajectory, rho: float) -> Trajectory:
 
     The view keeps all M^N nodes: node xi_j of the rescaled grid lands on
     parent coordinate j * h exactly, so the view's fields are the parent's
-    samples up to t = 0 unchanged.
+    samples up to t = 0 unchanged, and share the parent's memory.
     """
     if not (rho > 0.0):
         raise InvalidParameterError(f"rescale factor must be > 0, got {rho}")
@@ -315,7 +315,7 @@ def parabolic_rescale(traj: Trajectory, rho: float) -> Trajectory:
     grid = traj.grid
     traj.window(0.0, math.inf, need=1)      # the samples do not end before 0
     keep = traj.window(-math.inf)
-    view_fields = traj.fields[keep]
+    view_fields = traj.samples(keep)
     view_times = traj.times[keep] / rho ** s
 
     view_grid = Grid(dimension=grid.dimension,
@@ -424,7 +424,7 @@ def oscillation_decay(traj: Trajectory, scale: float,
     for k in range(levels):
         rows, nodes = _cylinder(traj, radii[k], depths[k])
         node_counts[k], sample_counts[k] = np.sum(nodes), rows.size
-        vals = traj.fields[np.ix_(rows, nodes)]
+        vals = traj.samples(rows)[:, nodes]
         osc[k] = float(np.max(vals) - np.min(vals))
     alpha, r2, degenerate = _fit_decay(osc, scale, s)
     return OscillationReport(
@@ -451,7 +451,6 @@ class RescaleLevel:
 @dataclass(frozen=True)
 class RescaleReport:
     levels: list
-    views: list
     lam: float
     lam_star: float
     scale: float
@@ -460,6 +459,14 @@ class RescaleReport:
     floor_level: int | None      # level at which resolution ran out
     first_envelope_violation: int | None
     stabilized: bool
+
+
+def _envelope_breach(traj: Trajectory, lam: float, eps: float) -> dict | None:
+    """First breach on [-3, 0] of Lemma 3's two-sided envelope
+    |w| <= 1 + psi_{eps,lam}; None when it holds."""
+    return _first_exceedance(
+        traj, -3.0, 1.0 + _barrier(traj, "psi_eps_lambda", lam=lam, eps=eps),
+        two_sided=True)
 
 
 def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
@@ -490,24 +497,20 @@ def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
     current = traj
     rows, ball = _cylinder(traj, 1.0, 1.0)
     records: list[RescaleLevel] = []
-    views: list[Trajectory] = []
     first_violation_level = None
     floor_level = None
     for k in range(MAX_RESCALE_LEVELS + 1):
-        violation = _first_exceedance(
-            current, -3.0,
-            1.0 + _barrier(current, "psi_eps_lambda", lam=lam, eps=eps_eff),
-            two_sided=True)
+        violation = _envelope_breach(current, lam, eps_eff)
         if violation is not None and first_violation_level is None:
             first_violation_level = k
-        mean_k = float(np.mean(current.fields[np.ix_(rows, ball)]))
+        mean_k = float(np.mean(current.samples(rows)[:, ball]))
+        window = current.samples(current.window(-3.0))
         records.append(RescaleLevel(
-            level=k, sup_norm=float(np.max(np.abs(
-                current.fields[current.window(-3.0)]))),
+            level=k, sup_norm=max(abs(float(window.min())),
+                                  abs(float(window.max()))),
             mean=mean_k, envelope_ok=violation is None,
             nodes_in_unit_ball=int(np.sum(ball)), samples_in_window=rows.size,
             first_violation=violation))
-        views.append(current)
         if k == MAX_RESCALE_LEVELS:
             break
         # the view keeps every node and, in order, the samples up to t = 0,
@@ -518,7 +521,8 @@ def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
             floor_level = k
             break
         current = parabolic_rescale(current, scale)
-        # an increasing affine map commutes with each sample's min and max
+        # an increasing affine map commutes with each sample's min and max;
+        # it makes new arrays, as the view shares its parent's memory
         current.fields, current.vmin, current.vmax = (
             (a - mean_k) / shrink
             for a in (current.fields, current.vmin, current.vmax))
@@ -526,7 +530,7 @@ def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
     sups = [r.sup_norm for r in records]
     stabilized = len(sups) >= 2 and sups[-1] <= sups[0] + 1e-12
     return RescaleReport(
-        levels=records, views=views, lam=lam, lam_star=lam_star,
+        levels=records, lam=lam, lam_star=lam_star,
         scale=scale, eps=eps_eff, eps_floor_bound=floor_bound,
         floor_level=floor_level,
         first_envelope_violation=first_violation_level,
@@ -535,7 +539,8 @@ def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
 
 def unit_oscillation(traj: Trajectory) -> float:
     """sup - inf of the sampled field over the unit cylinder [-1, 0] x B_1."""
-    vals = traj.fields[np.ix_(*_cylinder(traj, 1.0, 1.0))]
+    rows, nodes = _cylinder(traj, 1.0, 1.0)
+    vals = traj.samples(rows)[:, nodes]
     return float(np.max(vals) - np.min(vals))
 
 
@@ -551,9 +556,7 @@ def verify_lemma3(traj: Trajectory, eps: float, lam: float,
     if not (0.0 < lam_star < 1.0):
         raise InvalidParameterError(
             f"lambda_star must be in (0, 1), got {lam_star}")
-    violation = _first_exceedance(
-        traj, -3.0, 1.0 + _barrier(traj, "psi_eps_lambda", lam=lam, eps=eps),
-        two_sided=True)
+    violation = _envelope_breach(traj, lam, eps)
     hypothesis_ok = violation is None
     osc = unit_oscillation(traj)
     bound = 2.0 - lam_star

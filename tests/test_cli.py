@@ -11,8 +11,9 @@ import pytest
 
 import nlflow
 from conftest import cached_calibration_runs
-from nlflow.calibrate import CALIBRATION_SEEDS, calibrate_constants, \
-    default_calibration, load_calibration, save_calibration
+from nlflow.calibrate import CAP, CALIBRATION_SEEDS, _largest_budget, \
+    calibrate_constants, default_calibration, load_calibration, \
+    save_calibration
 from nlflow.cli import _dissipation_record, main
 from nlflow.config import parse_config
 from nlflow.fieldio import load_field, save_field
@@ -57,18 +58,14 @@ def test_validate_writes_a_report(tmp_path, capsys):
     assert "validate: pass" in capsys.readouterr().out
 
 
-def test_validate_flags_an_envelope_breach(tmp_path, capsys):
-    # a multiplier outside the ellipticity band parses fine but fails the
-    # measured envelope check, so the verdict (not the config) trips
+@pytest.mark.parametrize("multiplier", ["0.5", "2.0"])
+def test_validate_accepts_the_multiplier_band_edges(tmp_path, multiplier):
+    # a power-law multiplier on an edge of [Lambda^-1/2, Lambda^1/2] passes
+    # the measured envelope check; one past it is refused at config time
     out = tmp_path / "v"
-    rc = main(["validate", "--out", str(out),
-               "--set", "kernel.multiplier=100.0"])
-    assert rc == 1
-    report = read_report(out)
-    assert report["checks"]["kernel_envelope"] is False
-    assert report["checks"]["kernel_symmetric"] is True
-    assert report["passed"] is False
-    assert "kernel_envelope: FAIL" in capsys.readouterr().out
+    assert main(["validate", "--out", str(out),
+                 "--set", f"kernel.multiplier={multiplier}"]) == 0
+    assert read_report(out)["checks"]["kernel_envelope"] is True
 
 
 @pytest.mark.parametrize("lam", [30.0, 100.0])
@@ -140,6 +137,12 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
       "--set", "flow.strategy=dense"], "flow.strategy"),
     (["run", "--seed", "1", "--set", "flow.strategy=dense", "--set",
       "grid.N=2", "--set", "grid.M=65"], "at most 4096 nodes"),
+    (["validate", "--set", "kernel.multiplier=4.0"], "[0.5, 2]"),
+    (["validate", "--set", "kernel.multiplier=0.25"], "[0.5, 2]"),
+    (["validate", "--set", "kernel.multiplier=100.0"], "kernel.multiplier"),
+    (["run", "--seed", "1", "--set", "kernel.multiplier=4.0"], "[0.5, 2]"),
+    (["denoise", "--set", "denoise.input={tmp}/tiny.pgm",
+      "--set", "kernel.multiplier=0.25"], "[0.5, 2]"),
 ], ids=["calibrate-2d", "calibrate-order", "diagnose-2d", "diagnose-order",
         "diagnose-calibration-order", "diagnose-calibration-2d",
         "nonlinear-rough", "spectral-truncated", "spectral-rough",
@@ -147,7 +150,10 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
         "denoise-directory", "out-is-a-file", "diagnose-k-max",
         "diagnose-levels", "diagnose-scale", "run-radius-below-spacing",
         "denoise-radius-below-spacing", "denoise-torus-narrower-than-radius",
-        "denoise-dense", "nonlinear-dense", "dense-over-cap"])
+        "denoise-dense", "nonlinear-dense", "dense-over-cap",
+        "validate-multiplier-4", "validate-multiplier-0.25",
+        "validate-multiplier-100", "run-multiplier-4",
+        "denoise-multiplier-0.25"])
 def test_unsupported_config_exits_2(tmp_path, capsys, argv, message):
     # refused before any work, not aborted later with exit 1 or 3; a dict in
     # argv stands for a calibration file with those entries changed, and
@@ -419,6 +425,18 @@ def test_calibrate_small_ensemble(tmp_path, capsys):
         dict.fromkeys(CALIBRATION_SEEDS, [1, 2]))), str(in_process))
     assert in_process.read_bytes() == \
         (out / "calibration.json").read_bytes()
+
+
+@pytest.mark.parametrize("pairs, expected", [
+    ([(1e-14, True), (3e-13, False), (0.2, True), (0.5, False)],
+     (float(np.nextafter(3e-13, 0.0)), False)),
+    ([(0.0, True), (0.4, False)], (float(np.nextafter(0.4, 0.0)), False)),
+    ([(0.5, True), (CAP, True), (1.5, False)], (CAP, True)),
+], ids=["tiny-failure", "failure", "capped"])
+def test_largest_budget_stops_just_below_the_first_failure(pairs, expected):
+    # exact at every magnitude: the budget admits every passing run below
+    # the smallest failing value and not that value itself
+    assert _largest_budget(pairs) == expected
 
 
 # ---------------------------------------------------------------------------

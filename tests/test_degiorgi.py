@@ -41,8 +41,8 @@ from nlflow.degiorgi import (
 )
 from nlflow.errors import InsufficientCoverageError, InvalidParameterError
 from nlflow.grid import Grid
-from nlflow.oscillation import oscillation_decay, unit_oscillation, \
-    verify_lemma3
+from nlflow.oscillation import oscillation_decay, parabolic_rescale, \
+    rescaling_sequence, unit_oscillation, verify_lemma3
 
 
 def radial(kind, r, order=1.0, **kw):
@@ -572,6 +572,11 @@ def detector_calls(cal, diagnose_only=False):
         calls[1][1]["level_set_measures"] = \
             lambda t: level_set_measures(t, cal.lam)
         calls[1][1]["unit_oscillation"] = unit_oscillation
+        # a rescaled level shares its parent's memory
+        calls[3][1]["parabolic_rescale"] = \
+            lambda t: parabolic_rescale(t, cal.k_sc)
+        calls[3][1]["rescaling_sequence"] = lambda t: rescaling_sequence(
+            t, cal.lam, cal.lam_star, cal.k_sc, eps=cal.eps)
     return calls
 
 
@@ -590,6 +595,23 @@ def test_detectors_hold_less_than_the_trajectory(calibration, seed):
                 tracemalloc.stop()
             assert peak < traj.fields.nbytes, \
                 f"{name}: peak {peak / traj.fields.nbytes:.2f} x fields"
+
+
+@pytest.mark.parametrize("seed", [1, 7, 20])
+def test_rescaling_holds_less_than_three_trajectories(calibration, seed):
+    # each rescaled level is a view of the samples up to t = 0, and only the
+    # level being built holds an affine image of them
+    for run in (cached_oscillation_run, cached_level_run):
+        traj = run(seed)
+        tracemalloc.start()
+        try:
+            rescaling_sequence(traj, calibration.lam, calibration.lam_star,
+                               calibration.k_sc, eps=calibration.eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * traj.fields.nbytes, \
+            f"peak {peak / traj.fields.nbytes:.2f} x fields"
 
 
 def test_one_stencil_and_plan_per_ladder(monkeypatch):

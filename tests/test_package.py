@@ -1,6 +1,9 @@
-"""The package's public names: every export resolves, and none is an alias."""
+"""The package's public names: every export resolves, none is an alias, and
+each is used somewhere in the project."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -24,3 +27,35 @@ def test_exports_resolve_to_distinct_objects(name):
         if first != n:
             aliases.append((first, n))
     assert not aliases, f"{name}.__all__ binds one object twice: {aliases}"
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _referenced_names() -> set[str]:
+    """Every name a Python file under src/, tests/ or perfbench/ loads, reads
+    as an attribute or imports by name, except the package's re-exports."""
+    package_init = ROOT / "src" / "nlflow" / "__init__.py"
+    names: set[str] = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and \
+                        isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom) and \
+                        path != package_init:
+                    names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_export_is_used():
+    # a name only its own module's __all__ and the package's re-export
+    # mention is dead code
+    used = _referenced_names()
+    dead = [f"{name}.{n}" for name in MODULES
+            for n in getattr(importlib.import_module(name), "__all__", [])
+            if n not in used]
+    assert not dead, f"exported but never referenced: {dead}"
