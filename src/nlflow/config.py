@@ -261,8 +261,7 @@ class ExperimentConfig:
             potential=potential,
             stepper=self.get("flow.stepper"),
             strategy=self.get("flow.strategy"),
-            dt_max=self.get("flow.dt_max"),
-            store_states=self.get("flow.store_states"))
+            dt_max=self.get("flow.dt_max"))
 
 
 def _refuse(errors: list[str]) -> None:

@@ -131,10 +131,10 @@ def eval_barrier(b: BarrierFamily, x) -> np.ndarray:
         return _ramp(r, b.support_radius, 0.25 * s)
     if b.kind == "psi_eps_lambda":
         return _ramp(r, b.support_radius, b.eps)
-    if b.kind == "F":
-        return np.maximum(-1.0, np.minimum(0.0, r * r - 9.0))
-    base = BarrierFamily("psi_lambda", order=s, lam=b.lam)
     hump = np.maximum(-1.0, np.minimum(0.0, r * r - 9.0))
+    if b.kind == "F":
+        return hump
+    base = BarrierFamily("psi_lambda", order=s, lam=b.lam)
     scale = {"phi0": 1.0, "phi1": b.lam, "phi2": b.lam * b.lam}[b.kind]
     return 1.0 + eval_barrier(base, r) + scale * hump
 

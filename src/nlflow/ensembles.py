@@ -9,6 +9,7 @@ with the same seed are bitwise identical.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -75,13 +76,14 @@ def linear_dissipation_run(seed: int) -> Trajectory:
 
 
 def nonlinear_dissipation_run(seed: int) -> Trajectory:
-    """Smoothed-huber flow; power-law constant drawn inside the band."""
+    """Smoothed-huber flow; the power-law constant is Lambda^(u/2) for u
+    uniform in [-0.9, 0.9], inside the tight band [Lambda^-1/2, Lambda^1/2]
+    that `validate_kernel` grades a translation-invariant kernel in."""
     grid = default_grid()
     rng = np.random.default_rng(seed)
-    multiplier = 4.0 ** rng.uniform(-0.9, 0.9)
-    kernel = make_kernel(KernelSpec(
-        dimension=DIMENSION, order=ORDER, family="power-law",
-        multiplier=multiplier))
+    spec = KernelSpec(dimension=DIMENSION, order=ORDER, family="power-law")
+    kernel = make_kernel(replace(
+        spec, multiplier=spec.ellipticity ** (0.5 * rng.uniform(-0.9, 0.9))))
     potential = make_potential(PotentialSpec(family="smoothed-huber"))
     initial = make_initial(grid, kind="random", amplitude=1.0, seed=seed)
     problem = FlowProblem(kind="nonlinear", grid=grid, kernel=kernel,

@@ -38,15 +38,11 @@ class NonLatticeStepError(NlflowError):
     """Difference-quotient step is not an integer multiple of the grid spacing."""
 
 
-class WindowOutOfRangeError(NlflowError):
-    """A diagnostic time window is not covered by the trajectory."""
-
-
 class UnderResolvedError(NlflowError):
     """A cylinder holds too few nodes/time samples to be meaningful."""
 
 
-class InsufficientCoverageError(WindowOutOfRangeError):
+class InsufficientCoverageError(NlflowError):
     """Too few trajectory samples fall in a required time window."""
 
 
@@ -63,4 +59,4 @@ class ConfigError(NlflowError):
 
 
 class TrajectoryMismatchError(NlflowError):
-    """A trajectory lacks data required by a diagnostic (states, cadence...)."""
+    """A trajectory lacks what a diagnostic needs (kind, stepper, kernel)."""

@@ -73,25 +73,16 @@ def save_field(field: Field, path: str) -> None:
     raise FormatError(f"unknown field format for {path!r} (.csv or .pgm)")
 
 
-def _load_csv(path: str, grid: Grid | None) -> Field:
+def _load_csv(path: str) -> Field:
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise FormatError(f"{path}: empty file")
-    file_grid = _parse_header(lines[0])
-    body = lines[1:] if file_grid is not None else lines
-    if file_grid is None and grid is None:
-        raise FormatError(
-            f"{path}: no grid header and no grid given")
-    use = grid if grid is not None else file_grid
-    if file_grid is not None and grid is not None and \
-            not grid.compatible_with(file_grid):
-        raise DimensionMismatchError(
-            f"{path}: file grid (N={file_grid.dimension}, "
-            f"M={file_grid.points_per_axis}, L={file_grid.side_length}) "
-            f"does not match the requested grid")
+    grid = _parse_header(lines[0])
+    if grid is None:
+        raise FormatError(f"{path}: no grid header")
     values = []
-    for i, line in enumerate(body):
+    for i, line in enumerate(lines[1:]):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -99,10 +90,10 @@ def _load_csv(path: str, grid: Grid | None) -> Field:
             values.append(float(text))
         except ValueError:
             raise FormatError(f"{path}:{i + 2}: not a number: {text!r}")
-    if len(values) != use.n_nodes:
+    if len(values) != grid.n_nodes:
         raise DimensionMismatchError(
-            f"{path}: {len(values)} values for a grid of {use.n_nodes} nodes")
-    return Field(use, np.asarray(values))
+            f"{path}: {len(values)} values for a grid of {grid.n_nodes} nodes")
+    return Field(grid, np.asarray(values))
 
 
 def _tokens_skipping_comments(data: bytes, start: int, count: int,
@@ -131,7 +122,7 @@ def _tokens_skipping_comments(data: bytes, start: int, count: int,
     return toks + comment_grid, i
 
 
-def _load_pgm(path: str, grid: Grid | None) -> Field:
+def _load_pgm(path: str) -> Field:
     with open(path, "rb") as fh:
         data = fh.read()
     magic = data[:2]
@@ -148,12 +139,11 @@ def _load_pgm(path: str, grid: Grid | None) -> Field:
             f"({width}x{height})")
     if not (1 <= maxval <= 65535):
         raise FormatError(f"{path}: maxval {maxval} out of [1, 65535]")
-    file_grid = None
+    grid = None
     for tok in toks[3:]:
-        file_grid = file_grid or _parse_header(tok.decode("ascii", "replace"))
+        grid = grid or _parse_header(tok.decode("ascii", "replace"))
     if grid is None:
-        grid = file_grid if file_grid is not None else Grid(
-            dimension=2, side_length=16.0, points_per_axis=width)
+        grid = Grid(dimension=2, side_length=16.0, points_per_axis=width)
     if grid.dimension != 2 or grid.points_per_axis != width:
         raise DimensionMismatchError(
             f"{path}: {width}x{height} image does not match grid "
@@ -179,18 +169,19 @@ def _load_pgm(path: str, grid: Grid | None) -> Field:
     return Field(grid, px / maxval)
 
 
-def load_field(path: str, grid: Grid | None = None) -> Field:
-    """Load a CSV or PGM field; the grid argument cross-checks dimensions."""
+def load_field(path: str) -> Field:
+    """Load a CSV or PGM field on the grid its header names; a PGM without
+    one lies on the 16-wide torus with one node a pixel."""
     lower = path.lower()
     if lower.endswith(".pgm"):
-        return _load_pgm(path, grid)
+        return _load_pgm(path)
     if lower.endswith(".csv"):
-        return _load_csv(path, grid)
+        return _load_csv(path)
     with open(path, "rb") as fh:
         head = fh.read(2)
     if head in (b"P2", b"P5"):
-        return _load_pgm(path, grid)
-    return _load_csv(path, grid)
+        return _load_pgm(path)
+    return _load_csv(path)
 
 
 def jsonable(obj):

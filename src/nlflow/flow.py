@@ -145,7 +145,6 @@ class FlowProblem:
     stepper: str = "euler"
     strategy: str = "banded"
     dt_max: float | None = None    # optional extra cap (convergence studies)
-    store_states: bool = False
 
     def __post_init__(self):
         if self.kind not in ("linear", "nonlinear"):
@@ -174,24 +173,23 @@ class FlowProblem:
 
 @dataclass
 class Trajectory:
-    """Flow output: sampled fields plus per-step dissipation records."""
+    """Flow output: sampled fields plus per-step dissipation records
+    (None for `from_fields` data, which has no steps)."""
 
     grid: Grid
     kind: str
     times: np.ndarray              # sample times, strictly increasing
     fields: np.ndarray             # (n_samples, n_nodes)
-    step_times: np.ndarray         # (n_steps + 1,) state times
-    dts: np.ndarray                # (n_steps,)
-    l2: np.ndarray                 # per-state records, (n_steps + 1,)
-    energy: np.ndarray
-    vmin: np.ndarray
-    vmax: np.ndarray
-    mass: np.ndarray
+    step_times: np.ndarray | None = None   # (n_steps + 1,) state times
+    dts: np.ndarray | None = None          # (n_steps,)
+    l2: np.ndarray | None = None           # per-state records, (n_steps + 1,)
+    energy: np.ndarray | None = None
+    vmin: np.ndarray | None = None
+    vmax: np.ndarray | None = None
+    mass: np.ndarray | None = None
     kernel: Kernel | None = None
     potential: Potential | None = None
     stepper: str = "euler"
-    strategy: str = "banded"
-    states: np.ndarray | None = None   # (n_steps + 1, n_nodes) when stored
     meta: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
@@ -243,31 +241,22 @@ class Trajectory:
     @staticmethod
     def from_fields(grid: Grid, times, values, kind: str = "synthetic",
                     kernel: Kernel | None = None,
-                    potential: Potential | None = None,
                     order: float | None = None) -> "Trajectory":
         """Wrap explicit (times, fields) data — used for injected diagnostics."""
-        times = np.asarray(times, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        n = times.size
-        zeros = np.zeros(n)
-        meta = {} if order is None else {"order": order}
-        return Trajectory(
-            grid=grid, kind=kind, times=times, fields=values,
-            step_times=times.copy(), dts=np.diff(times),
-            l2=zeros.copy(), energy=zeros.copy(), vmin=values.min(axis=1),
-            vmax=values.max(axis=1), mass=zeros.copy(),
-            kernel=kernel, potential=potential, meta=meta)
+        return Trajectory(grid=grid, kind=kind, times=times, fields=values,
+                          kernel=kernel,
+                          meta={} if order is None else {"order": order})
 
 
 def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
     """Integrate the flow; samples every `sample_every`-th state (plus the
     final one) and records dt / L2 / energy / min / max / mass per state.
 
-    Steps write states into a reused buffer of STATE_CHUNK values (or all
-    states, when stored), whose rows give L2, min, max and mass as row
-    reductions, bit for bit the per-state sums.  The energy comes with the
-    RHS; only a non-finite energy, which a non-finite state makes, is
-    followed by a look for non-finite entries."""
+    Steps write states into a reused buffer of STATE_CHUNK values, whose
+    rows give L2, min, max and mass as row reductions, bit for bit the
+    per-state sums.  The energy comes with the RHS; only a non-finite
+    energy, which a non-finite state makes, is followed by a look for
+    non-finite entries."""
     if sample_every < 1:
         raise InvalidParameterError(
             f"sample_every must be a positive integer: {sample_every}")
@@ -292,9 +281,7 @@ def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
         sampled = np.append(sampled, n_steps)
     fields = np.empty((sampled.size, n))
     energy, l2, vmin, vmax, mass = np.empty((5, n_steps + 1))
-    states = np.empty((n_steps + 1, n)) if problem.store_states else None
-    buf = states if states is not None else np.empty(
-        (min(n_steps + 1, max(2, STATE_CHUNK // n)), n))
+    buf = np.empty((min(n_steps + 1, max(2, STATE_CHUNK // n)), n))
     buf[0] = problem.initial.values
     first = 0                           # the state in buf[0]
     for i in range(n_steps + 1):
@@ -326,6 +313,4 @@ def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
         fields=fields, step_times=step_times, dts=dts, l2=l2, energy=energy,
         vmin=vmin, vmax=vmax, mass=mass, kernel=kernel,
         potential=problem.potential, stepper=problem.stepper,
-        strategy=problem.strategy, states=states,
-        meta={"t_start": problem.t_start, "t_end": problem.t_end,
-              "sample_every": sample_every, "n_steps": n_steps})
+        meta={"n_steps": n_steps})

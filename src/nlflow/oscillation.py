@@ -11,7 +11,7 @@ of oscillations over nested cylinders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -245,9 +245,6 @@ def verify_linearization(theta_traj: Trajectory, e: int = 0,
     if theta_traj.stepper != "euler":
         raise TrajectoryMismatchError(
             "transfer is defined for the euler stepper")
-    if theta_traj.states is None:
-        raise TrajectoryMismatchError(
-            "transfer needs per-step states (store_states=True)")
     base = theta_traj.kernel
     potential = theta_traj.potential
     if base is None or potential is None:
@@ -269,7 +266,7 @@ def verify_linearization(theta_traj: Trajectory, e: int = 0,
     sample_pos = np.searchsorted(step_times, theta_traj.times - 1e-12)
 
     w = difference_quotient(
-        Field(grid, theta_traj.states[0]), e, h).values.reshape(grid.shape)
+        Field(grid, theta_traj.fields[0]), e, h).values.reshape(grid.shape)
     defects = np.empty(theta_traj.n_samples)
     next_cmp = 0
 
@@ -323,24 +320,14 @@ def parabolic_rescale(traj: Trajectory, rho: float) -> Trajectory:
                      points_per_axis=grid.points_per_axis)
     induced = None
     if traj.kernel is not None:
-        import dataclasses
         spec = traj.kernel.spec
-        induced_spec = dataclasses.replace(
-            spec,
-            truncation_radius=(spec.truncation_radius / rho
-                               if math.isfinite(spec.truncation_radius)
-                               else spec.truncation_radius),
+        induced = Kernel(replace(
+            spec, truncation_radius=spec.truncation_radius / rho,
             cell_size=spec.cell_size / rho,
-            epoch_length=spec.epoch_length / rho ** s)
-        induced = Kernel(induced_spec)
-    view = Trajectory.from_fields(
+            epoch_length=spec.epoch_length / rho ** s))
+    return Trajectory.from_fields(
         view_grid, view_times, view_fields, kind="rescaled-view",
-        kernel=induced, potential=traj.potential, order=s)
-    view.meta.update({
-        "rho": float(rho), "order": s,
-        "parent_kind": traj.kind,
-    })
-    return view
+        kernel=induced, order=s)
 
 
 # ---------------------------------------------------------------------------
@@ -521,11 +508,8 @@ def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
             floor_level = k
             break
         current = parabolic_rescale(current, scale)
-        # an increasing affine map commutes with each sample's min and max;
-        # it makes new arrays, as the view shares its parent's memory
-        current.fields, current.vmin, current.vmax = (
-            (a - mean_k) / shrink
-            for a in (current.fields, current.vmin, current.vmax))
+        # a new array, as the view shares its parent's memory
+        current.fields = (current.fields - mean_k) / shrink
 
     sups = [r.sup_norm for r in records]
     stabilized = len(sups) >= 2 and sups[-1] <= sups[0] + 1e-12

@@ -48,7 +48,7 @@ from nlflow.fieldio import load_field, save_field
 from nlflow.fields import make_initial
 from nlflow.flow import FlowProblem, run_flow
 from nlflow.grid import DiscreteOperator, Field, Grid, OffsetStencil
-from nlflow.kernels import KernelSpec, make_kernel
+from nlflow.kernels import KernelSpec, make_kernel, validate_kernel
 from nlflow.oscillation import (
     DerivedKernel,
     oscillation_decay,
@@ -81,8 +81,8 @@ def nonlinear_run(potential, dt_max=1e-3, t_end=0.1, seed=13,
     return run_flow(FlowProblem(
         kind="nonlinear", grid=g, kernel=kernel_1d(),
         initial=make_initial(g, "random", amplitude=1.0, seed=seed),
-        t_end=t_end, potential=potential, dt_max=dt_max,
-        store_states=True), sample_every=sample_every)
+        t_end=t_end, potential=potential, dt_max=dt_max),
+        sample_every=sample_every)
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +202,13 @@ def test_dissipation_ensembles():
              "50 linear + 20 nonlinear runs keep the L2 norm, energy, "
              "bracket, and mass inequalities" if not broken
              else f"violations: {broken[:3]}")
+
+
+def test_nonlinear_dissipation_kernels_lie_in_the_tight_band():
+    # the CLI refuses power-law kernels that fail the envelope grade
+    for seed in range(1, 21):
+        kernel = cached_nonlinear_dissipation(seed).kernel
+        assert validate_kernel(kernel, sample_count=500).envelope_ok, seed
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def test_every_banded_rhs_goes_through_the_hook(monkeypatch):
     problem = flow.FlowProblem(
         kind="linear", grid=grid, kernel=ensembles.rough_kernel(3),
         initial=make_initial(grid, "random", seed=3),
-        t_end=0.3, dt_max=0.01, store_states=True)
+        t_end=0.3, dt_max=0.01)
     plain = flow.run_flow(problem)
     rhs, outputs = flow._offset_rhs, []
 
@@ -84,8 +84,9 @@ def test_every_banded_rhs_goes_through_the_hook(monkeypatch):
     monkeypatch.setattr(flow, "_offset_rhs", counting)
     traced = flow.run_flow(problem)
     assert len(outputs) == traced.meta["n_steps"] + 1
-    for name in ("fields", "states", "l2", "energy", "vmin", "vmax", "mass"):
+    for name in ("fields", "l2", "energy", "vmin", "vmax", "mass"):
         assert np.array_equal(getattr(traced, name), getattr(plain, name))
+    # sample_every=1 samples every state
     for i, dt in enumerate(traced.dts):
-        assert np.array_equal(traced.states[i + 1],
-                              traced.states[i] + dt * outputs[i].ravel())
+        assert np.array_equal(traced.fields[i + 1],
+                              traced.fields[i] + dt * outputs[i].ravel())

@@ -1,8 +1,11 @@
 """Config parsing: defaults, overrides, collected errors, builders."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
+import nlflow
 from nlflow.config import SCHEMA, parse_config, parse_seed_list
 from nlflow.errors import ConfigError
 from nlflow.flow import run_flow
@@ -16,6 +19,18 @@ def test_everything_defaults_to_the_schema():
     assert cfg.get("flow.dt_max") is None
     assert cfg.get("ensemble.seeds") == tuple(range(1, 21))
     assert set(cfg.defaulted) == set(SCHEMA)
+
+
+# keys every report echoes but nothing reads; removing one changes the
+# report bytes the benchmark records, so they wait for its re-record
+ECHO_ONLY = {"report.verbosity", "flow.store_states"}
+
+
+def test_every_schema_key_is_read():
+    package = pathlib.Path(nlflow.__file__).parent
+    source = "".join(p.read_text() for p in sorted(package.glob("*.py")))
+    unread = {key for key in SCHEMA if f'.get("{key}")' not in source}
+    assert unread == ECHO_ONLY
 
 
 def test_echo_reports_defaulted_keys():

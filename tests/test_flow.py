@@ -358,19 +358,6 @@ def test_sampling_cadence_and_endpoints():
     assert traj.dts.size == traj.step_times.size - 1
 
 
-def test_store_states_keeps_every_step():
-    g = grid_1d(32)
-    w0 = make_initial(g, "random", seed=1)
-    traj = run_flow(FlowProblem(
-        kind="linear", grid=g, kernel=power_law_kernel(),
-        initial=w0, t_end=0.25, store_states=True), sample_every=3)
-    assert traj.states.shape == (traj.step_times.size, g.n_nodes)
-    assert np.array_equal(traj.states[0], w0.values)
-    for t, row in zip(traj.times, traj.fields):
-        i = int(np.where(traj.step_times == t)[0][0])
-        assert np.array_equal(traj.states[i], row)
-
-
 def test_non_finite_state_names_its_step(monkeypatch):
     g = grid_1d(256)
     problem = FlowProblem(kind="linear", grid=g, kernel=power_law_kernel(),
@@ -410,11 +397,20 @@ def test_chunked_records_match_per_state_sums(kind, stepper, sample_every):
         potential=huber() if kind == "nonlinear" else None,
         stepper=stepper, t_end=0.7, dt_max=0.005)
     traj = run_flow(problem, sample_every=sample_every)
-    problem.store_states = True
-    stored = run_flow(problem, sample_every=sample_every)
     assert traj.step_times.size == 141
-    states, h = stored.states, g.spacing
     op = DiscreteOperator(g, problem.kernel, "banded")
+    pot = problem.potential
+    # the reference states step flow._rhs one state at a time
+    states = [problem.initial.values]
+    for t, dt in zip(traj.step_times, traj.dts):
+        w = states[-1]
+        k1 = flow._rhs(op, pot, w, t)
+        if stepper == "euler":
+            states.append(k1 * dt + w)
+        else:
+            k2 = flow._rhs(op, pot, w + dt * k1, t + dt)
+            states.append((k1 + k2) * (dt / 2) + w)
+    states, h = np.array(states), g.spacing
     expected = {
         "l2": [math.sqrt(float(np.sum(w * w)) * h) for w in states],
         "vmin": [float(w.min()) for w in states],
@@ -422,16 +418,14 @@ def test_chunked_records_match_per_state_sums(kind, stepper, sample_every):
         "mass": [float(np.sum(w)) * h for w in states],
         "energy": [
             linear_energy(op, w, t) if kind == "linear"
-            else nonlinear_energy(op, problem.potential, w, t)
-            for w, t in zip(states, stored.step_times)],
+            else nonlinear_energy(op, pot, w, t)
+            for w, t in zip(states, traj.step_times)],
     }
-    keep = np.isin(stored.step_times, stored.times)
-    for run in (traj, stored):
-        for name, values in expected.items():
-            assert np.array_equal(getattr(run, name), values), name
-        assert np.array_equal(run.fields, states[keep])
-        assert np.array_equal(run.times, stored.step_times[
-            np.union1d(np.arange(0, 141, sample_every), 140)])
+    for name, values in expected.items():
+        assert np.array_equal(getattr(traj, name), values), name
+    keep = np.union1d(np.arange(0, 141, sample_every), 140)
+    assert np.array_equal(traj.fields, states[keep])
+    assert np.array_equal(traj.times, traj.step_times[keep])
 
 
 def test_time_dependent_kernel_runs_deterministically():

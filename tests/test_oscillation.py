@@ -13,14 +13,15 @@ from conftest import (
     synthetic_trajectory,
 )
 from nlflow.errors import (
+    InsufficientCoverageError,
     InvalidParameterError,
     NonLatticeStepError,
     TrajectoryMismatchError,
     UnderResolvedError,
-    WindowOutOfRangeError,
 )
+from nlflow.ensembles import default_grid
 from nlflow.fields import make_initial
-from nlflow.flow import FlowProblem, run_flow
+from nlflow.flow import FlowProblem, Trajectory, run_flow
 from nlflow.grid import Field, Grid, OffsetStencil
 from nlflow.kernels import KernelSpec, make_kernel
 from nlflow.oscillation import (
@@ -56,13 +57,13 @@ def quadratic():
 
 
 def nonlinear_run(potential, dt_max=1e-3, t_end=0.1, seed=13,
-                  sample_every=4):
-    g = grid_1d()
+                  sample_every=4, g=None):
+    g = grid_1d() if g is None else g
     return run_flow(FlowProblem(
         kind="nonlinear", grid=g, kernel=power_law_kernel(),
         initial=make_initial(g, "random", amplitude=1.0, seed=seed),
-        t_end=t_end, potential=potential, dt_max=dt_max,
-        store_states=True), sample_every=sample_every)
+        t_end=t_end, potential=potential, dt_max=dt_max),
+        sample_every=sample_every)
 
 
 # --------------------------------------------------------------------------
@@ -172,11 +173,13 @@ def test_derived_envelope_scan_needs_kernel(grid1):
 # linearization transfer
 
 def test_transfer_quadratic_is_bitwise():
-    rep = verify_linearization(nonlinear_run(quadratic()))
-    assert rep.bitwise and rep.quadratic
-    # identical coefficients; the residual is quotient-vs-step rounding
-    assert rep.max_defect <= 1e-13
-    assert rep.defect_curve.shape == rep.defect_times.shape
+    # any Euler run feeds the check: it starts from the first sample
+    for g in (grid_1d(), default_grid()):
+        rep = verify_linearization(nonlinear_run(quadratic(), g=g))
+        assert rep.bitwise and rep.quadratic
+        # identical coefficients; the residual is quotient-vs-step rounding
+        assert rep.max_defect <= 1e-13
+        assert rep.defect_curve.shape == rep.defect_times.shape
 
 
 def test_transfer_defect_first_order_in_dt():
@@ -199,16 +202,15 @@ def test_transfer_wider_quotient_step():
 def test_transfer_input_guards(grid1):
     lin = run_flow(FlowProblem(
         kind="linear", grid=grid_1d(), kernel=power_law_kernel(),
-        initial=make_initial(grid_1d(), "random", seed=0), t_end=0.05,
-        store_states=True))
+        initial=make_initial(grid_1d(), "random", seed=0), t_end=0.05))
     with pytest.raises(TrajectoryMismatchError):
         verify_linearization(lin)
-    no_states = run_flow(FlowProblem(
+    heun = run_flow(FlowProblem(
         kind="nonlinear", grid=grid_1d(), kernel=power_law_kernel(),
         initial=make_initial(grid_1d(), "random", seed=0), t_end=0.05,
-        potential=huber()))
+        potential=huber(), stepper="heun"))
     with pytest.raises(TrajectoryMismatchError):
-        verify_linearization(no_states)
+        verify_linearization(heun)
 
 
 # --------------------------------------------------------------------------
@@ -224,12 +226,17 @@ def test_rescale_identity_at_unit_factor():
 
 def test_rescale_scales_grid_and_kernel_spec():
     traj = cached_oscillation_run(1)
-    view = parabolic_rescale(traj, 0.5)
-    assert view.grid.side_length == 32.0
-    assert view.kernel.spec.truncation_radius == 6.0
-    assert view.kernel.spec.cell_size == 0.5
-    assert view.kernel.spec.epoch_length == pytest.approx(0.2)
-    assert view.times[0] == pytest.approx(2.0 * traj.times[0])
+    untruncated = Trajectory.from_fields(
+        traj.grid, traj.times, traj.fields, kernel=make_kernel(KernelSpec(
+            dimension=1, order=1.0, truncation_radius=math.inf,
+            family="power-law")))
+    for parent, radius in ((traj, 6.0), (untruncated, math.inf)):
+        view = parabolic_rescale(parent, 0.5)
+        assert view.grid.side_length == 32.0
+        assert view.kernel.spec.truncation_radius == radius
+        assert view.kernel.spec.cell_size == 0.5
+        assert view.kernel.spec.epoch_length == pytest.approx(0.2)
+        assert view.times[0] == pytest.approx(2.0 * traj.times[0])
 
 
 def test_rescale_commutes_with_the_flow():
@@ -253,7 +260,7 @@ def test_rescale_window_guards(grid1):
         parabolic_rescale(cached_oscillation_run(1), 0.0)
     # the view is the cylinder about t = 0, which these samples miss
     for t_lo, t_hi in ((-3.0, -1.0), (0.5, 2.0)):
-        with pytest.raises(WindowOutOfRangeError):
+        with pytest.raises(InsufficientCoverageError):
             parabolic_rescale(constant_trajectory(grid1, 0.0, t_lo, t_hi),
                               0.5)
 
