@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import difflib
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from .ensembles import DIMENSION, LEVELS, MAX_K, MIN_DEPTH, MIN_RADIUS, \
     ORDER, SCALE
@@ -119,11 +119,14 @@ class ExperimentConfig:
     """Validated key/value store plus builders for the domain objects."""
 
     values: dict[str, object]
-    defaulted: tuple[str, ...]
-    sources: dict[str, str] = dataclass_field(default_factory=dict)
+    sources: dict[str, str]       # key -> where its value came from
 
     def get(self, key: str):
         return self.values[key]
+
+    @property
+    def defaulted(self) -> tuple[str, ...]:
+        return tuple(k for k, src in self.sources.items() if src == "default")
 
     def echo(self) -> dict:
         """Full key -> value map with defaulted keys listed separately."""
@@ -321,6 +324,10 @@ def _semantic_errors(values: dict[str, object]) -> list[str]:
           "sigma must be positive")
     check(values["initial.radius"] > 0.0, "initial.radius",
           "radius must be positive")
+    # the L2 and energy records square the data: 1e200 overflowed them
+    check(abs(values["initial.amplitude"]) + abs(values["initial.shift"])
+          <= 1e100, "initial.amplitude",
+          "|amplitude| + |initial.shift| must be at most 1e100")
     check(values["flow.kind"] in ("linear", "nonlinear"), "flow.kind",
           "expected linear or nonlinear")
     check(values["flow.stepper"] in ("euler", "heun"), "flow.stepper",
@@ -412,6 +419,4 @@ def parse_config(path: str | None = None,
 
     _refuse(errors)
 
-    defaulted = tuple(k for k in SCHEMA if sources[k] == "default")
-    return ExperimentConfig(values=values, defaulted=defaulted,
-                            sources=sources)
+    return ExperimentConfig(values=values, sources=sources)

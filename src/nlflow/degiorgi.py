@@ -51,7 +51,6 @@ __all__ = [
 
 BARRIER_KINDS = (
     "psi",              # (|x|^{s/2} - 1)_+
-    "psi_L",            # L + psi(x)
     "psi1",             # (|x|^{s/4} - 1)_+
     "psi_lambda",       # ((|x| - lam^{-4/s})^{s/4} - 1)_+ past its support radius
     "psi_eps_lambda",   # same support, exponent eps instead of s/4
@@ -75,7 +74,6 @@ class BarrierFamily:
 
     kind: str
     order: float = 1.0       # s
-    shift: float = 0.0       # the L in psi_L
     lam: float = 0.25        # lambda, used by the psi_lambda family
     eps: float = 0.05        # exponent of psi_eps_lambda
 
@@ -87,9 +85,6 @@ class BarrierFamily:
         if not (0.0 < self.order < 2.0):
             raise InvalidParameterError(
                 f"barrier order must lie in (0, 2), got {self.order}")
-        if self.shift < 0.0:
-            raise InvalidParameterError(
-                f"barrier shift must be >= 0, got {self.shift}")
         if self.kind in _LAMBDA_KINDS and not (0.0 < self.lam < 1.0 / 3.0):
             raise InvalidParameterError(
                 f"lambda must lie in (0, 1/3), got {self.lam}")
@@ -102,7 +97,7 @@ class BarrierFamily:
         """Radius below which the lambda-family barriers vanish."""
         if self.kind in _LAMBDA_KINDS:
             return self.lam ** (-4.0 / self.order)
-        if self.kind in ("psi", "psi_L", "psi1"):
+        if self.kind in ("psi", "psi1"):
             return 1.0
         return 0.0
 
@@ -123,8 +118,6 @@ def eval_barrier(b: BarrierFamily, x) -> np.ndarray:
     s = b.order
     if b.kind == "psi":
         return _ramp(r, 0.0, 0.5 * s)
-    if b.kind == "psi_L":
-        return b.shift + _ramp(r, 0.0, 0.5 * s)
     if b.kind == "psi1":
         return _ramp(r, 0.0, 0.25 * s)
     if b.kind == "psi_lambda":
@@ -324,7 +317,6 @@ class RecurrenceReport:
     decayed: bool              # U_{k_max} < 1e-14
     degenerate: bool           # some U_{k-1} vanished, ratio undefined
     vacuous: bool              # every U_k is zero; recurrence holds trivially
-    tail_value: float
 
 
 def check_recurrence(seq: TruncatedEnergySequence) -> RecurrenceReport:
@@ -346,7 +338,7 @@ def check_recurrence(seq: TruncatedEnergySequence) -> RecurrenceReport:
     return RecurrenceReport(
         levels=ks, ratios=ratios, constant=constant,
         decayed=bool(u[-1] < 1e-14), degenerate=degenerate,
-        vacuous=bool(np.all(u == 0.0)), tail_value=float(u[-1]))
+        vacuous=bool(np.all(u == 0.0)))
 
 
 # ---------------------------------------------------------------------------

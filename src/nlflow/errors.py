@@ -19,7 +19,7 @@ class UnsupportedDimensionError(NlflowError):
 
 
 class StrategyMismatchError(NlflowError):
-    """Operator strategy incompatible with the kernel (e.g. spectral + rough)."""
+    """Operator strategy incompatible with the kernel or the grid size."""
 
 
 class GridMismatchError(NlflowError):

@@ -3,7 +3,7 @@
 Every family is a pure function of (grid, parameters, seed) — reruns are
 bitwise identical.  Kinds:
 
-  random    iid uniform values in [-amplitude, amplitude]
+  random    iid uniform values in [-|amplitude|, |amplitude|]
   bump      amplitude * exp(-d^2 / (2 sigma^2)), d = periodic distance to center
   step      +amplitude inside the open ball of `radius` at the origin, else
             -amplitude (binary data scaled into [-a, a])
@@ -33,7 +33,7 @@ def make_initial(grid: Grid, kind: str = "random", amplitude: float = 1.0,
     n = grid.n_nodes
     if kind == "random":
         rng = np.random.default_rng(seed)
-        vals = rng.uniform(-amplitude, amplitude, size=n)
+        vals = rng.uniform(-abs(amplitude), abs(amplitude), size=n)
     elif kind == "bump":
         if not (sigma > 0):
             raise InvalidParameterError(f"sigma must be positive: {sigma}")

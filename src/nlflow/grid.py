@@ -394,6 +394,10 @@ class DiscreteOperator:
             raise GridMismatchError(
                 f"torus width {grid.side_length} must exceed twice the "
                 f"truncation radius {r_tr} so only one periodic image interacts")
+        if strategy == "dense" and grid.n_nodes > DENSE_MAX_NODES:
+            raise StrategyMismatchError(
+                f"the dense operator takes at most {DENSE_MAX_NODES} nodes "
+                f"(got {grid.n_nodes})")
         if strategy == "spectral":
             if not kernel.translation_invariant:
                 raise StrategyMismatchError(
@@ -493,21 +497,24 @@ class DiscreteOperator:
                 "multipliers() requires the spectral strategy")
         if not self._hit("symbol"):
             grid = self.grid
-            row = self.kernel.radial_profile(grid.origin_distance())
-            row[0] = 0.0
-            row_grid = row.reshape(grid.shape)
+            row = self._spectral_row()
             h_n = grid.spacing ** grid.dimension
-            m = (np.fft.fftn(row_grid).real - row.sum()) * h_n
+            m = (np.fft.fftn(row.reshape(grid.shape)).real - row.sum()) * h_n
             self._cache["symbol"] = m
         return self._cache["symbol"]
+
+    def _spectral_row(self) -> np.ndarray:
+        """K(|y|) at every node y but the origin, where it is 0, flat."""
+        row = self.kernel.radial_profile(self.grid.origin_distance())
+        row[0] = 0.0
+        return row
 
     def rowsums(self, t: float = 0.0) -> np.ndarray:
         """sum_{y != x} K(t, x, y) h^N per node, flat."""
         h_n = self.grid.spacing ** self.grid.dimension
         if self.strategy == "spectral":
-            row = self.kernel.radial_profile(self.grid.origin_distance())
-            row[0] = 0.0
-            return np.full(self.grid.n_nodes, row.sum() * h_n)
+            return np.full(self.grid.n_nodes,
+                            self._spectral_row().sum() * h_n)
         if self.strategy == "dense":
             return self._dense(t)[1]
         vals = self.offset_values(t)
@@ -525,12 +532,19 @@ class DiscreteOperator:
         if w.size != self.grid.n_nodes:
             raise DimensionMismatchError(
                 f"field has {w.size} values, grid has {self.grid.n_nodes} nodes")
+        # both oracles weigh differences, so a constant cancels exactly, as on
+        # the stencil: A w - rowsums w, or the transform of w itself, rounds
+        # at the scale of |w| and broke a flow's bracket from |w| = 1e4
         if self.strategy == "dense":
-            A, rowsums = self._dense(t)
-            return A @ w - rowsums * w
+            A, out = self._dense(t)[0], np.empty(w.size)
+            step = max(1, 2 ** 22 // w.size)
+            for start in range(0, w.size, step):
+                rows = slice(start, start + step)
+                out[rows] = np.einsum("ij,ij->i", A[rows], w - w[rows, None])
+            return out
         if self.strategy == "spectral":
             m = self.multipliers()
-            wg = w.reshape(self.grid.shape)
+            wg = (w - w[0]).reshape(self.grid.shape)
             return np.fft.ifftn(np.fft.fftn(wg) * m).real.ravel()
         acc = self.stencil.offset_sum(w.reshape(self.grid.shape),
                                       self.offset_values(t))

@@ -33,8 +33,11 @@ TRANSLATION_INVARIANT_FAMILIES = ("power-law",)
 
 _U64 = np.uint64
 
-# seed of the random samples the kernel envelope scans draw
+# seed and count of the random samples the kernel envelope scans draw, and
+# the fl-roundoff guard of their band comparison
 SAMPLING_SEED = 20260817
+SAMPLE_COUNT = 10000
+BAND_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -169,13 +172,11 @@ class Kernel:
         if spec.family == "power-law":
             self._mult = None
             self.upper_multiplier = spec.multiplier
-            self.lower_multiplier = spec.multiplier
         else:
             self._mult = RoughMultiplier(
                 spec.ellipticity, spec.cell_size, spec.seed,
                 spec.epoch_length if self.time_dependent else None)
             self.upper_multiplier = spec.ellipticity
-            self.lower_multiplier = 1.0 / spec.ellipticity
 
     def envelope_profile(self, dist) -> np.ndarray:
         """(1 - s/2) * dist^-(N+s) inside the truncation radius, else 0."""
@@ -226,25 +227,22 @@ class KernelValidationReport:
     tier: str                 # "translation-invariant" or "measurable"
     max_beyond_truncation: float
     sample_count: int
-    # fl-roundoff guard applied to the band comparison, documented here
-    band_rtol: float = 1e-12
+    band_rtol: float
 
 
-def validate_kernel(kernel, spec: KernelSpec | None = None,
-                    sample_count: int = 10000) -> KernelValidationReport:
-    """Sample (t, x, y) triples and grade symmetry, envelope band, truncation.
+def validate_kernel(kernel) -> KernelValidationReport:
+    """Sample SAMPLE_COUNT (t, x, y) triples and grade symmetry, envelope
+    band, truncation.
 
-    Works on any object exposing evaluate(t, x, y), called once with one time
-    per sample; the band tier is the tight [Lambda^-1/2, Lambda^1/2] for
-    translation-invariant kernels and the wide [Lambda^-1, Lambda] otherwise.
-    Sampling is deterministic in SAMPLING_SEED and the spec's seed.
+    Works on any object exposing `spec`, `translation_invariant` and
+    evaluate(t, x, y), called once with one time per sample; the band tier is
+    the tight [Lambda^-1/2, Lambda^1/2] for translation-invariant kernels and
+    the wide [Lambda^-1, Lambda] otherwise.  Sampling is deterministic in
+    SAMPLING_SEED and the spec's seed.
     """
-    if spec is None:
-        spec = kernel.spec
+    spec = kernel.spec
     _check_spec(spec)
-    n = int(sample_count)
-    if n < 1:
-        raise InvalidParameterError("sample_count must be >= 1")
+    n = SAMPLE_COUNT
     rng = np.random.default_rng([SAMPLING_SEED, spec.seed & 0x7FFFFFFF])
     dim = spec.dimension
     r_tr = spec.truncation_radius
@@ -261,15 +259,14 @@ def validate_kernel(kernel, spec: KernelSpec | None = None,
 
     k_xy = np.asarray(kernel.evaluate(t, x, y), dtype=np.float64)
     k_yx = np.asarray(kernel.evaluate(t, y, x), dtype=np.float64)
-    max_sym = float(np.max(np.abs(k_xy - k_yx))) if n else 0.0
+    max_sym = float(np.max(np.abs(k_xy - k_yx)))
 
     dist = np.linalg.norm(x - y, axis=-1)
     scale = 1.0 - spec.order / 2.0
     ratio = k_xy * dist ** (dim + spec.order) / scale
 
-    translation_invariant = bool(getattr(kernel, "translation_invariant", False))
     lam = spec.ellipticity
-    if translation_invariant:
+    if kernel.translation_invariant:
         band_lo, band_hi, tier = lam ** -0.5, lam ** 0.5, "translation-invariant"
     else:
         band_lo, band_hi, tier = 1.0 / lam, lam, "measurable"
@@ -278,11 +275,10 @@ def validate_kernel(kernel, spec: KernelSpec | None = None,
     ratio_in = ratio[inside]
     ratio_min = float(ratio_in.min()) if ratio_in.size else math.nan
     ratio_max = float(ratio_in.max()) if ratio_in.size else math.nan
-    band_rtol = 1e-12
     envelope_ok = bool(
         ratio_in.size == 0
-        or (ratio_min >= band_lo * (1.0 - band_rtol)
-            and ratio_max <= band_hi * (1.0 + band_rtol)))
+        or (ratio_min >= band_lo * (1.0 - BAND_RTOL)
+            and ratio_max <= band_hi * (1.0 + BAND_RTOL)))
 
     if math.isfinite(r_tr):
         m = 64
@@ -304,4 +300,4 @@ def validate_kernel(kernel, spec: KernelSpec | None = None,
         passed=symmetric and envelope_ok and truncated_ok,
         max_symmetry_defect=max_sym, ratio_min=ratio_min, ratio_max=ratio_max,
         band_lo=band_lo, band_hi=band_hi, tier=tier,
-        max_beyond_truncation=max_beyond, sample_count=n, band_rtol=band_rtol)
+        max_beyond_truncation=max_beyond, sample_count=n, band_rtol=BAND_RTOL)

@@ -215,11 +215,10 @@ class TransferReport:
     max_defect: float
     defect_times: np.ndarray
     defect_curve: np.ndarray
-    # True when the linear update reused the base kernel's per-offset values
-    # bit for bit (quadratic potential).  The defect itself still carries a
-    # ~1e-15 floor: quotient-then-step and step-then-quotient round
+    # True for the quadratic potential, where the linear update reuses the
+    # base kernel's per-offset values bit for bit.  The defect itself still
+    # carries a ~1e-15 floor: quotient-then-step and step-then-quotient round
     # differently even when every coefficient matches.
-    bitwise: bool
     quadratic: bool
     step: float
     axis: int
@@ -288,8 +287,7 @@ def verify_linearization(theta_traj: Trajectory, e: int = 0,
     max_defect = float(np.max(defects))
     return TransferReport(
         max_defect=max_defect, defect_times=theta_traj.times.copy(),
-        defect_curve=defects, bitwise=dk.quadratic,
-        quadratic=dk.quadratic, step=float(h), axis=axis,
+        defect_curve=defects, quadratic=dk.quadratic, step=float(h), axis=axis,
         n_steps=int(dts.size),
         freeze_interval=float(np.max(np.diff(theta_traj.times))),
         sigma_nodes=SIGMA_NODES)
@@ -442,10 +440,8 @@ class RescaleReport:
     lam_star: float
     scale: float
     eps: float
-    eps_floor_bound: bool
     floor_level: int | None      # level at which resolution ran out
     first_envelope_violation: int | None
-    stabilized: bool
 
 
 def _envelope_breach(traj: Trajectory, lam: float, eps: float) -> dict | None:
@@ -457,15 +453,15 @@ def _envelope_breach(traj: Trajectory, lam: float, eps: float) -> dict | None:
 
 
 def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
-                       scale: float, eps: float | None = None
-                       ) -> RescaleReport:
+                       scale: float, eps: float) -> RescaleReport:
     """w_{k+1}(t,x) = (w_k(scale^s t, scale x) - mean_k) / (1 - lam_star/4).
 
     mean_k is the plain node/time average of w_k over [-1,0] x B_1.  Each
-    level is checked against the +-(1 + psi_{eps,lam}) envelope; a violation
-    is recorded (not raised).  Levels stop at MAX_RESCALE_LEVELS or before
-    the first whose unit cylinder holds fewer than MIN_CYLINDER nodes or
-    samples; the input's own unit cylinder must hold them.
+    level is checked against the +-(1 + psi_{eps,lam}) envelope, a violation
+    recorded (not raised); its sup over [-3, 0] is reported, not graded.
+    Levels stop at MAX_RESCALE_LEVELS or before the first whose unit
+    cylinder holds fewer than MIN_CYLINDER nodes or samples; the input's own
+    unit cylinder must hold them.
     """
     if not (0.0 < lam < 1.0 / 3.0):
         raise InvalidParameterError(f"lambda must be in (0, 1/3), got {lam}")
@@ -476,10 +472,6 @@ def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
         raise InvalidParameterError(
             f"scale factor must be in (0, 1), got {scale}")
     s = float(traj.order)
-    eps_floor = 1e-6
-    floor_bound = eps is None or eps < eps_floor
-    eps_eff = max(eps_floor, eps) if eps is not None else eps_floor
-
     shrink = 1.0 - 0.25 * lam_star
     current = traj
     rows, ball = _cylinder(traj, 1.0, 1.0)
@@ -487,7 +479,7 @@ def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
     first_violation_level = None
     floor_level = None
     for k in range(MAX_RESCALE_LEVELS + 1):
-        violation = _envelope_breach(current, lam, eps_eff)
+        violation = _envelope_breach(current, lam, eps)
         if violation is not None and first_violation_level is None:
             first_violation_level = k
         mean_k = float(np.mean(current.samples(rows)[:, ball]))
@@ -511,14 +503,10 @@ def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
         # a new array, as the view shares its parent's memory
         current.fields = (current.fields - mean_k) / shrink
 
-    sups = [r.sup_norm for r in records]
-    stabilized = len(sups) >= 2 and sups[-1] <= sups[0] + 1e-12
     return RescaleReport(
-        levels=records, lam=lam, lam_star=lam_star,
-        scale=scale, eps=eps_eff, eps_floor_bound=floor_bound,
+        levels=records, lam=lam, lam_star=lam_star, scale=scale, eps=eps,
         floor_level=floor_level,
-        first_envelope_violation=first_violation_level,
-        stabilized=stabilized)
+        first_envelope_violation=first_violation_level)
 
 
 def unit_oscillation(traj: Trajectory) -> float:

@@ -31,6 +31,11 @@ from .errors import InvalidParameterError
 
 POTENTIAL_FAMILIES = ("quadratic", "smoothed-huber")
 
+# the grid `validate_potential` samples and its finite-difference tolerance
+GRID_SPAN = 10.0
+GRID_POINTS = 100001
+FD_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class PotentialSpec:
@@ -117,26 +122,20 @@ class PotentialValidationReport:
     grid_points: int
 
 
-def validate_potential(potential, ellipticity: float | None = None,
-                       grid_span: float = 10.0, grid_points: int = 100001,
-                       fd_step: float | None = None, fd_tol: float = 1e-6
-                       ) -> PotentialValidationReport:
-    """Grade curvature band, evenness, phi(0) = 0, and d1/d2 consistency.
+def validate_potential(potential) -> PotentialValidationReport:
+    """Grade curvature band, evenness, phi(0) = 0, and d1/d2 consistency on
+    GRID_POINTS nodes of [-GRID_SPAN, GRID_SPAN].
 
-    Works on any object with value/d1/d2 methods; `ellipticity` defaults to the
-    potential's own spec.  The d2 band check uses the Lambda^+-1/2 envelope;
-    the finite-difference check compares d2 against a centered difference of d1.
-    Its truncation error grows with the curvature Lambda^(1/2) and shrinks
-    with the step squared, so the default step 1e-3 shrinks as Lambda^(-1/2)
-    above Lambda = 4.
+    Works on any object with a `spec` and value/d1/d2 methods; the d2 band
+    check uses the spec's Lambda^+-1/2 envelope, and the finite-difference
+    check compares d2 against a centered difference of d1 to FD_TOL.  Its
+    truncation error grows with the curvature Lambda^(1/2) and shrinks with
+    the step squared, so the step 1e-3 shrinks as Lambda^(-1/2) above
+    Lambda = 4.
     """
-    if ellipticity is None:
-        ellipticity = potential.spec.ellipticity
-    if fd_step is None:
-        fd_step = 1e-3 * min(1.0, math.sqrt(4.0 / ellipticity))
-    if grid_points < 3:
-        raise InvalidParameterError("grid_points must be >= 3")
-    xs = np.linspace(-grid_span, grid_span, int(grid_points))
+    ellipticity = potential.spec.ellipticity
+    fd_step = 1e-3 * min(1.0, math.sqrt(4.0 / ellipticity))
+    xs = np.linspace(-GRID_SPAN, GRID_SPAN, GRID_POINTS)
     band_lo, band_hi = ellipticity ** -0.5, ellipticity ** 0.5
 
     d2 = np.asarray(potential.d2(xs), dtype=np.float64)
@@ -157,7 +156,7 @@ def validate_potential(potential, ellipticity: float | None = None,
     fd = (np.asarray(potential.d1(xs + fd_step))
           - np.asarray(potential.d1(xs - fd_step))) / (2.0 * fd_step)
     max_fd = float(np.max(np.abs(fd - d2)))
-    fd_ok = max_fd <= fd_tol
+    fd_ok = max_fd <= FD_TOL
 
     return PotentialValidationReport(
         bounds_ok=bounds_ok, even_ok=even_ok, zero_ok=zero_ok, fd_ok=fd_ok,
@@ -165,4 +164,4 @@ def validate_potential(potential, ellipticity: float | None = None,
         d2_min=d2_min, d2_max=d2_max, band_lo=band_lo, band_hi=band_hi,
         max_odd_defect=max_odd, value_at_zero=value_at_zero,
         max_fd_defect=max_fd, fd_step=fd_step,
-        grid_span=grid_span, grid_points=int(grid_points))
+        grid_span=GRID_SPAN, grid_points=GRID_POINTS)

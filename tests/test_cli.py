@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -10,15 +12,20 @@ import numpy as np
 import pytest
 
 import nlflow
-from conftest import cached_calibration_runs
+from conftest import cached_calibration_runs, cached_linear_dissipation, \
+    cached_nonlinear_dissipation
+from nlflow import flow
 from nlflow.calibrate import CAP, CALIBRATION_SEEDS, _largest_budget, \
     calibrate_constants, default_calibration, load_calibration, \
     save_calibration
 from nlflow.cli import _dissipation_record, main
 from nlflow.config import parse_config
 from nlflow.fieldio import load_field, save_field
+from nlflow.fields import INITIAL_KINDS
 from nlflow.flow import run_flow
-from nlflow.grid import Field, Grid, kernel_epoch
+from nlflow.grid import STRATEGIES, Field, Grid, kernel_epoch
+from nlflow.kernels import KERNEL_FAMILIES
+from nlflow.potentials import POTENTIAL_FAMILIES
 
 
 def read_report(out_dir):
@@ -143,6 +150,10 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
     (["run", "--seed", "1", "--set", "kernel.multiplier=4.0"], "[0.5, 2]"),
     (["denoise", "--set", "denoise.input={tmp}/tiny.pgm",
       "--set", "kernel.multiplier=0.25"], "[0.5, 2]"),
+    (["run", "--seed", "1", "--set", "initial.amplitude=1e200"],
+     "initial.amplitude"),
+    (["validate", "--set", "initial.amplitude=-6e99",
+      "--set", "initial.shift=5e99"], "at most 1e100"),
 ], ids=["calibrate-2d", "calibrate-order", "diagnose-2d", "diagnose-order",
         "diagnose-calibration-order", "diagnose-calibration-2d",
         "nonlinear-rough", "spectral-truncated", "spectral-rough",
@@ -153,7 +164,8 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
         "denoise-dense", "nonlinear-dense", "dense-over-cap",
         "validate-multiplier-4", "validate-multiplier-0.25",
         "validate-multiplier-100", "run-multiplier-4",
-        "denoise-multiplier-0.25"])
+        "denoise-multiplier-0.25", "amplitude-1e200",
+        "amplitude-plus-shift"])
 def test_unsupported_config_exits_2(tmp_path, capsys, argv, message):
     # refused before any work, not aborted later with exit 1 or 3; a dict in
     # argv stands for a calibration file with those entries changed, and
@@ -309,6 +321,59 @@ def test_energy_rise_inside_an_epoch_is_not_dissipative():
     assert rec["dissipative"] is False
 
 
+def test_zero_mean_data_of_large_amplitude_conserves_mass(tmp_path):
+    # rounding drifts the mass of this cosine by 2.3e-11, a few ulps of its
+    # L1 mass h^N sum |w0| and far above 1e-12 max(1, |mass0|)
+    out = tmp_path / "c"
+    assert main(["run", "--out", str(out), "--seed", "1",
+                 "--set", "grid.N=2", "--set", "grid.M=18",
+                 "--set", "initial.kind=cosine",
+                 "--set", "initial.amplitude=1000.0"]) == 0
+    assert read_report(out)["runs"][0]["mass_conserved"] is True
+
+
+def test_a_mass_leak_is_not_conserved(tmp_path, monkeypatch):
+    offset_rhs = flow._offset_rhs
+
+    def leaking(*args, **kwargs):
+        acc = offset_rhs(*args, **kwargs)
+        acc.flat[0] += 1e-9
+        return acc
+
+    monkeypatch.setattr(flow, "_offset_rhs", leaking)
+    out = tmp_path / "l"
+    assert main(["run", "--out", str(out), "--seed", "1"]) == 1
+    assert read_report(out)["runs"][0]["mass_conserved"] is False
+
+
+def test_mass_bound_is_the_relative_one_on_the_suites_runs():
+    # the L1 rounding term stays below 1e-12 max(1, |mass0|) on these runs,
+    # so a drift just past that bound still breaks mass conservation
+    runs = [cached_linear_dissipation(seed) for seed in range(1, 51)]
+    runs += [cached_nonlinear_dissipation(seed) for seed in range(1, 21)]
+    for sets in ([], ["grid.N=2", "grid.M=64", "initial.kind=random",
+                      "kernel.family=rough-static", "flow.end=0.01"]):
+        runs.append(run_flow(parse_config(overrides=sets).flow_problem(1)))
+    for traj in runs:
+        assert _dissipation_record(traj)["mass_conserved"] is True
+        mass = traj.mass.copy()
+        mass[-1] += 1.01e-12 * max(1.0, abs(float(mass[0])))
+        leaked = dataclasses.replace(traj, mass=mass)
+        assert _dissipation_record(leaked)["mass_conserved"] is False
+
+
+def test_random_data_of_negative_amplitude(tmp_path):
+    # uniform on [-|a|, |a|], the draws of amplitude |a|
+    fields = []
+    for amplitude in ("-1.0", "1.0"):
+        out = tmp_path / amplitude
+        assert main(["run", "--out", str(out), "--seed", "1",
+                     "--set", "grid.M=64", "--set", "initial.kind=random",
+                     "--set", f"initial.amplitude={amplitude}"]) == 0
+        fields.append((out / "fields" / "final-seed1.csv").read_bytes())
+    assert fields[0] == fields[1]
+
+
 # ---------------------------------------------------------------------------
 # diagnose
 
@@ -437,6 +502,78 @@ def test_largest_budget_stops_just_below_the_first_failure(pairs, expected):
     # exact at every magnitude: the budget admits every passing run below
     # the smallest failing value and not that value itself
     assert _largest_budget(pairs) == expected
+
+
+# ---------------------------------------------------------------------------
+# config sweep
+
+def sweep_argv(rng) -> list[str]:
+    """One seeded `validate` or `run` command line over every kernel family,
+    strategy, stepper, initial kind and flow kind, on at most 20 points an
+    axis.  kernel.lambda stays at most 16 and flow.end at most 0.2 because
+    step counts grow with both: a rough run at Lambda = 1e6 took 40 s, slow
+    but not wrong.  Half the amplitudes reach 1e300, so that the refusals
+    above |amplitude| + |shift| = 1e100 leave room for runs."""
+    def pick(options):
+        return options[rng.integers(len(options))]
+
+    def signed_power(lo, hi):
+        return pick((-1.0, 1.0)) * 10.0 ** rng.uniform(lo, hi)
+
+    lam = 16.0 ** rng.uniform(0.01, 1.0)
+    sets = {
+        "kernel.family": pick(KERNEL_FAMILIES),
+        "kernel.s": rng.uniform(0.1, 1.9),
+        "kernel.lambda": lam,
+        "kernel.radius": pick((math.inf, rng.uniform(0.3, 4.0))),
+        "kernel.seed": rng.integers(1000),
+        # outside a power-law kernel's band [lam^-1/2, lam^1/2] a sixth of
+        # the time
+        "kernel.multiplier": lam ** rng.uniform(-0.6, 0.6),
+        "kernel.cell": 10.0 ** rng.uniform(-1.3, 0.3),
+        "kernel.epoch": 10.0 ** rng.uniform(-2.0, -0.7),
+        "potential.family": pick(POTENTIAL_FAMILIES),
+        "potential.lambda": 1000.0 ** rng.uniform(0.01, 1.0),
+        "grid.N": rng.integers(1, 3),
+        "grid.M": rng.integers(8, 21),
+        "grid.L": rng.uniform(2.0, 24.0),
+        "initial.kind": pick(INITIAL_KINDS),
+        "initial.amplitude": signed_power(-3.0, pick((12.0, 12.0, 300.0))),
+        "initial.shift": pick((0.0, 0.0, 0.0, signed_power(-3.0, 100.0))),
+        "initial.sigma": rng.uniform(0.2, 4.0),
+        "initial.radius": rng.uniform(0.2, 4.0),
+        "initial.mode": rng.integers(1, 4),
+        "flow.kind": pick(("linear", "nonlinear")),
+        "flow.stepper": pick(("euler", "heun")),
+        "flow.strategy": pick(STRATEGIES),
+        "flow.end": rng.uniform(0.01, 0.2),
+        "flow.sample_every": rng.integers(1, 4),
+    }
+    argv = [pick(("validate", "run", "run", "run")), "--seed",
+            pick(("1", "1..2"))]
+    for key, value in sets.items():
+        argv += ["--set", f"{key}={value}"]
+    return argv
+
+
+def test_config_sweep_exits_0_or_2(tmp_path, capsys):
+    # every configuration either works end to end or is refused before any
+    # work: no verdict false by construction (exit 1), no abort, no traceback
+    rng = np.random.default_rng(1003)
+    broken = []
+    for i in range(300):
+        argv = sweep_argv(rng) + ["--out", str(tmp_path / f"d{i}")]
+        try:
+            rc = main(argv)
+        except Exception as exc:     # reported below with its draw
+            rc = repr(exc)
+        err = capsys.readouterr().err
+        out_left = (tmp_path / f"d{i}").exists()
+        if rc not in (0, 2) or "Traceback" in err or (rc == 2 and out_left):
+            broken.append((rc, err[-200:], argv))
+        if out_left:
+            shutil.rmtree(tmp_path / f"d{i}")
+    assert not broken, f"{len(broken)} broken draws, first: {broken[0]}"
 
 
 # ---------------------------------------------------------------------------

@@ -60,11 +60,6 @@ def test_psi_closed_form_values():
     assert radial("psi", 16.0, order=0.5) == 1.0   # 16^(1/8) = 2
 
 
-def test_shifted_psi_adds_constant():
-    assert radial("psi_L", 1.0, shift=0.3) == 0.3
-    assert radial("psi_L", 4.0, shift=0.3) == pytest.approx(1.3)
-
-
 def test_psi1_is_quarter_power():
     assert radial("psi1", 16.0) == 1.0        # 16^(1/4) - 1 at s = 1
     assert radial("psi1", 1.0) == 0.0
@@ -112,8 +107,6 @@ def test_barrier_parameter_guards():
         BarrierFamily("psi_cubed")
     with pytest.raises(InvalidParameterError):
         BarrierFamily("psi", order=2.0)
-    with pytest.raises(InvalidParameterError):
-        BarrierFamily("psi_L", shift=-0.1)
     with pytest.raises(InvalidParameterError):
         BarrierFamily("psi_lambda", lam=0.5)    # must stay below 1/3
     with pytest.raises(InvalidParameterError):

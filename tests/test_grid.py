@@ -1,6 +1,7 @@
 """Periodic grid, discrete operator strategies, bilinear form, seminorm."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from nlflow.errors import (
 )
 from nlflow.fields import make_initial
 from nlflow.grid import (
+    DENSE_MAX_NODES,
     DiscreteOperator,
     Field,
     Grid,
@@ -86,18 +88,21 @@ def test_constant_field_annihilated_banded():
 def test_constant_field_annihilated_dense():
     g = grid_1d(64)
     op = DiscreteOperator(g, rough_kernel(), strategy="dense")
-    out = op.apply(np.full(g.n_nodes, 2.75))
-    # matrix form computes A w - rowsum * w; the two sums round differently,
-    # leaving a few ulps of the row mass
-    assert np.max(np.abs(out)) <= 1e-13 * 2.75
+    # the double sum weights w(y) - w(x), so even a large constant cancels
+    # exactly (A w - rowsum * w left ulps of the row mass times 2.75e90)
+    for value in (2.75, 2.75e90):
+        assert np.all(op.apply(np.full(g.n_nodes, value)) == 0.0)
 
 
 def test_constant_field_annihilated_spectral():
-    g = grid_1d(64)
     k = power_law_kernel(truncation=math.inf)
-    op = DiscreteOperator(g, k, strategy="spectral")
-    out = op.apply(np.full(g.n_nodes, -1.5))
-    assert np.max(np.abs(out)) < 1e-12
+    # the transform of w - w(0) is zero for a constant; that of w itself
+    # left rounding of the size of the constant at 19 points
+    for points in (19, 64):
+        g = grid_1d(points)
+        op = DiscreteOperator(g, k, strategy="spectral")
+        for value in (-1.5, -1.5e90):
+            assert np.all(op.apply(np.full(g.n_nodes, value)) == 0.0)
 
 
 def hand_rolled_apply(grid: Grid, kernel, values: np.ndarray) -> np.ndarray:
@@ -175,6 +180,23 @@ def test_spectral_rejected_for_rough_kernel():
     g = grid_1d(64)
     with pytest.raises(StrategyMismatchError):
         DiscreteOperator(g, rough_kernel(), strategy="spectral")
+
+
+def test_dense_refused_above_the_node_cap():
+    # a 65 x 65 matrix would take 143 MB; the operator refuses it when built
+    k = power_law_kernel(dimension=2)
+    big = Grid(dimension=2, side_length=16.0, points_per_axis=65)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StrategyMismatchError, match="at most 4096"):
+            DiscreteOperator(big, k, strategy="dense")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    oracle = Grid(dimension=2, side_length=16.0, points_per_axis=64)
+    assert DiscreteOperator(oracle, k, strategy="dense").grid.n_nodes == \
+        DENSE_MAX_NODES
 
 
 def test_strategy_equivalence_within_tolerance():

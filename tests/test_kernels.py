@@ -67,7 +67,7 @@ def test_truncation_radius_inf_supported():
 # envelope band
 
 def test_rough_static_seed42_envelope_scan():
-    rep = validate_kernel(rough(seed=42), sample_count=10000)
+    rep = validate_kernel(rough(seed=42))
     assert rep.envelope_ok
     assert rep.tier == "measurable"
     assert rep.band_lo == 0.25 and rep.band_hi == 4.0
@@ -77,7 +77,7 @@ def test_rough_static_seed42_envelope_scan():
 def test_validate_power_law_ratio_is_multiplier():
     # d^{-(N+s)} * d^{N+s} cancels only to one ulp, so "ratio = 1" is exact
     # up to that rounding
-    rep = validate_kernel(power_law(), sample_count=4000)
+    rep = validate_kernel(power_law())
     assert rep.tier == "translation-invariant"
     assert rep.ratio_min == pytest.approx(1.0, rel=1e-14)
     assert rep.ratio_max == pytest.approx(1.0, rel=1e-14)
@@ -90,6 +90,7 @@ class _Scaled:
     def __init__(self, base: Kernel, factor: float):
         self.base = base
         self.factor = factor
+        self.spec = base.spec
         self.translation_invariant = base.translation_invariant
 
     def evaluate(self, t, x, y, dist=None):
@@ -101,6 +102,8 @@ class _Asymmetric:
 
     def __init__(self, base: Kernel):
         self.base = base
+        self.spec = base.spec
+        self.translation_invariant = False
 
     def evaluate(self, t, x, y, dist=None):
         val = np.asarray(self.base.evaluate(t, x, y, dist), dtype=np.float64)
@@ -112,8 +115,8 @@ class _Asymmetric:
 
 def test_validate_flags_upper_band_breach():
     base = power_law()
-    rep = validate_kernel(_Scaled(base, 2.0 * 4.0), spec=base.spec,
-                          sample_count=2000)
+    rep = validate_kernel(_Scaled(base, 2.0 * 4.0))
+    assert rep.tier == "translation-invariant"
     assert not rep.envelope_ok
     assert rep.ratio_max > rep.band_hi
     assert not rep.passed
@@ -121,8 +124,8 @@ def test_validate_flags_upper_band_breach():
 
 def test_validate_reports_injected_asymmetry():
     base = power_law()
-    rep = validate_kernel(_Asymmetric(base), spec=base.spec,
-                          sample_count=2000)
+    rep = validate_kernel(_Asymmetric(base))
+    assert rep.tier == "measurable"
     assert not rep.symmetric
     assert rep.max_symmetry_defect == pytest.approx(0.1, rel=1e-9)
 
@@ -213,7 +216,7 @@ def test_unknown_family_rejected():
 def test_rough_family_always_in_band(order, ellipticity, seed):
     spec = KernelSpec(order=order, ellipticity=ellipticity,
                       family="rough-static", seed=seed)
-    rep = validate_kernel(make_kernel(spec), sample_count=500)
+    rep = validate_kernel(make_kernel(spec))
     assert rep.passed
 
 
@@ -224,7 +227,7 @@ def test_power_law_multiplier_recovered(order, mult, seed):
     # ratio == c whenever c is representable; compare within one ulp
     spec = KernelSpec(order=order, ellipticity=4.0, family="power-law",
                       multiplier=mult, seed=seed)
-    rep = validate_kernel(make_kernel(spec), sample_count=500)
+    rep = validate_kernel(make_kernel(spec))
     assert rep.ratio_min == pytest.approx(mult, rel=1e-12)
     assert rep.ratio_max == pytest.approx(mult, rel=1e-12)
     assert rep.passed

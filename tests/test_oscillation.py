@@ -176,7 +176,7 @@ def test_transfer_quadratic_is_bitwise():
     # any Euler run feeds the check: it starts from the first sample
     for g in (grid_1d(), default_grid()):
         rep = verify_linearization(nonlinear_run(quadratic(), g=g))
-        assert rep.bitwise and rep.quadratic
+        assert rep.quadratic
         # identical coefficients; the residual is quotient-vs-step rounding
         assert rep.max_defect <= 1e-13
         assert rep.defect_curve.shape == rep.defect_times.shape
@@ -194,7 +194,7 @@ def test_transfer_defect_first_order_in_dt():
 def test_transfer_wider_quotient_step():
     traj = nonlinear_run(huber())
     rep = verify_linearization(traj, h=2 * traj.grid.spacing)
-    assert not rep.bitwise
+    assert not rep.quadratic
     assert rep.step == 2 * traj.grid.spacing
     assert rep.max_defect < 0.1
 
@@ -317,7 +317,6 @@ def test_rescaling_sequence_zero_field(grid1, calibration):
     rep = rescaling_sequence(traj, calibration.lam, calibration.lam_star,
                              calibration.k_sc, eps=calibration.eps)
     assert rep.first_envelope_violation is None
-    assert rep.stabilized
     assert all(r.sup_norm == 0.0 for r in rep.levels)
     assert all(r.mean == 0.0 for r in rep.levels)
 
@@ -328,7 +327,6 @@ def test_rescaling_sequence_kills_constants(grid1, calibration):
                              calibration.k_sc, eps=calibration.eps)
     assert rep.levels[0].mean == 1.0
     assert all(r.sup_norm == 0.0 for r in rep.levels[1:])
-    assert rep.stabilized
 
 
 def test_rescaling_sequence_keeps_envelope_on_flow_runs(calibration):
@@ -340,24 +338,19 @@ def test_rescaling_sequence_keeps_envelope_on_flow_runs(calibration):
         assert rep.floor_level is not None      # resolution, not divergence
         sups = [r.sup_norm for r in rep.levels]
         assert sups[-1] < sups[0]
-        assert rep.stabilized
-
-
-def test_rescaling_sequence_floors_eps(grid1, calibration):
-    traj = constant_trajectory(grid1, 0.0, n=241)
-    rep = rescaling_sequence(traj, calibration.lam, calibration.lam_star,
-                             calibration.k_sc, eps=1e-9)
-    assert rep.eps == 1e-6 and rep.eps_floor_bound
 
 
 def test_rescaling_sequence_guards(grid1, calibration):
     traj = constant_trajectory(grid1, 0.0, n=241)
     with pytest.raises(InvalidParameterError):
-        rescaling_sequence(traj, 0.4, calibration.lam_star, 0.65)
+        rescaling_sequence(traj, 0.4, calibration.lam_star, 0.65,
+                           eps=calibration.eps)
     with pytest.raises(InvalidParameterError):
-        rescaling_sequence(traj, calibration.lam, 1.5, 0.65)
+        rescaling_sequence(traj, calibration.lam, 1.5, 0.65,
+                           eps=calibration.eps)
     with pytest.raises(InvalidParameterError):
-        rescaling_sequence(traj, calibration.lam, calibration.lam_star, 1.0)
+        rescaling_sequence(traj, calibration.lam, calibration.lam_star, 1.0,
+                           eps=calibration.eps)
 
 
 def test_rescaling_and_decay_share_the_cylinder_edge(grid1):
@@ -367,7 +360,7 @@ def test_rescaling_and_decay_share_the_cylinder_edge(grid1):
                             np.linspace(-0.6, 0.0, 7)])
     traj = synthetic_trajectory(grid1, times,
                                 np.zeros((times.size, grid1.n_nodes)))
-    rep = rescaling_sequence(traj, 0.25, 0.085, 0.65)
+    rep = rescaling_sequence(traj, 0.25, 0.085, 0.65, eps=1e-6)
     assert rep.floor_level == 1
     assert rep.levels[1].samples_in_window == 8
     # level 1 resolves; level 2, (-0.4225, 0] x B_0.4225, does not

@@ -29,13 +29,17 @@ def test_exports_resolve_to_distinct_objects(name):
     assert not aliases, f"{name}.__all__ binds one object twice: {aliases}"
 
 
+def test_the_package_root_exports_only_its_version():
+    # callers import from the modules; the root re-exports nothing
+    assert nlflow.__all__ == ["__version__"]
+
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _referenced_names() -> set[str]:
     """Every name a Python file under src/, tests/ or perfbench/ loads, reads
-    as an attribute or imports by name, except the package's re-exports."""
-    package_init = ROOT / "src" / "nlflow" / "__init__.py"
+    as an attribute or imports by name."""
     names: set[str] = set()
     for top in ("src", "tests", "perfbench"):
         for path in (ROOT / top).rglob("*.py"):
@@ -45,15 +49,13 @@ def _referenced_names() -> set[str]:
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     names.add(node.attr)
-                elif isinstance(node, ast.ImportFrom) and \
-                        path != package_init:
+                elif isinstance(node, ast.ImportFrom):
                     names.update(alias.name for alias in node.names)
     return names
 
 
 def test_every_export_is_used():
-    # a name only its own module's __all__ and the package's re-export
-    # mention is dead code
+    # a name only its own module's __all__ mentions is dead code
     used = _referenced_names()
     dead = [f"{name}.{n}" for name in MODULES
             for n in getattr(importlib.import_module(name), "__all__", [])

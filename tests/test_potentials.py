@@ -60,9 +60,9 @@ def test_validate_quadratic_passes():
 
 
 def test_validate_huber_passes_and_fd_defect_small():
-    rep = validate_potential(huber(), grid_span=10.0, grid_points=100001,
-                             fd_step=1e-3, fd_tol=1e-6)
+    rep = validate_potential(huber())
     assert rep.passed
+    assert rep.fd_step == 1e-3
     assert rep.max_fd_defect <= 1e-6
     assert rep.d2_min >= 0.5 - 1e-12
     assert rep.d2_max <= 2.0 + 1e-12
@@ -85,7 +85,7 @@ class _Quartic:
 
 
 def test_validate_quartic_fails_upper_band():
-    rep = validate_potential(_Quartic(), ellipticity=4.0, grid_span=10.0)
+    rep = validate_potential(_Quartic())
     assert not rep.bounds_ok
     assert rep.d2_max > rep.band_hi
     assert not rep.passed
@@ -125,8 +125,7 @@ def test_huber_band_saturates_for_any_lambda(ellipticity):
     lo, hi = ellipticity ** -0.5, ellipticity ** 0.5
     assert float(p.d2(0.0)) == pytest.approx(hi, rel=1e-12)
     assert float(p.d2(1e10)) == pytest.approx(lo, rel=1e-9)
-    # fd defect scales with b = hi - lo, so widen the tolerance with Lambda
-    rep = validate_potential(p, grid_points=20001, fd_tol=1e-5)
+    rep = validate_potential(p)
     assert rep.passed
 
 
