@@ -1,32 +1,28 @@
-"""Seeded run recipes shared by the test suite, the CLI, and calibration.
+"""Seeded run recipes of the ensembles `diagnose` and `calibrate` read.
 
 Each recipe maps one integer seed to one deterministic trajectory.  The seed
-drives both the rough-kernel realization and (where randomness is wanted) the
-initial data, so runs with distinct seeds are independent draws while reruns
-with the same seed are bitwise identical.
+draws the rough-kernel realization and, where a recipe ramps an amplitude or
+a radius, the run's place on that ramp, so runs with distinct seeds are
+independent draws while reruns with the same seed are bitwise identical.
+The flows of a config, which `nlflow run` integrates, come from
+`ExperimentConfig.flow_problem`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-
-import numpy as np
 
 from .fields import make_initial
 from .flow import FlowProblem, Trajectory, run_flow
 from .grid import Grid
 from .kernels import KernelSpec, make_kernel
 from .oscillation import MIN_CYLINDER
-from .potentials import PotentialSpec, make_potential
 
 __all__ = [
     "ORDER", "DIMENSION", "MAX_K", "LEVELS", "SCALE",
     "default_grid", "rough_kernel",
-    "linear_dissipation_run", "nonlinear_dissipation_run",
     "lemma_ensemble_run", "level_ensemble_run",
     "recurrence_run", "oscillation_run",
-    "random_field_trajectory",
 ]
 
 
@@ -63,33 +59,6 @@ def rough_kernel(seed: int):
 def _ramp(seed: int, n_seeds: int) -> float:
     """Deterministic position in [0, 1] for amplitude/radius ramps."""
     return ((seed - 1) % n_seeds) / (n_seeds - 1)
-
-
-def linear_dissipation_run(seed: int) -> Trajectory:
-    """Rough-kernel linear flow from random data on [0, 0.3]."""
-    grid = default_grid()
-    kernel = rough_kernel(seed)
-    initial = make_initial(grid, kind="random", amplitude=1.0, seed=seed)
-    problem = FlowProblem(kind="linear", grid=grid, kernel=kernel,
-                          initial=initial, t_start=0.0, t_end=0.3)
-    return run_flow(problem, sample_every=4)
-
-
-def nonlinear_dissipation_run(seed: int) -> Trajectory:
-    """Smoothed-huber flow; the power-law constant is Lambda^(u/2) for u
-    uniform in [-0.9, 0.9], inside the tight band [Lambda^-1/2, Lambda^1/2]
-    that `validate_kernel` grades a translation-invariant kernel in."""
-    grid = default_grid()
-    rng = np.random.default_rng(seed)
-    spec = KernelSpec(dimension=DIMENSION, order=ORDER, family="power-law")
-    kernel = make_kernel(replace(
-        spec, multiplier=spec.ellipticity ** (0.5 * rng.uniform(-0.9, 0.9))))
-    potential = make_potential(PotentialSpec(family="smoothed-huber"))
-    initial = make_initial(grid, kind="random", amplitude=1.0, seed=seed)
-    problem = FlowProblem(kind="nonlinear", grid=grid, kernel=kernel,
-                          initial=initial, t_start=0.0, t_end=0.3,
-                          potential=potential)
-    return run_flow(problem, sample_every=4)
 
 
 def lemma_ensemble_run(seed: int) -> Trajectory:
@@ -141,15 +110,3 @@ def oscillation_run(seed: int) -> Trajectory:
                           kernel=rough_kernel(seed), initial=initial,
                           t_start=-1.2, t_end=0.0, dt_max=OSCILLATION_GAP)
     return run_flow(problem, sample_every=1)
-
-
-def random_field_trajectory(seed: int) -> Trajectory:
-    """Five synthetic samples of iid uniform fields in [-1.5, 1.5] (no flow);
-    exercises the level-set machinery on data with no smoothness to lean on."""
-    grid = default_grid()
-    rng = np.random.default_rng(seed)
-    times = np.linspace(-2.0, 0.0, 5)
-    values = rng.uniform(-1.5, 1.5, size=(times.size, grid.n_nodes))
-    return Trajectory.from_fields(grid, times, values, kind="synthetic",
-                                  order=ORDER)
-

@@ -44,9 +44,11 @@ STEPPERS = ("euler", "heun")
 STATE_CHUNK = 1 << 14    # values of run_flow's state buffer (2 states or more)
 
 
-def _monotone_threshold(op: DiscreteOperator, potential: Potential | None,
-                        t: float) -> float:
-    """Largest dt keeping the explicit step a convex combination."""
+def stable_dt(op: DiscreteOperator, potential: Potential | None = None,
+              t: float = 0.0) -> float:
+    """0.9 / max_x (lambda_phi * row sum) of `op` at time t: 0.9 times the
+    largest dt that keeps the explicit step a convex combination; raises on
+    a degenerate kernel."""
     lam_phi = 1.0 if potential is None else potential.sup_d2
     if op.kernel.time_dependent:
         # kernel resamples over epochs; bound the row sums by the envelope
@@ -60,15 +62,7 @@ def _monotone_threshold(op: DiscreteOperator, potential: Potential | None,
     if not (denom > 0.0):
         raise InvalidParameterError(
             "kernel row sums vanish; no finite stable step exists")
-    return 1.0 / denom
-
-
-def stable_dt(kernel: Kernel, grid: Grid,
-              potential: Potential | None = None) -> float:
-    """0.9 / max_x (lambda_phi * row sum) of the banded operator at t = 0;
-    raises on a degenerate kernel."""
-    op = DiscreteOperator(grid, kernel, "banded")
-    return 0.9 * _monotone_threshold(op, potential, 0.0)
+    return 0.9 * (1.0 / denom)
 
 
 def _offset_rhs(op: DiscreteOperator, wg: np.ndarray, t: float,
@@ -264,7 +258,7 @@ def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
     op = DiscreteOperator(grid, kernel, problem.strategy)
     pot = problem.potential if problem.kind == "nonlinear" else None
 
-    dt_target = 0.9 * _monotone_threshold(op, pot, problem.t_start)
+    dt_target = stable_dt(op, pot, problem.t_start)
     if problem.dt_max is not None:
         if not (problem.dt_max > 0):
             raise InvalidParameterError(f"dt_max must be positive: {problem.dt_max}")

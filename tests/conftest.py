@@ -11,30 +11,45 @@ import numpy as np
 import pytest
 
 from nlflow.calibrate import default_calibration
+from nlflow.config import parse_config
 from nlflow.degiorgi import BarrierFamily, barrier_on_grid
 from nlflow.ensembles import (
     default_grid,
     lemma_ensemble_run,
     level_ensemble_run,
-    linear_dissipation_run,
-    nonlinear_dissipation_run,
     oscillation_run,
-    random_field_trajectory,
     recurrence_run,
 )
-from nlflow.flow import Trajectory
+from nlflow.flow import Trajectory, run_flow
 from nlflow.grid import Grid
 
 cached_lemma_run = functools.lru_cache(maxsize=None)(lemma_ensemble_run)
 cached_level_run = functools.lru_cache(maxsize=None)(level_ensemble_run)
 cached_recurrence_run = functools.lru_cache(maxsize=None)(recurrence_run)
 cached_oscillation_run = functools.lru_cache(maxsize=None)(oscillation_run)
-cached_linear_dissipation = \
-    functools.lru_cache(maxsize=None)(linear_dissipation_run)
-cached_nonlinear_dissipation = \
-    functools.lru_cache(maxsize=None)(nonlinear_dissipation_run)
-cached_random_trajectory = \
-    functools.lru_cache(maxsize=None)(random_field_trajectory)
+
+# the dissipation gate: 50 rough-kernel linear runs and 20 smoothed-huber
+# runs from random data on [0, 0.3], built as `nlflow run` builds them
+DISSIPATION_SEEDS = {"linear": range(1, 51), "nonlinear": range(1, 21)}
+
+
+def dissipation_sets(kind: str, seed: int) -> list[str]:
+    """The --set overrides of one gate run.  A nonlinear run's power-law
+    multiplier is Lambda^(u/2) for u uniform in [-0.9, 0.9], inside the
+    tight band [Lambda^-1/2, Lambda^1/2] the config accepts."""
+    sets = ["initial.kind=random", "flow.end=0.3", "flow.sample_every=4"]
+    if kind == "linear":
+        return sets + ["kernel.family=rough-static"]
+    u = np.random.default_rng(seed).uniform(-0.9, 0.9)
+    return sets + ["flow.kind=nonlinear",
+                   f"kernel.multiplier={4.0 ** (0.5 * u)!r}"]
+
+
+@functools.lru_cache(maxsize=None)
+def cached_dissipation_run(kind: str, seed: int) -> Trajectory:
+    cfg = parse_config(overrides=dissipation_sets(kind, seed))
+    return run_flow(cfg.flow_problem(seed),
+                    sample_every=cfg.get("flow.sample_every"))
 
 
 def cached_calibration_runs(seeds) -> dict:

@@ -3,9 +3,10 @@
 One test per gate; each prints a single pass/fail summary line (run with
 ``pytest -s`` to see them) and asserts the gate at its stated tolerance.
 Covers: operator strategy equivalence, spectral refinement, the dissipation
-ensembles, linearization transfer, truncated-energy recurrence, the detector
-ensembles with injected counterexamples, the fitted regularity exponents,
-the early-time sup bound, the drift of the shipped calibration, and the
+ensembles (70 runs built and graded as `nlflow run` builds and grades them),
+linearization transfer, truncated-energy recurrence, the detector ensembles
+with injected counterexamples, the fitted oscillation decay slopes, the
+early-time sup bound, the drift of the shipped calibration, and the
 denoising round trip.
 """
 
@@ -18,11 +19,11 @@ import numpy as np
 import pytest
 
 from conftest import (
+    DISSIPATION_SEEDS,
     cached_calibration_runs,
+    cached_dissipation_run,
     cached_lemma_run,
     cached_level_run,
-    cached_linear_dissipation,
-    cached_nonlinear_dissipation,
     cached_oscillation_run,
     cached_recurrence_run,
     corollary1_counterexample,
@@ -33,7 +34,7 @@ from conftest import (
     synthetic_trajectory,
 )
 from nlflow.calibrate import CALIBRATION_SEEDS, calibrate_constants
-from nlflow.cli import main as cli_main
+from nlflow.cli import _dissipation_record, main as cli_main
 from nlflow.degiorgi import (
     check_recurrence,
     chebyshev_chain,
@@ -175,29 +176,14 @@ def test_eigenvalue_error_shrinks_under_refinement():
 # ---------------------------------------------------------------------------
 # dissipation ensembles
 
-def dissipation_facts(traj):
-    l2, energy = traj.l2, traj.energy
-    vmin, vmax, mass = traj.vmin, traj.vmax, traj.mass
-    return {
-        "l2": bool(np.all(np.diff(l2) <= 1e-12 * max(1.0, float(l2[0])))),
-        "energy": bool(np.all(np.diff(energy) <= 1e-10)),
-        "bracket": bool(np.all(vmin >= vmin[0] - 1e-12)
-                        and np.all(vmax <= vmax[0] + 1e-12)),
-        "mass": bool(np.max(np.abs(mass - mass[0]))
-                     <= 1e-12 * max(1.0, abs(float(mass[0])))),
-    }
-
-
 def test_dissipation_ensembles():
+    # graded by the rule `nlflow run` reports
     broken = []
-    for seed in range(1, 51):
-        facts = dissipation_facts(cached_linear_dissipation(seed))
-        if not all(facts.values()):
-            broken.append(("linear", seed, facts))
-    for seed in range(1, 21):
-        facts = dissipation_facts(cached_nonlinear_dissipation(seed))
-        if not all(facts.values()):
-            broken.append(("nonlinear", seed, facts))
+    for kind, seeds in DISSIPATION_SEEDS.items():
+        for seed in seeds:
+            rec = _dissipation_record(cached_dissipation_run(kind, seed))
+            if not rec["dissipative"]:
+                broken.append((kind, seed, rec))
     announce("dissipation-suite", not broken,
              "50 linear + 20 nonlinear runs keep the L2 norm, energy, "
              "bracket, and mass inequalities" if not broken
@@ -206,8 +192,8 @@ def test_dissipation_ensembles():
 
 def test_nonlinear_dissipation_kernels_lie_in_the_tight_band():
     # the CLI refuses power-law kernels that fail the envelope grade
-    for seed in range(1, 21):
-        kernel = cached_nonlinear_dissipation(seed).kernel
+    for seed in DISSIPATION_SEEDS["nonlinear"]:
+        kernel = cached_dissipation_run("nonlinear", seed).kernel
         assert validate_kernel(kernel).envelope_ok, seed
 
 
@@ -322,7 +308,7 @@ def test_detectors_on_ensembles_and_counterexamples(calibration):
 
 
 # ---------------------------------------------------------------------------
-# fitted regularity exponents
+# fitted oscillation decay slopes
 
 def test_oscillation_exponent_ensemble():
     t_begin = time.perf_counter()

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import nlflow
-from conftest import cached_calibration_runs, cached_linear_dissipation, \
-    cached_nonlinear_dissipation
+from conftest import DISSIPATION_SEEDS, cached_calibration_runs, \
+    cached_dissipation_run, dissipation_sets
 from nlflow import flow
 from nlflow.calibrate import CAP, CALIBRATION_SEEDS, _largest_budget, \
     calibrate_constants, default_calibration, load_calibration, \
@@ -349,8 +349,8 @@ def test_a_mass_leak_is_not_conserved(tmp_path, monkeypatch):
 def test_mass_bound_is_the_relative_one_on_the_suites_runs():
     # the L1 rounding term stays below 1e-12 max(1, |mass0|) on these runs,
     # so a drift just past that bound still breaks mass conservation
-    runs = [cached_linear_dissipation(seed) for seed in range(1, 51)]
-    runs += [cached_nonlinear_dissipation(seed) for seed in range(1, 21)]
+    runs = [cached_dissipation_run(kind, seed)
+            for kind, seeds in DISSIPATION_SEEDS.items() for seed in seeds]
     for sets in ([], ["grid.N=2", "grid.M=64", "initial.kind=random",
                       "kernel.family=rough-static", "flow.end=0.01"]):
         runs.append(run_flow(parse_config(overrides=sets).flow_problem(1)))
@@ -360,6 +360,23 @@ def test_mass_bound_is_the_relative_one_on_the_suites_runs():
         mass[-1] += 1.01e-12 * max(1.0, abs(float(mass[0])))
         leaked = dataclasses.replace(traj, mass=mass)
         assert _dissipation_record(leaked)["mass_conserved"] is False
+
+
+@pytest.mark.parametrize("kind, seeds", [("linear", (1, 2)),
+                                         ("nonlinear", (1,))])
+def test_the_dissipation_gate_grades_what_run_reports(tmp_path, kind, seeds):
+    # the suite's cached gate runs are the runs `nlflow run` integrates, and
+    # the gate's grades are the records it reports (a nonlinear run's
+    # multiplier is drawn from its seed, so one seed per call)
+    sets = [arg for item in dissipation_sets(kind, seeds[0])
+            for arg in ("--set", item)]
+    out = tmp_path / kind
+    assert main(["run", "--out", str(out),
+                 "--seed", f"{seeds[0]}..{seeds[-1]}"] + sets) == 0
+    assert read_report(out)["runs"] == [
+        {"seed": seed,
+         **_dissipation_record(cached_dissipation_run(kind, seed))}
+        for seed in seeds]
 
 
 def test_random_data_of_negative_amplitude(tmp_path):

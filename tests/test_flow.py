@@ -54,6 +54,10 @@ def huber(ellipticity=4.0):
                                         ellipticity=ellipticity))
 
 
+def banded(grid, kernel):
+    return DiscreteOperator(grid, kernel, strategy="banded")
+
+
 def dense_matrix(grid, kernel):
     """The full n x n generator, column by column."""
     op = DiscreteOperator(grid, kernel, strategy="dense")
@@ -111,7 +115,7 @@ def test_stepper_order_against_expm(stepper, order):
     t_end = 0.5
     exact = scipy.linalg.expm(t_end * dense_matrix(g, k)) @ w0.values
 
-    base = 2.0 ** math.floor(math.log2(stable_dt(k, g)))
+    base = 2.0 ** math.floor(math.log2(stable_dt(banded(g, k))))
     errors = []
     for split in (2, 4, 8):
         traj = run_flow(FlowProblem(
@@ -255,8 +259,8 @@ def test_heun_dissipates_l2():
 
 def test_stable_dt_positive_and_shrinks_with_resolution():
     k = power_law_kernel()
-    coarse = stable_dt(k, grid_1d(64))
-    fine = stable_dt(k, grid_1d(128))
+    coarse = stable_dt(banded(grid_1d(64), k))
+    fine = stable_dt(banded(grid_1d(128), k))
     assert 0.0 < fine < coarse
 
 
@@ -278,15 +282,16 @@ def test_stable_dt_matches_brute_force_rowsum():
             # only reading under which the piecewise kernel is periodic
             rs[i] += float(k.evaluate(0.0, coords[i], coords[j], dist=d))
     rs *= g.spacing ** g.dimension
-    assert stable_dt(k, g) == pytest.approx(0.9 / float(rs.max()), rel=1e-12)
+    assert stable_dt(banded(g, k)) == pytest.approx(0.9 / float(rs.max()),
+                                                    rel=1e-12)
 
 
 def test_stable_dt_accounts_for_potential_curvature():
     g = grid_1d()
     k = power_law_kernel()
     # smoothed curvature peaks at Lambda^(1/2) = 2, halving the safe step
-    assert stable_dt(k, g, potential=huber()) == pytest.approx(
-        stable_dt(k, g) / 2.0, rel=1e-12)
+    assert stable_dt(banded(g, k), potential=huber()) == pytest.approx(
+        stable_dt(banded(g, k)) / 2.0, rel=1e-12)
 
 
 def test_degenerate_kernel_has_no_stable_step():
@@ -304,7 +309,7 @@ def test_degenerate_kernel_has_no_stable_step():
             return np.zeros(x.shape[:-1])
 
     with pytest.raises(InvalidParameterError):
-        stable_dt(_Zero(), grid_1d())
+        stable_dt(banded(grid_1d(), _Zero()))
 
 
 # --------------------------------------------------------------------------

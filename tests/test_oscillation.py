@@ -48,8 +48,9 @@ def power_law_kernel():
         truncation_radius=3.0, family="power-law"))
 
 
-def huber():
-    return make_potential(PotentialSpec(family="smoothed-huber"))
+def huber(ellipticity=4.0):
+    return make_potential(PotentialSpec(family="smoothed-huber",
+                                        ellipticity=ellipticity))
 
 
 def quadratic():
@@ -161,6 +162,41 @@ def test_derived_envelope_scan_zero_violations():
     assert rep.band_lo == 0.25 and rep.band_hi == 4.0
     assert rep.band_lo <= rep.ratio_min <= rep.ratio_max <= rep.band_hi
     assert rep.step_factors == (1, 2, 4)
+
+
+def edge_multiplier_run(multiplier, potential, kind, amplitude, points=64):
+    g = grid_1d(points)
+    kernel = make_kernel(KernelSpec(
+        dimension=1, order=1.0, ellipticity=4.0, truncation_radius=3.0,
+        family="power-law", multiplier=multiplier))
+    return run_flow(FlowProblem(
+        kind="nonlinear", grid=g, kernel=kernel,
+        initial=make_initial(g, kind, amplitude=amplitude, seed=13),
+        t_end=0.05, potential=potential, dt_max=1e-3), sample_every=4)
+
+
+@pytest.mark.parametrize("multiplier, amplitude", [(2.0, 1.0), (0.5, 4.0)])
+def test_derived_envelope_scan_keeps_the_multiplier(multiplier, amplitude):
+    # K^h carries the multiplier c in [1/2, 2] times a phi'' average in
+    # [1/4, 4] (Lambda = 16): at c = 2 small differences push K^h up to 8,
+    # and at c = 1/2 large ones down to 0.16, outside the band [1/4, 4]
+    pot = huber(16.0)
+    rep = scan_derived_envelope(pot, edge_multiplier_run(
+        multiplier, pot, "random", amplitude))
+    assert not rep.passed
+    if multiplier > 1.0:
+        assert rep.ratio_max > 1.9 * rep.band_hi
+    else:
+        assert rep.ratio_min < 0.7 * rep.band_lo
+
+
+def test_derived_envelope_scan_admits_the_band_edge():
+    # c = 2 and phi''(0) = 2 at Lambda = 4 put K^h on the band top; at
+    # M = 48 the table reads c one ulp high, which BAND_RTOL admits
+    rep = scan_derived_envelope(huber(), edge_multiplier_run(
+        2.0, huber(), "constant", 1.0, points=48))
+    assert rep.ratio_max > rep.band_hi
+    assert rep.passed
 
 
 def test_derived_envelope_scan_needs_kernel(grid1):
