@@ -10,18 +10,20 @@ from __future__ import annotations
 
 import difflib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from .degiorgi import ladder_errors
 from .ensembles import DIMENSION, LEVELS, MAX_K, MIN_DEPTH, MIN_RADIUS, \
     ORDER, SCALE
-from .errors import ConfigError
-from .fields import INITIAL_KINDS, make_initial
-from .flow import FlowProblem
-from .grid import DENSE_MAX_NODES, STRATEGIES, Field, Grid
-from .kernels import KERNEL_FAMILIES, TRANSLATION_INVARIANT_FAMILIES, \
-    KernelSpec, make_kernel
-from .potentials import POTENTIAL_FAMILIES, Potential, PotentialSpec, \
-    make_potential
+from .errors import ConfigError, violations
+from .fields import initial_errors, make_initial
+from .flow import FlowProblem, kind_errors, problem_errors, stepping_errors
+from .grid import Field, Grid, grid_errors, operator_errors
+from .kernels import TRANSLATION_INVARIANT_FAMILIES, KernelSpec, \
+    kernel_errors, make_kernel
+from .oscillation import decay_errors
+from .potentials import Potential, PotentialSpec, make_potential, \
+    potential_errors
 
 __all__ = ["ExperimentConfig", "parse_config", "parse_seed_list", "SCHEMA"]
 
@@ -66,6 +68,23 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "calibration.file": ("str", ""),
     "report.verbosity": ("int", 1),
 }
+
+# The config key of each field the modules' rules name: the kernel's, the
+# grid's, the flow's and the detectors', then those of the potential, the
+# initial data and denoise, whose names the first map gives other keys
+_KEYS = {"dimension": "grid.N", "order": "kernel.s",
+         "ellipticity": "kernel.lambda", "truncation_radius": "kernel.radius",
+         "family": "kernel.family", "multiplier": "kernel.multiplier",
+         "cell_size": "kernel.cell", "epoch_length": "kernel.epoch",
+         "points_per_axis": "grid.M", "side_length": "grid.L",
+         "strategy": "flow.strategy", "kind": "flow.kind",
+         "stepper": "flow.stepper", "t_start": "flow.start",
+         "t_end": "flow.end", "dt_max": "flow.dt_max",
+         "sample_every": "flow.sample_every", "k_max": "diagnose.k_max",
+         "levels": "diagnose.levels", "scale": "diagnose.scale"}
+_OTHER_KEYS = {"family": "potential.family", "ellipticity": "potential.lambda",
+               "kind": "initial.kind", "sigma": "initial.sigma",
+               "radius": "initial.radius", "t_end": "denoise.time"}
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
@@ -162,10 +181,12 @@ class ExperimentConfig:
     def make_kernel(self, seed: int | None = None):
         return make_kernel(self.kernel_spec(seed=seed))
 
+    def potential_spec(self) -> PotentialSpec:
+        return PotentialSpec(family=self.get("potential.family"),
+                             ellipticity=self.get("potential.lambda"))
+
     def make_potential(self) -> Potential:
-        return make_potential(PotentialSpec(
-            family=self.get("potential.family"),
-            ellipticity=self.get("potential.lambda")))
+        return make_potential(self.potential_spec())
 
     def make_initial(self, grid: Grid, seed: int | None = None) -> Field:
         return make_initial(
@@ -180,40 +201,12 @@ class ExperimentConfig:
 
     def check_flow(self, kind: str, grid: Grid) -> None:
         """Raise ConfigError unless a `kind` flow can run on this config and
-        `grid`: the nonlinear flow steps with the banded strategy, it and the
-        spectral strategy need a translation-invariant kernel, the spectral
-        symbol an untruncated one, the dense matrix at most DENSE_MAX_NODES
-        nodes, and the kernel a lattice neighbor inside its radius and a
-        torus wider than twice that radius."""
-        family = self.get("kernel.family")
-        radius = self.get("kernel.radius")
+        `grid`: the rules of the operator (`grid.operator_errors`) and of
+        the flow's kind (`flow.kind_errors`)."""
+        spec = replace(self.kernel_spec(), dimension=grid.dimension)
         strategy = self.get("flow.strategy")
-        spectral = strategy == "spectral"
-        errors = []
-        if kind == "nonlinear" and strategy != "banded":
-            errors.append(f"flow.strategy: the nonlinear flow steps with the "
-                          f"banded strategy (got {strategy!r})")
-        if (kind == "nonlinear" or spectral) and \
-                family not in TRANSLATION_INVARIANT_FAMILIES:
-            errors.append(
-                f"kernel.family: the {kind} flow with flow.strategy="
-                f"{strategy} needs the translation-invariant "
-                f"{' or '.join(TRANSLATION_INVARIANT_FAMILIES)} kernel family "
-                f"(got {family!r})")
-        if strategy == "dense" and grid.n_nodes > DENSE_MAX_NODES:
-            errors.append(f"flow.strategy: the dense operator takes at most "
-                          f"{DENSE_MAX_NODES} nodes (got {grid.n_nodes})")
-        if spectral and math.isfinite(radius):
-            errors.append(f"kernel.radius: flow.strategy=spectral needs "
-                          f"kernel.radius=inf (got {radius!r})")
-        if radius < grid.spacing:
-            errors.append(f"kernel.radius: no lattice neighbor within it at "
-                          f"grid spacing {grid.spacing:g} (got {radius!r})")
-        if math.isfinite(radius) and not (grid.side_length > 2.0 * radius):
-            errors.append(f"kernel.radius: the torus width "
-                          f"{grid.side_length:g} must exceed twice it "
-                          f"(got {radius!r})")
-        _refuse(errors)
+        _refuse(_keyed(self.values, operator_errors(grid, spec, strategy)
+                       + kind_errors(kind, strategy, spec.family), _KEYS))
 
     def check_ensembles(self, calibration=None) -> None:
         """Raise ConfigError unless grid.N, kernel.s and `calibration`'s
@@ -270,88 +263,52 @@ class ExperimentConfig:
 def _refuse(errors: list[str]) -> None:
     """Raise one ConfigError listing every violation, if there are any."""
     if errors:
+        errors = list(dict.fromkeys(errors))
         exc = ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
         exc.errors = errors
         raise exc
 
 
-def _semantic_errors(values: dict[str, object]) -> list[str]:
-    """Range/choice checks mirroring the module invariants, all collected."""
-    errors: list[str] = []
+def _keyed(values: dict, violations: list, keys: dict) -> list[str]:
+    """`key: message (got value)` lines of (field, error) pairs, each under
+    its field's config key in `keys`, or the field itself if it is one."""
+    return [f"{keys.get(f, f)}: {error} (got {values[keys.get(f, f)]!r})"
+            for f, error in violations]
 
-    def check(cond: bool, key: str, message: str):
-        if not cond:
-            errors.append(f"{key}: {message} (got {values[key]!r})")
 
-    s = values["kernel.s"]
-    check(0.0 < s < 2.0, "kernel.s", "order out of (0,2)")
-    check(values["kernel.lambda"] > 1.0, "kernel.lambda",
-          "ellipticity must exceed 1")
-    check(values["kernel.radius"] > 0.0, "kernel.radius",
-          "truncation radius must be positive")
-    fam = values["kernel.family"]
-    check(fam in KERNEL_FAMILIES, "kernel.family",
-          f"expected one of {', '.join(KERNEL_FAMILIES)}")
-    lam = values["kernel.lambda"]
-    if fam in TRANSLATION_INVARIANT_FAMILIES and lam > 1.0:
+def _semantic_errors(cfg: ExperimentConfig) -> list[str]:
+    """Every rule the values break: each module's own rules under the config
+    keys, then the three that no library object owns."""
+    values, spec = cfg.values, cfg.kernel_spec()
+    found = kernel_errors(spec)
+    if spec.family in TRANSLATION_INVARIANT_FAMILIES and not {
+            field for field, _ in found} & {"ellipticity", "multiplier"}:
         # the tight band `validate_kernel` grades a convolution kernel in
-        lo, hi = lam ** -0.5, lam ** 0.5
-        check(lo <= values["kernel.multiplier"] <= hi, "kernel.multiplier",
-              f"{fam} multiplier must lie in [Lambda^-1/2, Lambda^1/2] = "
-              f"[{lo:g}, {hi:g}]")
-    else:
-        check(values["kernel.multiplier"] > 0.0, "kernel.multiplier",
-              "multiplier must be positive")
-    check(values["kernel.cell"] > 0.0, "kernel.cell",
-          "cell size must be positive")
-    check(values["kernel.epoch"] > 0.0, "kernel.epoch",
-          "epoch length must be positive")
-    check(values["potential.family"] in POTENTIAL_FAMILIES,
-          "potential.family",
-          f"expected one of {', '.join(POTENTIAL_FAMILIES)}")
-    check(values["potential.lambda"] > 1.0, "potential.lambda",
-          "ellipticity must exceed 1")
-    check(values["grid.N"] in (1, 2), "grid.N", "dimension must be 1 or 2")
-    check(values["grid.M"] >= 8, "grid.M", "need at least 8 points per axis")
-    check(values["grid.L"] > 0.0, "grid.L", "side length must be positive")
-    radius = values["kernel.radius"]
-    if math.isfinite(radius) and values["grid.L"] > 0:
-        check(values["grid.L"] > 2.0 * radius, "grid.L",
-              f"torus width must exceed twice the kernel radius {radius}")
-    check(values["initial.kind"] in INITIAL_KINDS, "initial.kind",
-          f"expected one of {', '.join(INITIAL_KINDS)}")
-    check(values["initial.sigma"] > 0.0, "initial.sigma",
-          "sigma must be positive")
-    check(values["initial.radius"] > 0.0, "initial.radius",
-          "radius must be positive")
-    # the L2 and energy records square the data: 1e200 overflowed them
-    check(abs(values["initial.amplitude"]) + abs(values["initial.shift"])
-          <= 1e100, "initial.amplitude",
-          "|amplitude| + |initial.shift| must be at most 1e100")
-    check(values["flow.kind"] in ("linear", "nonlinear"), "flow.kind",
-          "expected linear or nonlinear")
-    check(values["flow.stepper"] in ("euler", "heun"), "flow.stepper",
-          "expected euler or heun")
-    check(values["flow.strategy"] in STRATEGIES, "flow.strategy",
-          f"expected one of {', '.join(STRATEGIES)}")
-    check(values["flow.end"] > values["flow.start"], "flow.end",
-          f"must exceed flow.start={values['flow.start']}")
-    dt_max = values["flow.dt_max"]
-    if dt_max is not None:
-        check(dt_max > 0.0, "flow.dt_max", "must be positive when set")
-    check(values["flow.sample_every"] >= 1, "flow.sample_every",
-          "must be a positive integer")
-    check(values["diagnose.k_max"] >= 1, "diagnose.k_max",
-          "must be a positive integer")
-    check(values["diagnose.levels"] >= 3, "diagnose.levels",
-          "need at least 3 levels")
-    check(0.0 < values["diagnose.scale"] < 1.0, "diagnose.scale",
-          "scale must lie in (0,1)")
-    check(values["denoise.time"] > 0.0, "denoise.time",
-          "time must be positive")
-    check(values["report.verbosity"] >= 0, "report.verbosity",
-          "must be a nonnegative integer")
-    return errors
+        lo, hi = spec.ellipticity ** -0.5, spec.ellipticity ** 0.5
+        found += violations(("kernel.multiplier", lo <= spec.multiplier <= hi,
+                             f"{spec.family} multiplier must lie in "
+                             f"[Lambda^-1/2, Lambda^1/2] = [{lo:g}, {hi:g}]"))
+    found += grid_errors(values["grid.N"], values["grid.L"], values["grid.M"],
+                         spec.truncation_radius, values["flow.strategy"])
+    found += problem_errors(values["flow.kind"], values["flow.stepper"],
+                            values["flow.start"], values["flow.end"])
+    found += stepping_errors(values["flow.dt_max"],
+                             values["flow.sample_every"])
+    found += ladder_errors(values["diagnose.k_max"])
+    found += decay_errors(values["diagnose.scale"], values["diagnose.levels"])
+    found += violations(
+        # the L2 and energy records square the data: 1e200 overflowed them
+        ("initial.amplitude", abs(values["initial.amplitude"])
+         + abs(values["initial.shift"]) <= 1e100,
+         "|amplitude| + |initial.shift| must be at most 1e100"),
+        ("report.verbosity", values["report.verbosity"] >= 0,
+         "must be a nonnegative integer"))
+    other = potential_errors(cfg.potential_spec()) + initial_errors(
+        values["initial.kind"], values["initial.sigma"],
+        values["initial.radius"])
+    # denoise runs from 0 to denoise.time
+    other += problem_errors("nonlinear", "euler", 0.0, values["denoise.time"])
+    return _keyed(values, found, _KEYS) + _keyed(values, other, _OTHER_KEYS)
 
 
 def _split_pair(line: str):
@@ -415,8 +372,6 @@ def parse_config(path: str | None = None,
             errors.append(f"--seed {seeds!r}: {exc}")
 
     # Range checks run on whatever parsed (failed keys keep their defaults).
-    errors.extend(_semantic_errors(values))
-
-    _refuse(errors)
-
-    return ExperimentConfig(values=values, sources=sources)
+    cfg = ExperimentConfig(values=values, sources=sources)
+    _refuse(errors + _semantic_errors(cfg))
+    return cfg

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import InsufficientCoverageError, InvalidParameterError
+from .errors import InsufficientCoverageError, InvalidParameterError, \
+    raise_first, violations
 from .flow import Trajectory
 from .grid import BLOCK_BUDGET, SEMINORM_CUTOFF, Grid, seminorm_sq, \
     seminorm_stencil
@@ -226,6 +227,11 @@ class TruncatedEnergySequence:
         return int(self.levels[-1])
 
 
+def ladder_errors(k_max: int) -> list:
+    """(field, error) pairs of the rules a ladder depth breaks."""
+    return violations(("k_max", k_max >= 1, "need at least one rung"))
+
+
 def truncated_energies(traj: Trajectory,
                        k_max: int) -> TruncatedEnergySequence:
     """Level-truncated energies U_k over the shrinking windows [T_k, 0].
@@ -245,8 +251,7 @@ def truncated_energies(traj: Trajectory,
     summed along its nodes by one fixed pairwise tree, and the level-k
     sequence only gains extra nonnegative terms).
     """
-    if k_max < 1:
-        raise InvalidParameterError(f"k_max must be >= 1, got {k_max}")
+    raise_first(ladder_errors(k_max))
     s = float(traj.order)
     if not (0.0 < s < 2.0):
         raise InvalidParameterError(f"order must lie in (0, 2), got {s}")
@@ -371,8 +376,7 @@ def chebyshev_chain(traj: Trajectory, k_max: int) -> ChebyshevReport:
     window, is rung k+1's base.  Each rung reads its window a chunk of
     samples at a time.
     """
-    if k_max < 1:
-        raise InvalidParameterError(f"k_max must be >= 1, got {k_max}")
+    raise_first(ladder_errors(k_max))
     s = float(traj.order)
     n_dim = traj.grid.dimension
 

@@ -60,3 +60,16 @@ class ConfigError(NlflowError):
 
 class TrajectoryMismatchError(NlflowError):
     """A trajectory lacks what a diagnostic needs (kind, stepper, kernel)."""
+
+
+def violations(*rules) -> list:
+    """(field, error) pairs of the broken (field, holds, message[, error
+    class]) rules; the class defaults to InvalidParameterError."""
+    return [(field, (cls or [InvalidParameterError])[0](message))
+            for field, holds, message, *cls in rules if not holds]
+
+
+def raise_first(found: list) -> None:
+    """Raise the error of the first (field, error) pair, if there is one."""
+    if found:
+        raise found[0][1]

@@ -16,32 +16,35 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import raise_first, violations
 from .grid import Field, Grid
 
 INITIAL_KINDS = ("random", "bump", "step", "cosine", "spike", "constant")
+
+
+def initial_errors(kind: str, sigma: float, radius: float) -> list:
+    """(field, error) pairs of the rules the parameters break; sigma and the
+    radius must be positive whatever the kind."""
+    return violations(
+        ("kind", kind in INITIAL_KINDS,
+         f"initial kind must be one of {', '.join(INITIAL_KINDS)}"),
+        ("sigma", sigma > 0.0, "sigma must be positive"),
+        ("radius", radius > 0.0, "radius must be positive"))
 
 
 def make_initial(grid: Grid, kind: str = "random", amplitude: float = 1.0,
                  seed: int = 0, sigma: float = 1.5, radius: float = 1.0,
                  mode: int = 1, shift: float = 0.0) -> Field:
     """Build one initial field; `shift` is added uniformly at the end."""
-    if kind not in INITIAL_KINDS:
-        raise InvalidParameterError(
-            f"unknown initial kind {kind!r}; expected one of "
-            f"{', '.join(INITIAL_KINDS)}")
+    raise_first(initial_errors(kind, sigma, radius))
     n = grid.n_nodes
     if kind == "random":
         rng = np.random.default_rng(seed)
         vals = rng.uniform(-abs(amplitude), abs(amplitude), size=n)
     elif kind == "bump":
-        if not (sigma > 0):
-            raise InvalidParameterError(f"sigma must be positive: {sigma}")
         d = grid.origin_distance()
         vals = amplitude * np.exp(-0.5 * (d / sigma) ** 2)
     elif kind == "step":
-        if not (radius > 0):
-            raise InvalidParameterError(f"radius must be positive: {radius}")
         inside = grid.ball(radius)
         vals = np.where(inside, amplitude, -amplitude).astype(np.float64)
     elif kind == "cosine":

@@ -35,9 +35,11 @@ from .errors import (
     InsufficientCoverageError,
     InvalidParameterError,
     NonFiniteStateError,
+    raise_first,
+    violations,
 )
 from .grid import COUNTERS, DiscreteOperator, Field, Grid
-from .kernels import Kernel
+from .kernels import TRANSLATION_INVARIANT_FAMILIES, Kernel
 from .potentials import Potential
 
 STEPPERS = ("euler", "heun")
@@ -125,6 +127,43 @@ def nonlinear_energy(op: DiscreteOperator, potential: Potential,
     return _rhs_and_energy(op, potential, w, t)[1]
 
 
+def problem_errors(kind: str, stepper: str, t_start: float,
+                   t_end: float) -> list:
+    """(field, error) pairs of the rules a flow's kind, stepper and span
+    break."""
+    return violations(
+        ("kind", kind in ("linear", "nonlinear"),
+         "flow kind must be linear or nonlinear"),
+        ("stepper", stepper in STEPPERS,
+         f"stepper must be one of {', '.join(STEPPERS)}"),
+        ("t_start", math.isfinite(t_start), "start time must be finite"),
+        ("t_end", math.isfinite(t_end), "end time must be finite"),
+        ("t_end", t_end > t_start,
+         f"end time must exceed the start time {t_start!r}"))
+
+
+def kind_errors(kind: str, strategy: str, family: str) -> list:
+    """(field, error) pairs of the rules a flow's kind puts on its strategy
+    and kernel family."""
+    linear = kind != "nonlinear"
+    return violations(
+        ("strategy", linear or strategy == "banded",
+         "the nonlinear flow steps with the banded strategy"),
+        ("family", linear or family in TRANSLATION_INVARIANT_FAMILIES,
+         f"the nonlinear flow needs the translation-invariant "
+         f"{' or '.join(TRANSLATION_INVARIANT_FAMILIES)} kernel family"))
+
+
+def stepping_errors(dt_max: float | None, sample_every: int) -> list:
+    """(field, error) pairs of the rules `run_flow`'s step cap and sampling
+    break."""
+    return violations(
+        ("dt_max", dt_max is None or dt_max > 0.0,
+         "dt_max must be positive when set"),
+        ("sample_every", sample_every >= 1,
+         "sample interval must be a positive integer"))
+
+
 @dataclass
 class FlowProblem:
     """One flow specification; `initial` is a Field on `grid`."""
@@ -141,26 +180,12 @@ class FlowProblem:
     dt_max: float | None = None    # optional extra cap (convergence studies)
 
     def __post_init__(self):
-        if self.kind not in ("linear", "nonlinear"):
-            raise InvalidParameterError(
-                f"kind must be 'linear' or 'nonlinear': {self.kind}")
-        if self.stepper not in STEPPERS:
-            raise InvalidParameterError(
-                f"unknown stepper {self.stepper!r}; expected euler or heun")
-        if not (self.t_end > self.t_start):
-            raise InvalidParameterError(
-                f"empty time span [{self.t_start}, {self.t_end}]")
-        if self.kind == "nonlinear":
-            if self.potential is None:
-                raise InvalidParameterError(
-                    "nonlinear flow needs a potential")
-            if not self.kernel.translation_invariant:
-                raise InvalidParameterError(
-                    "nonlinear flow requires a translation-invariant kernel")
-            if self.strategy != "banded":
-                raise InvalidParameterError(
-                    f"nonlinear flow steps with the banded strategy, not "
-                    f"{self.strategy!r}")
+        raise_first(problem_errors(self.kind, self.stepper, self.t_start,
+                                   self.t_end)
+                    + kind_errors(self.kind, self.strategy,
+                                  self.kernel.spec.family))
+        if self.kind == "nonlinear" and self.potential is None:
+            raise InvalidParameterError("nonlinear flow needs a potential")
         if not self.grid.compatible_with(self.initial.grid):
             raise InvalidParameterError("initial field grid != problem grid")
 
@@ -251,17 +276,13 @@ def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
     per-state sums.  The energy comes with the RHS; only a non-finite
     energy, which a non-finite state makes, is followed by a look for
     non-finite entries."""
-    if sample_every < 1:
-        raise InvalidParameterError(
-            f"sample_every must be a positive integer: {sample_every}")
+    raise_first(stepping_errors(problem.dt_max, sample_every))
     grid, kernel = problem.grid, problem.kernel
     op = DiscreteOperator(grid, kernel, problem.strategy)
     pot = problem.potential if problem.kind == "nonlinear" else None
 
     dt_target = stable_dt(op, pot, problem.t_start)
     if problem.dt_max is not None:
-        if not (problem.dt_max > 0):
-            raise InvalidParameterError(f"dt_max must be positive: {problem.dt_max}")
         dt_target = min(dt_target, problem.dt_max)
     span = problem.t_end - problem.t_start
     n_steps = max(1, int(math.ceil(span / dt_target - 1e-12)))

@@ -40,11 +40,12 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from .errors import (
     DimensionMismatchError,
     GridMismatchError,
-    InvalidParameterError,
     StrategyMismatchError,
     UnsupportedDimensionError,
+    raise_first,
+    violations,
 )
-from .kernels import Kernel
+from .kernels import TRANSLATION_INVARIANT_FAMILIES, Kernel
 
 STRATEGIES = ("dense", "banded", "spectral")
 # Most nodes of a dense operator: its n x n matrix takes 8 n^2 bytes, 128 MiB
@@ -78,17 +79,9 @@ class Grid:
                                     repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dimension not in (1, 2):
-            raise UnsupportedDimensionError(
-                f"dimension must be 1 or 2, got {self.dimension}")
-        if int(self.points_per_axis) != self.points_per_axis or \
-                self.points_per_axis < 8:
-            raise InvalidParameterError(
-                f"points_per_axis must be an integer >= 8: {self.points_per_axis}")
+        raise_first(grid_errors(self.dimension, self.side_length,
+                                self.points_per_axis))
         self.points_per_axis = int(self.points_per_axis)
-        if not (self.side_length > 0.0):
-            raise InvalidParameterError(
-                f"side_length must be positive: {self.side_length}")
 
     @property
     def spacing(self) -> float:
@@ -131,14 +124,13 @@ class Grid:
         the origin."""
         return self.origin_distance() < radius
 
-    def offsets_within(self, radius: float | None
-                       ) -> tuple[np.ndarray, np.ndarray]:
+    def offsets_within(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """Nonzero lattice offsets with periodic length <= radius, one a
         pair.
 
         Returns (deltas, dists): integer index shifts, shape (n_off, N), by
         trailing then leading component, and their periodic lengths in
-        coordinate units.  radius=None keeps every nonzero offset
+        coordinate units.  radius=inf keeps every nonzero offset
         (nearest-image convention).  Of each pair {d, -d mod M} only the
         offset whose residue mod M is lexicographically smaller is kept (the
         half stencil): in 2-d at even M, (M/2, k) and (M/2, -k) are one.
@@ -151,9 +143,8 @@ class Grid:
         first = (np.arange(steps.shape[0]), np.argmax(steps != back, axis=1))
         deltas = _signed_steps(self, steps)
         dists = _lattice_length(self, deltas)
-        keep = (dists > 0.0) & (steps[first] <= back[first])
-        if radius is not None and math.isfinite(radius):
-            keep &= dists <= radius
+        keep = (dists > 0.0) & (steps[first] <= back[first]) & \
+            (dists <= radius)
         order = np.lexsort(deltas[keep].T)
         deltas, dists = deltas[keep][order], dists[keep][order]
         self._caches[key] = (deltas, dists)
@@ -167,6 +158,50 @@ class Grid:
         return (self.dimension == other.dimension
                 and self.points_per_axis == other.points_per_axis
                 and self.side_length == other.side_length)
+
+
+def grid_errors(dimension: int, side_length: float, points_per_axis: int,
+                radius: float = math.inf, strategy: str = "banded") -> list:
+    """(field, error) pairs of the rules a lattice breaks, and the two any
+    operator on it keeps: a known `strategy`, and a torus wider than twice a
+    finite kernel `radius`, so that one periodic image of a node interacts."""
+    return violations(
+        ("dimension", dimension in (1, 2), "dimension must be 1 or 2",
+         UnsupportedDimensionError),
+        ("points_per_axis", points_per_axis == int(points_per_axis) >= 8,
+         "need an integer of at least 8 points per axis"),
+        ("side_length", 0.0 < side_length < math.inf,
+         "side length must be finite and positive"),
+        ("strategy", strategy in STRATEGIES,
+         f"strategy must be one of {', '.join(STRATEGIES)}"),
+        ("truncation_radius", not math.isfinite(radius)
+         or side_length > 2.0 * radius, f"torus width {side_length:g} must "
+         f"exceed twice the truncation radius {radius:g}", GridMismatchError))
+
+
+def operator_errors(grid: Grid, spec, strategy: str) -> list:
+    """`grid_errors` and the pairs of the rules an operator of `strategy` on
+    `grid` and a `spec` kernel adds."""
+    radius, spectral = spec.truncation_radius, strategy == "spectral"
+    return grid_errors(grid.dimension, grid.side_length, grid.points_per_axis,
+                       radius, strategy) + violations(
+        ("dimension", grid.dimension == spec.dimension, f"grid dimension "
+         f"{grid.dimension} != kernel dimension {spec.dimension}",
+         GridMismatchError),
+        ("strategy", strategy != "dense" or grid.n_nodes <= DENSE_MAX_NODES,
+         f"the dense operator takes at most {DENSE_MAX_NODES} nodes, not "
+         f"{grid.n_nodes}", StrategyMismatchError),
+        ("family", not spectral
+         or spec.family in TRANSLATION_INVARIANT_FAMILIES,
+         f"the spectral strategy needs the translation-invariant "
+         f"{' or '.join(TRANSLATION_INVARIANT_FAMILIES)} kernel family",
+         StrategyMismatchError),
+        ("truncation_radius", not spectral or not math.isfinite(radius),
+         "the spectral strategy needs truncation radius inf",
+         StrategyMismatchError),
+        ("truncation_radius", radius >= grid.spacing, f"no lattice neighbor "
+         f"within the truncation radius at grid spacing {grid.spacing:g}",
+         GridMismatchError))
 
 
 def _signed_steps(grid: Grid, steps: np.ndarray) -> np.ndarray:
@@ -381,44 +416,16 @@ class DiscreteOperator:
     """Bound (grid, kernel, strategy) triple with cached quadrature data."""
 
     def __init__(self, grid: Grid, kernel: Kernel, strategy: str = "banded"):
-        if strategy not in STRATEGIES:
-            raise InvalidParameterError(
-                f"unknown strategy {strategy!r}; expected one of "
-                f"{', '.join(STRATEGIES)}")
-        if grid.dimension != kernel.spec.dimension:
-            raise GridMismatchError(
-                f"grid dimension {grid.dimension} != kernel dimension "
-                f"{kernel.spec.dimension}")
-        r_tr = kernel.spec.truncation_radius
-        if math.isfinite(r_tr) and not (grid.side_length > 2.0 * r_tr):
-            raise GridMismatchError(
-                f"torus width {grid.side_length} must exceed twice the "
-                f"truncation radius {r_tr} so only one periodic image interacts")
-        if strategy == "dense" and grid.n_nodes > DENSE_MAX_NODES:
-            raise StrategyMismatchError(
-                f"the dense operator takes at most {DENSE_MAX_NODES} nodes "
-                f"(got {grid.n_nodes})")
-        if strategy == "spectral":
-            if not kernel.translation_invariant:
-                raise StrategyMismatchError(
-                    "spectral strategy requires a translation-invariant kernel")
-            if math.isfinite(r_tr):
-                raise StrategyMismatchError(
-                    "spectral strategy requires an untruncated kernel "
-                    "(truncation_radius = inf)")
+        raise_first(operator_errors(grid, kernel.spec, strategy))
         self.grid = grid
         self.kernel = kernel
         self.strategy = strategy
         # keyed by (what, kernel_epoch): static kernels cache under epoch
         # None, and a new epoch of a time-dependent one replaces the entry
         self._cache: dict = {}
-        radius = r_tr if math.isfinite(r_tr) else None
         if strategy in ("banded", "dense"):
-            self.deltas, self.dists = grid.offsets_within(radius)
-            if self.deltas.shape[0] == 0:
-                raise GridMismatchError(
-                    "no lattice neighbors inside the truncation radius; "
-                    "refine the grid")
+            self.deltas, self.dists = grid.offsets_within(
+                kernel.spec.truncation_radius)
             self.stencil = OffsetStencil(grid, self.deltas)
         else:
             self.deltas = self.dists = self.stencil = None

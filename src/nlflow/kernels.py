@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, UnsupportedDimensionError
+from .errors import InvalidParameterError, UnsupportedDimensionError, \
+    raise_first, violations
 
 KERNEL_FAMILIES = ("power-law", "rough-static", "rough-time-dependent")
 # families whose kernel depends on x - y alone (a convolution on the torus)
@@ -42,13 +43,13 @@ BAND_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Parameters pinning one kernel. `multiplier` is the power-law constant c;
-    `cell_size`/`epoch_length` shape the rough families and are ignored by
-    power-law kernels."""
+    """Parameters pinning one kernel (`kernel_errors` states their rules).
+    `multiplier` is the power-law constant c; `cell_size`/`epoch_length`
+    shape the rough families and are ignored by power-law kernels."""
 
     dimension: int = 1
     order: float = 1.0            # s in (0, 2)
-    ellipticity: float = 4.0      # Lambda > 1
+    ellipticity: float = 4.0      # finite Lambda > 1
     truncation_radius: float = 3.0  # math.inf disables truncation
     family: str = "power-law"
     seed: int = 0
@@ -57,29 +58,23 @@ class KernelSpec:
     epoch_length: float = 0.1
 
 
-def _check_spec(spec: KernelSpec) -> None:
-    if spec.dimension not in (1, 2):
-        raise UnsupportedDimensionError(
-            f"dimension must be 1 or 2, got {spec.dimension}")
-    if not (0.0 < spec.order < 2.0):
-        raise InvalidParameterError(f"order out of (0, 2): {spec.order}")
-    if not (spec.ellipticity > 1.0):
-        raise InvalidParameterError(
-            f"ellipticity must exceed 1: {spec.ellipticity}")
-    if not (spec.truncation_radius > 0.0):
-        raise InvalidParameterError(
-            f"truncation_radius must be positive: {spec.truncation_radius}")
-    if spec.family not in KERNEL_FAMILIES:
-        raise InvalidParameterError(
-            f"unknown kernel family {spec.family!r}; expected one of "
-            f"{', '.join(KERNEL_FAMILIES)}")
-    if spec.family != "power-law":
-        if not (spec.cell_size > 0.0):
-            raise InvalidParameterError(
-                f"cell_size must be positive: {spec.cell_size}")
-    if spec.family == "rough-time-dependent" and not (spec.epoch_length > 0.0):
-        raise InvalidParameterError(
-            f"epoch_length must be positive: {spec.epoch_length}")
+def kernel_errors(spec: KernelSpec) -> list:
+    """(field, error) pairs of the rules `spec` breaks; every family needs a
+    positive cell size and epoch length, read or not."""
+    return violations(
+        ("dimension", spec.dimension in (1, 2), "dimension must be 1 or 2",
+         UnsupportedDimensionError),
+        ("order", 0.0 < spec.order < 2.0, "order out of (0,2)"),
+        ("ellipticity", 1.0 < spec.ellipticity < math.inf,
+         "ellipticity must be finite and exceed 1"),
+        ("truncation_radius", spec.truncation_radius > 0.0,
+         "truncation radius must be positive"),
+        ("family", spec.family in KERNEL_FAMILIES,
+         f"kernel family must be one of {', '.join(KERNEL_FAMILIES)}"),
+        ("multiplier", spec.multiplier > 0.0, "multiplier must be positive"),
+        ("cell_size", spec.cell_size > 0.0, "cell size must be positive"),
+        ("epoch_length", spec.epoch_length > 0.0,
+         "epoch length must be positive"))
 
 
 def _as_points(x, dimension: int) -> np.ndarray:
@@ -162,7 +157,7 @@ class Kernel:
     """
 
     def __init__(self, spec: KernelSpec):
-        _check_spec(spec)
+        raise_first(kernel_errors(spec))
         self.spec = spec
         self.translation_invariant = \
             spec.family in TRANSLATION_INVARIANT_FAMILIES
@@ -241,7 +236,7 @@ def validate_kernel(kernel) -> KernelValidationReport:
     SAMPLING_SEED and the spec's seed.
     """
     spec = kernel.spec
-    _check_spec(spec)
+    raise_first(kernel_errors(spec))
     n = SAMPLE_COUNT
     rng = np.random.default_rng([SAMPLING_SEED, spec.seed & 0x7FFFFFFF])
     dim = spec.dimension

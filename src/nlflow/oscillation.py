@@ -18,7 +18,8 @@ import numpy as np
 from .degiorgi import BarrierFamily, LemmaReport, _barrier, \
     _first_exceedance, _graded, eval_barrier
 from .errors import (InvalidParameterError, NonLatticeStepError,
-                     TrajectoryMismatchError, UnderResolvedError)
+                     TrajectoryMismatchError, UnderResolvedError,
+                     raise_first, violations)
 from .flow import Trajectory
 from .grid import DiscreteOperator, Field, Grid, OffsetStencil
 from .kernels import BAND_RTOL, Kernel
@@ -168,11 +169,12 @@ def scan_derived_envelope(potential: Potential, theta_traj: Trajectory,
     truncation radius at every sample time, at the steps h = m * spacing for
     m in ENVELOPE_STEP_FACTORS; `sample_count` is the number of pairs checked.
 
-    The certified band is the measurable-kernel tier: the base multiplier and
-    the phi'' average each live in [Lambda^{-1/2}, Lambda^{1/2}], so their
-    product stays within [Lambda^{-1}, Lambda] for every h.  The ratio keeps
-    the multiplier, and the band is compared up to `kernels.BAND_RTOL`, as
-    `validate_kernel` compares it.
+    The base multiplier lives in [Lk^{-1/2}, Lk^{1/2}] and the phi''
+    average in [Lp^{-1/2}, Lp^{1/2}], with Lk and Lp the kernel's and the
+    potential's Lambda, so their product stays within the certified band
+    [(Lk Lp)^{-1/2}, (Lk Lp)^{1/2}] for every h: [1/Lambda, Lambda] when
+    the two agree.  The ratio keeps the multiplier, and the band is compared
+    up to `kernels.BAND_RTOL`, as `validate_kernel` compares it.
     """
     base = theta_traj.kernel
     if base is None:
@@ -188,10 +190,11 @@ def scan_derived_envelope(potential: Potential, theta_traj: Trajectory,
     # for K^h
     base_ratio = (op.offset_values() * op.dists ** (grid.dimension + s)
                   / (1.0 - 0.5 * s))[:, None]
-    band_lo, band_hi = 1.0 / base.spec.ellipticity, base.spec.ellipticity
+    product = base.spec.ellipticity * potential.spec.ellipticity
+    band_lo, band_hi = product ** -0.5, product ** 0.5
     lo, hi = band_lo * (1.0 - BAND_RTOL), band_hi * (1.0 + BAND_RTOL)
     ratio_min, ratio_max = math.inf, -math.inf
-    violations = count = 0
+    breaks = count = 0
     for dk in kernels:
         for t in theta_traj.times:
             factors = dk.offset_factors(t, op.stencil)
@@ -200,12 +203,12 @@ def scan_derived_envelope(potential: Potential, theta_traj: Trajectory,
                 (base_ratio.size, grid.n_nodes))
             ratio_min = min(ratio_min, float(np.min(ratios)))
             ratio_max = max(ratio_max, float(np.max(ratios)))
-            violations += int(np.sum(
+            breaks += int(np.sum(
                 mult * ((ratios < lo) | (ratios > hi))))
             count += int(np.sum(mult)) * grid.n_nodes
     return DerivedEnvelopeReport(
         sample_count=count, ratio_min=ratio_min, ratio_max=ratio_max,
-        band_lo=band_lo, band_hi=band_hi, violations=violations,
+        band_lo=band_lo, band_hi=band_hi, violations=breaks,
         step_factors=ENVELOPE_STEP_FACTORS)
 
 
@@ -388,6 +391,12 @@ def _fit_decay(osc: np.ndarray, scale: float, s: float
     return slope, r2, False
 
 
+def decay_errors(scale: float, levels: int) -> list:
+    """(field, error) pairs of the rules a decay fit's cylinders break."""
+    return violations(("levels", levels >= 3, "need at least 3 levels"),
+                      ("scale", 0.0 < scale < 1.0, "scale must lie in (0,1)"))
+
+
 def oscillation_decay(traj: Trajectory, scale: float,
                       levels: int) -> OscillationReport:
     """Oscillation over nested cylinders (-scale^{ks}, 0] x B_{scale^k} about
@@ -398,11 +407,7 @@ def oscillation_decay(traj: Trajectory, scale: float,
     verdict rests on it, and it is not a Holder exponent: on the oscillation
     runs it reads above 1, the smoothness of a smoothed step.
     """
-    if levels < 3:
-        raise InvalidParameterError(f"need >= 3 levels, got {levels}")
-    if not (0.0 < scale < 1.0):
-        raise InvalidParameterError(
-            f"scale factor must lie in (0, 1), got {scale}")
+    raise_first(decay_errors(scale, levels))
     s = float(traj.order)
     ks = np.arange(levels)
     radii = scale ** ks

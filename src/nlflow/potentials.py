@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import raise_first, violations
 
 POTENTIAL_FAMILIES = ("quadratic", "smoothed-huber")
 
@@ -40,20 +40,23 @@ FD_TOL = 1e-6
 @dataclass(frozen=True)
 class PotentialSpec:
     family: str = "quadratic"
-    ellipticity: float = 4.0    # Lambda > 1
+    ellipticity: float = 4.0    # finite Lambda > 1
+
+
+def potential_errors(spec: PotentialSpec) -> list:
+    """(field, error) pairs of the rules `spec` breaks."""
+    return violations(
+        ("family", spec.family in POTENTIAL_FAMILIES,
+         f"potential family must be one of {', '.join(POTENTIAL_FAMILIES)}"),
+        ("ellipticity", 1.0 < spec.ellipticity < math.inf,
+         "ellipticity must be finite and exceed 1"))
 
 
 class Potential:
     """Evaluator bundle: value / d1 / psi / d2 plus certified d2 bounds."""
 
     def __init__(self, spec: PotentialSpec):
-        if spec.family not in POTENTIAL_FAMILIES:
-            raise InvalidParameterError(
-                f"unknown potential family {spec.family!r}; expected one of "
-                f"{', '.join(POTENTIAL_FAMILIES)}")
-        if not (spec.ellipticity > 1.0):
-            raise InvalidParameterError(
-                f"ellipticity must exceed 1: {spec.ellipticity}")
+        raise_first(potential_errors(spec))
         self.spec = spec
         lam = spec.ellipticity
         if spec.family == "quadratic":

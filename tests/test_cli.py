@@ -114,7 +114,8 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
      "calibration.file dimension must be 1"),
     (["run", "--set", "flow.kind=nonlinear",
       "--set", "kernel.family=rough-static"], "power-law kernel family"),
-    (["run", "--set", "flow.strategy=spectral"], "kernel.radius=inf"),
+    (["run", "--set", "flow.strategy=spectral"],
+     "kernel.radius: the spectral strategy needs truncation radius inf"),
     (["run", "--set", "flow.strategy=spectral", "--set", "kernel.radius=inf",
       "--set", "kernel.family=rough-static"], "power-law kernel family"),
     (["diagnose", "--seed", "1", "--set", "calibration.file={tmp}/no.json"],
@@ -137,7 +138,7 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
     (["denoise", "--set", "denoise.input={tmp}/tiny.pgm",
       "--set", "kernel.radius=1.0"], "no lattice neighbor"),
     (["denoise", "--set", "denoise.input={tmp}/narrow.csv"],
-     "torus width 4 must exceed twice it"),
+     "kernel.radius: torus width 4 must exceed twice the truncation radius"),
     (["denoise", "--set", "denoise.input={tmp}/tiny.pgm",
       "--set", "flow.strategy=dense"], "flow.strategy"),
     (["run", "--seed", "1", "--set", "flow.kind=nonlinear",
@@ -154,6 +155,25 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
      "initial.amplitude"),
     (["validate", "--set", "initial.amplitude=-6e99",
       "--set", "initial.shift=5e99"], "at most 1e100"),
+    (["run", "--seed", "1", "--set", "flow.end=inf"],
+     "flow.end: end time must be finite"),
+    (["run", "--seed", "1", "--set", "flow.start=-inf"],
+     "flow.start: start time must be finite"),
+    (["denoise", "--set", "denoise.input={tmp}/tiny.pgm",
+      "--set", "denoise.time=inf"], "denoise.time: end time must be finite"),
+    (["run", "--seed", "1", "--set", "flow.kind=nonlinear",
+      "--set", "potential.lambda=inf"],
+     "potential.lambda: ellipticity must be finite"),
+    (["validate", "--set", "potential.lambda=inf"],
+     "potential.lambda: ellipticity must be finite"),
+    (["run", "--seed", "1", "--set", "kernel.family=rough-static",
+      "--set", "kernel.lambda=inf", "--set", "grid.M=32"],
+     "kernel.lambda: ellipticity must be finite"),
+    (["run", "--seed", "1", "--set", "kernel.lambda=inf"],
+     "kernel.lambda: ellipticity must be finite"),
+    (["run", "--seed", "1", "--set", "kernel.radius=inf",
+      "--set", "grid.L=inf", "--set", "grid.M=16"],
+     "grid.L: side length must be finite"),
 ], ids=["calibrate-2d", "calibrate-order", "diagnose-2d", "diagnose-order",
         "diagnose-calibration-order", "diagnose-calibration-2d",
         "nonlinear-rough", "spectral-truncated", "spectral-rough",
@@ -165,7 +185,10 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
         "validate-multiplier-4", "validate-multiplier-0.25",
         "validate-multiplier-100", "run-multiplier-4",
         "denoise-multiplier-0.25", "amplitude-1e200",
-        "amplitude-plus-shift"])
+        "amplitude-plus-shift", "run-end-inf", "run-start-minus-inf",
+        "denoise-time-inf", "nonlinear-potential-lambda-inf",
+        "validate-potential-lambda-inf", "rough-kernel-lambda-inf",
+        "power-law-kernel-lambda-inf", "untruncated-side-length-inf"])
 def test_unsupported_config_exits_2(tmp_path, capsys, argv, message):
     # refused before any work, not aborted later with exit 1 or 3; a dict in
     # argv stands for a calibration file with those entries changed, and
@@ -483,7 +506,8 @@ def test_denoise_guards(tmp_path, capsys):
                "--set", f"denoise.input={src}",
                "--set", "flow.strategy=spectral"])
     assert rc == 2
-    assert "kernel.radius=inf" in capsys.readouterr().err
+    assert "kernel.radius: the spectral strategy needs truncation radius inf" \
+        in capsys.readouterr().err
     assert not (tmp_path / "d").exists()
 
 
@@ -524,19 +548,41 @@ def test_largest_budget_stops_just_below_the_first_failure(pairs, expected):
 # ---------------------------------------------------------------------------
 # config sweep
 
-def sweep_argv(rng) -> list[str]:
-    """One seeded `validate` or `run` command line over every kernel family,
-    strategy, stepper, initial kind and flow kind, on at most 20 points an
-    axis.  kernel.lambda stays at most 16 and flow.end at most 0.2 because
-    step counts grow with both: a rough run at Lambda = 1e6 took 40 s, slow
-    but not wrong.  Half the amplitudes reach 1e300, so that the refusals
-    above |amplitude| + |shift| = 1e100 leave room for runs."""
+def sweep_inputs(directory) -> dict:
+    """The field files the sweep's denoise draws read: a 16 x 16 PGM and a
+    1-d CSV of 24 nodes on a torus of width 6, so that a kernel radius of 3
+    or more is refused on it."""
+    rng = np.random.default_rng(7)
+    files = {"pgm": Field(Grid(2, 16.0, 16), rng.uniform(0.0, 1.0, 256)),
+             "csv": Field(Grid(1, 6.0, 24), rng.uniform(-1.0, 1.0, 24))}
+    paths = {}
+    for ext, field in files.items():
+        paths[ext] = str(directory / f"sweep.{ext}")
+        save_field(field, paths[ext])
+    return paths
+
+
+def sweep_argv(rng, inputs) -> list[str]:
+    """One seeded `validate`, `run`, `denoise` or `diagnose` command line
+    over every kernel family, strategy, stepper, initial kind and flow kind,
+    on at most 20 points an axis, with each float key +-inf one time in 40.
+    kernel.lambda stays at most 16 and flow.end at most 0.2 because step
+    counts grow with both: a rough run at Lambda = 1e6 took 40 s, slow but
+    not wrong.  Half the amplitudes reach 1e300, so that the refusals above
+    |amplitude| + |shift| = 1e100 leave room for runs.  The diagnose.* keys
+    are drawn for diagnose and one other draw in four; three diagnose draws
+    in four keep grid.N = 1 and kernel.s = 1, the ensembles' own, so that
+    the diagnose.* keys are reached, and three denoise draws in four keep
+    the power-law family and the banded strategy that its nonlinear flow
+    needs; `inputs` maps pgm and csv to the files of `sweep_inputs`."""
     def pick(options):
         return options[rng.integers(len(options))]
 
     def signed_power(lo, hi):
         return pick((-1.0, 1.0)) * 10.0 ** rng.uniform(lo, hi)
 
+    command = pick(("validate", "run", "run", "run", "denoise", "denoise",
+                    "diagnose", "diagnose"))
     lam = 16.0 ** rng.uniform(0.01, 1.0)
     sets = {
         "kernel.family": pick(KERNEL_FAMILIES),
@@ -563,11 +609,25 @@ def sweep_argv(rng) -> list[str]:
         "flow.kind": pick(("linear", "nonlinear")),
         "flow.stepper": pick(("euler", "heun")),
         "flow.strategy": pick(STRATEGIES),
+        "flow.start": pick((0.0, 0.0, 0.0, -rng.uniform(0.0, 0.2))),
         "flow.end": rng.uniform(0.01, 0.2),
+        "flow.dt_max": pick((None, None, None, rng.uniform(0.001, 0.1))),
         "flow.sample_every": rng.integers(1, 4),
+        "denoise.input": inputs[pick(("pgm", "csv"))],
+        "denoise.time": rng.uniform(0.01, 0.2),
     }
-    argv = [pick(("validate", "run", "run", "run")), "--seed",
-            pick(("1", "1..2"))]
+    if command == "diagnose" or rng.integers(4) == 0:
+        sets.update({"diagnose.k_max": pick((0, 1, 3, 6, 6, 6, 6, 7)),
+                     "diagnose.levels": pick((2, 3, 3, 4, 4, 5)),
+                     "diagnose.scale": rng.uniform(0.45, 1.05)})
+    for key, value in sets.items():
+        if isinstance(value, float) and rng.integers(40) == 0:
+            sets[key] = pick((-math.inf, math.inf))
+    if command == "diagnose" and rng.integers(4):
+        sets.update({"grid.N": 1, "kernel.s": 1.0})
+    if command == "denoise" and rng.integers(4):
+        sets.update({"kernel.family": "power-law", "flow.strategy": "banded"})
+    argv = [command, "--seed", pick(("1", "1..2"))]
     for key, value in sets.items():
         argv += ["--set", f"{key}={value}"]
     return argv
@@ -577,9 +637,10 @@ def test_config_sweep_exits_0_or_2(tmp_path, capsys):
     # every configuration either works end to end or is refused before any
     # work: no verdict false by construction (exit 1), no abort, no traceback
     rng = np.random.default_rng(1003)
+    inputs = sweep_inputs(tmp_path)
     broken = []
     for i in range(300):
-        argv = sweep_argv(rng) + ["--out", str(tmp_path / f"d{i}")]
+        argv = sweep_argv(rng, inputs) + ["--out", str(tmp_path / f"d{i}")]
         try:
             rc = main(argv)
         except Exception as exc:     # reported below with its draw

@@ -1,5 +1,6 @@
 """Config parsing: defaults, overrides, collected errors, builders."""
 
+import math
 import pathlib
 
 import numpy as np
@@ -7,8 +8,14 @@ import pytest
 
 import nlflow
 from nlflow.config import SCHEMA, parse_config, parse_seed_list
-from nlflow.errors import ConfigError
-from nlflow.flow import run_flow
+from nlflow.degiorgi import truncated_energies
+from nlflow.errors import ConfigError, NlflowError
+from nlflow.fields import make_initial
+from nlflow.flow import FlowProblem, run_flow
+from nlflow.grid import DiscreteOperator, Grid
+from nlflow.kernels import KernelSpec, make_kernel
+from nlflow.oscillation import oscillation_decay
+from nlflow.potentials import PotentialSpec, make_potential
 
 
 def test_everything_defaults_to_the_schema():
@@ -79,13 +86,16 @@ def test_all_violations_are_collected():
     message = str(err.value)
     assert message.startswith("invalid configuration:")
     assert "kernel.s: order out of (0,2) (got 2.5)" in message
-    assert "grid.M: need at least 8 points per axis (got 4)" in message
-    assert "flow.stepper: expected euler or heun (got 'rk4')" in message
+    assert "grid.M: need an integer of at least 8 points per axis (got 4)" \
+        in message
+    assert "flow.stepper: stepper must be one of euler, heun (got 'rk4')" \
+        in message
     assert len(err.value.errors) == 3
 
 
 def test_torus_width_must_cover_the_kernel():
-    with pytest.raises(ConfigError, match="twice the kernel radius 3.0"):
+    with pytest.raises(ConfigError, match="kernel.radius: torus width 5 must "
+                       "exceed twice the truncation radius 3"):
         parse_config(overrides=["grid.L=5.0"])
     # shrinking the radius with the box is fine
     cfg = parse_config(overrides=["grid.L=5.0", "kernel.radius=2.0"])
@@ -175,3 +185,119 @@ def test_seed_threads_through_kernel_and_initial():
     assert not np.array_equal(p3.initial.values, p4.initial.values)
     again = cfg.flow_problem(seed=3)
     assert np.array_equal(p3.initial.values, again.initial.values)
+
+
+def _problem(**changes):
+    g = Grid(1, 16.0, 64)
+    args = dict(kind="linear", grid=g, kernel=make_kernel(KernelSpec()),
+                initial=make_initial(g, "constant"),
+                potential=make_potential(PotentialSpec("smoothed-huber")))
+    return FlowProblem(**{**args, **changes})
+
+
+def _operator(strategy, grid=None, **changes):
+    grid = grid or Grid(1, 16.0, 64)
+    return DiscreteOperator(grid, make_kernel(KernelSpec(
+        dimension=grid.dimension, **changes)), strategy)
+
+
+# one broken value a rule: the overrides, the key and value the config
+# reports, and the library call whose constructor or guard owns the rule
+PARITY = {
+    "order": (["kernel.s=2.5"], "kernel.s", 2.5,
+              lambda: make_kernel(KernelSpec(order=2.5))),
+    "kernel-lambda": (["kernel.lambda=inf"], "kernel.lambda", math.inf,
+                      lambda: make_kernel(KernelSpec(ellipticity=math.inf))),
+    "truncation": (["kernel.radius=0"], "kernel.radius", 0.0,
+                   lambda: make_kernel(KernelSpec(truncation_radius=0.0))),
+    "kernel-family": (["kernel.family=smooth"], "kernel.family", "smooth",
+                      lambda: make_kernel(KernelSpec(family="smooth"))),
+    "multiplier": (["kernel.family=rough-static", "kernel.multiplier=0"],
+                   "kernel.multiplier", 0.0,
+                   lambda: make_kernel(KernelSpec(multiplier=0.0))),
+    "cell": (["kernel.cell=0"], "kernel.cell", 0.0,
+             lambda: make_kernel(KernelSpec(cell_size=0.0))),
+    "epoch": (["kernel.epoch=-1"], "kernel.epoch", -1.0,
+              lambda: make_kernel(KernelSpec(epoch_length=-1.0))),
+    "potential-family": (["potential.family=tv"], "potential.family", "tv",
+                         lambda: make_potential(PotentialSpec("tv"))),
+    "potential-lambda": (["potential.lambda=1"], "potential.lambda", 1.0,
+                         lambda: make_potential(PotentialSpec(
+                             "quadratic", 1.0))),
+    "dimension": (["grid.N=3"], "grid.N", 3, lambda: Grid(3, 16.0, 64)),
+    "points": (["grid.M=4"], "grid.M", 4, lambda: Grid(1, 16.0, 4)),
+    "side": (["grid.L=inf", "kernel.radius=inf"], "grid.L", math.inf,
+             lambda: Grid(1, math.inf, 64)),
+    "strategy": (["flow.strategy=fft"], "flow.strategy", "fft",
+                 lambda: _operator("fft")),
+    "torus": (["grid.L=5"], "kernel.radius", 3.0,
+              lambda: _operator("banded", Grid(1, 5.0, 256))),
+    "initial-kind": (["initial.kind=wave"], "initial.kind", "wave",
+                     lambda: make_initial(Grid(), "wave")),
+    "sigma": (["initial.sigma=0"], "initial.sigma", 0.0,
+              lambda: make_initial(Grid(), "bump", sigma=0.0)),
+    "radius": (["initial.radius=-1"], "initial.radius", -1.0,
+               lambda: make_initial(Grid(), "step", radius=-1.0)),
+    "flow-kind": (["flow.kind=parabolic"], "flow.kind", "parabolic",
+                  lambda: _problem(kind="parabolic")),
+    "stepper": (["flow.stepper=rk4"], "flow.stepper", "rk4",
+                lambda: _problem(stepper="rk4")),
+    "start": (["flow.start=-inf"], "flow.start", -math.inf,
+              lambda: _problem(t_start=-math.inf)),
+    "end": (["flow.end=inf"], "flow.end", math.inf,
+            lambda: _problem(t_end=math.inf)),
+    "span": (["flow.end=-1"], "flow.end", -1.0,
+             lambda: _problem(t_start=0.0, t_end=-1.0)),
+    "denoise-time": (["denoise.time=0"], "denoise.time", 0.0,
+                     lambda: _problem(t_start=0.0, t_end=0.0)),
+    "dt-max": (["flow.dt_max=-0.1"], "flow.dt_max", -0.1,
+               lambda: run_flow(_problem(dt_max=-0.1))),
+    "sample-every": (["flow.sample_every=0"], "flow.sample_every", 0,
+                     lambda: run_flow(_problem(), sample_every=0)),
+    "k-max": (["diagnose.k_max=0"], "diagnose.k_max", 0,
+              lambda: truncated_energies(None, k_max=0)),
+    "levels": (["diagnose.levels=2"], "diagnose.levels", 2,
+               lambda: oscillation_decay(None, scale=0.65, levels=2)),
+    "scale": (["diagnose.scale=1.5"], "diagnose.scale", 1.5,
+              lambda: oscillation_decay(None, scale=1.5, levels=4)),
+    # the rules `check_flow` asks of a flow the config accepts
+    "spectral-radius": (["flow.strategy=spectral"], "kernel.radius", 3.0,
+                        lambda: _operator("spectral")),
+    "spectral-family": (["flow.strategy=spectral", "kernel.radius=inf",
+                         "kernel.family=rough-static"], "kernel.family",
+                        "rough-static", lambda: _operator(
+                            "spectral", family="rough-static",
+                            truncation_radius=math.inf)),
+    "dense-cap": (["flow.strategy=dense", "grid.N=2", "grid.M=65"],
+                  "flow.strategy", "dense",
+                  lambda: _operator("dense", Grid(2, 16.0, 65))),
+    "neighbor": (["grid.M=8", "kernel.radius=1"], "kernel.radius", 1.0,
+                 lambda: _operator("banded", Grid(1, 16.0, 8),
+                                   truncation_radius=1.0)),
+    "nonlinear-strategy": (["flow.kind=nonlinear", "flow.strategy=dense"],
+                           "flow.strategy", "dense",
+                           lambda: _problem(kind="nonlinear",
+                                            strategy="dense")),
+    "nonlinear-family": (["flow.kind=nonlinear",
+                          "kernel.family=rough-static"], "kernel.family",
+                         "rough-static", lambda: _problem(
+                             kind="nonlinear", kernel=make_kernel(
+                                 KernelSpec(family="rough-static")))),
+}
+
+
+@pytest.mark.parametrize("sets, key, value, build", PARITY.values(),
+                         ids=PARITY.keys())
+def test_the_config_reports_each_rule_in_its_owners_words(sets, key, value,
+                                                          build):
+    # the config states no rule itself: its line for the key is the owning
+    # module's message, under the key, with the value it read
+    with pytest.raises(NlflowError) as owner:
+        build()
+    lines = []
+    try:
+        cfg = parse_config(overrides=sets)
+        cfg.check_flow(cfg.get("flow.kind"), cfg.make_grid())
+    except ConfigError as exc:
+        lines = exc.errors
+    assert f"{key}: {owner.value} (got {value!r})" in lines

@@ -363,6 +363,10 @@ def test_sampling_cadence_and_endpoints():
     assert traj.dts.size == traj.step_times.size - 1
 
 
+# the non-finite states this test makes warn as numpy reduces them
+@pytest.mark.filterwarnings(
+    "ignore:invalid value encountered in dot:RuntimeWarning",
+    "ignore:invalid value encountered in subtract:RuntimeWarning")
 def test_non_finite_state_names_its_step(monkeypatch):
     g = grid_1d(256)
     problem = FlowProblem(kind="linear", grid=g, kernel=power_law_kernel(),

@@ -189,7 +189,7 @@ def test_rough_static_ignores_time():
 # parameter guards
 
 def test_order_out_of_range_rejected():
-    with pytest.raises(InvalidParameterError, match=r"order out of \(0, 2\)"):
+    with pytest.raises(InvalidParameterError, match=r"order out of \(0,2\)"):
         make_kernel(KernelSpec(order=2.5))
     with pytest.raises(InvalidParameterError):
         make_kernel(KernelSpec(order=0.0))

@@ -177,17 +177,21 @@ def edge_multiplier_run(multiplier, potential, kind, amplitude, points=64):
 
 @pytest.mark.parametrize("multiplier, amplitude", [(2.0, 1.0), (0.5, 4.0)])
 def test_derived_envelope_scan_keeps_the_multiplier(multiplier, amplitude):
-    # K^h carries the multiplier c in [1/2, 2] times a phi'' average in
-    # [1/4, 4] (Lambda = 16): at c = 2 small differences push K^h up to 8,
-    # and at c = 1/2 large ones down to 0.16, outside the band [1/4, 4]
+    # K^h carries the multiplier c in [1/2, 2] (kernel Lambda 4) times a
+    # phi'' average in [1/4, 4] (potential Lambda 16): at c = 2 small
+    # differences push K^h up to 8, and at c = 1/2 large ones down to 0.16,
+    # inside the product band [1/8, 8] but past what the phi'' average
+    # alone reaches, which a scan without the multiplier would report
     pot = huber(16.0)
     rep = scan_derived_envelope(pot, edge_multiplier_run(
         multiplier, pot, "random", amplitude))
-    assert not rep.passed
+    assert rep.passed
+    assert (rep.band_lo, rep.band_hi) == (0.125, 8.0)
+    lam_p = pot.spec.ellipticity
     if multiplier > 1.0:
-        assert rep.ratio_max > 1.9 * rep.band_hi
+        assert rep.ratio_max > 1.9 * lam_p ** 0.5
     else:
-        assert rep.ratio_min < 0.7 * rep.band_lo
+        assert rep.ratio_min < 0.7 * lam_p ** -0.5
 
 
 def test_derived_envelope_scan_admits_the_band_edge():
