@@ -24,9 +24,9 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .degiorgi import check_recurrence, level_set_measures, \
-    truncated_energies, verify_corollary2, verify_lemma1
-from .ensembles import LEVELS, MAX_K, SCALE
+from .degiorgi import check_recurrence, constant_errors, \
+    level_set_measures, truncated_energies, verify_corollary2, verify_lemma1
+from .ensembles import LEVELS, MAX_K, SCALE, recipe_errors
 from .errors import ConfigError
 from .fieldio import write_json
 from .oscillation import check_scale_barrier, oscillation_decay, \
@@ -171,13 +171,13 @@ def calibrate_constants(lemma, level, recurrence,
         inter.append(m.intermediate)
         oscs.append(unit_oscillation(traj))
     mu = float(min(below))
-    mu_floored = not (mu > 0.0)
+    mu_floored = bool(constant_errors(mu=mu))
     if mu_floored:
         mu = 1e-3
     second_branch = [g for g, a in zip(inter, above) if a > delta]
     gamma_fallback = not second_branch
     gamma = float(min(second_branch) if second_branch else min(inter))
-    if not (gamma > 0.0):
+    if constant_errors(gamma=gamma):
         gamma, gamma_fallback = EPS_FLOOR, True
     # --- recurrence constant and oscillation exponents --------------------
     cbars = []
@@ -222,7 +222,7 @@ def calibrate_constants(lemma, level, recurrence,
     lam_star = min(lam_star_raw, 0.99 * barrier_probe["lam_star_threshold"],
                    1.0 - 1e-6)
     lam_star_capped = lam_star < lam_star_raw
-    if lam_star <= 0.0:
+    if constant_errors(lam_star=lam_star):
         lam_star, lam_star_capped = 1e-6, True
 
     const = CalibrationConstants(
@@ -269,7 +269,17 @@ def load_calibration(path: str) -> CalibrationConstants:
         raise ConfigError(
             f"calibration file {path!r} has unknown entries: "
             f"{', '.join(sorted(unknown))}")
-    return CalibrationConstants(**raw)
+    const = CalibrationConstants(**raw)
+    found = constant_errors(
+        eps0=const.eps0, delta=const.delta, mu=const.mu, gamma=const.gamma,
+        eps=const.eps, lam=const.lam, lam_star=const.lam_star) + [
+            (f, f"{f} {e}") for f, e in recipe_errors(const.dimension,
+                                                      const.order)]
+    if found:
+        raise ConfigError(f"invalid calibration file {path!r}:" + "".join(
+            f"\n  calibration.file {e} (got {getattr(const, f)!r})"
+            for f, e in found))
+    return const
 
 
 def default_calibration() -> CalibrationConstants:

@@ -160,7 +160,8 @@ def _cmd_validate(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
 
 
 def _cmd_run(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
-    cfg.check_flow(cfg.get("flow.kind"), cfg.make_grid())
+    cfg.check_flow(cfg.get("flow.kind"), cfg.make_grid(),
+                   cfg.get("flow.end") - cfg.get("flow.start"))
     _ensure_dirs(out_dir, "curves", "fields")
     records, notes = [], []
     traj = None
@@ -201,7 +202,7 @@ def _cmd_run(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
 def _cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
     path = cfg.get("calibration.file")
     cal = load_calibration(path) if path else default_calibration()
-    cfg.check_ensembles(cal)
+    cfg.check_recipes(resolve=True)
     seeds = list(cfg.get("ensemble.seeds"))
     k_max = cfg.get("diagnose.k_max")
     levels = cfg.get("diagnose.levels")
@@ -294,7 +295,7 @@ def _cmd_denoise(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
     if not os.path.isfile(src):
         raise ConfigError(f"denoise input is not a file: {src}")
     noisy = load_field(src)
-    cfg.check_flow("nonlinear", noisy.grid)
+    cfg.check_flow("nonlinear", noisy.grid, cfg.get("denoise.time"))
     # the file's own grid wins; rebuild the kernel at its dimension
     spec = dataclasses.replace(cfg.kernel_spec(),
                                dimension=noisy.grid.dimension)
@@ -346,7 +347,7 @@ def _cmd_denoise(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
 
 
 def _cmd_calibrate(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
-    cfg.check_ensembles()
+    cfg.check_recipes(resolve=False)
     seeds = CALIBRATION_SEEDS
     if cfg.sources["ensemble.seeds"] == "--seed":
         seeds = dict.fromkeys(seeds, list(cfg.get("ensemble.seeds")))

@@ -13,15 +13,16 @@ import math
 from dataclasses import dataclass, replace
 
 from .degiorgi import ladder_errors
-from .ensembles import DIMENSION, LEVELS, MAX_K, MIN_DEPTH, MIN_RADIUS, \
-    ORDER, SCALE
+from .ensembles import LEVELS, MAX_K, OSCILLATION_GAP, ORDER, \
+    RECURRENCE_GAP, SCALE, default_grid, recipe_errors
 from .errors import ConfigError, violations
 from .fields import initial_errors, make_initial
-from .flow import FlowProblem, kind_errors, problem_errors, stepping_errors
+from .flow import FlowProblem, kind_errors, problem_errors, size_errors, \
+    stepping_errors
 from .grid import Field, Grid, grid_errors, operator_errors
 from .kernels import TRANSLATION_INVARIANT_FAMILIES, KernelSpec, \
     kernel_errors, make_kernel
-from .oscillation import decay_errors
+from .oscillation import cylinder_errors, decay_errors
 from .potentials import Potential, PotentialSpec, make_potential, \
     potential_errors
 
@@ -199,41 +200,37 @@ class ExperimentConfig:
             mode=self.get("initial.mode"),
             shift=self.get("initial.shift"))
 
-    def check_flow(self, kind: str, grid: Grid) -> None:
-        """Raise ConfigError unless a `kind` flow can run on this config and
-        `grid`: the rules of the operator (`grid.operator_errors`) and of
-        the flow's kind (`flow.kind_errors`)."""
+    def check_flow(self, kind: str, grid: Grid, span: float) -> None:
+        """Raise ConfigError unless a `kind` flow over `span` can run on this
+        config and `grid`: the rules of the operator (`grid.operator_errors`),
+        the kind (`flow.kind_errors`) and the size (`flow.size_errors`)."""
         spec = replace(self.kernel_spec(), dimension=grid.dimension)
-        strategy = self.get("flow.strategy")
+        strategy, dt_max = self.get("flow.strategy"), self.get("flow.dt_max")
+        dt = math.inf if dt_max is None else dt_max
         _refuse(_keyed(self.values, operator_errors(grid, spec, strategy)
-                       + kind_errors(kind, strategy, spec.family), _KEYS))
+                       + kind_errors(kind, strategy, spec.family)
+                       + size_errors(span, dt, self.get("flow.sample_every"),
+                                     grid.n_nodes), _KEYS))
 
-    def check_ensembles(self, calibration=None) -> None:
-        """Raise ConfigError unless grid.N, kernel.s and `calibration`'s
-        dimension and order match the ensembles diagnose and calibrate run;
-        with the calibration diagnose passes, its runs must also resolve the
-        diagnose.* keys."""
-        found = [("grid.N", self.get("grid.N"), DIMENSION),
-                 ("kernel.s", self.get("kernel.s"), ORDER)]
-        errors = []
-        if calibration is not None:
-            found += [("calibration.file dimension", calibration.dimension,
-                       DIMENSION),
-                      ("calibration.file order", calibration.order, ORDER)]
-            if self.get("diagnose.k_max") > MAX_K:
-                errors.append(f"diagnose.k_max: the recurrence runs resolve "
-                              f"at most {MAX_K} rungs")
-            inner = self.get("diagnose.scale") ** (
+    def check_recipes(self, resolve: bool) -> None:
+        """Raise ConfigError unless grid.N and kernel.s are the recipes'
+        (`ensembles.recipe_errors`) and, with `resolve`, their runs resolve
+        the diagnose.* ladder and innermost cylinder, as the detectors ask."""
+        errors = [f"{_KEYS[field]} {error} (got {self.get(_KEYS[field])!r})"
+                  for field, error in recipe_errors(self.get("grid.N"),
+                                                    self.get("kernel.s"))]
+        if resolve:
+            radius = self.get("diagnose.scale") ** (
                 self.get("diagnose.levels") - 1)
-            if not (inner > MIN_RADIUS and inner ** ORDER > MIN_DEPTH):
-                errors.append(
-                    f"diagnose.scale, diagnose.levels: the oscillation runs "
-                    f"resolve an innermost cylinder of radius above "
-                    f"{MIN_RADIUS:g} and depth above {MIN_DEPTH:g}, not "
-                    f"scale^(levels-1) = {inner:g}")
-        _refuse([f"{what} must be {want:g}, as in the {DIMENSION}-d "
-                 f"order-{ORDER:g} ensembles (got {got!r})"
-                 for what, got, want in found if got != want] + errors)
+            depth = radius ** ORDER
+            # the oscillation runs sample every OSCILLATION_GAP back from 0
+            errors += _keyed(self.values, ladder_errors(
+                self.get("diagnose.k_max"), RECURRENCE_GAP), _KEYS) + [
+                f"diagnose.scale, diagnose.levels: the innermost {error}"
+                for _, error in cylinder_errors(
+                    radius, depth, int(default_grid().ball(radius).sum()),
+                    math.floor(depth / OSCILLATION_GAP) + 1)]
+        _refuse(errors)
 
     def seeds_reach_problem(self) -> bool:
         """Whether `flow_problem(seed)` differs between seeds: the seed only

@@ -28,6 +28,7 @@ from .grid import BLOCK_BUDGET, SEMINORM_CUTOFF, Grid, seminorm_sq, \
 
 __all__ = [
     "BARRIER_KINDS",
+    "constant_errors",
     "BarrierFamily",
     "eval_barrier",
     "barrier_on_grid",
@@ -69,6 +70,20 @@ _LAMBDA_KINDS = ("psi_lambda", "psi_eps_lambda", "phi0", "phi1", "phi2")
 WINDOW_CHUNK = 1 << 13
 
 
+def constant_errors(**constants: float) -> list:
+    """(field, error) pairs of the rules the lemmas' constants, named by
+    keyword, break: each is a number, the budgets eps0, delta, mu, gamma and
+    eps positive, the barrier parameter lam in (0, 1/3) and the drop
+    lam_star in (0, 1)."""
+    upper = {"lam": (1.0 / 3.0, "1/3"), "lam_star": (1.0, "1")}
+    return violations(*(
+        (name, isinstance(value, (int, float)) and (
+            0.0 < value < upper[name][0] if name in upper else value > 0.0),
+         f"{name} must lie in (0, {upper[name][1]})" if name in upper
+         else f"{name} must be positive")
+        for name, value in constants.items()))
+
+
 @dataclass(frozen=True)
 class BarrierFamily:
     """A radial barrier profile; `eval_barrier` consumes |x|."""
@@ -86,12 +101,9 @@ class BarrierFamily:
         if not (0.0 < self.order < 2.0):
             raise InvalidParameterError(
                 f"barrier order must lie in (0, 2), got {self.order}")
-        if self.kind in _LAMBDA_KINDS and not (0.0 < self.lam < 1.0 / 3.0):
-            raise InvalidParameterError(
-                f"lambda must lie in (0, 1/3), got {self.lam}")
-        if self.kind == "psi_eps_lambda" and not (self.eps > 0.0):
-            raise InvalidParameterError(
-                f"eps must be positive, got {self.eps}")
+        lam = {"lam": self.lam} if self.kind in _LAMBDA_KINDS else {}
+        eps = {"eps": self.eps} if self.kind == "psi_eps_lambda" else {}
+        raise_first(constant_errors(**lam, **eps))
 
     @property
     def support_radius(self) -> float:
@@ -227,9 +239,16 @@ class TruncatedEnergySequence:
         return int(self.levels[-1])
 
 
-def ladder_errors(k_max: int) -> list:
-    """(field, error) pairs of the rules a ladder depth breaks."""
-    return violations(("k_max", k_max >= 1, "need at least one rung"))
+def ladder_errors(k_max: int, max_gap: float = 0.0) -> list:
+    """(field, error) pairs of the rules a ladder of k_max rungs breaks on
+    samples at most `max_gap` apart: one rung or more, and four gaps or more
+    in [T_k_max, -1], a gap of at most 2^-k_max / 4 (up to a relative 1e-9)."""
+    rungs = max(0, math.floor(-math.log2(4.0 * max_gap / (1.0 + 1e-9)))) \
+        if max_gap > 0.0 else math.inf
+    return violations(
+        ("k_max", k_max >= 1, "need at least one rung"),
+        ("k_max", k_max <= rungs, f"samples {max_gap:.3e} apart resolve at "
+         f"most {rungs} rungs", InsufficientCoverageError))
 
 
 def truncated_energies(traj: Trajectory,
@@ -251,21 +270,11 @@ def truncated_energies(traj: Trajectory,
     summed along its nodes by one fixed pairwise tree, and the level-k
     sequence only gains extra nonnegative terms).
     """
-    raise_first(ladder_errors(k_max))
-    s = float(traj.order)
-    if not (0.0 < s < 2.0):
-        raise InvalidParameterError(f"order must lie in (0, 2), got {s}")
-    grid = traj.grid
+    s, grid = float(traj.order), traj.grid
     for edge in (-2.0, 0.0):            # samples reach both ends of [-2, 0]
         traj.window(edge, edge, need=1)
     idx = traj.window(-2.0)
-    times = traj.times[idx]
-    max_gap = float(np.max(np.diff(times)))
-    cadence = 2.0 ** (-k_max) / 4.0
-    if max_gap > cadence * (1.0 + 1e-9):
-        raise InsufficientCoverageError(
-            f"sample spacing {max_gap:.3e} exceeds {cadence:.3e}; the "
-            f"[T_{k_max}, 0] window would be under-resolved")
+    raise_first(ladder_errors(k_max, float(np.max(np.diff(traj.times[idx])))))
 
     ks = np.arange(k_max + 1)
     t_starts, cuts = _dyadic_ladder(k_max)
@@ -426,11 +435,8 @@ def chebyshev_chain(traj: Trajectory, k_max: int) -> ChebyshevReport:
 
 def _time_integral(traj: Trajectory, sums: np.ndarray,
                    idx: np.ndarray) -> float:
-    """Trapezoid-in-time integral of the node sums of the samples idx, each
-    times h^N."""
-    if idx.size < 2:
-        raise InsufficientCoverageError(
-            f"need >= 2 samples for a space-time measure, got {idx.size}")
+    """Trapezoid-in-time integral of the node sums of the samples idx, a
+    window of two samples or more (`Trajectory.window`), each times h^N."""
     h_n = traj.grid.spacing ** traj.grid.dimension
     return float(np.trapezoid(sums * h_n, traj.times[idx]))
 
@@ -530,8 +536,7 @@ def verify_lemma1(traj: Trajectory, eps0: float) -> LemmaReport:
 
     Hypothesis: int_{-2}^0 int (w - psi)_+^2 dx dt <= eps0.
     """
-    if not (eps0 > 0.0):
-        raise InvalidParameterError(f"eps0 must be positive, got {eps0}")
+    raise_first(constant_errors(eps0=eps0))
     s = float(traj.order)
     psi = _barrier(traj, "psi")
 
@@ -564,8 +569,7 @@ def verify_corollary1(traj: Trajectory, t0: float,
     For tau = t - t_start >= t0 the sampled sup norm is checked against
     ||w(0)||_2 / (2 sqrt(eps0) (t0/2)^{(N/s + 1)/2}).
     """
-    if not (eps0 > 0.0):
-        raise InvalidParameterError(f"eps0 must be positive, got {eps0}")
+    raise_first(constant_errors(eps0=eps0))
     span = float(traj.times[-1] - traj.times[0])
     if not (0.0 < t0 < 2.0) or t0 > span:
         raise InvalidParameterError(
@@ -613,8 +617,7 @@ def verify_corollary2(traj: Trajectory, delta: float) -> LemmaReport:
     Hypothesis:   |{w > 0} ^ ([-2,0] x B_2)| <= delta.
     Conclusion:   w <= 1/2 on [-1,0] x B_1.
     """
-    if not (delta > 0.0):
-        raise InvalidParameterError(f"delta must be positive, got {delta}")
+    raise_first(constant_errors(delta=delta))
     grid = traj.grid
     envelope_breach = _first_exceedance(traj, -2.0,
                                         1.0 + _barrier(traj, "psi1"))
@@ -642,9 +645,7 @@ def verify_lemma2(traj: Trajectory, mu: float, delta: float, gamma: float,
     Conclusion:   |{w > phi2} ^ ((-2,0) x torus)| <= delta   (first branch)
                   or |{phi0 < w < phi2} ^ ((-3,0) x torus)| >= gamma.
     """
-    for name, val in (("mu", mu), ("delta", delta), ("gamma", gamma)):
-        if not (val > 0.0):
-            raise InvalidParameterError(f"{name} must be positive, got {val}")
+    raise_first(constant_errors(mu=mu, delta=delta, gamma=gamma, lam=lam))
     envelope_breach = _first_exceedance(
         traj, -3.0, 1.0 + _barrier(traj, "psi_lambda", lam=lam))
 

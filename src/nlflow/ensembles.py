@@ -10,44 +10,45 @@ The flows of a config, which `nlflow run` integrates, come from
 
 from __future__ import annotations
 
-import math
-
+from .errors import violations
 from .fields import make_initial
 from .flow import FlowProblem, Trajectory, run_flow
 from .grid import Grid
 from .kernels import KernelSpec, make_kernel
-from .oscillation import MIN_CYLINDER
 
 __all__ = [
     "ORDER", "DIMENSION", "MAX_K", "LEVELS", "SCALE",
-    "default_grid", "rough_kernel",
+    "recipe_errors", "default_grid", "rough_kernel",
     "lemma_ensemble_run", "level_ensemble_run",
     "recurrence_run", "oscillation_run",
 ]
 
 
-# the kernel order and dimension of every recipe; the detectors read the
-# order from the trajectory, and the CLI refuses any other (config.py)
+# the kernel order and dimension of every recipe (`recipe_errors`); the
+# detectors read the order from the trajectory
 ORDER = 1.0
 DIMENSION = 1
 # the grid of every recipe, and the sample gaps (each dt_max) of the runs
-# diagnose reads the ladder and the cylinders from.  The CLI refuses
-# settings they do not resolve: truncated_energies needs gaps <= 2^-k_max/4,
-# and oscillation_decay's innermost cylinder MIN_CYLINDER nodes and samples,
-# so a radius above MIN_CYLINDER // 2 spacings and a depth above
-# MIN_CYLINDER - 1 gaps
+# diagnose reads the ladder and the cylinders from
 SIDE_LENGTH, POINTS = 16.0, 256
 RECURRENCE_GAP, OSCILLATION_GAP = 2.0 ** -8, 0.004
-MAX_K = int(-math.log2(4.0 * RECURRENCE_GAP))
-MIN_RADIUS = MIN_CYLINDER // 2 * SIDE_LENGTH / POINTS
-MIN_DEPTH = (MIN_CYLINDER - 1) * OSCILLATION_GAP
-# the settings diagnose (by default) and calibrate read the runs with: MAX_K
-# ladder rungs, and LEVELS nested cylinders shrinking by SCALE
-LEVELS, SCALE = 4, 0.65
+# the settings diagnose (by default) and calibrate read the runs with: the
+# MAX_K rungs RECURRENCE_GAP resolves, and LEVELS cylinders shrinking by SCALE
+MAX_K, LEVELS, SCALE = 6, 4, 0.65
 
 
-def default_grid(dimension: int = DIMENSION) -> Grid:
-    return Grid(dimension=dimension, side_length=SIDE_LENGTH,
+def recipe_errors(dimension: int, order: float) -> list:
+    """(field, error) pairs of the rules a dimension and a kernel order
+    break in the recipes: each is DIMENSION-d of order ORDER."""
+    pinned = f"as in the {DIMENSION}-d order-{ORDER:g} ensembles"
+    return violations(
+        ("dimension", dimension == DIMENSION,
+         f"must be {DIMENSION}, {pinned}"),
+        ("order", order == ORDER, f"must be {ORDER:g}, {pinned}"))
+
+
+def default_grid() -> Grid:
+    return Grid(dimension=DIMENSION, side_length=SIDE_LENGTH,
                 points_per_axis=POINTS)
 
 

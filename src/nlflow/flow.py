@@ -44,6 +44,11 @@ from .potentials import Potential
 
 STEPPERS = ("euler", "heun")
 STATE_CHUNK = 1 << 14    # values of run_flow's state buffer (2 states or more)
+# Most bytes of the samples and the seven per-state records (times, steps,
+# L2, energy, min, max, mass) one run_flow holds.  The largest run of the
+# tests, the config sweep and the benchmark's workloads holds 1.13 MiB
+# (denoise-2d), so 1 GiB admits it ~900 times over and fits a small machine
+RUN_MAX_BYTES = 1 << 30
 
 
 def stable_dt(op: DiscreteOperator, potential: Potential | None = None,
@@ -138,8 +143,9 @@ def problem_errors(kind: str, stepper: str, t_start: float,
          f"stepper must be one of {', '.join(STEPPERS)}"),
         ("t_start", math.isfinite(t_start), "start time must be finite"),
         ("t_end", math.isfinite(t_end), "end time must be finite"),
-        ("t_end", t_end > t_start,
-         f"end time must exceed the start time {t_start!r}"))
+        ("t_end", 0.0 < t_end - t_start < math.inf or math.isinf(t_start)
+         or math.isinf(t_end), f"end time must exceed the start time "
+         f"{t_start!r} by a finite span"))
 
 
 def kind_errors(kind: str, strategy: str, family: str) -> list:
@@ -162,6 +168,18 @@ def stepping_errors(dt_max: float | None, sample_every: int) -> list:
          "dt_max must be positive when set"),
         ("sample_every", sample_every >= 1,
          "sample interval must be a positive integer"))
+
+
+def size_errors(span: float, dt: float, sample_every: int,
+                n_nodes: int) -> list:
+    """(field, error) pairs of the rule a run over `span` in steps of at
+    most `dt` on n_nodes nodes breaks: it holds at most RUN_MAX_BYTES."""
+    steps = span / dt if dt > 0.0 else math.inf
+    held = 8.0 * (n_nodes * ((steps + 1.0) / sample_every + 2.0)
+                  + 7.0 * (steps + 2.0))
+    return violations(("dt_max", held <= RUN_MAX_BYTES, f"{steps:.3g} steps "
+                       f"on {n_nodes} nodes hold {held / 2 ** 30:.3g} GiB, "
+                       f"above the {RUN_MAX_BYTES >> 30} GiB a run may take"))
 
 
 @dataclass
@@ -285,6 +303,7 @@ def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
     if problem.dt_max is not None:
         dt_target = min(dt_target, problem.dt_max)
     span = problem.t_end - problem.t_start
+    raise_first(size_errors(span, dt_target, sample_every, grid.n_nodes))
     n_steps = max(1, int(math.ceil(span / dt_target - 1e-12)))
     step_times = np.linspace(problem.t_start, problem.t_end, n_steps + 1)
     COUNTERS["steps"] += n_steps

@@ -183,6 +183,9 @@ def operator_errors(grid: Grid, spec, strategy: str) -> list:
     """`grid_errors` and the pairs of the rules an operator of `strategy` on
     `grid` and a `spec` kernel adds."""
     radius, spectral = spec.truncation_radius, strategy == "spectral"
+    # inside the normal floats, so that kernel values and row sums are too
+    log_envelope = math.log(1.0 - 0.5 * spec.order) - (
+        spec.dimension + spec.order) * math.log(grid.spacing)
     return grid_errors(grid.dimension, grid.side_length, grid.points_per_axis,
                        radius, strategy) + violations(
         ("dimension", grid.dimension == spec.dimension, f"grid dimension "
@@ -201,7 +204,10 @@ def operator_errors(grid: Grid, spec, strategy: str) -> list:
          StrategyMismatchError),
         ("truncation_radius", radius >= grid.spacing, f"no lattice neighbor "
          f"within the truncation radius at grid spacing {grid.spacing:g}",
-         GridMismatchError))
+         GridMismatchError),
+        ("side_length", -708.0 < log_envelope < 709.0, f"the kernel envelope "
+         f"(1-s/2) h^-(N+s) at the grid spacing {grid.spacing:g} must lie "
+         f"between e^-708 and e^709", GridMismatchError))
 
 
 def _signed_steps(grid: Grid, steps: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .degiorgi import BarrierFamily, LemmaReport, _barrier, \
-    _first_exceedance, _graded, eval_barrier
+    _first_exceedance, _graded, constant_errors, eval_barrier
 from .errors import (InvalidParameterError, NonLatticeStepError,
                      TrajectoryMismatchError, UnderResolvedError,
                      raise_first, violations)
@@ -35,6 +35,7 @@ __all__ = [
     "parabolic_rescale",
     "OscillationReport",
     "oscillation_decay",
+    "cylinder_errors",
     "RescaleLevel",
     "RescaleReport",
     "rescaling_sequence",
@@ -336,17 +337,23 @@ def parabolic_rescale(traj: Trajectory, rho: float) -> Trajectory:
 # ---------------------------------------------------------------------------
 # oscillation decay and its measured slope
 
+def cylinder_errors(radius: float, depth: float, n_nodes: int,
+                    n_samples: int) -> list:
+    """(field, error) pairs of the rule a cylinder [-depth, 0] x B_radius
+    of n_nodes nodes and n_samples samples breaks: MIN_CYLINDER of each."""
+    return violations(("cylinder", min(n_nodes, n_samples) >= MIN_CYLINDER,
+                       f"cylinder [-{depth:g}, 0] x B_{radius:g} holds "
+                       f"{n_nodes} nodes and {n_samples} samples; need >= "
+                       f"{MIN_CYLINDER} of each", UnderResolvedError))
+
+
 def _cylinder(traj: Trajectory, radius: float,
               depth: float) -> tuple[np.ndarray, np.ndarray]:
     """Sample indices and node mask of [-depth, 0] x B_radius about the
-    origin; raises unless each holds MIN_CYLINDER."""
+    origin; raises unless `cylinder_errors` finds none."""
     rows = traj.window(-depth, need=0)
     nodes = traj.grid.ball(radius)
-    n_nodes = int(np.sum(nodes))
-    if n_nodes < MIN_CYLINDER or rows.size < MIN_CYLINDER:
-        raise UnderResolvedError(
-            f"cylinder [-{depth:g}, 0] x B_{radius:g} holds {n_nodes} nodes "
-            f"and {rows.size} samples; need >= {MIN_CYLINDER} of each")
+    raise_first(cylinder_errors(radius, depth, int(np.sum(nodes)), rows.size))
     return rows, nodes
 
 
@@ -472,14 +479,9 @@ def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
     cylinder holds fewer than MIN_CYLINDER nodes or samples; the input's own
     unit cylinder must hold them.
     """
-    if not (0.0 < lam < 1.0 / 3.0):
-        raise InvalidParameterError(f"lambda must be in (0, 1/3), got {lam}")
-    if not (0.0 < lam_star < 1.0):
-        raise InvalidParameterError(
-            f"lambda_star must be in (0, 1), got {lam_star}")
-    if not (0.0 < scale < 1.0):
-        raise InvalidParameterError(
-            f"scale factor must be in (0, 1), got {scale}")
+    # the levels shrink by `scale`, as the decay fit's cylinders do
+    raise_first(constant_errors(lam=lam, lam_star=lam_star, eps=eps)
+                + decay_errors(scale, MAX_RESCALE_LEVELS))
     s = float(traj.order)
     shrink = 1.0 - 0.25 * lam_star
     current = traj
@@ -532,11 +534,7 @@ def verify_lemma3(traj: Trajectory, eps: float, lam: float,
     Hypothesis: -1 - psi_{eps,lam} <= w <= 1 + psi_{eps,lam} on [-3, 0].
     Conclusion: sup - inf over [-1,0] x B_1 is at most 2 - lam_star.
     """
-    if not (eps > 0.0):
-        raise InvalidParameterError(f"eps must be positive, got {eps}")
-    if not (0.0 < lam_star < 1.0):
-        raise InvalidParameterError(
-            f"lambda_star must be in (0, 1), got {lam_star}")
+    raise_first(constant_errors(eps=eps, lam=lam, lam_star=lam_star))
     violation = _envelope_breach(traj, lam, eps)
     hypothesis_ok = violation is None
     osc = unit_oscillation(traj)

@@ -69,12 +69,7 @@ def calibration():
 
 @pytest.fixture(scope="session")
 def grid1():
-    return default_grid(1)
-
-
-@pytest.fixture(scope="session")
-def grid2():
-    return default_grid(2)
+    return default_grid()
 
 
 def constant_trajectory(grid: Grid, value: float, t_lo: float = -3.0,

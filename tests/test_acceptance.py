@@ -243,7 +243,7 @@ def test_truncated_energy_recurrence():
         if fit is not None and math.isfinite(fit):
             constants.append(fit)
     # 20 synthetic trajectories x 5 samples = 100 random fields
-    grid = default_grid(1)
+    grid = default_grid()
     times = np.linspace(-2.0, 0.0, 5)
     for seed in range(1, 21):
         rng = np.random.default_rng(seed)
@@ -284,7 +284,7 @@ def test_detectors_on_ensembles_and_counterexamples(calibration):
             lam_star=cal.lam_star).verdict] += 1
     clean = all(c["fail"] == 0 and c["pass"] >= 1 for c in verdicts.values())
 
-    grid = default_grid(1)
+    grid = default_grid()
     flagged = (
         verify_lemma1(lemma1_counterexample(grid),
                       eps0=cal.eps0).verdict == "fail"

@@ -13,18 +13,25 @@ import pytest
 
 import nlflow
 from conftest import DISSIPATION_SEEDS, cached_calibration_runs, \
-    cached_dissipation_run, dissipation_sets
+    cached_dissipation_run, cached_oscillation_run, cached_recurrence_run, \
+    constant_trajectory, dissipation_sets
 from nlflow import flow
 from nlflow.calibrate import CAP, CALIBRATION_SEEDS, _largest_budget, \
     calibrate_constants, default_calibration, load_calibration, \
     save_calibration
 from nlflow.cli import _dissipation_record, main
 from nlflow.config import parse_config
+from nlflow.degiorgi import truncated_energies, verify_corollary2, \
+    verify_lemma1, verify_lemma2
+from nlflow.ensembles import MAX_K
+from nlflow.errors import ConfigError, InsufficientCoverageError, \
+    InvalidParameterError, UnderResolvedError
 from nlflow.fieldio import load_field, save_field
 from nlflow.fields import INITIAL_KINDS
 from nlflow.flow import run_flow
 from nlflow.grid import STRATEGIES, Field, Grid, kernel_epoch
 from nlflow.kernels import KERNEL_FAMILIES
+from nlflow.oscillation import oscillation_decay, verify_lemma3
 from nlflow.potentials import POTENTIAL_FAMILIES
 
 
@@ -174,6 +181,32 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
     (["run", "--seed", "1", "--set", "kernel.radius=inf",
       "--set", "grid.L=inf", "--set", "grid.M=16"],
      "grid.L: side length must be finite"),
+    (["diagnose", "--seed", "1", "--set", {"eps0": 0.0}],
+     "calibration.file eps0 must be positive (got 0.0)"),
+    (["diagnose", "--seed", "1", "--set", {"delta": -1.0}],
+     "calibration.file delta must be positive"),
+    (["diagnose", "--seed", "1", "--set", {"mu": 0.0}],
+     "calibration.file mu must be positive"),
+    (["diagnose", "--seed", "1", "--set", {"gamma": 0.0}],
+     "calibration.file gamma must be positive"),
+    (["diagnose", "--seed", "1", "--set", {"eps": 0.0}],
+     "calibration.file eps must be positive"),
+    (["diagnose", "--seed", "1", "--set", {"lam": 0.5}],
+     "calibration.file lam must lie in (0, 1/3) (got 0.5)"),
+    (["diagnose", "--seed", "1", "--set", {"lam_star": 1.5}],
+     "calibration.file lam_star must lie in (0, 1)"),
+    (["diagnose", "--seed", "1", "--set", {"eps0": None}],
+     "calibration.file eps0 must be positive (got None)"),
+    (["run", "--seed", "1", "--set", "grid.L=1e300",
+      "--set", "kernel.radius=inf", "--set", "grid.M=16"],
+     "grid.L: the kernel envelope"),
+    (["run", "--seed", "1", "--set", "grid.L=1e-300",
+      "--set", "kernel.radius=inf", "--set", "grid.M=16"],
+     "grid.L: the kernel envelope"),
+    (["run", "--seed", "1", "--set", "flow.dt_max=1e-300"],
+     "flow.dt_max: 5e+299 steps on 256 nodes"),
+    (["run", "--seed", "1", "--set", "flow.start=-1e308",
+      "--set", "flow.end=1e308"], "by a finite span"),
 ], ids=["calibrate-2d", "calibrate-order", "diagnose-2d", "diagnose-order",
         "diagnose-calibration-order", "diagnose-calibration-2d",
         "nonlinear-rough", "spectral-truncated", "spectral-rough",
@@ -188,7 +221,11 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
         "amplitude-plus-shift", "run-end-inf", "run-start-minus-inf",
         "denoise-time-inf", "nonlinear-potential-lambda-inf",
         "validate-potential-lambda-inf", "rough-kernel-lambda-inf",
-        "power-law-kernel-lambda-inf", "untruncated-side-length-inf"])
+        "power-law-kernel-lambda-inf", "untruncated-side-length-inf",
+        "calibration-eps0", "calibration-delta", "calibration-mu",
+        "calibration-gamma", "calibration-eps", "calibration-lam",
+        "calibration-lam-star", "calibration-eps0-null", "envelope-underflow",
+        "envelope-overflow", "run-dt-max-tiny", "run-span-overflow"])
 def test_unsupported_config_exits_2(tmp_path, capsys, argv, message):
     # refused before any work, not aborted later with exit 1 or 3; a dict in
     # argv stands for a calibration file with those entries changed, and
@@ -231,6 +268,90 @@ def test_runtime_abort_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "aborted" in err
     assert "expected 64 pixel bytes, found 3" in err
+
+
+def test_a_run_too_long_to_hold_aborts_before_it_allocates(tmp_path,
+                                                           capsys):
+    # the stable step, not flow.dt_max, sets this run's 2.9e7 steps, so the
+    # config cannot see them: run_flow refuses them with a message, where
+    # numpy was asked for 55 GiB
+    rc = main(["run", "--seed", "1", "--set", "flow.end=1e6",
+               "--out", str(tmp_path / "r")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "above the 1 GiB a run may take" in err
+    assert "Traceback" not in err
+
+
+# a broken value of each calibrated constant, and a detector that reads it
+CONSTANT_OWNERS = {
+    "eps0": (0.0, lambda traj, v: verify_lemma1(traj, eps0=v)),
+    "delta": (-1.0, lambda traj, v: verify_corollary2(traj, delta=v)),
+    "mu": (0.0, lambda traj, v: verify_lemma2(
+        traj, mu=v, delta=0.5, gamma=0.5, lam=0.25)),
+    "gamma": (0.0, lambda traj, v: verify_lemma2(
+        traj, mu=0.5, delta=0.5, gamma=v, lam=0.25)),
+    "lam": (0.5, lambda traj, v: verify_lemma2(
+        traj, mu=0.5, delta=0.5, gamma=0.5, lam=v)),
+    "eps": (0.0, lambda traj, v: verify_lemma3(
+        traj, eps=v, lam=0.25, lam_star=0.5)),
+    "lam_star": (1.5, lambda traj, v: verify_lemma3(
+        traj, eps=0.1, lam=0.25, lam_star=v)),
+}
+
+
+@pytest.mark.parametrize("name", CONSTANT_OWNERS)
+def test_diagnose_refuses_a_constant_in_its_detectors_words(tmp_path, capsys,
+                                                           grid1, name):
+    # load_calibration asks the rule the detectors raise, before any run
+    value, detect = CONSTANT_OWNERS[name]
+    with pytest.raises(InvalidParameterError) as owner:
+        detect(constant_trajectory(grid1, 0.0), value)
+    path = tmp_path / "calibration.json"
+    save_calibration(dataclasses.replace(default_calibration(),
+                                         **{name: value}), str(path))
+    out = tmp_path / "d"
+    assert main(["diagnose", "--seed", "1", "--out", str(out),
+                 "--set", f"calibration.file={path}"]) == 2
+    assert f"calibration.file {owner.value} (got {value!r})" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def _refused(key: str, sets: list[str]) -> bool:
+    """Whether diagnose's config refuses `sets` with a line on `key`."""
+    try:
+        parse_config(overrides=sets).check_recipes(resolve=True)
+    except ConfigError as exc:
+        return any(line.startswith(key) for line in exc.errors)
+    return False
+
+
+def test_diagnose_refuses_what_seed_1s_runs_do_not_resolve():
+    # the config asks the detectors' resolution rules of the recipe grid and
+    # sample gaps; seed 1's recurrence and oscillation runs raise on exactly
+    # the settings it refuses, and MAX_K is the most rungs it accepts
+    for k_max in range(1, 9):
+        try:
+            truncated_energies(cached_recurrence_run(1), k_max=k_max)
+            raised = False
+        except InsufficientCoverageError:
+            raised = True
+        assert _refused("diagnose.k_max", [f"diagnose.k_max={k_max}"]) \
+            == raised == (k_max > MAX_K), k_max
+    decisions = set()
+    for scale in (0.45, 0.5, 0.65, 0.8, 0.95):
+        for levels in range(3, 7):
+            try:
+                oscillation_decay(cached_oscillation_run(1), scale, levels)
+                raised = False
+            except UnderResolvedError:
+                raised = True
+            refused = _refused("diagnose.scale", [
+                f"diagnose.scale={scale}", f"diagnose.levels={levels}"])
+            assert refused == raised, (scale, levels)
+            decisions.add(refused)
+    assert decisions == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from nlflow.config import SCHEMA, parse_config, parse_seed_list
 from nlflow.degiorgi import truncated_energies
 from nlflow.errors import ConfigError, NlflowError
 from nlflow.fields import make_initial
-from nlflow.flow import FlowProblem, run_flow
+from nlflow.flow import FlowProblem, Trajectory, run_flow
 from nlflow.grid import DiscreteOperator, Grid
 from nlflow.kernels import KernelSpec, make_kernel
 from nlflow.oscillation import oscillation_decay
@@ -195,6 +195,13 @@ def _problem(**changes):
     return FlowProblem(**{**args, **changes})
 
 
+def _samples():
+    """Zero samples every 1/16 on [-2, 0] of a 1-d grid."""
+    g = Grid(1, 16.0, 64)
+    return Trajectory.from_fields(g, np.linspace(-2.0, 0.0, 33),
+                                  np.zeros((33, g.n_nodes)))
+
+
 def _operator(strategy, grid=None, **changes):
     grid = grid or Grid(1, 16.0, 64)
     return DiscreteOperator(grid, make_kernel(KernelSpec(
@@ -252,10 +259,12 @@ PARITY = {
                      lambda: _problem(t_start=0.0, t_end=0.0)),
     "dt-max": (["flow.dt_max=-0.1"], "flow.dt_max", -0.1,
                lambda: run_flow(_problem(dt_max=-0.1))),
+    "span-overflow": (["flow.start=-1e308", "flow.end=1e308"], "flow.end",
+                      1e308, lambda: _problem(t_start=-1e308, t_end=1e308)),
     "sample-every": (["flow.sample_every=0"], "flow.sample_every", 0,
                      lambda: run_flow(_problem(), sample_every=0)),
     "k-max": (["diagnose.k_max=0"], "diagnose.k_max", 0,
-              lambda: truncated_energies(None, k_max=0)),
+              lambda: truncated_energies(_samples(), k_max=0)),
     "levels": (["diagnose.levels=2"], "diagnose.levels", 2,
                lambda: oscillation_decay(None, scale=0.65, levels=2)),
     "scale": (["diagnose.scale=1.5"], "diagnose.scale", 1.5,
@@ -274,6 +283,17 @@ PARITY = {
     "neighbor": (["grid.M=8", "kernel.radius=1"], "kernel.radius", 1.0,
                  lambda: _operator("banded", Grid(1, 16.0, 8),
                                    truncation_radius=1.0)),
+    "envelope-underflow": (["grid.L=1e300", "grid.M=16", "kernel.radius=inf"],
+                           "grid.L", 1e300, lambda: _operator(
+                               "banded", Grid(1, 1e300, 16),
+                               truncation_radius=math.inf)),
+    "envelope-overflow": (["grid.L=1e-300", "grid.M=16", "kernel.radius=inf"],
+                          "grid.L", 1e-300, lambda: _operator(
+                              "banded", Grid(1, 1e-300, 16),
+                              truncation_radius=math.inf)),
+    "run-size": (["grid.M=64", "flow.end=1", "flow.dt_max=1e-300"],
+                 "flow.dt_max", 1e-300,
+                 lambda: run_flow(_problem(dt_max=1e-300))),
     "nonlinear-strategy": (["flow.kind=nonlinear", "flow.strategy=dense"],
                            "flow.strategy", "dense",
                            lambda: _problem(kind="nonlinear",
@@ -297,7 +317,8 @@ def test_the_config_reports_each_rule_in_its_owners_words(sets, key, value,
     lines = []
     try:
         cfg = parse_config(overrides=sets)
-        cfg.check_flow(cfg.get("flow.kind"), cfg.make_grid())
+        cfg.check_flow(cfg.get("flow.kind"), cfg.make_grid(),
+                       cfg.get("flow.end") - cfg.get("flow.start"))
     except ConfigError as exc:
         lines = exc.errors
     assert f"{key}: {owner.value} (got {value!r})" in lines

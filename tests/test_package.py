@@ -89,3 +89,60 @@ def test_every_public_definition_is_reached_outside_the_tests():
     names = {name for _, name in defined}
     stale = sorted(n for n in TEST_ONLY if n not in names or n in used)
     assert not stale, f"TEST_ONLY lists names it need not: {stale}"
+
+
+def _calls_by_name(tops=("src", "perfbench")) -> dict[str, list]:
+    """Every call under `tops`, by the name it calls (a plain or an
+    attribute name)."""
+    calls: dict[str, list] = {}
+    for top in tops:
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or \
+                        getattr(node.func, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _sets(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether `call` passes the parameter `name`, at `position` among the
+    positional ones when it can be passed so; a call that unpacks *args or
+    **kwargs counts as passing every parameter it could."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or \
+        any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_defaulted_parameter_is_set_outside_the_tests():
+    # a default that no package or benchmark call overrides is a knob only
+    # tests turn: a second path to keep in step with the one users take
+    calls = _calls_by_name()
+    unset = []
+    for path in (ROOT / "src" / "nlflow").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defs = [(node.name, node, 0) for node in tree.body
+                if isinstance(node, ast.FunctionDef)]
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            defs += [(cls.name if node.name == "__init__" else node.name,
+                      node, 0 if any(getattr(d, "id", None) == "staticmethod"
+                                     for d in node.decorator_list) else 1)
+                     for node in cls.body
+                     if isinstance(node, ast.FunctionDef)]
+        for name, node, skip in defs:
+            if name in TEST_ONLY:
+                continue
+            args = node.args
+            positional = (args.posonlyargs + args.args)[skip:]
+            defaulted = [(a.arg, i) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(a.arg, None) for a, d in zip(args.kwonlyargs,
+                                                       args.kw_defaults)
+                          if d is not None]
+            unset += [f"{path.stem}.{name}({arg})" for arg, i in defaulted
+                      if not any(_sets(c, arg, i)
+                                 for c in calls.get(name, []))]
+    assert not unset, f"defaults only tests set: {sorted(unset)}"
