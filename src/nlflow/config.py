@@ -114,7 +114,10 @@ def parse_seed_list(text: str) -> tuple[int, ...]:
 def _parse_value(kind: str, text: str):
     text = text.strip()
     if kind == "int":
-        return int(text)
+        v = int(text)
+        if not -2 ** 63 <= v < 2 ** 63:
+            raise ValueError("integer outside the 64-bit range [-2^63, 2^63)")
+        return v
     if kind == "float":
         v = float(text)           # accepts inf
         if math.isnan(v):

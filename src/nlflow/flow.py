@@ -38,17 +38,12 @@ from .errors import (
     raise_first,
     violations,
 )
-from .grid import COUNTERS, DiscreteOperator, Field, Grid
+from .grid import COUNTERS, RUN_MAX_BYTES, DiscreteOperator, Field, Grid
 from .kernels import TRANSLATION_INVARIANT_FAMILIES, Kernel
 from .potentials import Potential
 
 STEPPERS = ("euler", "heun")
 STATE_CHUNK = 1 << 14    # values of run_flow's state buffer (2 states or more)
-# Most bytes of the samples and the seven per-state records (times, steps,
-# L2, energy, min, max, mass) one run_flow holds.  The largest run of the
-# tests, the config sweep and the benchmark's workloads holds 1.13 MiB
-# (denoise-2d), so 1 GiB admits it ~900 times over and fits a small machine
-RUN_MAX_BYTES = 1 << 30
 
 
 def stable_dt(op: DiscreteOperator, potential: Potential | None = None,
@@ -74,12 +69,10 @@ def stable_dt(op: DiscreteOperator, potential: Potential | None = None,
 
 def _offset_rhs(op: DiscreteOperator, wg: np.ndarray, t: float,
                 d1=None) -> np.ndarray:
-    """sum_d [F_d(x) - F_d(x-d)] h^N, F_d = K_d g(w(x+d) - w(x)), on the
-    grid-shaped array `wg`; g = identity for linear runs, phi' for nonlinear
-    ones.  The linear and nonlinear paths share this sum so the quadratic
-    degeneracy is bitwise."""
-    acc = op.stencil.offset_sum(wg, op.offset_values(t), d1)
-    return np.multiply(acc, op.grid.spacing ** op.grid.dimension, out=acc)
+    """`op.offset_rhs`, which the banded `apply` also calls, under the one
+    name every step looks up.  The linear and nonlinear paths share this sum
+    so the quadratic degeneracy is bitwise."""
+    return op.offset_rhs(wg, t, d1)
 
 
 def _rhs(op: DiscreteOperator, pot: Potential | None, v: np.ndarray,

@@ -52,6 +52,11 @@ STRATEGIES = ("dense", "banded", "spectral")
 # at the 64 x 64 grid of the largest dense-oracle test (the default 256 x 256
 # grid would take 32 GiB)
 DENSE_MAX_NODES = 4096
+# Most bytes a run may hold: run_flow's samples and seven per-state records,
+# or the per-node offset table of a rough kernel.  The tests, the config
+# sweep and the benchmark's workloads reach 1.13 MiB (denoise-2d) and ~7 MB
+# (a 2-d rough-static table at M = 64); 1 GiB fits a small machine
+RUN_MAX_BYTES = 1 << 30
 
 # Offsets x nodes in one block of lattice differences.  A 1-d row of 256
 # nodes takes 64 offsets a block (all 48 of the diagnose runs: 2^13 and 2^12
@@ -186,6 +191,10 @@ def operator_errors(grid: Grid, spec, strategy: str) -> list:
     # inside the normal floats, so that kernel values and row sums are too
     log_envelope = math.log(1.0 - 0.5 * spec.order) - (
         spec.dimension + spec.order) * math.log(grid.spacing)
+    # 8 bytes a kept offset and node; the kept offsets lie in a box of
+    # 2k + 1 nodes an axis about 0, one of each pair
+    k = int(min(radius / grid.spacing, grid.points_per_axis // 2))
+    table = 4 * ((2 * k + 1) ** grid.dimension - 1) * grid.n_nodes
     return grid_errors(grid.dimension, grid.side_length, grid.points_per_axis,
                        radius, strategy) + violations(
         ("dimension", grid.dimension == spec.dimension, f"grid dimension "
@@ -207,7 +216,12 @@ def operator_errors(grid: Grid, spec, strategy: str) -> list:
          GridMismatchError),
         ("side_length", -708.0 < log_envelope < 709.0, f"the kernel envelope "
          f"(1-s/2) h^-(N+s) at the grid spacing {grid.spacing:g} must lie "
-         f"between e^-708 and e^709", GridMismatchError))
+         f"between e^-708 and e^709", GridMismatchError),
+        ("points_per_axis", spec.family in TRANSLATION_INVARIANT_FAMILIES
+         or table <= RUN_MAX_BYTES, f"the {spec.family} kernel's per-node "
+         f"offset table takes up to {table / 2 ** 30:.3g} GiB on "
+         f"{grid.n_nodes} nodes, above the {RUN_MAX_BYTES >> 30} GiB a run "
+         f"may take", GridMismatchError))
 
 
 def _signed_steps(grid: Grid, steps: np.ndarray) -> np.ndarray:
@@ -559,9 +573,15 @@ class DiscreteOperator:
             m = self.multipliers()
             wg = (w - w[0]).reshape(self.grid.shape)
             return np.fft.ifftn(np.fft.fftn(wg) * m).real.ravel()
-        acc = self.stencil.offset_sum(w.reshape(self.grid.shape),
-                                      self.offset_values(t))
-        return acc.ravel() * self.grid.spacing ** self.grid.dimension
+        return self.offset_rhs(w.reshape(self.grid.shape), t).ravel()
+
+    def offset_rhs(self, wg: np.ndarray, t: float, d1=None) -> np.ndarray:
+        """sum_d [F_d(x) - F_d(x-d)] h^N, F_d = K_d g(w(x+d) - w(x)), on the
+        grid-shaped `wg`, g the identity or `d1` (phi'): the banded `apply`
+        and every flow step (`flow._offset_rhs`)."""
+        acc = self.stencil.offset_sum(wg, self.offset_values(t), d1)
+        return np.multiply(acc, self.grid.spacing ** self.grid.dimension,
+                           out=acc)
 
 
 def bilinear_form(kernel: Kernel, u: Field, v: Field, t: float = 0.0) -> float:

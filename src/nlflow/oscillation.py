@@ -10,6 +10,7 @@ nested cylinders with a measured slope, not a Holder exponent (see below).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -20,14 +21,15 @@ from .degiorgi import BarrierFamily, LemmaReport, _barrier, \
 from .errors import (InvalidParameterError, NonLatticeStepError,
                      TrajectoryMismatchError, UnderResolvedError,
                      raise_first, violations)
-from .flow import Trajectory
+from .flow import Trajectory, kind_errors
 from .grid import DiscreteOperator, Field, Grid, OffsetStencil
 from .kernels import BAND_RTOL, Kernel
 from .potentials import Potential
 
 __all__ = [
     "difference_quotient",
-    "DerivedKernel",
+    "sigma_average",
+    "derived_factors",
     "DerivedEnvelopeReport",
     "scan_derived_envelope",
     "TransferReport",
@@ -51,31 +53,24 @@ MIN_CYLINDER = 8                  # nodes and samples of a resolved cylinder
 BARRIER_PROBE_POINTS = 4096       # radii of `check_scale_barrier`'s probe
 
 
-def _lattice_steps(grid: Grid, h: float) -> int:
-    """h as an exact positive multiple of the grid spacing."""
-    if not (h > 0.0):
-        raise NonLatticeStepError(f"step must be positive, got {h}")
+def _lattice_step(grid: Grid, e: int, h: float) -> tuple[int, int]:
+    """Axis e and the multiple h / spacing, a positive integer, of a step h
+    along it."""
     ratio = h / grid.spacing
-    m = int(round(ratio))
-    if m < 1 or abs(ratio - m) > 1e-9 * max(1.0, ratio):
-        raise NonLatticeStepError(
-            f"step {h} is not an integer multiple of the spacing "
-            f"{grid.spacing}")
-    return m
-
-
-def _check_axis(grid: Grid, e: int) -> int:
-    if not (0 <= int(e) < grid.dimension):
-        raise InvalidParameterError(
-            f"direction {e} outside axes 0..{grid.dimension - 1}")
-    return int(e)
+    m = int(round(ratio)) if 0.0 < ratio < math.inf else 0
+    raise_first(violations(
+        ("e", 0 <= e < grid.dimension,
+         f"direction {e} outside axes 0..{grid.dimension - 1}"),
+        ("h", m >= 1 and abs(ratio - m) <= 1e-9 * max(1.0, ratio), f"step {h} "
+         f"is not a positive multiple of the spacing {grid.spacing}",
+         NonLatticeStepError)))
+    return int(e), m
 
 
 def difference_quotient(theta: Field, e: int, h: float) -> Field:
     """Forward difference quotient (theta(x + h e) - theta(x)) / h."""
     grid = theta.grid
-    axis = _check_axis(grid, e)
-    m = _lattice_steps(grid, h)
+    axis, m = _lattice_step(grid, e, h)
     wg = theta.values.reshape(grid.shape)
     quot = (np.roll(wg, -m, axis=axis) - wg) / h
     return Field(grid, quot.ravel())
@@ -84,69 +79,51 @@ def difference_quotient(theta: Field, e: int, h: float) -> Field:
 # ---------------------------------------------------------------------------
 # derived kernel K^h
 
-class DerivedKernel:
-    """K^h(t,x,y) = K(y-x) * int_0^1 phi''((1-sigma) a + sigma b) dsigma
+@functools.cache
+def _sigma_rule() -> tuple[np.ndarray, np.ndarray]:
+    nodes, weights = np.polynomial.legendre.leggauss(SIGMA_NODES)
+    return 0.5 * (nodes + 1.0), 0.5 * weights       # on [0, 1]
 
-    with a = theta(y) - theta(x), b the same difference one lattice step h
-    along axis e, and theta read from the latest trajectory sample at or
-    before t.  K^h exists only as per-offset tables on the flow's stencil
-    (`offset_factors`) over the stencil's kept offsets, the form its linear
-    flow consumes (phi'' is even, so K^h is symmetric).  The sigma-average
-    is clamped to the potential's certified phi'' range, so the two-sided
-    kernel envelope holds for every pair regardless of quadrature error.
-    """
 
-    def __init__(self, base: Kernel, potential: Potential,
-                 traj: Trajectory, e: int, h: float):
-        if not base.translation_invariant:
-            raise InvalidParameterError(
-                "derived kernels require a translation-invariant base")
-        if traj.grid.dimension != base.spec.dimension:
-            raise InvalidParameterError(
-                f"trajectory dimension {traj.grid.dimension} != kernel "
-                f"dimension {base.spec.dimension}")
-        self.potential = potential
-        self.traj = traj
-        self.grid = traj.grid
-        self.axis = _check_axis(traj.grid, e)
-        self.steps = _lattice_steps(traj.grid, h)
-        nodes, weights = np.polynomial.legendre.leggauss(SIGMA_NODES)
-        self.sigma = 0.5 * (nodes + 1.0)
-        self.weights = 0.5 * weights
-        lo, hi = potential.d2_bounds
-        self.quadratic = lo == hi
-        self._factor_cache: dict[int, np.ndarray] = {}
+def sigma_average(potential: Potential, a: np.ndarray,
+                  b: np.ndarray) -> np.ndarray:
+    """int_0^1 phi''((1 - sigma) a + sigma b) dsigma, clamped to the
+    potential's certified phi'' range, so the two-sided kernel envelope
+    holds for every pair regardless of quadrature error."""
+    sigma, weights = _sigma_rule()
+    sigma = sigma.reshape((-1,) + (1,) * a.ndim)
+    return np.clip(np.tensordot(weights, potential.d2(
+        (1.0 - sigma) * a + sigma * b), axes=1), *potential.d2_bounds)
 
-    def sample_index(self, t: float) -> int:
-        times = self.traj.times
-        i = int(np.searchsorted(times, t + 1e-12)) - 1
-        return min(max(i, 0), times.size - 1)
 
-    def _sigma_average(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        sigma = self.sigma.reshape((-1,) + (1,) * a.ndim)
-        u = (1.0 - sigma) * a + sigma * b
-        vals = np.tensordot(self.weights, self.potential.d2(u), axes=1)
-        lo, hi = self.potential.d2_bounds
-        return np.clip(vals, lo, hi)
+def _linearized(traj: Trajectory) -> tuple[Kernel, Potential]:
+    """The kernel and potential of `traj`; K^h needs both, and a kernel the
+    nonlinear flow takes."""
+    if traj.kernel is None or traj.potential is None:
+        raise TrajectoryMismatchError(
+            "trajectory must carry its kernel and potential")
+    raise_first(kind_errors("nonlinear", "banded", traj.kernel.spec.family))
+    return traj.kernel, traj.potential
 
-    def offset_factors(self, t: float,
-                       stencil: OffsetStencil) -> np.ndarray | None:
-        """Per-offset sigma-average arrays, or None for quadratic phi
-        (phi'' identically 1, so K^h is the base kernel verbatim)."""
-        if self.quadratic:
-            return None
-        key = self.sample_index(t)
-        cached = self._factor_cache.get(key)
-        if cached is not None and cached.shape[0] == stencil.deltas.shape[0]:
-            return cached
-        theta = self.traj.fields[key].reshape(self.grid.shape)
-        pair = np.stack([theta, np.roll(theta, -self.steps, axis=self.axis)])
-        out = np.empty((stencil.deltas.shape[0], self.grid.n_nodes))
-        for rows, diffs in stencil.blocks(pair):
-            out[rows] = self._sigma_average(diffs[0], diffs[1]).reshape(
-                -1, self.grid.n_nodes)
-        self._factor_cache = {key: out}
-        return out
+
+def derived_factors(traj: Trajectory, index: int, e: int, h: float,
+                    stencil: OffsetStencil) -> np.ndarray | None:
+    """K^h / K per kept offset d of `stencil` and node x, theta being sample
+    `index` of `traj`: the sigma-average of phi'' from a = theta(x + d) -
+    theta(x) to b, the same difference a step h along axis e (K^h is
+    symmetric, as phi'' is even).  None for quadratic phi: phi'' = 1, so K^h
+    is the base kernel verbatim."""
+    grid, potential = traj.grid, traj.potential
+    axis, m = _lattice_step(grid, e, h)
+    if potential.d2_bounds[0] == potential.d2_bounds[1]:
+        return None
+    theta = traj.fields[index].reshape(grid.shape)
+    pair = np.stack([theta, np.roll(theta, -m, axis=axis)])
+    out = np.empty((stencil.deltas.shape[0], grid.n_nodes))
+    for rows, diffs in stencil.blocks(pair):
+        out[rows] = sigma_average(potential, diffs[0], diffs[1]).reshape(
+            -1, grid.n_nodes)
+    return out
 
 
 @dataclass(frozen=True)
@@ -164,7 +141,7 @@ class DerivedEnvelopeReport:
         return self.violations == 0
 
 
-def scan_derived_envelope(potential: Potential, theta_traj: Trajectory,
+def scan_derived_envelope(theta_traj: Trajectory,
                           e: int = 0) -> DerivedEnvelopeReport:
     """Two-sided envelope scan of K^h over every lattice pair within the
     truncation radius at every sample time, at the steps h = m * spacing for
@@ -177,18 +154,13 @@ def scan_derived_envelope(potential: Potential, theta_traj: Trajectory,
     the two agree.  The ratio keeps the multiplier, and the band is compared
     up to `kernels.BAND_RTOL`, as `validate_kernel` compares it.
     """
-    base = theta_traj.kernel
-    if base is None:
-        raise TrajectoryMismatchError("trajectory carries no kernel")
+    base, potential = _linearized(theta_traj)
     grid = theta_traj.grid
-    kernels = [DerivedKernel(base, potential, theta_traj, e, m * grid.spacing)
-               for m in ENVELOPE_STEP_FACTORS]
     op = DiscreteOperator(grid, base, "banded")
     # a kept offset stands for `multiplicity` ordered ones (K^h symmetric)
     mult = op.stencil.multiplicity[:, None]
     s = base.spec.order
-    # K |x-y|^(N+s) / (1 - s/2) per offset, times each pair's sigma-average
-    # for K^h
+    # K |x-y|^(N+s) / (1 - s/2) per offset, times K^h / K for K^h
     base_ratio = (op.offset_values() * op.dists ** (grid.dimension + s)
                   / (1.0 - 0.5 * s))[:, None]
     product = base.spec.ellipticity * potential.spec.ellipticity
@@ -196,9 +168,10 @@ def scan_derived_envelope(potential: Potential, theta_traj: Trajectory,
     lo, hi = band_lo * (1.0 - BAND_RTOL), band_hi * (1.0 + BAND_RTOL)
     ratio_min, ratio_max = math.inf, -math.inf
     breaks = count = 0
-    for dk in kernels:
-        for t in theta_traj.times:
-            factors = dk.offset_factors(t, op.stencil)
+    for m in ENVELOPE_STEP_FACTORS:
+        for i in range(theta_traj.n_samples):
+            factors = derived_factors(theta_traj, i, e, m * grid.spacing,
+                                      op.stencil)
             ratios = np.broadcast_to(
                 base_ratio if factors is None else base_ratio * factors,
                 (base_ratio.size, grid.n_nodes))
@@ -227,10 +200,6 @@ class TransferReport:
     # differently even when every coefficient matches.
     quadratic: bool
     step: float
-    axis: int
-    n_steps: int
-    freeze_interval: float      # sample cadence the kernel is frozen on
-    sigma_nodes: int
 
 
 def verify_linearization(theta_traj: Trajectory, e: int = 0,
@@ -244,59 +213,41 @@ def verify_linearization(theta_traj: Trajectory, e: int = 0,
     kernel is the base kernel verbatim and the linear update reuses the same
     per-offset values, bitwise.
     """
-    if theta_traj.kind != "nonlinear":
-        raise TrajectoryMismatchError(
-            f"transfer needs a nonlinear trajectory, got {theta_traj.kind!r}")
-    if theta_traj.stepper != "euler":
-        raise TrajectoryMismatchError(
-            "transfer is defined for the euler stepper")
-    base = theta_traj.kernel
-    potential = theta_traj.potential
-    if base is None or potential is None:
-        raise TrajectoryMismatchError(
-            "trajectory must carry its kernel and potential")
+    raise_first(violations(
+        ("kind", theta_traj.kind == "nonlinear", "transfer needs a nonlinear "
+         f"trajectory, got {theta_traj.kind!r}", TrajectoryMismatchError),
+        ("stepper", theta_traj.stepper == "euler",
+         "transfer is defined for the euler stepper", TrajectoryMismatchError)))
+    base, potential = _linearized(theta_traj)
     grid = theta_traj.grid
-    if h is None:
-        h = grid.spacing
-    dk = DerivedKernel(base, potential, theta_traj, e, h)
-    axis = dk.axis
+    h = grid.spacing if h is None else h
 
     # the flow's own banded operator: its offsets, stencil and kernel table
     op = DiscreteOperator(grid, base, "banded")
     kd = op.offset_values()                         # per-offset scalars
     h_n = grid.spacing ** grid.dimension
+    # the steps from sample i to sample i + 1 run on sample i's K^h
+    dts = np.diff(theta_traj.step_times)
+    starts = np.searchsorted(theta_traj.step_times, theta_traj.times - 1e-12)
 
-    step_times = theta_traj.step_times
-    dts = np.diff(step_times)
-    sample_pos = np.searchsorted(step_times, theta_traj.times - 1e-12)
-
-    w = difference_quotient(
-        Field(grid, theta_traj.fields[0]), e, h).values.reshape(grid.shape)
+    w = difference_quotient(theta_traj.field(0), e, h).values.reshape(
+        grid.shape)
     defects = np.empty(theta_traj.n_samples)
-    next_cmp = 0
-
-    def compare(state_row: int, w_now: np.ndarray) -> float:
-        ref = difference_quotient(
-            Field(grid, theta_traj.fields[state_row]), e, h).values
-        return float(np.max(np.abs(ref - w_now.ravel())))
-
-    for n in range(step_times.size):
-        while next_cmp < sample_pos.size and sample_pos[next_cmp] == n:
-            defects[next_cmp] = compare(next_cmp, w)
-            next_cmp += 1
-        if n == dts.size:
+    for i in range(theta_traj.n_samples):
+        ref = difference_quotient(theta_traj.field(i), e, h).values
+        defects[i] = float(np.max(np.abs(ref - w.ravel())))
+        if i + 1 == theta_traj.n_samples:
             break
-        factors = dk.offset_factors(step_times[n], op.stencil)
+        factors = derived_factors(theta_traj, i, e, h, op.stencil)
         table = kd if factors is None else kd[:, None] * factors
-        w = w + dts[n] * (op.stencil.offset_sum(w, table) * h_n)
+        for n in range(starts[i], starts[i + 1]):
+            w = w + dts[n] * (op.stencil.offset_sum(w, table) * h_n)
 
-    max_defect = float(np.max(defects))
     return TransferReport(
-        max_defect=max_defect, defect_times=theta_traj.times.copy(),
-        defect_curve=defects, quadratic=dk.quadratic, step=float(h), axis=axis,
-        n_steps=int(dts.size),
-        freeze_interval=float(np.max(np.diff(theta_traj.times))),
-        sigma_nodes=SIGMA_NODES)
+        max_defect=float(np.max(defects)),
+        defect_times=theta_traj.times.copy(), defect_curve=defects,
+        quadratic=potential.d2_bounds[0] == potential.d2_bounds[1],
+        step=float(h))
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +310,8 @@ def _cylinder(traj: Trajectory, radius: float,
 
 @dataclass(frozen=True)
 class OscillationReport:
-    scale: float                # K_sc
-    levels: int
-    order: float
     radii: np.ndarray
-    depths: np.ndarray
     osc: np.ndarray
-    node_counts: np.ndarray
-    sample_counts: np.ndarray
     alpha: float
     r_squared: float
     degenerate: bool
@@ -420,19 +365,13 @@ def oscillation_decay(traj: Trajectory, scale: float,
     radii = scale ** ks
     depths = scale ** (ks * s)
     osc = np.empty(levels)
-    node_counts = np.empty(levels, dtype=np.int64)
-    sample_counts = np.empty(levels, dtype=np.int64)
     for k in range(levels):
         rows, nodes = _cylinder(traj, radii[k], depths[k])
-        node_counts[k], sample_counts[k] = np.sum(nodes), rows.size
         vals = traj.samples(rows)[:, nodes]
         osc[k] = float(np.max(vals) - np.min(vals))
     alpha, r2, degenerate = _fit_decay(osc, scale, s)
-    return OscillationReport(
-        scale=float(scale), levels=levels, order=s, radii=radii,
-        depths=depths, osc=osc, node_counts=node_counts,
-        sample_counts=sample_counts, alpha=alpha, r_squared=r2,
-        degenerate=degenerate)
+    return OscillationReport(radii=radii, osc=osc, alpha=alpha, r_squared=r2,
+                             degenerate=degenerate)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from nlflow.flow import FlowProblem, run_flow
 from nlflow.grid import DiscreteOperator, Field, Grid, OffsetStencil
 from nlflow.kernels import KernelSpec, make_kernel, validate_kernel
 from nlflow.oscillation import (
-    DerivedKernel,
+    derived_factors,
     oscillation_decay,
     scan_derived_envelope,
     verify_lemma3,
@@ -204,10 +204,10 @@ def test_linearization_transfer_and_envelope():
     quad = make_potential(PotentialSpec(family="quadratic", ellipticity=4.0))
     traj_q = nonlinear_run(quad, t_end=0.02)
     rep_q = verify_linearization(traj_q)
-    dk = DerivedKernel(traj_q.kernel, quad, traj_q, 0, traj_q.grid.spacing)
     # no factor table: K^h is the base kernel's own per-offset table
-    collapse_ok = dk.offset_factors(0.01, OffsetStencil(
-        traj_q.grid, np.array([[1], [2]]))) is None
+    collapse_ok = derived_factors(traj_q, 0, 0, traj_q.grid.spacing,
+                                  OffsetStencil(traj_q.grid,
+                                                np.array([[1], [2]]))) is None
     quadratic_ok = rep_q.quadratic and collapse_ok
 
     defects = [verify_linearization(nonlinear_run(huber(), dt_max=dt)
@@ -216,7 +216,7 @@ def test_linearization_transfer_and_envelope():
     slope = math.log2(defects[0] / defects[2]) / 2.0
     order_ok = defects[0] > defects[1] > defects[2] and slope >= 0.9
 
-    scan = scan_derived_envelope(huber(), nonlinear_run(huber()))
+    scan = scan_derived_envelope(nonlinear_run(huber()))
     envelope_ok = (scan.passed and scan.violations == 0
                    and scan.step_factors == (1, 2, 4)
                    and scan.band_lo == 0.25 and scan.band_hi == 4.0)

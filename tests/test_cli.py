@@ -207,6 +207,18 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
      "flow.dt_max: 5e+299 steps on 256 nodes"),
     (["run", "--seed", "1", "--set", "flow.start=-1e308",
       "--set", "flow.end=1e308"], "by a finite span"),
+    (["validate", "--set", "grid.M=1" + "0" * 400],
+     "grid.M: integer outside the 64-bit range"),
+    (["run", "--seed", "1", "--set", "grid.M=1" + "0" * 400],
+     "grid.M: integer outside the 64-bit range"),
+    (["run", "--seed", "1", "--set", "flow.sample_every=" + str(10 ** 20)],
+     "flow.sample_every: integer outside the 64-bit range"),
+    (["diagnose", "--seed", "1", "--set", "diagnose.levels=1" + "0" * 400],
+     "diagnose.levels: integer outside the 64-bit range"),
+    (["run", "--seed", "1", "--set", "grid.M=200000",
+      "--set", "kernel.family=rough-static"],
+     "grid.M: the rough-static kernel's per-node offset table takes up to "
+     "55.9 GiB on 200000 nodes"),
 ], ids=["calibrate-2d", "calibrate-order", "diagnose-2d", "diagnose-order",
         "diagnose-calibration-order", "diagnose-calibration-2d",
         "nonlinear-rough", "spectral-truncated", "spectral-rough",
@@ -225,7 +237,10 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
         "calibration-eps0", "calibration-delta", "calibration-mu",
         "calibration-gamma", "calibration-eps", "calibration-lam",
         "calibration-lam-star", "calibration-eps0-null", "envelope-underflow",
-        "envelope-overflow", "run-dt-max-tiny", "run-span-overflow"])
+        "envelope-overflow", "run-dt-max-tiny", "run-span-overflow",
+        "validate-int-over-64-bit", "run-int-over-64-bit",
+        "sample-every-over-64-bit", "diagnose-levels-over-64-bit",
+        "rough-offset-table-over-cap"])
 def test_unsupported_config_exits_2(tmp_path, capsys, argv, message):
     # refused before any work, not aborted later with exit 1 or 3; a dict in
     # argv stands for a calibration file with those entries changed, and

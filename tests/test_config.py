@@ -132,6 +132,20 @@ def test_value_kinds():
         parse_config(overrides=["kernel.s=nan"])
 
 
+def test_int_values_are_the_64_bit_integers():
+    # every int that fits reaches its owners' rules, grid.M = 2^63 - 1 the
+    # run-size rule; past the range the parser refuses before any arithmetic
+    cfg = parse_config(overrides=[f"grid.M={2 ** 63 - 1}",
+                                  f"initial.seed={-2 ** 63}"])
+    assert cfg.get("initial.seed") == -2 ** 63
+    with pytest.raises(ConfigError, match=f"on {2 ** 63 - 1} nodes hold"):
+        cfg.check_flow("linear", cfg.make_grid(), 0.5)
+    for value in (2 ** 63, -2 ** 63 - 1):
+        with pytest.raises(ConfigError, match="grid.M: integer outside the "
+                           r"64-bit range \[-2\^63, 2\^63\)"):
+            parse_config(overrides=[f"grid.M={value}"])
+
+
 def test_malformed_lines_are_reported_with_positions(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("kernel.s = 0.5\nthis is wrong\n")

@@ -1,5 +1,6 @@
 """Difference quotients, derived kernels, rescaling, oscillation decay."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,13 +26,14 @@ from nlflow.flow import FlowProblem, Trajectory, run_flow
 from nlflow.grid import Field, Grid, OffsetStencil
 from nlflow.kernels import KernelSpec, make_kernel
 from nlflow.oscillation import (
-    DerivedKernel,
     check_scale_barrier,
+    derived_factors,
     difference_quotient,
     oscillation_decay,
     parabolic_rescale,
     rescaling_sequence,
     scan_derived_envelope,
+    sigma_average,
     verify_lemma3,
     verify_linearization,
 )
@@ -109,36 +111,30 @@ def test_quotient_step_guards():
 
 def test_derived_kernel_quadratic_collapses_to_base():
     traj = nonlinear_run(quadratic(), t_end=0.02)
-    base = traj.kernel
-    dk = DerivedKernel(base, quadratic(), traj, 0, traj.grid.spacing)
-    assert dk.quadratic
     # no factor table: K^h is the base kernel's own per-offset table
     stencil = OffsetStencil(traj.grid, np.array([[1], [2]]))
-    assert dk.offset_factors(0.0, stencil) is None
+    assert derived_factors(traj, 0, 0, traj.grid.spacing, stencil) is None
 
 
 def test_sigma_average_matches_dense_riemann():
     traj = nonlinear_run(huber(), t_end=0.02)
-    dk = DerivedKernel(traj.kernel, huber(), traj, 0, traj.grid.spacing)
     theta = traj.fields[-1]
     pot = huber()
     sig = (np.arange(10 ** 6) + 0.5) / 10 ** 6
     for i, j in ((3, 10), (40, 41), (0, 17)):
         a, b = theta[j] - theta[i], theta[j + 1] - theta[i + 1]
-        got = float(dk._sigma_average(np.array([a]), np.array([b]))[0])
+        got = float(sigma_average(pot, np.array([a]), np.array([b]))[0])
         ref = float(np.mean(pot.d2((1.0 - sig) * a + sig * b)))
         # short segments: the 8-node rule resolves the analytic integrand
         assert got == pytest.approx(ref, abs=1e-10)
 
 
 def test_sigma_average_clamped_to_certified_band():
-    traj = nonlinear_run(huber(), t_end=0.02)
-    dk = DerivedKernel(traj.kernel, huber(), traj, 0, traj.grid.spacing)
     lo, hi = huber().d2_bounds
     rng = np.random.default_rng(2)
     a = rng.uniform(-50.0, 50.0, 200)
     b = rng.uniform(-50.0, 50.0, 200)
-    vals = dk._sigma_average(a, b)
+    vals = sigma_average(huber(), a, b)
     # wide segments stress the quadrature; the clamp keeps the band anyway
     assert np.all(vals >= lo) and np.all(vals <= hi)
 
@@ -148,13 +144,16 @@ def test_derived_kernel_needs_translation_invariance():
     rough = make_kernel(KernelSpec(
         dimension=1, order=1.0, ellipticity=4.0, truncation_radius=3.0,
         family="rough-static", seed=3))
+    traj = dataclasses.replace(traj, kernel=rough)
     with pytest.raises(InvalidParameterError):
-        DerivedKernel(rough, huber(), traj, 0, traj.grid.spacing)
+        scan_derived_envelope(traj)
+    with pytest.raises(InvalidParameterError):
+        verify_linearization(traj)
 
 
 def test_derived_envelope_scan_zero_violations():
     traj = nonlinear_run(huber(), t_end=0.05)
-    rep = scan_derived_envelope(huber(), traj)
+    rep = scan_derived_envelope(traj)
     assert rep.passed and rep.violations == 0
     # every pair within the truncation radius, at every sample and step
     n_off = 2 * int(3.0 / traj.grid.spacing)
@@ -183,7 +182,7 @@ def test_derived_envelope_scan_keeps_the_multiplier(multiplier, amplitude):
     # inside the product band [1/8, 8] but past what the phi'' average
     # alone reaches, which a scan without the multiplier would report
     pot = huber(16.0)
-    rep = scan_derived_envelope(pot, edge_multiplier_run(
+    rep = scan_derived_envelope(edge_multiplier_run(
         multiplier, pot, "random", amplitude))
     assert rep.passed
     assert (rep.band_lo, rep.band_hi) == (0.125, 8.0)
@@ -197,7 +196,7 @@ def test_derived_envelope_scan_keeps_the_multiplier(multiplier, amplitude):
 def test_derived_envelope_scan_admits_the_band_edge():
     # c = 2 and phi''(0) = 2 at Lambda = 4 put K^h on the band top; at
     # M = 48 the table reads c one ulp high, which BAND_RTOL admits
-    rep = scan_derived_envelope(huber(), edge_multiplier_run(
+    rep = scan_derived_envelope(edge_multiplier_run(
         2.0, huber(), "constant", 1.0, points=48))
     assert rep.ratio_max > rep.band_hi
     assert rep.passed
@@ -206,7 +205,7 @@ def test_derived_envelope_scan_admits_the_band_edge():
 def test_derived_envelope_scan_needs_kernel(grid1):
     bare = constant_trajectory(grid1, 0.0)
     with pytest.raises(TrajectoryMismatchError):
-        scan_derived_envelope(huber(), bare)
+        scan_derived_envelope(bare)
 
 
 # --------------------------------------------------------------------------
