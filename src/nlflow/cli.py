@@ -295,7 +295,8 @@ def _cmd_denoise(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
     if not os.path.isfile(src):
         raise ConfigError(f"denoise input is not a file: {src}")
     noisy = load_field(src)
-    cfg.check_flow("nonlinear", noisy.grid, cfg.get("denoise.time"))
+    cfg.check_flow("nonlinear", noisy.grid, cfg.get("denoise.time"),
+                   t_end="denoise.time", points_per_axis="denoise.input")
     # the file's own grid wins; rebuild the kernel at its dimension
     spec = dataclasses.replace(cfg.kernel_spec(),
                                dimension=noisy.grid.dimension)

@@ -17,9 +17,10 @@ from .ensembles import LEVELS, MAX_K, OSCILLATION_GAP, ORDER, \
     RECURRENCE_GAP, SCALE, default_grid, recipe_errors
 from .errors import ConfigError, violations
 from .fields import initial_errors, make_initial
-from .flow import FlowProblem, kind_errors, problem_errors, size_errors, \
-    stepping_errors
-from .grid import Field, Grid, grid_errors, operator_errors
+from .flow import FlowProblem, kind_errors, problem_errors, run_steps, \
+    stable_dt, stepping_errors
+from .grid import DiscreteOperator, Field, Grid, grid_errors, \
+    operator_errors
 from .kernels import TRANSLATION_INVARIANT_FAMILIES, KernelSpec, \
     kernel_errors, make_kernel
 from .oscillation import cylinder_errors, decay_errors
@@ -203,17 +204,27 @@ class ExperimentConfig:
             mode=self.get("initial.mode"),
             shift=self.get("initial.shift"))
 
-    def check_flow(self, kind: str, grid: Grid, span: float) -> None:
-        """Raise ConfigError unless a `kind` flow over `span` can run on this
-        config and `grid`: the rules of the operator (`grid.operator_errors`),
-        the kind (`flow.kind_errors`) and the size (`flow.size_errors`)."""
+    def check_flow(self, kind: str, grid: Grid, span: float,
+                   **keys: str) -> int:
+        """The step count of a `kind` flow over `span` on this config and
+        `grid`, at `stable_dt` of the kernel's band (`flow.run_steps`); raise
+        ConfigError on the rules it, the operator (`grid.operator_errors`)
+        or the kind (`flow.kind_errors`) breaks, keyed by `keys` or `_KEYS`."""
         spec = replace(self.kernel_spec(), dimension=grid.dimension)
-        strategy, dt_max = self.get("flow.strategy"), self.get("flow.dt_max")
-        dt = math.inf if dt_max is None else dt_max
-        _refuse(_keyed(self.values, operator_errors(grid, spec, strategy)
-                       + kind_errors(kind, strategy, spec.family)
-                       + size_errors(span, dt, self.get("flow.sample_every"),
-                                     grid.n_nodes), _KEYS))
+        strategy, kernel = self.get("flow.strategy"), make_kernel(spec)
+        size = (self.get("flow.sample_every"), grid.n_nodes)
+        n_steps, found = 0, operator_errors(grid, spec, strategy) + \
+            kind_errors(kind, strategy, spec.family)
+        if not found:     # one step first: an operator takes node arrays
+            n_steps, found = run_steps(span, math.inf, None, *size)
+        if not found:     # the band's lower multiplier bounds a rough step
+            n_steps, found = run_steps(span, stable_dt(
+                DiscreteOperator(grid, kernel), self.make_potential()
+                if kind == "nonlinear" else None, multiplier=None
+                if kernel.time_dependent else kernel.lower_multiplier),
+                self.get("flow.dt_max"), *size)
+        _refuse(_keyed(self.values, found, {**_KEYS, **keys}))
+        return n_steps
 
     def check_recipes(self, resolve: bool) -> None:
         """Raise ConfigError unless grid.N and kernel.s are the recipes'

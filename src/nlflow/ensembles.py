@@ -62,6 +62,16 @@ def _ramp(seed: int, n_seeds: int) -> float:
     return ((seed - 1) % n_seeds) / (n_seeds - 1)
 
 
+def _recipe_run(seed: int, t_start: float, dt_max: float | None = None,
+                sample_every: int = 1, **initial) -> Trajectory:
+    """The seed's rough-kernel linear flow of `initial` data to t = 0."""
+    grid = default_grid()
+    return run_flow(FlowProblem(
+        kind="linear", grid=grid, kernel=rough_kernel(seed),
+        initial=make_initial(grid, **initial), t_start=t_start, t_end=0.0,
+        dt_max=dt_max), sample_every=sample_every)
+
+
 def lemma_ensemble_run(seed: int) -> Trajectory:
     """Shifted bumps under rough kernels on [-2, 0].
 
@@ -70,44 +80,24 @@ def lemma_ensemble_run(seed: int) -> Trajectory:
     the truncated-mass budget, and the strongest ones still exceed 1/2 near
     the origin at late times.  The -0.3 shift keeps the data partly negative.
     """
-    grid = default_grid()
-    amplitude = 0.25 + 2.55 * _ramp(seed, 50)
-    initial = make_initial(grid, kind="bump", amplitude=amplitude,
-                           sigma=1.2, shift=-0.3)
-    problem = FlowProblem(kind="linear", grid=grid,
-                          kernel=rough_kernel(seed), initial=initial,
-                          t_start=-2.0, t_end=0.0, dt_max=2.0 ** -7)
-    return run_flow(problem, sample_every=1)
+    return _recipe_run(seed, -2.0, 2.0 ** -7, kind="bump", sigma=1.2,
+                       shift=-0.3, amplitude=0.25 + 2.55 * _ramp(seed, 50))
 
 
 def level_ensemble_run(seed: int) -> Trajectory:
     """Step data (-1 inside a ramped ball, +1 outside) on [-3, 0]."""
-    grid = default_grid()
-    radius = 1.2 + 1.6 * _ramp(seed, 50)
-    initial = make_initial(grid, kind="step", amplitude=-1.0, radius=radius)
-    problem = FlowProblem(kind="linear", grid=grid,
-                          kernel=rough_kernel(seed), initial=initial,
-                          t_start=-3.0, t_end=0.0)
-    return run_flow(problem, sample_every=2)
+    return _recipe_run(seed, -3.0, sample_every=2, kind="step",
+                       amplitude=-1.0, radius=1.2 + 1.6 * _ramp(seed, 50))
 
 
 def recurrence_run(seed: int) -> Trajectory:
     """Dense-cadence runs for the truncated-energy ladder (MAX_K rungs)."""
-    grid = default_grid()
-    amplitude = 1.2 + 0.6 * _ramp(seed, 20)
-    initial = make_initial(grid, kind="bump", amplitude=amplitude, sigma=1.0)
-    problem = FlowProblem(kind="linear", grid=grid,
-                          kernel=rough_kernel(seed), initial=initial,
-                          t_start=-2.0, t_end=0.0, dt_max=RECURRENCE_GAP)
-    return run_flow(problem, sample_every=1)
+    return _recipe_run(seed, -2.0, RECURRENCE_GAP, kind="bump",
+                       amplitude=1.2 + 0.6 * _ramp(seed, 20), sigma=1.0)
 
 
 def oscillation_run(seed: int) -> Trajectory:
     """Step edge under a rough kernel on [-1.2, 0]; dense samples so four
     nested cylinders at scale 0.65 stay resolved."""
-    grid = default_grid()
-    initial = make_initial(grid, kind="step", amplitude=0.5, radius=1.5)
-    problem = FlowProblem(kind="linear", grid=grid,
-                          kernel=rough_kernel(seed), initial=initial,
-                          t_start=-1.2, t_end=0.0, dt_max=OSCILLATION_GAP)
-    return run_flow(problem, sample_every=1)
+    return _recipe_run(seed, -1.2, OSCILLATION_GAP, kind="step",
+                       amplitude=0.5, radius=1.5)

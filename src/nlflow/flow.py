@@ -47,24 +47,24 @@ STATE_CHUNK = 1 << 14    # values of run_flow's state buffer (2 states or more)
 
 
 def stable_dt(op: DiscreteOperator, potential: Potential | None = None,
-              t: float = 0.0) -> float:
+              t: float = 0.0, multiplier: float | None = None) -> float:
     """0.9 / max_x (lambda_phi * row sum) of `op` at time t: 0.9 times the
     largest dt that keeps the explicit step a convex combination; raises on
-    a degenerate kernel."""
-    lam_phi = 1.0 if potential is None else potential.sup_d2
-    if op.kernel.time_dependent:
+    a degenerate kernel.  With a `multiplier` the row sums are those of the
+    envelope (1-s/2) |x-y|^-(N+s) times it, built with no offset table; if
+    they underflow (1/Lambda = 1e-308), no step is bounded: inf."""
+    if op.kernel.time_dependent and multiplier is None:
         # kernel resamples over epochs; bound the row sums by the envelope
-        unit = float(np.dot(op.stencil.multiplicity,
-                            op.kernel.envelope_profile(op.dists)))
-        rs_max = op.kernel.upper_multiplier * unit \
-            * op.grid.spacing ** op.grid.dimension
-    else:
-        rs_max = float(op.rowsums(t).max())
-    denom = lam_phi * rs_max
-    if not (denom > 0.0):
+        multiplier = op.kernel.upper_multiplier
+    rs_max = float(op.rowsums(t).max()) if multiplier is None else \
+        multiplier * float(np.dot(op.stencil.multiplicity,
+                                  op.kernel.envelope_profile(op.dists))) \
+        * op.grid.spacing ** op.grid.dimension
+    denom = (1.0 if potential is None else potential.sup_d2) * rs_max
+    if not (denom > 0.0 or multiplier):
         raise InvalidParameterError(
             "kernel row sums vanish; no finite stable step exists")
-    return 0.9 * (1.0 / denom)
+    return 0.9 * (1.0 / denom) if denom > 0.0 else math.inf
 
 
 def _offset_rhs(op: DiscreteOperator, wg: np.ndarray, t: float,
@@ -163,16 +163,22 @@ def stepping_errors(dt_max: float | None, sample_every: int) -> list:
          "sample interval must be a positive integer"))
 
 
-def size_errors(span: float, dt: float, sample_every: int,
-                n_nodes: int) -> list:
-    """(field, error) pairs of the rule a run over `span` in steps of at
-    most `dt` on n_nodes nodes breaks: it holds at most RUN_MAX_BYTES."""
-    steps = span / dt if dt > 0.0 else math.inf
-    held = 8.0 * (n_nodes * ((steps + 1.0) / sample_every + 2.0)
-                  + 7.0 * (steps + 2.0))
-    return violations(("dt_max", held <= RUN_MAX_BYTES, f"{steps:.3g} steps "
-                       f"on {n_nodes} nodes hold {held / 2 ** 30:.3g} GiB, "
-                       f"above the {RUN_MAX_BYTES >> 30} GiB a run may take"))
+def run_steps(span: float, dt: float, dt_max: float | None,
+              sample_every: int, n_nodes: int) -> tuple:
+    """The step count of a run over `span` in steps of `dt` (inf: one step)
+    or `dt_max` if smaller, and the pairs of its rule: it holds at most
+    RUN_MAX_BYTES on n_nodes nodes, under the field that set the count
+    (points_per_axis if one step does not fit, dt_max if it set the step)."""
+    step = dt if dt_max is None else min(dt, dt_max)
+    ratio = span / step - 1e-12 if step > 0.0 else math.inf
+    n_steps = max(1, math.ceil(ratio)) if ratio < math.inf else ratio
+    one, held = (8.0 * (n_nodes * ((steps + 1.0) / sample_every + 2.0)
+                        + 7.0 * (steps + 2.0)) for steps in (1.0, n_steps))
+    field = "points_per_axis" if one > RUN_MAX_BYTES else \
+        "t_end" if step == dt else "dt_max"
+    return n_steps, violations((field, held <= RUN_MAX_BYTES, f"{n_steps:.3g} "
+        f"steps on {n_nodes} nodes hold {held / 2 ** 30:.3g} GiB, above the "
+        f"{RUN_MAX_BYTES >> 30} GiB a run may take"))
 
 
 @dataclass
@@ -292,12 +298,10 @@ def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
     op = DiscreteOperator(grid, kernel, problem.strategy)
     pot = problem.potential if problem.kind == "nonlinear" else None
 
-    dt_target = stable_dt(op, pot, problem.t_start)
-    if problem.dt_max is not None:
-        dt_target = min(dt_target, problem.dt_max)
-    span = problem.t_end - problem.t_start
-    raise_first(size_errors(span, dt_target, sample_every, grid.n_nodes))
-    n_steps = max(1, int(math.ceil(span / dt_target - 1e-12)))
+    n_steps, too_big = run_steps(problem.t_end - problem.t_start,
+                                 stable_dt(op, pot, problem.t_start),
+                                 problem.dt_max, sample_every, grid.n_nodes)
+    raise_first(too_big)
     step_times = np.linspace(problem.t_start, problem.t_end, n_steps + 1)
     COUNTERS["steps"] += n_steps
     dts = np.diff(step_times)

@@ -177,6 +177,9 @@ def grid_errors(dimension: int, side_length: float, points_per_axis: int,
          "need an integer of at least 8 points per axis"),
         ("side_length", 0.0 < side_length < math.inf,
          "side length must be finite and positive"),
+        ("side_length", not 0.0 < side_length < points_per_axis * np.finfo(
+            float).tiny, "the spacing L/M must be a normal float, at least "
+         "2.23e-308"),
         ("strategy", strategy in STRATEGIES,
          f"strategy must be one of {', '.join(STRATEGIES)}"),
         ("truncation_radius", not math.isfinite(radius)

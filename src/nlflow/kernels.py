@@ -166,11 +166,12 @@ class Kernel:
         self._exponent = spec.dimension + spec.order
         if spec.family == "power-law":
             self._mult = None
-            self.upper_multiplier = spec.multiplier
+            self.lower_multiplier = self.upper_multiplier = spec.multiplier
         else:
             self._mult = RoughMultiplier(
                 spec.ellipticity, spec.cell_size, spec.seed,
                 spec.epoch_length if self.time_dependent else None)
+            self.lower_multiplier = 1.0 / spec.ellipticity
             self.upper_multiplier = spec.ellipticity
 
     def envelope_profile(self, dist) -> np.ndarray:

@@ -21,7 +21,7 @@ from nlflow.ensembles import (
     recurrence_run,
 )
 from nlflow.flow import Trajectory, run_flow
-from nlflow.grid import Grid
+from nlflow.grid import DiscreteOperator, Grid
 
 cached_lemma_run = functools.lru_cache(maxsize=None)(lemma_ensemble_run)
 cached_level_run = functools.lru_cache(maxsize=None)(level_ensemble_run)
@@ -86,6 +86,18 @@ def synthetic_trajectory(grid: Grid, times, fields,
     return Trajectory.from_fields(grid, times, np.asarray(fields),
                                   order=order)
 
+
+def cosine_mode_eigenvalue(points, kernel, mode=3, strategy="spectral"):
+    """-<Lw, w>/<w, w> for w = cos(2 pi mode x / L) on a 1-d grid, L = 16."""
+    g = Grid(dimension=1, side_length=16.0, points_per_axis=points)
+    w = np.cos(2.0 * np.pi * mode * g.node_coords()[:, 0] / g.side_length)
+    out = DiscreteOperator(g, kernel, strategy=strategy).apply(w)
+    lam = -float(np.dot(out, w) / np.dot(w, w))
+    # cosines are exact eigenfunctions of the periodic convolution, so the
+    # residual after projecting out the mode is numerical noise
+    residual = out + lam * w
+    assert np.max(np.abs(residual)) <= 1e-10 * abs(lam)
+    return lam
 
 # --------------------------------------------------------------------------
 # injected counterexample fields (detector soundness probes)

@@ -28,6 +28,7 @@ from conftest import (
     cached_recurrence_run,
     corollary1_counterexample,
     corollary2_counterexample,
+    cosine_mode_eigenvalue,
     lemma1_counterexample,
     lemma2_counterexample,
     lemma3_counterexample,
@@ -150,27 +151,19 @@ def test_operator_strategies_agree_with_dense_oracle():
              f"in {elapsed:.1f}s")
 
 
-def eigenvalue_of_mode(points, kernel, mode=3, strategy="spectral"):
-    g = Grid(dimension=1, side_length=16.0, points_per_axis=points)
-    x = g.node_coords()[:, 0]
-    w = Field(g, np.cos(2.0 * np.pi * mode * x / g.side_length))
-    out = DiscreteOperator(g, kernel, strategy=strategy).apply(w.values)
-    lam = -float(np.dot(out, w.values) / np.dot(w.values, w.values))
-    residual = out + lam * w.values
-    assert np.max(np.abs(residual)) <= 1e-10 * abs(lam)
-    return lam
-
-
 def test_eigenvalue_error_shrinks_under_refinement():
+    # spectral and dense agree to rounding at a fixed resolution, so the
+    # meaningful error is against a much finer dense evaluation
     kernel = kernel_1d(truncation=math.inf)
-    reference = eigenvalue_of_mode(1024, kernel, strategy="dense")
-    errors = [abs(eigenvalue_of_mode(m, kernel) - reference) / abs(reference)
+    reference = cosine_mode_eigenvalue(1024, kernel, strategy="dense")
+    errors = [abs(cosine_mode_eigenvalue(m, kernel) - reference) / abs(reference)
               for m in (64, 128, 256)]
     announce("spectral-refinement",
              errors[0] > errors[1] > errors[2],
              "relative eigenvalue errors "
              + " > ".join(f"{e:.3e}" for e in errors)
              + " against the fine dense oracle")
+    assert errors[2] < 1e-2
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,12 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
       "--set", "kernel.family=rough-static"],
      "grid.M: the rough-static kernel's per-node offset table takes up to "
      "55.9 GiB on 200000 nodes"),
+    (["run", "--seed", "1", "--set", "grid.L=5e-324",
+      "--set", "kernel.radius=inf", "--set", "grid.M=16"],
+     "grid.L: the spacing L/M must be a normal float"),
+    (["denoise", "--set", "denoise.input={tmp}/tiny.pgm",
+      "--set", "denoise.time=1e12"], "denoise.time: 3.01e+12 steps on 64 "
+     "nodes"),
 ], ids=["calibrate-2d", "calibrate-order", "diagnose-2d", "diagnose-order",
         "diagnose-calibration-order", "diagnose-calibration-2d",
         "nonlinear-rough", "spectral-truncated", "spectral-rough",
@@ -240,7 +246,8 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
         "envelope-overflow", "run-dt-max-tiny", "run-span-overflow",
         "validate-int-over-64-bit", "run-int-over-64-bit",
         "sample-every-over-64-bit", "diagnose-levels-over-64-bit",
-        "rough-offset-table-over-cap"])
+        "rough-offset-table-over-cap", "spacing-underflow",
+        "denoise-too-long"])
 def test_unsupported_config_exits_2(tmp_path, capsys, argv, message):
     # refused before any work, not aborted later with exit 1 or 3; a dict in
     # argv stands for a calibration file with those entries changed, and
@@ -287,15 +294,28 @@ def test_runtime_abort_exits_3(tmp_path, capsys):
 
 def test_a_run_too_long_to_hold_aborts_before_it_allocates(tmp_path,
                                                            capsys):
-    # the stable step, not flow.dt_max, sets this run's 2.9e7 steps, so the
-    # config cannot see them: run_flow refuses them with a message, where
-    # numpy was asked for 55 GiB
-    rc = main(["run", "--seed", "1", "--set", "flow.end=1e6",
-               "--out", str(tmp_path / "r")])
-    assert rc == 3
+    # the stable step, not flow.dt_max, sets this run's 2.9e7 steps: the
+    # config counts them from the kernel's band and refuses them before any
+    # output, where numpy was once asked for 55 GiB; a rough kernel's count
+    # is a lower bound, which still refuses
+    for family, steps in (("power-law", "2.89e+07"),
+                          ("rough-static", "7.22e+06")):
+        out = tmp_path / family
+        rc = main(["run", "--seed", "1", "--set", "flow.end=1e6", "--set",
+                   f"kernel.family={family}", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"flow.end: {steps} steps on 256 nodes" in err
+        assert "above the 1 GiB a run may take" in err
+        assert "flow.dt_max" not in err and "Traceback" not in err
+        assert not out.exists()
+    # no more nodes than one step fits: refused under grid.M at once
+    assert main(["run", "--seed", "1", "--set", "grid.M=4611686018427387904",
+                 "--out", str(tmp_path / "m")]) == 2
     err = capsys.readouterr().err
-    assert "above the 1 GiB a run may take" in err
-    assert "Traceback" not in err
+    assert "grid.M: 1 steps on 4611686018427387904 nodes" in err
+    assert "flow.dt_max" not in err and "0 steps" not in err
+    assert not (tmp_path / "m").exists()
 
 
 # a broken value of each calibrated constant, and a detector that reads it
@@ -704,13 +724,16 @@ def sweep_argv(rng, inputs) -> list[str]:
     on at most 20 points an axis, with each float key +-inf one time in 40.
     kernel.lambda stays at most 16 and flow.end at most 0.2 because step
     counts grow with both: a rough run at Lambda = 1e6 took 40 s, slow but
-    not wrong.  Half the amplitudes reach 1e300, so that the refusals above
-    |amplitude| + |shift| = 1e100 leave room for runs.  The diagnose.* keys
-    are drawn for diagnose and one other draw in four; three diagnose draws
-    in four keep grid.N = 1 and kernel.s = 1, the ensembles' own, so that
-    the diagnose.* keys are reached, and three denoise draws in four keep
-    the power-law family and the banded strategy that its nonlinear flow
-    needs; `inputs` maps pgm and csv to the files of `sweep_inputs`."""
+    not wrong; one time in 40 flow.end is 1e7 all the same, a run too long
+    to hold, and one time in 40 grid.L is 5e-324 with kernel.radius inf, a
+    spacing L/M that underflows to 0.  Half the amplitudes reach 1e300, so
+    that the refusals above |amplitude| + |shift| = 1e100 leave room for
+    runs.  The diagnose.* keys are drawn for diagnose and one other draw in
+    four; three diagnose draws in four keep grid.N = 1 and kernel.s = 1, the
+    ensembles' own, so that the diagnose.* keys are reached, and three
+    denoise draws in four keep the power-law family and the banded strategy
+    that its nonlinear flow needs; `inputs` maps pgm and csv to the files of
+    `sweep_inputs`."""
     def pick(options):
         return options[rng.integers(len(options))]
 
@@ -759,6 +782,10 @@ def sweep_argv(rng, inputs) -> list[str]:
     for key, value in sets.items():
         if isinstance(value, float) and rng.integers(40) == 0:
             sets[key] = pick((-math.inf, math.inf))
+    if rng.integers(40) == 0:
+        sets["flow.end"] = 1e7
+    if rng.integers(40) == 0:
+        sets.update({"grid.L": 5e-324, "kernel.radius": math.inf})
     if command == "diagnose" and rng.integers(4):
         sets.update({"grid.N": 1, "kernel.s": 1.0})
     if command == "denoise" and rng.integers(4):

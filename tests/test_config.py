@@ -13,7 +13,7 @@ from nlflow.errors import ConfigError, NlflowError
 from nlflow.fields import make_initial
 from nlflow.flow import FlowProblem, Trajectory, run_flow
 from nlflow.grid import DiscreteOperator, Grid
-from nlflow.kernels import KernelSpec, make_kernel
+from nlflow.kernels import KERNEL_FAMILIES, KernelSpec, make_kernel
 from nlflow.oscillation import oscillation_decay
 from nlflow.potentials import PotentialSpec, make_potential
 
@@ -201,6 +201,32 @@ def test_seed_threads_through_kernel_and_initial():
     assert np.array_equal(p3.initial.values, again.initial.values)
 
 
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+@pytest.mark.parametrize("dimension, points", [(1, 64), (2, 16)])
+def test_the_config_counts_the_steps_run_flow_takes(family, dimension,
+                                                    points):
+    # the config sizes a run from the kernel's band, with no offset table:
+    # run_flow's count for power-law and time-dependent kernels, whose step
+    # the band fixes, and at most it for rough-static ones, so that the
+    # config refuses no run that run_flow takes
+    cases = [[], ["flow.dt_max=0.002"], ["flow.sample_every=3",
+                                         "flow.stepper=heun"]]
+    if family == "power-law":
+        cases += [["flow.kind=nonlinear"], ["flow.strategy=dense"],
+                  ["flow.strategy=spectral", "kernel.radius=inf"]]
+    for extra in cases:
+        cfg = parse_config(overrides=[
+            f"kernel.family={family}", f"grid.N={dimension}",
+            f"grid.M={points}", "flow.start=-0.05", "flow.end=0.1",
+            "kernel.lambda=6", "kernel.epoch=0.05"] + extra)
+        count = cfg.check_flow(cfg.get("flow.kind"), cfg.make_grid(), 0.15)
+        n_steps = run_flow(cfg.flow_problem(seed=3), sample_every=cfg.get(
+            "flow.sample_every")).meta["n_steps"]
+        assert count <= n_steps, extra
+        if family != "rough-static" or extra == ["flow.dt_max=0.002"]:
+            assert count == n_steps, extra
+
+
 def _problem(**changes):
     g = Grid(1, 16.0, 64)
     args = dict(kind="linear", grid=g, kernel=make_kernel(KernelSpec()),
@@ -308,6 +334,10 @@ PARITY = {
     "run-size": (["grid.M=64", "flow.end=1", "flow.dt_max=1e-300"],
                  "flow.dt_max", 1e-300,
                  lambda: run_flow(_problem(dt_max=1e-300))),
+    "run-steps": (["flow.end=1e6"], "flow.end", 1e6,
+                  lambda: run_flow(FlowProblem(
+                      "linear", Grid(), make_kernel(KernelSpec()),
+                      make_initial(Grid(), "constant"), t_end=1e6))),
     "nonlinear-strategy": (["flow.kind=nonlinear", "flow.strategy=dense"],
                            "flow.strategy", "dense",
                            lambda: _problem(kind="nonlinear",
