@@ -8,7 +8,9 @@ phase spans (setup, then integrate / detect / write, each running until the
 next begins) and the work counters of `grid.COUNTERS`.
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 usage/config error,
-3 runtime abort.
+3 runtime abort (2 and 3 write no report and remove the --out they made).
+Keys a command never reads (`ExperimentConfig.unread`) are named on stderr,
+and refused by diagnose and calibrate, whose recipes fix the problem.
 """
 
 from __future__ import annotations
@@ -202,11 +204,12 @@ def _cmd_run(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
 def _cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
     path = cfg.get("calibration.file")
     cal = load_calibration(path) if path else default_calibration()
-    cfg.check_recipes(resolve=True)
+    cfg.check_recipes()
     seeds = list(cfg.get("ensemble.seeds"))
     k_max = cfg.get("diagnose.k_max")
     levels = cfg.get("diagnose.levels")
     scale = cfg.get("diagnose.scale")
+    cfg.refuse_unread()         # the recipes fix every other key
 
     def diagnose_seed(seed: int) -> dict:
         entry: dict = {"seed": seed}
@@ -297,13 +300,11 @@ def _cmd_denoise(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
     noisy = load_field(src)
     cfg.check_flow("nonlinear", noisy.grid, cfg.get("denoise.time"),
                    t_end="denoise.time", points_per_axis="denoise.input")
-    # the file's own grid wins; rebuild the kernel at its dimension
-    spec = dataclasses.replace(cfg.kernel_spec(),
-                               dimension=noisy.grid.dimension)
+    # the file's own grid wins: no grid.* key is read
     problem = FlowProblem(
         kind="nonlinear",
         grid=noisy.grid,
-        kernel=make_kernel(spec),
+        kernel=make_kernel(cfg.kernel_spec(dimension=noisy.grid.dimension)),
         initial=noisy,
         t_start=0.0,
         t_end=cfg.get("denoise.time"),
@@ -348,10 +349,10 @@ def _cmd_denoise(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
 
 
 def _cmd_calibrate(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
-    cfg.check_recipes(resolve=False)
     seeds = CALIBRATION_SEEDS
-    if cfg.sources["ensemble.seeds"] == "--seed":
+    if cfg.sources["ensemble.seeds"] != "default":
         seeds = dict.fromkeys(seeds, list(cfg.get("ensemble.seeds")))
+    cfg.refuse_unread()         # the recipes fix every other key
     recipes = {"lemma": lemma_ensemble_run, "level": level_ensemble_run,
                "recurrence": recurrence_run, "oscillation": oscillation_run}
     # lazy pairs: each run is integrated when the reduction reaches it
@@ -415,18 +416,21 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(path=args.config, overrides=args.set,
                            seeds=args.seed)
-        out_dir = args.out if args.out is not None else cfg.get("output.dir")
+        out_dir = cfg.get("output.dir")       # --out reads it too
+        if args.out is not None:
+            out_dir = args.out
         made = _make_out_dir(out_dir)
         body, passed = _COMMANDS[args.command](cfg, out_dir)
         _phase("write")
-    except ConfigError as exc:
+    except NlflowError as exc:      # no report: remove what was made
         if made is not None:
             shutil.rmtree(made)
-        print(f"nlflow {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except NlflowError as exc:
-        print(f"nlflow {args.command}: aborted: {exc}", file=sys.stderr)
-        return 3
+        refused = isinstance(exc, ConfigError)
+        print(f"nlflow {args.command}: {'' if refused else 'aborted: '}{exc}",
+              file=sys.stderr)
+        return 2 if refused else 3
+    for line in cfg.unread():
+        print(f"nlflow {args.command}: note: {line}", file=sys.stderr)
     write_json({"command": args.command, "version": __version__,
                 "config": cfg.echo(), **body},
                os.path.join(out_dir, "report.json"))

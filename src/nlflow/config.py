@@ -3,18 +3,19 @@
 Files hold one ``section.key = value`` pair per line (``#`` comments allowed);
 ``--set`` flags override file entries.  Parsing collects *every* violation
 before failing, and the resulting ExperimentConfig remembers which keys were
-defaulted so reports can echo them.
+defaulted so reports can echo them, and which keys a command has read, so
+that a value it never read can be named (`ExperimentConfig.unread`).
 """
 
 from __future__ import annotations
 
 import difflib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 from .degiorgi import ladder_errors
 from .ensembles import LEVELS, MAX_K, OSCILLATION_GAP, ORDER, \
-    RECURRENCE_GAP, SCALE, default_grid, recipe_errors
+    RECURRENCE_GAP, SCALE, default_grid
 from .errors import ConfigError, violations
 from .fields import initial_errors, make_initial
 from .flow import FlowProblem, kind_errors, problem_errors, run_steps, \
@@ -144,9 +145,22 @@ class ExperimentConfig:
 
     values: dict[str, object]
     sources: dict[str, str]       # key -> where its value came from
+    read: set = field(default_factory=set, compare=False)  # keys `get` gave
 
     def get(self, key: str):
+        self.read.add(key)
         return self.values[key]
+
+    def unread(self) -> list[str]:
+        """`key: message (got value)` lines of the keys that hold a value
+        other than their default and that no `get` asked for since parsing."""
+        return [f"{key}: not read by this command (got {value!r})"
+                for key, value in self.values.items()
+                if key not in self.read and value != SCHEMA[key][1]]
+
+    def refuse_unread(self) -> None:
+        """Raise ConfigError naming every `unread` key."""
+        _refuse(self.unread())
 
     @property
     def defaulted(self) -> tuple[str, ...]:
@@ -171,9 +185,10 @@ class ExperimentConfig:
                     side_length=self.get("grid.L"),
                     points_per_axis=self.get("grid.M"))
 
-    def kernel_spec(self, seed: int | None = None) -> KernelSpec:
+    def kernel_spec(self, seed: int | None = None,
+                    dimension: int | None = None) -> KernelSpec:
         return KernelSpec(
-            dimension=self.get("grid.N"),
+            dimension=self.get("grid.N") if dimension is None else dimension,
             order=self.get("kernel.s"),
             ellipticity=self.get("kernel.lambda"),
             truncation_radius=self.get("kernel.radius"),
@@ -210,7 +225,8 @@ class ExperimentConfig:
         `grid`, at `stable_dt` of the kernel's band (`flow.run_steps`); raise
         ConfigError on the rules it, the operator (`grid.operator_errors`)
         or the kind (`flow.kind_errors`) breaks, keyed by `keys` or `_KEYS`."""
-        spec = replace(self.kernel_spec(), dimension=grid.dimension)
+        # the band's step does not depend on the kernel's seed
+        spec = self.kernel_spec(seed=0, dimension=grid.dimension)
         strategy, kernel = self.get("flow.strategy"), make_kernel(spec)
         size = (self.get("flow.sample_every"), grid.n_nodes)
         n_steps, found = 0, operator_errors(grid, spec, strategy) + \
@@ -226,25 +242,19 @@ class ExperimentConfig:
         _refuse(_keyed(self.values, found, {**_KEYS, **keys}))
         return n_steps
 
-    def check_recipes(self, resolve: bool) -> None:
-        """Raise ConfigError unless grid.N and kernel.s are the recipes'
-        (`ensembles.recipe_errors`) and, with `resolve`, their runs resolve
-        the diagnose.* ladder and innermost cylinder, as the detectors ask."""
-        errors = [f"{_KEYS[field]} {error} (got {self.get(_KEYS[field])!r})"
-                  for field, error in recipe_errors(self.get("grid.N"),
-                                                    self.get("kernel.s"))]
-        if resolve:
-            radius = self.get("diagnose.scale") ** (
-                self.get("diagnose.levels") - 1)
-            depth = radius ** ORDER
-            # the oscillation runs sample every OSCILLATION_GAP back from 0
-            errors += _keyed(self.values, ladder_errors(
-                self.get("diagnose.k_max"), RECURRENCE_GAP), _KEYS) + [
-                f"diagnose.scale, diagnose.levels: the innermost {error}"
-                for _, error in cylinder_errors(
-                    radius, depth, int(default_grid().ball(radius).sum()),
-                    math.floor(depth / OSCILLATION_GAP) + 1)]
-        _refuse(errors)
+    def check_recipes(self) -> None:
+        """Raise ConfigError unless the recipes' runs resolve the diagnose.*
+        ladder and innermost cylinder, as the detectors ask."""
+        scale, levels = self.get("diagnose.scale"), self.get("diagnose.levels")
+        radius = scale ** (levels - 1)
+        depth = radius ** ORDER
+        # the oscillation runs sample every OSCILLATION_GAP back from 0
+        _refuse(_keyed(self.values, ladder_errors(
+            self.get("diagnose.k_max"), RECURRENCE_GAP), _KEYS) + [
+            f"diagnose.scale, diagnose.levels: the innermost {error}"
+            for _, error in cylinder_errors(
+                radius, depth, int(default_grid().ball(radius).sum()),
+                math.floor(depth / OSCILLATION_GAP) + 1)])
 
     def seeds_reach_problem(self) -> bool:
         """Whether `flow_problem(seed)` differs between seeds: the seed only
@@ -385,4 +395,5 @@ def parse_config(path: str | None = None,
     # Range checks run on whatever parsed (failed keys keep their defaults).
     cfg = ExperimentConfig(values=values, sources=sources)
     _refuse(errors + _semantic_errors(cfg))
+    cfg.read.clear()              # the commands' reads count, not the rules'
     return cfg

@@ -64,11 +64,6 @@ BARRIER_KINDS = (
 
 _LAMBDA_KINDS = ("psi_lambda", "psi_eps_lambda", "phi0", "phi1", "phi2")
 
-# Values of one chunk of samples: the detectors read a window of samples a
-# chunk at a time, so their temporaries stay a few chunks large however long
-# the window is.
-WINDOW_CHUNK = 1 << 13
-
 
 def constant_errors(**constants: float) -> list:
     """(field, error) pairs of the rules the lemmas' constants, named by
@@ -158,11 +153,11 @@ def _barrier(traj: Trajectory, kind: str, **params) -> np.ndarray:
 
 def _chunks(traj: Trajectory, idx: np.ndarray,
             nodes: np.ndarray | None = None):
-    """Yield (rows, block) over the window `idx` a WINDOW_CHUNK of values at
+    """Yield (rows, block) over the window `idx` a BLOCK_BUDGET of values at
     a time: `rows` a slice of idx, `block` the fields of its samples as a
     view of the trajectory or, with `nodes`, gathered at those nodes."""
     fields = traj.samples(idx)
-    step = max(1, WINDOW_CHUNK // (fields.shape[1] if nodes is None
+    step = max(1, BLOCK_BUDGET // (fields.shape[1] if nodes is None
                                    else nodes.size))
     for lo in range(0, idx.size, step):
         rows = slice(lo, lo + step)

@@ -38,12 +38,12 @@ from .errors import (
     raise_first,
     violations,
 )
-from .grid import COUNTERS, RUN_MAX_BYTES, DiscreteOperator, Field, Grid
+from .grid import BLOCK_BUDGET, COUNTERS, RUN_MAX_BYTES, DiscreteOperator, \
+    Field, Grid
 from .kernels import TRANSLATION_INVARIANT_FAMILIES, Kernel
 from .potentials import Potential
 
 STEPPERS = ("euler", "heun")
-STATE_CHUNK = 1 << 14    # values of run_flow's state buffer (2 states or more)
 
 
 def stable_dt(op: DiscreteOperator, potential: Potential | None = None,
@@ -203,7 +203,7 @@ class FlowProblem:
                                   self.kernel.spec.family))
         if self.kind == "nonlinear" and self.potential is None:
             raise InvalidParameterError("nonlinear flow needs a potential")
-        if not self.grid.compatible_with(self.initial.grid):
+        if self.grid != self.initial.grid:
             raise InvalidParameterError("initial field grid != problem grid")
 
 
@@ -288,7 +288,7 @@ def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
     """Integrate the flow; samples every `sample_every`-th state (plus the
     final one) and records dt / L2 / energy / min / max / mass per state.
 
-    Steps write states into a reused buffer of STATE_CHUNK values, whose
+    Steps write states into a reused buffer of BLOCK_BUDGET values, whose
     rows give L2, min, max and mass as row reductions, bit for bit the
     per-state sums.  The energy comes with the RHS; only a non-finite
     energy, which a non-finite state makes, is followed by a look for
@@ -312,7 +312,7 @@ def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
         sampled = np.append(sampled, n_steps)
     fields = np.empty((sampled.size, n))
     energy, l2, vmin, vmax, mass = np.empty((5, n_steps + 1))
-    buf = np.empty((min(n_steps + 1, max(2, STATE_CHUNK // n)), n))
+    buf = np.empty((min(n_steps + 1, max(2, BLOCK_BUDGET // n)), n))
     buf[0] = problem.initial.values
     first = 0                           # the state in buf[0]
     for i in range(n_steps + 1):

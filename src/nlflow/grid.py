@@ -58,11 +58,14 @@ DENSE_MAX_NODES = 4096
 # (a 2-d rough-static table at M = 64); 1 GiB fits a small machine
 RUN_MAX_BYTES = 1 << 30
 
-# Offsets x nodes in one block of lattice differences.  A 1-d row of 256
-# nodes takes 64 offsets a block (all 48 of the diagnose runs: 2^13 and 2^12
-# measured 10-40% slower); a 128 x 128 grid takes one: a smoothed-huber flux
-# and energy pass over its 896 offsets took ~100 ms so, ~105 ms with two
-# offsets a block and ~190 ms with four (2-vCPU Xeon, 2 MB L2 a core).
+# Values in one working set: offsets x nodes in one block of lattice
+# differences, states x nodes in run_flow's state buffer (two states at
+# least), samples x nodes in one chunk of a detector's window.  A 1-d row
+# of 256 nodes takes 64 offsets a block (all 48 of the diagnose runs: 2^13
+# and 2^12 measured 10-40% slower); a 128 x 128 grid takes one: a
+# smoothed-huber flux and energy pass over its 896 offsets took ~100 ms so,
+# ~105 ms with two offsets a block and ~190 ms with four (2-vCPU Xeon, 2 MB
+# L2 a core).
 BLOCK_BUDGET = 1 << 14
 
 # Pair length cutoff of the discrete H^(s/2) seminorm (`seminorm_sq`).
@@ -158,11 +161,6 @@ class Grid:
     def node_indices(self) -> np.ndarray:
         """Integer lattice index of every node, shape (n_nodes, N)."""
         return np.indices(self.shape).reshape(self.dimension, -1).T
-
-    def compatible_with(self, other: "Grid") -> bool:
-        return (self.dimension == other.dimension
-                and self.points_per_axis == other.points_per_axis
-                and self.side_length == other.side_length)
 
 
 def grid_errors(dimension: int, side_length: float, points_per_axis: int,
@@ -596,7 +594,7 @@ def bilinear_form(kernel: Kernel, u: Field, v: Field, t: float = 0.0) -> float:
     tests compare that identity against; flow records take the energy from
     the identity instead.
     """
-    if not u.grid.compatible_with(v.grid):
+    if u.grid != v.grid:
         raise GridMismatchError("bilinear_form fields live on different grids")
     op = DiscreteOperator(u.grid, kernel, "banded")
     pair = np.stack([u.values, v.values]).reshape((2,) + u.grid.shape)

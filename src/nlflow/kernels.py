@@ -100,53 +100,6 @@ def _hash_fold(acc: np.ndarray, word) -> np.ndarray:
                               + _U64(0x9E3779B97F4A7C15)))
 
 
-class RoughMultiplier:
-    """Seeded piecewise-constant symmetric field a(t, x, y) in [1/Lambda, Lambda].
-
-    Space is tiled into cells of side `cell_size`; each ordered cell pair maps
-    through a stateless 64-bit hash to a uniform value in the band, and the
-    value for (x, y) is the average of the two ordered lookups, so symmetry is
-    exact.  Time-dependent multipliers fold the epoch index floor(t / epoch)
-    into the hash and are piecewise constant in t.  Built by Kernel, whose
-    spec check has already bounded the ellipticity and the cell size.
-    """
-
-    def __init__(self, ellipticity: float, cell_size: float = 0.25,
-                 seed: int = 0, epoch_length: float | None = None):
-        self.ellipticity = float(ellipticity)
-        self.cell_size = float(cell_size)
-        self.seed = int(seed)
-        self.epoch_length = None if epoch_length is None else float(epoch_length)
-        self.time_dependent = epoch_length is not None
-
-    def _cells(self, pts: np.ndarray) -> np.ndarray:
-        return np.floor(pts / self.cell_size).astype(np.int64)
-
-    def _ordered_value(self, epoch: np.ndarray, cells_a: np.ndarray,
-                       cells_b: np.ndarray) -> np.ndarray:
-        acc = np.broadcast_to(_U64(self.seed & 0xFFFFFFFFFFFFFFFF),
-                              cells_a.shape[:-1]).copy()
-        acc = _hash_fold(acc, np.broadcast_to(epoch, acc.shape))
-        for k in range(cells_a.shape[-1]):
-            acc = _hash_fold(acc, cells_a[..., k])
-        for k in range(cells_b.shape[-1]):
-            acc = _hash_fold(acc, cells_b[..., k])
-        unit = (acc >> _U64(11)).astype(np.float64) * 2.0 ** -53
-        lo = 1.0 / self.ellipticity
-        return lo + unit * (self.ellipticity - lo)
-
-    def __call__(self, t, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """a(t, x, y); t is a scalar or an array of times that broadcasts
-        against the points' leading axes."""
-        epoch = np.int64(0)
-        if self.time_dependent:
-            epoch = np.floor(np.asarray(t, dtype=np.float64)
-                             / self.epoch_length).astype(np.int64)
-        ca, cb = self._cells(x), self._cells(y)
-        return 0.5 * (self._ordered_value(epoch, ca, cb)
-                      + self._ordered_value(epoch, cb, ca))
-
-
 class Kernel:
     """Concrete kernel evaluator built from a KernelSpec.
 
@@ -154,6 +107,11 @@ class Kernel:
     array of times that broadcasts against them; `dist` overrides the
     Euclidean separation so grid code can supply periodic distances while
     keeping the multiplier a function of the canonical positions.
+
+    A rough kernel's multiplier a(t, x, y) in [1/Lambda, Lambda] is the
+    average of the hashed values of the ordered cell pairs (cell(x), cell(y))
+    and (cell(y), cell(x)) (`_cell_pair_value`), so symmetry is exact; a
+    time-dependent kernel hashes the epoch floor(t / epoch_length) too.
     """
 
     def __init__(self, spec: KernelSpec):
@@ -164,13 +122,9 @@ class Kernel:
         self.time_dependent = spec.family == "rough-time-dependent"
         self._scale = 1.0 - spec.order / 2.0
         self._exponent = spec.dimension + spec.order
-        if spec.family == "power-law":
-            self._mult = None
+        if self.translation_invariant:
             self.lower_multiplier = self.upper_multiplier = spec.multiplier
         else:
-            self._mult = RoughMultiplier(
-                spec.ellipticity, spec.cell_size, spec.seed,
-                spec.epoch_length if self.time_dependent else None)
             self.lower_multiplier = 1.0 / spec.ellipticity
             self.upper_multiplier = spec.ellipticity
 
@@ -189,6 +143,21 @@ class Kernel:
                 "radial_profile requires a translation-invariant kernel")
         return self.spec.multiplier * self.envelope_profile(dist)
 
+    def _cell_pair_value(self, epoch, cells_a: np.ndarray,
+                         cells_b: np.ndarray) -> np.ndarray:
+        """The band value the hash gives the ordered cell pairs (cells_a,
+        cells_b) in `epoch`."""
+        acc = np.broadcast_to(_U64(int(self.spec.seed) & 0xFFFFFFFFFFFFFFFF),
+                              cells_a.shape[:-1]).copy()
+        acc = _hash_fold(acc, np.broadcast_to(epoch, acc.shape))
+        for k in range(cells_a.shape[-1]):
+            acc = _hash_fold(acc, cells_a[..., k])
+        for k in range(cells_b.shape[-1]):
+            acc = _hash_fold(acc, cells_b[..., k])
+        unit = (acc >> _U64(11)).astype(np.float64) * 2.0 ** -53
+        lo = self.lower_multiplier
+        return lo + unit * (self.upper_multiplier - lo)
+
     def evaluate(self, t, x, y, dist=None) -> np.ndarray:
         px = _as_points(x, self.spec.dimension)
         py = _as_points(y, self.spec.dimension)
@@ -199,9 +168,16 @@ class Kernel:
             r = np.broadcast_to(np.asarray(dist, dtype=np.float64),
                                 px.shape[:-1])
         base = self.envelope_profile(r)
-        if self._mult is None:
+        if self.translation_invariant:
             return self.spec.multiplier * base
-        return base * self._mult(t, px, py)
+        epoch = np.int64(0)
+        if self.time_dependent:
+            epoch = np.floor(np.asarray(t, dtype=np.float64)
+                             / self.spec.epoch_length).astype(np.int64)
+        ca = np.floor(px / self.spec.cell_size).astype(np.int64)
+        cb = np.floor(py / self.spec.cell_size).astype(np.int64)
+        return base * (0.5 * (self._cell_pair_value(epoch, ca, cb)
+                              + self._cell_pair_value(epoch, cb, ca)))
 
 
 def make_kernel(spec: KernelSpec) -> Kernel:

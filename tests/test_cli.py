@@ -20,7 +20,7 @@ from nlflow.calibrate import CAP, CALIBRATION_SEEDS, _largest_budget, \
     calibrate_constants, default_calibration, load_calibration, \
     save_calibration
 from nlflow.cli import _dissipation_record, main
-from nlflow.config import parse_config
+from nlflow.config import SCHEMA, parse_config
 from nlflow.degiorgi import truncated_energies, verify_corollary2, \
     verify_lemma1, verify_lemma2
 from nlflow.ensembles import MAX_K
@@ -109,12 +109,20 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["calibrate", "--set", "grid.N=2"], "grid.N must be 1"),
+    (["calibrate", "--set", "grid.N=2"],
+     "grid.N: not read by this command (got 2)"),
     (["calibrate", "--set", "kernel.s=1.5", "--seed", "1"],
-     "kernel.s must be 1"),
-    (["diagnose", "--set", "grid.N=2", "--seed", "1"], "grid.N must be 1"),
+     "kernel.s: not read by this command (got 1.5)"),
+    (["diagnose", "--set", "grid.N=2", "--seed", "1"],
+     "grid.N: not read by this command (got 2)"),
     (["diagnose", "--set", "kernel.s=1.5", "--seed", "1"],
-     "kernel.s must be 1"),
+     "kernel.s: not read by this command (got 1.5)"),
+    (["diagnose", "--seed", "1", "--set", "kernel.lambda=9"],
+     "kernel.lambda: not read by this command (got 9.0)"),
+    (["calibrate", "--set", "grid.M=128"],
+     "grid.M: not read by this command (got 128)"),
+    (["diagnose", "--seed", "1", "--set", "flow.store_states=true"],
+     "flow.store_states: not read by this command (got True)"),
     (["diagnose", "--seed", "1", "--set", {"order": 1.5}],
      "calibration.file order must be 1"),
     (["diagnose", "--seed", "1", "--set", {"dimension": 2}],
@@ -226,6 +234,7 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
       "--set", "denoise.time=1e12"], "denoise.time: 3.01e+12 steps on 64 "
      "nodes"),
 ], ids=["calibrate-2d", "calibrate-order", "diagnose-2d", "diagnose-order",
+        "diagnose-kernel-lambda", "calibrate-grid-m", "diagnose-store-states",
         "diagnose-calibration-order", "diagnose-calibration-2d",
         "nonlinear-rough", "spectral-truncated", "spectral-rough",
         "calibration-missing", "calibration-truncated", "calibration-list",
@@ -279,9 +288,61 @@ def test_flow_refusals_leave_validate_alone(tmp_path, capsys, setting):
     assert main(["validate", "--out", str(tmp_path / "v")] + setting) == 0
 
 
+# a valid value other than the default of every schema key
+OTHER_VALUES = {
+    "kernel.family": "rough-static", "kernel.s": 0.5, "kernel.lambda": 9.0,
+    "kernel.radius": 2.0, "kernel.seed": 5, "kernel.multiplier": 1.5,
+    "kernel.cell": 0.5, "kernel.epoch": 0.05, "potential.family": "quadratic",
+    "potential.lambda": 8.0, "grid.N": 2, "grid.M": 12, "grid.L": 12.0,
+    "initial.kind": "step", "initial.amplitude": 0.5, "initial.sigma": 1.0,
+    "initial.radius": 2.0, "initial.mode": 2, "initial.shift": 0.25,
+    "initial.seed": 5, "flow.kind": "nonlinear", "flow.start": -0.02,
+    "flow.end": 0.03, "flow.stepper": "heun", "flow.strategy": "dense",
+    "flow.dt_max": 0.01, "flow.sample_every": 2, "flow.store_states": True,
+    "ensemble.seeds": "2", "diagnose.k_max": 5, "diagnose.levels": 3,
+    "diagnose.scale": 0.8, "denoise.input": "other.pgm",
+    "denoise.time": 0.05, "output.dir": "elsewhere",
+    "calibration.file": "other.json", "report.verbosity": 2,
+}
+
+
+def test_a_key_named_unread_leaves_the_report_alone(tmp_path, capsys):
+    # each key a command names as unread at another value leaves every
+    # report entry but the config echo as the default's, byte for byte
+    assert set(OTHER_VALUES) == set(SCHEMA)
+    noisy_image(tmp_path / "noisy.pgm", m=16)
+    commands = {
+        "validate": ["validate", "--set", "grid.M=16"],
+        "run": ["run", "--seed", "1", "--set", "grid.M=16",
+                "--set", "flow.end=0.05"],
+        "denoise": ["denoise", "--set",
+                    f"denoise.input={tmp_path / 'noisy.pgm'}"]}
+    named = {}
+    for command, argv in commands.items():
+        reports = {}
+        for key in [None, *SCHEMA]:
+            out = tmp_path / f"{command}-{key}"
+            sets = [] if key is None else [
+                "--set", f"{key}={OTHER_VALUES[key]}"]
+            rc = main(argv + sets + ["--out", str(out)])
+            if key is None or f"note: {key}: not read" in \
+                    capsys.readouterr().err:
+                assert rc == 0, (command, key)
+                report = read_report(out)
+                del report["config"]
+                reports[key] = json.dumps(report)
+        named[command] = set(reports) - {None}
+        for key in named[command]:
+            assert reports[key] == reports[None], (command, key)
+    assert {"kernel.seed", "initial.seed"} <= named["run"]
+    assert {"grid.N", "grid.M", "grid.L", "flow.kind"} <= named["denoise"]
+    assert {"flow.strategy", "initial.kind"} <= named["validate"]
+
+
 def test_runtime_abort_exits_3(tmp_path, capsys):
     # a P5 file whose pixel data stops short passes config checks and fails
-    # when it is read
+    # when it is read; an abort writes no report, so the output directory
+    # it made goes again
     src = tmp_path / "short.pgm"
     src.write_bytes(b"P5\n8 8\n255\n\x01\x02\x03")
     rc = main(["denoise", "--out", str(tmp_path / "n"),
@@ -290,6 +351,14 @@ def test_runtime_abort_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "aborted" in err
     assert "expected 64 pixel bytes, found 3" in err
+    assert not (tmp_path / "n").exists()
+    # the config's rough-static count is a lower bound: run_flow's count of
+    # this run exceeds the cap, after curves/ and fields/ were made
+    rc = main(["run", "--seed", "1", "--set", "kernel.family=rough-static",
+               "--set", "flow.end=50000", "--out", str(tmp_path / "r")])
+    assert rc == 3
+    assert "aborted: 5.22e+06 steps on 256 nodes" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_a_run_too_long_to_hold_aborts_before_it_allocates(tmp_path,
@@ -356,7 +425,7 @@ def test_diagnose_refuses_a_constant_in_its_detectors_words(tmp_path, capsys,
 def _refused(key: str, sets: list[str]) -> bool:
     """Whether diagnose's config refuses `sets` with a line on `key`."""
     try:
-        parse_config(overrides=sets).check_recipes(resolve=True)
+        parse_config(overrides=sets).check_recipes()
     except ConfigError as exc:
         return any(line.startswith(key) for line in exc.errors)
     return False
@@ -689,6 +758,18 @@ def test_calibrate_small_ensemble(tmp_path, capsys):
         (out / "calibration.json").read_bytes()
 
 
+def test_calibrate_reads_the_seeds_from_any_source(tmp_path):
+    # set by --set or in a file as by --seed, the seeds run every recipe
+    config = tmp_path / "seeds.cfg"
+    config.write_text("ensemble.seeds = 1..2\n")
+    for source in (["--set", "ensemble.seeds=1..2"],
+                   ["--config", str(config)]):
+        out = tmp_path / source[0].strip("-")
+        assert main(["calibrate", "--out", str(out)] + source) == 0
+        assert read_report(out)["calibration"]["seeds"] == dict.fromkeys(
+            CALIBRATION_SEEDS, [1, 2])
+
+
 @pytest.mark.parametrize("pairs, expected", [
     ([(1e-14, True), (3e-13, False), (0.2, True), (0.5, False)],
      (float(np.nextafter(3e-13, 0.0)), False)),
@@ -729,11 +810,11 @@ def sweep_argv(rng, inputs) -> list[str]:
     spacing L/M that underflows to 0.  Half the amplitudes reach 1e300, so
     that the refusals above |amplitude| + |shift| = 1e100 leave room for
     runs.  The diagnose.* keys are drawn for diagnose and one other draw in
-    four; three diagnose draws in four keep grid.N = 1 and kernel.s = 1, the
-    ensembles' own, so that the diagnose.* keys are reached, and three
-    denoise draws in four keep the power-law family and the banded strategy
-    that its nonlinear flow needs; `inputs` maps pgm and csv to the files of
-    `sweep_inputs`."""
+    four; three diagnose draws in four set the diagnose.* keys alone, as
+    diagnose refuses any other key it does not read, so that its rules on
+    them and its runs are reached, and three denoise draws in four keep the
+    power-law family and the banded strategy that its nonlinear flow needs;
+    `inputs` maps pgm and csv to the files of `sweep_inputs`."""
     def pick(options):
         return options[rng.integers(len(options))]
 
@@ -787,7 +868,8 @@ def sweep_argv(rng, inputs) -> list[str]:
     if rng.integers(40) == 0:
         sets.update({"grid.L": 5e-324, "kernel.radius": math.inf})
     if command == "diagnose" and rng.integers(4):
-        sets.update({"grid.N": 1, "kernel.s": 1.0})
+        sets = {key: value for key, value in sets.items()
+                if key.startswith("diagnose.")}
     if command == "denoise" and rng.integers(4):
         sets.update({"kernel.family": "power-law", "flow.strategy": "banded"})
     argv = [command, "--seed", pick(("1", "1..2"))]
