@@ -36,8 +36,8 @@ from .ensembles import lemma_ensemble_run, level_ensemble_run, \
 from .errors import ConfigError, NlflowError
 from .fieldio import load_field, save_field, write_json
 from .flow import FlowProblem, Trajectory, run_flow
-from .grid import COUNTERS, kernel_epoch
-from .kernels import make_kernel, validate_kernel
+from .grid import COUNTERS
+from .kernels import kernel_epoch, make_kernel, validate_kernel
 from .oscillation import oscillation_decay, verify_lemma3
 from .potentials import validate_potential
 
@@ -101,9 +101,8 @@ def _dissipation_record(traj: Trajectory) -> dict:
     h_n = traj.grid.spacing ** traj.grid.dimension
     mass_tol = max(1e-12 * max(1.0, abs(float(mass[0]))), 16.0
                    * np.finfo(float).eps * h_n * np.abs(traj.fields[0]).sum())
-    epochs = [kernel_epoch(traj.kernel, t) for t in traj.step_times]
-    same_epoch = np.array([a == b for a, b in zip(epochs, epochs[1:])],
-                          dtype=bool)
+    epochs = kernel_epoch(traj.kernel, traj.step_times)
+    same_epoch = epochs[1:] == epochs[:-1]
     rec = {
         "n_steps": int(len(traj.step_times) - 1),
         "dt_max": float(np.max(traj.dts)),
@@ -131,7 +130,8 @@ def _dissipation_record(traj: Trajectory) -> dict:
 
 def _cmd_validate(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
     grid = cfg.make_grid()
-    kernel = cfg.make_kernel()
+    # validate_kernel seeds its samples with the kernel's seed, any family
+    kernel = cfg.make_kernel(seed=cfg.get("kernel.seed"))
     potential = cfg.make_potential()
     _phase("detect")
     k_rep = validate_kernel(kernel)

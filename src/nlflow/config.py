@@ -147,8 +147,11 @@ class ExperimentConfig:
     sources: dict[str, str]       # key -> where its value came from
     read: set = field(default_factory=set, compare=False)  # keys `get` gave
 
-    def get(self, key: str):
-        self.read.add(key)
+    def get(self, key: str, used: bool = True):
+        """The value of `key`, counted as read if the problem `used` it: the
+        builders pass the values it ignores on to the rules unread."""
+        if used:
+            self.read.add(key)
         return self.values[key]
 
     def unread(self) -> list[str]:
@@ -187,16 +190,19 @@ class ExperimentConfig:
 
     def kernel_spec(self, seed: int | None = None,
                     dimension: int | None = None) -> KernelSpec:
+        family = self.get("kernel.family")
+        rough = family not in TRANSLATION_INVARIANT_FAMILIES
         return KernelSpec(
             dimension=self.get("grid.N") if dimension is None else dimension,
             order=self.get("kernel.s"),
             ellipticity=self.get("kernel.lambda"),
             truncation_radius=self.get("kernel.radius"),
-            family=self.get("kernel.family"),
-            seed=self.get("kernel.seed") if seed is None else seed,
-            multiplier=self.get("kernel.multiplier"),
-            cell_size=self.get("kernel.cell"),
-            epoch_length=self.get("kernel.epoch"))
+            family=family,
+            seed=self.get("kernel.seed", rough) if seed is None else seed,
+            multiplier=self.get("kernel.multiplier", not rough),
+            cell_size=self.get("kernel.cell", rough),
+            epoch_length=self.get("kernel.epoch",
+                                  family == "rough-time-dependent"))
 
     def make_kernel(self, seed: int | None = None):
         return make_kernel(self.kernel_spec(seed=seed))
@@ -209,14 +215,16 @@ class ExperimentConfig:
         return make_potential(self.potential_spec())
 
     def make_initial(self, grid: Grid, seed: int | None = None) -> Field:
+        kind = self.get("initial.kind")
         return make_initial(
             grid,
-            kind=self.get("initial.kind"),
+            kind=kind,
             amplitude=self.get("initial.amplitude"),
-            seed=self.get("initial.seed") if seed is None else seed,
-            sigma=self.get("initial.sigma"),
-            radius=self.get("initial.radius"),
-            mode=self.get("initial.mode"),
+            seed=self.get("initial.seed", kind == "random") if seed is None
+            else seed,
+            sigma=self.get("initial.sigma", kind == "bump"),
+            radius=self.get("initial.radius", kind == "step"),
+            mode=self.get("initial.mode", kind == "cosine"),
             shift=self.get("initial.shift"))
 
     def check_flow(self, kind: str, grid: Grid, span: float,
@@ -224,7 +232,10 @@ class ExperimentConfig:
         """The step count of a `kind` flow over `span` on this config and
         `grid`, at `stable_dt` of the kernel's band (`flow.run_steps`); raise
         ConfigError on the rules it, the operator (`grid.operator_errors`)
-        or the kind (`flow.kind_errors`) breaks, keyed by `keys` or `_KEYS`."""
+        or the kind (`flow.kind_errors`) breaks, keyed by `keys` or `_KEYS`.
+        A rough-static step lies between those at the band's edges 1/Lambda
+        and Lambda (a time-dependent one steps at Lambda); where their counts
+        straddle the cap, each seed's row sums count it, as in `run_flow`."""
         # the band's step does not depend on the kernel's seed
         spec = self.kernel_spec(seed=0, dimension=grid.dimension)
         strategy, kernel = self.get("flow.strategy"), make_kernel(spec)
@@ -233,12 +244,20 @@ class ExperimentConfig:
             kind_errors(kind, strategy, spec.family)
         if not found:     # one step first: an operator takes node arrays
             n_steps, found = run_steps(span, math.inf, None, *size)
-        if not found:     # the band's lower multiplier bounds a rough step
-            n_steps, found = run_steps(span, stable_dt(
-                DiscreteOperator(grid, kernel), self.make_potential()
-                if kind == "nonlinear" else None, multiplier=None
-                if kernel.time_dependent else kernel.lower_multiplier),
-                self.get("flow.dt_max"), *size)
+        potential = self.make_potential() if kind == "nonlinear" else None
+
+        def count(op, multiplier):
+            dt = stable_dt(op, potential, multiplier=multiplier)
+            return run_steps(span, dt, self.get("flow.dt_max"), *size)
+        hi = kernel.upper_multiplier
+        lo = hi if kernel.time_dependent else kernel.lower_multiplier
+        if not found:
+            op = DiscreteOperator(grid, kernel)
+            n_steps, found = count(op, lo)
+        if not found and lo < hi and count(op, hi)[1]:
+            n_steps, found = max((count(DiscreteOperator(grid, make_kernel(
+                self.kernel_spec(seed, grid.dimension))), None) for seed in
+                self.get("ensemble.seeds")), key=lambda c: c[0])
         _refuse(_keyed(self.values, found, {**_KEYS, **keys}))
         return n_steps
 

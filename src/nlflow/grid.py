@@ -8,7 +8,9 @@ spacing h = L/M).  The discrete operator is the midpoint-rule sum
 with the diagonal excluded and y running over lattice nodes at periodic
 displacements.  When L > 2 * truncation_radius at most one periodic image of
 any node lies inside the kernel support, so the sum needs no image folding;
-untruncated kernels use the nearest-image displacement.
+untruncated kernels use the nearest-image displacement.  Every periodic
+length, of a kept offset, a dense pair or a node from the origin, is that of
+a nearest-image integer offset times h (`_lattice_length`).
 
 Three evaluation strategies give the same quadrature:
 
@@ -45,7 +47,7 @@ from .errors import (
     raise_first,
     violations,
 )
-from .kernels import TRANSLATION_INVARIANT_FAMILIES, Kernel
+from .kernels import TRANSLATION_INVARIANT_FAMILIES, Kernel, kernel_epoch
 
 STRATEGIES = ("dense", "banded", "spectral")
 # Most nodes of a dense operator: its n x n matrix takes 8 n^2 bytes, 128 MiB
@@ -105,26 +107,14 @@ class Grid:
 
     def node_coords(self) -> np.ndarray:
         """All node coordinates, shape (n_nodes, N), lexicographic order."""
-        if "coords" not in self._caches:
-            ax = np.arange(self.points_per_axis) * self.spacing
-            if self.dimension == 1:
-                coords = ax[:, None]
-            else:
-                a, b = np.meshgrid(ax, ax, indexing="ij")
-                coords = np.column_stack([a.ravel(), b.ravel()])
-            self._caches["coords"] = coords
-        return self._caches["coords"]
-
-    def wrap(self, delta: np.ndarray) -> np.ndarray:
-        """Map coordinate differences to the minimal image in (-L/2, L/2]."""
-        L = self.side_length
-        return -((-np.asarray(delta) + 0.5 * L) % L - 0.5 * L)
+        return self.node_indices() * self.spacing
 
     def origin_distance(self) -> np.ndarray:
-        """Periodic distance from every node to the origin, flat."""
+        """Periodic distance from every node to the origin, flat: the length
+        of its nearest-image index offset, as `offsets_within` measures."""
         if "origin_dist" not in self._caches:
-            self._caches["origin_dist"] = np.linalg.norm(
-                self.wrap(self.node_coords()), axis=-1)
+            self._caches["origin_dist"] = _lattice_length(
+                self, _signed_steps(self, self.node_indices()))
         return self._caches["origin_dist"]
 
     def ball(self, radius: float) -> np.ndarray:
@@ -230,14 +220,6 @@ def _signed_steps(grid: Grid, steps: np.ndarray) -> np.ndarray:
     M = grid.points_per_axis
     steps = np.mod(steps, M)
     return np.where(steps <= M // 2, steps, steps - M)
-
-
-def kernel_epoch(kernel: Kernel, t: float) -> int | None:
-    """Index floor(t / epoch_length) of the epoch a time-dependent kernel is
-    sampled on at time t; None for a static kernel, which has one epoch."""
-    if not kernel.time_dependent:
-        return None
-    return math.floor(float(t) / kernel.spec.epoch_length)
 
 
 def _lattice_length(grid: Grid, deltas: np.ndarray) -> np.ndarray:
@@ -441,8 +423,8 @@ class DiscreteOperator:
         self.grid = grid
         self.kernel = kernel
         self.strategy = strategy
-        # keyed by (what, kernel_epoch): static kernels cache under epoch
-        # None, and a new epoch of a time-dependent one replaces the entry
+        # keyed by (what, kernel_epoch): a static kernel has the one epoch
+        # 0, and a new epoch of a time-dependent one replaces the entry
         self._cache: dict = {}
         if strategy in ("banded", "dense"):
             self.deltas, self.dists = grid.offsets_within(

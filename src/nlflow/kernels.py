@@ -111,7 +111,7 @@ class Kernel:
     A rough kernel's multiplier a(t, x, y) in [1/Lambda, Lambda] is the
     average of the hashed values of the ordered cell pairs (cell(x), cell(y))
     and (cell(y), cell(x)) (`_cell_pair_value`), so symmetry is exact; a
-    time-dependent kernel hashes the epoch floor(t / epoch_length) too.
+    time-dependent kernel hashes its `kernel_epoch` too.
     """
 
     def __init__(self, spec: KernelSpec):
@@ -170,14 +170,19 @@ class Kernel:
         base = self.envelope_profile(r)
         if self.translation_invariant:
             return self.spec.multiplier * base
-        epoch = np.int64(0)
-        if self.time_dependent:
-            epoch = np.floor(np.asarray(t, dtype=np.float64)
-                             / self.spec.epoch_length).astype(np.int64)
+        epoch = kernel_epoch(self, t)
         ca = np.floor(px / self.spec.cell_size).astype(np.int64)
         cb = np.floor(py / self.spec.cell_size).astype(np.int64)
         return base * (0.5 * (self._cell_pair_value(epoch, ca, cb)
                               + self._cell_pair_value(epoch, cb, ca)))
+
+
+def kernel_epoch(kernel, t):
+    """Index floor(t / epoch_length) of the epoch a kernel is sampled on at
+    time t, elementwise over an array of times; a static kernel has the one
+    epoch 0.  Reads the kernel's `time_dependent` and `spec` alone."""
+    length = kernel.spec.epoch_length if kernel.time_dependent else math.inf
+    return np.floor(t / length).astype(np.int64)
 
 
 def make_kernel(spec: KernelSpec) -> Kernel:

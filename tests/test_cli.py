@@ -29,8 +29,8 @@ from nlflow.errors import ConfigError, InsufficientCoverageError, \
 from nlflow.fieldio import load_field, save_field
 from nlflow.fields import INITIAL_KINDS
 from nlflow.flow import run_flow
-from nlflow.grid import STRATEGIES, Field, Grid, kernel_epoch
-from nlflow.kernels import KERNEL_FAMILIES
+from nlflow.grid import STRATEGIES, Field, Grid
+from nlflow.kernels import KERNEL_FAMILIES, kernel_epoch
 from nlflow.oscillation import oscillation_decay, verify_lemma3
 from nlflow.potentials import POTENTIAL_FAMILIES
 
@@ -233,6 +233,9 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
     (["denoise", "--set", "denoise.input={tmp}/tiny.pgm",
       "--set", "denoise.time=1e12"], "denoise.time: 3.01e+12 steps on 64 "
      "nodes"),
+    # the band's edges straddle the cap: the seed's own row sums count it
+    (["run", "--seed", "1", "--set", "kernel.family=rough-static",
+      "--set", "flow.end=50000"], "flow.end: 5.22e+06 steps on 256 nodes"),
 ], ids=["calibrate-2d", "calibrate-order", "diagnose-2d", "diagnose-order",
         "diagnose-kernel-lambda", "calibrate-grid-m", "diagnose-store-states",
         "diagnose-calibration-order", "diagnose-calibration-2d",
@@ -256,7 +259,7 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
         "validate-int-over-64-bit", "run-int-over-64-bit",
         "sample-every-over-64-bit", "diagnose-levels-over-64-bit",
         "rough-offset-table-over-cap", "spacing-underflow",
-        "denoise-too-long"])
+        "denoise-too-long", "rough-static-too-long"])
 def test_unsupported_config_exits_2(tmp_path, capsys, argv, message):
     # refused before any work, not aborted later with exit 1 or 3; a dict in
     # argv stands for a calibration file with those entries changed, and
@@ -339,6 +342,53 @@ def test_a_key_named_unread_leaves_the_report_alone(tmp_path, capsys):
     assert {"flow.strategy", "initial.kind"} <= named["validate"]
 
 
+# keys that one kernel family or initial kind reads and the others ignore
+FAMILY_KEYS = ("kernel.multiplier", "kernel.seed", "kernel.cell",
+               "kernel.epoch", "initial.seed", "initial.sigma",
+               "initial.radius", "initial.mode")
+
+
+@pytest.mark.parametrize("command, family, kind, read", [
+    ("run", "power-law", "bump", {"kernel.multiplier", "initial.sigma"}),
+    ("run", "rough-static", "step", {"kernel.cell", "initial.radius"}),
+    ("run", "rough-time-dependent", "cosine",
+     {"kernel.cell", "kernel.epoch", "initial.mode"}),
+    ("run", "power-law", "random", {"kernel.multiplier"}),
+    ("denoise", "power-law", "bump", {"kernel.multiplier"}),
+], ids=["run-power-law-bump", "run-rough-static-step",
+        "run-time-dependent-cosine", "run-power-law-random", "denoise"])
+def test_a_key_is_named_unread_exactly_when_its_problem_ignores_it(
+        tmp_path, capsys, command, family, kind, read):
+    # every one of the keys is set away from its default: the ignored ones
+    # are named and change no report entry, and each read one changes some;
+    # run takes its seeds from --seed, denoise its data from the file
+    noisy_image(tmp_path / "noisy.pgm", m=16)
+    argv = {"run": ["run", "--seed", "1", "--set", "grid.M=32", "--set",
+                    "flow.end=0.15"],
+            "denoise": ["denoise", "--set",
+                        f"denoise.input={tmp_path / 'noisy.pgm'}"]}[command]
+    argv += ["--set", f"kernel.family={family}", "--set",
+             f"initial.kind={kind}"]
+
+    def report(*keys):
+        out = tmp_path / f"out-{len(os.listdir(tmp_path))}"
+        sets = [a for key in keys
+                for a in ("--set", f"{key}={OTHER_VALUES[key]}")]
+        assert main(argv + sets + ["--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        named = {key for key in FAMILY_KEYS if f"note: {key}: not read" in err}
+        body = read_report(out)
+        del body["config"]
+        return named, body
+
+    named, every = report(*FAMILY_KEYS)
+    assert named == set(FAMILY_KEYS) - read
+    assert every == report(*read)[1]
+    base = report()[1]
+    for key in read:
+        assert report(key)[1] != base, key
+
+
 def test_runtime_abort_exits_3(tmp_path, capsys):
     # a P5 file whose pixel data stops short passes config checks and fails
     # when it is read; an abort writes no report, so the output directory
@@ -352,13 +402,6 @@ def test_runtime_abort_exits_3(tmp_path, capsys):
     assert "aborted" in err
     assert "expected 64 pixel bytes, found 3" in err
     assert not (tmp_path / "n").exists()
-    # the config's rough-static count is a lower bound: run_flow's count of
-    # this run exceeds the cap, after curves/ and fields/ were made
-    rc = main(["run", "--seed", "1", "--set", "kernel.family=rough-static",
-               "--set", "flow.end=50000", "--out", str(tmp_path / "r")])
-    assert rc == 3
-    assert "aborted: 5.22e+06 steps on 256 nodes" in capsys.readouterr().err
-    assert not (tmp_path / "r").exists()
 
 
 def test_a_run_too_long_to_hold_aborts_before_it_allocates(tmp_path,

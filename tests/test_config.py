@@ -2,11 +2,13 @@
 
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 import nlflow
+from nlflow import flow
 from nlflow.config import SCHEMA, parse_config, parse_seed_list
 from nlflow.degiorgi import truncated_energies
 from nlflow.errors import ConfigError, NlflowError
@@ -36,7 +38,8 @@ ECHO_ONLY = {"report.verbosity", "flow.store_states"}
 def test_every_schema_key_is_read():
     package = pathlib.Path(nlflow.__file__).parent
     source = "".join(p.read_text() for p in sorted(package.glob("*.py")))
-    unread = {key for key in SCHEMA if f'.get("{key}")' not in source}
+    unread = {key for key in SCHEMA if not re.search(
+        rf'\.get\("{re.escape(key)}"[,)]', source)}
     assert unread == ECHO_ONLY
 
 
@@ -204,7 +207,7 @@ def test_seed_threads_through_kernel_and_initial():
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
 @pytest.mark.parametrize("dimension, points", [(1, 64), (2, 16)])
 def test_the_config_counts_the_steps_run_flow_takes(family, dimension,
-                                                    points):
+                                                    points, monkeypatch):
     # the config sizes a run from the kernel's band, with no offset table:
     # run_flow's count for power-law and time-dependent kernels, whose step
     # the band fixes, and at most it for rough-static ones, so that the
@@ -214,17 +217,28 @@ def test_the_config_counts_the_steps_run_flow_takes(family, dimension,
     if family == "power-law":
         cases += [["flow.kind=nonlinear"], ["flow.strategy=dense"],
                   ["flow.strategy=spectral", "kernel.radius=inf"]]
-    for extra in cases:
-        cfg = parse_config(overrides=[
-            f"kernel.family={family}", f"grid.N={dimension}",
+    base = [f"kernel.family={family}", f"grid.N={dimension}",
             f"grid.M={points}", "flow.start=-0.05", "flow.end=0.1",
-            "kernel.lambda=6", "kernel.epoch=0.05"] + extra)
+            "kernel.lambda=6", "kernel.epoch=0.05"]
+    for extra in cases:
+        cfg = parse_config(overrides=base + extra)
         count = cfg.check_flow(cfg.get("flow.kind"), cfg.make_grid(), 0.15)
         n_steps = run_flow(cfg.flow_problem(seed=3), sample_every=cfg.get(
             "flow.sample_every")).meta["n_steps"]
         assert count <= n_steps, extra
         if family != "rough-static" or extra == ["flow.dt_max=0.002"]:
             assert count == n_steps, extra
+    if family == "rough-static":
+        # with the cap at what run_flow's run of seed 3 holds, the counts at
+        # the band's edges 1/Lambda and Lambda straddle it, and the config
+        # counts the seed's own steps from its row sums
+        cfg = parse_config(overrides=base + ["ensemble.seeds=3"])
+        n_steps = run_flow(cfg.flow_problem(seed=3)).meta["n_steps"]
+        n = cfg.make_grid().n_nodes
+        monkeypatch.setattr(flow, "RUN_MAX_BYTES",
+                            8 * (n * (n_steps + 3) + 7 * (n_steps + 2)))
+        assert cfg.check_flow("linear", cfg.make_grid(), 0.15) == n_steps
+        assert run_flow(cfg.flow_problem(seed=3)).meta["n_steps"] == n_steps
 
 
 def _problem(**changes):

@@ -322,9 +322,11 @@ def _blobs(grid, times, centres, radius, seed):
     each ball of `radius` about the given centres."""
     rng = np.random.default_rng(seed)
     fields = rng.uniform(-0.75, -0.25, size=(times.size, grid.n_nodes))
-    coords = grid.node_coords()
+    coords, L = grid.node_coords(), grid.side_length
     for centre in centres:
-        near = np.linalg.norm(grid.wrap(coords - centre), axis=1) < radius
+        # the minimal image of the centre about each node
+        near = np.linalg.norm((centre - coords + 0.5 * L) % L - 0.5 * L,
+                              axis=1) < radius
         fields[:, near] = rng.uniform(1.5, 3.0, (times.size, near.sum())) \
             * np.exp(0.4 * times)[:, None]
     return synthetic_trajectory(grid, times, fields)

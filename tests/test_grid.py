@@ -68,6 +68,25 @@ def test_periodic_distance_wraps():
     assert float(dist[-1]) == pytest.approx(g.spacing)
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_one_torus_metric_at_a_non_dyadic_spacing(dimension):
+    # at h = 16/45 a node's coordinate, wrapped to the minimal image, rounds
+    # apart from its integer offset times h; the spectral row, the dense
+    # oracle and the stencil's offsets measure every node by one rule
+    grid = Grid(dimension=dimension, side_length=16.0, points_per_axis=45)
+    kernel = power_law_kernel(truncation=math.inf, dimension=dimension)
+    spectral = DiscreteOperator(grid, kernel, "spectral")
+    row = spectral._spectral_row() * grid.spacing ** dimension
+    assert np.array_equal(row, DiscreteOperator(grid, kernel, "dense")._dense(
+        0.0)[0][0])
+    deltas, dists = grid.offsets_within(math.inf)
+    # each kept offset and its partner -d, as flat node indices
+    for sign in (1, -1):
+        nodes = np.ravel_multi_index(tuple(np.mod(sign * deltas, 45).T),
+                                     grid.shape)
+        assert np.array_equal(grid.origin_distance()[nodes], dists)
+
+
 def test_ball_counts_1d():
     g = grid_1d(256)
     # radius 1 at spacing 1/16: nodes at -15/16 .. 15/16 -> 31 nodes
