@@ -130,7 +130,9 @@ def _dissipation_record(traj: Trajectory) -> dict:
 
 def _cmd_validate(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
     grid = cfg.make_grid()
-    # validate_kernel seeds its samples with the kernel's seed, any family
+    # validate_kernel seeds its samples with the kernel's seed and grades
+    # the band at Lambda, any family
+    cfg.get("kernel.lambda")
     kernel = cfg.make_kernel(seed=cfg.get("kernel.seed"))
     potential = cfg.make_potential()
     _phase("detect")

@@ -195,7 +195,7 @@ class ExperimentConfig:
         return KernelSpec(
             dimension=self.get("grid.N") if dimension is None else dimension,
             order=self.get("kernel.s"),
-            ellipticity=self.get("kernel.lambda"),
+            ellipticity=self.get("kernel.lambda", rough),
             truncation_radius=self.get("kernel.radius"),
             family=family,
             seed=self.get("kernel.seed", rough) if seed is None else seed,

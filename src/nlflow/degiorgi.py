@@ -23,15 +23,14 @@ import numpy as np
 from .errors import InsufficientCoverageError, InvalidParameterError, \
     raise_first, violations
 from .flow import Trajectory
-from .grid import BLOCK_BUDGET, SEMINORM_CUTOFF, Grid, seminorm_sq, \
+from .grid import BLOCK_BUDGET, SEMINORM_CUTOFF, seminorm_sq, \
     seminorm_stencil
 
 __all__ = [
-    "BARRIER_KINDS",
     "constant_errors",
-    "BarrierFamily",
-    "eval_barrier",
-    "barrier_on_grid",
+    "barrier",
+    "lambda_support",
+    "phi_barrier",
     "TruncatedEnergySequence",
     "truncated_energies",
     "RecurrenceReport",
@@ -48,23 +47,6 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------------
-# barriers
-
-BARRIER_KINDS = (
-    "psi",              # (|x|^{s/2} - 1)_+
-    "psi1",             # (|x|^{s/4} - 1)_+
-    "psi_lambda",       # ((|x| - lam^{-4/s})^{s/4} - 1)_+ past its support radius
-    "psi_eps_lambda",   # same support, exponent eps instead of s/4
-    "F",                # sup(-1, inf(0, |x|^2 - 9))
-    "phi0",             # 1 + psi_lambda + F
-    "phi1",             # 1 + psi_lambda + lam   * F
-    "phi2",             # 1 + psi_lambda + lam^2 * F
-)
-
-_LAMBDA_KINDS = ("psi_lambda", "psi_eps_lambda", "phi0", "phi1", "phi2")
-
-
 def constant_errors(**constants: float) -> list:
     """(field, error) pairs of the rules the lemmas' constants, named by
     keyword, break: each is a number, the budgets eps0, delta, mu, gamma and
@@ -79,76 +61,31 @@ def constant_errors(**constants: float) -> list:
         for name, value in constants.items()))
 
 
-@dataclass(frozen=True)
-class BarrierFamily:
-    """A radial barrier profile; `eval_barrier` consumes |x|."""
+# ---------------------------------------------------------------------------
+# barriers: psi, psi_1, psi_lambda and psi_{eps,lambda} are the one ramp
+# `barrier` at the paper's (exponent, support), s/2, s/4, s/4 and eps, the
+# last two past `lambda_support`; `phi_barrier` adds lam^i F to 1 + psi_lambda
 
-    kind: str
-    order: float = 1.0       # s
-    lam: float = 0.25        # lambda, used by the psi_lambda family
-    eps: float = 0.05        # exponent of psi_eps_lambda
-
-    def __post_init__(self):
-        if self.kind not in BARRIER_KINDS:
-            raise InvalidParameterError(
-                f"unknown barrier kind {self.kind!r}; expected one of "
-                f"{BARRIER_KINDS}")
-        if not (0.0 < self.order < 2.0):
-            raise InvalidParameterError(
-                f"barrier order must lie in (0, 2), got {self.order}")
-        lam = {"lam": self.lam} if self.kind in _LAMBDA_KINDS else {}
-        eps = {"eps": self.eps} if self.kind == "psi_eps_lambda" else {}
-        raise_first(constant_errors(**lam, **eps))
-
-    @property
-    def support_radius(self) -> float:
-        """Radius below which the lambda-family barriers vanish."""
-        if self.kind in _LAMBDA_KINDS:
-            return self.lam ** (-4.0 / self.order)
-        if self.kind in ("psi", "psi1"):
-            return 1.0
-        return 0.0
-
-
-def _ramp(r: np.ndarray, offset: float, exponent: float) -> np.ndarray:
-    # ((r - offset)^exponent - 1)_+ with the power only taken past the offset
-    shifted = np.maximum(r - offset, 0.0)
+def barrier(r, exponent: float, support: float = 0.0) -> np.ndarray:
+    """((|r| - support)_+^exponent - 1)_+ at radii r (scalar or array), the
+    power only taken past the support; a signed coordinate reads as a
+    radius, so callers on a grid pass `Grid.origin_distance`."""
+    shifted = np.maximum(np.abs(r) - support, 0.0)
     return np.maximum(shifted ** exponent - 1.0, 0.0)
 
 
-def eval_barrier(b: BarrierFamily, x) -> np.ndarray:
-    """Evaluate a barrier at radial coordinates |x| (scalar or array).
-
-    All barriers are radial and even; callers on a grid pass periodic node
-    distances (see `barrier_on_grid`).
-    """
-    r = np.abs(np.asarray(x, dtype=np.float64))
-    s = b.order
-    if b.kind == "psi":
-        return _ramp(r, 0.0, 0.5 * s)
-    if b.kind == "psi1":
-        return _ramp(r, 0.0, 0.25 * s)
-    if b.kind == "psi_lambda":
-        return _ramp(r, b.support_radius, 0.25 * s)
-    if b.kind == "psi_eps_lambda":
-        return _ramp(r, b.support_radius, b.eps)
-    hump = np.maximum(-1.0, np.minimum(0.0, r * r - 9.0))
-    if b.kind == "F":
-        return hump
-    base = BarrierFamily("psi_lambda", order=s, lam=b.lam)
-    scale = {"phi0": 1.0, "phi1": b.lam, "phi2": b.lam * b.lam}[b.kind]
-    return 1.0 + eval_barrier(base, r) + scale * hump
+def lambda_support(lam: float, order: float) -> float:
+    """lam^(-4/s), the radius below which psi_lambda and psi_{eps,lambda}
+    vanish."""
+    return lam ** (-4.0 / order)
 
 
-def barrier_on_grid(b: BarrierFamily, grid: Grid) -> np.ndarray:
-    """Barrier values at every node (flat), measured from the origin."""
-    return eval_barrier(b, grid.origin_distance())
-
-
-def _barrier(traj: Trajectory, kind: str, **params) -> np.ndarray:
-    """The `kind` barrier of the trajectory's order on its grid."""
-    return barrier_on_grid(
-        BarrierFamily(kind, order=float(traj.order), **params), traj.grid)
+def phi_barrier(r, order: float, lam: float, i: int) -> np.ndarray:
+    """phi_i = 1 + psi_lambda + lam^i F at radii r, for i = 0, 1, 2, with F
+    = sup(-1, inf(0, |r|^2 - 9)) the hump that closes at |r| = 3."""
+    hump = np.maximum(-1.0, np.minimum(0.0, np.square(r) - 9.0))
+    return 1.0 + barrier(r, 0.25 * order, lambda_support(lam, order)) + \
+        (1.0, lam, lam * lam)[i] * hump
 
 
 def _chunks(traj: Trajectory, idx: np.ndarray,
@@ -219,13 +156,8 @@ def _truncation_box(traj: Trajectory, idx: np.ndarray, psi: np.ndarray
 @dataclass(frozen=True)
 class TruncatedEnergySequence:
     levels: np.ndarray          # k = 0..k_max
-    window_starts: np.ndarray   # T_k = -1 - 2^-k
-    cut_levels: np.ndarray      # L_k = (1 - 2^-k) / 2
-    sup_part: np.ndarray        # sup_t int (w - psi_{L_k})_+^2 dx
-    integral_part: np.ndarray   # int_t seminorm((w - psi_{L_k})_+)^2 dt
-    values: np.ndarray          # U_k = sup_part + integral_part
+    values: np.ndarray          # U_k, a sup in time plus a time integral
     order: float
-    cutoff: float
     n_samples: int
     dimension: int              # N of the trajectory's grid
 
@@ -273,7 +205,8 @@ def truncated_energies(traj: Trajectory,
 
     ks = np.arange(k_max + 1)
     t_starts, cuts = _dyadic_ladder(k_max)
-    points, nodes, psi = _truncation_box(traj, idx, _barrier(traj, "psi"))
+    points, nodes, psi = _truncation_box(
+        traj, idx, barrier(grid.origin_distance(), 0.5 * s))
     levels = cuts[:, None] + psi
     h_n = grid.spacing ** grid.dimension
     # rung k reads only the samples of [T_k, 0], idx's last ones, and of
@@ -310,11 +243,8 @@ def truncated_energies(traj: Trajectory,
         sup_part[j] = np.max(l2_mass)
         int_part[j] = np.cumsum(gaps * 0.5 * (seminorm[::-1][:-1]
                                               + seminorm[::-1][1:]))[-1]
-    values = sup_part + int_part
     return TruncatedEnergySequence(
-        levels=ks, window_starts=t_starts, cut_levels=cuts,
-        sup_part=sup_part, integral_part=int_part, values=values,
-        order=s, cutoff=SEMINORM_CUTOFF, n_samples=idx.size,
+        levels=ks, values=sup_part + int_part, order=s, n_samples=idx.size,
         dimension=grid.dimension)
 
 
@@ -360,7 +290,6 @@ class ChebyshevReport:
     indicator_lhs: np.ndarray    # iint 1_{w > psi_{L_k}}
     quadratic_lhs: np.ndarray    # iint (w - psi_{L_k})_+^2
     base_integral: np.ndarray    # iint (w - psi_{L_{k-1}})_+^{2(1+s/N)}
-    exponents: tuple             # powers of 2^{k+1} in the three bounds
     slack: np.ndarray            # (k, 3) rhs - lhs, nonnegative when chain holds
     all_nonnegative: bool
 
@@ -390,8 +319,9 @@ def chebyshev_chain(traj: Trajectory, k_max: int) -> ChebyshevReport:
     p_ind = 2.0 * (1.0 + s / n_dim)
     p_sq = 2.0 * s / n_dim
     high = 2.0 * (1.0 + s / n_dim)
-    _, nodes, psi = _truncation_box(traj, traj.window(t_starts[0]),
-                                    _barrier(traj, "psi"))
+    _, nodes, psi = _truncation_box(
+        traj, traj.window(t_starts[0]),
+        barrier(traj.grid.origin_distance(), 0.5 * s))
 
     lin = np.empty(ks.size)
     ind = np.empty(ks.size)
@@ -421,7 +351,7 @@ def chebyshev_chain(traj: Trajectory, k_max: int) -> ChebyshevReport:
     ], axis=1)
     return ChebyshevReport(
         levels=ks, linear_lhs=lin, indicator_lhs=ind, quadratic_lhs=sq,
-        base_integral=base, exponents=(p_lin, p_ind, p_sq), slack=slack,
+        base_integral=base, slack=slack,
         all_nonnegative=bool(np.all(slack >= 0.0)))
 
 
@@ -458,8 +388,9 @@ class LevelSetMeasures:
 
 def level_set_measures(traj: Trajectory, lam: float) -> LevelSetMeasures:
     """The three level-set measures entering the measure-gain dichotomy."""
-    phi0 = _barrier(traj, "phi0", lam=lam)
-    phi2 = _barrier(traj, "phi2", lam=lam)
+    raise_first(constant_errors(lam=lam))
+    s, r = float(traj.order), traj.grid.origin_distance()
+    phi0, phi2 = phi_barrier(r, s, lam, 0), phi_barrier(r, s, lam, 2)
     ball1 = traj.grid.ball(1.0)
 
     below = _window_measure(traj, traj.window(-3.0, -2.0),
@@ -468,8 +399,7 @@ def level_set_measures(traj: Trajectory, lam: float) -> LevelSetMeasures:
     mid = _window_measure(traj, traj.window(-3.0),
                           lambda w: (w > phi0) & (w < phi2))
     return LevelSetMeasures(below_phi0=below, above_phi2=above,
-                            intermediate=mid, lam=lam,
-                            order=float(traj.order))
+                            intermediate=mid, lam=lam, order=s)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +463,7 @@ def verify_lemma1(traj: Trajectory, eps0: float) -> LemmaReport:
     """
     raise_first(constant_errors(eps0=eps0))
     s = float(traj.order)
-    psi = _barrier(traj, "psi")
+    psi = barrier(traj.grid.origin_distance(), 0.5 * s)
 
     idx = traj.window(-2.0)
     truncated_mass = _window_measure(
@@ -545,8 +475,7 @@ def verify_lemma1(traj: Trajectory, eps0: float) -> LemmaReport:
     # On a torus the barrier only grows out to distance L/2; record whether
     # psi(L/2) dominates the data, the validity condition for reading the
     # whole-space statement on periodic geometry.
-    psi_at_half = float(eval_barrier(BarrierFamily("psi", order=s),
-                                     0.5 * traj.grid.side_length))
+    psi_at_half = float(barrier(0.5 * traj.grid.side_length, 0.5 * s))
     block = traj.samples(idx)
     sup_w = max(abs(float(block.min())), abs(float(block.max())))
     return _graded(
@@ -614,8 +543,9 @@ def verify_corollary2(traj: Trajectory, delta: float) -> LemmaReport:
     """
     raise_first(constant_errors(delta=delta))
     grid = traj.grid
-    envelope_breach = _first_exceedance(traj, -2.0,
-                                        1.0 + _barrier(traj, "psi1"))
+    envelope_breach = _first_exceedance(
+        traj, -2.0,
+        1.0 + barrier(grid.origin_distance(), 0.25 * float(traj.order)))
 
     ball2 = grid.ball(2.0)
     positivity = _window_measure(traj, traj.window(-2.0),
@@ -641,8 +571,9 @@ def verify_lemma2(traj: Trajectory, mu: float, delta: float, gamma: float,
                   or |{phi0 < w < phi2} ^ ((-3,0) x torus)| >= gamma.
     """
     raise_first(constant_errors(mu=mu, delta=delta, gamma=gamma, lam=lam))
-    envelope_breach = _first_exceedance(
-        traj, -3.0, 1.0 + _barrier(traj, "psi_lambda", lam=lam))
+    s = float(traj.order)
+    envelope_breach = _first_exceedance(traj, -3.0, 1.0 + barrier(
+        traj.grid.origin_distance(), 0.25 * s, lambda_support(lam, s)))
 
     measures = level_set_measures(traj, lam)
     first_branch = measures.above_phi2 <= delta

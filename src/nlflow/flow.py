@@ -40,7 +40,7 @@ from .errors import (
 )
 from .grid import BLOCK_BUDGET, COUNTERS, RUN_MAX_BYTES, DiscreteOperator, \
     Field, Grid
-from .kernels import TRANSLATION_INVARIANT_FAMILIES, Kernel
+from .kernels import TRANSLATION_INVARIANT_FAMILIES, Kernel, order_errors
 from .potentials import Potential
 
 STEPPERS = ("euler", "heun")
@@ -279,6 +279,8 @@ class Trajectory:
                     kernel: Kernel | None = None,
                     order: float | None = None) -> "Trajectory":
         """Wrap explicit (times, fields) data — used for injected diagnostics."""
+        if order is not None:
+            raise_first(order_errors(order))
         return Trajectory(grid=grid, kind=kind, times=times, fields=values,
                           kernel=kernel,
                           meta={} if order is None else {"order": order})

@@ -34,7 +34,7 @@ All reductions run in a fixed order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -85,8 +85,6 @@ class Grid:
     dimension: int = 1
     side_length: float = 16.0
     points_per_axis: int = 256
-    _caches: dict = dataclass_field(default_factory=dict, init=False,
-                                    repr=False, compare=False)
 
     def __post_init__(self):
         raise_first(grid_errors(self.dimension, self.side_length,
@@ -112,10 +110,7 @@ class Grid:
     def origin_distance(self) -> np.ndarray:
         """Periodic distance from every node to the origin, flat: the length
         of its nearest-image index offset, as `offsets_within` measures."""
-        if "origin_dist" not in self._caches:
-            self._caches["origin_dist"] = _lattice_length(
-                self, _signed_steps(self, self.node_indices()))
-        return self._caches["origin_dist"]
+        return _lattice_length(self, _signed_steps(self, self.node_indices()))
 
     def ball(self, radius: float) -> np.ndarray:
         """Boolean node mask of the open periodic ball of given radius about
@@ -133,9 +128,6 @@ class Grid:
         offset whose residue mod M is lexicographically smaller is kept (the
         half stencil): in 2-d at even M, (M/2, k) and (M/2, -k) are one.
         """
-        key = ("offsets", radius)
-        if key in self._caches:
-            return self._caches[key]
         steps = self.node_indices()
         back = np.mod(-steps, self.points_per_axis)
         first = (np.arange(steps.shape[0]), np.argmax(steps != back, axis=1))
@@ -144,9 +136,7 @@ class Grid:
         keep = (dists > 0.0) & (steps[first] <= back[first]) & \
             (dists <= radius)
         order = np.lexsort(deltas[keep].T)
-        deltas, dists = deltas[keep][order], dists[keep][order]
-        self._caches[key] = (deltas, dists)
-        return deltas, dists
+        return deltas[keep][order], dists[keep][order]
 
     def node_indices(self) -> np.ndarray:
         """Integer lattice index of every node, shape (n_nodes, N)."""

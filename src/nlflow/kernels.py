@@ -58,13 +58,17 @@ class KernelSpec:
     epoch_length: float = 0.1
 
 
+def order_errors(order: float) -> list:
+    """(field, error) pairs of the rule an order s breaks: 0 < s < 2."""
+    return violations(("order", 0.0 < order < 2.0, "order out of (0,2)"))
+
+
 def kernel_errors(spec: KernelSpec) -> list:
     """(field, error) pairs of the rules `spec` breaks; every family needs a
     positive cell size and epoch length, read or not."""
     return violations(
         ("dimension", spec.dimension in (1, 2), "dimension must be 1 or 2",
-         UnsupportedDimensionError),
-        ("order", 0.0 < spec.order < 2.0, "order out of (0,2)"),
+         UnsupportedDimensionError)) + order_errors(spec.order) + violations(
         ("ellipticity", 1.0 < spec.ellipticity < math.inf,
          "ellipticity must be finite and exceed 1"),
         ("truncation_radius", spec.truncation_radius > 0.0,

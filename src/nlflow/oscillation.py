@@ -16,14 +16,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .degiorgi import BarrierFamily, LemmaReport, _barrier, \
-    _first_exceedance, _graded, constant_errors, eval_barrier
+from .degiorgi import LemmaReport, _first_exceedance, _graded, barrier, \
+    constant_errors, lambda_support
 from .errors import (InvalidParameterError, NonLatticeStepError,
                      TrajectoryMismatchError, UnderResolvedError,
                      raise_first, violations)
 from .flow import Trajectory, kind_errors
 from .grid import DiscreteOperator, Field, Grid, OffsetStencil
-from .kernels import BAND_RTOL, Kernel
+from .kernels import BAND_RTOL, Kernel, order_errors
 from .potentials import Potential
 
 __all__ = [
@@ -402,9 +402,9 @@ class RescaleReport:
 def _envelope_breach(traj: Trajectory, lam: float, eps: float) -> dict | None:
     """First breach on [-3, 0] of Lemma 3's two-sided envelope
     |w| <= 1 + psi_{eps,lam}; None when it holds."""
-    return _first_exceedance(
-        traj, -3.0, 1.0 + _barrier(traj, "psi_eps_lambda", lam=lam, eps=eps),
-        two_sided=True)
+    return _first_exceedance(traj, -3.0, 1.0 + barrier(
+        traj.grid.origin_distance(), eps,
+        lambda_support(lam, float(traj.order))), two_sided=True)
 
 
 def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
@@ -499,12 +499,12 @@ def check_scale_barrier(lam: float, lam_star: float, eps: float,
     threshold is 2*(1 - sup quotient), and calibrations that want the
     inequality to hold must stay below it.
     """
-    b = BarrierFamily("psi_eps_lambda", order=order, lam=lam, eps=eps)
-    support = b.support_radius
+    raise_first(constant_errors(lam=lam, eps=eps) + order_errors(order))
+    support = lambda_support(lam, order)
     r = np.geomspace(1.0 / scale, max(100.0 * support, 1e4),
                      BARRIER_PROBE_POINTS)
-    num = eval_barrier(b, scale * r)
-    rhs = eval_barrier(b, r)
+    num = barrier(scale * r, eps, support)
+    rhs = barrier(r, eps, support)
     lhs = num / (1.0 - 0.5 * lam_star)
     gap = lhs - rhs
     worst = int(np.argmax(gap))

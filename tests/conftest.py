@@ -12,7 +12,7 @@ import pytest
 
 from nlflow.calibrate import default_calibration
 from nlflow.config import parse_config
-from nlflow.degiorgi import BarrierFamily, barrier_on_grid
+from nlflow.degiorgi import barrier, lambda_support
 from nlflow.ensembles import (
     default_grid,
     lemma_ensemble_run,
@@ -131,8 +131,8 @@ def lemma2_counterexample(grid: Grid, lam: float,
     The late block makes |{w > phi2}| large while the intermediate set stays
     empty, so both conclusion branches break at once.
     """
-    psi_lam = barrier_on_grid(
-        BarrierFamily("psi_lambda", order=order, lam=lam), grid)
+    psi_lam = barrier(grid.origin_distance(), 0.25 * order,
+                      lambda_support(lam, order))
     times = np.linspace(-3.0, 0.0, 31)
     fields = np.empty((times.size, grid.n_nodes))
     early = times <= -2.0 + 1e-12
@@ -144,8 +144,8 @@ def lemma2_counterexample(grid: Grid, lam: float,
 def lemma3_counterexample(grid: Grid, eps: float, lam: float,
                           order: float = 1.0) -> Trajectory:
     """Alternating +-(1 + psi_{eps,lam}): inside the envelope, osc = 2."""
-    env = 1.0 + barrier_on_grid(
-        BarrierFamily("psi_eps_lambda", order=order, lam=lam, eps=eps), grid)
+    env = 1.0 + barrier(grid.origin_distance(), eps,
+                        lambda_support(lam, order))
     times = np.linspace(-3.0, 0.0, 31)
     signs = np.where(np.arange(times.size) % 2 == 0, 1.0, -1.0)
     fields = signs[:, None] * env[None, :]

@@ -343,16 +343,17 @@ def test_a_key_named_unread_leaves_the_report_alone(tmp_path, capsys):
 
 
 # keys that one kernel family or initial kind reads and the others ignore
-FAMILY_KEYS = ("kernel.multiplier", "kernel.seed", "kernel.cell",
-               "kernel.epoch", "initial.seed", "initial.sigma",
+FAMILY_KEYS = ("kernel.lambda", "kernel.multiplier", "kernel.seed",
+               "kernel.cell", "kernel.epoch", "initial.seed", "initial.sigma",
                "initial.radius", "initial.mode")
 
 
 @pytest.mark.parametrize("command, family, kind, read", [
     ("run", "power-law", "bump", {"kernel.multiplier", "initial.sigma"}),
-    ("run", "rough-static", "step", {"kernel.cell", "initial.radius"}),
+    ("run", "rough-static", "step",
+     {"kernel.lambda", "kernel.cell", "initial.radius"}),
     ("run", "rough-time-dependent", "cosine",
-     {"kernel.cell", "kernel.epoch", "initial.mode"}),
+     {"kernel.lambda", "kernel.cell", "kernel.epoch", "initial.mode"}),
     ("run", "power-law", "random", {"kernel.multiplier"}),
     ("denoise", "power-law", "bump", {"kernel.multiplier"}),
 ], ids=["run-power-law-bump", "run-rough-static-step",

@@ -25,14 +25,14 @@ from conftest import (
 )
 from nlflow import grid as grid_module
 from nlflow.degiorgi import (
-    BarrierFamily,
     _truncation_box,
     TruncatedEnergySequence,
-    barrier_on_grid,
+    barrier,
     check_recurrence,
     chebyshev_chain,
-    eval_barrier,
+    lambda_support,
     level_set_measures,
+    phi_barrier,
     truncated_energies,
     verify_corollary1,
     verify_corollary2,
@@ -40,89 +40,102 @@ from nlflow.degiorgi import (
     verify_lemma2,
 )
 from nlflow.errors import InsufficientCoverageError, InvalidParameterError
+from nlflow.flow import Trajectory
 from nlflow.grid import Grid
-from nlflow.oscillation import oscillation_decay, parabolic_rescale, \
-    rescaling_sequence, unit_oscillation, verify_lemma3
+from nlflow.oscillation import check_scale_barrier, oscillation_decay, \
+    parabolic_rescale, rescaling_sequence, unit_oscillation, verify_lemma3
 
 
-def radial(kind, r, order=1.0, **kw):
-    return float(eval_barrier(BarrierFamily(kind, order=order, **kw), r))
+def radial(r, exponent, support=0.0):
+    return float(barrier(r, exponent, support))
+
+
+def hump(r, lam=0.25):
+    # F, read off phi_0 = 1 + F where psi_lambda vanishes (|r| < 3 < 256)
+    return float(phi_barrier(r, 1.0, lam, 0)) - 1.0
 
 
 # --------------------------------------------------------------------------
 # barrier closed forms
 
 def test_psi_closed_form_values():
-    assert radial("psi", 0.0) == 0.0
-    assert radial("psi", 1.0) == 0.0
-    assert radial("psi", 4.0) == 1.0          # 4^(1/2) - 1 at s = 1
-    assert radial("psi", 9.0) == 2.0
-    assert radial("psi", 16.0, order=0.5) == 1.0   # 16^(1/8) = 2
+    assert radial(0.0, 0.5) == 0.0
+    assert radial(1.0, 0.5) == 0.0
+    assert radial(4.0, 0.5) == 1.0          # 4^(1/2) - 1 at s = 1
+    assert radial(9.0, 0.5) == 2.0
+    assert radial(-9.0, 0.5) == 2.0         # a signed coordinate is a radius
+    assert radial(16.0, 0.5 * 0.5) == 1.0   # 16^(1/4) = 2 at s = 1/2
 
 
 def test_psi1_is_quarter_power():
-    assert radial("psi1", 16.0) == 1.0        # 16^(1/4) - 1 at s = 1
-    assert radial("psi1", 1.0) == 0.0
+    assert radial(16.0, 0.25) == 1.0        # 16^(1/4) - 1 at s = 1
+    assert radial(1.0, 0.25) == 0.0
 
 
 def test_cutoff_hump_values():
-    assert radial("F", 0.0) == -1.0
-    assert radial("F", 3.0) == 0.0
-    assert radial("F", 5.0) == 0.0
-    assert radial("F", math.sqrt(8.5)) == pytest.approx(-0.5)
+    assert hump(0.0) == -1.0
+    assert hump(3.0) == 0.0
+    assert hump(-3.0) == 0.0
+    assert hump(math.sqrt(8.5)) == pytest.approx(-0.5)
 
 
 def test_lambda_barrier_support():
-    b = BarrierFamily("psi_lambda", order=1.0, lam=0.25)
-    assert b.support_radius == pytest.approx(256.0)    # 0.25^(-4)
-    assert float(eval_barrier(b, 100.0)) == 0.0
-    assert float(eval_barrier(b, 272.0)) == pytest.approx(1.0)  # 16^(1/4) = 2
-    assert float(eval_barrier(b, 300.0)) > 0.0
+    support = lambda_support(0.25, 1.0)
+    assert support == pytest.approx(256.0)    # 0.25^(-4)
+    assert radial(100.0, 0.25, support) == 0.0
+    assert radial(272.0, 0.25, support) == pytest.approx(1.0)  # 16^(1/4) = 2
+    assert radial(300.0, 0.25, support) > 0.0
 
 
 def test_flat_exponent_barrier_below_psi1():
     r = np.geomspace(0.1, 1e4, 2000)
-    flat = eval_barrier(BarrierFamily("psi_eps_lambda", lam=0.25, eps=0.05), r)
-    quarter = eval_barrier(BarrierFamily("psi1"), r)
+    flat = barrier(r, 0.05, lambda_support(0.25, 1.0))
+    quarter = barrier(r, 0.25)
     assert np.all(flat <= quarter + 1e-15)
 
 
 def test_phi_family_values_and_ordering():
     lam = 0.25
-    assert radial("phi0", 0.0, lam=lam) == 0.0
-    assert radial("phi1", 0.0, lam=lam) == pytest.approx(0.75)
-    assert radial("phi2", 0.0, lam=lam) == pytest.approx(0.9375)
+    assert float(phi_barrier(0.0, 1.0, lam, 0)) == 0.0
+    assert float(phi_barrier(0.0, 1.0, lam, 1)) == pytest.approx(0.75)
+    assert float(phi_barrier(0.0, 1.0, lam, 2)) == pytest.approx(0.9375)
     r = np.linspace(0.0, 400.0, 4001)
-    phi0 = eval_barrier(BarrierFamily("phi0", lam=lam), r)
-    phi1 = eval_barrier(BarrierFamily("phi1", lam=lam), r)
-    phi2 = eval_barrier(BarrierFamily("phi2", lam=lam), r)
+    phi0, phi1, phi2 = (phi_barrier(r, 1.0, lam, i) for i in range(3))
     assert np.all(phi0 <= phi1) and np.all(phi1 <= phi2)
-    # the three coincide once the hump has closed
+    # the three coincide once the hump has closed, and there equal
+    # 1 + psi_lambda
     far = r >= 3.0
     assert np.array_equal(phi0[far], phi2[far])
+    assert np.array_equal(phi0[far], 1.0 + barrier(
+        r[far], 0.25, lambda_support(lam, 1.0)))
 
 
-def test_barrier_parameter_guards():
-    with pytest.raises(InvalidParameterError):
-        BarrierFamily("psi_cubed")
-    with pytest.raises(InvalidParameterError):
-        BarrierFamily("psi", order=2.0)
-    with pytest.raises(InvalidParameterError):
-        BarrierFamily("psi_lambda", lam=0.5)    # must stay below 1/3
-    with pytest.raises(InvalidParameterError):
-        BarrierFamily("psi_eps_lambda", eps=0.0)
+def test_barrier_parameter_guards(grid1, calibration):
+    # each rule keeps its one statement where the value arrives: lam in
+    # (0, 1/3) and eps > 0 in `constant_errors`, the order in the kernel's
+    with pytest.raises(InvalidParameterError, match="lam must lie"):
+        level_set_measures(constant_trajectory(grid1, 0.0), lam=0.5)
+    with pytest.raises(InvalidParameterError, match="eps must be positive"):
+        check_scale_barrier(calibration.lam, calibration.lam_star, 0.0,
+                            calibration.k_sc, 1.0)
+    with pytest.raises(InvalidParameterError, match=r"order out of \(0,2\)"):
+        Trajectory.from_fields(grid1, [0.0, 1.0],
+                               np.zeros((2, grid1.n_nodes)), order=2.0)
 
 
 @settings(max_examples=50, deadline=None)
 @given(r=st.floats(0.0, 1e6, allow_nan=False),
        order=st.floats(0.1, 1.9, allow_nan=False))
 def test_barriers_nonnegative_and_monotone(r, order):
-    for kind in ("psi", "psi1", "psi_lambda", "psi_eps_lambda"):
-        b = BarrierFamily(kind, order=order)
-        lo = float(eval_barrier(b, r))
-        hi = float(eval_barrier(b, r * 1.5 + 0.1))
+    support = lambda_support(0.25, order)
+    for exponent, at in ((0.5 * order, 0.0), (0.25 * order, 0.0),
+                         (0.25 * order, support), (0.05, support)):
+        lo = radial(r, exponent, at)
+        hi = radial(r * 1.5 + 0.1, exponent, at)
         assert 0.0 <= lo <= hi
-    assert -1.0 <= radial("F", r, order=order) <= 0.0
+    # -1 <= F <= 0, as phi_0 = 1 + psi_lambda + F
+    psi_lam = radial(r, 0.25 * order, support)
+    assert psi_lam <= float(phi_barrier(r, order, 0.25, 0)) <= 1.0 + psi_lam
 
 
 # --------------------------------------------------------------------------
@@ -152,7 +165,7 @@ def test_truncated_energies_vanish_for_zero_field(grid1):
 
 
 def test_truncated_energies_vanish_below_the_barrier(grid1):
-    psi = barrier_on_grid(BarrierFamily("psi"), grid1)
+    psi = barrier(grid1.origin_distance(), 0.5)
     times = np.linspace(-2.0, 0.0, 65)
     traj = synthetic_trajectory(grid1, times,
                                 np.tile(psi, (times.size, 1)))
@@ -163,7 +176,7 @@ def test_truncated_energies_vanish_below_the_barrier(grid1):
 def test_truncated_energies_match_constant_field_oracle(grid1):
     traj = constant_trajectory(grid1, 1.0, t_lo=-2.0, t_hi=0.0, n=65)
     seq = truncated_energies(traj, k_max=3)
-    psi = barrier_on_grid(BarrierFamily("psi"), grid1)
+    psi = barrier(grid1.origin_distance(), 0.5)
     h = grid1.spacing
     for j, k in enumerate(seq.levels):
         cut = 0.5 - 0.5 * 0.5 ** k
@@ -199,11 +212,8 @@ def test_truncated_energies_coverage_guards(grid1):
 def test_recurrence_constant_on_synthetic_geometric_sequence():
     # U_k chosen so U_k / U_{k-1}^2 = 0.1 at every level (s = 1, N = 1)
     u = np.array([1e-2, 1e-5, 1e-11, 1e-23])
-    seq = TruncatedEnergySequence(
-        levels=np.arange(4), window_starts=-1.0 - 0.5 ** np.arange(4),
-        cut_levels=0.5 - 0.5 * 0.5 ** np.arange(4),
-        sup_part=u.copy(), integral_part=np.zeros(4), values=u,
-        order=1.0, cutoff=2.0, n_samples=65, dimension=1)
+    seq = TruncatedEnergySequence(levels=np.arange(4), values=u, order=1.0,
+                                  n_samples=65, dimension=1)
     rep = check_recurrence(seq)
     assert rep.ratios[0] == pytest.approx(0.1)
     assert rep.ratios[1] == pytest.approx(0.1 ** 0.5)
@@ -241,7 +251,7 @@ def test_chebyshev_chain_matches_brute_force(grid1):
     fields = rng.uniform(-1.0, 2.5, size=(times.size, grid1.n_nodes))
     traj = synthetic_trajectory(grid1, times, fields)
     rep = chebyshev_chain(traj, k_max=3)
-    psi = barrier_on_grid(BarrierFamily("psi"), grid1)
+    psi = barrier(grid1.origin_distance(), 0.5)
     h = grid1.spacing
     for i, k in enumerate(rep.levels):
         t_start = -1.0 - 0.5 ** (k - 1)
@@ -291,7 +301,7 @@ def ladder_brute(traj, k_max):
     """U_0..U_kmax and the Chebyshev sums of k = 1..k_max, on the whole
     torus, by numpy sums and the trapezoid rule."""
     grid, times = traj.grid, traj.times
-    psi = barrier_on_grid(BarrierFamily("psi"), grid)
+    psi = barrier(grid.origin_distance(), 0.5)
     h_n = grid.spacing ** grid.dimension
 
     def pos(k, inside):
@@ -345,7 +355,7 @@ def test_sub_torus_ladder_matches_brute_force(case):
     centres = {"wraps": [[-1.0]], "covers": [[0.0], [5.5], [-5.5]],
                "empty": [], "2-d": [[0.0, 0.0], [1.5, 0.0]]}[case]
     traj = _blobs(grid, times, np.array(centres), 1.5, seed=len(case))
-    psi = barrier_on_grid(BarrierFamily("psi"), grid)
+    psi = barrier(grid.origin_distance(), 0.5)
     points, _, _ = _truncation_box(traj, np.arange(times.size), psi)
     assert (points is None) == (case == "covers")
     if case == "wraps":
@@ -384,13 +394,12 @@ def test_level_set_measures_constant_two(grid1):
 
 def test_level_set_measures_middle_band(grid1):
     lam = 0.25
-    phi1 = barrier_on_grid(BarrierFamily("phi1", lam=lam), grid1)
+    phi1 = phi_barrier(grid1.origin_distance(), 1.0, lam, 1)
     traj = constant_trajectory(grid1, 0.0)
     fields = np.tile(phi1, (traj.times.size, 1))
     traj = synthetic_trajectory(grid1, traj.times, fields)
     m = level_set_measures(traj, lam=lam)
-    hump = eval_barrier(BarrierFamily("F"), grid1.origin_distance())
-    count = int(np.sum(hump < 0.0))
+    count = int(np.sum(grid1.origin_distance() < 3.0))   # where F < 0
     assert m.intermediate == pytest.approx(3.0 * count * grid1.spacing,
                                            rel=1e-12)
     assert m.below_phi0 == 0.0

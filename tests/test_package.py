@@ -1,6 +1,7 @@
 """The package's public names: every export resolves, none is an alias, each
-is used somewhere in the project, and each public definition is reached from
-the package or the benchmark, not from tests alone."""
+is used somewhere in the project, each import is used in its module, and
+each public definition is reached from the package or the benchmark, not
+from tests alone."""
 
 import ast
 import importlib
@@ -62,6 +63,22 @@ def test_every_export_is_used():
             for n in getattr(importlib.import_module(name), "__all__", [])
             if n not in used]
     assert not dead, f"exported but never referenced: {dead}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_import_is_used(name):
+    # an imported name that its module neither uses nor exports is left over
+    # from code that went
+    module = importlib.import_module(name)
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(imported - used - set(getattr(module, "__all__", [])))
+    assert not unused, f"{name} imports names it never uses: {unused}"
 
 
 # public names only tests reach, each kept for a stated reason
