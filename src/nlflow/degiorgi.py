@@ -20,8 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import InsufficientCoverageError, InvalidParameterError, \
-    raise_first, violations
+from .errors import NlflowError, raise_first, violations
 from .flow import Trajectory
 from .grid import BLOCK_BUDGET, SEMINORM_CUTOFF, seminorm_sq, \
     seminorm_stencil
@@ -158,7 +157,6 @@ class TruncatedEnergySequence:
     levels: np.ndarray          # k = 0..k_max
     values: np.ndarray          # U_k, a sup in time plus a time integral
     order: float
-    n_samples: int
     dimension: int              # N of the trajectory's grid
 
     @property
@@ -175,7 +173,7 @@ def ladder_errors(k_max: int, max_gap: float = 0.0) -> list:
     return violations(
         ("k_max", k_max >= 1, "need at least one rung"),
         ("k_max", k_max <= rungs, f"samples {max_gap:.3e} apart resolve at "
-         f"most {rungs} rungs", InsufficientCoverageError))
+         f"most {rungs} rungs"))
 
 
 def truncated_energies(traj: Trajectory,
@@ -244,7 +242,7 @@ def truncated_energies(traj: Trajectory,
         int_part[j] = np.cumsum(gaps * 0.5 * (seminorm[::-1][:-1]
                                               + seminorm[::-1][1:]))[-1]
     return TruncatedEnergySequence(
-        levels=ks, values=sup_part + int_part, order=s, n_samples=idx.size,
+        levels=ks, values=sup_part + int_part, order=s,
         dimension=grid.dimension)
 
 
@@ -382,8 +380,6 @@ class LevelSetMeasures:
     below_phi0: float        # |{w < phi0} ^ ((-3,-2) x B_1)|
     above_phi2: float        # |{w > phi2} ^ ((-2,0) x torus)|
     intermediate: float      # |{phi0 < w < phi2} ^ ((-3,0) x torus)|
-    lam: float
-    order: float
 
 
 def level_set_measures(traj: Trajectory, lam: float) -> LevelSetMeasures:
@@ -399,7 +395,7 @@ def level_set_measures(traj: Trajectory, lam: float) -> LevelSetMeasures:
     mid = _window_measure(traj, traj.window(-3.0),
                           lambda w: (w > phi0) & (w < phi2))
     return LevelSetMeasures(below_phi0=below, above_phi2=above,
-                            intermediate=mid, lam=lam, order=s)
+                            intermediate=mid)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +492,7 @@ def verify_corollary1(traj: Trajectory, t0: float,
     raise_first(constant_errors(eps0=eps0))
     span = float(traj.times[-1] - traj.times[0])
     if not (0.0 < t0 < 2.0) or t0 > span:
-        raise InvalidParameterError(
+        raise NlflowError(
             f"waiting time t0={t0} must lie in (0, 2) within the sampled "
             f"span {span}")
     s = float(traj.order)

@@ -15,8 +15,8 @@ import re
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FormatError
-from .grid import Field, Grid
+from .errors import NlflowError
+from .grid import Field, Grid, grid_errors
 
 __all__ = ["save_field", "load_field", "write_json"]
 
@@ -29,13 +29,21 @@ def _header(grid: Grid) -> str:
             f"L={grid.side_length!r}")
 
 
-def _parse_header(line: str) -> Grid | None:
+def _grid(path: str, dimension: int, points_per_axis: int,
+          side_length: float = 16.0) -> Grid:
+    """The grid a file at `path` names; the first rule of `grid_errors` it
+    breaks is raised after the path, as every load error names the file."""
+    found = grid_errors(dimension, side_length, points_per_axis)
+    if found:
+        raise NlflowError(f"{path}: {found[0][1]}")
+    return Grid(dimension, side_length, points_per_axis)
+
+
+def _parse_header(line: str, path: str) -> Grid | None:
     m = _HEADER_RE.match(line.strip())
     if m is None:
         return None
-    return Grid(dimension=int(m.group(1)),
-                points_per_axis=int(m.group(2)),
-                side_length=float(m.group(3)))
+    return _grid(path, int(m.group(1)), int(m.group(2)), float(m.group(3)))
 
 
 def save_field(field: Field, path: str) -> None:
@@ -48,7 +56,7 @@ def save_field(field: Field, path: str) -> None:
     lower = path.lower()
     if lower.endswith(".csv"):
         if grid.dimension != 1:
-            raise FormatError(
+            raise NlflowError(
                 f"CSV holds 1-d fields; grid is {grid.dimension}-d")
         lines = [_header(grid)]
         lines.extend(repr(float(v)) for v in field.values)
@@ -57,11 +65,11 @@ def save_field(field: Field, path: str) -> None:
         return
     if lower.endswith(".pgm"):
         if grid.dimension != 2:
-            raise FormatError(
+            raise NlflowError(
                 f"PGM holds 2-d fields; grid is {grid.dimension}-d")
         vals = field.values
         if np.min(vals) < -1e-12 or np.max(vals) > 1.0 + 1e-12:
-            raise FormatError(
+            raise NlflowError(
                 f"PGM output needs values in [0, 1]; range is "
                 f"[{np.min(vals):.3g}, {np.max(vals):.3g}]")
         px = np.clip(np.round(vals * 255), 0, 255).astype(np.uint8)
@@ -70,17 +78,17 @@ def save_field(field: Field, path: str) -> None:
             fh.write(f"P5\n{_header(grid)}\n{m} {m}\n255\n".encode("ascii"))
             fh.write(px.tobytes())
         return
-    raise FormatError(f"unknown field format for {path!r} (.csv or .pgm)")
+    raise NlflowError(f"unknown field format for {path!r} (.csv or .pgm)")
 
 
 def _load_csv(path: str) -> Field:
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
-        raise FormatError(f"{path}: empty file")
-    grid = _parse_header(lines[0])
+        raise NlflowError(f"{path}: empty file")
+    grid = _parse_header(lines[0], path)
     if grid is None:
-        raise FormatError(f"{path}: no grid header")
+        raise NlflowError(f"{path}: no grid header")
     values = []
     for i, line in enumerate(lines[1:]):
         text = line.strip()
@@ -89,9 +97,9 @@ def _load_csv(path: str) -> Field:
         try:
             values.append(float(text))
         except ValueError:
-            raise FormatError(f"{path}:{i + 2}: not a number: {text!r}")
+            raise NlflowError(f"{path}:{i + 2}: not a number: {text!r}")
     if len(values) != grid.n_nodes:
-        raise DimensionMismatchError(
+        raise NlflowError(
             f"{path}: {len(values)} values for a grid of {grid.n_nodes} nodes")
     return Field(grid, np.asarray(values))
 
@@ -104,7 +112,7 @@ def _tokens_skipping_comments(data: bytes, start: int, count: int,
     comment_grid: list[bytes] = []
     while len(toks) < count:
         if i >= len(data):
-            raise FormatError(f"{path}: truncated header")
+            raise NlflowError(f"{path}: truncated header")
         c = data[i:i + 1]
         if c == b"#":
             j = data.find(b"\n", i)
@@ -127,25 +135,25 @@ def _load_pgm(path: str) -> Field:
         data = fh.read()
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
-        raise FormatError(f"{path}: not a PGM file (magic {magic!r})")
+        raise NlflowError(f"{path}: not a PGM file (magic {magic!r})")
     toks, pos = _tokens_skipping_comments(data, 2, 3, path)
     try:
         width, height, maxval = (int(toks[0]), int(toks[1]), int(toks[2]))
     except ValueError:
-        raise FormatError(f"{path}: malformed PGM header")
+        raise NlflowError(f"{path}: malformed PGM header")
     if width != height:
-        raise FormatError(
+        raise NlflowError(
             f"{path}: only square images map to the grid "
             f"({width}x{height})")
     if not (1 <= maxval <= 65535):
-        raise FormatError(f"{path}: maxval {maxval} out of [1, 65535]")
+        raise NlflowError(f"{path}: maxval {maxval} out of [1, 65535]")
     grid = None
     for tok in toks[3:]:
-        grid = grid or _parse_header(tok.decode("ascii", "replace"))
+        grid = grid or _parse_header(tok.decode("ascii", "replace"), path)
     if grid is None:
-        grid = Grid(dimension=2, side_length=16.0, points_per_axis=width)
+        grid = _grid(path, 2, width)
     if grid.dimension != 2 or grid.points_per_axis != width:
-        raise DimensionMismatchError(
+        raise NlflowError(
             f"{path}: {width}x{height} image does not match grid "
             f"(N={grid.dimension}, M={grid.points_per_axis})")
     n = width * height
@@ -155,17 +163,17 @@ def _load_pgm(path: str) -> Field:
         need = n * dtype.itemsize
         raw = data[pos:pos + need]
         if len(raw) != need:
-            raise FormatError(
+            raise NlflowError(
                 f"{path}: expected {need} pixel bytes, found {len(raw)}")
         px = np.frombuffer(raw, dtype=dtype).astype(np.float64)
     else:
         body = data[pos:].split(b"#")[0].split()
         if len(body) < n:
-            raise FormatError(
+            raise NlflowError(
                 f"{path}: expected {n} pixels, found {len(body)}")
         px = np.asarray([int(t) for t in body[:n]], dtype=np.float64)
     if np.max(px) > maxval:
-        raise FormatError(f"{path}: pixel above declared maxval {maxval}")
+        raise NlflowError(f"{path}: pixel above declared maxval {maxval}")
     return Field(grid, px / maxval)
 
 

@@ -31,13 +31,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import (
-    InsufficientCoverageError,
-    InvalidParameterError,
-    NonFiniteStateError,
-    raise_first,
-    violations,
-)
+from .errors import NlflowError, raise_first, violations
 from .grid import BLOCK_BUDGET, COUNTERS, RUN_MAX_BYTES, DiscreteOperator, \
     Field, Grid
 from .kernels import TRANSLATION_INVARIANT_FAMILIES, Kernel, order_errors
@@ -62,7 +56,7 @@ def stable_dt(op: DiscreteOperator, potential: Potential | None = None,
         * op.grid.spacing ** op.grid.dimension
     denom = (1.0 if potential is None else potential.sup_d2) * rs_max
     if not (denom > 0.0 or multiplier):
-        raise InvalidParameterError(
+        raise NlflowError(
             "kernel row sums vanish; no finite stable step exists")
     return 0.9 * (1.0 / denom) if denom > 0.0 else math.inf
 
@@ -202,9 +196,9 @@ class FlowProblem:
                     + kind_errors(self.kind, self.strategy,
                                   self.kernel.spec.family))
         if self.kind == "nonlinear" and self.potential is None:
-            raise InvalidParameterError("nonlinear flow needs a potential")
+            raise NlflowError("nonlinear flow needs a potential")
         if self.grid != self.initial.grid:
-            raise InvalidParameterError("initial field grid != problem grid")
+            raise NlflowError("initial field grid != problem grid")
 
 
 @dataclass
@@ -232,10 +226,10 @@ class Trajectory:
         self.times = np.asarray(self.times, dtype=np.float64)
         self.fields = np.asarray(self.fields, dtype=np.float64)
         if self.fields.ndim != 2 or self.fields.shape[0] != self.times.size:
-            raise InvalidParameterError(
+            raise NlflowError(
                 "fields must be (n_samples, n_nodes) matching times")
         if self.times.size >= 2 and not np.all(np.diff(self.times) > 0):
-            raise InvalidParameterError("sample times must strictly increase")
+            raise NlflowError("sample times must strictly increase")
 
     @property
     def n_samples(self) -> int:
@@ -264,7 +258,7 @@ class Trajectory:
         idx = np.arange(np.searchsorted(self.times, t_lo - tol, "left"),
                         np.searchsorted(self.times, t_hi + tol, "right"))
         if idx.size < need:
-            raise InsufficientCoverageError(
+            raise NlflowError(
                 f"only {idx.size} samples cover [{t_lo}, {t_hi}]; "
                 f"need >= {need}")
         return idx
@@ -322,8 +316,7 @@ def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
         k1, energy[i] = _rhs_and_energy(op, pot, w, t)
         if not math.isfinite(energy[i]) and not np.all(np.isfinite(w)):
             # non-finite initial data makes state 1 non-finite as well
-            raise NonFiniteStateError(
-                f"non-finite state after step {max(i, 1)}", step=max(i, 1))
+            raise NlflowError(f"non-finite state after step {max(i, 1)}")
         if i == n_steps or i - first == buf.shape[0] - 1:
             done, recs = buf[:i - first + 1], slice(first, i + 1)
             l2[recs] = np.sqrt(np.add.reduce(done * done, axis=1) * h_n)

@@ -39,14 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .errors import (
-    DimensionMismatchError,
-    GridMismatchError,
-    StrategyMismatchError,
-    UnsupportedDimensionError,
-    raise_first,
-    violations,
-)
+from .errors import NlflowError, raise_first, violations
 from .kernels import TRANSLATION_INVARIANT_FAMILIES, Kernel, kernel_epoch
 
 STRATEGIES = ("dense", "banded", "spectral")
@@ -149,8 +142,7 @@ def grid_errors(dimension: int, side_length: float, points_per_axis: int,
     operator on it keeps: a known `strategy`, and a torus wider than twice a
     finite kernel `radius`, so that one periodic image of a node interacts."""
     return violations(
-        ("dimension", dimension in (1, 2), "dimension must be 1 or 2",
-         UnsupportedDimensionError),
+        ("dimension", dimension in (1, 2), "dimension must be 1 or 2"),
         ("points_per_axis", points_per_axis == int(points_per_axis) >= 8,
          "need an integer of at least 8 points per axis"),
         ("side_length", 0.0 < side_length < math.inf,
@@ -162,7 +154,7 @@ def grid_errors(dimension: int, side_length: float, points_per_axis: int,
          f"strategy must be one of {', '.join(STRATEGIES)}"),
         ("truncation_radius", not math.isfinite(radius)
          or side_length > 2.0 * radius, f"torus width {side_length:g} must "
-         f"exceed twice the truncation radius {radius:g}", GridMismatchError))
+         f"exceed twice the truncation radius {radius:g}"))
 
 
 def operator_errors(grid: Grid, spec, strategy: str) -> list:
@@ -179,30 +171,26 @@ def operator_errors(grid: Grid, spec, strategy: str) -> list:
     return grid_errors(grid.dimension, grid.side_length, grid.points_per_axis,
                        radius, strategy) + violations(
         ("dimension", grid.dimension == spec.dimension, f"grid dimension "
-         f"{grid.dimension} != kernel dimension {spec.dimension}",
-         GridMismatchError),
+         f"{grid.dimension} != kernel dimension {spec.dimension}"),
         ("strategy", strategy != "dense" or grid.n_nodes <= DENSE_MAX_NODES,
          f"the dense operator takes at most {DENSE_MAX_NODES} nodes, not "
-         f"{grid.n_nodes}", StrategyMismatchError),
+         f"{grid.n_nodes}"),
         ("family", not spectral
          or spec.family in TRANSLATION_INVARIANT_FAMILIES,
          f"the spectral strategy needs the translation-invariant "
-         f"{' or '.join(TRANSLATION_INVARIANT_FAMILIES)} kernel family",
-         StrategyMismatchError),
+         f"{' or '.join(TRANSLATION_INVARIANT_FAMILIES)} kernel family"),
         ("truncation_radius", not spectral or not math.isfinite(radius),
-         "the spectral strategy needs truncation radius inf",
-         StrategyMismatchError),
+         "the spectral strategy needs truncation radius inf"),
         ("truncation_radius", radius >= grid.spacing, f"no lattice neighbor "
-         f"within the truncation radius at grid spacing {grid.spacing:g}",
-         GridMismatchError),
+         f"within the truncation radius at grid spacing {grid.spacing:g}"),
         ("side_length", -708.0 < log_envelope < 709.0, f"the kernel envelope "
          f"(1-s/2) h^-(N+s) at the grid spacing {grid.spacing:g} must lie "
-         f"between e^-708 and e^709", GridMismatchError),
+         f"between e^-708 and e^709"),
         ("points_per_axis", spec.family in TRANSLATION_INVARIANT_FAMILIES
          or table <= RUN_MAX_BYTES, f"the {spec.family} kernel's per-node "
          f"offset table takes up to {table / 2 ** 30:.3g} GiB on "
          f"{grid.n_nodes} nodes, above the {RUN_MAX_BYTES >> 30} GiB a run "
-         f"may take", GridMismatchError))
+         f"may take"))
 
 
 def _signed_steps(grid: Grid, steps: np.ndarray) -> np.ndarray:
@@ -396,7 +384,7 @@ class Field:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64).ravel()
         if self.values.size != self.grid.n_nodes:
-            raise DimensionMismatchError(
+            raise NlflowError(
                 f"field has {self.values.size} values, grid has "
                 f"{self.grid.n_nodes} nodes")
 
@@ -434,7 +422,7 @@ class DiscreteOperator:
         the stencil: (n_off,) scalars for translation-invariant kernels, else
         (n_off, n_nodes) with rows matching self.deltas."""
         if self.strategy == "spectral":
-            raise StrategyMismatchError(
+            raise NlflowError(
                 "offset_values is undefined for the spectral strategy")
         key = ("offvals", kernel_epoch(self.kernel, t))
         if self._hit(key):
@@ -493,8 +481,7 @@ class DiscreteOperator:
     def multipliers(self) -> np.ndarray:
         """Fourier symbol of the operator (spectral strategy only), flat."""
         if self.strategy != "spectral":
-            raise StrategyMismatchError(
-                "multipliers() requires the spectral strategy")
+            raise NlflowError("multipliers() requires the spectral strategy")
         if not self._hit("symbol"):
             grid = self.grid
             row = self._spectral_row()
@@ -530,7 +517,7 @@ class DiscreteOperator:
         """(L w) at every node for flat float64 `values`."""
         w = np.asarray(values, dtype=np.float64).ravel()
         if w.size != self.grid.n_nodes:
-            raise DimensionMismatchError(
+            raise NlflowError(
                 f"field has {w.size} values, grid has {self.grid.n_nodes} nodes")
         # both oracles weigh differences, so a constant cancels exactly, as on
         # the stencil: A w - rowsums w, or the transform of w itself, rounds
@@ -567,7 +554,7 @@ def bilinear_form(kernel: Kernel, u: Field, v: Field, t: float = 0.0) -> float:
     the identity instead.
     """
     if u.grid != v.grid:
-        raise GridMismatchError("bilinear_form fields live on different grids")
+        raise NlflowError("bilinear_form fields live on different grids")
     op = DiscreteOperator(u.grid, kernel, "banded")
     pair = np.stack([u.values, v.values]).reshape((2,) + u.grid.shape)
     table = op.offset_values(t)

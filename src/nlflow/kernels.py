@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, UnsupportedDimensionError, \
-    raise_first, violations
+from .errors import NlflowError, raise_first, violations
 
 KERNEL_FAMILIES = ("power-law", "rough-static", "rough-time-dependent")
 # families whose kernel depends on x - y alone (a convolution on the torus)
@@ -67,8 +66,8 @@ def kernel_errors(spec: KernelSpec) -> list:
     """(field, error) pairs of the rules `spec` breaks; every family needs a
     positive cell size and epoch length, read or not."""
     return violations(
-        ("dimension", spec.dimension in (1, 2), "dimension must be 1 or 2",
-         UnsupportedDimensionError)) + order_errors(spec.order) + violations(
+        ("dimension", spec.dimension in (1, 2), "dimension must be 1 or 2")
+    ) + order_errors(spec.order) + violations(
         ("ellipticity", 1.0 < spec.ellipticity < math.inf,
          "ellipticity must be finite and exceed 1"),
         ("truncation_radius", spec.truncation_radius > 0.0,
@@ -87,7 +86,7 @@ def _as_points(x, dimension: int) -> np.ndarray:
     if dimension == 1 and (a.ndim == 0 or a.shape[-1] != 1):
         a = a[..., np.newaxis]
     if a.shape[-1] != dimension:
-        raise InvalidParameterError(
+        raise NlflowError(
             f"point array last axis {a.shape[-1]} != dimension {dimension}")
     return a
 
@@ -143,7 +142,7 @@ class Kernel:
     def radial_profile(self, dist) -> np.ndarray:
         """Kernel value as a function of separation (translation-invariant only)."""
         if not self.translation_invariant:
-            raise InvalidParameterError(
+            raise NlflowError(
                 "radial_profile requires a translation-invariant kernel")
         return self.spec.multiplier * self.envelope_profile(dist)
 

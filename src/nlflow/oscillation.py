@@ -18,9 +18,7 @@ import numpy as np
 
 from .degiorgi import LemmaReport, _first_exceedance, _graded, barrier, \
     constant_errors, lambda_support
-from .errors import (InvalidParameterError, NonLatticeStepError,
-                     TrajectoryMismatchError, UnderResolvedError,
-                     raise_first, violations)
+from .errors import NlflowError, raise_first, violations
 from .flow import Trajectory, kind_errors
 from .grid import DiscreteOperator, Field, Grid, OffsetStencil
 from .kernels import BAND_RTOL, Kernel, order_errors
@@ -62,8 +60,7 @@ def _lattice_step(grid: Grid, e: int, h: float) -> tuple[int, int]:
         ("e", 0 <= e < grid.dimension,
          f"direction {e} outside axes 0..{grid.dimension - 1}"),
         ("h", m >= 1 and abs(ratio - m) <= 1e-9 * max(1.0, ratio), f"step {h} "
-         f"is not a positive multiple of the spacing {grid.spacing}",
-         NonLatticeStepError)))
+         f"is not a positive multiple of the spacing {grid.spacing}")))
     return int(e), m
 
 
@@ -100,8 +97,7 @@ def _linearized(traj: Trajectory) -> tuple[Kernel, Potential]:
     """The kernel and potential of `traj`; K^h needs both, and a kernel the
     nonlinear flow takes."""
     if traj.kernel is None or traj.potential is None:
-        raise TrajectoryMismatchError(
-            "trajectory must carry its kernel and potential")
+        raise NlflowError("trajectory must carry its kernel and potential")
     raise_first(kind_errors("nonlinear", "banded", traj.kernel.spec.family))
     return traj.kernel, traj.potential
 
@@ -215,9 +211,9 @@ def verify_linearization(theta_traj: Trajectory, e: int = 0,
     """
     raise_first(violations(
         ("kind", theta_traj.kind == "nonlinear", "transfer needs a nonlinear "
-         f"trajectory, got {theta_traj.kind!r}", TrajectoryMismatchError),
+         f"trajectory, got {theta_traj.kind!r}"),
         ("stepper", theta_traj.stepper == "euler",
-         "transfer is defined for the euler stepper", TrajectoryMismatchError)))
+         "transfer is defined for the euler stepper")))
     base, potential = _linearized(theta_traj)
     grid = theta_traj.grid
     h = grid.spacing if h is None else h
@@ -262,7 +258,7 @@ def parabolic_rescale(traj: Trajectory, rho: float) -> Trajectory:
     samples up to t = 0 unchanged, and share the parent's memory.
     """
     if not (rho > 0.0):
-        raise InvalidParameterError(f"rescale factor must be > 0, got {rho}")
+        raise NlflowError(f"rescale factor must be > 0, got {rho}")
     s = float(traj.order)
     grid = traj.grid
     traj.window(0.0, math.inf, need=1)      # the samples do not end before 0
@@ -295,7 +291,7 @@ def cylinder_errors(radius: float, depth: float, n_nodes: int,
     return violations(("cylinder", min(n_nodes, n_samples) >= MIN_CYLINDER,
                        f"cylinder [-{depth:g}, 0] x B_{radius:g} holds "
                        f"{n_nodes} nodes and {n_samples} samples; need >= "
-                       f"{MIN_CYLINDER} of each", UnderResolvedError))
+                       f"{MIN_CYLINDER} of each"))
 
 
 def _cylinder(traj: Trajectory, radius: float,
@@ -444,9 +440,9 @@ def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
             break
         # the view keeps every node and, in order, the samples up to t = 0,
         # so this cylinder's indices are those of the next unit cylinder
-        try:
-            rows, ball = _cylinder(current, scale, scale ** s)
-        except UnderResolvedError:
+        rows = current.window(-scale ** s, need=0)
+        ball = current.grid.ball(scale)
+        if cylinder_errors(scale, scale ** s, int(np.sum(ball)), rows.size):
             floor_level = k
             break
         current = parabolic_rescale(current, scale)
@@ -499,7 +495,8 @@ def check_scale_barrier(lam: float, lam_star: float, eps: float,
     threshold is 2*(1 - sup quotient), and calibrations that want the
     inequality to hold must stay below it.
     """
-    raise_first(constant_errors(lam=lam, eps=eps) + order_errors(order))
+    raise_first(constant_errors(lam=lam, lam_star=lam_star, eps=eps)
+                + order_errors(order))
     support = lambda_support(lam, order)
     r = np.geomspace(1.0 / scale, max(100.0 * support, 1e4),
                      BARRIER_PROBE_POINTS)

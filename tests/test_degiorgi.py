@@ -39,7 +39,7 @@ from nlflow.degiorgi import (
     verify_lemma1,
     verify_lemma2,
 )
-from nlflow.errors import InsufficientCoverageError, InvalidParameterError
+from nlflow.errors import NlflowError
 from nlflow.flow import Trajectory
 from nlflow.grid import Grid
 from nlflow.oscillation import check_scale_barrier, oscillation_decay, \
@@ -113,14 +113,21 @@ def test_phi_family_values_and_ordering():
 def test_barrier_parameter_guards(grid1, calibration):
     # each rule keeps its one statement where the value arrives: lam in
     # (0, 1/3) and eps > 0 in `constant_errors`, the order in the kernel's
-    with pytest.raises(InvalidParameterError, match="lam must lie"):
+    with pytest.raises(NlflowError, match="lam must lie"):
         level_set_measures(constant_trajectory(grid1, 0.0), lam=0.5)
-    with pytest.raises(InvalidParameterError, match="eps must be positive"):
+    with pytest.raises(NlflowError, match="eps must be positive"):
         check_scale_barrier(calibration.lam, calibration.lam_star, 0.0,
                             calibration.k_sc, 1.0)
-    with pytest.raises(InvalidParameterError, match=r"order out of \(0,2\)"):
+    with pytest.raises(NlflowError, match=r"order out of \(0,2\)"):
         Trajectory.from_fields(grid1, [0.0, 1.0],
                                np.zeros((2, grid1.n_nodes)), order=2.0)
+
+
+def test_scale_barrier_refuses_lam_star_outside_its_interval():
+    # 1 - lam_star/2 divides the barrier: lam_star = 2 would divide by zero
+    for lam_star in (2.0, 0.0, 1.0):
+        with pytest.raises(NlflowError, match=r"lam_star must lie in \(0,"):
+            check_scale_barrier(0.25, lam_star, 0.05, 0.5, 1.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -198,14 +205,14 @@ def test_truncated_energies_monotone_on_flow_runs():
 
 
 def test_truncated_energies_coverage_guards(grid1):
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(NlflowError, match="need at least one rung"):
         truncated_energies(
             constant_trajectory(grid1, 0.0, -2.0, 0.0, 65), k_max=0)
     short = constant_trajectory(grid1, 0.0, t_lo=-1.0, t_hi=0.0, n=33)
-    with pytest.raises(InsufficientCoverageError):
+    with pytest.raises(NlflowError, match="only 0 samples cover"):
         truncated_energies(short, k_max=3)
     coarse = constant_trajectory(grid1, 0.0, t_lo=-2.0, t_hi=0.0, n=9)
-    with pytest.raises(InsufficientCoverageError):
+    with pytest.raises(NlflowError, match="resolve at most 0 rungs"):
         truncated_energies(coarse, k_max=3)
 
 
@@ -213,7 +220,7 @@ def test_recurrence_constant_on_synthetic_geometric_sequence():
     # U_k chosen so U_k / U_{k-1}^2 = 0.1 at every level (s = 1, N = 1)
     u = np.array([1e-2, 1e-5, 1e-11, 1e-23])
     seq = TruncatedEnergySequence(levels=np.arange(4), values=u, order=1.0,
-                                  n_samples=65, dimension=1)
+                                  dimension=1)
     rep = check_recurrence(seq)
     assert rep.ratios[0] == pytest.approx(0.1)
     assert rep.ratios[1] == pytest.approx(0.1 ** 0.5)
@@ -408,7 +415,7 @@ def test_level_set_measures_middle_band(grid1):
 
 def test_level_set_measures_need_full_window(grid1):
     short = constant_trajectory(grid1, 0.0, t_lo=-2.0, t_hi=0.0)
-    with pytest.raises(InsufficientCoverageError):
+    with pytest.raises(NlflowError, match="only 1 samples cover"):
         level_set_measures(short, lam=0.25)
 
 
@@ -447,7 +454,7 @@ def test_lemma1_counterexample_is_flagged(grid1):
 
 def test_lemma1_rejects_nonpositive_budget(grid1):
     traj = constant_trajectory(grid1, 0.0, t_lo=-2.0, t_hi=0.0)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(NlflowError, match="eps0 must be positive"):
         verify_lemma1(traj, eps0=0.0)
 
 
@@ -485,9 +492,9 @@ def test_corollary1_counterexample_is_flagged(grid1):
 
 def test_corollary1_waiting_time_guards(grid1):
     traj = constant_trajectory(grid1, 0.0, t_lo=0.0, t_hi=1.0)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(NlflowError, match="waiting time t0=1.5"):
         verify_corollary1(traj, t0=1.5, eps0=0.9)   # beyond the span
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(NlflowError, match="eps0 must be positive"):
         verify_corollary1(traj, t0=0.5, eps0=-1.0)
 
 
@@ -541,9 +548,9 @@ def test_lemma2_envelope_breach_is_out_of_scope(grid1):
 
 def test_lemma2_parameter_guards(grid1):
     traj = constant_trajectory(grid1, 0.0)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(NlflowError, match="mu must be positive"):
         verify_lemma2(traj, mu=0.0, delta=0.99, gamma=4.2, lam=0.25)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(NlflowError, match="lam must lie"):
         verify_lemma2(traj, mu=1.0, delta=0.99, gamma=4.2, lam=0.4)
 
 

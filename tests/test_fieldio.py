@@ -1,11 +1,13 @@
 """Round trips and error paths for CSV / PGM field files."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlflow.errors import DimensionMismatchError, FormatError
+from nlflow.errors import NlflowError
 from nlflow.fieldio import load_field, save_field
 from nlflow.grid import Field, Grid
 
@@ -60,7 +62,7 @@ def test_csv_header_carries_the_grid(tmp_path):
 def test_csv_without_header_needs_a_grid(tmp_path):
     path = tmp_path / "raw.csv"
     path.write_text("\n".join(str(i) for i in range(8)) + "\n")
-    with pytest.raises(FormatError, match="no grid header"):
+    with pytest.raises(NlflowError, match="no grid header"):
         load_field(str(path))
 
 
@@ -76,7 +78,7 @@ def test_csv_skips_blanks_and_comments(tmp_path):
 def test_csv_bad_token_reports_the_line(tmp_path):
     path = tmp_path / "sig.csv"
     path.write_text("# nlflow field N=1 M=8 L=16.0\n1.0\nbogus\n")
-    with pytest.raises(FormatError, match=r":3: not a number"):
+    with pytest.raises(NlflowError, match=r":3: not a number"):
         load_field(str(path))
 
 
@@ -84,14 +86,14 @@ def test_csv_value_count_mismatch(tmp_path):
     path = tmp_path / "sig.csv"
     body = "\n".join(["# nlflow field N=1 M=64 L=16.0"] + ["0.5"] * 63)
     path.write_text(body + "\n")
-    with pytest.raises(DimensionMismatchError, match="63 values"):
+    with pytest.raises(NlflowError, match="63 values"):
         load_field(str(path))
 
 
 def test_csv_empty_file(tmp_path):
     path = tmp_path / "sig.csv"
     path.write_text("")
-    with pytest.raises(FormatError, match="empty"):
+    with pytest.raises(NlflowError, match="empty"):
         load_field(str(path))
 
 
@@ -191,48 +193,65 @@ def test_pgm_grid_mismatch(tmp_path):
     save_field(random_image(m=16), str(path))
     # the header names a 32 x 32 grid for the 16 x 16 image
     path.write_bytes(path.read_bytes().replace(b"M=16 ", b"M=32 ", 1))
-    with pytest.raises(DimensionMismatchError, match="16x16"):
+    with pytest.raises(NlflowError, match="16x16"):
         load_field(str(path))
 
 
 def test_pgm_save_guards(tmp_path):
-    with pytest.raises(FormatError, match="1-d"):
+    with pytest.raises(NlflowError, match="1-d"):
         save_field(random_image(), str(tmp_path / "x.csv"))
-    with pytest.raises(FormatError, match="2-d"):
+    with pytest.raises(NlflowError, match="2-d"):
         save_field(random_signal(), str(tmp_path / "x.pgm"))
     g = grid_2d(8)
     hot = Field(g, np.full(g.n_nodes, 1.5))
-    with pytest.raises(FormatError, match=r"values in \[0, 1\]"):
+    with pytest.raises(NlflowError, match=r"values in \[0, 1\]"):
         save_field(hot, str(tmp_path / "hot.pgm"))
-    with pytest.raises(FormatError, match="unknown field format"):
+    with pytest.raises(NlflowError, match="unknown field format"):
         save_field(random_signal(), str(tmp_path / "x.npy"))
 
 
 def test_pgm_load_guards(tmp_path):
     bad_magic = tmp_path / "p3.pgm"
     bad_magic.write_bytes(b"P3\n2 2\n255\n0 0 0 0\n")
-    with pytest.raises(FormatError, match="not a PGM"):
+    with pytest.raises(NlflowError, match="not a PGM"):
         load_field(str(bad_magic))
 
     rect = tmp_path / "rect.pgm"
     rect.write_bytes(b"P2\n3 2\n255\n0 0 0 0 0 0\n")
-    with pytest.raises(FormatError, match="square"):
+    with pytest.raises(NlflowError, match="square"):
         load_field(str(rect))
 
     deep = tmp_path / "deep.pgm"
     deep.write_bytes(b"P2\n2 2\n70000\n0 0 0 0\n")
-    with pytest.raises(FormatError, match="maxval 70000"):
+    with pytest.raises(NlflowError, match="maxval 70000"):
         load_field(str(deep))
 
     hot = tmp_path / "hot.pgm"
     pixels = " ".join(["300"] + ["0"] * 63)
     hot.write_bytes(f"P2\n8 8\n255\n{pixels}\n".encode("ascii"))
-    with pytest.raises(FormatError, match="above declared maxval"):
+    with pytest.raises(NlflowError, match="above declared maxval"):
         load_field(str(hot))
 
     short = tmp_path / "short.pgm"
     full = tmp_path / "full.pgm"
     save_field(random_image(m=8), str(full))
     short.write_bytes(full.read_bytes()[:-1])
-    with pytest.raises(FormatError, match="pixel bytes"):
+    with pytest.raises(NlflowError, match="pixel bytes"):
         load_field(str(short))
+
+
+def test_grid_rules_name_the_file(tmp_path):
+    # a grid the file implies breaks a lattice rule: the error names the file
+    # before the rule, as every other load error does
+    tiny = tmp_path / "tiny.pgm"
+    tiny.write_bytes(b"P5\n4 4\n255\n" + bytes(16))
+    small = tmp_path / "small.csv"
+    small.write_text("\n".join(["# nlflow field N=1 M=4 L=16.0"]
+                               + ["0.5"] * 4) + "\n")
+    cube = tmp_path / "cube.csv"
+    cube.write_text("# nlflow field N=3 M=8 L=16.0\n")
+    lattice = "need an integer of at least 8 points per axis"
+    for path, rule in ((tiny, lattice), (small, lattice),
+                       (cube, "dimension must be 1 or 2")):
+        with pytest.raises(NlflowError, match=re.escape(f"{path}: {rule}")):
+            load_field(str(path))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlflow.errors import InvalidParameterError, UnsupportedDimensionError
+from nlflow.errors import NlflowError
 from nlflow.kernels import (
     Kernel,
     KernelSpec,
@@ -189,21 +189,21 @@ def test_rough_static_ignores_time():
 # parameter guards
 
 def test_order_out_of_range_rejected():
-    with pytest.raises(InvalidParameterError, match=r"order out of \(0,2\)"):
+    with pytest.raises(NlflowError, match=r"order out of \(0,2\)"):
         make_kernel(KernelSpec(order=2.5))
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(NlflowError, match=r"order out of \(0,2\)"):
         make_kernel(KernelSpec(order=0.0))
 
 
 def test_ellipticity_and_dimension_guards():
-    with pytest.raises(InvalidParameterError, match="ellipticity"):
+    with pytest.raises(NlflowError, match="ellipticity"):
         make_kernel(KernelSpec(ellipticity=1.0))
-    with pytest.raises(UnsupportedDimensionError):
+    with pytest.raises(NlflowError, match="dimension must be 1 or 2"):
         make_kernel(KernelSpec(dimension=3))
 
 
 def test_unknown_family_rejected():
-    with pytest.raises(InvalidParameterError, match="family"):
+    with pytest.raises(NlflowError, match="family"):
         make_kernel(KernelSpec(family="smooth"))
 
 

@@ -13,13 +13,7 @@ from conftest import (
     lemma3_counterexample,
     synthetic_trajectory,
 )
-from nlflow.errors import (
-    InsufficientCoverageError,
-    InvalidParameterError,
-    NonLatticeStepError,
-    TrajectoryMismatchError,
-    UnderResolvedError,
-)
+from nlflow.errors import NlflowError
 from nlflow.ensembles import default_grid
 from nlflow.fields import make_initial
 from nlflow.flow import FlowProblem, Trajectory, run_flow
@@ -98,11 +92,12 @@ def test_quotient_kills_constants_and_scales():
 def test_quotient_step_guards():
     g = grid_1d()
     v = Field(g, np.zeros(g.n_nodes))
-    with pytest.raises(NonLatticeStepError):
+    lattice = "is not a positive multiple of the spacing"
+    with pytest.raises(NlflowError, match=lattice):
         difference_quotient(v, 0, 0.3)          # not a spacing multiple
-    with pytest.raises(NonLatticeStepError):
+    with pytest.raises(NlflowError, match=lattice):
         difference_quotient(v, 0, -g.spacing)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(NlflowError, match=r"direction 1 outside axes 0\.\.0"):
         difference_quotient(v, 1, g.spacing)    # no second axis in 1D
 
 
@@ -145,9 +140,9 @@ def test_derived_kernel_needs_translation_invariance():
         dimension=1, order=1.0, ellipticity=4.0, truncation_radius=3.0,
         family="rough-static", seed=3))
     traj = dataclasses.replace(traj, kernel=rough)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(NlflowError, match="translation-invariant"):
         scan_derived_envelope(traj)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(NlflowError, match="translation-invariant"):
         verify_linearization(traj)
 
 
@@ -204,7 +199,7 @@ def test_derived_envelope_scan_admits_the_band_edge():
 
 def test_derived_envelope_scan_needs_kernel(grid1):
     bare = constant_trajectory(grid1, 0.0)
-    with pytest.raises(TrajectoryMismatchError):
+    with pytest.raises(NlflowError, match="must carry its kernel"):
         scan_derived_envelope(bare)
 
 
@@ -242,13 +237,13 @@ def test_transfer_input_guards(grid1):
     lin = run_flow(FlowProblem(
         kind="linear", grid=grid_1d(), kernel=power_law_kernel(),
         initial=make_initial(grid_1d(), "random", seed=0), t_end=0.05))
-    with pytest.raises(TrajectoryMismatchError):
+    with pytest.raises(NlflowError, match="transfer needs a nonlinear"):
         verify_linearization(lin)
     heun = run_flow(FlowProblem(
         kind="nonlinear", grid=grid_1d(), kernel=power_law_kernel(),
         initial=make_initial(grid_1d(), "random", seed=0), t_end=0.05,
         potential=huber(), stepper="heun"))
-    with pytest.raises(TrajectoryMismatchError):
+    with pytest.raises(NlflowError, match="defined for the euler stepper"):
         verify_linearization(heun)
 
 
@@ -295,11 +290,11 @@ def test_rescale_commutes_with_the_flow():
 
 
 def test_rescale_window_guards(grid1):
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(NlflowError, match="rescale factor must be > 0"):
         parabolic_rescale(cached_oscillation_run(1), 0.0)
     # the view is the cylinder about t = 0, which these samples miss
     for t_lo, t_hi in ((-3.0, -1.0), (0.5, 2.0)):
-        with pytest.raises(InsufficientCoverageError):
+        with pytest.raises(NlflowError, match="only 0 samples cover"):
             parabolic_rescale(constant_trajectory(grid1, 0.0, t_lo, t_hi),
                               0.5)
 
@@ -340,11 +335,11 @@ def test_oscillation_fit_is_affine_invariant():
 
 def test_oscillation_decay_guards(grid1):
     traj = constant_trajectory(grid1, 0.0, t_lo=-1.2, t_hi=0.0, n=400)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(NlflowError, match="need at least 3 levels"):
         oscillation_decay(traj, 0.65, 2)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(NlflowError, match=r"scale must lie in \(0,1\)"):
         oscillation_decay(traj, 1.0, 4)
-    with pytest.raises(UnderResolvedError):
+    with pytest.raises(NlflowError, match="need >= 8 of each"):
         oscillation_decay(traj, 0.65, 12)
 
 
@@ -381,13 +376,13 @@ def test_rescaling_sequence_keeps_envelope_on_flow_runs(calibration):
 
 def test_rescaling_sequence_guards(grid1, calibration):
     traj = constant_trajectory(grid1, 0.0, n=241)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(NlflowError, match="lam must lie"):
         rescaling_sequence(traj, 0.4, calibration.lam_star, 0.65,
                            eps=calibration.eps)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(NlflowError, match="lam_star must lie"):
         rescaling_sequence(traj, calibration.lam, 1.5, 0.65,
                            eps=calibration.eps)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(NlflowError, match=r"scale must lie in \(0,1\)"):
         rescaling_sequence(traj, calibration.lam, calibration.lam_star, 1.0,
                            eps=calibration.eps)
 
@@ -403,7 +398,7 @@ def test_rescaling_and_decay_share_the_cylinder_edge(grid1):
     assert rep.floor_level == 1
     assert rep.levels[1].samples_in_window == 8
     # level 1 resolves; level 2, (-0.4225, 0] x B_0.4225, does not
-    with pytest.raises(UnderResolvedError, match="13 nodes and 5 samples"):
+    with pytest.raises(NlflowError, match="13 nodes and 5 samples"):
         oscillation_decay(traj, 0.65, 3)
 
 

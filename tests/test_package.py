@@ -163,3 +163,35 @@ def test_every_defaulted_parameter_is_set_outside_the_tests():
                       if not any(_sets(c, arg, i)
                                  for c in calls.get(name, []))]
     assert not unset, f"defaults only tests set: {sorted(unset)}"
+
+
+def _caught_names(node: ast.AST) -> set[str]:
+    """The names of the classes an `except` clause or an isinstance call
+    tests against: a name, an attribute or a tuple of them."""
+    items = node.elts if isinstance(node, ast.Tuple) else [node]
+    return {getattr(n, "id", None) or getattr(n, "attr", None)
+            for n in items}
+
+
+def test_every_exception_class_is_caught_in_the_package():
+    # the CLI's exit codes tell a refusal from an abort, so a class that no
+    # `except` clause or isinstance call in the package names is one more
+    # name for an error that callers already handle alike
+    defined, caught = [], set()
+    for path in (ROOT / "src" / "nlflow").glob("*.py"):
+        module = importlib.import_module(
+            "nlflow" if path.stem == "__init__" else f"nlflow.{path.stem}")
+        tree = ast.parse(path.read_text())
+        defined += [f"{path.stem}.{node.name}" for node in tree.body
+                    if isinstance(node, ast.ClassDef) and issubclass(
+                        getattr(module, node.name), BaseException)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type:
+                caught |= _caught_names(node.type)
+            elif isinstance(node, ast.Call) and len(node.args) == 2 and \
+                    getattr(node.func, "id", None) == "isinstance":
+                caught |= _caught_names(node.args[1])
+    assert defined, "no exception class found"
+    uncaught = [name for name in defined
+                if name.split(".")[1] not in caught]
+    assert not uncaught, f"exception classes nothing catches: {uncaught}"

@@ -111,10 +111,10 @@ def test_fd_convergence_order_of_d2():
 
 
 def test_unknown_family_rejected():
-    from nlflow.errors import InvalidParameterError
-    with pytest.raises(InvalidParameterError, match="family"):
+    from nlflow.errors import NlflowError
+    with pytest.raises(NlflowError, match="family"):
         make_potential(PotentialSpec(family="tv", ellipticity=4.0))
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(NlflowError, match="ellipticity must be finite"):
         make_potential(PotentialSpec(family="quadratic", ellipticity=0.9))
 
 
