@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -257,8 +258,8 @@ def save_calibration(constants: CalibrationConstants, path: str) -> None:
 
 def load_calibration(path: str) -> CalibrationConstants:
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = json.loads(fh.read())
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read calibration file {path!r}: {exc}")
     if not isinstance(raw, dict):
@@ -283,8 +284,6 @@ def load_calibration(path: str) -> CalibrationConstants:
 
 
 def default_calibration() -> CalibrationConstants:
-    """The calibration shipped with the package."""
-    from importlib import resources
-    ref = resources.files("nlflow").joinpath("data/calibration.json")
-    with resources.as_file(ref) as path:
-        return load_calibration(str(path))
+    """The calibration shipped with the package, beside this module."""
+    return load_calibration(os.path.join(os.path.dirname(__file__), "data",
+                                         "calibration.json"))

@@ -300,6 +300,10 @@ def _cmd_denoise(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
     if not os.path.isfile(src):
         raise ConfigError(f"denoise input is not a file: {src}")
     noisy = load_field(src)
+    # the energy and L2 records square the data (as for initial.amplitude)
+    if not -1e100 <= noisy.values.min() <= noisy.values.max() <= 1e100:
+        raise NlflowError(f"{src}: values must be finite and at most 1e100 "
+                          "in magnitude")
     cfg.check_flow("nonlinear", noisy.grid, cfg.get("denoise.time"),
                    t_end="denoise.time", points_per_axis="denoise.input")
     # the file's own grid wins: no grid.* key is read

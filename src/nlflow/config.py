@@ -382,11 +382,16 @@ def parse_config(path: str | None = None,
 
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, "rb") as fh:
                 lines = fh.read().splitlines()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc}")
         for lineno, raw in enumerate(lines, start=1):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                errors.append(f"{path}:{lineno}: not UTF-8 text")
+                continue
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

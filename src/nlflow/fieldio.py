@@ -5,6 +5,11 @@ Both formats carry a grid tag in a comment line so a file is self-describing:
 round-trip float repr).  PGM files are written as 8-bit binary (P5) and read
 as P2 or P5 at any maxval up to 65535; they round-trip value-exactly on the
 8-bit levels.
+
+A field file is read once, as bytes, and parsed from them: no locale decodes
+it.  Whatever is malformed in it, from a path that cannot be opened to a grid
+tag value that is no number or a pixel that is no nonnegative integer,
+raises an `NlflowError` that names the file, never a bare Python exception.
 `write_json` is the one JSON writer for reports and calibration files.
 """
 
@@ -20,8 +25,11 @@ from .grid import Field, Grid, grid_errors
 
 __all__ = ["save_field", "load_field", "write_json"]
 
-_HEADER_RE = re.compile(
-    r"#\s*nlflow field\s+N=(\d+)\s+M=(\d+)\s+L=([-+0-9.eE]+)")
+# the grid tag, at the start of a CSV's first line or of a PGM comment
+_TAG_RE = re.compile(
+    rb"#\s*nlflow field\s+N=(\d+)\s+M=(\d+)\s+L=([-+0-9.eE]+)")
+# one PGM header item after any whitespace: a # comment, else a token
+_PGM_ITEM_RE = re.compile(rb"\s*(#[^\n]*|\S+)")
 
 
 def _header(grid: Grid) -> str:
@@ -29,21 +37,18 @@ def _header(grid: Grid) -> str:
             f"L={grid.side_length!r}")
 
 
-def _grid(path: str, dimension: int, points_per_axis: int,
-          side_length: float = 16.0) -> Grid:
-    """The grid a file at `path` names; the first rule of `grid_errors` it
-    breaks is raised after the path, as every load error names the file."""
-    found = grid_errors(dimension, side_length, points_per_axis)
+def _grid(path: str, dimension, points_per_axis, side_length=16.0) -> Grid:
+    """The grid a file at `path` names, each value converted here: a value
+    that is no number, or the first rule of `grid_errors` the grid breaks,
+    is raised after the path, as every load error names the file."""
+    try:
+        n, m, length = int(dimension), int(points_per_axis), float(side_length)
+    except ValueError:
+        raise NlflowError(f"{path}: malformed grid tag")
+    found = grid_errors(n, length, m)
     if found:
         raise NlflowError(f"{path}: {found[0][1]}")
-    return Grid(dimension, side_length, points_per_axis)
-
-
-def _parse_header(line: str, path: str) -> Grid | None:
-    m = _HEADER_RE.match(line.strip())
-    if m is None:
-        return None
-    return _grid(path, int(m.group(1)), int(m.group(2)), float(m.group(3)))
+    return Grid(n, length, m)
 
 
 def save_field(field: Field, path: str) -> None:
@@ -81,64 +86,44 @@ def save_field(field: Field, path: str) -> None:
     raise NlflowError(f"unknown field format for {path!r} (.csv or .pgm)")
 
 
-def _load_csv(path: str) -> Field:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+def _load_csv(path: str, data: bytes) -> Field:
+    lines = data.splitlines()
     if not lines:
         raise NlflowError(f"{path}: empty file")
-    grid = _parse_header(lines[0], path)
-    if grid is None:
+    tag = _TAG_RE.match(lines[0].strip())
+    if tag is None:
         raise NlflowError(f"{path}: no grid header")
+    grid = _grid(path, *tag.groups())
     values = []
-    for i, line in enumerate(lines[1:]):
+    for i, line in enumerate(lines[1:], start=2):
         text = line.strip()
-        if not text or text.startswith("#"):
+        if not text or text.startswith(b"#"):
             continue
         try:
             values.append(float(text))
         except ValueError:
-            raise NlflowError(f"{path}:{i + 2}: not a number: {text!r}")
+            raise NlflowError(f"{path}:{i}: not a number: "
+                              f"{text.decode(errors='replace')!r}")
     if len(values) != grid.n_nodes:
         raise NlflowError(
             f"{path}: {len(values)} values for a grid of {grid.n_nodes} nodes")
     return Field(grid, np.asarray(values))
 
 
-def _tokens_skipping_comments(data: bytes, start: int, count: int,
-                              path: str) -> tuple[list[bytes], int]:
-    """PGM header tokens (magic already consumed), honoring # comments."""
-    toks: list[bytes] = []
-    i = start
-    comment_grid: list[bytes] = []
-    while len(toks) < count:
-        if i >= len(data):
-            raise NlflowError(f"{path}: truncated header")
-        c = data[i:i + 1]
-        if c == b"#":
-            j = data.find(b"\n", i)
-            j = len(data) if j < 0 else j
-            comment_grid.append(data[i:j])
-            i = j + 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j:j + 1].isspace():
-                j += 1
-            toks.append(data[i:j])
-            i = j
-    return toks + comment_grid, i
-
-
-def _load_pgm(path: str) -> Field:
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _load_pgm(path: str, data: bytes) -> Field:
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
         raise NlflowError(f"{path}: not a PGM file (magic {magic!r})")
-    toks, pos = _tokens_skipping_comments(data, 2, 3, path)
+    tokens, comments = [], []
+    for item in _PGM_ITEM_RE.finditer(data, 2):
+        (comments if item[1].startswith(b"#") else tokens).append(item[1])
+        if len(tokens) == 3:
+            break
+    else:
+        raise NlflowError(f"{path}: truncated header")
+    pos = item.end()                   # just past maxval
     try:
-        width, height, maxval = (int(toks[0]), int(toks[1]), int(toks[2]))
+        width, height, maxval = map(int, tokens)
     except ValueError:
         raise NlflowError(f"{path}: malformed PGM header")
     if width != height:
@@ -147,11 +132,8 @@ def _load_pgm(path: str) -> Field:
             f"({width}x{height})")
     if not (1 <= maxval <= 65535):
         raise NlflowError(f"{path}: maxval {maxval} out of [1, 65535]")
-    grid = None
-    for tok in toks[3:]:
-        grid = grid or _parse_header(tok.decode("ascii", "replace"), path)
-    if grid is None:
-        grid = _grid(path, 2, width)
+    tag = next(filter(None, map(_TAG_RE.match, comments)), None)
+    grid = _grid(path, *tag.groups()) if tag else _grid(path, 2, width)
     if grid.dimension != 2 or grid.points_per_axis != width:
         raise NlflowError(
             f"{path}: {width}x{height} image does not match grid "
@@ -171,7 +153,10 @@ def _load_pgm(path: str) -> Field:
         if len(body) < n:
             raise NlflowError(
                 f"{path}: expected {n} pixels, found {len(body)}")
-        px = np.asarray([int(t) for t in body[:n]], dtype=np.float64)
+        if not all(map(bytes.isdigit, body[:n])):
+            raise NlflowError(
+                f"{path}: a pixel is not a nonnegative decimal integer")
+        px = np.array(body[:n], dtype=np.float64)
     if np.max(px) > maxval:
         raise NlflowError(f"{path}: pixel above declared maxval {maxval}")
     return Field(grid, px / maxval)
@@ -179,17 +164,18 @@ def _load_pgm(path: str) -> Field:
 
 def load_field(path: str) -> Field:
     """Load a CSV or PGM field on the grid its header names; a PGM without
-    one lies on the 16-wide torus with one node a pixel."""
+    one lies on the 16-wide torus with one node a pixel.  The format is the
+    extension's, else the PGM magic's, else CSV's."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise NlflowError(f"{path}: {exc.strerror or exc}")
     lower = path.lower()
-    if lower.endswith(".pgm"):
-        return _load_pgm(path)
-    if lower.endswith(".csv"):
-        return _load_csv(path)
-    with open(path, "rb") as fh:
-        head = fh.read(2)
-    if head in (b"P2", b"P5"):
-        return _load_pgm(path)
-    return _load_csv(path)
+    sniffed = not lower.endswith(".csv") and data[:2] in (b"P2", b"P5")
+    if lower.endswith(".pgm") or sniffed:
+        return _load_pgm(path, data)
+    return _load_csv(path, data)
 
 
 def jsonable(obj):

@@ -34,6 +34,7 @@ All reductions run in a fixed order.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,9 +148,11 @@ def grid_errors(dimension: int, side_length: float, points_per_axis: int,
          "need an integer of at least 8 points per axis"),
         ("side_length", 0.0 < side_length < math.inf,
          "side length must be finite and positive"),
-        ("side_length", not 0.0 < side_length < points_per_axis * np.finfo(
-            float).tiny, "the spacing L/M must be a normal float, at least "
-         "2.23e-308"),
+        # an M past the floats (a file's tag may name one) has no float L/M
+        ("side_length", not 0.0 < side_length < (
+            points_per_axis * np.finfo(float).tiny
+            if points_per_axis <= sys.float_info.max else math.inf),
+         "the spacing L/M must be a normal float, at least 2.23e-308"),
         ("strategy", strategy in STRATEGIES,
          f"strategy must be one of {', '.join(STRATEGIES)}"),
         ("truncation_radius", not math.isfinite(radius)

@@ -760,6 +760,22 @@ def test_denoise_csv_signal(tmp_path):
     assert cleaned.values.max() <= vals.max() + 1e-12
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "1e300"])
+def test_denoise_refuses_values_its_records_cannot_square(tmp_path, capsys,
+                                                          value):
+    # a field file holds any float, but the flow's energy and L2 records
+    # square it: 1e300 overflowed them into a failed verdict (exit 1)
+    src, out = tmp_path / "noisy.csv", tmp_path / "n"
+    save_field(Field(Grid(1, 16.0, 8), np.full(8, 0.5)), str(src))
+    src.write_text(src.read_text().replace("0.5", value, 1))
+    assert main(["denoise", "--out", str(out),
+                 "--set", f"denoise.input={src}"]) == 3
+    assert capsys.readouterr().err == (
+        f"nlflow denoise: aborted: {src}: values must be finite and at most "
+        f"1e100 in magnitude\n")
+    assert not out.exists()
+
+
 def test_denoise_guards(tmp_path, capsys):
     assert main(["denoise", "--out", str(tmp_path / "a")]) == 2
     assert "denoise.input" in capsys.readouterr().err
@@ -942,6 +958,85 @@ def test_config_sweep_exits_0_or_2(tmp_path, capsys):
         if out_left:
             shutil.rmtree(tmp_path / f"d{i}")
     assert not broken, f"{len(broken)} broken draws, first: {broken[0]}"
+
+
+# ---------------------------------------------------------------------------
+# input-file sweep
+
+SWEEP_TOKENS = (b"#", b"\n", b" ", b"-", b"=", b".", b"1e", b"x1", b"\x88",
+                b"\xe9", b"nan", b"1" + b"0" * 400, b"P2", b"P5", b'"', b"{",
+                b"]", b",")
+
+
+def mutant(rng, data: bytes) -> bytes:
+    """`data` with one seeded byte flip, token insert, deletion of up to 8
+    bytes or truncation, half the time within its first 48 bytes, where the
+    headers are."""
+    at = int(rng.integers(len(data) if rng.integers(2) else 48))
+    kind = rng.integers(4)
+    if kind == 0:
+        return data[:at] + bytes([rng.integers(256)]) + data[at + 1:]
+    if kind == 1:
+        token = SWEEP_TOKENS[rng.integers(len(SWEEP_TOKENS))]
+        return data[:at] + token + data[at:]
+    if kind == 2:
+        return data[:at] + data[at + int(rng.integers(1, 9)):]
+    return data[:at]
+
+
+def test_input_file_sweep_never_crashes(tmp_path, capsys):
+    # every file the CLI reads is read or refused: a mutated field file
+    # exits 0, 3 or, where its grid does not fit the kernel, 2 through
+    # denoise, a config 0 or 2 through validate, and a calibration file that
+    # load_calibration refuses 2 through diagnose; no exception escapes, no
+    # traceback, no --out left by a refusal
+    rng = np.random.default_rng(26)
+    g = Grid(2, 16.0, 8)
+    pixels = rng.integers(0, 256, g.n_nodes)
+    save_field(Field(g, pixels / 255.0), str(tmp_path / "v.pgm"))
+    save_field(Field(Grid(1, 16.0, 8), rng.uniform(-1.0, 1.0, 8)),
+               str(tmp_path / "v.csv"))
+    inputs = {name: (tmp_path / name).read_bytes()
+              for name in ("v.csv", "v.pgm")}
+    inputs["p2.pgm"] = (b"P2\n# nlflow field N=2 M=8 L=16.0\n8 8\n255\n"
+                        + " ".join(map(str, pixels)).encode() + b"\n")
+    inputs["v.cfg"] = (b"# torus\ngrid.M = 64\ngrid.L = 16.0  # width\n"
+                       b"kernel.s = 1.0\n")
+    calibration = json.dumps(dataclasses.asdict(default_calibration()))
+    broken = []
+
+    def run(argv, codes, data):
+        out = tmp_path / "out"
+        try:
+            rc = main(argv + ["--out", str(out)])
+        except Exception as exc:     # reported below with its input
+            rc = repr(exc)
+        err = capsys.readouterr().err
+        if rc not in codes or "Traceback" in err or (
+                rc in (2, 3) and out.exists()):
+            broken.append((rc, err[-200:], data))
+        shutil.rmtree(out, ignore_errors=True)
+
+    for name, valid in inputs.items():
+        path = tmp_path / ("mutant-" + name)
+        for _ in range(100):
+            path.write_bytes(data := mutant(rng, valid))
+            if name.endswith(".cfg"):
+                run(["validate", "--config", str(path)], (0, 2), data)
+            else:
+                run(["denoise", "--set", f"denoise.input={path}"],
+                    (0, 2, 3), data)
+    path = tmp_path / "mutant.json"
+    for _ in range(200):
+        path.write_bytes(data := mutant(rng, calibration.encode()))
+        try:
+            load_calibration(str(path))
+        except ConfigError:
+            run(["diagnose", "--seed", "1", "--set",
+                 f"calibration.file={path}"], (2,), data)
+        except Exception as exc:
+            broken.append((repr(exc), "", data))
+    assert not broken, f"{len(broken)} broken mutants, first: {broken[0]}"
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 import nlflow
 from nlflow import flow
+from nlflow.cli import main
 from nlflow.config import SCHEMA, parse_config, parse_seed_list
 from nlflow.degiorgi import truncated_energies
 from nlflow.errors import ConfigError, NlflowError
@@ -156,6 +157,23 @@ def test_malformed_lines_are_reported_with_positions(tmp_path):
         parse_config(path=str(path))
     with pytest.raises(ConfigError, match="expected key=value"):
         parse_config(overrides=["noequalsign"])
+
+
+def test_a_line_that_is_not_utf8_is_a_positioned_error(tmp_path, capsys):
+    # the file is read as bytes and each line decoded as UTF-8, whatever the
+    # locale: a Latin-1 byte, even inside a comment, joins the other errors
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"grid.M = 64\n# caf\xe9\nkernal.s = 1.0\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path=str(path))
+    assert err.value.errors == [
+        f"{path}:2: not UTF-8 text",
+        f"{path}:3: unknown key 'kernal.s'; nearest valid key: kernel.s"]
+    out = tmp_path / "v"
+    assert main(["validate", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:2: not UTF-8 text" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_missing_file():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlflow.cli import main
 from nlflow.errors import NlflowError
 from nlflow.fieldio import load_field, save_field
 from nlflow.grid import Field, Grid
@@ -254,4 +255,58 @@ def test_grid_rules_name_the_file(tmp_path):
     for path, rule in ((tiny, lattice), (small, lattice),
                        (cube, "dimension must be 1 or 2")):
         with pytest.raises(NlflowError, match=re.escape(f"{path}: {rule}")):
+            load_field(str(path))
+
+
+# ---------------------------------------------------------------------------
+# malformed files: each is refused with one error that names the file
+
+BIG_M = b"1" + b"0" * 400
+MALFORMED = {
+    # file name: (bytes, the error after the path)
+    "tag-l.csv": (b"# nlflow field N=1 M=8 L=1e\n" + b"0.5\n" * 8,
+                  ": malformed grid tag"),
+    "tag-l.pgm": (b"P5\n# nlflow field N=2 M=8 L=1e\n8 8\n255\n" + bytes(64),
+                  ": malformed grid tag"),
+    "tag-m.csv": (b"# nlflow field N=1 M=" + BIG_M + b" L=16.0\n"
+                  + b"0.5\n" * 8, ": the spacing L/M must be a normal float"),
+    "tag-m.pgm": (b"P5\n# nlflow field N=2 M=" + BIG_M
+                  + b" L=16.0\n8 8\n255\n" + bytes(64),
+                  ": the spacing L/M must be a normal float"),
+    "byte.csv": (b"# nlflow field N=1 M=8 L=16.0\n" + b"0.5\n" * 3
+                 + b"0.\x885\n" + b"0.5\n" * 4, ":5: not a number"),
+    "token.pgm": (b"P2\n8 8\n255\nx1" + b" 0" * 63 + b"\n",
+                  ": a pixel is not a nonnegative decimal integer"),
+    "sign.pgm": (b"P2\n8 8\n255\n-1" + b" 0" * 63 + b"\n",
+                 ": a pixel is not a nonnegative decimal integer"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_file_is_refused_naming_it(tmp_path, name):
+    data, error = MALFORMED[name]
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(NlflowError, match=re.escape(f"{path}{error}")) as exc:
+        load_field(str(path))
+    assert len(str(exc.value)) < 200       # no 401-digit echo
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_denoise_aborts_on_a_malformed_file(tmp_path, capsys, name):
+    # exit 3 with one line naming the file; no traceback, no --out left
+    data, error = MALFORMED[name]
+    path, out = tmp_path / name, tmp_path / "out"
+    path.write_bytes(data)
+    assert main(["denoise", "--set", f"denoise.input={path}",
+                 "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"nlflow denoise: aborted: {path}{error}")
+    assert not out.exists()
+
+
+def test_an_unreadable_path_is_refused_naming_it(tmp_path):
+    for path in (tmp_path, tmp_path / "missing.pgm"):
+        with pytest.raises(NlflowError, match=re.escape(f"{path}: ")):
             load_field(str(path))

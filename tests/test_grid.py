@@ -17,6 +17,7 @@ from nlflow.grid import (
     Field,
     Grid,
     bilinear_form,
+    grid_errors,
     seminorm_sq,
 )
 from nlflow.kernels import KernelSpec, make_kernel
@@ -52,6 +53,17 @@ def test_grid_invariants_enforced():
     narrow = Grid(dimension=1, side_length=5.0, points_per_axis=64)
     with pytest.raises(NlflowError, match="exceed twice the truncation"):
         DiscreteOperator(narrow, power_law_kernel(), strategy="banded")
+
+
+@pytest.mark.parametrize("points", [2 ** 1024, 10 ** 400],
+                         ids=["2^1024", "10^400"])
+def test_grid_rules_take_any_integer_point_count(points):
+    # an M past the floats has no float spacing L/M: the spacing rule says
+    # so, where multiplying M by the smallest normal float overflowed
+    assert [(f, str(e)) for f, e in grid_errors(2, 16.0, points)] == [
+        ("side_length",
+         "the spacing L/M must be a normal float, at least 2.23e-308")]
+    assert grid_errors(1, 1e300, 10 ** 300) == []
 
 
 def test_periodic_distance_wraps():
