@@ -256,6 +256,14 @@ def save_calibration(constants: CalibrationConstants, path: str) -> None:
     write_json(dataclasses.asdict(constants), path)
 
 
+def _is_a(value, declared: str) -> bool:
+    """Whether a JSON value has a field's `declared` type (no bool is a
+    number)."""
+    return isinstance(value, bool) == (declared == "bool") and isinstance(
+        value, {"float": (int, float), "int": int, "bool": bool,
+                "dict": dict, "list": list}[declared])
+
+
 def load_calibration(path: str) -> CalibrationConstants:
     try:
         with open(path, "rb") as fh:
@@ -264,8 +272,8 @@ def load_calibration(path: str) -> CalibrationConstants:
         raise ConfigError(f"cannot read calibration file {path!r}: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError(f"calibration file {path!r} holds no JSON object")
-    known = {f.name for f in dataclasses.fields(CalibrationConstants)}
-    unknown = set(raw) - known
+    fields = dataclasses.fields(CalibrationConstants)
+    unknown = set(raw) - {f.name for f in fields}
     if unknown:
         raise ConfigError(
             f"calibration file {path!r} has unknown entries: "
@@ -276,6 +284,10 @@ def load_calibration(path: str) -> CalibrationConstants:
         eps=const.eps, lam=const.lam, lam_star=const.lam_star) + [
             (f, f"{f} {e}") for f, e in recipe_errors(const.dimension,
                                                       const.order)]
+    named = {f for f, _ in found}
+    found += [(f.name, f"{f.name} must be of type {f.type}") for f in fields
+              if f.name not in named
+              and not _is_a(getattr(const, f.name), f.type)]
     if found:
         raise ConfigError(f"invalid calibration file {path!r}:" + "".join(
             f"\n  calibration.file {e} (got {getattr(const, f)!r})"

@@ -300,10 +300,15 @@ def _cmd_denoise(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
     if not os.path.isfile(src):
         raise ConfigError(f"denoise input is not a file: {src}")
     noisy = load_field(src)
+    lo, hi = noisy.values.min(), noisy.values.max()
     # the energy and L2 records square the data (as for initial.amplitude)
-    if not -1e100 <= noisy.values.min() <= noisy.values.max() <= 1e100:
+    if not -1e100 <= lo <= hi <= 1e100:
         raise NlflowError(f"{src}: values must be finite and at most 1e100 "
                           "in magnitude")
+    if noisy.grid.dimension == 2 and not 0.0 <= lo <= hi <= 1.0:
+        raise ConfigError(
+            f"denoise.input: a 2-d field is saved as PGM, which holds [0, 1] "
+            f"(got [{lo:g}, {hi:g}] in {src})")
     cfg.check_flow("nonlinear", noisy.grid, cfg.get("denoise.time"),
                    t_end="denoise.time", points_per_axis="denoise.input")
     # the file's own grid wins: no grid.* key is read
@@ -322,16 +327,15 @@ def _cmd_denoise(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
                       sample_every=cfg.get("flow.sample_every"))
     rec = _dissipation_record(traj)
     out_field = traj.field(traj.n_samples - 1)
-    ext = ".pgm" if src.lower().endswith(".pgm") else ".csv"
     _ensure_dirs(out_dir, "curves", "fields")
-    rel_out = os.path.join("fields", "denoised" + ext)
+    rel_out = f"fields/denoised.{('csv', 'pgm')[noisy.grid.dimension - 1]}"
     _phase("write")
     save_field(out_field, os.path.join(out_dir, rel_out))
     _write_curve(os.path.join(out_dir, "curves", "denoise-energy.csv"),
                  "denoise",
                  {"t": traj.step_times, "energy": traj.energy,
                   "l2": traj.l2})
-    range_in = (float(noisy.values.min()), float(noisy.values.max()))
+    range_in = (float(lo), float(hi))
     range_out = (float(out_field.values.min()), float(out_field.values.max()))
     contained = (range_out[0] >= range_in[0] - 1e-12 and
                  range_out[1] <= range_in[1] + 1e-12)

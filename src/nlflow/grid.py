@@ -68,8 +68,7 @@ BLOCK_BUDGET = 1 << 14
 SEMINORM_CUTOFF = 2.0
 
 # Work counts for timings.json (flux passes are `OffsetStencil.offset_sum`s)
-COUNTERS = dict.fromkeys(("steps", "flux_passes", "offset_table_builds",
-                          "operator_cache_hits", "operator_cache_misses"), 0)
+COUNTERS = dict.fromkeys(("steps", "flux_passes", "offset_table_builds"), 0)
 
 
 @dataclass
@@ -397,28 +396,23 @@ class Field:
 
 
 class DiscreteOperator:
-    """Bound (grid, kernel, strategy) triple with cached quadrature data."""
+    """Bound (grid, kernel, strategy) triple holding one table: the half
+    offset table or the dense matrix and row sums of one kernel epoch
+    (`kernels.kernel_epoch`), or the spectral symbol; another is built in
+    its place."""
 
     def __init__(self, grid: Grid, kernel: Kernel, strategy: str = "banded"):
         raise_first(operator_errors(grid, kernel.spec, strategy))
         self.grid = grid
         self.kernel = kernel
         self.strategy = strategy
-        # keyed by (what, kernel_epoch): a static kernel has the one epoch
-        # 0, and a new epoch of a time-dependent one replaces the entry
-        self._cache: dict = {}
+        self._held: tuple = (None, None)
         if strategy in ("banded", "dense"):
             self.deltas, self.dists = grid.offsets_within(
                 kernel.spec.truncation_radius)
             self.stencil = OffsetStencil(grid, self.deltas)
         else:
             self.deltas = self.dists = self.stencil = None
-
-    def _hit(self, key) -> bool:
-        """Whether `key` is cached, counted as a cache hit or miss."""
-        hit = key in self._cache
-        COUNTERS["operator_cache_" + ("hits" if hit else "misses")] += 1
-        return hit
 
     def offset_values(self, t: float = 0.0) -> np.ndarray:
         """Kernel values K(t, x, x + d) per kept offset d, the half table of
@@ -428,14 +422,13 @@ class DiscreteOperator:
             raise NlflowError(
                 "offset_values is undefined for the spectral strategy")
         key = ("offvals", kernel_epoch(self.kernel, t))
-        if self._hit(key):
-            return self._cache[key]
+        if self._held[0] == key:
+            return self._held[1]
         COUNTERS["offset_table_builds"] += 1
         if self.kernel.translation_invariant:
             vals = self.kernel.radial_profile(self.dists)
         else:
-            coords = self.grid.node_coords()
-            index = self.grid.node_indices()
+            coords, index = self.grid.node_coords(), self.grid.node_indices()
             M, h = self.grid.points_per_axis, self.grid.spacing
             vals = np.empty((self.deltas.shape[0], self.grid.n_nodes))
             # one kernel call per block of offsets, sized as stencil blocks
@@ -446,52 +439,41 @@ class DiscreteOperator:
                 ycoords = (index + self.deltas[rows, None]) % M * h
                 vals[rows] = self.kernel.evaluate(
                     t, coords, ycoords, dist=self.dists[rows, None])
-        self._cache.clear()
-        self._cache[key] = vals
+        self._held = (key, vals)
         return vals
 
     def _dense(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Dense operator matrix A with A[i, j] = K(t, x_i, x_j) h^N, zero
-        diagonal (the double-sum oracle), and its row sums, cached together
-        per epoch."""
+        diagonal (the double-sum oracle), and its row sums, held together."""
         key = ("matrix", kernel_epoch(self.kernel, t))
-        if self._hit(key):
-            return self._cache[key]
-        grid, kern = self.grid, self.kernel
-        coords = grid.node_coords()
-        index = grid.node_indices()
-        n = grid.n_nodes
-        h_n = grid.spacing ** grid.dimension
+        if self._held[0] == key:
+            return self._held[1]
+        grid, coords, index = self.grid, self.grid.node_coords(), \
+            self.grid.node_indices()
+        n, h_n = grid.n_nodes, grid.spacing ** grid.dimension
         A = np.zeros((n, n))
-        block = max(1, min(n, 2 ** 22 // n + 1))
-        for start in range(0, n, block):
-            stop = min(n, start + block)
-            xi = coords[start:stop, None, :]
-            xj = coords[None, :, :]
+        step = 2 ** 22 // n + 1
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
             # pair lengths from integer offsets, as offsets_within measures
             # them, so the kernel's truncation test is symmetric at any spacing
             dist = _lattice_length(grid, _signed_steps(
-                grid, index[None, :, :] - index[start:stop, None, :]))
-            vals = kern.evaluate(t, np.broadcast_to(xi, dist.shape + (grid.dimension,)),
-                                 np.broadcast_to(xj, dist.shape + (grid.dimension,)),
-                                 dist=dist)
-            A[start:stop] = vals * h_n
+                grid, index[None] - index[rows, None]))
+            pairs = dist.shape + (grid.dimension,)
+            A[rows] = self.kernel.evaluate(
+                t, np.broadcast_to(coords[rows, None], pairs),
+                np.broadcast_to(coords[None], pairs), dist=dist) * h_n
         np.fill_diagonal(A, 0.0)
-        self._cache.clear()
-        self._cache[key] = (A, A.sum(axis=1))
-        return self._cache[key]
+        self._held = (key, (A, A.sum(axis=1)))
+        return self._held[1]
 
-    def multipliers(self) -> np.ndarray:
-        """Fourier symbol of the operator (spectral strategy only), flat."""
-        if self.strategy != "spectral":
-            raise NlflowError("multipliers() requires the spectral strategy")
-        if not self._hit("symbol"):
-            grid = self.grid
-            row = self._spectral_row()
-            h_n = grid.spacing ** grid.dimension
-            m = (np.fft.fftn(row.reshape(grid.shape)).real - row.sum()) * h_n
-            self._cache["symbol"] = m
-        return self._cache["symbol"]
+    def _symbol(self) -> np.ndarray:
+        """Fourier symbol of the spectral (static) operator, flat."""
+        if self._held[0] != "symbol":
+            grid, row = self.grid, self._spectral_row()
+            symbol = np.fft.fftn(row.reshape(grid.shape)).real - row.sum()
+            self._held = ("symbol", symbol * grid.spacing ** grid.dimension)
+        return self._held[1]
 
     def _spectral_row(self) -> np.ndarray:
         """K(|y|) at every node y but the origin, where it is 0, flat."""
@@ -533,7 +515,7 @@ class DiscreteOperator:
                 out[rows] = np.einsum("ij,ij->i", A[rows], w - w[rows, None])
             return out
         if self.strategy == "spectral":
-            m = self.multipliers()
+            m = self._symbol()
             wg = (w - w[0]).reshape(self.grid.shape)
             return np.fft.ifftn(np.fft.fftn(wg) * m).real.ravel()
         return self.offset_rhs(w.reshape(self.grid.shape), t).ravel()

@@ -5,7 +5,10 @@ and `perfbench/layers.py` builds each workload's operator from package calls.
 A renamed hook would only make a traced benchmark run incomplete; these tests
 make it fail here instead, and check that the right-hand side the probe times
 is the one the flow steps with, and that every banded step goes through the
-patched name.  Nothing is installed; one test patches with monkeypatch.
+patched name.  Each gated workload's case 0 also runs through `cli.main`, and
+its report must pass `perfbench/checks.py` against `perfbench/expected.json`,
+so a report that drifts fails here before it fails the benchmark.  Nothing is
+installed; two tests patch with monkeypatch.
 """
 
 import importlib
@@ -17,11 +20,13 @@ import numpy as np
 import pytest
 
 from nlflow import ensembles, flow
+from nlflow.cli import main
 from nlflow.fields import make_initial
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+import checks  # noqa: E402
 import layers  # noqa: E402
 import tracer  # noqa: E402
 import workloads  # noqa: E402
@@ -90,3 +95,17 @@ def test_every_banded_rhs_goes_through_the_hook(monkeypatch):
     for i, dt in enumerate(traced.dts):
         assert np.array_equal(traced.fields[i + 1],
                               traced.fields[i] + dt * outputs[i].ravel())
+
+
+@pytest.mark.parametrize("workload", GATED)
+def test_case_0_report_passes_the_benchmark_check(workload, tmp_path,
+                                                  monkeypatch):
+    # the benchmark's invocation: its argv and input, from the work directory
+    wl = workloads.WORKLOADS[workload]
+    wl.prepare(str(tmp_path), 0)
+    monkeypatch.chdir(tmp_path)
+    assert main(wl.argv(0, "out")) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    want = checks.load_expected()[workload]["0"]["report"]
+    assert checks.failed_ops(report, want, wl.op_count()) == \
+        [False] * wl.op_count()

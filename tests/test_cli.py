@@ -204,6 +204,16 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
      "calibration.file lam_star must lie in (0, 1)"),
     (["diagnose", "--seed", "1", "--set", {"eps0": None}],
      "calibration.file eps0 must be positive (got None)"),
+    # each field holds its declared type: these ran to exit 0 and reached
+    # report.json
+    (["diagnose", "--seed", "1", "--set", {"k0": "x"}],
+     "calibration.file k0 must be of type int (got 'x')"),
+    (["diagnose", "--seed", "1", "--set", {"cbar": "x"}],
+     "calibration.file cbar must be of type float (got 'x')"),
+    (["diagnose", "--seed", "1", "--set", {"k_sc": None}],
+     "calibration.file k_sc must be of type float (got None)"),
+    (["diagnose", "--seed", "1", "--set", {"eps0_capped": 3}],
+     "calibration.file eps0_capped must be of type bool (got 3)"),
     (["run", "--seed", "1", "--set", "grid.L=1e300",
       "--set", "kernel.radius=inf", "--set", "grid.M=16"],
      "grid.L: the kernel envelope"),
@@ -253,7 +263,9 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
         "power-law-kernel-lambda-inf", "untruncated-side-length-inf",
         "calibration-eps0", "calibration-delta", "calibration-mu",
         "calibration-gamma", "calibration-eps", "calibration-lam",
-        "calibration-lam-star", "calibration-eps0-null", "envelope-underflow",
+        "calibration-lam-star", "calibration-eps0-null", "calibration-k0-str",
+        "calibration-cbar-str", "calibration-k-sc-null",
+        "calibration-flag-int", "envelope-underflow",
         "envelope-overflow", "run-dt-max-tiny", "run-span-overflow",
         "validate-int-over-64-bit", "run-int-over-64-bit",
         "sample-every-over-64-bit", "diagnose-levels-over-64-bit",
@@ -543,8 +555,7 @@ def test_run_records_dissipation(tmp_path, capsys):
     # one flux pass per state, and one for each rough table's row sums
     assert timings["counters"] == {
         "steps": steps, "flux_passes": steps + 2 * 2,
-        "offset_table_builds": 2, "operator_cache_misses": 2,
-        "operator_cache_hits": steps + 2}
+        "offset_table_builds": 2}
 
 
 @pytest.mark.parametrize("sets, calls", [
@@ -773,6 +784,48 @@ def test_denoise_refuses_values_its_records_cannot_square(tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"nlflow denoise: aborted: {src}: values must be finite and at most "
         f"1e100 in magnitude\n")
+    assert not out.exists()
+
+
+def tagged_2d_csv(path, value=None):
+    """An 8 x 8 field in [0, 1] as a CSV tagged N=2, which save_field does
+    not write, its last value replaced by `value` if given."""
+    values = np.random.default_rng(3).uniform(0.0, 1.0, 64)
+    values[-1] = values[-1] if value is None else value
+    path.write_text("# nlflow field N=2 M=8 L=16.0\n"
+                    + "".join(f"{float(v)!r}\n" for v in values))
+    return values
+
+
+def test_denoise_writes_the_format_of_the_input_grid(tmp_path):
+    # the output follows the loaded grid, not the input's name: a PGM read
+    # by its magic and a CSV tagged 2-d ran the flow, then aborted (exit 3)
+    # saving a CSV
+    noisy_image(tmp_path / "noisy.pgm")
+    os.rename(tmp_path / "noisy.pgm", tmp_path / "img.dat")
+    tagged_2d_csv(tmp_path / "img.csv")
+    for name in ("img.dat", "img.csv"):
+        out = tmp_path / name.replace(".", "-")
+        assert main(["denoise", "--out", str(out),
+                     "--set", f"denoise.input={tmp_path / name}"]) == 0
+        assert read_report(out)["output"] == "fields/denoised.pgm"
+        assert load_field(str(out / "fields" / "denoised.pgm")).grid.shape \
+            == load_field(str(tmp_path / name)).grid.shape
+
+
+def test_denoise_refuses_a_2d_field_pgm_cannot_hold(tmp_path, capsys,
+                                                    monkeypatch):
+    # refused before the flow runs, not after it at save_field
+    calls = []
+    monkeypatch.setattr("nlflow.cli.run_flow", lambda *a, **k: calls.append(a))
+    src, out = tmp_path / "img.csv", tmp_path / "n"
+    lo = tagged_2d_csv(src, 1.5).min()
+    assert main(["denoise", "--out", str(out),
+                 "--set", f"denoise.input={src}"]) == 2
+    assert capsys.readouterr().err == (
+        f"nlflow denoise: denoise.input: a 2-d field is saved as PGM, which "
+        f"holds [0, 1] (got [{lo:g}, 1.5] in {src})\n")
+    assert calls == []
     assert not out.exists()
 
 

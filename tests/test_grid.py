@@ -12,6 +12,7 @@ from conftest import cosine_mode_eigenvalue
 from nlflow.errors import NlflowError
 from nlflow.fields import make_initial
 from nlflow.grid import (
+    COUNTERS,
     DENSE_MAX_NODES,
     DiscreteOperator,
     Field,
@@ -265,6 +266,52 @@ def test_half_table_rests_on_shifted_symmetry(family, t, dim, points):
     # the row sums from the half table: each row plus its shift
     want = full.sum(axis=0) * g.spacing ** dim
     assert np.max(np.abs(op.rowsums(t) - want)) <= 1e-12 * np.max(want)
+
+
+def builds(op, calls):
+    """Results of `calls`, (method, t) pairs on `op`, and the offset tables
+    they built."""
+    before = COUNTERS["offset_table_builds"]
+    out = [getattr(op, name)(*args) for name, *args in calls]
+    return out, COUNTERS["offset_table_builds"] - before
+
+
+def test_static_operator_builds_its_table_once():
+    op = DiscreteOperator(grid_1d(), rough_kernel(), "banded")
+    tables, n = builds(op, [("offset_values", t)
+                            for t in np.linspace(0.0, 5.0, 50)])
+    assert n == 1
+    assert all(table is tables[0] for table in tables)
+
+
+def test_time_dependent_operator_builds_once_per_epoch():
+    # epochs of length 0.1: 0, 0, 1, 1, 2
+    k = make_kernel(KernelSpec(order=1.0, ellipticity=4.0,
+                               truncation_radius=3.0,
+                               family="rough-time-dependent", seed=5))
+    times = (0.0, 0.05, 0.1, 0.15, 0.25)
+    op = DiscreteOperator(grid_1d(), k, "banded")
+    tables, n = builds(op, [("offset_values", t) for t in times])
+    assert n == 3
+    for t, table in zip(times, tables):
+        fresh = DiscreteOperator(grid_1d(), k, "banded").offset_values(t)
+        assert np.array_equal(table, fresh)
+
+
+def test_dense_operator_alternating_its_two_tables():
+    # the operator holds one table: the matrix and the offset table replace
+    # each other, and each is the one a fresh operator builds
+    g, k = grid_1d(32), make_kernel(KernelSpec(
+        order=1.0, ellipticity=4.0, truncation_radius=3.0,
+        family="rough-time-dependent", seed=5))
+    w = make_initial(g, "random", seed=2).values
+    calls = [call for t in (0.0, 0.05, 0.1) for call in (
+        ("offset_values", t), ("apply", w, t))]
+    got, n = builds(DiscreteOperator(g, k, "dense"), calls)
+    assert n == 3
+    for (name, *args), value in zip(calls, got):
+        fresh = getattr(DiscreteOperator(g, k, "dense"), name)(*args)
+        assert np.array_equal(value, fresh)
 
 
 def test_apply_deterministic_bitwise():
