@@ -184,8 +184,9 @@ def calibrate_constants(lemma, level, recurrence,
     cbars = []
     for seed, traj in recurrence:
         seeds["recurrence"].append(seed)
-        rep = check_recurrence(truncated_energies(traj, k_max=MAX_K))
-        if rep.constant is not None and math.isfinite(rep.constant):
+        rep = check_recurrence(truncated_energies(traj, k_max=MAX_K),
+                               traj.order, traj.grid.dimension)
+        if math.isfinite(rep.constant):
             cbars.append(rep.constant)
     cbar = float(max(cbars)) if cbars else 1.0
 

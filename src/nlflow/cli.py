@@ -5,7 +5,8 @@ report.json (byte-identical across reruns with the same config and seeds),
 CSV curves, optional field dumps, and a separate timings.json holding the
 wall-clock numbers that must not perturb report bytes: the wall time, the
 phase spans (setup, then integrate / detect / write, each running until the
-next begins) and the work counters of `grid.COUNTERS`.
+next begins), their seconds summed per phase, and the work counters of
+`grid.COUNTERS`.
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 usage/config error,
 3 runtime abort (2 and 3 write no report and remove the --out they made).
@@ -105,7 +106,7 @@ def _dissipation_record(traj: Trajectory) -> dict:
     same_epoch = epochs[1:] == epochs[:-1]
     rec = {
         "n_steps": int(len(traj.step_times) - 1),
-        "dt_max": float(np.max(traj.dts)),
+        "dt_max": float(np.max(np.diff(traj.step_times))),
         "l2_first": float(l2[0]), "l2_last": float(l2[-1]),
         "energy_first": float(energy[0]), "energy_last": float(energy[-1]),
         "l2_nonincreasing": bool(
@@ -230,12 +231,11 @@ def _cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
             traj, eps=cal.eps, lam=cal.lam, lam_star=cal.lam_star))
 
         traj = _integrate(recurrence_run, seed)
-        seq = truncated_energies(traj, k_max=k_max)
-        rec = check_recurrence(seq)
+        u = truncated_energies(traj, k_max=k_max)
+        rec = check_recurrence(u, traj.order, traj.grid.dimension)
         cheb = chebyshev_chain(traj, k_max=k_max)
         entry["recurrence"] = {
-            "u_levels": seq.values, "monotone":
-                bool(np.all(np.diff(seq.values) <= 0.0)),
+            "u_levels": u, "monotone": bool(np.all(np.diff(u) <= 0.0)),
             "constant": rec.constant, "decayed": rec.decayed,
             "vacuous": rec.vacuous,
             "chebyshev_min_slack": float(np.min(cheb.slack)),
@@ -445,11 +445,15 @@ def main(argv=None) -> int:
                 "config": cfg.echo(), **body},
                os.path.join(out_dir, "report.json"))
     _phase("end")
+    phases = [{"phase": name, "start_s": start - t0, "seconds": stop - start}
+              for (name, start), (_, stop) in zip(_MARKS, _MARKS[1:])]
+    totals: dict = {}
+    for span in phases:
+        totals[span["phase"]] = totals.get(span["phase"], 0.0) + \
+            span["seconds"]
     write_json({"command": args.command,
                 "wall_clock_seconds": _MARKS[-1][1] - t0,
-                "phases": [{"phase": name, "start_s": start - t0,
-                            "seconds": stop - start} for (name, start), (
-                                _, stop) in zip(_MARKS, _MARKS[1:])],
+                "phases": phases, "phase_seconds": totals,
                 "counters": dict(COUNTERS)},
                os.path.join(out_dir, "timings.json"))
     return 0 if passed else 1

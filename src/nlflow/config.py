@@ -20,8 +20,8 @@ from .errors import ConfigError, violations
 from .fields import initial_errors, make_initial
 from .flow import FlowProblem, kind_errors, problem_errors, run_steps, \
     stable_dt, stepping_errors
-from .grid import DiscreteOperator, Field, Grid, grid_errors, \
-    operator_errors
+from .grid import RUN_MAX_BYTES, DiscreteOperator, Field, Grid, \
+    grid_errors, operator_errors
 from .kernels import TRANSLATION_INVARIANT_FAMILIES, KernelSpec, \
     kernel_errors, make_kernel
 from .oscillation import cylinder_errors, decay_errors
@@ -93,24 +93,32 @@ _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
 
 
+# Most seeds one list may name: each seed a command runs writes more than
+# 1 KiB (a `run` seed's record, curve and final field take ~7 KB), so a
+# longer list would write more than the RUN_MAX_BYTES a run may hold
+MAX_SEEDS = RUN_MAX_BYTES >> 10
+
+
 def parse_seed_list(text: str) -> tuple[int, ...]:
-    """Seed lists: comma-separated integers and inclusive a..b ranges."""
-    seeds: list[int] = []
+    """Seed lists: comma-separated integers and inclusive a..b ranges, of at
+    most MAX_SEEDS seeds, counted before any range is expanded."""
+    ranges = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        if ".." in part:
-            lo_text, hi_text = part.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if hi < lo:
-                raise ValueError(f"empty seed range {part!r}")
-            seeds.extend(range(lo, hi + 1))
-        else:
-            seeds.append(int(part))
-    if not seeds:
+        lo, hi = map(int, part.split("..", 1)) if ".." in part else \
+            (int(part),) * 2
+        if hi < lo:
+            raise ValueError(f"empty seed range {part!r}")
+        ranges.append((lo, hi))
+    count = sum(hi + 1 - lo for lo, hi in ranges)
+    if not count:
         raise ValueError("empty seed list")
-    return tuple(seeds)
+    if count > MAX_SEEDS:
+        raise ValueError(f"{count} seeds, more than the {MAX_SEEDS} a list "
+                         "may name")
+    return tuple(seed for lo, hi in ranges for seed in range(lo, hi + 1))
 
 
 def _parse_value(kind: str, text: str):
@@ -318,16 +326,9 @@ def _keyed(values: dict, violations: list, keys: dict) -> list[str]:
 
 def _semantic_errors(cfg: ExperimentConfig) -> list[str]:
     """Every rule the values break: each module's own rules under the config
-    keys, then the three that no library object owns."""
+    keys, then the two that no library object owns."""
     values, spec = cfg.values, cfg.kernel_spec()
     found = kernel_errors(spec)
-    if spec.family in TRANSLATION_INVARIANT_FAMILIES and not {
-            field for field, _ in found} & {"ellipticity", "multiplier"}:
-        # the tight band `validate_kernel` grades a convolution kernel in
-        lo, hi = spec.ellipticity ** -0.5, spec.ellipticity ** 0.5
-        found += violations(("kernel.multiplier", lo <= spec.multiplier <= hi,
-                             f"{spec.family} multiplier must lie in "
-                             f"[Lambda^-1/2, Lambda^1/2] = [{lo:g}, {hi:g}]"))
     found += grid_errors(values["grid.N"], values["grid.L"], values["grid.M"],
                          spec.truncation_radius, values["flow.strategy"])
     found += problem_errors(values["flow.kind"], values["flow.stepper"],

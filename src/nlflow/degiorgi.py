@@ -30,7 +30,6 @@ __all__ = [
     "barrier",
     "lambda_support",
     "phi_barrier",
-    "TruncatedEnergySequence",
     "truncated_energies",
     "RecurrenceReport",
     "check_recurrence",
@@ -152,18 +151,6 @@ def _truncation_box(traj: Trajectory, idx: np.ndarray, psi: np.ndarray
     return points, nodes, psi[nodes]
 
 
-@dataclass(frozen=True)
-class TruncatedEnergySequence:
-    levels: np.ndarray          # k = 0..k_max
-    values: np.ndarray          # U_k, a sup in time plus a time integral
-    order: float
-    dimension: int              # N of the trajectory's grid
-
-    @property
-    def k_max(self) -> int:
-        return int(self.levels[-1])
-
-
 def ladder_errors(k_max: int, max_gap: float = 0.0) -> list:
     """(field, error) pairs of the rules a ladder of k_max rungs breaks on
     samples at most `max_gap` apart: one rung or more, and four gaps or more
@@ -176,9 +163,9 @@ def ladder_errors(k_max: int, max_gap: float = 0.0) -> list:
          f"most {rungs} rungs"))
 
 
-def truncated_energies(traj: Trajectory,
-                       k_max: int) -> TruncatedEnergySequence:
-    """Level-truncated energies U_k over the shrinking windows [T_k, 0].
+def truncated_energies(traj: Trajectory, k_max: int) -> np.ndarray:
+    """Level-truncated energies U_0..U_k_max over the shrinking windows
+    [T_k, 0].
 
     T_k = -1 - 2^-k and L_k = (1 - 2^-k)/2 are exact dyadics, the truncation
     barrier is psi_{L_k} centred at the origin, and
@@ -201,7 +188,6 @@ def truncated_energies(traj: Trajectory,
     idx = traj.window(-2.0)
     raise_first(ladder_errors(k_max, float(np.max(np.diff(traj.times[idx])))))
 
-    ks = np.arange(k_max + 1)
     t_starts, cuts = _dyadic_ladder(k_max)
     points, nodes, psi = _truncation_box(
         traj, idx, barrier(grid.origin_distance(), 0.5 * s))
@@ -232,8 +218,8 @@ def truncated_energies(traj: Trajectory,
             (pack * pack).sum(axis=-1)[:n] * h_n
         sums[1, rungs[live], at[live]] = \
             seminorm_sq(grid, pack, s, stencil)[:n]
-    sup_part = np.empty(ks.size)
-    int_part = np.empty(ks.size)
+    sup_part = np.empty(k_max + 1)
+    int_part = np.empty(k_max + 1)
     for j, first in enumerate(firsts):
         l2_mass, seminorm = sums[:, j, first:]
         # accumulate from t = 0 backwards, in order
@@ -241,39 +227,36 @@ def truncated_energies(traj: Trajectory,
         sup_part[j] = np.max(l2_mass)
         int_part[j] = np.cumsum(gaps * 0.5 * (seminorm[::-1][:-1]
                                               + seminorm[::-1][1:]))[-1]
-    return TruncatedEnergySequence(
-        levels=ks, values=sup_part + int_part, order=s,
-        dimension=grid.dimension)
+    return sup_part + int_part
 
 
 @dataclass(frozen=True)
 class RecurrenceReport:
-    levels: np.ndarray         # k = 1..k_max
-    ratios: np.ndarray         # c_k = (U_k / U_{k-1}^{1+s/N})^{1/k}
+    ratios: np.ndarray         # c_k = (U_k/U_{k-1}^{1+s/N})^{1/k}, k=1..k_max
     constant: float            # max over defined c_k
     decayed: bool              # U_{k_max} < 1e-14
     degenerate: bool           # some U_{k-1} vanished, ratio undefined
     vacuous: bool              # every U_k is zero; recurrence holds trivially
 
 
-def check_recurrence(seq: TruncatedEnergySequence) -> RecurrenceReport:
-    """Fit the smallest constant certifying U_k <= (C 2^k)^k U_{k-1}^{1+s/N},
-    with N the dimension the sequence was measured in."""
-    u = seq.values
-    expo = 1.0 + seq.order / seq.dimension
-    ks = seq.levels[1:]
-    ratios = np.full(ks.size, np.nan)
+def check_recurrence(u: np.ndarray, order: float,
+                     dimension: int) -> RecurrenceReport:
+    """Fit the smallest constant certifying U_k <= (C 2^k)^k U_{k-1}^{1+s/N}
+    to the ladder u = U_0..U_k_max (`truncated_energies`) of a flow of
+    order s on an N-dimensional grid."""
+    expo = 1.0 + order / dimension
+    ratios = np.full(u.size - 1, np.nan)
     degenerate = False
-    for i, k in enumerate(ks):
+    for k in range(1, u.size):
         prev = u[k - 1]
         if prev <= 0.0:
             degenerate = True
             continue
-        ratios[i] = (u[k] / prev ** expo) ** (1.0 / k)
+        ratios[k - 1] = (u[k] / prev ** expo) ** (1.0 / k)
     defined = ratios[np.isfinite(ratios)]
     constant = float(np.max(defined)) if defined.size else math.nan
     return RecurrenceReport(
-        levels=ks, ratios=ratios, constant=constant,
+        ratios=ratios, constant=constant,
         decayed=bool(u[-1] < 1e-14), degenerate=degenerate,
         vacuous=bool(np.all(u == 0.0)))
 
@@ -283,8 +266,7 @@ def check_recurrence(seq: TruncatedEnergySequence) -> RecurrenceReport:
 
 @dataclass(frozen=True)
 class ChebyshevReport:
-    levels: np.ndarray           # k = 1..k_max
-    linear_lhs: np.ndarray       # iint (w - psi_{L_k})_+
+    linear_lhs: np.ndarray       # iint (w - psi_{L_k})_+, k = 1..k_max
     indicator_lhs: np.ndarray    # iint 1_{w > psi_{L_k}}
     quadratic_lhs: np.ndarray    # iint (w - psi_{L_k})_+^2
     base_integral: np.ndarray    # iint (w - psi_{L_{k-1}})_+^{2(1+s/N)}
@@ -348,7 +330,7 @@ def chebyshev_chain(traj: Trajectory, k_max: int) -> ChebyshevReport:
         factors ** p_sq * base - sq,
     ], axis=1)
     return ChebyshevReport(
-        levels=ks, linear_lhs=lin, indicator_lhs=ind, quadratic_lhs=sq,
+        linear_lhs=lin, indicator_lhs=ind, quadratic_lhs=sq,
         base_integral=base, slack=slack,
         all_nonnegative=bool(np.all(slack >= 0.0)))
 

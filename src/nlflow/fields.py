@@ -39,7 +39,8 @@ def make_initial(grid: Grid, kind: str = "random", amplitude: float = 1.0,
     raise_first(initial_errors(kind, sigma, radius))
     n = grid.n_nodes
     if kind == "random":
-        rng = np.random.default_rng(seed)
+        # any integer seed, read mod 2^64 as the rough kernels read it
+        rng = np.random.default_rng(int(seed) % 2 ** 64)
         vals = rng.uniform(-abs(amplitude), abs(amplitude), size=n)
     elif kind == "bump":
         d = grid.origin_distance()

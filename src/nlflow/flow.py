@@ -211,7 +211,6 @@ class Trajectory:
     times: np.ndarray              # sample times, strictly increasing
     fields: np.ndarray             # (n_samples, n_nodes)
     step_times: np.ndarray | None = None   # (n_steps + 1,) state times
-    dts: np.ndarray | None = None          # (n_steps,)
     l2: np.ndarray | None = None           # per-state records, (n_steps + 1,)
     energy: np.ndarray | None = None
     vmin: np.ndarray | None = None
@@ -282,7 +281,7 @@ class Trajectory:
 
 def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
     """Integrate the flow; samples every `sample_every`-th state (plus the
-    final one) and records dt / L2 / energy / min / max / mass per state.
+    final one) and records L2 / energy / min / max / mass per state.
 
     Steps write states into a reused buffer of BLOCK_BUDGET values, whose
     rows give L2, min, max and mass as row reductions, bit for bit the
@@ -336,7 +335,7 @@ def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
 
     return Trajectory(
         grid=grid, kind=problem.kind, times=step_times[sampled],
-        fields=fields, step_times=step_times, dts=dts, l2=l2, energy=energy,
+        fields=fields, step_times=step_times, l2=l2, energy=energy,
         vmin=vmin, vmax=vmax, mass=mass, kernel=kernel,
         potential=problem.potential, stepper=problem.stepper,
         meta={"n_steps": n_steps})

@@ -64,8 +64,10 @@ def order_errors(order: float) -> list:
 
 def kernel_errors(spec: KernelSpec) -> list:
     """(field, error) pairs of the rules `spec` breaks; every family needs a
-    positive cell size and epoch length, read or not."""
-    return violations(
+    positive cell size and epoch length, read or not, and a
+    translation-invariant one a multiplier in the tight band that
+    `validate_kernel` grades it in, once Lambda and the multiplier pass."""
+    found = violations(
         ("dimension", spec.dimension in (1, 2), "dimension must be 1 or 2")
     ) + order_errors(spec.order) + violations(
         ("ellipticity", 1.0 < spec.ellipticity < math.inf,
@@ -78,6 +80,13 @@ def kernel_errors(spec: KernelSpec) -> list:
         ("cell_size", spec.cell_size > 0.0, "cell size must be positive"),
         ("epoch_length", spec.epoch_length > 0.0,
          "epoch length must be positive"))
+    if spec.family in TRANSLATION_INVARIANT_FAMILIES and not {
+            field for field, _ in found} & {"ellipticity", "multiplier"}:
+        lo, hi = spec.ellipticity ** -0.5, spec.ellipticity ** 0.5
+        found += violations(("multiplier", lo <= spec.multiplier <= hi,
+                             f"{spec.family} multiplier must lie in "
+                             f"[Lambda^-1/2, Lambda^1/2] = [{lo:g}, {hi:g}]"))
+    return found
 
 
 def _as_points(x, dimension: int) -> np.ndarray:

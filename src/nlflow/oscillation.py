@@ -375,11 +375,9 @@ def oscillation_decay(traj: Trajectory, scale: float,
 
 @dataclass(frozen=True)
 class RescaleLevel:
-    level: int
     sup_norm: float
     mean: float
     envelope_ok: bool
-    nodes_in_unit_ball: int
     samples_in_window: int
     first_violation: dict | None
 
@@ -431,11 +429,9 @@ def rescaling_sequence(traj: Trajectory, lam: float, lam_star: float,
         mean_k = float(np.mean(current.samples(rows)[:, ball]))
         window = current.samples(current.window(-3.0))
         records.append(RescaleLevel(
-            level=k, sup_norm=max(abs(float(window.min())),
-                                  abs(float(window.max()))),
+            sup_norm=max(abs(float(window.min())), abs(float(window.max()))),
             mean=mean_k, envelope_ok=violation is None,
-            nodes_in_unit_ball=int(np.sum(ball)), samples_in_window=rows.size,
-            first_violation=violation))
+            samples_in_window=rows.size, first_violation=violation))
         if k == MAX_RESCALE_LEVELS:
             break
         # the view keeps every node and, in order, the samples up to t = 0,

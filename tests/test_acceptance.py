@@ -227,13 +227,13 @@ def test_truncated_energy_recurrence():
     monotone_bad, cheb_bad, constants = [], [], []
     for seed in range(1, 21):
         traj = cached_recurrence_run(seed)
-        seq = truncated_energies(traj, k_max=6)
-        if not np.all(np.diff(seq.values) <= 0.0):
+        u = truncated_energies(traj, k_max=6)
+        if not np.all(np.diff(u) <= 0.0):
             monotone_bad.append(seed)
         if not chebyshev_chain(traj, k_max=6).all_nonnegative:
             cheb_bad.append(("flow", seed))
-        fit = check_recurrence(seq).constant
-        if fit is not None and math.isfinite(fit):
+        fit = check_recurrence(u, traj.order, traj.grid.dimension).constant
+        if math.isfinite(fit):
             constants.append(fit)
     # 20 synthetic trajectories x 5 samples = 100 random fields
     grid = default_grid()

@@ -20,7 +20,7 @@ from nlflow.calibrate import CAP, CALIBRATION_SEEDS, _largest_budget, \
     calibrate_constants, default_calibration, load_calibration, \
     save_calibration
 from nlflow.cli import _dissipation_record, main
-from nlflow.config import SCHEMA, parse_config
+from nlflow.config import MAX_SEEDS, SCHEMA, parse_config
 from nlflow.degiorgi import truncated_energies, verify_corollary2, \
     verify_lemma1, verify_lemma2
 from nlflow.ensembles import MAX_K
@@ -245,6 +245,12 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
     # the band's edges straddle the cap: the seed's own row sums count it
     (["run", "--seed", "1", "--set", "kernel.family=rough-static",
       "--set", "flow.end=50000"], "flow.end: 5.22e+06 steps on 256 nodes"),
+    # a seed range is counted before it is expanded: validate reads no seed,
+    # yet 1..10^10 ran out of memory, and past 2^63 seeds expanding overflowed
+    (["validate", "--seed", f"1..{10 ** 28}"],
+     f"--seed '1..{10 ** 28}': {10 ** 28} seeds, more than the {MAX_SEEDS}"),
+    (["validate", "--seed", f"0..{MAX_SEEDS}"],
+     f"{MAX_SEEDS + 1} seeds, more than the {MAX_SEEDS} a list may name"),
 ], ids=["calibrate-2d", "calibrate-order", "diagnose-2d", "diagnose-order",
         "diagnose-kernel-lambda", "calibrate-grid-m", "diagnose-store-states",
         "diagnose-calibration-order", "diagnose-calibration-2d",
@@ -270,7 +276,8 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
         "validate-int-over-64-bit", "run-int-over-64-bit",
         "sample-every-over-64-bit", "diagnose-levels-over-64-bit",
         "rough-offset-table-over-cap", "spacing-underflow",
-        "denoise-too-long", "rough-static-too-long"])
+        "denoise-too-long", "rough-static-too-long", "seeds-past-any-memory",
+        "seeds-one-past-the-bound"])
 def test_unsupported_config_exits_2(tmp_path, capsys, argv, message):
     # refused before any work, not aborted later with exit 1 or 3; a dict in
     # argv stands for a calibration file with those entries changed, and
@@ -551,6 +558,12 @@ def test_run_records_dissipation(tmp_path, capsys):
         assert span["seconds"] >= 0.0
         assert after["start_s"] == pytest.approx(
             span["start_s"] + span["seconds"], abs=1e-9)
+    # and their seconds summed per phase, which add up to the wall time
+    assert timings["phase_seconds"] == {
+        name: sum(s["seconds"] for s in spans if s["phase"] == name)
+        for name in ("setup", "integrate", "detect", "write")}
+    assert sum(timings["phase_seconds"].values()) == pytest.approx(
+        timings["wall_clock_seconds"], abs=1e-9)
     steps = sum(r["n_steps"] for r in report["runs"])
     # one flux pass per state, and one for each rough table's row sums
     assert timings["counters"] == {
@@ -693,6 +706,21 @@ def test_random_data_of_negative_amplitude(tmp_path):
                      "--set", f"initial.amplitude={amplitude}"]) == 0
         fields.append((out / "fields" / "final-seed1.csv").read_bytes())
     assert fields[0] == fields[1]
+
+
+def test_random_data_read_any_integer_seed_mod_2_64(tmp_path):
+    # -1 crashed the random draw; read mod 2^64, as the rough kernel reads
+    # it, -1 and 2^64 - 1 make one run
+    runs = []
+    for seed in (-1, 2 ** 64 - 1):
+        out = tmp_path / str(seed)
+        assert main(["run", f"--seed={seed}", "--out", str(out)]
+                    + RUN_ARGS) == 0
+        (run,) = read_report(out)["runs"]
+        assert run.pop("seed") == seed
+        runs.append(run)
+    assert runs[0] == runs[1]
+
 
 
 # ---------------------------------------------------------------------------
@@ -927,7 +955,8 @@ def sweep_argv(rng, inputs) -> list[str]:
     four; three diagnose draws in four set the diagnose.* keys alone, as
     diagnose refuses any other key it does not read, so that its rules on
     them and its runs are reached, and three denoise draws in four keep the
-    power-law family and the banded strategy that its nonlinear flow needs;
+    power-law family and the banded strategy that its nonlinear flow needs.
+    The seed list is 1, 1..2, or a seed outside [1, 2^64): -1, 0 or 2^64.
     `inputs` maps pgm and csv to the files of `sweep_inputs`."""
     def pick(options):
         return options[rng.integers(len(options))]
@@ -986,7 +1015,7 @@ def sweep_argv(rng, inputs) -> list[str]:
                 if key.startswith("diagnose.")}
     if command == "denoise" and rng.integers(4):
         sets.update({"kernel.family": "power-law", "flow.strategy": "banded"})
-    argv = [command, "--seed", pick(("1", "1..2"))]
+    argv = [command, "--seed", pick(("1", "1..2", "-1", "0", str(2 ** 64)))]
     for key, value in sets.items():
         argv += ["--set", f"{key}={value}"]
     return argv

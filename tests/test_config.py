@@ -294,6 +294,8 @@ PARITY = {
     "multiplier": (["kernel.family=rough-static", "kernel.multiplier=0"],
                    "kernel.multiplier", 0.0,
                    lambda: make_kernel(KernelSpec(multiplier=0.0))),
+    "power-law-band": (["kernel.multiplier=4.0"], "kernel.multiplier", 4.0,
+                       lambda: make_kernel(KernelSpec(multiplier=4.0))),
     "cell": (["kernel.cell=0"], "kernel.cell", 0.0,
              lambda: make_kernel(KernelSpec(cell_size=0.0))),
     "epoch": (["kernel.epoch=-1"], "kernel.epoch", -1.0,

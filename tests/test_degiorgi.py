@@ -26,7 +26,6 @@ from conftest import (
 from nlflow import grid as grid_module
 from nlflow.degiorgi import (
     _truncation_box,
-    TruncatedEnergySequence,
     barrier,
     check_recurrence,
     chebyshev_chain,
@@ -164,9 +163,9 @@ def seminorm_sq_brute(grid, u, order=1.0, cutoff=2.0):
 
 def test_truncated_energies_vanish_for_zero_field(grid1):
     traj = constant_trajectory(grid1, 0.0, t_lo=-2.0, t_hi=0.0, n=65)
-    seq = truncated_energies(traj, k_max=3)
-    assert np.all(seq.values == 0.0)
-    rep = check_recurrence(seq)
+    u = truncated_energies(traj, k_max=3)
+    assert np.all(u == 0.0)
+    rep = check_recurrence(u, traj.order, grid1.dimension)
     assert rep.vacuous and rep.decayed and rep.degenerate
     assert math.isnan(rep.constant)
 
@@ -176,16 +175,16 @@ def test_truncated_energies_vanish_below_the_barrier(grid1):
     times = np.linspace(-2.0, 0.0, 65)
     traj = synthetic_trajectory(grid1, times,
                                 np.tile(psi, (times.size, 1)))
-    seq = truncated_energies(traj, k_max=3)
-    assert np.all(seq.values == 0.0)
+    assert np.all(truncated_energies(traj, k_max=3) == 0.0)
 
 
 def test_truncated_energies_match_constant_field_oracle(grid1):
     traj = constant_trajectory(grid1, 1.0, t_lo=-2.0, t_hi=0.0, n=65)
-    seq = truncated_energies(traj, k_max=3)
+    u_levels = truncated_energies(traj, k_max=3)
+    assert u_levels.shape == (4,)
     psi = barrier(grid1.origin_distance(), 0.5)
     h = grid1.spacing
-    for j, k in enumerate(seq.levels):
+    for k in range(4):
         cut = 0.5 - 0.5 * 0.5 ** k
         u = np.maximum(1.0 - cut - psi, 0.0)
         mass = float(np.sum(u * u)) * h
@@ -193,15 +192,15 @@ def test_truncated_energies_match_constant_field_oracle(grid1):
         # constant-in-time data: sup = the single-slice mass and the time
         # integral is just the window length times the seminorm
         expected = mass + (1.0 + 0.5 ** k) * semi
-        assert seq.values[j] == pytest.approx(expected, rel=1e-10)
+        assert u_levels[k] == pytest.approx(expected, rel=1e-10)
 
 
 def test_truncated_energies_monotone_on_flow_runs():
     for seed in (1, 2, 3):
         traj = cached_recurrence_run(seed)
-        seq = truncated_energies(traj, k_max=5)
-        assert np.all(np.diff(seq.values) <= 0.0)
-        assert np.all(seq.values >= 0.0)
+        u = truncated_energies(traj, k_max=5)
+        assert np.all(np.diff(u) <= 0.0)
+        assert np.all(u >= 0.0)
 
 
 def test_truncated_energies_coverage_guards(grid1):
@@ -219,9 +218,8 @@ def test_truncated_energies_coverage_guards(grid1):
 def test_recurrence_constant_on_synthetic_geometric_sequence():
     # U_k chosen so U_k / U_{k-1}^2 = 0.1 at every level (s = 1, N = 1)
     u = np.array([1e-2, 1e-5, 1e-11, 1e-23])
-    seq = TruncatedEnergySequence(levels=np.arange(4), values=u, order=1.0,
-                                  dimension=1)
-    rep = check_recurrence(seq)
+    rep = check_recurrence(u, order=1.0, dimension=1)
+    assert rep.ratios.shape == (3,)
     assert rep.ratios[0] == pytest.approx(0.1)
     assert rep.ratios[1] == pytest.approx(0.1 ** 0.5)
     assert rep.ratios[2] == pytest.approx(0.1 ** (1.0 / 3.0))
@@ -233,10 +231,8 @@ def test_recurrence_exponent_follows_the_trajectory_dimension():
     # a 2-d ladder is graded against U_{k-1}^{1+s/2}, not the 1-d 1+s
     g2 = Grid(dimension=2, side_length=16.0, points_per_axis=16)
     traj = constant_trajectory(g2, 1.0, t_lo=-2.0, t_hi=0.0, n=33)
-    seq = truncated_energies(traj, k_max=2)
-    assert seq.dimension == 2
-    u = seq.values
-    rep = check_recurrence(seq)
+    u = truncated_energies(traj, k_max=2)
+    rep = check_recurrence(u, traj.order, traj.grid.dimension)
     assert rep.ratios[0] == pytest.approx(u[1] / u[0] ** 1.5, rel=1e-12)
     assert rep.ratios[0] != pytest.approx(u[1] / u[0] ** 2.0, rel=1e-6)
 
@@ -260,7 +256,8 @@ def test_chebyshev_chain_matches_brute_force(grid1):
     rep = chebyshev_chain(traj, k_max=3)
     psi = barrier(grid1.origin_distance(), 0.5)
     h = grid1.spacing
-    for i, k in enumerate(rep.levels):
+    assert rep.slack.shape == (3, 3)
+    for i, k in enumerate((1, 2, 3)):
         t_start = -1.0 - 0.5 ** (k - 1)
         inside = times >= t_start - 1e-9
         tw, w = times[inside], fields[inside]
@@ -370,9 +367,9 @@ def test_sub_torus_ladder_matches_brute_force(case):
         assert np.all(traj.fields[:, [0, -1]] > psi[[0, -1]])
     u, cheb = ladder_brute(traj, k_max)
     assert np.any(u > 0.0) == (case != "empty")
-    seq = truncated_energies(traj, k_max=k_max)
-    assert seq.values == pytest.approx(u, rel=1e-12, abs=0.0)
-    assert np.all(np.diff(seq.values) <= 0.0)
+    u_levels = truncated_energies(traj, k_max=k_max)
+    assert u_levels == pytest.approx(u, rel=1e-12, abs=0.0)
+    assert np.all(np.diff(u_levels) <= 0.0)
     rep = chebyshev_chain(traj, k_max=k_max)
     for got, want in zip((rep.linear_lhs, rep.indicator_lhs,
                           rep.quadratic_lhs, rep.base_integral), cheb):
