@@ -166,7 +166,7 @@ def _cmd_validate(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
 
 def _cmd_run(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
     cfg.check_flow(cfg.get("flow.kind"), cfg.make_grid(),
-                   cfg.get("flow.end") - cfg.get("flow.start"))
+                   cfg.get("flow.start"), cfg.get("flow.end"))
     _ensure_dirs(out_dir, "curves", "fields")
     records, notes = [], []
     traj = None
@@ -309,7 +309,7 @@ def _cmd_denoise(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
         raise ConfigError(
             f"denoise.input: a 2-d field is saved as PGM, which holds [0, 1] "
             f"(got [{lo:g}, {hi:g}] in {src})")
-    cfg.check_flow("nonlinear", noisy.grid, cfg.get("denoise.time"),
+    cfg.check_flow("nonlinear", noisy.grid, 0.0, cfg.get("denoise.time"),
                    t_end="denoise.time", points_per_axis="denoise.input")
     # the file's own grid wins: no grid.* key is read
     problem = FlowProblem(
@@ -317,10 +317,8 @@ def _cmd_denoise(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
         grid=noisy.grid,
         kernel=make_kernel(cfg.kernel_spec(dimension=noisy.grid.dimension)),
         initial=noisy,
-        t_start=0.0,
         t_end=cfg.get("denoise.time"),
         potential=cfg.make_potential(),
-        stepper=cfg.get("flow.stepper"),
         strategy=cfg.get("flow.strategy"),
         dt_max=cfg.get("flow.dt_max"))
     traj = _integrate(run_flow, problem,

@@ -81,8 +81,7 @@ _KEYS = {"dimension": "grid.N", "order": "kernel.s",
          "cell_size": "kernel.cell", "epoch_length": "kernel.epoch",
          "points_per_axis": "grid.M", "side_length": "grid.L",
          "strategy": "flow.strategy", "kind": "flow.kind",
-         "stepper": "flow.stepper", "t_start": "flow.start",
-         "t_end": "flow.end", "dt_max": "flow.dt_max",
+         "t_start": "flow.start", "t_end": "flow.end", "dt_max": "flow.dt_max",
          "sample_every": "flow.sample_every", "k_max": "diagnose.k_max",
          "levels": "diagnose.levels", "scale": "diagnose.scale"}
 _OTHER_KEYS = {"family": "potential.family", "ellipticity": "potential.lambda",
@@ -235,12 +234,12 @@ class ExperimentConfig:
             mode=self.get("initial.mode", kind == "cosine"),
             shift=self.get("initial.shift"))
 
-    def check_flow(self, kind: str, grid: Grid, span: float,
+    def check_flow(self, kind: str, grid: Grid, start: float, end: float,
                    **keys: str) -> int:
-        """The step count of a `kind` flow over `span` on this config and
-        `grid`, at `stable_dt` of the kernel's band (`flow.run_steps`); raise
-        ConfigError on the rules it, the operator (`grid.operator_errors`)
-        or the kind (`flow.kind_errors`) breaks, keyed by `keys` or `_KEYS`.
+        """The step count of a `kind` flow from `start` to `end` on this
+        config and `grid`, at `stable_dt` of the kernel's band (`run_steps`);
+        raise ConfigError on the rules it, the operator (`operator_errors`)
+        or the kind (`kind_errors`) breaks, keyed by `keys` or `_KEYS`.
         A rough-static step lies between those at the band's edges 1/Lambda
         and Lambda (a time-dependent one steps at Lambda); where their counts
         straddle the cap, each seed's row sums count it, as in `run_flow`."""
@@ -251,12 +250,12 @@ class ExperimentConfig:
         n_steps, found = 0, operator_errors(grid, spec, strategy) + \
             kind_errors(kind, strategy, spec.family)
         if not found:     # one step first: an operator takes node arrays
-            n_steps, found = run_steps(span, math.inf, None, *size)
+            n_steps, found = run_steps(start, end, math.inf, None, *size)
         potential = self.make_potential() if kind == "nonlinear" else None
 
         def count(op, multiplier):
             dt = stable_dt(op, potential, multiplier=multiplier)
-            return run_steps(span, dt, self.get("flow.dt_max"), *size)
+            return run_steps(start, end, dt, self.get("flow.dt_max"), *size)
         hi = kernel.upper_multiplier
         lo = hi if kernel.time_dependent else kernel.lower_multiplier
         if not found:
@@ -303,7 +302,6 @@ class ExperimentConfig:
             t_start=self.get("flow.start"),
             t_end=self.get("flow.end"),
             potential=potential,
-            stepper=self.get("flow.stepper"),
             strategy=self.get("flow.strategy"),
             dt_max=self.get("flow.dt_max"))
 
@@ -326,13 +324,14 @@ def _keyed(values: dict, violations: list, keys: dict) -> list[str]:
 
 def _semantic_errors(cfg: ExperimentConfig) -> list[str]:
     """Every rule the values break: each module's own rules under the config
-    keys, then the two that no library object owns."""
+    keys, then the three that no library object owns."""
     values, spec = cfg.values, cfg.kernel_spec()
-    found = kernel_errors(spec)
+    found = kernel_errors(spec) or make_kernel(spec).reach_errors(values[
+        "grid.L"], max(abs(values["flow.start"]), abs(values["flow.end"])))
     found += grid_errors(values["grid.N"], values["grid.L"], values["grid.M"],
                          spec.truncation_radius, values["flow.strategy"])
-    found += problem_errors(values["flow.kind"], values["flow.stepper"],
-                            values["flow.start"], values["flow.end"])
+    found += problem_errors(values["flow.kind"], values["flow.start"],
+                            values["flow.end"])
     found += stepping_errors(values["flow.dt_max"],
                              values["flow.sample_every"])
     found += ladder_errors(values["diagnose.k_max"])
@@ -343,12 +342,13 @@ def _semantic_errors(cfg: ExperimentConfig) -> list[str]:
          + abs(values["initial.shift"]) <= 1e100,
          "|amplitude| + |initial.shift| must be at most 1e100"),
         ("report.verbosity", values["report.verbosity"] >= 0,
-         "must be a nonnegative integer"))
+         "must be a nonnegative integer"),
+        ("flow.stepper", values["flow.stepper"] == "euler", "must be euler"))
     other = potential_errors(cfg.potential_spec()) + initial_errors(
         values["initial.kind"], values["initial.sigma"],
         values["initial.radius"])
     # denoise runs from 0 to denoise.time
-    other += problem_errors("nonlinear", "euler", 0.0, values["denoise.time"])
+    other += problem_errors("nonlinear", 0.0, values["denoise.time"])
     return _keyed(values, found, _KEYS) + _keyed(values, other, _OTHER_KEYS)
 
 

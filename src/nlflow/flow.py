@@ -13,15 +13,12 @@ h^N, and the energy of the state comes out of the same pass
     stable_dt = 0.9 / max_x ( lambda_phi * sum_{y != x} K(t, x, y) h^N )
 
 where lambda_phi is the potential family's certified sup of phi'' (1 for
-linear runs and the quadratic family).  Under that bound every Euler step is
-a convex combination of node values, so min/max brackets, comparison, and
-L^2/energy dissipation all hold; Heun is the average of two Euler maps and
-inherits them.  A quadratic-potential nonlinear run reproduces the linear run
-bitwise: both go through the one flux routine `_offset_rhs`, and phi' is
-the identity.
-
-Heun exists to measure temporal convergence order; production runs default to
-Euler.
+linear runs and the quadratic family).  Every flow takes explicit Euler
+steps w' = w + dt rhs(w), the one discrete flow the detectors reason about:
+under that bound each step is a convex combination of node values, so
+min/max brackets, comparison, and L^2/energy dissipation all hold.  A
+quadratic-potential nonlinear run reproduces the linear run bitwise: both go
+through the one flux routine `_offset_rhs`, and phi' is the identity.
 """
 
 from __future__ import annotations
@@ -36,8 +33,6 @@ from .grid import BLOCK_BUDGET, COUNTERS, RUN_MAX_BYTES, DiscreteOperator, \
     Field, Grid
 from .kernels import TRANSLATION_INVARIANT_FAMILIES, Kernel, order_errors
 from .potentials import Potential
-
-STEPPERS = ("euler", "heun")
 
 
 def stable_dt(op: DiscreteOperator, potential: Potential | None = None,
@@ -69,15 +64,6 @@ def _offset_rhs(op: DiscreteOperator, wg: np.ndarray, t: float,
     return op.offset_rhs(wg, t, d1)
 
 
-def _rhs(op: DiscreteOperator, pot: Potential | None, v: np.ndarray,
-         t: float) -> np.ndarray:
-    """The flow's RHS on a flat field: L v, or the phi' sum when pot is set."""
-    if pot is None and op.strategy != "banded":
-        return op.apply(v, t)
-    d1 = None if pot is None else pot.d1
-    return _offset_rhs(op, v.reshape(op.grid.shape), t, d1=d1).ravel()
-
-
 def _rhs_and_energy(op: DiscreteOperator, pot: Potential | None,
                     v: np.ndarray, t: float) -> tuple[np.ndarray, float]:
     """The RHS at v and the energy of v from one pass over the offsets.
@@ -91,7 +77,9 @@ def _rhs_and_energy(op: DiscreteOperator, pot: Potential | None,
     """
     h_n = op.grid.spacing ** op.grid.dimension
     if pot is None or pot.spec.family == "quadratic":
-        r = _rhs(op, pot, v, t)
+        r = op.apply(v, t) if pot is None and op.strategy != "banded" else \
+            _offset_rhs(op, v.reshape(op.grid.shape), t,
+                        pot and pot.d1).ravel()
         energy = -2.0 * h_n * float(np.dot(r, v))
         return r, energy if pot is None else 0.5 * energy
     table, psi_total, done = op.offset_values(t), 0.0, 0
@@ -119,15 +107,11 @@ def nonlinear_energy(op: DiscreteOperator, potential: Potential,
     return _rhs_and_energy(op, potential, w, t)[1]
 
 
-def problem_errors(kind: str, stepper: str, t_start: float,
-                   t_end: float) -> list:
-    """(field, error) pairs of the rules a flow's kind, stepper and span
-    break."""
+def problem_errors(kind: str, t_start: float, t_end: float) -> list:
+    """(field, error) pairs of the rules a flow's kind and span break."""
     return violations(
         ("kind", kind in ("linear", "nonlinear"),
          "flow kind must be linear or nonlinear"),
-        ("stepper", stepper in STEPPERS,
-         f"stepper must be one of {', '.join(STEPPERS)}"),
         ("t_start", math.isfinite(t_start), "start time must be finite"),
         ("t_end", math.isfinite(t_end), "end time must be finite"),
         ("t_end", 0.0 < t_end - t_start < math.inf or math.isinf(t_start)
@@ -157,22 +141,26 @@ def stepping_errors(dt_max: float | None, sample_every: int) -> list:
          "sample interval must be a positive integer"))
 
 
-def run_steps(span: float, dt: float, dt_max: float | None,
+def run_steps(t_start: float, t_end: float, dt: float, dt_max: float | None,
               sample_every: int, n_nodes: int) -> tuple:
-    """The step count of a run over `span` in steps of `dt` (inf: one step)
-    or `dt_max` if smaller, and the pairs of its rule: it holds at most
-    RUN_MAX_BYTES on n_nodes nodes, under the field that set the count
-    (points_per_axis if one step does not fit, dt_max if it set the step)."""
-    step = dt if dt_max is None else min(dt, dt_max)
+    """The step count of a run from t_start to t_end in steps of `dt` (inf:
+    one step) or `dt_max` if smaller, and the pairs of its rules: it holds at
+    most RUN_MAX_BYTES on n_nodes nodes, under the field that set the count
+    (points_per_axis if one step does not fit, dt_max if it set the step),
+    and a run that fits takes one step or steps over 4 float spacings at t."""
+    span, step = t_end - t_start, dt if dt_max is None else min(dt, dt_max)
     ratio = span / step - 1e-12 if step > 0.0 else math.inf
     n_steps = max(1, math.ceil(ratio)) if ratio < math.inf else ratio
     one, held = (8.0 * (n_nodes * ((steps + 1.0) / sample_every + 2.0)
                         + 7.0 * (steps + 2.0)) for steps in (1.0, n_steps))
     field = "points_per_axis" if one > RUN_MAX_BYTES else \
         "t_end" if step == dt else "dt_max"
+    ulps = 4.0 * math.ulp(max(abs(t_start), abs(t_end)))
     return n_steps, violations((field, held <= RUN_MAX_BYTES, f"{n_steps:.3g} "
         f"steps on {n_nodes} nodes hold {held / 2 ** 30:.3g} GiB, above the "
-        f"{RUN_MAX_BYTES >> 30} GiB a run may take"))
+        f"{RUN_MAX_BYTES >> 30} GiB a run may take"), ("t_start", n_steps == 1
+        or held > RUN_MAX_BYTES or span > n_steps * ulps, f"steps of "
+        f"{span / n_steps:.3g} must exceed 4 float spacings at t, {ulps:.3g}"))
 
 
 @dataclass
@@ -186,13 +174,11 @@ class FlowProblem:
     t_start: float = 0.0
     t_end: float = 1.0
     potential: Potential | None = None
-    stepper: str = "euler"
     strategy: str = "banded"
     dt_max: float | None = None    # optional extra cap (convergence studies)
 
     def __post_init__(self):
-        raise_first(problem_errors(self.kind, self.stepper, self.t_start,
-                                   self.t_end)
+        raise_first(problem_errors(self.kind, self.t_start, self.t_end)
                     + kind_errors(self.kind, self.strategy,
                                   self.kernel.spec.family))
         if self.kind == "nonlinear" and self.potential is None:
@@ -218,7 +204,6 @@ class Trajectory:
     mass: np.ndarray | None = None
     kernel: Kernel | None = None
     potential: Potential | None = None
-    stepper: str = "euler"
     meta: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
@@ -293,13 +278,12 @@ def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
     op = DiscreteOperator(grid, kernel, problem.strategy)
     pot = problem.potential if problem.kind == "nonlinear" else None
 
-    n_steps, too_big = run_steps(problem.t_end - problem.t_start,
+    n_steps, too_big = run_steps(problem.t_start, problem.t_end,
                                  stable_dt(op, pot, problem.t_start),
                                  problem.dt_max, sample_every, grid.n_nodes)
     raise_first(too_big)
     step_times = np.linspace(problem.t_start, problem.t_end, n_steps + 1)
     COUNTERS["steps"] += n_steps
-    dts = np.diff(step_times)
 
     n, h_n = grid.n_nodes, grid.spacing ** grid.dimension
     sampled = np.arange(0, n_steps + 1, sample_every)
@@ -326,16 +310,12 @@ def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
             first = i + 1
         if i == n_steps:
             break
-        # w + dt k1 and w + (dt/2)(k1 + k2), as products then sums
-        nxt, dt = buf[i + 1 - first], float(dts[i])
-        if problem.stepper == "heun":
-            k2 = _rhs(op, pot, w + dt * k1, t + dt)
-            k1, dt = np.add(k1, k2, out=nxt), 0.5 * dt
+        # w + dt k1, as a product then a sum
+        nxt, dt = buf[i + 1 - first], float(step_times[i + 1]) - t
         np.add(np.multiply(k1, dt, out=nxt), w, out=nxt)
 
     return Trajectory(
         grid=grid, kind=problem.kind, times=step_times[sampled],
         fields=fields, step_times=step_times, l2=l2, energy=energy,
         vmin=vmin, vmax=vmax, mass=mass, kernel=kernel,
-        potential=problem.potential, stepper=problem.stepper,
-        meta={"n_steps": n_steps})
+        potential=problem.potential, meta={"n_steps": n_steps})

@@ -89,6 +89,12 @@ def kernel_errors(spec: KernelSpec) -> list:
     return found
 
 
+def _sample_box(spec: KernelSpec) -> tuple:
+    """`validate_kernel`'s least and largest separations and box side."""
+    r_hi = min(spec.truncation_radius, 8.0)
+    return 1e-3 * min(1.0, r_hi), r_hi, 4.0 * r_hi
+
+
 def _as_points(x, dimension: int) -> np.ndarray:
     """Coerce scalars / flat arrays / (..., N) arrays to (..., N) float64."""
     a = np.asarray(x, dtype=np.float64)
@@ -139,6 +145,27 @@ class Kernel:
         else:
             self.lower_multiplier = 1.0 / spec.ellipticity
             self.upper_multiplier = spec.ellipticity
+
+    def reach_errors(self, extent: float, t_max: float) -> list:
+        """(field, error) pairs of the rules the kernel breaks at
+        `validate_kernel`'s samples and at coordinates and times up to `extent`
+        and `t_max`: r_lo^(N+s) and the values at the least separation r_lo
+        are normal floats, and the int64 cell and epoch indices hold."""
+        r_lo, r_hi, box = _sample_box(self.spec)
+        r_tr = self.spec.truncation_radius     # sampled 3 radii past the box
+        reach = box + (3.0 * r_tr if math.isfinite(r_tr) else r_hi)
+        extent, t_max = max(extent, reach), max(t_max, 1.0)
+        return violations(
+            ("truncation_radius", self._exponent * math.log(r_lo) > max(
+                -708.0, math.log(self._scale * self.upper_multiplier) - 709.0),
+             f"the kernel values at separations down to {r_lo:g} must be "
+             "normal floats"),
+            ("cell_size", self.translation_invariant or extent
+             / self.spec.cell_size < 2.0 ** 63, f"the cell indices of "
+             f"coordinates up to {extent:g} must lie in int64"),
+            ("epoch_length", not self.time_dependent or t_max
+             / self.spec.epoch_length < 2.0 ** 63, f"the epoch indices of "
+             f"times up to {t_max:g} must lie in int64"))
 
     def envelope_profile(self, dist) -> np.ndarray:
         """(1 - s/2) * dist^-(N+s) inside the truncation radius, else 0."""
@@ -235,12 +262,11 @@ def validate_kernel(kernel) -> KernelValidationReport:
     rng = np.random.default_rng([SAMPLING_SEED, spec.seed & 0x7FFFFFFF])
     dim = spec.dimension
     r_tr = spec.truncation_radius
-    r_hi = r_tr if math.isfinite(r_tr) else 8.0
-    box = 4.0 * r_hi
+    r_lo, r_hi, box = _sample_box(spec)
 
     x = rng.uniform(0.0, box, size=(n, dim))
     # log-spaced separations cover the near-diagonal decades
-    radii = np.exp(rng.uniform(math.log(1e-3), math.log(r_hi), size=n))
+    radii = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), size=n))
     direction = rng.normal(size=(n, dim))
     direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
     y = x + radii[:, None] * direction
@@ -260,14 +286,11 @@ def validate_kernel(kernel) -> KernelValidationReport:
     else:
         band_lo, band_hi, tier = 1.0 / lam, lam, "measurable"
 
-    inside = dist <= r_tr
-    ratio_in = ratio[inside]
-    ratio_min = float(ratio_in.min()) if ratio_in.size else math.nan
-    ratio_max = float(ratio_in.max()) if ratio_in.size else math.nan
-    envelope_ok = bool(
-        ratio_in.size == 0
-        or (ratio_min >= band_lo * (1.0 - BAND_RTOL)
-            and ratio_max <= band_hi * (1.0 + BAND_RTOL)))
+    # the separations run below r_hi <= r_tr, so some samples lie inside
+    ratio_in = ratio[dist <= r_tr]
+    ratio_min, ratio_max = float(ratio_in.min()), float(ratio_in.max())
+    envelope_ok = bool(ratio_min >= band_lo * (1.0 - BAND_RTOL)
+                       and ratio_max <= band_hi * (1.0 + BAND_RTOL))
 
     if math.isfinite(r_tr):
         m = 64

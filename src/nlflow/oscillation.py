@@ -209,11 +209,9 @@ def verify_linearization(theta_traj: Trajectory, e: int = 0,
     kernel is the base kernel verbatim and the linear update reuses the same
     per-offset values, bitwise.
     """
-    raise_first(violations(
-        ("kind", theta_traj.kind == "nonlinear", "transfer needs a nonlinear "
-         f"trajectory, got {theta_traj.kind!r}"),
-        ("stepper", theta_traj.stepper == "euler",
-         "transfer is defined for the euler stepper")))
+    if theta_traj.kind != "nonlinear":
+        raise NlflowError("transfer needs a nonlinear trajectory, got "
+                          f"{theta_traj.kind!r}")
     base, potential = _linearized(theta_traj)
     grid = theta_traj.grid
     h = grid.spacing if h is None else h

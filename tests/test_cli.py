@@ -93,6 +93,22 @@ def test_validate_resolves_a_large_potential_lambda(tmp_path, capsys, lam):
     assert potential["fd_step"] < 1e-3
 
 
+@pytest.mark.parametrize("family, radius", [
+    (family, radius) for family in KERNEL_FAMILIES
+    for radius in ("5e-4", "1e-150")] + [("power-law", "1e30")])
+def test_validate_grades_any_radius_it_takes(tmp_path, family, radius):
+    # the separations run from a thousandth of min(r, 1) up to r, from points
+    # within 32 of 0: a radius below 1e-3 crashed, and 1e30 failed the band
+    # (a rough kernel's cells at 1e30 leave int64, and are refused); the
+    # torus is wider than twice the radius
+    out = tmp_path / "v"
+    assert main(["validate", "--out", str(out), "--set",
+                 f"grid.L={max(16.0, 4.0 * float(radius))}",
+                 "--set", f"kernel.radius={radius}",
+                 "--set", f"kernel.family={family}"]) == 0
+    assert read_report(out)["passed"] is True
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     out = tmp_path / "v"
     rc = main(["validate", "--out", str(out), "--set", "kernel.s=2.5"])
@@ -251,6 +267,32 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
      f"--seed '1..{10 ** 28}': {10 ** 28} seeds, more than the {MAX_SEEDS}"),
     (["validate", "--seed", f"0..{MAX_SEEDS}"],
      f"{MAX_SEEDS + 1} seeds, more than the {MAX_SEEDS} a list may name"),
+    (["run", "--seed", "1", "--set", "flow.stepper=heun"],
+     "flow.stepper: must be euler"),
+    # validate samples separations down to a thousandth of the radius: below
+    # 1e-3 it crashed, and past the floats its kernel values overflow
+    (["validate", "--set", "kernel.radius=1e-200"], "kernel.radius: the "
+     "kernel values at separations down to 1e-203 must be normal floats"),
+    (["validate", "--set", "kernel.family=rough-static",
+      "--set", "kernel.lambda=1e307"], "kernel.radius: the kernel values"),
+    # the rough kernels' int64 cell and epoch indices overflowed to -2^63;
+    # validate samples coordinates up to 21 and times up to 1
+    (["run", "--seed", "1", "--set", "kernel.family=rough-static",
+      "--set", "kernel.cell=1e-300"], "kernel.cell: the cell indices of "
+     "coordinates up to 21 must lie in int64"),
+    (["run", "--seed", "1", "--set", "kernel.family=rough-time-dependent",
+      "--set", "kernel.epoch=1e-300", "--set", "flow.end=2"],
+     "kernel.epoch: the epoch indices of times up to 2 must lie in int64"),
+    (["validate", "--set", "kernel.family=rough-static",
+      "--set", "kernel.cell=1e-300"], "kernel.cell: the cell indices"),
+    (["validate", "--set", "kernel.family=rough-time-dependent",
+      "--set", "kernel.epoch=1e-300"], "kernel.epoch: the epoch indices of "
+     "times up to 1 must lie in int64"),
+    # steps below the float spacing at t gave repeated step times (exit 3)
+    (["run", "--seed", "1", "--set", "flow.start=1e15",
+      "--set", "flow.end=1000000000000000.5"],
+     "flow.start: steps of 0.0333 must exceed 4 float spacings at t, 0.5 "
+     "(got 1000000000000000.0)"),
 ], ids=["calibrate-2d", "calibrate-order", "diagnose-2d", "diagnose-order",
         "diagnose-kernel-lambda", "calibrate-grid-m", "diagnose-store-states",
         "diagnose-calibration-order", "diagnose-calibration-2d",
@@ -277,7 +319,10 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
         "sample-every-over-64-bit", "diagnose-levels-over-64-bit",
         "rough-offset-table-over-cap", "spacing-underflow",
         "denoise-too-long", "rough-static-too-long", "seeds-past-any-memory",
-        "seeds-one-past-the-bound"])
+        "seeds-one-past-the-bound", "stepper-heun", "validate-radius-tiny",
+        "validate-lambda-past-the-floats", "run-cell-past-int64",
+        "run-epoch-past-int64", "validate-cell-past-int64",
+        "validate-epoch-past-int64", "run-start-far-from-0"])
 def test_unsupported_config_exits_2(tmp_path, capsys, argv, message):
     # refused before any work, not aborted later with exit 1 or 3; a dict in
     # argv stands for a calibration file with those entries changed, and
@@ -309,7 +354,8 @@ def test_flow_refusals_leave_validate_alone(tmp_path, capsys, setting):
     assert main(["validate", "--out", str(tmp_path / "v")] + setting) == 0
 
 
-# a valid value other than the default of every schema key
+# a value other than the default of every schema key, valid but for
+# flow.stepper, which has none
 OTHER_VALUES = {
     "kernel.family": "rough-static", "kernel.s": 0.5, "kernel.lambda": 9.0,
     "kernel.radius": 2.0, "kernel.seed": 5, "kernel.multiplier": 1.5,
@@ -943,8 +989,9 @@ def sweep_inputs(directory) -> dict:
 
 def sweep_argv(rng, inputs) -> list[str]:
     """One seeded `validate`, `run`, `denoise` or `diagnose` command line
-    over every kernel family, strategy, stepper, initial kind and flow kind,
-    on at most 20 points an axis, with each float key +-inf one time in 40.
+    over every kernel family, strategy, initial kind and flow kind, and the
+    euler stepper or the refused heun, on at most 20 points an axis, with
+    each float key +-inf one time in 40.
     kernel.lambda stays at most 16 and flow.end at most 0.2 because step
     counts grow with both: a rough run at Lambda = 1e6 took 40 s, slow but
     not wrong; one time in 40 flow.end is 1e7 all the same, a run too long
@@ -956,7 +1003,12 @@ def sweep_argv(rng, inputs) -> list[str]:
     diagnose refuses any other key it does not read, so that its rules on
     them and its runs are reached, and three denoise draws in four keep the
     power-law family and the banded strategy that its nonlinear flow needs.
-    The seed list is 1, 1..2, or a seed outside [1, 2^64): -1, 0 or 2^64.
+    One time in 8 each, kernel.radius is below 1e-3, down to 1e-200;
+    kernel.cell and kernel.epoch are 1e-25 to 1e-15, where the rough
+    kernels' int64 cell and epoch indices end; and one time in 4 flow.start
+    is 1e14 to 1e16 in magnitude, with flow.end up to 0.2 past it, where the
+    float spacing at the times nears the steps.  The seed list is 1, 1..2,
+    or a seed outside [1, 2^64): -1, 0 or 2^64.
     `inputs` maps pgm and csv to the files of `sweep_inputs`."""
     def pick(options):
         return options[rng.integers(len(options))]
@@ -1010,6 +1062,14 @@ def sweep_argv(rng, inputs) -> list[str]:
         sets["flow.end"] = 1e7
     if rng.integers(40) == 0:
         sets.update({"grid.L": 5e-324, "kernel.radius": math.inf})
+    if rng.integers(8) == 0:
+        sets["kernel.radius"] = 10.0 ** rng.uniform(-200.0, -3.0)
+    if rng.integers(8) == 0:
+        sets.update({key: 10.0 ** rng.uniform(-25.0, -15.0)
+                     for key in ("kernel.cell", "kernel.epoch")})
+    if rng.integers(4) == 0:
+        sets["flow.start"] = signed_power(14.0, 16.0)
+        sets["flow.end"] = sets["flow.start"] + rng.uniform(0.01, 0.2)
     if command == "diagnose" and rng.integers(4):
         sets = {key: value for key, value in sets.items()
                 if key.startswith("diagnose.")}

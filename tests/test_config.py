@@ -12,7 +12,7 @@ from nlflow import flow
 from nlflow.cli import main
 from nlflow.config import SCHEMA, parse_config, parse_seed_list
 from nlflow.degiorgi import truncated_energies
-from nlflow.errors import ConfigError, NlflowError
+from nlflow.errors import ConfigError, NlflowError, raise_first
 from nlflow.fields import make_initial
 from nlflow.flow import FlowProblem, Trajectory, run_flow
 from nlflow.grid import DiscreteOperator, Grid
@@ -33,7 +33,7 @@ def test_everything_defaults_to_the_schema():
 
 # keys every report echoes but nothing reads; removing one changes the
 # report bytes the benchmark records, so they wait for its re-record
-ECHO_ONLY = {"report.verbosity", "flow.store_states"}
+ECHO_ONLY = {"report.verbosity", "flow.store_states", "flow.stepper"}
 
 
 def test_every_schema_key_is_read():
@@ -92,8 +92,7 @@ def test_all_violations_are_collected():
     assert "kernel.s: order out of (0,2) (got 2.5)" in message
     assert "grid.M: need an integer of at least 8 points per axis (got 4)" \
         in message
-    assert "flow.stepper: stepper must be one of euler, heun (got 'rk4')" \
-        in message
+    assert "flow.stepper: must be euler (got 'rk4')" in message
     assert len(err.value.errors) == 3
 
 
@@ -143,7 +142,7 @@ def test_int_values_are_the_64_bit_integers():
                                   f"initial.seed={-2 ** 63}"])
     assert cfg.get("initial.seed") == -2 ** 63
     with pytest.raises(ConfigError, match=f"on {2 ** 63 - 1} nodes hold"):
-        cfg.check_flow("linear", cfg.make_grid(), 0.5)
+        cfg.check_flow("linear", cfg.make_grid(), 0.0, 0.5)
     for value in (2 ** 63, -2 ** 63 - 1):
         with pytest.raises(ConfigError, match="grid.M: integer outside the "
                            r"64-bit range \[-2\^63, 2\^63\)"):
@@ -230,8 +229,7 @@ def test_the_config_counts_the_steps_run_flow_takes(family, dimension,
     # run_flow's count for power-law and time-dependent kernels, whose step
     # the band fixes, and at most it for rough-static ones, so that the
     # config refuses no run that run_flow takes
-    cases = [[], ["flow.dt_max=0.002"], ["flow.sample_every=3",
-                                         "flow.stepper=heun"]]
+    cases = [[], ["flow.dt_max=0.002"], ["flow.sample_every=3"]]
     if family == "power-law":
         cases += [["flow.kind=nonlinear"], ["flow.strategy=dense"],
                   ["flow.strategy=spectral", "kernel.radius=inf"]]
@@ -240,7 +238,8 @@ def test_the_config_counts_the_steps_run_flow_takes(family, dimension,
             "kernel.lambda=6", "kernel.epoch=0.05"]
     for extra in cases:
         cfg = parse_config(overrides=base + extra)
-        count = cfg.check_flow(cfg.get("flow.kind"), cfg.make_grid(), 0.15)
+        count = cfg.check_flow(cfg.get("flow.kind"), cfg.make_grid(), -0.05,
+                               0.1)
         n_steps = run_flow(cfg.flow_problem(seed=3), sample_every=cfg.get(
             "flow.sample_every")).meta["n_steps"]
         assert count <= n_steps, extra
@@ -255,7 +254,8 @@ def test_the_config_counts_the_steps_run_flow_takes(family, dimension,
         n = cfg.make_grid().n_nodes
         monkeypatch.setattr(flow, "RUN_MAX_BYTES",
                             8 * (n * (n_steps + 3) + 7 * (n_steps + 2)))
-        assert cfg.check_flow("linear", cfg.make_grid(), 0.15) == n_steps
+        assert cfg.check_flow("linear", cfg.make_grid(), -0.05, 0.1) == \
+            n_steps
         assert run_flow(cfg.flow_problem(seed=3)).meta["n_steps"] == n_steps
 
 
@@ -265,6 +265,11 @@ def _problem(**changes):
                 initial=make_initial(g, "constant"),
                 potential=make_potential(PotentialSpec("smoothed-huber")))
     return FlowProblem(**{**args, **changes})
+
+
+def _reach(**changes):
+    """Raise the first rule a kernel breaks over the default torus and span."""
+    raise_first(make_kernel(KernelSpec(**changes)).reach_errors(16.0, 0.5))
 
 
 def _samples():
@@ -321,8 +326,6 @@ PARITY = {
                lambda: make_initial(Grid(), "step", radius=-1.0)),
     "flow-kind": (["flow.kind=parabolic"], "flow.kind", "parabolic",
                   lambda: _problem(kind="parabolic")),
-    "stepper": (["flow.stepper=rk4"], "flow.stepper", "rk4",
-                lambda: _problem(stepper="rk4")),
     "start": (["flow.start=-inf"], "flow.start", -math.inf,
               lambda: _problem(t_start=-math.inf)),
     "end": (["flow.end=inf"], "flow.end", math.inf,
@@ -335,6 +338,19 @@ PARITY = {
                lambda: run_flow(_problem(dt_max=-0.1))),
     "span-overflow": (["flow.start=-1e308", "flow.end=1e308"], "flow.end",
                       1e308, lambda: _problem(t_start=-1e308, t_end=1e308)),
+    "step-times": (["grid.M=64", "flow.start=1e15",
+                    "flow.end=1000000000000000.5"], "flow.start", 1e15,
+                   lambda: run_flow(_problem(t_start=1e15, t_end=1e15 + 0.5))),
+    # where a kernel is evaluated: validate's samples, the torus and the span
+    "sampled-values": (["kernel.radius=1e-200"], "kernel.radius", 1e-200,
+                       lambda: _reach(truncation_radius=1e-200)),
+    "cell-index": (["kernel.family=rough-static", "kernel.cell=1e-300"],
+                   "kernel.cell", 1e-300, lambda: _reach(
+                       family="rough-static", cell_size=1e-300)),
+    "epoch-index": (["kernel.family=rough-time-dependent",
+                     "kernel.epoch=1e-300"], "kernel.epoch", 1e-300,
+                    lambda: _reach(family="rough-time-dependent",
+                                   epoch_length=1e-300)),
     "sample-every": (["flow.sample_every=0"], "flow.sample_every", 0,
                      lambda: run_flow(_problem(), sample_every=0)),
     "k-max": (["diagnose.k_max=0"], "diagnose.k_max", 0,
@@ -396,7 +412,7 @@ def test_the_config_reports_each_rule_in_its_owners_words(sets, key, value,
     try:
         cfg = parse_config(overrides=sets)
         cfg.check_flow(cfg.get("flow.kind"), cfg.make_grid(),
-                       cfg.get("flow.end") - cfg.get("flow.start"))
+                       cfg.get("flow.start"), cfg.get("flow.end"))
     except ConfigError as exc:
         lines = exc.errors
     assert f"{key}: {owner.value} (got {value!r})" in lines

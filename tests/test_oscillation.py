@@ -239,12 +239,6 @@ def test_transfer_input_guards(grid1):
         initial=make_initial(grid_1d(), "random", seed=0), t_end=0.05))
     with pytest.raises(NlflowError, match="transfer needs a nonlinear"):
         verify_linearization(lin)
-    heun = run_flow(FlowProblem(
-        kind="nonlinear", grid=grid_1d(), kernel=power_law_kernel(),
-        initial=make_initial(grid_1d(), "random", seed=0), t_end=0.05,
-        potential=huber(), stepper="heun"))
-    with pytest.raises(NlflowError, match="defined for the euler stepper"):
-        verify_linearization(heun)
 
 
 # --------------------------------------------------------------------------
