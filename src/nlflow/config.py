@@ -238,8 +238,9 @@ class ExperimentConfig:
                    **keys: str) -> int:
         """The step count of a `kind` flow from `start` to `end` on this
         config and `grid`, at `stable_dt` of the kernel's band (`run_steps`);
-        raise ConfigError on the rules it, the operator (`operator_errors`)
-        or the kind (`kind_errors`) breaks, keyed by `keys` or `_KEYS`.
+        raise ConfigError on the rules it, the operator (`operator_errors`),
+        the kernel over the torus and span (`Kernel.reach_errors`) or the
+        kind (`kind_errors`) breaks, keyed by `keys` or `_KEYS`.
         A rough-static step lies between those at the band's edges 1/Lambda
         and Lambda (a time-dependent one steps at Lambda); where their counts
         straddle the cap, each seed's row sums count it, as in `run_flow`."""
@@ -248,7 +249,8 @@ class ExperimentConfig:
         strategy, kernel = self.get("flow.strategy"), make_kernel(spec)
         size = (self.get("flow.sample_every"), grid.n_nodes)
         n_steps, found = 0, operator_errors(grid, spec, strategy) + \
-            kind_errors(kind, strategy, spec.family)
+            kernel.reach_errors(grid.side_length, max(abs(start), abs(end))) \
+            + kind_errors(kind, strategy, spec.family)
         if not found:     # one step first: an operator takes node arrays
             n_steps, found = run_steps(start, end, math.inf, None, *size)
         potential = self.make_potential() if kind == "nonlinear" else None
@@ -326,10 +328,10 @@ def _semantic_errors(cfg: ExperimentConfig) -> list[str]:
     """Every rule the values break: each module's own rules under the config
     keys, then the three that no library object owns."""
     values, spec = cfg.values, cfg.kernel_spec()
-    found = kernel_errors(spec) or make_kernel(spec).reach_errors(values[
-        "grid.L"], max(abs(values["flow.start"]), abs(values["flow.end"])))
+    # the torus and span rules wait for `check_flow`, which builds them
+    found = kernel_errors(spec) or make_kernel(spec).reach_errors(0.0, 0.0)
     found += grid_errors(values["grid.N"], values["grid.L"], values["grid.M"],
-                         spec.truncation_radius, values["flow.strategy"])
+                         strategy=values["flow.strategy"])
     found += problem_errors(values["flow.kind"], values["flow.start"],
                             values["flow.end"])
     found += stepping_errors(values["flow.dt_max"],

@@ -12,7 +12,7 @@ untruncated kernels use the nearest-image displacement.  Every periodic
 length, of a kept offset, a dense pair or a node from the origin, is that of
 a nearest-image integer offset times h (`_lattice_length`).
 
-Three evaluation strategies give the same quadrature:
+Two evaluation strategies give the same quadrature:
 
   dense     explicit n x n matrix (the oracle; small grids)
   banded    (L w)(x) = sum_d [F_d(x) - F_d(x - d)] h^N with the flux
@@ -23,7 +23,6 @@ Three evaluation strategies give the same quadrature:
             sharing their trailing component are swept together on a copy
             of w rolled by it and padded along the leading axis only, so
             every gather and scatter is a contiguous slice
-  spectral  Fourier multiplier; translation-invariant untruncated kernels only
 
 Kernel values are always evaluated at canonical node coordinates in [0, L)^N
 with the periodic distance passed explicitly, so rough-kernel symmetry holds
@@ -43,7 +42,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from .errors import NlflowError, raise_first, violations
 from .kernels import TRANSLATION_INVARIANT_FAMILIES, Kernel, kernel_epoch
 
-STRATEGIES = ("dense", "banded", "spectral")
+STRATEGIES = ("dense", "banded")
 # Most nodes of a dense operator: its n x n matrix takes 8 n^2 bytes, 128 MiB
 # at the 64 x 64 grid of the largest dense-oracle test (the default 256 x 256
 # grid would take 32 GiB)
@@ -162,7 +161,7 @@ def grid_errors(dimension: int, side_length: float, points_per_axis: int,
 def operator_errors(grid: Grid, spec, strategy: str) -> list:
     """`grid_errors` and the pairs of the rules an operator of `strategy` on
     `grid` and a `spec` kernel adds."""
-    radius, spectral = spec.truncation_radius, strategy == "spectral"
+    radius = spec.truncation_radius
     # inside the normal floats, so that kernel values and row sums are too
     log_envelope = math.log(1.0 - 0.5 * spec.order) - (
         spec.dimension + spec.order) * math.log(grid.spacing)
@@ -177,12 +176,6 @@ def operator_errors(grid: Grid, spec, strategy: str) -> list:
         ("strategy", strategy != "dense" or grid.n_nodes <= DENSE_MAX_NODES,
          f"the dense operator takes at most {DENSE_MAX_NODES} nodes, not "
          f"{grid.n_nodes}"),
-        ("family", not spectral
-         or spec.family in TRANSLATION_INVARIANT_FAMILIES,
-         f"the spectral strategy needs the translation-invariant "
-         f"{' or '.join(TRANSLATION_INVARIANT_FAMILIES)} kernel family"),
-        ("truncation_radius", not spectral or not math.isfinite(radius),
-         "the spectral strategy needs truncation radius inf"),
         ("truncation_radius", radius >= grid.spacing, f"no lattice neighbor "
          f"within the truncation radius at grid spacing {grid.spacing:g}"),
         ("side_length", -708.0 < log_envelope < 709.0, f"the kernel envelope "
@@ -398,8 +391,7 @@ class Field:
 class DiscreteOperator:
     """Bound (grid, kernel, strategy) triple holding one table: the half
     offset table or the dense matrix and row sums of one kernel epoch
-    (`kernels.kernel_epoch`), or the spectral symbol; another is built in
-    its place."""
+    (`kernels.kernel_epoch`); another is built in its place."""
 
     def __init__(self, grid: Grid, kernel: Kernel, strategy: str = "banded"):
         raise_first(operator_errors(grid, kernel.spec, strategy))
@@ -407,20 +399,14 @@ class DiscreteOperator:
         self.kernel = kernel
         self.strategy = strategy
         self._held: tuple = (None, None)
-        if strategy in ("banded", "dense"):
-            self.deltas, self.dists = grid.offsets_within(
-                kernel.spec.truncation_radius)
-            self.stencil = OffsetStencil(grid, self.deltas)
-        else:
-            self.deltas = self.dists = self.stencil = None
+        self.deltas, self.dists = grid.offsets_within(
+            kernel.spec.truncation_radius)
+        self.stencil = OffsetStencil(grid, self.deltas)
 
     def offset_values(self, t: float = 0.0) -> np.ndarray:
         """Kernel values K(t, x, x + d) per kept offset d, the half table of
         the stencil: (n_off,) scalars for translation-invariant kernels, else
         (n_off, n_nodes) with rows matching self.deltas."""
-        if self.strategy == "spectral":
-            raise NlflowError(
-                "offset_values is undefined for the spectral strategy")
         key = ("offvals", kernel_epoch(self.kernel, t))
         if self._held[0] == key:
             return self._held[1]
@@ -467,26 +453,9 @@ class DiscreteOperator:
         self._held = (key, (A, A.sum(axis=1)))
         return self._held[1]
 
-    def _symbol(self) -> np.ndarray:
-        """Fourier symbol of the spectral (static) operator, flat."""
-        if self._held[0] != "symbol":
-            grid, row = self.grid, self._spectral_row()
-            symbol = np.fft.fftn(row.reshape(grid.shape)).real - row.sum()
-            self._held = ("symbol", symbol * grid.spacing ** grid.dimension)
-        return self._held[1]
-
-    def _spectral_row(self) -> np.ndarray:
-        """K(|y|) at every node y but the origin, where it is 0, flat."""
-        row = self.kernel.radial_profile(self.grid.origin_distance())
-        row[0] = 0.0
-        return row
-
     def rowsums(self, t: float = 0.0) -> np.ndarray:
         """sum_{y != x} K(t, x, y) h^N per node, flat."""
         h_n = self.grid.spacing ** self.grid.dimension
-        if self.strategy == "spectral":
-            return np.full(self.grid.n_nodes,
-                            self._spectral_row().sum() * h_n)
         if self.strategy == "dense":
             return self._dense(t)[1]
         vals = self.offset_values(t)
@@ -504,9 +473,9 @@ class DiscreteOperator:
         if w.size != self.grid.n_nodes:
             raise NlflowError(
                 f"field has {w.size} values, grid has {self.grid.n_nodes} nodes")
-        # both oracles weigh differences, so a constant cancels exactly, as on
-        # the stencil: A w - rowsums w, or the transform of w itself, rounds
-        # at the scale of |w| and broke a flow's bracket from |w| = 1e4
+        # the oracle weighs differences, so a constant cancels exactly, as on
+        # the stencil: A w - rowsums w rounds at the scale of |w| and broke a
+        # flow's bracket from |w| = 1e4
         if self.strategy == "dense":
             A, out = self._dense(t)[0], np.empty(w.size)
             step = max(1, 2 ** 22 // w.size)
@@ -514,10 +483,6 @@ class DiscreteOperator:
                 rows = slice(start, start + step)
                 out[rows] = np.einsum("ij,ij->i", A[rows], w - w[rows, None])
             return out
-        if self.strategy == "spectral":
-            m = self._symbol()
-            wg = (w - w[0]).reshape(self.grid.shape)
-            return np.fft.ifftn(np.fft.fftn(wg) * m).real.ravel()
         return self.offset_rhs(w.reshape(self.grid.shape), t).ravel()
 
     def offset_rhs(self, wg: np.ndarray, t: float, d1=None) -> np.ndarray:

@@ -149,17 +149,23 @@ class Kernel:
     def reach_errors(self, extent: float, t_max: float) -> list:
         """(field, error) pairs of the rules the kernel breaks at
         `validate_kernel`'s samples and at coordinates and times up to `extent`
-        and `t_max`: r_lo^(N+s) and the values at the least separation r_lo
-        are normal floats, and the int64 cell and epoch indices hold."""
+        and `t_max`: r_lo^(N+s) at the least separation r_lo is a normal
+        float and, where it is, so is the largest value there, (1-s/2) m_hi
+        r_lo^-(N+s), filed under the field setting m_hi; and the int64 cell
+        and epoch indices hold."""
         r_lo, r_hi, box = _sample_box(self.spec)
         r_tr = self.spec.truncation_radius     # sampled 3 radii past the box
         reach = box + (3.0 * r_tr if math.isfinite(r_tr) else r_hi)
         extent, t_max = max(extent, reach), max(t_max, 1.0)
+        log_power = self._exponent * math.log(r_lo)
         return violations(
-            ("truncation_radius", self._exponent * math.log(r_lo) > max(
-                -708.0, math.log(self._scale * self.upper_multiplier) - 709.0),
-             f"the kernel values at separations down to {r_lo:g} must be "
-             "normal floats"),
+            ("truncation_radius", log_power > -708.0, f"the kernel values at "
+             f"separations down to {r_lo:g} must be normal floats"),
+            ("multiplier" if self.translation_invariant else "ellipticity",
+             log_power <= -708.0 or math.log(
+                 self._scale * self.upper_multiplier) - log_power < 709.0,
+             f"the kernel values at separations down to {r_lo:g} must "
+             "stay below e^709"),
             ("cell_size", self.translation_invariant or extent
              / self.spec.cell_size < 2.0 ** 63, f"the cell indices of "
              f"coordinates up to {extent:g} must lie in int64"),

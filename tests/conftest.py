@@ -87,7 +87,7 @@ def synthetic_trajectory(grid: Grid, times, fields,
                                   order=order)
 
 
-def cosine_mode_eigenvalue(points, kernel, mode=3, strategy="spectral"):
+def cosine_mode_eigenvalue(points, kernel, mode=3, strategy="banded"):
     """-<Lw, w>/<w, w> for w = cos(2 pi mode x / L) on a 1-d grid, L = 16."""
     g = Grid(dimension=1, side_length=16.0, points_per_axis=points)
     w = np.cos(2.0 * np.pi * mode * g.node_coords()[:, 0] / g.side_length)

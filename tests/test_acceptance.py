@@ -2,7 +2,7 @@
 
 One test per gate; each prints a single pass/fail summary line (run with
 ``pytest -s`` to see them) and asserts the gate at its stated tolerance.
-Covers: operator strategy equivalence, spectral refinement, the dissipation
+Covers: operator strategy equivalence, eigenvalue refinement, the dissipation
 ensembles (70 runs built and graded as `nlflow run` builds and grades them),
 linearization transfer, truncated-energy recurrence, the detector ensembles
 with injected counterexamples, the fitted oscillation decay slopes, the
@@ -111,7 +111,7 @@ def test_operator_strategies_agree_with_dense_oracle():
              ("banded",)),
             (KernelSpec(dimension=dim, order=1.0, ellipticity=4.0,
                         truncation_radius=math.inf, family="power-law"),
-             ("banded", "spectral")),
+             ("banded",)),
         ]
         cases = [(spec, strategies, 0.0) for spec, strategies in cases]
         if dim == 1:
@@ -152,13 +152,13 @@ def test_operator_strategies_agree_with_dense_oracle():
 
 
 def test_eigenvalue_error_shrinks_under_refinement():
-    # spectral and dense agree to rounding at a fixed resolution, so the
+    # banded and dense agree to rounding at a fixed resolution, so the
     # meaningful error is against a much finer dense evaluation
     kernel = kernel_1d(truncation=math.inf)
     reference = cosine_mode_eigenvalue(1024, kernel, strategy="dense")
     errors = [abs(cosine_mode_eigenvalue(m, kernel) - reference) / abs(reference)
               for m in (64, 128, 256)]
-    announce("spectral-refinement",
+    announce("eigenvalue-refinement",
              errors[0] > errors[1] > errors[2],
              "relative eigenvalue errors "
              + " > ".join(f"{e:.3e}" for e in errors)

@@ -144,10 +144,8 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
      "calibration.file dimension must be 1"),
     (["run", "--set", "flow.kind=nonlinear",
       "--set", "kernel.family=rough-static"], "power-law kernel family"),
-    (["run", "--set", "flow.strategy=spectral"],
-     "kernel.radius: the spectral strategy needs truncation radius inf"),
-    (["run", "--set", "flow.strategy=spectral", "--set", "kernel.radius=inf",
-      "--set", "kernel.family=rough-static"], "power-law kernel family"),
+    (["run", "--set", "flow.strategy=spectral"], "flow.strategy: strategy "
+     "must be one of dense, banded (got 'spectral')"),
     (["diagnose", "--seed", "1", "--set", "calibration.file={tmp}/no.json"],
      "cannot read calibration file"),
     (["diagnose", "--seed", "1", "--set", "calibration.file={tmp}/cut.json"],
@@ -274,15 +272,16 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
     (["validate", "--set", "kernel.radius=1e-200"], "kernel.radius: the "
      "kernel values at separations down to 1e-203 must be normal floats"),
     (["validate", "--set", "kernel.family=rough-static",
-      "--set", "kernel.lambda=1e307"], "kernel.radius: the kernel values"),
+      "--set", "kernel.lambda=1e307"], "kernel.lambda: the kernel values"),
     # the rough kernels' int64 cell and epoch indices overflowed to -2^63;
-    # validate samples coordinates up to 21 and times up to 1
+    # validate samples coordinates up to 21 and times up to 1, and a run
+    # reaches its torus and span too: epochs of 1e-18 leave int64 by t = 100
     (["run", "--seed", "1", "--set", "kernel.family=rough-static",
       "--set", "kernel.cell=1e-300"], "kernel.cell: the cell indices of "
      "coordinates up to 21 must lie in int64"),
     (["run", "--seed", "1", "--set", "kernel.family=rough-time-dependent",
-      "--set", "kernel.epoch=1e-300", "--set", "flow.end=2"],
-     "kernel.epoch: the epoch indices of times up to 2 must lie in int64"),
+      "--set", "kernel.epoch=1e-18", "--set", "flow.end=100"],
+     "kernel.epoch: the epoch indices of times up to 100 must lie in int64"),
     (["validate", "--set", "kernel.family=rough-static",
       "--set", "kernel.cell=1e-300"], "kernel.cell: the cell indices"),
     (["validate", "--set", "kernel.family=rough-time-dependent",
@@ -296,7 +295,7 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
 ], ids=["calibrate-2d", "calibrate-order", "diagnose-2d", "diagnose-order",
         "diagnose-kernel-lambda", "calibrate-grid-m", "diagnose-store-states",
         "diagnose-calibration-order", "diagnose-calibration-2d",
-        "nonlinear-rough", "spectral-truncated", "spectral-rough",
+        "nonlinear-rough", "spectral-truncated",
         "calibration-missing", "calibration-truncated", "calibration-list",
         "denoise-directory", "out-is-a-file", "diagnose-k-max",
         "diagnose-levels", "diagnose-scale", "run-radius-below-spacing",
@@ -346,11 +345,19 @@ def test_unsupported_config_exits_2(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize("setting", [
-    ["--set", "flow.strategy=spectral"],
+    ["--set", "flow.kind=nonlinear", "--set", "flow.strategy=dense"],
     ["--set", "flow.kind=nonlinear", "--set", "kernel.family=rough-static"],
-], ids=["spectral-truncated", "nonlinear-rough"])
+    ["--set", "grid.L=5"],
+    ["--set", "grid.L=1e31", "--set", "kernel.radius=5e-4",
+     "--set", "kernel.family=rough-static"],
+    ["--set", "kernel.family=rough-time-dependent",
+     "--set", "kernel.epoch=1e-18", "--set", "flow.end=100"],
+], ids=["nonlinear-dense", "nonlinear-rough", "torus-narrower-than-radius",
+        "torus-cells-past-int64", "span-epochs-past-int64"])
 def test_flow_refusals_leave_validate_alone(tmp_path, capsys, setting):
-    # validate builds no flow, so flow-only combinations pass through it
+    # validate builds no flow, torus or span, so the rules of those pass
+    # through it: a torus narrower than twice the radius, cells over a 1e31
+    # torus and epochs over a span to 100 leave int64 only in a run
     assert main(["validate", "--out", str(tmp_path / "v")] + setting) == 0
 
 
@@ -648,11 +655,11 @@ def test_run_rerun_is_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("grid_sets", [
     [], ["--set", "grid.N=2", "--set", "grid.M=32"]], ids=["1d", "2d"])
-def test_spectral_run_records_an_energy(tmp_path, grid_sets):
-    # the energy record comes from the RHS, so spectral runs have one too
+def test_dense_run_records_an_energy(tmp_path, grid_sets):
+    # the energy record comes from the RHS, so off-stencil runs have one too
     out = tmp_path / "s"
     rc = main(["run", "--out", str(out), "--seed", "1",
-               "--set", "flow.strategy=spectral",
+               "--set", "flow.strategy=dense",
                "--set", "kernel.radius=inf"] + grid_sets)
     assert rc == 0
     assert read_report(out)["runs"][0]["dissipative"] is True
@@ -919,8 +926,8 @@ def test_denoise_guards(tmp_path, capsys):
                "--set", f"denoise.input={src}",
                "--set", "flow.strategy=spectral"])
     assert rc == 2
-    assert "kernel.radius: the spectral strategy needs truncation radius inf" \
-        in capsys.readouterr().err
+    assert "flow.strategy: strategy must be one of dense, banded (got " \
+        "'spectral')" in capsys.readouterr().err
     assert not (tmp_path / "d").exists()
 
 
@@ -989,8 +996,8 @@ def sweep_inputs(directory) -> dict:
 
 def sweep_argv(rng, inputs) -> list[str]:
     """One seeded `validate`, `run`, `denoise` or `diagnose` command line
-    over every kernel family, strategy, initial kind and flow kind, and the
-    euler stepper or the refused heun, on at most 20 points an axis, with
+    over every kernel family, strategy and the refused spectral, initial
+    kind and flow kind, and the euler stepper or the refused heun, on at most 20 points an axis, with
     each float key +-inf one time in 40.
     kernel.lambda stays at most 16 and flow.end at most 0.2 because step
     counts grow with both: a rough run at Lambda = 1e6 took 40 s, slow but
@@ -1043,7 +1050,7 @@ def sweep_argv(rng, inputs) -> list[str]:
         "initial.mode": rng.integers(1, 4),
         "flow.kind": pick(("linear", "nonlinear")),
         "flow.stepper": pick(("euler", "heun")),
-        "flow.strategy": pick(STRATEGIES),
+        "flow.strategy": pick((*STRATEGIES, "spectral")),
         "flow.start": pick((0.0, 0.0, 0.0, -rng.uniform(0.0, 0.2))),
         "flow.end": rng.uniform(0.01, 0.2),
         "flow.dt_max": pick((None, None, None, rng.uniform(0.001, 0.1))),

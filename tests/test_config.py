@@ -97,12 +97,14 @@ def test_all_violations_are_collected():
 
 
 def test_torus_width_must_cover_the_kernel():
+    # a rule of the torus a flow runs on: parsing alone builds none
+    cfg = parse_config(overrides=["grid.L=5.0"])
     with pytest.raises(ConfigError, match="kernel.radius: torus width 5 must "
                        "exceed twice the truncation radius 3"):
-        parse_config(overrides=["grid.L=5.0"])
+        cfg.check_flow("linear", cfg.make_grid(), 0.0, 0.5)
     # shrinking the radius with the box is fine
     cfg = parse_config(overrides=["grid.L=5.0", "kernel.radius=2.0"])
-    assert cfg.get("grid.L") == 5.0
+    assert cfg.check_flow("linear", cfg.make_grid(), 0.0, 0.5) > 0
 
 
 def test_seed_lists():
@@ -231,8 +233,7 @@ def test_the_config_counts_the_steps_run_flow_takes(family, dimension,
     # config refuses no run that run_flow takes
     cases = [[], ["flow.dt_max=0.002"], ["flow.sample_every=3"]]
     if family == "power-law":
-        cases += [["flow.kind=nonlinear"], ["flow.strategy=dense"],
-                  ["flow.strategy=spectral", "kernel.radius=inf"]]
+        cases += [["flow.kind=nonlinear"], ["flow.strategy=dense"]]
     base = [f"kernel.family={family}", f"grid.N={dimension}",
             f"grid.M={points}", "flow.start=-0.05", "flow.end=0.1",
             "kernel.lambda=6", "kernel.epoch=0.05"]
@@ -344,6 +345,9 @@ PARITY = {
     # where a kernel is evaluated: validate's samples, the torus and the span
     "sampled-values": (["kernel.radius=1e-200"], "kernel.radius", 1e-200,
                        lambda: _reach(truncation_radius=1e-200)),
+    "sampled-peak": (["kernel.family=rough-static", "kernel.lambda=1e307"],
+                     "kernel.lambda", 1e307, lambda: _reach(
+                         family="rough-static", ellipticity=1e307)),
     "cell-index": (["kernel.family=rough-static", "kernel.cell=1e-300"],
                    "kernel.cell", 1e-300, lambda: _reach(
                        family="rough-static", cell_size=1e-300)),
@@ -360,13 +364,6 @@ PARITY = {
     "scale": (["diagnose.scale=1.5"], "diagnose.scale", 1.5,
               lambda: oscillation_decay(None, scale=1.5, levels=4)),
     # the rules `check_flow` asks of a flow the config accepts
-    "spectral-radius": (["flow.strategy=spectral"], "kernel.radius", 3.0,
-                        lambda: _operator("spectral")),
-    "spectral-family": (["flow.strategy=spectral", "kernel.radius=inf",
-                         "kernel.family=rough-static"], "kernel.family",
-                        "rough-static", lambda: _operator(
-                            "spectral", family="rough-static",
-                            truncation_radius=math.inf)),
     "dense-cap": (["flow.strategy=dense", "grid.N=2", "grid.M=65"],
                   "flow.strategy", "dense",
                   lambda: _operator("dense", Grid(2, 16.0, 65))),

@@ -79,12 +79,12 @@ def test_periodic_distance_wraps():
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_one_torus_metric_at_a_non_dyadic_spacing(dimension):
     # at h = 16/45 a node's coordinate, wrapped to the minimal image, rounds
-    # apart from its integer offset times h; the spectral row, the dense
-    # oracle and the stencil's offsets measure every node by one rule
+    # apart from its integer offset times h; the origin's distances, the
+    # dense oracle and the stencil's offsets measure every node by one rule
     grid = Grid(dimension=dimension, side_length=16.0, points_per_axis=45)
     kernel = power_law_kernel(truncation=math.inf, dimension=dimension)
-    spectral = DiscreteOperator(grid, kernel, "spectral")
-    row = spectral._spectral_row() * grid.spacing ** dimension
+    row = kernel.radial_profile(grid.origin_distance()) \
+        * grid.spacing ** dimension
     assert np.array_equal(row, DiscreteOperator(grid, kernel, "dense")._dense(
         0.0)[0][0])
     deltas, dists = grid.offsets_within(math.inf)
@@ -120,17 +120,6 @@ def test_constant_field_annihilated_dense():
     # exactly (A w - rowsum * w left ulps of the row mass times 2.75e90)
     for value in (2.75, 2.75e90):
         assert np.all(op.apply(np.full(g.n_nodes, value)) == 0.0)
-
-
-def test_constant_field_annihilated_spectral():
-    k = power_law_kernel(truncation=math.inf)
-    # the transform of w - w(0) is zero for a constant; that of w itself
-    # left rounding of the size of the constant at 19 points
-    for points in (19, 64):
-        g = grid_1d(points)
-        op = DiscreteOperator(g, k, strategy="spectral")
-        for value in (-1.5, -1.5e90):
-            assert np.all(op.apply(np.full(g.n_nodes, value)) == 0.0)
 
 
 def hand_rolled_apply(grid: Grid, kernel, values: np.ndarray) -> np.ndarray:
@@ -182,19 +171,13 @@ def test_rough_spike_matches_double_loop_oracle():
 
 def test_cosine_eigenvalue_error_decreases_with_resolution():
     # the dense sum refines toward its own 1024-point evaluation; the
-    # spectral strategy is held to the same reference by the acceptance gate
+    # banded strategy is held to the same reference by the acceptance gate
     k = power_law_kernel(truncation=math.inf)
     ref = cosine_mode_eigenvalue(1024, k, strategy="dense")
     errors = [abs(cosine_mode_eigenvalue(m, k, strategy="dense") - ref)
               / abs(ref) for m in (64, 128, 256)]
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] < 1e-2
-
-
-def test_spectral_rejected_for_rough_kernel():
-    g = grid_1d(64)
-    with pytest.raises(NlflowError, match="spectral strategy needs the"):
-        DiscreteOperator(g, rough_kernel(), strategy="spectral")
 
 
 def test_dense_refused_above_the_node_cap():
