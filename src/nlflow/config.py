@@ -221,14 +221,13 @@ class ExperimentConfig:
     def make_potential(self) -> Potential:
         return make_potential(self.potential_spec())
 
-    def make_initial(self, grid: Grid, seed: int | None = None) -> Field:
+    def make_initial(self, grid: Grid, seed: int) -> Field:
         kind = self.get("initial.kind")
         return make_initial(
             grid,
             kind=kind,
             amplitude=self.get("initial.amplitude"),
-            seed=self.get("initial.seed", kind == "random") if seed is None
-            else seed,
+            seed=seed,
             sigma=self.get("initial.sigma", kind == "bump"),
             radius=self.get("initial.radius", kind == "step"),
             mode=self.get("initial.mode", kind == "cosine"),
@@ -290,7 +289,7 @@ class ExperimentConfig:
         return self.get("kernel.family") != "power-law" or \
             self.get("initial.kind") == "random"
 
-    def flow_problem(self, seed: int | None = None) -> FlowProblem:
+    def flow_problem(self, seed: int) -> FlowProblem:
         """Full problem; `seed` reseeds both the kernel and the initial data
         (see `seeds_reach_problem`)."""
         grid = self.make_grid()

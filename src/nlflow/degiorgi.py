@@ -122,7 +122,7 @@ def _cyclic_cover(hits: np.ndarray, halo: int) -> tuple[int, int]:
 
 
 def _truncation_box(traj: Trajectory, idx: np.ndarray, psi: np.ndarray
-                    ) -> tuple[int | None, np.ndarray | None, np.ndarray]:
+                    ) -> tuple[int, np.ndarray, np.ndarray]:
     """(points an axis, its nodes, psi at them) of the sub-torus every
     truncation (w - psi_{L_k})_+ of the samples idx lives on.
 
@@ -131,8 +131,8 @@ def _truncation_box(traj: Trajectory, idx: np.ndarray, psi: np.ndarray
     of each axis holding S, widened by the longest seminorm offset on both
     sides and made square; read as a torus of its own, a seminorm pair that
     leaves it or wraps around it joins two nodes off S, so sums over the box
-    miss only exact zeros.  A box not smaller than the grid is the grid
-    (points and nodes None).
+    miss only exact zeros.  A box not smaller than the grid is the grid:
+    M points from node 0, the grid's nodes in order.
     """
     grid = traj.grid
     M, dim = grid.points_per_axis, grid.dimension
@@ -143,10 +143,10 @@ def _truncation_box(traj: Trajectory, idx: np.ndarray, psi: np.ndarray
     support = support.reshape(grid.shape)
     covers = [_cyclic_cover(np.any(support, axis=(1 - a,) * (dim - 1)), halo)
               for a in range(dim)]
-    points = max(8, *(length for _, length in covers))
-    if points >= M:
-        return None, None, psi
-    axes = [(first + np.arange(points)) % M for first, _ in covers]
+    points = min(M, max(8, *(length for _, length in covers)))
+    # a box as wide as the torus starts at node 0: the grid's nodes in order
+    axes = [((first if points < M else 0) + np.arange(points)) % M
+            for first, _ in covers]
     nodes = axes[0] if dim == 1 else (axes[0][:, None] * M + axes[1]).ravel()
     return points, nodes, psi[nodes]
 
@@ -209,8 +209,7 @@ def truncated_energies(traj: Trajectory, k_max: int) -> np.ndarray:
         live = slice(lo, lo + pack.shape[0])
         n, part = at[live].size, idx[at[live]]
         pos = pack[:n]
-        pos[...] = traj.fields[part] if nodes is None else \
-            traj.fields[part[:, None], nodes]
+        pos[...] = traj.fields[part[:, None], nodes]
         np.subtract(pos, levels[rungs[live]], out=pos)
         np.maximum(pos, 0.0, out=pos)
         pack[n:] = 0.0

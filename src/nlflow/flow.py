@@ -12,13 +12,15 @@ h^N, and the energy of the state comes out of the same pass
 
     stable_dt = 0.9 / max_x ( lambda_phi * sum_{y != x} K(t, x, y) h^N )
 
-where lambda_phi is the potential family's certified sup of phi'' (1 for
-linear runs and the quadratic family).  Every flow takes explicit Euler
-steps w' = w + dt rhs(w), the one discrete flow the detectors reason about:
-under that bound each step is a convex combination of node values, so
-min/max brackets, comparison, and L^2/energy dissipation all hold.  A
-quadratic-potential nonlinear run reproduces the linear run bitwise: both go
-through the one flux routine `_offset_rhs`, and phi' is the identity.
+where lambda_phi is the potential's certified sup of phi'' (1 for linear
+runs and the quadratic potential).  Every flow takes explicit Euler steps
+w' = w + dt rhs(w), the one discrete flow the detectors reason about: under
+that bound each step is a convex combination of node values, so min/max
+brackets, comparison, and L^2/energy dissipation all hold.  A
+quadratic-potential nonlinear run steps as the linear run does, bitwise:
+both go through the one flux routine `_offset_rhs`, and phi'(x) = 1.0 x +
+0.0 arctan(x) is x bit for bit.  Its energy V, summed through psi, is half
+the linear run's B up to rounding.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def _offset_rhs(op: DiscreteOperator, wg: np.ndarray, t: float,
                 d1=None) -> np.ndarray:
     """`op.offset_rhs`, which the banded `apply` also calls, under the one
     name every step looks up.  The linear and nonlinear paths share this sum
-    so the quadratic degeneracy is bitwise."""
+    so a quadratic-potential step is the linear step, bitwise."""
     return op.offset_rhs(wg, t, d1)
 
 
@@ -71,17 +73,15 @@ def _rhs_and_energy(op: DiscreteOperator, pot: Potential | None,
     For a symmetric table and an odd g the fluxes sum to the pair sum of
     x g(x): sum_d mult_d sum_x F_d(x) (v(x+d) - v(x)) = -2 h^N <rhs, v>.
     That is B[v, v] for linear runs (pot None; `bilinear_form`'s identity,
-    so every strategy has it) and twice V(v) for the quadratic potential;
-    otherwise V(v) = -2 h^N <rhs, v> - 2 sum_d sum_x K_d psi(v(x+d) - v(x))
-    h^(2N), phi = x phi' - psi, psi summed on each block of the pass.
+    so every strategy has it); with a potential V(v) = -2 h^N <rhs, v> -
+    2 sum_d sum_x K_d psi(v(x+d) - v(x)) h^(2N), phi = x phi' - psi, psi
+    summed on each block of the pass.
     """
     h_n = op.grid.spacing ** op.grid.dimension
-    if pot is None or pot.spec.family == "quadratic":
-        r = op.apply(v, t) if pot is None and op.strategy != "banded" else \
-            _offset_rhs(op, v.reshape(op.grid.shape), t,
-                        pot and pot.d1).ravel()
-        energy = -2.0 * h_n * float(np.dot(r, v))
-        return r, energy if pot is None else 0.5 * energy
+    if pot is None:
+        r = op.apply(v, t) if op.strategy != "banded" else \
+            _offset_rhs(op, v.reshape(op.grid.shape), t).ravel()
+        return r, -2.0 * h_n * float(np.dot(r, v))
     table, psi_total, done = op.offset_values(t), 0.0, 0
 
     def d1(diffs):

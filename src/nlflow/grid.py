@@ -513,15 +513,12 @@ def bilinear_form(kernel: Kernel, u: Field, v: Field, t: float = 0.0) -> float:
     return total * u.grid.spacing ** (2 * u.grid.dimension)
 
 
-def seminorm_stencil(grid: Grid, points: int | None = None
-                     ) -> OffsetStencil:
-    """The stencil of `seminorm_sq`'s pairs, on the grid or, with `points`,
-    on a sub-torus of `points` nodes an axis at the grid's spacing with the
+def seminorm_stencil(grid: Grid, points: int) -> OffsetStencil:
+    """The stencil of `seminorm_sq`'s pairs on a torus of `points` nodes an
+    axis (the grid's own at points_per_axis) at the grid's spacing with the
     grid's offsets; every offset must be shorter than points / 2 an axis."""
-    deltas = grid.offsets_within(SEMINORM_CUTOFF)[0]
-    if points is not None:
-        grid = Grid(grid.dimension, points * grid.spacing, points)
-    return OffsetStencil(grid, deltas)
+    return OffsetStencil(Grid(grid.dimension, points * grid.spacing, points),
+                         grid.offsets_within(SEMINORM_CUTOFF)[0])
 
 
 def seminorm_sq(grid: Grid, stack: np.ndarray, order: float,
@@ -537,7 +534,8 @@ def seminorm_sq(grid: Grid, stack: np.ndarray, order: float,
     """
     dists = grid.offsets_within(SEMINORM_CUTOFF)[1]
     h_2n = grid.spacing ** (2 * grid.dimension)
-    stencil = seminorm_stencil(grid) if stencil is None else stencil
+    stencil = seminorm_stencil(grid, grid.points_per_axis) \
+        if stencil is None else stencil
     weights = stencil.multiplicity * dists ** (-(grid.dimension + order))
     wg = stack.reshape(stack.shape[:-1] + stencil.grid.shape)
     sums = np.empty(stack.shape[:-1] + dists.shape)

@@ -103,16 +103,15 @@ def _linearized(traj: Trajectory) -> tuple[Kernel, Potential]:
 
 
 def derived_factors(traj: Trajectory, index: int, e: int, h: float,
-                    stencil: OffsetStencil) -> np.ndarray | None:
+                    stencil: OffsetStencil) -> np.ndarray:
     """K^h / K per kept offset d of `stencil` and node x, theta being sample
     `index` of `traj`: the sigma-average of phi'' from a = theta(x + d) -
     theta(x) to b, the same difference a step h along axis e (K^h is
-    symmetric, as phi'' is even).  None for quadratic phi: phi'' = 1, so K^h
-    is the base kernel verbatim."""
+    symmetric, as phi'' is even).  For quadratic phi every entry is 1.0
+    exactly (the average is clipped to d2_bounds = (1, 1)), so K^h is the
+    base kernel."""
     grid, potential = traj.grid, traj.potential
     axis, m = _lattice_step(grid, e, h)
-    if potential.d2_bounds[0] == potential.d2_bounds[1]:
-        return None
     theta = traj.fields[index].reshape(grid.shape)
     pair = np.stack([theta, np.roll(theta, -m, axis=axis)])
     out = np.empty((stencil.deltas.shape[0], grid.n_nodes))
@@ -168,9 +167,7 @@ def scan_derived_envelope(theta_traj: Trajectory,
         for i in range(theta_traj.n_samples):
             factors = derived_factors(theta_traj, i, e, m * grid.spacing,
                                       op.stencil)
-            ratios = np.broadcast_to(
-                base_ratio if factors is None else base_ratio * factors,
-                (base_ratio.size, grid.n_nodes))
+            ratios = base_ratio * factors
             ratio_min = min(ratio_min, float(np.min(ratios)))
             ratio_max = max(ratio_max, float(np.max(ratios)))
             breaks += int(np.sum(
@@ -205,9 +202,9 @@ def verify_linearization(theta_traj: Trajectory, e: int = 0,
     The kernel is frozen from the latest trajectory *sample* at or before
     each step time, so the transfer defect carries an O(sample spacing) lag
     term on top of the sigma-quadrature floor; refining dt (with the sampling
-    stride fixed) shrinks it at first order.  For quadratic phi the derived
-    kernel is the base kernel verbatim and the linear update reuses the same
-    per-offset values, bitwise.
+    stride fixed) shrinks it at first order.  For quadratic phi every
+    factor of K^h / K is 1.0, so the linear update's per-node table holds the
+    base kernel's per-offset values, bitwise.
     """
     if theta_traj.kind != "nonlinear":
         raise NlflowError("transfer needs a nonlinear trajectory, got "
@@ -232,8 +229,7 @@ def verify_linearization(theta_traj: Trajectory, e: int = 0,
         defects[i] = float(np.max(np.abs(ref - w.ravel())))
         if i + 1 == theta_traj.n_samples:
             break
-        factors = derived_factors(theta_traj, i, e, h, op.stencil)
-        table = kd if factors is None else kd[:, None] * factors
+        table = kd[:, None] * derived_factors(theta_traj, i, e, h, op.stencil)
         for n in range(starts[i], starts[i + 1]):
             w = w + dts[n] * (op.stencil.offset_sum(w, table) * h_n)
 

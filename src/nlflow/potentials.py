@@ -4,20 +4,20 @@ Admissible potentials satisfy phi(0) = 0, phi even and convex, and
 
     Lambda^-1/2 <= phi''(x) <= Lambda^1/2   for all x.
 
-Families:
+Every family is one formula,
 
-  quadratic        phi(x) = x^2 / 2                (phi'' = 1; the linear flow)
-  smoothed-huber   phi''(x) = a + b / (1 + x^2),   a = Lambda^-1/2,
-                   b = Lambda^1/2 - Lambda^-1/2    (curvature 2 at 0 for Lambda=4)
+    phi''(x) = a + b / (1 + x^2),   phi'(x) = a x + b arctan(x),
 
-`d2_bounds` are certified analytically per family, not measured, so callers
-(time-step bounds, derived-kernel clamps) can rely on them exactly.
+with (a, b) = (1, 0) for the quadratic phi = x^2 / 2 (the linear flow) and
+(Lambda^-1/2, Lambda^1/2 - Lambda^-1/2) for the smoothed-huber (curvature 2
+at 0 for Lambda = 4).  `d2_bounds` = (a, a + b) are certified analytically,
+not measured, so callers (time-step bounds, derived-kernel clamps) can rely
+on them exactly.
 
 phi(x) = x phi'(x) - psi(x) with psi(x) = (a x^2 + b log1p(x^2)) / 2, the
-antiderivative of x phi''(x) (a = 1, b = 0 for the quadratic): a flow's
-fluxes already sum x phi'(x) over every pair, so its energy adds only the
-sum of psi over the differences, and phi is never formed there
-(`flow._rhs_and_energy`).
+antiderivative of x phi''(x): a flow's fluxes already sum x phi'(x) over
+every pair, so its energy adds only the sum of psi over the differences, and
+phi is never formed there (`flow._rhs_and_energy`).
 """
 
 from __future__ import annotations
@@ -59,12 +59,9 @@ class Potential:
         raise_first(potential_errors(spec))
         self.spec = spec
         lam = spec.ellipticity
-        if spec.family == "quadratic":
-            self.d2_bounds = (1.0, 1.0)
-        else:
-            self._a = lam ** -0.5
-            self._b = lam ** 0.5 - lam ** -0.5
-            self.d2_bounds = (self._a, self._a + self._b)
+        self._a, self._b = (1.0, 0.0) if spec.family == "quadratic" else \
+            (lam ** -0.5, lam ** 0.5 - lam ** -0.5)
+        self.d2_bounds = (self._a, self._a + self._b)
 
     @property
     def sup_d2(self) -> float:
@@ -75,8 +72,6 @@ class Potential:
         return x * self.d1(x) - self.psi(x.copy())
 
     def d1(self, x) -> np.ndarray:
-        if self.spec.family == "quadratic":
-            return np.asarray(x, dtype=np.float64)
         x = np.asarray(x, dtype=np.float64)
         # a x + b arctan(x) in two buffers: on grid-sized blocks a temporary
         # per operation made malloc trim and regrow its heap on every block
@@ -86,19 +81,15 @@ class Potential:
 
     def psi(self, x: np.ndarray, total=None):
         """total(psi(x)) for psi(x) = x phi'(x) - phi(x) = (a x^2 + b log1p(
-        x^2)) / 2 (a = 1, b = 0 for the quadratic) and a linear `total`, the
-        identity by default; x, float64, is overwritten."""
+        x^2)) / 2 and a linear `total`, the identity by default; x, float64,
+        is overwritten."""
         total = total or (lambda y: y)
         np.square(x, out=x)
-        if self.spec.family == "quadratic":
-            return 0.5 * total(x)
         part = (0.5 * self._a) * total(x)
         return part + (0.5 * self._b) * total(np.log1p(x, out=x))
 
     def d2(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if self.spec.family == "quadratic":
-            return np.ones_like(x)
         return self._a + self._b / (1.0 + x * x)
 
 

@@ -7,13 +7,18 @@ make it fail here instead, and check that the right-hand side the probe times
 is the one the flow steps with, and that every banded step goes through the
 patched name.  Each gated workload's case 0 also runs through `cli.main`, and
 its report must pass `perfbench/checks.py` against `perfbench/expected.json`,
-so a report that drifts fails here before it fails the benchmark.  Nothing is
-installed; two tests patch with monkeypatch.
+so a report that drifts fails here before it fails the benchmark.  The
+traced checks `perfbench/run.py --trace 1` makes run on case 0 too: the
+layer probe's isolated calls, and a traced invocation whose spans must
+account for its wall time and its recorded node steps.  Nothing is installed
+in this process (the traced run is a subprocess); three tests patch with
+monkeypatch.
 """
 
 import importlib
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -109,3 +114,37 @@ def test_case_0_report_passes_the_benchmark_check(workload, tmp_path,
     want = checks.load_expected()[workload]["0"]["report"]
     assert checks.failed_ops(report, want, wl.op_count()) == \
         [False] * wl.op_count()
+
+
+@pytest.mark.parametrize("workload", GATED)
+def test_layer_probe_measures_every_call(workload, tmp_path, monkeypatch):
+    # the isolated calls of a traced benchmark run, on a short budget: the
+    # energy probes take the workload's own table, per node for diagnose-1d
+    workloads.WORKLOADS[workload].prepare(str(tmp_path), 0)
+    monkeypatch.setattr(layers, "BUDGET_S", 0.01)
+    out = layers.measure(workload, 0, str(tmp_path))
+    assert out["missing"] == []
+    for name in ("flow.rhs_ms", "flow.linear_energy_ms",
+                 "flow.nonlinear_energy_ms"):
+        assert out[name] > 0.0, name
+
+
+@pytest.mark.parametrize("workload", GATED)
+def test_traced_case_0_accounts_for_its_wall_and_steps(workload, tmp_path):
+    # `tracer.install` rebinds package names, so the traced invocation runs
+    # in its own process, as the benchmark runs it
+    wl = workloads.WORKLOADS[workload]
+    wl.prepare(str(tmp_path), 0)
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "tracer.py"),
+         str(spans), "--", *wl.argv(0, "out")], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    raw = json.loads(spans.read_text())
+    assert raw["missing"] == []
+    summary = tracer.summarize(raw["spans"], raw["wall_s"])
+    assert tracer.bookkeeping_ok(summary)
+    assert summary["flow.node_steps"] == \
+        checks.load_expected()[workload]["0"]["node_steps"]

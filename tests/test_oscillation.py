@@ -106,9 +106,11 @@ def test_quotient_step_guards():
 
 def test_derived_kernel_quadratic_collapses_to_base():
     traj = nonlinear_run(quadratic(), t_end=0.02)
-    # no factor table: K^h is the base kernel's own per-offset table
+    # every factor is 1.0 exactly: K^h is the base kernel's own table
     stencil = OffsetStencil(traj.grid, np.array([[1], [2]]))
-    assert derived_factors(traj, 0, 0, traj.grid.spacing, stencil) is None
+    factors = derived_factors(traj, 0, 0, traj.grid.spacing, stencil)
+    assert factors.shape == (2, traj.grid.n_nodes)
+    assert np.all(factors == 1.0)
 
 
 def test_sigma_average_matches_dense_riemann():
