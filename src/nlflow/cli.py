@@ -319,7 +319,6 @@ def _cmd_denoise(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, bool]:
         initial=noisy,
         t_end=cfg.get("denoise.time"),
         potential=cfg.make_potential(),
-        strategy=cfg.get("flow.strategy"),
         dt_max=cfg.get("flow.dt_max"))
     traj = _integrate(run_flow, problem,
                       sample_every=cfg.get("flow.sample_every"))

@@ -19,7 +19,7 @@ from .ensembles import LEVELS, MAX_K, OSCILLATION_GAP, ORDER, \
 from .errors import ConfigError, violations
 from .fields import initial_errors, make_initial
 from .flow import FlowProblem, kind_errors, problem_errors, run_steps, \
-    stable_dt, stepping_errors
+    stable_dt, stepping_errors, work_errors
 from .grid import RUN_MAX_BYTES, DiscreteOperator, Field, Grid, \
     grid_errors, operator_errors
 from .kernels import TRANSLATION_INVARIANT_FAMILIES, KernelSpec, \
@@ -80,7 +80,7 @@ _KEYS = {"dimension": "grid.N", "order": "kernel.s",
          "family": "kernel.family", "multiplier": "kernel.multiplier",
          "cell_size": "kernel.cell", "epoch_length": "kernel.epoch",
          "points_per_axis": "grid.M", "side_length": "grid.L",
-         "strategy": "flow.strategy", "kind": "flow.kind",
+         "kind": "flow.kind",
          "t_start": "flow.start", "t_end": "flow.end", "dt_max": "flow.dt_max",
          "sample_every": "flow.sample_every", "k_max": "diagnose.k_max",
          "levels": "diagnose.levels", "scale": "diagnose.scale"}
@@ -238,18 +238,19 @@ class ExperimentConfig:
         """The step count of a `kind` flow from `start` to `end` on this
         config and `grid`, at `stable_dt` of the kernel's band (`run_steps`);
         raise ConfigError on the rules it, the operator (`operator_errors`),
-        the kernel over the torus and span (`Kernel.reach_errors`) or the
-        kind (`kind_errors`) breaks, keyed by `keys` or `_KEYS`.
+        the kernel over the torus and span (`Kernel.reach_errors`), the
+        kind (`kind_errors`) or the work of the most steps a seed can take
+        (`work_errors`) breaks, keyed by `keys` or `_KEYS`.
         A rough-static step lies between those at the band's edges 1/Lambda
         and Lambda (a time-dependent one steps at Lambda); where their counts
         straddle the cap, each seed's row sums count it, as in `run_flow`."""
         # the band's step does not depend on the kernel's seed
         spec = self.kernel_spec(seed=0, dimension=grid.dimension)
-        strategy, kernel = self.get("flow.strategy"), make_kernel(spec)
+        kernel = make_kernel(spec)
         size = (self.get("flow.sample_every"), grid.n_nodes)
-        n_steps, found = 0, operator_errors(grid, spec, strategy) + \
+        n_steps, found = 0, operator_errors(grid, spec, "banded") + \
             kernel.reach_errors(grid.side_length, max(abs(start), abs(end))) \
-            + kind_errors(kind, strategy, spec.family)
+            + kind_errors(kind, spec.family)
         if not found:     # one step first: an operator takes node arrays
             n_steps, found = run_steps(start, end, math.inf, None, *size)
         potential = self.make_potential() if kind == "nonlinear" else None
@@ -262,10 +263,15 @@ class ExperimentConfig:
         if not found:
             op = DiscreteOperator(grid, kernel)
             n_steps, found = count(op, lo)
-        if not found and lo < hi and count(op, hi)[1]:
-            n_steps, found = max((count(DiscreteOperator(grid, make_kernel(
-                self.kernel_spec(seed, grid.dimension))), None) for seed in
-                self.get("ensemble.seeds")), key=lambda c: c[0])
+        if not found:
+            # no seed's row sums, so no seed's steps, pass the band's top
+            most, over = count(op, hi)
+            if over:
+                most, found = max((count(DiscreteOperator(grid, make_kernel(
+                    self.kernel_spec(seed, grid.dimension))), None) for seed
+                    in self.get("ensemble.seeds")), key=lambda c: c[0])
+                n_steps = most
+            found = found or work_errors(most, op)
         _refuse(_keyed(self.values, found, {**_KEYS, **keys}))
         return n_steps
 
@@ -303,7 +309,6 @@ class ExperimentConfig:
             t_start=self.get("flow.start"),
             t_end=self.get("flow.end"),
             potential=potential,
-            strategy=self.get("flow.strategy"),
             dt_max=self.get("flow.dt_max"))
 
 
@@ -329,8 +334,7 @@ def _semantic_errors(cfg: ExperimentConfig) -> list[str]:
     values, spec = cfg.values, cfg.kernel_spec()
     # the torus and span rules wait for `check_flow`, which builds them
     found = kernel_errors(spec) or make_kernel(spec).reach_errors(0.0, 0.0)
-    found += grid_errors(values["grid.N"], values["grid.L"], values["grid.M"],
-                         strategy=values["flow.strategy"])
+    found += grid_errors(values["grid.N"], values["grid.L"], values["grid.M"])
     found += problem_errors(values["flow.kind"], values["flow.start"],
                             values["flow.end"])
     found += stepping_errors(values["flow.dt_max"],
@@ -344,7 +348,9 @@ def _semantic_errors(cfg: ExperimentConfig) -> list[str]:
          "|amplitude| + |initial.shift| must be at most 1e100"),
         ("report.verbosity", values["report.verbosity"] >= 0,
          "must be a nonnegative integer"),
-        ("flow.stepper", values["flow.stepper"] == "euler", "must be euler"))
+        ("flow.stepper", values["flow.stepper"] == "euler", "must be euler"),
+        ("flow.strategy", values["flow.strategy"] == "banded",
+         "must be banded"))
     other = potential_errors(cfg.potential_spec()) + initial_errors(
         values["initial.kind"], values["initial.sigma"],
         values["initial.radius"])

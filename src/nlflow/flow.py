@@ -4,7 +4,7 @@ Linear runs integrate  w_t = (L w)(t);  nonlinear runs integrate
 
     theta_t(x) = sum_{z != 0} phi'(theta(x+z) - theta(x)) K(t, z) h^N
 
-with a translation-invariant kernel.  Banded runs sum the half-stencil
+with a translation-invariant kernel.  Every run sums the half-stencil
 fluxes F_d(x) = K(x, x+d) g(w(x+d) - w(x)) of `grid.OffsetStencil`, g the
 identity or phi' (odd, as K is symmetric): rhs = sum_d [F_d(x) - F_d(x-d)]
 h^N, and the energy of the state comes out of the same pass
@@ -31,8 +31,8 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import NlflowError, raise_first, violations
-from .grid import BLOCK_BUDGET, COUNTERS, RUN_MAX_BYTES, DiscreteOperator, \
-    Field, Grid
+from .grid import BLOCK_BUDGET, COUNTERS, RUN_MAX_BYTES, \
+    RUN_MAX_PAIR_UPDATES, DiscreteOperator, Field, Grid
 from .kernels import TRANSLATION_INVARIANT_FAMILIES, Kernel, order_errors
 from .potentials import Potential
 
@@ -72,15 +72,14 @@ def _rhs_and_energy(op: DiscreteOperator, pot: Potential | None,
 
     For a symmetric table and an odd g the fluxes sum to the pair sum of
     x g(x): sum_d mult_d sum_x F_d(x) (v(x+d) - v(x)) = -2 h^N <rhs, v>.
-    That is B[v, v] for linear runs (pot None; `bilinear_form`'s identity,
-    so every strategy has it); with a potential V(v) = -2 h^N <rhs, v> -
+    That is B[v, v] for linear runs (pot None; `bilinear_form`'s identity);
+    with a potential V(v) = -2 h^N <rhs, v> -
     2 sum_d sum_x K_d psi(v(x+d) - v(x)) h^(2N), phi = x phi' - psi, psi
     summed on each block of the pass.
     """
     h_n = op.grid.spacing ** op.grid.dimension
     if pot is None:
-        r = op.apply(v, t) if op.strategy != "banded" else \
-            _offset_rhs(op, v.reshape(op.grid.shape), t).ravel()
+        r = _offset_rhs(op, v.reshape(op.grid.shape), t).ravel()
         return r, -2.0 * h_n * float(np.dot(r, v))
     table, psi_total, done = op.offset_values(t), 0.0, 0
 
@@ -119,14 +118,12 @@ def problem_errors(kind: str, t_start: float, t_end: float) -> list:
          f"{t_start!r} by a finite span"))
 
 
-def kind_errors(kind: str, strategy: str, family: str) -> list:
-    """(field, error) pairs of the rules a flow's kind puts on its strategy
-    and kernel family."""
-    linear = kind != "nonlinear"
+def kind_errors(kind: str, family: str) -> list:
+    """(field, error) pairs of the rules a flow's kind puts on its kernel
+    family."""
     return violations(
-        ("strategy", linear or strategy == "banded",
-         "the nonlinear flow steps with the banded strategy"),
-        ("family", linear or family in TRANSLATION_INVARIANT_FAMILIES,
+        ("family", kind != "nonlinear"
+         or family in TRANSLATION_INVARIANT_FAMILIES,
          f"the nonlinear flow needs the translation-invariant "
          f"{' or '.join(TRANSLATION_INVARIANT_FAMILIES)} kernel family"))
 
@@ -163,6 +160,20 @@ def run_steps(t_start: float, t_end: float, dt: float, dt_max: float | None,
         f"{span / n_steps:.3g} must exceed 4 float spacings at t, {ulps:.3g}"))
 
 
+def work_errors(n_steps: int, op: DiscreteOperator) -> list:
+    """(field, error) pairs of the rule that `n_steps` steps on `op` make at
+    most RUN_MAX_PAIR_UPDATES pair-updates, under the radius of an
+    untruncated kernel, which keeps every offset, else the resolution."""
+    kept, nodes = op.deltas.shape[0], op.grid.n_nodes
+    pairs = n_steps * kept * nodes
+    return violations((
+        "truncation_radius" if math.isinf(op.kernel.spec.truncation_radius)
+        else "points_per_axis", pairs <= RUN_MAX_PAIR_UPDATES,
+        f"{n_steps} steps x {kept} kept offsets x {nodes} nodes make "
+        f"{pairs:.3g} pair-updates, above the {RUN_MAX_PAIR_UPDATES:.3g} a "
+        f"run may take"))
+
+
 @dataclass
 class FlowProblem:
     """One flow specification; `initial` is a Field on `grid`."""
@@ -174,13 +185,11 @@ class FlowProblem:
     t_start: float = 0.0
     t_end: float = 1.0
     potential: Potential | None = None
-    strategy: str = "banded"
     dt_max: float | None = None    # optional extra cap (convergence studies)
 
     def __post_init__(self):
         raise_first(problem_errors(self.kind, self.t_start, self.t_end)
-                    + kind_errors(self.kind, self.strategy,
-                                  self.kernel.spec.family))
+                    + kind_errors(self.kind, self.kernel.spec.family))
         if self.kind == "nonlinear" and self.potential is None:
             raise NlflowError("nonlinear flow needs a potential")
         if self.grid != self.initial.grid:
@@ -275,7 +284,7 @@ def run_flow(problem: FlowProblem, sample_every: int = 1) -> Trajectory:
     non-finite entries."""
     raise_first(stepping_errors(problem.dt_max, sample_every))
     grid, kernel = problem.grid, problem.kernel
-    op = DiscreteOperator(grid, kernel, problem.strategy)
+    op = DiscreteOperator(grid, kernel)
     pot = problem.potential if problem.kind == "nonlinear" else None
 
     n_steps, too_big = run_steps(problem.t_start, problem.t_end,

@@ -14,7 +14,7 @@ a nearest-image integer offset times h (`_lattice_length`).
 
 Two evaluation strategies give the same quadrature:
 
-  dense     explicit n x n matrix (the oracle; small grids)
+  dense     explicit n x n matrix (the tests' oracle; small grids)
   banded    (L w)(x) = sum_d [F_d(x) - F_d(x - d)] h^N with the flux
             F_d(x) = K(x, x+d) [w(x+d) - w(x)] over one offset d of each
             pair {d, -d mod M} within the truncation radius: K is symmetric,
@@ -22,7 +22,8 @@ Two evaluation strategies give the same quadrature:
             the weight-1/2 rule for offsets with 2d = 0 mod M).  Offsets
             sharing their trailing component are swept together on a copy
             of w rolled by it and padded along the leading axis only, so
-            every gather and scatter is a contiguous slice
+            every gather and scatter is a contiguous slice; every flow
+            steps on it
 
 Kernel values are always evaluated at canonical node coordinates in [0, L)^N
 with the periodic distance passed explicitly, so rough-kernel symmetry holds
@@ -52,6 +53,9 @@ DENSE_MAX_NODES = 4096
 # sweep and the benchmark's workloads reach 1.13 MiB (denoise-2d) and ~7 MB
 # (a 2-d rough-static table at M = 64); 1 GiB fits a small machine
 RUN_MAX_BYTES = 1 << 30
+# Most pair-updates (steps x kept offsets x nodes) a run may take: ~1.1e9,
+# 9 times the largest of the tests and the workloads (denoise-2d's 1.2e8)
+RUN_MAX_PAIR_UPDATES = 1 << 30
 
 # Values in one working set: offsets x nodes in one block of lattice
 # differences, states x nodes in run_flow's state buffer (two states at
@@ -136,10 +140,10 @@ class Grid:
 
 
 def grid_errors(dimension: int, side_length: float, points_per_axis: int,
-                radius: float = math.inf, strategy: str = "banded") -> list:
-    """(field, error) pairs of the rules a lattice breaks, and the two any
-    operator on it keeps: a known `strategy`, and a torus wider than twice a
-    finite kernel `radius`, so that one periodic image of a node interacts."""
+                radius: float = math.inf) -> list:
+    """(field, error) pairs of the rules a lattice breaks, and the one any
+    operator on it keeps: a torus wider than twice a finite kernel `radius`,
+    so that one periodic image of a node interacts."""
     return violations(
         ("dimension", dimension in (1, 2), "dimension must be 1 or 2"),
         ("points_per_axis", points_per_axis == int(points_per_axis) >= 8,
@@ -151,8 +155,6 @@ def grid_errors(dimension: int, side_length: float, points_per_axis: int,
             points_per_axis * np.finfo(float).tiny
             if points_per_axis <= sys.float_info.max else math.inf),
          "the spacing L/M must be a normal float, at least 2.23e-308"),
-        ("strategy", strategy in STRATEGIES,
-         f"strategy must be one of {', '.join(STRATEGIES)}"),
         ("truncation_radius", not math.isfinite(radius)
          or side_length > 2.0 * radius, f"torus width {side_length:g} must "
          f"exceed twice the truncation radius {radius:g}"))
@@ -170,9 +172,11 @@ def operator_errors(grid: Grid, spec, strategy: str) -> list:
     k = int(min(radius / grid.spacing, grid.points_per_axis // 2))
     table = 4 * ((2 * k + 1) ** grid.dimension - 1) * grid.n_nodes
     return grid_errors(grid.dimension, grid.side_length, grid.points_per_axis,
-                       radius, strategy) + violations(
+                       radius) + violations(
         ("dimension", grid.dimension == spec.dimension, f"grid dimension "
          f"{grid.dimension} != kernel dimension {spec.dimension}"),
+        ("strategy", strategy in STRATEGIES,
+         f"strategy must be one of {', '.join(STRATEGIES)}"),
         ("strategy", strategy != "dense" or grid.n_nodes <= DENSE_MAX_NODES,
          f"the dense operator takes at most {DENSE_MAX_NODES} nodes, not "
          f"{grid.n_nodes}"),
@@ -390,7 +394,7 @@ class Field:
 
 class DiscreteOperator:
     """Bound (grid, kernel, strategy) triple holding one table: the half
-    offset table or the dense matrix and row sums of one kernel epoch
+    offset table or the dense matrix of one kernel epoch
     (`kernels.kernel_epoch`); another is built in its place."""
 
     def __init__(self, grid: Grid, kernel: Kernel, strategy: str = "banded"):
@@ -428,36 +432,37 @@ class DiscreteOperator:
         self._held = (key, vals)
         return vals
 
-    def _dense(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+    def _dense(self, t: float) -> np.ndarray:
         """Dense operator matrix A with A[i, j] = K(t, x_i, x_j) h^N, zero
-        diagonal (the double-sum oracle), and its row sums, held together."""
+        diagonal: the double-sum oracle."""
         key = ("matrix", kernel_epoch(self.kernel, t))
         if self._held[0] == key:
             return self._held[1]
         grid, coords, index = self.grid, self.grid.node_coords(), \
             self.grid.node_indices()
         n, h_n = grid.n_nodes, grid.spacing ** grid.dimension
-        A = np.zeros((n, n))
+        radius, A = self.kernel.spec.truncation_radius, np.zeros((n, n))
         step = 2 ** 22 // n + 1
         for start in range(0, n, step):
             rows = slice(start, start + step)
             # pair lengths from integer offsets, as offsets_within measures
-            # them, so the kernel's truncation test is symmetric at any spacing
+            # them, so the kernel's truncation test is symmetric at any
+            # spacing; beyond a finite radius the kernel is the zero A holds
             dist = _lattice_length(grid, _signed_steps(
                 grid, index[None] - index[rows, None]))
             pairs = dist.shape + (grid.dimension,)
-            A[rows] = self.kernel.evaluate(
-                t, np.broadcast_to(coords[rows, None], pairs),
-                np.broadcast_to(coords[None], pairs), dist=dist) * h_n
+            within = dist <= radius if math.isfinite(radius) else Ellipsis
+            A[rows][within] = self.kernel.evaluate(
+                t, np.broadcast_to(coords[rows, None], pairs)[within],
+                np.broadcast_to(coords[None], pairs)[within],
+                dist=dist[within]) * h_n
         np.fill_diagonal(A, 0.0)
-        self._held = (key, (A, A.sum(axis=1)))
-        return self._held[1]
+        self._held = (key, A)
+        return A
 
     def rowsums(self, t: float = 0.0) -> np.ndarray:
-        """sum_{y != x} K(t, x, y) h^N per node, flat."""
+        """sum_{y != x} K(t, x, y) h^N per node, flat, from the half table."""
         h_n = self.grid.spacing ** self.grid.dimension
-        if self.strategy == "dense":
-            return self._dense(t)[1]
         vals = self.offset_values(t)
         if vals.ndim == 1:
             return np.full(self.grid.n_nodes,
@@ -477,7 +482,7 @@ class DiscreteOperator:
         # the stencil: A w - rowsums w rounds at the scale of |w| and broke a
         # flow's bracket from |w| = 1e4
         if self.strategy == "dense":
-            A, out = self._dense(t)[0], np.empty(w.size)
+            A, out = self._dense(t), np.empty(w.size)
             step = max(1, 2 ** 22 // w.size)
             for start in range(0, w.size, step):
                 rows = slice(start, start + step)

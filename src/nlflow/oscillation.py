@@ -98,7 +98,7 @@ def _linearized(traj: Trajectory) -> tuple[Kernel, Potential]:
     nonlinear flow takes."""
     if traj.kernel is None or traj.potential is None:
         raise NlflowError("trajectory must carry its kernel and potential")
-    raise_first(kind_errors("nonlinear", "banded", traj.kernel.spec.family))
+    raise_first(kind_errors("nonlinear", traj.kernel.spec.family))
     return traj.kernel, traj.potential
 
 

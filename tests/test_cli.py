@@ -144,8 +144,8 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
      "calibration.file dimension must be 1"),
     (["run", "--set", "flow.kind=nonlinear",
       "--set", "kernel.family=rough-static"], "power-law kernel family"),
-    (["run", "--set", "flow.strategy=spectral"], "flow.strategy: strategy "
-     "must be one of dense, banded (got 'spectral')"),
+    (["run", "--set", "flow.strategy=spectral"],
+     "flow.strategy: must be banded (got 'spectral')"),
     (["diagnose", "--seed", "1", "--set", "calibration.file={tmp}/no.json"],
      "cannot read calibration file"),
     (["diagnose", "--seed", "1", "--set", "calibration.file={tmp}/cut.json"],
@@ -168,11 +168,14 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
     (["denoise", "--set", "denoise.input={tmp}/narrow.csv"],
      "kernel.radius: torus width 4 must exceed twice the truncation radius"),
     (["denoise", "--set", "denoise.input={tmp}/tiny.pgm",
-      "--set", "flow.strategy=dense"], "flow.strategy"),
+      "--set", "flow.strategy=dense"],
+     "flow.strategy: must be banded (got 'dense')"),
     (["run", "--seed", "1", "--set", "flow.kind=nonlinear",
-      "--set", "flow.strategy=dense"], "flow.strategy"),
+      "--set", "flow.strategy=dense"],
+     "flow.strategy: must be banded (got 'dense')"),
     (["run", "--seed", "1", "--set", "flow.strategy=dense", "--set",
-      "grid.N=2", "--set", "grid.M=65"], "at most 4096 nodes"),
+      "grid.N=2", "--set", "grid.M=65"],
+     "flow.strategy: must be banded (got 'dense')"),
     (["validate", "--set", "kernel.multiplier=4.0"], "[0.5, 2]"),
     (["validate", "--set", "kernel.multiplier=0.25"], "[0.5, 2]"),
     (["validate", "--set", "kernel.multiplier=100.0"], "kernel.multiplier"),
@@ -292,6 +295,14 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
       "--set", "flow.end=1000000000000000.5"],
      "flow.start: steps of 0.0333 must exceed 4 float spacings at t, 0.5 "
      "(got 1000000000000000.0)"),
+    # a 2-d run at the default M = 256 updates 9.45e9 pairs (~25 s), and
+    # every offset of the torus at radius inf 8.59e10 (minutes)
+    (["run", "--seed", "1", "--set", "grid.N=2"],
+     "grid.M: 40 steps x 3606 kept offsets x 65536 nodes make 9.45e+09 "
+     "pair-updates, above the 1.07e+09 a run may take (got 256)"),
+    (["run", "--seed", "1", "--set", "grid.N=2", "--set", "kernel.radius=inf"],
+     "kernel.radius: 40 steps x 32769 kept offsets x 65536 nodes make "
+     "8.59e+10 pair-updates, above the 1.07e+09 a run may take (got inf)"),
 ], ids=["calibrate-2d", "calibrate-order", "diagnose-2d", "diagnose-order",
         "diagnose-kernel-lambda", "calibrate-grid-m", "diagnose-store-states",
         "diagnose-calibration-order", "diagnose-calibration-2d",
@@ -321,7 +332,8 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
         "seeds-one-past-the-bound", "stepper-heun", "validate-radius-tiny",
         "validate-lambda-past-the-floats", "run-cell-past-int64",
         "run-epoch-past-int64", "validate-cell-past-int64",
-        "validate-epoch-past-int64", "run-start-far-from-0"])
+        "validate-epoch-past-int64", "run-start-far-from-0",
+        "2d-work-over-the-budget", "2d-untruncated-work-over-the-budget"])
 def test_unsupported_config_exits_2(tmp_path, capsys, argv, message):
     # refused before any work, not aborted later with exit 1 or 3; a dict in
     # argv stands for a calibration file with those entries changed, and
@@ -345,14 +357,13 @@ def test_unsupported_config_exits_2(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize("setting", [
-    ["--set", "flow.kind=nonlinear", "--set", "flow.strategy=dense"],
     ["--set", "flow.kind=nonlinear", "--set", "kernel.family=rough-static"],
     ["--set", "grid.L=5"],
     ["--set", "grid.L=1e31", "--set", "kernel.radius=5e-4",
      "--set", "kernel.family=rough-static"],
     ["--set", "kernel.family=rough-time-dependent",
      "--set", "kernel.epoch=1e-18", "--set", "flow.end=100"],
-], ids=["nonlinear-dense", "nonlinear-rough", "torus-narrower-than-radius",
+], ids=["nonlinear-rough", "torus-narrower-than-radius",
         "torus-cells-past-int64", "span-epochs-past-int64"])
 def test_flow_refusals_leave_validate_alone(tmp_path, capsys, setting):
     # validate builds no flow, torus or span, so the rules of those pass
@@ -362,7 +373,7 @@ def test_flow_refusals_leave_validate_alone(tmp_path, capsys, setting):
 
 
 # a value other than the default of every schema key, valid but for
-# flow.stepper, which has none
+# flow.stepper and flow.strategy, which have none
 OTHER_VALUES = {
     "kernel.family": "rough-static", "kernel.s": 0.5, "kernel.lambda": 9.0,
     "kernel.radius": 2.0, "kernel.seed": 5, "kernel.multiplier": 1.5,
@@ -410,7 +421,7 @@ def test_a_key_named_unread_leaves_the_report_alone(tmp_path, capsys):
             assert reports[key] == reports[None], (command, key)
     assert {"kernel.seed", "initial.seed"} <= named["run"]
     assert {"grid.N", "grid.M", "grid.L", "flow.kind"} <= named["denoise"]
-    assert {"flow.strategy", "initial.kind"} <= named["validate"]
+    assert {"flow.kind", "initial.kind"} <= named["validate"]
 
 
 # keys that one kernel family or initial kind reads and the others ignore
@@ -651,18 +662,6 @@ def test_run_rerun_is_byte_identical(tmp_path):
     for rel in ("report.json", "curves/run-seed3.csv",
                 "fields/final-seed3.csv"):
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
-
-
-@pytest.mark.parametrize("grid_sets", [
-    [], ["--set", "grid.N=2", "--set", "grid.M=32"]], ids=["1d", "2d"])
-def test_dense_run_records_an_energy(tmp_path, grid_sets):
-    # the energy record comes from the RHS, so off-stencil runs have one too
-    out = tmp_path / "s"
-    rc = main(["run", "--out", str(out), "--seed", "1",
-               "--set", "flow.strategy=dense",
-               "--set", "kernel.radius=inf"] + grid_sets)
-    assert rc == 0
-    assert read_report(out)["runs"][0]["dissipative"] is True
 
 
 def test_time_dependent_run_grades_energy_within_epochs(tmp_path):
@@ -926,8 +925,8 @@ def test_denoise_guards(tmp_path, capsys):
                "--set", f"denoise.input={src}",
                "--set", "flow.strategy=spectral"])
     assert rc == 2
-    assert "flow.strategy: strategy must be one of dense, banded (got " \
-        "'spectral')" in capsys.readouterr().err
+    assert "flow.strategy: must be banded (got 'spectral')" in \
+        capsys.readouterr().err
     assert not (tmp_path / "d").exists()
 
 
@@ -996,8 +995,9 @@ def sweep_inputs(directory) -> dict:
 
 def sweep_argv(rng, inputs) -> list[str]:
     """One seeded `validate`, `run`, `denoise` or `diagnose` command line
-    over every kernel family, strategy and the refused spectral, initial
-    kind and flow kind, and the euler stepper or the refused heun, on at most 20 points an axis, with
+    over every kernel family, initial kind and flow kind, the banded
+    strategy or the refused dense and spectral, and the euler stepper or
+    the refused heun, on at most 20 points an axis, with
     each float key +-inf one time in 40.
     kernel.lambda stays at most 16 and flow.end at most 0.2 because step
     counts grow with both: a rough run at Lambda = 1e6 took 40 s, slow but
@@ -1009,7 +1009,7 @@ def sweep_argv(rng, inputs) -> list[str]:
     four; three diagnose draws in four set the diagnose.* keys alone, as
     diagnose refuses any other key it does not read, so that its rules on
     them and its runs are reached, and three denoise draws in four keep the
-    power-law family and the banded strategy that its nonlinear flow needs.
+    power-law family that its nonlinear flow needs and the banded strategy.
     One time in 8 each, kernel.radius is below 1e-3, down to 1e-200;
     kernel.cell and kernel.epoch are 1e-25 to 1e-15, where the rough
     kernels' int64 cell and epoch indices end; and one time in 4 flow.start

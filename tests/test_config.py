@@ -34,7 +34,7 @@ def test_everything_defaults_to_the_schema():
 # keys every report echoes but nothing reads; removing one changes the
 # report bytes the benchmark records, so they wait for its re-record
 ECHO_ONLY = {"report.verbosity", "flow.store_states", "flow.stepper",
-             "initial.seed"}
+             "flow.strategy", "initial.seed"}
 
 
 def test_every_schema_key_is_read():
@@ -106,6 +106,36 @@ def test_torus_width_must_cover_the_kernel():
     # shrinking the radius with the box is fine
     cfg = parse_config(overrides=["grid.L=5.0", "kernel.radius=2.0"])
     assert cfg.check_flow("linear", cfg.make_grid(), 0.0, 0.5) > 0
+
+
+@pytest.mark.parametrize("radius, key", [("3", "grid.M"),
+                                         ("inf", "kernel.radius")])
+def test_the_work_rule_plans_no_fewer_updates_than_a_seed_makes(
+        radius, key, monkeypatch):
+    # check_flow plans steps x kept offsets x nodes at the band's top, which
+    # no seed's steps pass; a budget one below the plan refuses the run under
+    # the resolution, or the radius of an untruncated kernel
+    cfg = parse_config(overrides=["grid.N=2", "grid.M=32", "flow.end=0.1",
+                                  "kernel.family=rough-static",
+                                  f"kernel.radius={radius}"], seeds="1..3")
+    grid = cfg.make_grid()
+    monkeypatch.setattr(flow, "RUN_MAX_PAIR_UPDATES", 0)
+    with pytest.raises(ConfigError, match=f"{key}: ") as refused:
+        cfg.check_flow("linear", grid, 0.0, 0.1)
+    steps, kept, nodes, pairs = re.search(
+        r"(\d+) steps x (\d+) kept offsets x (\d+) nodes make (\S+) "
+        r"pair-updates", str(refused.value)).groups()
+    kept_offsets = DiscreteOperator(grid, cfg.make_kernel(seed=1)).deltas
+    assert (int(kept), int(nodes)) == (kept_offsets.shape[0], grid.n_nodes)
+    assert all(run_flow(cfg.flow_problem(seed)).meta["n_steps"] <= int(steps)
+               for seed in (1, 2, 3))
+    plan = int(steps) * int(kept) * int(nodes)
+    assert float(pairs) == pytest.approx(plan, rel=1e-2)
+    monkeypatch.setattr(flow, "RUN_MAX_PAIR_UPDATES", plan)
+    assert cfg.check_flow("linear", grid, 0.0, 0.1) > 0
+    monkeypatch.setattr(flow, "RUN_MAX_PAIR_UPDATES", plan - 1)
+    with pytest.raises(ConfigError, match=f"{key}: {steps} steps"):
+        cfg.check_flow("linear", grid, 0.0, 0.1)
 
 
 def test_seed_lists():
@@ -234,7 +264,7 @@ def test_the_config_counts_the_steps_run_flow_takes(family, dimension,
     # config refuses no run that run_flow takes
     cases = [[], ["flow.dt_max=0.002"], ["flow.sample_every=3"]]
     if family == "power-law":
-        cases += [["flow.kind=nonlinear"], ["flow.strategy=dense"]]
+        cases += [["flow.kind=nonlinear"]]
     base = [f"kernel.family={family}", f"grid.N={dimension}",
             f"grid.M={points}", "flow.start=-0.05", "flow.end=0.1",
             "kernel.lambda=6", "kernel.epoch=0.05"]
@@ -288,7 +318,9 @@ def _operator(strategy, grid=None, **changes):
 
 
 # one broken value a rule: the overrides, the key and value the config
-# reports, and the library call whose constructor or guard owns the rule
+# reports, and the library call whose constructor or guard owns the rule, or
+# the words of a rule the config owns: flow.strategy is an echo that refuses
+# any strategy but the banded one every flow steps on
 PARITY = {
     "order": (["kernel.s=2.5"], "kernel.s", 2.5,
               lambda: make_kernel(KernelSpec(order=2.5))),
@@ -317,7 +349,7 @@ PARITY = {
     "side": (["grid.L=inf", "kernel.radius=inf"], "grid.L", math.inf,
              lambda: Grid(1, math.inf, 64)),
     "strategy": (["flow.strategy=fft"], "flow.strategy", "fft",
-                 lambda: _operator("fft")),
+                 "must be banded"),
     "torus": (["grid.L=5"], "kernel.radius", 3.0,
               lambda: _operator("banded", Grid(1, 5.0, 256))),
     "initial-kind": (["initial.kind=wave"], "initial.kind", "wave",
@@ -366,8 +398,7 @@ PARITY = {
               lambda: oscillation_decay(None, scale=1.5, levels=4)),
     # the rules `check_flow` asks of a flow the config accepts
     "dense-cap": (["flow.strategy=dense", "grid.N=2", "grid.M=65"],
-                  "flow.strategy", "dense",
-                  lambda: _operator("dense", Grid(2, 16.0, 65))),
+                  "flow.strategy", "dense", "must be banded"),
     "neighbor": (["grid.M=8", "kernel.radius=1"], "kernel.radius", 1.0,
                  lambda: _operator("banded", Grid(1, 16.0, 8),
                                    truncation_radius=1.0)),
@@ -387,9 +418,7 @@ PARITY = {
                       "linear", Grid(), make_kernel(KernelSpec()),
                       make_initial(Grid(), "constant"), t_end=1e6))),
     "nonlinear-strategy": (["flow.kind=nonlinear", "flow.strategy=dense"],
-                           "flow.strategy", "dense",
-                           lambda: _problem(kind="nonlinear",
-                                            strategy="dense")),
+                           "flow.strategy", "dense", "must be banded"),
     "nonlinear-family": (["flow.kind=nonlinear",
                           "kernel.family=rough-static"], "kernel.family",
                          "rough-static", lambda: _problem(
@@ -402,10 +431,15 @@ PARITY = {
                          ids=PARITY.keys())
 def test_the_config_reports_each_rule_in_its_owners_words(sets, key, value,
                                                           build):
-    # the config states no rule itself: its line for the key is the owning
-    # module's message, under the key, with the value it read
-    with pytest.raises(NlflowError) as owner:
-        build()
+    # the config states no rule itself but flow.strategy's: its line for the
+    # key is the owning module's message, under the key, with the value it
+    # read
+    if isinstance(build, str):
+        words = build
+    else:
+        with pytest.raises(NlflowError) as owner:
+            build()
+        words = owner.value
     lines = []
     try:
         cfg = parse_config(overrides=sets)
@@ -413,4 +447,4 @@ def test_the_config_reports_each_rule_in_its_owners_words(sets, key, value,
                        cfg.get("flow.start"), cfg.get("flow.end"))
     except ConfigError as exc:
         lines = exc.errors
-    assert f"{key}: {owner.value} (got {value!r})" in lines
+    assert f"{key}: {words} (got {value!r})" in lines

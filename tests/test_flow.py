@@ -147,8 +147,7 @@ def test_quadratic_flow_matches_linear_bitwise():
     k = power_law_kernel()
     w0 = make_initial(g, "random", amplitude=1.0, seed=5)
     lin = run_flow(FlowProblem(
-        kind="linear", grid=g, kernel=k, initial=w0, t_end=1.0,
-        strategy="banded"))
+        kind="linear", grid=g, kernel=k, initial=w0, t_end=1.0))
     non = run_flow(FlowProblem(
         kind="nonlinear", grid=g, kernel=k, initial=w0, t_end=1.0,
         potential=quadratic()))
@@ -175,7 +174,7 @@ def test_nonlinear_rhs_and_energy_match_dense_pair_sums(dim, points, radius,
         dimension=dim, order=1.0, ellipticity=4.0, truncation_radius=radius,
         family=family, seed=7))
     op = DiscreteOperator(g, kernel, strategy="banded")
-    A = DiscreteOperator(g, kernel, strategy="dense")._dense(0.0)[0]
+    A = DiscreteOperator(g, kernel, strategy="dense")._dense(0.0)
     v = np.random.default_rng(points + dim).uniform(-2.0, 2.0, g.n_nodes)
     for pot in (quadratic(), huber()):
         rhs, energy = _rhs_and_energy(op, pot, v, 0.0)

@@ -80,19 +80,22 @@ def test_periodic_distance_wraps():
 def test_one_torus_metric_at_a_non_dyadic_spacing(dimension):
     # at h = 16/45 a node's coordinate, wrapped to the minimal image, rounds
     # apart from its integer offset times h; the origin's distances, the
-    # dense oracle and the stencil's offsets measure every node by one rule
+    # dense oracle and the stencil's offsets measure every node by one rule.
+    # At radius 3 the oracle evaluates the pairs within the radius alone
+    # and leaves the zero the kernel gives beyond it, signed zeros too
     grid = Grid(dimension=dimension, side_length=16.0, points_per_axis=45)
-    kernel = power_law_kernel(truncation=math.inf, dimension=dimension)
-    row = kernel.radial_profile(grid.origin_distance()) \
-        * grid.spacing ** dimension
-    assert np.array_equal(row, DiscreteOperator(grid, kernel, "dense")._dense(
-        0.0)[0][0])
-    deltas, dists = grid.offsets_within(math.inf)
-    # each kept offset and its partner -d, as flat node indices
-    for sign in (1, -1):
-        nodes = np.ravel_multi_index(tuple(np.mod(sign * deltas, 45).T),
-                                     grid.shape)
-        assert np.array_equal(grid.origin_distance()[nodes], dists)
+    for radius in (math.inf, 3.0):
+        kernel = power_law_kernel(truncation=radius, dimension=dimension)
+        row = kernel.radial_profile(grid.origin_distance()) \
+            * grid.spacing ** dimension
+        dense = DiscreteOperator(grid, kernel, "dense")._dense(0.0)[0]
+        assert row.tobytes() == dense.tobytes()
+        deltas, dists = grid.offsets_within(radius)
+        # each kept offset and its partner -d, as flat node indices
+        for sign in (1, -1):
+            nodes = np.ravel_multi_index(tuple(np.mod(sign * deltas, 45).T),
+                                         grid.shape)
+            assert np.array_equal(grid.origin_distance()[nodes], dists)
 
 
 def test_ball_counts_1d():
