@@ -239,8 +239,8 @@ class ExperimentConfig:
         config and `grid`, at `stable_dt` of the kernel's band (`run_steps`);
         raise ConfigError on the rules it, the operator (`operator_errors`),
         the kernel over the torus and span (`Kernel.reach_errors`), the
-        kind (`kind_errors`) or the work of the most steps a seed can take
-        (`work_errors`) breaks, keyed by `keys` or `_KEYS`.
+        kind (`kind_errors`) or the work and count of the most steps a seed
+        can take (`work_errors`) breaks, keyed by `keys` or `_KEYS`.
         A rough-static step lies between those at the band's edges 1/Lambda
         and Lambda (a time-dependent one steps at Lambda); where their counts
         straddle the cap, each seed's row sums count it, as in `run_flow`."""
@@ -271,7 +271,12 @@ class ExperimentConfig:
                     self.kernel_spec(seed, grid.dimension))), None) for seed
                     in self.get("ensemble.seeds")), key=lambda c: c[0])
                 n_steps = most
-            found = found or work_errors(most, op)
+            # flow.dt_max set the count if stepping at it gives that count
+            dt_max = self.get("flow.dt_max")
+            capped = dt_max is not None and \
+                run_steps(start, end, dt_max, None, *size)[0] == most
+            found = found or work_errors(most, op,
+                                         "dt_max" if capped else "t_end")
         _refuse(_keyed(self.values, found, {**_KEYS, **keys}))
         return n_steps
 

@@ -33,7 +33,6 @@ __all__ = [
     "truncated_energies",
     "RecurrenceReport",
     "check_recurrence",
-    "ChebyshevReport",
     "chebyshev_chain",
     "LevelSetMeasures",
     "level_set_measures",
@@ -231,10 +230,8 @@ def truncated_energies(traj: Trajectory, k_max: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RecurrenceReport:
-    ratios: np.ndarray         # c_k = (U_k/U_{k-1}^{1+s/N})^{1/k}, k=1..k_max
     constant: float            # max over defined c_k
     decayed: bool              # U_{k_max} < 1e-14
-    degenerate: bool           # some U_{k-1} vanished, ratio undefined
     vacuous: bool              # every U_k is zero; recurrence holds trivially
 
 
@@ -242,39 +239,24 @@ def check_recurrence(u: np.ndarray, order: float,
                      dimension: int) -> RecurrenceReport:
     """Fit the smallest constant certifying U_k <= (C 2^k)^k U_{k-1}^{1+s/N}
     to the ladder u = U_0..U_k_max (`truncated_energies`) of a flow of
-    order s on an N-dimensional grid."""
+    order s on an N-dimensional grid: the largest c_k = (U_k /
+    U_{k-1}^{1+s/N})^{1/k} over the rungs with U_{k-1} > 0, nan if none."""
     expo = 1.0 + order / dimension
-    ratios = np.full(u.size - 1, np.nan)
-    degenerate = False
-    for k in range(1, u.size):
-        prev = u[k - 1]
-        if prev <= 0.0:
-            degenerate = True
-            continue
-        ratios[k - 1] = (u[k] / prev ** expo) ** (1.0 / k)
+    ratios = np.array([(u[k] / u[k - 1] ** expo) ** (1.0 / k)
+                       for k in range(1, u.size) if u[k - 1] > 0.0])
     defined = ratios[np.isfinite(ratios)]
-    constant = float(np.max(defined)) if defined.size else math.nan
     return RecurrenceReport(
-        ratios=ratios, constant=constant,
-        decayed=bool(u[-1] < 1e-14), degenerate=degenerate,
-        vacuous=bool(np.all(u == 0.0)))
+        constant=float(np.max(defined)) if defined.size else math.nan,
+        decayed=bool(u[-1] < 1e-14), vacuous=bool(np.all(u == 0.0)))
 
 
 # ---------------------------------------------------------------------------
 # Chebyshev-type interpolation chain
 
-@dataclass(frozen=True)
-class ChebyshevReport:
-    linear_lhs: np.ndarray       # iint (w - psi_{L_k})_+, k = 1..k_max
-    indicator_lhs: np.ndarray    # iint 1_{w > psi_{L_k}}
-    quadratic_lhs: np.ndarray    # iint (w - psi_{L_k})_+^2
-    base_integral: np.ndarray    # iint (w - psi_{L_{k-1}})_+^{2(1+s/N)}
-    slack: np.ndarray            # (k, 3) rhs - lhs, nonnegative when chain holds
-    all_nonnegative: bool
-
-
-def chebyshev_chain(traj: Trajectory, k_max: int) -> ChebyshevReport:
-    """Interpolation bounds linking mass, measure, and energy across levels.
+def chebyshev_chain(traj: Trajectory, k_max: int) -> np.ndarray:
+    """Slack rhs - lhs of the interpolation bounds linking mass, measure,
+    and energy across levels, a (k_max, 3) array: row k - 1 for rung k =
+    1..k_max, columns the linear, indicator and quadratic bound.
 
     Over Q_{k-1} = [T_{k-1}, 0] x nodes, with p the matching exponent,
 
@@ -283,10 +265,10 @@ def chebyshev_chain(traj: Trajectory, k_max: int) -> ChebyshevReport:
         iint (w - psi_{L_k})_+^2    <= (2^{k+1})^{2s/N}     iint ...
 
     which follow pointwise from (w - psi_{L_{k-1}})_+ >= 2^{-(k+1)} on the
-    set where w exceeds psi_{L_k}.  The sums run over the sub-torus of
-    `_truncation_box`, and rung k's truncation on [T_k, 0], the tail of its
-    window, is rung k+1's base.  Each rung reads its window a chunk of
-    samples at a time.
+    set where w exceeds psi_{L_k}, so every slack is nonnegative up to
+    rounding.  The sums run over the sub-torus of `_truncation_box`, and
+    rung k's truncation on [T_k, 0], the tail of its window, is rung k+1's
+    base.  Each rung reads its window a chunk of samples at a time.
     """
     raise_first(ladder_errors(k_max))
     s = float(traj.order)
@@ -297,41 +279,33 @@ def chebyshev_chain(traj: Trajectory, k_max: int) -> ChebyshevReport:
     p_lin = 1.0 + 2.0 * s / n_dim
     p_ind = 2.0 * (1.0 + s / n_dim)
     p_sq = 2.0 * s / n_dim
-    high = 2.0 * (1.0 + s / n_dim)
     _, nodes, psi = _truncation_box(
         traj, traj.window(t_starts[0]),
         barrier(traj.grid.origin_distance(), 0.5 * s))
 
-    lin = np.empty(ks.size)
-    ind = np.empty(ks.size)
-    sq = np.empty(ks.size)
-    base = np.empty(ks.size)
+    integrals = np.empty((4, ks.size))   # base, linear, indicator, square
     for i, k in enumerate(ks):
         rows = traj.window(t_starts[k - 1])
         below, level = cuts[k - 1] + psi, cuts[k] + psi
         sums = np.empty((4, rows.size))
         for part, block in _chunks(traj, rows, nodes):
-            # pow is slow at 0, and 0 ** high = 0: raise the others only
+            # pow is slow at 0, and 0 ** p = 0: raise the others only
             low = np.maximum(block - below, 0.0)
-            sums[0, part] = np.power(low, high, out=np.zeros_like(low),
+            sums[0, part] = np.power(low, p_ind, out=np.zeros_like(low),
                                      where=low != 0.0).sum(axis=-1)
             pos = np.maximum(block - level, 0.0)
             sums[1, part] = pos.sum(axis=-1)
             sums[2, part] = (pos > 0.0).sum(axis=-1)
             sums[3, part] = (pos * pos).sum(axis=-1)
-        base[i], lin[i], ind[i], sq[i] = (_time_integral(traj, row, rows)
-                                          for row in sums)
+        integrals[:, i] = [_time_integral(traj, row, rows) for row in sums]
 
+    base, lin, ind, sq = integrals
     factors = 2.0 ** (ks + 1)
-    slack = np.stack([
+    return np.stack([
         factors ** p_lin * base - lin,
         factors ** p_ind * base - ind,
         factors ** p_sq * base - sq,
     ], axis=1)
-    return ChebyshevReport(
-        linear_lhs=lin, indicator_lhs=ind, quadratic_lhs=sq,
-        base_integral=base, slack=slack,
-        all_nonnegative=bool(np.all(slack >= 0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import NlflowError, raise_first, violations
 from .grid import BLOCK_BUDGET, COUNTERS, RUN_MAX_BYTES, \
-    RUN_MAX_PAIR_UPDATES, DiscreteOperator, Field, Grid
+    RUN_MAX_PAIR_UPDATES, RUN_MAX_STEPS, DiscreteOperator, Field, Grid
 from .kernels import TRANSLATION_INVARIANT_FAMILIES, Kernel, order_errors
 from .potentials import Potential
 
@@ -160,10 +160,12 @@ def run_steps(t_start: float, t_end: float, dt: float, dt_max: float | None,
         f"{span / n_steps:.3g} must exceed 4 float spacings at t, {ulps:.3g}"))
 
 
-def work_errors(n_steps: int, op: DiscreteOperator) -> list:
-    """(field, error) pairs of the rule that `n_steps` steps on `op` make at
+def work_errors(n_steps: int, op: DiscreteOperator,
+                span: str = "t_end") -> list:
+    """(field, error) pairs of the rules that `n_steps` steps on `op` make at
     most RUN_MAX_PAIR_UPDATES pair-updates, under the radius of an
-    untruncated kernel, which keeps every offset, else the resolution."""
+    untruncated kernel, which keeps every offset, else the resolution, and
+    number at most RUN_MAX_STEPS, under `span`, the field that set them."""
     kept, nodes = op.deltas.shape[0], op.grid.n_nodes
     pairs = n_steps * kept * nodes
     return violations((
@@ -171,7 +173,8 @@ def work_errors(n_steps: int, op: DiscreteOperator) -> list:
         else "points_per_axis", pairs <= RUN_MAX_PAIR_UPDATES,
         f"{n_steps} steps x {kept} kept offsets x {nodes} nodes make "
         f"{pairs:.3g} pair-updates, above the {RUN_MAX_PAIR_UPDATES:.3g} a "
-        f"run may take"))
+        f"run may take"), (span, n_steps <= RUN_MAX_STEPS, f"{n_steps} steps, "
+        f"above the {RUN_MAX_STEPS} a run may take"))
 
 
 @dataclass

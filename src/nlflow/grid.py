@@ -56,6 +56,11 @@ RUN_MAX_BYTES = 1 << 30
 # Most pair-updates (steps x kept offsets x nodes) a run may take: ~1.1e9,
 # 9 times the largest of the tests and the workloads (denoise-2d's 1.2e8)
 RUN_MAX_PAIR_UPDATES = 1 << 30
+# Most steps a run may take: a step costs tens of microseconds however few
+# pairs it updates (an 11-node 1-d run took 2.4e6 steps, 1.3e8 pair-updates,
+# in 107 s on a 2-vCPU Xeon), so 2^16 steps take seconds; the longest run of
+# the tests takes 1000
+RUN_MAX_STEPS = 1 << 16
 
 # Values in one working set: offsets x nodes in one block of lattice
 # differences, states x nodes in run_flow's state buffer (two states at
@@ -442,21 +447,32 @@ class DiscreteOperator:
             self.grid.node_indices()
         n, h_n = grid.n_nodes, grid.spacing ** grid.dimension
         radius, A = self.kernel.spec.truncation_radius, np.zeros((n, n))
-        step = 2 ** 22 // n + 1
+        # 2^16 pairs a block keeps its temporaries small: blocks of 2^22
+        # built the 2-d M=64 matrices 2-5x slower
+        step = 2 ** 16 // n + 1
         for start in range(0, n, step):
-            rows = slice(start, start + step)
-            # pair lengths from integer offsets, as offsets_within measures
-            # them, so the kernel's truncation test is symmetric at any
-            # spacing; beyond a finite radius the kernel is the zero A holds
-            dist = _lattice_length(grid, _signed_steps(
-                grid, index[None] - index[rows, None]))
-            pairs = dist.shape + (grid.dimension,)
-            within = dist <= radius if math.isfinite(radius) else Ellipsis
-            A[rows][within] = self.kernel.evaluate(
-                t, np.broadcast_to(coords[rows, None], pairs)[within],
-                np.broadcast_to(coords[None], pairs)[within],
-                dist=dist[within]) * h_n
-        np.fill_diagonal(A, 0.0)
+            rows = slice(start, min(start + step, n))
+            # K is symmetric bit for bit (`Kernel.evaluate` averages both
+            # cell orders), so a row block evaluates its columns beyond it,
+            # its diagonal square above the diagonal, and mirrors the rest
+            A[rows, :start] = A[:start, rows].T
+            for cols, square in ((rows, True), (slice(rows.stop, n), False)):
+                # pair lengths from integer offsets, as offsets_within
+                # measures them, so the kernel's truncation test is
+                # symmetric at any spacing; beyond a finite radius the
+                # kernel is the zero A holds
+                dist = _lattice_length(grid, _signed_steps(
+                    grid, index[None, cols] - index[rows, None]))
+                pairs = dist.shape + (grid.dimension,)
+                within = np.triu(dist <= radius, 1) if square else \
+                    dist <= radius if math.isfinite(radius) else Ellipsis
+                A[rows, cols][within] = self.kernel.evaluate(
+                    t, np.broadcast_to(coords[rows, None], pairs)[within],
+                    np.broadcast_to(coords[None, cols], pairs)[within],
+                    dist=dist[within]) * h_n
+            block = A[rows, rows]
+            below = np.tril_indices(block.shape[0], -1)
+            block[below] = block.T[below]
         self._held = (key, A)
         return A
 

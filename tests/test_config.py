@@ -15,7 +15,7 @@ from nlflow.degiorgi import truncated_energies
 from nlflow.errors import ConfigError, NlflowError, raise_first
 from nlflow.fields import make_initial
 from nlflow.flow import FlowProblem, Trajectory, run_flow
-from nlflow.grid import DiscreteOperator, Grid
+from nlflow.grid import RUN_MAX_STEPS, DiscreteOperator, Grid
 from nlflow.kernels import KERNEL_FAMILIES, KernelSpec, make_kernel
 from nlflow.oscillation import oscillation_decay
 from nlflow.potentials import PotentialSpec, make_potential
@@ -136,6 +136,23 @@ def test_the_work_rule_plans_no_fewer_updates_than_a_seed_makes(
     monkeypatch.setattr(flow, "RUN_MAX_PAIR_UPDATES", plan - 1)
     with pytest.raises(ConfigError, match=f"{key}: {steps} steps"):
         cfg.check_flow("linear", grid, 0.0, 0.1)
+
+
+def test_the_work_rule_caps_the_steps_of_a_small_grid():
+    # an 11-node 1-d flow to t = 1e7 makes 1.3e8 pair-updates, within their
+    # budget, yet took 107 s: its 2.4e6 steps are refused under flow.end,
+    # and a span that flow.dt_max cuts into too many steps under it
+    base = ["grid.M=11", "grid.L=21.7", "kernel.radius=inf",
+            "kernel.s=1.18", "kernel.lambda=5.83"]
+    cfg = parse_config(overrides=base + ["flow.end=1e7"])
+    with pytest.raises(ConfigError, match=r"flow\.end: \d+ steps, above "
+                       f"the {RUN_MAX_STEPS} a run may take"):
+        cfg.check_flow("linear", cfg.make_grid(), 0.0, 1e7)
+    cfg = parse_config(overrides=base + ["flow.end=0.2", "flow.dt_max=1e-6"])
+    with pytest.raises(ConfigError, match="flow.dt_max: 200001 steps"):
+        cfg.check_flow("linear", cfg.make_grid(), 0.0, 0.2)
+    cfg = parse_config(overrides=base + ["flow.end=0.2", "flow.dt_max=1e-5"])
+    assert cfg.check_flow("linear", cfg.make_grid(), 0.0, 0.2) == 20000
 
 
 def test_seed_lists():

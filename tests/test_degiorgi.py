@@ -166,7 +166,7 @@ def test_truncated_energies_vanish_for_zero_field(grid1):
     u = truncated_energies(traj, k_max=3)
     assert np.all(u == 0.0)
     rep = check_recurrence(u, traj.order, grid1.dimension)
-    assert rep.vacuous and rep.decayed and rep.degenerate
+    assert rep.vacuous and rep.decayed
     assert math.isnan(rep.constant)
 
 
@@ -218,13 +218,12 @@ def test_truncated_energies_coverage_guards(grid1):
 def test_recurrence_constant_on_synthetic_geometric_sequence():
     # U_k chosen so U_k / U_{k-1}^2 = 0.1 at every level (s = 1, N = 1)
     u = np.array([1e-2, 1e-5, 1e-11, 1e-23])
-    rep = check_recurrence(u, order=1.0, dimension=1)
-    assert rep.ratios.shape == (3,)
-    assert rep.ratios[0] == pytest.approx(0.1)
-    assert rep.ratios[1] == pytest.approx(0.1 ** 0.5)
-    assert rep.ratios[2] == pytest.approx(0.1 ** (1.0 / 3.0))
-    assert rep.constant == pytest.approx(0.1 ** (1.0 / 3.0))
-    assert rep.decayed and not rep.degenerate and not rep.vacuous
+    # c_k = 0.1^(1/k) increases in k, so the constant of the prefix
+    # U_0..U_k is c_k: every rung's formula is checked
+    for k in (1, 2, 3):
+        rep = check_recurrence(u[:k + 1], order=1.0, dimension=1)
+        assert rep.constant == pytest.approx(0.1 ** (1.0 / k))
+    assert rep.decayed and not rep.vacuous
 
 
 def test_recurrence_exponent_follows_the_trajectory_dimension():
@@ -232,20 +231,29 @@ def test_recurrence_exponent_follows_the_trajectory_dimension():
     g2 = Grid(dimension=2, side_length=16.0, points_per_axis=16)
     traj = constant_trajectory(g2, 1.0, t_lo=-2.0, t_hi=0.0, n=33)
     u = truncated_energies(traj, k_max=2)
-    rep = check_recurrence(u, traj.order, traj.grid.dimension)
-    assert rep.ratios[0] == pytest.approx(u[1] / u[0] ** 1.5, rel=1e-12)
-    assert rep.ratios[0] != pytest.approx(u[1] / u[0] ** 2.0, rel=1e-6)
+    c_1 = check_recurrence(u[:2], traj.order, traj.grid.dimension).constant
+    assert c_1 == pytest.approx(u[1] / u[0] ** 1.5, rel=1e-12)
+    assert c_1 != pytest.approx(u[1] / u[0] ** 2.0, rel=1e-6)
 
 
 # --------------------------------------------------------------------------
 # interpolation chain
 
+def chebyshev_slack_brute(lhs, base, order, dimension):
+    """(k_max, 3) slack (2^(k+1))^p * base - lhs of the linear, indicator
+    and quadratic bounds, from the rungs' integrals lhs (3, k_max) and
+    base (k_max,)."""
+    ratio = order / dimension
+    factors = 2.0 ** np.arange(2, base.size + 2)
+    return np.stack([factors ** p * base - row for p, row in zip(
+        (1.0 + 2.0 * ratio, 2.0 * (1.0 + ratio), 2.0 * ratio), lhs)], axis=1)
+
+
 def test_chebyshev_chain_vacuous_for_zero_field(grid1):
     traj = constant_trajectory(grid1, 0.0, t_lo=-2.0, t_hi=0.0, n=33)
-    rep = chebyshev_chain(traj, k_max=3)
-    assert np.all(rep.base_integral == 0.0)
-    assert np.all(rep.slack == 0.0)
-    assert rep.all_nonnegative
+    slack = chebyshev_chain(traj, k_max=3)
+    assert slack.shape == (3, 3)
+    assert np.all(slack == 0.0)
 
 
 def test_chebyshev_chain_matches_brute_force(grid1):
@@ -253,10 +261,11 @@ def test_chebyshev_chain_matches_brute_force(grid1):
     times = np.linspace(-2.0, 0.0, 17)
     fields = rng.uniform(-1.0, 2.5, size=(times.size, grid1.n_nodes))
     traj = synthetic_trajectory(grid1, times, fields)
-    rep = chebyshev_chain(traj, k_max=3)
+    slack = chebyshev_chain(traj, k_max=3)
     psi = barrier(grid1.origin_distance(), 0.5)
     h = grid1.spacing
-    assert rep.slack.shape == (3, 3)
+    assert slack.shape == (3, 3)
+    lhs, base = np.empty((3, 3)), np.empty(3)
     for i, k in enumerate((1, 2, 3)):
         t_start = -1.0 - 0.5 ** (k - 1)
         inside = times >= t_start - 1e-9
@@ -265,15 +274,12 @@ def test_chebyshev_chain_matches_brute_force(grid1):
         cut_p = 0.5 - 0.5 * 0.5 ** (k - 1)
         pos_k = np.maximum(w - cut_k - psi, 0.0)
         pos_p = np.maximum(w - cut_p - psi, 0.0)
-        assert rep.linear_lhs[i] == pytest.approx(
-            np.trapezoid(pos_k.sum(axis=1) * h, tw), rel=1e-12)
-        assert rep.indicator_lhs[i] == pytest.approx(
-            np.trapezoid((pos_k > 0).sum(axis=1) * h, tw), rel=1e-12)
-        assert rep.quadratic_lhs[i] == pytest.approx(
-            np.trapezoid((pos_k ** 2).sum(axis=1) * h, tw), rel=1e-12)
-        assert rep.base_integral[i] == pytest.approx(
-            np.trapezoid((pos_p ** 4).sum(axis=1) * h, tw), rel=1e-12)
-    assert rep.all_nonnegative
+        lhs[:, i] = [np.trapezoid(rows.sum(axis=1) * h, tw)
+                     for rows in (pos_k, pos_k > 0, pos_k ** 2)]
+        base[i] = np.trapezoid((pos_p ** 4).sum(axis=1) * h, tw)
+    assert slack == pytest.approx(
+        chebyshev_slack_brute(lhs, base, 1.0, 1), rel=1e-12)
+    assert np.all(slack >= 0.0)
 
 
 def test_chebyshev_chain_holds_for_random_fields(grid1):
@@ -281,9 +287,9 @@ def test_chebyshev_chain_holds_for_random_fields(grid1):
     for seed in range(25):
         rng = np.random.default_rng(seed)
         fields = rng.uniform(-2.0, 3.0, size=(times.size, grid1.n_nodes))
-        rep = chebyshev_chain(synthetic_trajectory(grid1, times, fields),
-                              k_max=4)
-        assert rep.all_nonnegative
+        slack = chebyshev_chain(synthetic_trajectory(grid1, times, fields),
+                                k_max=4)
+        assert np.all(slack >= 0.0)
 
 
 def seminorm_brute_nd(grid, u, order=1.0, cutoff=2.0):
@@ -370,11 +376,10 @@ def test_sub_torus_ladder_matches_brute_force(case):
     u_levels = truncated_energies(traj, k_max=k_max)
     assert u_levels == pytest.approx(u, rel=1e-12, abs=0.0)
     assert np.all(np.diff(u_levels) <= 0.0)
-    rep = chebyshev_chain(traj, k_max=k_max)
-    for got, want in zip((rep.linear_lhs, rep.indicator_lhs,
-                          rep.quadratic_lhs, rep.base_integral), cheb):
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert rep.all_nonnegative
+    slack = chebyshev_chain(traj, k_max=k_max)
+    assert slack == pytest.approx(chebyshev_slack_brute(
+        cheb[:3], cheb[3], 1.0, grid.dimension), rel=1e-12, abs=0.0)
+    assert np.all(slack >= 0.0)
 
 
 # --------------------------------------------------------------------------

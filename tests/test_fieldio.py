@@ -1,5 +1,6 @@
 """Round trips and error paths for CSV / PGM field files."""
 
+import json
 import re
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from nlflow.cli import main
 from nlflow.errors import NlflowError
-from nlflow.fieldio import load_field, save_field
+from nlflow.fieldio import load_field, save_field, write_json
 from nlflow.grid import Field, Grid
 
 
@@ -310,3 +311,16 @@ def test_an_unreadable_path_is_refused_naming_it(tmp_path):
     for path in (tmp_path, tmp_path / "missing.pgm"):
         with pytest.raises(NlflowError, match=re.escape(f"{path}: ")):
             load_field(str(path))
+
+
+def test_write_json_spells_non_finite_floats(tmp_path):
+    # JSON has no inf or nan: python and numpy floats alike are written as
+    # the strings "inf", "-inf" and "nan", not as Infinity or NaN
+    path = tmp_path / "report.json"
+    write_json({"python": [float("inf"), -float("inf"), float("nan")],
+                "numpy": np.array([np.inf, -np.inf, np.nan]),
+                "scalar": np.float64(np.nan), "finite": np.float32(0.5)},
+               str(path))
+    assert json.loads(path.read_text()) == {
+        "python": ["inf", "-inf", "nan"], "numpy": ["inf", "-inf", "nan"],
+        "scalar": "nan", "finite": 0.5}
