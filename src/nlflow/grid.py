@@ -448,7 +448,7 @@ class DiscreteOperator:
         n, h_n = grid.n_nodes, grid.spacing ** grid.dimension
         radius, A = self.kernel.spec.truncation_radius, np.zeros((n, n))
         # 2^16 pairs a block keeps its temporaries small: blocks of 2^22
-        # built the 2-d M=64 matrices 2-5x slower
+        # built the 2-d M=45..64 matrices 1.4-5x slower
         step = 2 ** 16 // n + 1
         for start in range(0, n, step):
             rows = slice(start, min(start + step, n))
