@@ -100,7 +100,8 @@ MAX_SEEDS = RUN_MAX_BYTES >> 10
 
 def parse_seed_list(text: str) -> tuple[int, ...]:
     """Seed lists: comma-separated integers and inclusive a..b ranges, of at
-    most MAX_SEEDS seeds, counted before any range is expanded."""
+    most MAX_SEEDS seeds, counted before any range is expanded, none named
+    twice."""
     ranges = []
     for part in text.split(","):
         part = part.strip()
@@ -117,6 +118,12 @@ def parse_seed_list(text: str) -> tuple[int, ...]:
     if count > MAX_SEEDS:
         raise ValueError(f"{count} seeds, more than the {MAX_SEEDS} a list "
                          "may name")
+    # sorted by their first seed, two ranges share a seed only if two
+    # neighbours do: the later one's first
+    ordered = sorted(ranges)
+    for (_, hi), (lo, _) in zip(ordered, ordered[1:]):
+        if lo <= hi:
+            raise ValueError(f"seed {lo} is named more than once")
     return tuple(seed for lo, hi in ranges for seed in range(lo, hi + 1))
 
 
@@ -243,7 +250,8 @@ class ExperimentConfig:
         can take (`work_errors`) breaks, keyed by `keys` or `_KEYS`.
         A rough-static step lies between those at the band's edges 1/Lambda
         and Lambda (a time-dependent one steps at Lambda); where their counts
-        straddle the cap, each seed's row sums count it, as in `run_flow`."""
+        straddle the cap, each seed's row sums count it, as in `run_flow`,
+        up to the first seed whose count breaks a rule."""
         # the band's step does not depend on the kernel's seed
         spec = self.kernel_spec(seed=0, dimension=grid.dimension)
         kernel = make_kernel(spec)
@@ -267,9 +275,15 @@ class ExperimentConfig:
             # no seed's row sums, so no seed's steps, pass the band's top
             most, over = count(op, hi)
             if over:
-                most, found = max((count(DiscreteOperator(grid, make_kernel(
-                    self.kernel_spec(seed, grid.dimension))), None) for seed
-                    in self.get("ensemble.seeds")), key=lambda c: c[0])
+                # the rules grow with the count: the largest count breaks
+                # one exactly when some count does, the first that does
+                most = 0
+                for seed in self.get("ensemble.seeds"):
+                    steps, found = count(DiscreteOperator(grid, make_kernel(
+                        self.kernel_spec(seed, grid.dimension))), None)
+                    most = max(most, steps)
+                    if found or work_errors(steps, op):
+                        break
                 n_steps = most
             # flow.dt_max set the count if stepping at it gives that count
             dt_max = self.get("flow.dt_max")

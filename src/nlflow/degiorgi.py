@@ -366,10 +366,6 @@ class LemmaReport:
     numbers: dict = dataclass_field(default_factory=dict)
     first_violation: dict | None = None
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
 
 def _graded(name: str, precondition_ok: bool, hypothesis_ok: bool,
             conclusion_ok: bool, numbers: dict,

@@ -60,9 +60,9 @@ def stable_dt(op: DiscreteOperator, potential: Potential | None = None,
 
 def _offset_rhs(op: DiscreteOperator, wg: np.ndarray, t: float,
                 d1=None) -> np.ndarray:
-    """`op.offset_rhs`, which the banded `apply` also calls, under the one
-    name every step looks up.  The linear and nonlinear paths share this sum
-    so a quadratic-potential step is the linear step, bitwise."""
+    """`op.offset_rhs` under the one name every step looks up.  The linear
+    and nonlinear paths share this sum so a quadratic-potential step is the
+    linear step, bitwise."""
     return op.offset_rhs(wg, t, d1)
 
 
@@ -72,7 +72,7 @@ def _rhs_and_energy(op: DiscreteOperator, pot: Potential | None,
 
     For a symmetric table and an odd g the fluxes sum to the pair sum of
     x g(x): sum_d mult_d sum_x F_d(x) (v(x+d) - v(x)) = -2 h^N <rhs, v>.
-    That is B[v, v] for linear runs (pot None; `bilinear_form`'s identity);
+    That is B[v, v] for linear runs (pot None; <L v, v> h^N = -B[v, v] / 2);
     with a potential V(v) = -2 h^N <rhs, v> -
     2 sum_d sum_x K_d psi(v(x+d) - v(x)) h^(2N), phi = x phi' - psi, psi
     summed on each block of the pass.

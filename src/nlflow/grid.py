@@ -1,4 +1,4 @@
-"""Periodic lattice, fields, and discrete nonlocal operators.
+"""Periodic lattice, fields, and the discrete nonlocal operator.
 
 The torus [0, L)^N is sampled with M points per axis (lexicographic layout,
 spacing h = L/M).  The discrete operator is the midpoint-rule sum
@@ -9,26 +9,24 @@ with the diagonal excluded and y running over lattice nodes at periodic
 displacements.  When L > 2 * truncation_radius at most one periodic image of
 any node lies inside the kernel support, so the sum needs no image folding;
 untruncated kernels use the nearest-image displacement.  Every periodic
-length, of a kept offset, a dense pair or a node from the origin, is that of
-a nearest-image integer offset times h (`_lattice_length`).
+length, of a kept offset or a node from the origin, is that of a
+nearest-image integer offset times h (`_lattice_length`).
 
-Two evaluation strategies give the same quadrature:
+Every flow steps on its banded difference form
 
-  dense     explicit n x n matrix (the tests' oracle; small grids)
-  banded    (L w)(x) = sum_d [F_d(x) - F_d(x - d)] h^N with the flux
-            F_d(x) = K(x, x+d) [w(x+d) - w(x)] over one offset d of each
-            pair {d, -d mod M} within the truncation radius: K is symmetric,
-            so d and -d carry one flux (`OffsetStencil`, which also gives
-            the weight-1/2 rule for offsets with 2d = 0 mod M).  Offsets
-            sharing their trailing component are swept together on a copy
-            of w rolled by it and padded along the leading axis only, so
-            every gather and scatter is a contiguous slice; every flow
-            steps on it
+    (L w)(x) = sum_d [F_d(x) - F_d(x - d)] h^N,
+    F_d(x) = K(x, x + d) [w(x + d) - w(x)],
+
+over one offset d of each pair {d, -d mod M} within the truncation radius:
+K is symmetric, so d and -d carry one flux (`OffsetStencil`, which also
+gives the weight-1/2 rule for offsets with 2d = 0 mod M).  Offsets sharing
+their trailing component are swept together on a copy of w rolled by it and
+padded along the leading axis only, so every gather and scatter is a
+contiguous slice.
 
 Kernel values are always evaluated at canonical node coordinates in [0, L)^N
 with the periodic distance passed explicitly, so rough-kernel symmetry holds
-exactly at wrap-around pairs and banded/dense see bitwise-identical values.
-All reductions run in a fixed order.
+exactly at wrap-around pairs.  All reductions run in a fixed order.
 """
 
 from __future__ import annotations
@@ -43,11 +41,6 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from .errors import NlflowError, raise_first, violations
 from .kernels import TRANSLATION_INVARIANT_FAMILIES, Kernel, kernel_epoch
 
-STRATEGIES = ("dense", "banded")
-# Most nodes of a dense operator: its n x n matrix takes 8 n^2 bytes, 128 MiB
-# at the 64 x 64 grid of the largest dense-oracle test (the default 256 x 256
-# grid would take 32 GiB)
-DENSE_MAX_NODES = 4096
 # Most bytes a run may hold: run_flow's samples and seven per-state records,
 # or the per-node offset table of a rough kernel.  The tests, the config
 # sweep and the benchmark's workloads reach 1.13 MiB (denoise-2d) and ~7 MB
@@ -166,8 +159,8 @@ def grid_errors(dimension: int, side_length: float, points_per_axis: int,
 
 
 def operator_errors(grid: Grid, spec, strategy: str) -> list:
-    """`grid_errors` and the pairs of the rules an operator of `strategy` on
-    `grid` and a `spec` kernel adds."""
+    """`grid_errors` and the pairs of the rules an operator on `grid` and a
+    `spec` kernel adds; `strategy` must name the banded form."""
     radius = spec.truncation_radius
     # inside the normal floats, so that kernel values and row sums are too
     log_envelope = math.log(1.0 - 0.5 * spec.order) - (
@@ -180,11 +173,7 @@ def operator_errors(grid: Grid, spec, strategy: str) -> list:
                        radius) + violations(
         ("dimension", grid.dimension == spec.dimension, f"grid dimension "
          f"{grid.dimension} != kernel dimension {spec.dimension}"),
-        ("strategy", strategy in STRATEGIES,
-         f"strategy must be one of {', '.join(STRATEGIES)}"),
-        ("strategy", strategy != "dense" or grid.n_nodes <= DENSE_MAX_NODES,
-         f"the dense operator takes at most {DENSE_MAX_NODES} nodes, not "
-         f"{grid.n_nodes}"),
+        ("strategy", strategy == "banded", "strategy must be banded"),
         ("truncation_radius", radius >= grid.spacing, f"no lattice neighbor "
          f"within the truncation radius at grid spacing {grid.spacing:g}"),
         ("side_length", -708.0 < log_envelope < 709.0, f"the kernel envelope "
@@ -398,15 +387,13 @@ class Field:
 
 
 class DiscreteOperator:
-    """Bound (grid, kernel, strategy) triple holding one table: the half
-    offset table or the dense matrix of one kernel epoch
-    (`kernels.kernel_epoch`); another is built in its place."""
+    """Bound (grid, kernel) pair holding the half offset table of one kernel
+    epoch (`kernels.kernel_epoch`); another epoch's is built in its place."""
 
     def __init__(self, grid: Grid, kernel: Kernel, strategy: str = "banded"):
         raise_first(operator_errors(grid, kernel.spec, strategy))
         self.grid = grid
         self.kernel = kernel
-        self.strategy = strategy
         self._held: tuple = (None, None)
         self.deltas, self.dists = grid.offsets_within(
             kernel.spec.truncation_radius)
@@ -416,8 +403,8 @@ class DiscreteOperator:
         """Kernel values K(t, x, x + d) per kept offset d, the half table of
         the stencil: (n_off,) scalars for translation-invariant kernels, else
         (n_off, n_nodes) with rows matching self.deltas."""
-        key = ("offvals", kernel_epoch(self.kernel, t))
-        if self._held[0] == key:
+        epoch = kernel_epoch(self.kernel, t)
+        if self._held[0] == epoch:
             return self._held[1]
         COUNTERS["offset_table_builds"] += 1
         if self.kernel.translation_invariant:
@@ -434,47 +421,8 @@ class DiscreteOperator:
                 ycoords = (index + self.deltas[rows, None]) % M * h
                 vals[rows] = self.kernel.evaluate(
                     t, coords, ycoords, dist=self.dists[rows, None])
-        self._held = (key, vals)
+        self._held = (epoch, vals)
         return vals
-
-    def _dense(self, t: float) -> np.ndarray:
-        """Dense operator matrix A with A[i, j] = K(t, x_i, x_j) h^N, zero
-        diagonal: the double-sum oracle."""
-        key = ("matrix", kernel_epoch(self.kernel, t))
-        if self._held[0] == key:
-            return self._held[1]
-        grid, coords, index = self.grid, self.grid.node_coords(), \
-            self.grid.node_indices()
-        n, h_n = grid.n_nodes, grid.spacing ** grid.dimension
-        radius, A = self.kernel.spec.truncation_radius, np.zeros((n, n))
-        # 2^16 pairs a block keeps its temporaries small: blocks of 2^22
-        # built the 2-d M=45..64 matrices 1.4-5x slower
-        step = 2 ** 16 // n + 1
-        for start in range(0, n, step):
-            rows = slice(start, min(start + step, n))
-            # K is symmetric bit for bit (`Kernel.evaluate` averages both
-            # cell orders), so a row block evaluates its columns beyond it,
-            # its diagonal square above the diagonal, and mirrors the rest
-            A[rows, :start] = A[:start, rows].T
-            for cols, square in ((rows, True), (slice(rows.stop, n), False)):
-                # pair lengths from integer offsets, as offsets_within
-                # measures them, so the kernel's truncation test is
-                # symmetric at any spacing; beyond a finite radius the
-                # kernel is the zero A holds
-                dist = _lattice_length(grid, _signed_steps(
-                    grid, index[None, cols] - index[rows, None]))
-                pairs = dist.shape + (grid.dimension,)
-                within = np.triu(dist <= radius, 1) if square else \
-                    dist <= radius if math.isfinite(radius) else Ellipsis
-                A[rows, cols][within] = self.kernel.evaluate(
-                    t, np.broadcast_to(coords[rows, None], pairs)[within],
-                    np.broadcast_to(coords[None, cols], pairs)[within],
-                    dist=dist[within]) * h_n
-            block = A[rows, rows]
-            below = np.tril_indices(block.shape[0], -1)
-            block[below] = block.T[below]
-        self._held = (key, A)
-        return A
 
     def rowsums(self, t: float = 0.0) -> np.ndarray:
         """sum_{y != x} K(t, x, y) h^N per node, flat, from the half table."""
@@ -488,50 +436,13 @@ class DiscreteOperator:
                                        lambda d: np.full_like(d, -1.0))
         return (back.ravel() + 2.0 * vals.sum(axis=0)) * h_n
 
-    def apply(self, values: np.ndarray, t: float = 0.0) -> np.ndarray:
-        """(L w) at every node for flat float64 `values`."""
-        w = np.asarray(values, dtype=np.float64).ravel()
-        if w.size != self.grid.n_nodes:
-            raise NlflowError(
-                f"field has {w.size} values, grid has {self.grid.n_nodes} nodes")
-        # the oracle weighs differences, so a constant cancels exactly, as on
-        # the stencil: A w - rowsums w rounds at the scale of |w| and broke a
-        # flow's bracket from |w| = 1e4
-        if self.strategy == "dense":
-            A, out = self._dense(t), np.empty(w.size)
-            step = max(1, 2 ** 22 // w.size)
-            for start in range(0, w.size, step):
-                rows = slice(start, start + step)
-                out[rows] = np.einsum("ij,ij->i", A[rows], w - w[rows, None])
-            return out
-        return self.offset_rhs(w.reshape(self.grid.shape), t).ravel()
-
     def offset_rhs(self, wg: np.ndarray, t: float, d1=None) -> np.ndarray:
         """sum_d [F_d(x) - F_d(x-d)] h^N, F_d = K_d g(w(x+d) - w(x)), on the
-        grid-shaped `wg`, g the identity or `d1` (phi'): the banded `apply`
-        and every flow step (`flow._offset_rhs`)."""
+        grid-shaped `wg`, g the identity or `d1` (phi'): every flow step
+        (`flow._offset_rhs`)."""
         acc = self.stencil.offset_sum(wg, self.offset_values(t), d1)
         return np.multiply(acc, self.grid.spacing ** self.grid.dimension,
                            out=acc)
-
-
-def bilinear_form(kernel: Kernel, u: Field, v: Field, t: float = 0.0) -> float:
-    """B[u, v] = sum_x sum_{y != x} K [u(x)-u(y)] [v(x)-v(y)] h^(2N) on the
-    banded operator of the fields' grid.
-
-    Satisfies <L u, v> h^N = -B[u, v] / 2 up to roundoff and B[u, u] >= 0.
-    It stays the direct pair sum, twice that over the kept offsets, which the
-    tests compare that identity against; flow records take the energy from
-    the identity instead.
-    """
-    if u.grid != v.grid:
-        raise NlflowError("bilinear_form fields live on different grids")
-    op = DiscreteOperator(u.grid, kernel, "banded")
-    pair = np.stack([u.values, v.values]).reshape((2,) + u.grid.shape)
-    table = op.offset_values(t)
-    total = sum(op.stencil.pair_total(rows, table, diffs[0] * diffs[1])
-                for rows, diffs in op.stencil.blocks(pair))
-    return total * u.grid.spacing ** (2 * u.grid.dimension)
 
 
 def seminorm_stencil(grid: Grid, points: int) -> OffsetStencil:

@@ -131,10 +131,6 @@ class DerivedEnvelopeReport:
     violations: int
     step_factors: tuple
 
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
 
 def scan_derived_envelope(theta_traj: Trajectory,
                           e: int = 0) -> DerivedEnvelopeReport:

@@ -6,6 +6,7 @@ probe the same runs and re-integrating them per test would dominate runtime.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from nlflow.ensembles import (
     recurrence_run,
 )
 from nlflow.flow import Trajectory, run_flow
-from nlflow.grid import DiscreteOperator, Grid
+from nlflow.grid import DiscreteOperator, Grid, _lattice_length, \
+    _signed_steps
 
 cached_lemma_run = functools.lru_cache(maxsize=None)(lemma_ensemble_run)
 cached_level_run = functools.lru_cache(maxsize=None)(level_ensemble_run)
@@ -87,11 +89,83 @@ def synthetic_trajectory(grid: Grid, times, fields,
                                   order=order)
 
 
-def cosine_mode_eigenvalue(points, kernel, mode=3, strategy="banded"):
-    """-<Lw, w>/<w, w> for w = cos(2 pi mode x / L) on a 1-d grid, L = 16."""
+# --------------------------------------------------------------------------
+# operator oracles: the dense double sum and the pair-sum form
+
+def dense_matrix(grid: Grid, kernel, t: float = 0.0) -> np.ndarray:
+    """Dense operator matrix A with A[i, j] = K(t, x_i, x_j) h^N, zero
+    diagonal: the double-sum oracle (8 n^2 bytes, 128 MiB at 64 x 64)."""
+    coords, index = grid.node_coords(), grid.node_indices()
+    n, h_n = grid.n_nodes, grid.spacing ** grid.dimension
+    radius, A = kernel.spec.truncation_radius, np.zeros((n, n))
+    # 2^16 pairs a block keeps its temporaries small: blocks of 2^22
+    # built the 2-d M=45..64 matrices 1.4-5x slower
+    step = 2 ** 16 // n + 1
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        # K is symmetric bit for bit (`Kernel.evaluate` averages both
+        # cell orders), so a row block evaluates its columns beyond it,
+        # its diagonal square above the diagonal, and mirrors the rest
+        A[rows, :start] = A[:start, rows].T
+        for cols, square in ((rows, True), (slice(rows.stop, n), False)):
+            # pair lengths from integer offsets, as offsets_within
+            # measures them, so the kernel's truncation test is
+            # symmetric at any spacing; beyond a finite radius the
+            # kernel is the zero A holds
+            dist = _lattice_length(grid, _signed_steps(
+                grid, index[None, cols] - index[rows, None]))
+            pairs = dist.shape + (grid.dimension,)
+            within = np.triu(dist <= radius, 1) if square else \
+                dist <= radius if math.isfinite(radius) else Ellipsis
+            A[rows, cols][within] = kernel.evaluate(
+                t, np.broadcast_to(coords[rows, None], pairs)[within],
+                np.broadcast_to(coords[None, cols], pairs)[within],
+                dist=dist[within]) * h_n
+        block = A[rows, rows]
+        below = np.tril_indices(block.shape[0], -1)
+        block[below] = block.T[below]
+    return A
+
+
+def dense_apply(grid: Grid, kernel, values: np.ndarray,
+                t: float = 0.0) -> np.ndarray:
+    """(L w) at every node of flat `values` from `dense_matrix`."""
+    # the oracle weighs differences, so a constant cancels exactly, as on
+    # the stencil: A w - rowsums w rounds at the scale of |w| and broke a
+    # flow's bracket from |w| = 1e4
+    A, out = dense_matrix(grid, kernel, t), np.empty(values.size)
+    step = max(1, 2 ** 22 // values.size)
+    for start in range(0, values.size, step):
+        rows = slice(start, start + step)
+        out[rows] = np.einsum("ij,ij->i", A[rows], values - values[rows, None])
+    return out
+
+
+def banded_apply(op, values: np.ndarray, t: float = 0.0) -> np.ndarray:
+    """(L w) at every node of flat `values` on `op`'s stencil, the sum every
+    flow step takes."""
+    return op.offset_rhs(values.reshape(op.grid.shape), t).ravel()
+
+
+def bilinear_form(kernel, u, v, t: float = 0.0) -> float:
+    """B[u, v] = sum_x sum_{y != x} K [u(x)-u(y)] [v(x)-v(y)] h^(2N) for
+    fields on one grid, the direct pair sum over the banded operator's kept
+    offsets (twice each): <L u, v> h^N = -B[u, v] / 2 up to roundoff."""
+    op = DiscreteOperator(u.grid, kernel)
+    pair = np.stack([u.values, v.values]).reshape((2,) + u.grid.shape)
+    table = op.offset_values(t)
+    total = sum(op.stencil.pair_total(rows, table, diffs[0] * diffs[1])
+                for rows, diffs in op.stencil.blocks(pair))
+    return total * u.grid.spacing ** (2 * u.grid.dimension)
+
+
+def cosine_mode_eigenvalue(points, kernel, mode=3, dense=False):
+    """-<Lw, w>/<w, w> for w = cos(2 pi mode x / L) on a 1-d grid, L = 16,
+    from the banded operator or, with `dense`, the dense double sum."""
     g = Grid(dimension=1, side_length=16.0, points_per_axis=points)
     w = np.cos(2.0 * np.pi * mode * g.node_coords()[:, 0] / g.side_length)
-    out = DiscreteOperator(g, kernel, strategy=strategy).apply(w)
+    out = dense_apply(g, kernel, w) if dense else \
+        banded_apply(DiscreteOperator(g, kernel), w)
     lam = -float(np.dot(out, w) / np.dot(w, w))
     # cosines are exact eigenfunctions of the periodic convolution, so the
     # residual after projecting out the mode is numerical noise

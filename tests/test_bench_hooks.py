@@ -56,7 +56,6 @@ def test_layer_probe_builds_the_operator(workload, tmp_path):
     if workload == "denoise-2d":
         workloads.write_noisy_pgm(str(tmp_path / "noisy.pgm"), 0)
     op, grid, d1 = layers.operator_for(workload, 0, str(tmp_path))
-    assert op.strategy == "banded"
     assert op.grid == grid
     assert op.offset_values(0.0).shape[0] == op.deltas.shape[0]
     assert (d1 is None) == (workload == "diagnose-1d")

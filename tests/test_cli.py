@@ -28,7 +28,7 @@ from nlflow.errors import ConfigError, NlflowError
 from nlflow.fieldio import load_field, save_field
 from nlflow.fields import INITIAL_KINDS
 from nlflow.flow import run_flow
-from nlflow.grid import Field, Grid
+from nlflow.grid import COUNTERS, Field, Grid
 from nlflow.kernels import KERNEL_FAMILIES, kernel_epoch
 from nlflow.oscillation import oscillation_decay, verify_lemma3
 from nlflow.potentials import POTENTIAL_FAMILIES
@@ -264,12 +264,20 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
     # the band's edges straddle the cap: the seed's own row sums count it
     (["run", "--seed", "1", "--set", "kernel.family=rough-static",
       "--set", "flow.end=50000"], "flow.end: 5.22e+06 steps on 256 nodes"),
+    # the counts of the band, 36,096 and 577,535 steps, straddle it: one
+    # offset table a seed (~1.2 ms) came before the refusal, two minutes of
+    # tables for these seeds; seed 1's count breaks the rule
+    (["run", "--seed", "1..100000", "--set", "kernel.family=rough-static",
+      "--set", "flow.end=5000"], "flow.end: 5.22e+05 steps on 256 nodes"),
     # a seed range is counted before it is expanded: validate reads no seed,
     # yet 1..10^10 ran out of memory, and past 2^63 seeds expanding overflowed
     (["validate", "--seed", f"1..{10 ** 28}"],
      f"--seed '1..{10 ** 28}': {10 ** 28} seeds, more than the {MAX_SEEDS}"),
     (["validate", "--seed", f"0..{MAX_SEEDS}"],
      f"{MAX_SEEDS + 1} seeds, more than the {MAX_SEEDS} a list may name"),
+    # a repeated seed ran twice and counted twice in every verdict tally
+    (["diagnose", "--seed", "1,1"],
+     "--seed '1,1': seed 1 is named more than once"),
     (["run", "--seed", "1", "--set", "flow.stepper=heun"],
      "flow.stepper: must be euler"),
     # validate samples separations down to a thousandth of the radius: below
@@ -330,16 +338,19 @@ BAD_INPUTS = {"cut.json": "{", "list.json": "[]", "taken": "",
         "validate-int-over-64-bit", "run-int-over-64-bit",
         "sample-every-over-64-bit", "diagnose-levels-over-64-bit",
         "rough-offset-table-over-cap", "spacing-underflow",
-        "denoise-too-long", "rough-static-too-long", "seeds-past-any-memory",
-        "seeds-one-past-the-bound", "stepper-heun", "validate-radius-tiny",
+        "denoise-too-long", "rough-static-too-long",
+        "rough-static-too-long-over-many-seeds", "seeds-past-any-memory",
+        "seeds-one-past-the-bound", "seeds-named-twice", "stepper-heun",
+        "validate-radius-tiny",
         "validate-lambda-past-the-floats", "run-cell-past-int64",
         "run-epoch-past-int64", "validate-cell-past-int64",
         "validate-epoch-past-int64", "run-start-far-from-0",
         "2d-work-over-the-budget", "2d-untruncated-work-over-the-budget"])
 def test_unsupported_config_exits_2(tmp_path, capsys, argv, message):
-    # refused before any work, not aborted later with exit 1 or 3; a dict in
-    # argv stands for a calibration file with those entries changed, and
-    # {tmp} for the directory holding BAD_INPUTS
+    # refused before any work, not aborted later with exit 1 or 3: at most
+    # the offset table of the one seed whose step count breaks a rule (main
+    # zeroes the counters); a dict in argv stands for a calibration file with
+    # those entries changed, and {tmp} for the directory holding BAD_INPUTS
     for name, text in BAD_INPUTS.items():
         (tmp_path / name).write_text(text)
     argv = [item.format(tmp=tmp_path) if isinstance(item, str) else item
@@ -356,6 +367,7 @@ def test_unsupported_config_exits_2(tmp_path, capsys, argv, message):
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+    assert COUNTERS["offset_table_builds"] <= 1
 
 
 @pytest.mark.parametrize("setting", [

@@ -168,6 +168,15 @@ def test_seed_lists():
     assert cfg.sources["ensemble.seeds"] == "--seed"
     with pytest.raises(ConfigError, match="--seed"):
         parse_config(seeds="five")
+    # each seed once, counted after the ranges expand: a repeated seed ran
+    # twice and weighed twice in diagnose and calibrate
+    for text, seed in (("1,1", 1), ("1..3,2", 2), ("5,2..4,1..2", 2)):
+        with pytest.raises(ValueError,
+                           match=f"seed {seed} is named more than once"):
+            parse_seed_list(text)
+    with pytest.raises(ConfigError, match="seed 3 is named more than once"):
+        parse_config(overrides=["ensemble.seeds=3..4,3"])
+    assert parse_seed_list("4..6,1..3") == (4, 5, 6, 1, 2, 3)
 
 
 def test_value_kinds():
@@ -414,8 +423,6 @@ PARITY = {
     "scale": (["diagnose.scale=1.5"], "diagnose.scale", 1.5,
               lambda: oscillation_decay(None, scale=1.5, levels=4)),
     # the rules `check_flow` asks of a flow the config accepts
-    "dense-cap": (["flow.strategy=dense", "grid.N=2", "grid.M=65"],
-                  "flow.strategy", "dense", "must be banded"),
     "neighbor": (["grid.M=8", "kernel.radius=1"], "kernel.radius", 1.0,
                  lambda: _operator("banded", Grid(1, 16.0, 8),
                                    truncation_radius=1.0)),

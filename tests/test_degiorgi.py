@@ -427,7 +427,7 @@ def test_level_set_measures_need_full_window(grid1):
 def test_lemma1_passes_zero_field(grid1):
     traj = constant_trajectory(grid1, 0.0, t_lo=-2.0, t_hi=0.0)
     rep = verify_lemma1(traj, eps0=0.1)
-    assert rep.verdict == "pass" and rep.passed
+    assert rep.verdict == "pass"
     assert rep.hypothesis_ok and rep.conclusion_ok
     assert rep.numbers["truncated_mass"] == 0.0
     assert rep.numbers["far_field_ok"]

@@ -9,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import banded_apply, bilinear_form, dense_apply, dense_matrix
 from nlflow import flow
 from nlflow.errors import NlflowError
 from nlflow.fields import make_initial
@@ -21,7 +22,7 @@ from nlflow.flow import (
     run_flow,
     stable_dt,
 )
-from nlflow.grid import DiscreteOperator, Field, Grid, bilinear_form
+from nlflow.grid import DiscreteOperator, Field, Grid
 from nlflow.kernels import KernelSpec, make_kernel
 from nlflow.potentials import PotentialSpec, make_potential
 
@@ -55,11 +56,9 @@ def banded(grid, kernel):
     return DiscreteOperator(grid, kernel, strategy="banded")
 
 
-def dense_matrix(grid, kernel):
+def dense_generator(grid, kernel):
     """The full n x n generator, column by column."""
-    op = DiscreteOperator(grid, kernel, strategy="dense")
-    n = grid.n_nodes
-    cols = [op.apply(col) for col in np.eye(n)]
+    cols = [dense_apply(grid, kernel, col) for col in np.eye(grid.n_nodes)]
     return np.column_stack(cols)
 
 
@@ -107,7 +106,7 @@ def test_stepper_order_against_expm():
     k = power_law_kernel()
     w0 = make_initial(g, "bump", amplitude=1.0, seed=0, sigma=1.5)
     t_end = 0.5
-    exact = scipy.linalg.expm(t_end * dense_matrix(g, k)) @ w0.values
+    exact = scipy.linalg.expm(t_end * dense_generator(g, k)) @ w0.values
 
     base = 2.0 ** math.floor(math.log2(stable_dt(banded(g, k))))
     errors = []
@@ -128,7 +127,7 @@ def test_single_mode_decays_at_its_eigenrate():
     x = g.node_coords()[:, 0]
     w0 = Field(g, np.cos(2.0 * np.pi * 3 * x / g.side_length))
     op = DiscreteOperator(g, k, strategy="banded")
-    lam = -float(np.dot(op.apply(w0.values), w0.values)
+    lam = -float(np.dot(banded_apply(op, w0.values), w0.values)
                  / np.dot(w0.values, w0.values))
     t_end = 0.2
     traj = run_flow(FlowProblem(
@@ -174,7 +173,7 @@ def test_nonlinear_rhs_and_energy_match_dense_pair_sums(dim, points, radius,
         dimension=dim, order=1.0, ellipticity=4.0, truncation_radius=radius,
         family=family, seed=7))
     op = DiscreteOperator(g, kernel, strategy="banded")
-    A = DiscreteOperator(g, kernel, strategy="dense")._dense(0.0)
+    A = dense_matrix(g, kernel)
     v = np.random.default_rng(points + dim).uniform(-2.0, 2.0, g.n_nodes)
     for pot in (quadratic(), huber()):
         rhs, energy = _rhs_and_energy(op, pot, v, 0.0)

@@ -1,23 +1,22 @@
-"""Periodic grid, discrete operator strategies, bilinear form, seminorm."""
+"""Periodic grid, the discrete operator against its oracles, bilinear form,
+seminorm."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cosine_mode_eigenvalue
+from conftest import banded_apply, bilinear_form, cosine_mode_eigenvalue, \
+    dense_apply, dense_matrix
 from nlflow.errors import NlflowError
 from nlflow.fields import make_initial
 from nlflow.grid import (
     COUNTERS,
-    DENSE_MAX_NODES,
     DiscreteOperator,
     Field,
     Grid,
-    bilinear_form,
     grid_errors,
     seminorm_sq,
 )
@@ -88,7 +87,7 @@ def test_one_torus_metric_at_a_non_dyadic_spacing(dimension):
         kernel = power_law_kernel(truncation=radius, dimension=dimension)
         row = kernel.radial_profile(grid.origin_distance()) \
             * grid.spacing ** dimension
-        dense = DiscreteOperator(grid, kernel, "dense")._dense(0.0)[0]
+        dense = dense_matrix(grid, kernel)[0]
         assert row.tobytes() == dense.tobytes()
         deltas, dists = grid.offsets_within(radius)
         # each kept offset and its partner -d, as flat node indices
@@ -110,7 +109,7 @@ def test_ball_counts_1d():
 def test_constant_field_annihilated_banded():
     g = grid_1d(64)
     op = DiscreteOperator(g, rough_kernel(), strategy="banded")
-    out = op.apply(np.full(g.n_nodes, 2.75))
+    out = banded_apply(op, np.full(g.n_nodes, 2.75))
     # the difference form subtracts w(x) from w(y) before weighting, so a
     # constant cancels before any rounding can creep in
     assert np.all(out == 0.0)
@@ -118,11 +117,11 @@ def test_constant_field_annihilated_banded():
 
 def test_constant_field_annihilated_dense():
     g = grid_1d(64)
-    op = DiscreteOperator(g, rough_kernel(), strategy="dense")
     # the double sum weights w(y) - w(x), so even a large constant cancels
     # exactly (A w - rowsum * w left ulps of the row mass times 2.75e90)
     for value in (2.75, 2.75e90):
-        assert np.all(op.apply(np.full(g.n_nodes, value)) == 0.0)
+        assert np.all(dense_apply(g, rough_kernel(),
+                                  np.full(g.n_nodes, value)) == 0.0)
 
 
 def hand_rolled_apply(grid: Grid, kernel, values: np.ndarray) -> np.ndarray:
@@ -154,8 +153,8 @@ def test_spike_matches_double_loop_oracle():
     values = np.zeros(g.n_nodes)
     values[13] = 1.0
     oracle = hand_rolled_apply(g, k, values)
-    dense = DiscreteOperator(g, k, strategy="dense").apply(values)
-    banded = DiscreteOperator(g, k, strategy="banded").apply(values)
+    dense = dense_apply(g, k, values)
+    banded = banded_apply(DiscreteOperator(g, k, strategy="banded"), values)
     scale = float(np.max(np.abs(oracle)))
     assert np.max(np.abs(dense - oracle)) <= 1e-12 * scale
     assert np.max(np.abs(banded - oracle)) <= 1e-12 * scale
@@ -167,7 +166,7 @@ def test_rough_spike_matches_double_loop_oracle():
     values = np.zeros(g.n_nodes)
     values[40] = -2.0
     oracle = hand_rolled_apply(g, k, values)
-    got = DiscreteOperator(g, k, strategy="banded").apply(values)
+    got = banded_apply(DiscreteOperator(g, k, strategy="banded"), values)
     assert np.max(np.abs(got - oracle)) <= 1e-12 * float(
         np.max(np.abs(oracle)))
 
@@ -176,36 +175,26 @@ def test_cosine_eigenvalue_error_decreases_with_resolution():
     # the dense sum refines toward its own 1024-point evaluation; the
     # banded strategy is held to the same reference by the acceptance gate
     k = power_law_kernel(truncation=math.inf)
-    ref = cosine_mode_eigenvalue(1024, k, strategy="dense")
-    errors = [abs(cosine_mode_eigenvalue(m, k, strategy="dense") - ref)
+    ref = cosine_mode_eigenvalue(1024, k, dense=True)
+    errors = [abs(cosine_mode_eigenvalue(m, k, dense=True) - ref)
               / abs(ref) for m in (64, 128, 256)]
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] < 1e-2
 
 
-def test_dense_refused_above_the_node_cap():
-    # a 65 x 65 matrix would take 143 MB; the operator refuses it when built
-    k = power_law_kernel(dimension=2)
-    big = Grid(dimension=2, side_length=16.0, points_per_axis=65)
-    tracemalloc.start()
-    try:
-        with pytest.raises(NlflowError, match="at most 4096"):
-            DiscreteOperator(big, k, strategy="dense")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-    oracle = Grid(dimension=2, side_length=16.0, points_per_axis=64)
-    assert DiscreteOperator(oracle, k, strategy="dense").grid.n_nodes == \
-        DENSE_MAX_NODES
+def test_operator_refuses_any_strategy_but_banded():
+    # every flow steps on the banded form; the dense double sum lives in the
+    # tests alone
+    with pytest.raises(NlflowError, match="strategy must be banded"):
+        DiscreteOperator(grid_1d(64), power_law_kernel(), strategy="dense")
 
 
 def test_strategy_equivalence_within_tolerance():
     g = grid_1d(256)
     k = power_law_kernel()
     w = make_initial(g, "random", amplitude=1.0, seed=44)
-    dense = DiscreteOperator(g, k, strategy="dense").apply(w.values)
-    banded = DiscreteOperator(g, k, strategy="banded").apply(w.values)
+    dense = dense_apply(g, k, w.values)
+    banded = banded_apply(DiscreteOperator(g, k, strategy="banded"), w.values)
     scale = float(np.max(np.abs(dense)))
     assert np.max(np.abs(dense - banded)) <= 1e-12 * scale
 
@@ -284,20 +273,19 @@ def test_time_dependent_operator_builds_once_per_epoch():
         assert np.array_equal(table, fresh)
 
 
-def test_dense_operator_alternating_its_two_tables():
-    # the operator holds one table: the matrix and the offset table replace
-    # each other, and each is the one a fresh operator builds
-    g, k = grid_1d(32), make_kernel(KernelSpec(
-        order=1.0, ellipticity=4.0, truncation_radius=3.0,
-        family="rough-time-dependent", seed=5))
-    w = make_initial(g, "random", seed=2).values
-    calls = [call for t in (0.0, 0.05, 0.1) for call in (
-        ("offset_values", t), ("apply", w, t))]
-    got, n = builds(DiscreteOperator(g, k, "dense"), calls)
-    assert n == 3
-    for (name, *args), value in zip(calls, got):
-        fresh = getattr(DiscreteOperator(g, k, "dense"), name)(*args)
-        assert np.array_equal(value, fresh)
+def test_operator_rebuilds_a_table_it_replaced():
+    # the operator holds one table: returning to an epoch whose table went
+    # builds it again, and each table is the one a fresh operator builds
+    k = make_kernel(KernelSpec(order=1.0, ellipticity=4.0,
+                               truncation_radius=3.0,
+                               family="rough-time-dependent", seed=5))
+    times = (0.0, 0.15, 0.05, 0.15)
+    tables, n = builds(DiscreteOperator(grid_1d(32), k), [
+        ("offset_values", t) for t in times])
+    assert n == 4
+    for t, table in zip(times, tables):
+        fresh = DiscreteOperator(grid_1d(32), k).offset_values(t)
+        assert np.array_equal(table, fresh)
 
 
 def test_apply_deterministic_bitwise():
@@ -305,8 +293,8 @@ def test_apply_deterministic_bitwise():
     k = rough_kernel(seed=3)
     w = make_initial(g, "random", seed=12)
     op = DiscreteOperator(g, k, strategy="banded")
-    a = op.apply(w.values)
-    b = DiscreteOperator(g, k, strategy="banded").apply(w.values)
+    a = banded_apply(op, w.values)
+    b = banded_apply(DiscreteOperator(g, k, strategy="banded"), w.values)
     assert np.array_equal(a, b)
 
 
@@ -316,7 +304,8 @@ def test_mass_conservation_scaled_drift():
     g = grid_1d(256)
     for seed in range(5):
         w = make_initial(g, "random", amplitude=2.0, seed=seed)
-        out = DiscreteOperator(g, rough_kernel(seed), "banded").apply(w.values)
+        out = banded_apply(DiscreteOperator(g, rough_kernel(seed), "banded"),
+                           w.values)
         total = float(np.sum(out)) * g.spacing
         scale = float(np.sum(np.abs(out))) * g.spacing + 1.0
         assert abs(total) <= 1e-13 * scale
@@ -328,7 +317,7 @@ def test_dissipativity_of_operator():
     op = DiscreteOperator(g, k, strategy="banded")
     for seed in range(5):
         w = make_initial(g, "random", seed=seed)
-        val = float(np.dot(op.apply(w.values), w.values))
+        val = float(np.dot(banded_apply(op, w.values), w.values))
         assert val <= 1e-12
 
 
@@ -365,22 +354,13 @@ def test_summation_by_parts_identity():
     # sum_x (Lu)(x) v(x) h^N = -(1/2) B[u, v]
     g = grid_1d(64)
     for k in (power_law_kernel(), rough_kernel(seed=7)):
-        op = DiscreteOperator(g, k, strategy="dense")
         for seed in (0, 1, 2):
             u = make_initial(g, "random", seed=seed)
             v = make_initial(g, "random", seed=seed + 50)
-            lhs = float(np.dot(op.apply(u.values), v.values)
+            lhs = float(np.dot(dense_apply(g, k, u.values), v.values)
                         * g.spacing)
             rhs = -0.5 * bilinear_form(k, u, v)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
-
-
-def test_bilinear_grid_mismatch_rejected():
-    k = power_law_kernel()
-    u = Field(grid_1d(64), np.zeros(64))
-    v = Field(grid_1d(128), np.zeros(128))
-    with pytest.raises(NlflowError, match="different grids"):
-        bilinear_form(k, u, v)
 
 
 # --------------------------------------------------------------------------
@@ -428,12 +408,12 @@ def test_2d_constant_and_oracle_small_grid():
     g = Grid(dimension=2, side_length=16.0, points_per_axis=16)
     k = rough_kernel(seed=6, dimension=2)
     op = DiscreteOperator(g, k, strategy="banded")
-    const = op.apply(np.full(g.n_nodes, 1.25))
+    const = banded_apply(op, np.full(g.n_nodes, 1.25))
     assert np.all(const == 0.0)
     values = np.zeros(g.n_nodes)
     values[37] = 1.0
     oracle = hand_rolled_apply(g, k, values)
-    got = op.apply(values)
+    got = banded_apply(op, values)
     assert np.max(np.abs(got - oracle)) <= 1e-12 * float(
         np.max(np.abs(oracle)))
 
@@ -466,5 +446,5 @@ def test_property_form_nonnegative_and_sbp(seed, amp):
     form = bilinear_form(k, u, u)
     assert form >= 0.0
     op = DiscreteOperator(g, k, strategy="banded")
-    lhs = float(np.dot(op.apply(u.values), u.values) * g.spacing)
+    lhs = float(np.dot(banded_apply(op, u.values), u.values) * g.spacing)
     assert lhs == pytest.approx(-0.5 * form, rel=1e-11, abs=1e-13)

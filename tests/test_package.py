@@ -1,7 +1,7 @@
 """The package's public names: every export resolves, none is an alias, each
 is used somewhere in the project, each import is used in its module, and
-each public definition is reached from the package or the benchmark, not
-from tests alone."""
+each public definition, method and property is reached from the package or
+the benchmark, not from tests alone."""
 
 import ast
 import importlib
@@ -39,18 +39,21 @@ def test_the_package_root_exports_only_its_version():
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def _referenced_names(tops=("src", "tests", "perfbench")) -> set[str]:
+def _referenced_names(tops=("src", "tests", "perfbench"),
+                      attributes: bool = False) -> set[str]:
     """Every name a Python file under `tops` loads, reads as an attribute or
-    imports by name."""
+    imports by name; with `attributes`, the attribute names alone."""
     names: set[str] = set()
     for top in tops:
         for path in (ROOT / top).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name) and \
+                if isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif attributes:
+                    continue
+                elif isinstance(node, ast.Name) and \
                         isinstance(node.ctx, ast.Load):
                     names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
                 elif isinstance(node, ast.ImportFrom):
                     names.update(alias.name for alias in node.names)
     return names
@@ -83,7 +86,6 @@ def test_every_import_is_used(name):
 
 # public names only tests reach, each kept for a stated reason
 TEST_ONLY = {
-    "bilinear_form": "the pair-sum reference the operator tests compare to",
     "scan_derived_envelope": "the C^{1,alpha} linearization (ROADMAP item 5)",
     "verify_linearization": "the C^{1,alpha} linearization (ROADMAP item 5)",
     "rescaling_sequence": "the Holder induction of Lemma 3 (ROADMAP item 4)",
@@ -91,20 +93,30 @@ TEST_ONLY = {
 
 
 def test_every_public_definition_is_reached_outside_the_tests():
-    # a public top-level function or class that only tests call is a second
-    # path to keep in step with the one the CLI and the benchmark take
+    # a public top-level function or class, or a public method or property
+    # of a package class, that only tests call is a second path to keep in
+    # step with the one the CLI and the benchmark take; a method is reached
+    # by an attribute of its name
     used = _referenced_names(("src", "perfbench"))
-    defined = [(path.stem, node.name)
-               for path in (ROOT / "src" / "nlflow").glob("*.py")
-               for node in ast.parse(path.read_text()).body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and not node.name.startswith("_")]
-    unreached = sorted(f"{module}.{name}" for module, name in defined
-                       if name not in used and name not in TEST_ONLY)
+    attrs = _referenced_names(("src", "perfbench"), attributes=True)
+    reached = {}                    # qualified name -> reached
+    for path in (ROOT / "src" / "nlflow").glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                    not node.name.startswith("_"):
+                reached[f"{path.stem}.{node.name}"] = node.name in used
+            if isinstance(node, ast.ClassDef):
+                reached.update({
+                    f"{path.stem}.{node.name}.{item.name}": item.name in attrs
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")})
+    unreached = sorted(name for name, ok in reached.items()
+                       if not ok and name.split(".", 1)[1] not in TEST_ONLY)
     assert not unreached, f"reached only from tests: {unreached}"
     # an entry goes once the package drops its name or starts to reach it
-    names = {name for _, name in defined}
-    stale = sorted(n for n in TEST_ONLY if n not in names or n in used)
+    kept = {name.split(".", 1)[1] for name, ok in reached.items() if not ok}
+    stale = sorted(set(TEST_ONLY) - kept)
     assert not stale, f"TEST_ONLY lists names it need not: {stale}"
 
 
